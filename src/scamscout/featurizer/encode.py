@@ -101,15 +101,7 @@ class DatasetEncoder:
         mask = np.isnan(rows)
         for col in CATEGORICAL_COLUMNS:
             mask[:, col] = rows[:, col] == 0.0
-        y = None
-        if labels is not None:
-            y = np.asarray(labels, dtype=np.int64)
-            if y.shape[0] != rows.shape[0]:
-                raise SchemaError(
-                    f"{rows.shape[0]} rows but {y.shape[0]} labels"
-                )
-            if not np.isin(y, (0, 1)).all():
-                raise SchemaError("labels must be 0 (benign) or 1 (scam)")
+        y = None if labels is None else _check_labels(labels, rows.shape[0])
         return DesignMatrix(rows, mask, dict(self.column_meta), y)
 
     def to_dict(self) -> dict:
@@ -130,6 +122,23 @@ class DatasetEncoder:
             for col, mapping in payload["columns"].items()
         }
         return cls(meta)
+
+
+def _check_labels(labels: Sequence[int], n_rows: int) -> np.ndarray:
+    """Labels as int64 0/1; anything else raises naming the first bad row."""
+    try:
+        raw = np.asarray(labels, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"labels must be numeric: {exc}") from None
+    if raw.shape != (n_rows,):
+        raise SchemaError(f"{n_rows} rows but {raw.size} labels")
+    # checked as floats: an int cast would truncate 0.7 to 0
+    bad = np.flatnonzero(~np.isin(raw, (0.0, 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise SchemaError(f"label at row {i} is {labels[i]!r}; labels must "
+                          f"be 0 (benign) or 1 (scam)")
+    return raw.astype(np.int64)
 
 
 def encode_dataset(

@@ -1,19 +1,33 @@
 """Regression trees over the encoded feature matrix.
 
-Trees are grown with exact greedy search: every numeric threshold midpoint
-and every ordered-target-statistics prefix of categories is scored.  Split
-gain uses the gradient/hessian form G^2/H so the same grower serves both the
-squared and logistic boosting objectives.  Rows with MISSING values follow
-the split's ``missing_goes`` direction, which is itself chosen by gain.
-Gain ties break lexicographically (lower feature index, then lower
-threshold / shorter category prefix, then LEFT) so training is deterministic
-regardless of dict or argsort quirks.
+Trees are grown with exact greedy search: at every node each numeric
+threshold midpoint and each ordered-target-statistics prefix of categories
+is scored, once with MISSING rows sent LEFT and once with them sent RIGHT.
+Split gain uses the gradient/hessian form G^2/H so the same grower serves
+both the squared and logistic boosting objectives.  Rows with MISSING values
+follow the split's ``missing_goes`` direction.
+
+The search is vectorized per node.  Numeric columns are scored in blocks of
+``_BLOCK_COLS``: one stable argsort orders each column's present values
+(NaN sorts last), cumulative gradient and hessian sums down the sorted
+columns give the left side of every boundary, and the gains of all
+boundaries in both missing directions come out as one array.  A categorical
+column orders its codes by gradient-to-hessian ratio (then by code) and
+scores every prefix the same way.  Row arrays are built only for the
+winning split.
+
+Selection walks the candidates in scan order: feature index, then
+threshold or prefix length, then LEFT before RIGHT.  A candidate replaces
+the best so far only if its gain is larger by more than ``_GAIN_TIE``, so
+among gains within that tolerance the earliest in scan order wins.  A
+candidate counts only if its gain is positive and each side keeps at least
+``min_leaf`` rows.  Training is therefore deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,8 +35,10 @@ LEFT = "LEFT"
 RIGHT = "RIGHT"
 
 _EPS_HESS = 1e-12
-# gains within this of the best are treated as ties and broken lexicographically
+# a candidate replaces the best so far only if it beats it by more than this
 _GAIN_TIE = 1e-12
+# numeric columns scored together per node; bounds the per-node work arrays
+_BLOCK_COLS = 16
 
 
 @dataclass
@@ -79,147 +95,187 @@ class _Split:
     left_rows: np.ndarray
     right_rows: np.ndarray
 
-    def sort_key(self):
-        # lexicographic tie-break key; lower is preferred
-        if self.category_set is not None:
-            second = (1, len(self.category_set), tuple(sorted(self.category_set)))
-        else:
-            second = (0, self.threshold)
-        return (self.feature_index, second, 0 if self.missing_goes == LEFT else 1)
 
-
-def _score(g: float, h: float) -> float:
+def _score(g, h):
     return g * g / (h + _EPS_HESS)
 
 
-def _numeric_candidates(col, rows, grad, hess, min_leaf, feature_index):
-    present = ~np.isnan(col)
-    miss_rows = rows[~present]
-    vals = col[present]
-    sub_rows = rows[present]
-    if vals.size < 2:
-        return
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    sub_rows = sub_rows[order]
-    g = grad[sub_rows]
-    h = hess[sub_rows]
-    g_cum = np.cumsum(g)
-    h_cum = np.cumsum(h)
-    g_all = g_cum[-1] + grad[miss_rows].sum()
-    h_all = h_cum[-1] + hess[miss_rows].sum()
-    g_miss = grad[miss_rows].sum()
-    h_miss = hess[miss_rows].sum()
-    n_miss = miss_rows.size
-    parent = _score(g_all, h_all)
-    boundaries = np.nonzero(vals[1:] != vals[:-1])[0]  # split after index b
-    for b in boundaries:
-        n_left = b + 1
-        n_right = vals.size - n_left
-        g_left, h_left = g_cum[b], h_cum[b]
-        g_right, h_right = g_cum[-1] - g_left, h_cum[-1] - h_left
-        threshold = (vals[b] + vals[b + 1]) / 2.0
-        for missing_goes in (LEFT, RIGHT):
-            if missing_goes == LEFT:
-                gl, hl, nl = g_left + g_miss, h_left + h_miss, n_left + n_miss
-                gr, hr, nr = g_right, h_right, n_right
-            else:
-                gl, hl, nl = g_left, h_left, n_left
-                gr, hr, nr = g_right + g_miss, h_right + h_miss, n_right + n_miss
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            gain = _score(gl, hl) + _score(gr, hr) - parent
-            if gain <= 0:
-                continue
-            if missing_goes == LEFT:
-                left_rows = np.concatenate([sub_rows[: b + 1], miss_rows])
-                right_rows = sub_rows[b + 1:]
-            else:
-                left_rows = sub_rows[: b + 1]
-                right_rows = np.concatenate([sub_rows[b + 1:], miss_rows])
-            yield _Split(gain, feature_index, float(threshold), None,
-                         missing_goes, left_rows, right_rows)
+def _scan_blocks(n_features: int, cat_cols: frozenset[int]):
+    """Feature ranges ``(lo, hi, is_categorical)`` in scan order.
+
+    Consecutive numeric columns are grouped up to ``_BLOCK_COLS`` wide;
+    each categorical column is a range of its own.
+    """
+    lo = 0
+    for f in range(n_features):
+        if f in cat_cols:
+            if lo < f:
+                yield lo, f, False
+            yield f, f + 1, True
+            lo = f + 1
+        elif f + 1 - lo == _BLOCK_COLS:
+            yield lo, f + 1, False
+            lo = f + 1
+    if lo < n_features:
+        yield lo, n_features, False
 
 
-def _categorical_candidates(col, rows, grad, hess, min_leaf, feature_index):
+def _gains(g_left, h_left, n_left, g_right, h_right, n_right,
+           g_miss, h_miss, n_miss, parent, min_leaf):
+    """Gains of every split point with MISSING sent LEFT, then RIGHT.
+
+    Returns shape ``(..., 2)``; a candidate that leaves either side with
+    fewer than ``min_leaf`` rows, or that does not gain, scores -inf.
+    """
+    sides = (
+        (g_left + g_miss, h_left + h_miss, n_left + n_miss,
+         g_right, h_right, n_right),
+        (g_left, h_left, n_left,
+         g_right + g_miss, h_right + h_miss, n_right + n_miss),
+    )
+    gains = []
+    for gl, hl, nl, gr, hr, nr in sides:
+        gain = _score(gl, hl) + _score(gr, hr) - parent
+        ok = (nl >= min_leaf) & (nr >= min_leaf) & (gain > 0)
+        gains.append(np.where(ok, gain, -np.inf))
+    return np.stack(gains, axis=-1)
+
+
+def _split(gain, feature_index, threshold, category_set, d,
+           left_rows, right_rows, miss_rows) -> _Split:
+    """The split that sends ``miss_rows`` LEFT (``d == 0``) or RIGHT."""
+    if d == 0:
+        return _Split(gain, feature_index, threshold, category_set, LEFT,
+                      np.concatenate([left_rows, miss_rows]), right_rows)
+    return _Split(gain, feature_index, threshold, category_set, RIGHT,
+                  left_rows, np.concatenate([right_rows, miss_rows]))
+
+
+def _numeric_gains(block, rows, g_node, h_node, min_leaf, lo):
+    """Score every candidate of a node's numeric columns ``lo, lo+1, ...``.
+
+    ``block`` holds the node's rows of those columns.  Returns the gains in
+    scan order (column, then boundary, then LEFT before RIGHT) with -inf for
+    invalid candidates, and a function that builds the split at an index.
+    """
+    n, k = block.shape
+    order = np.argsort(block, axis=0, kind="stable")  # NaN sorts last
+    vals = np.take_along_axis(block, order, axis=0)
+    missing = np.isnan(block)
+    n_miss = missing.sum(axis=0)
+    n_present = n - n_miss
+    g_miss = np.zeros(k)
+    h_miss = np.zeros(k)
+    for j in np.flatnonzero(n_miss):
+        g_miss[j] = g_node[missing[:, j]].sum()
+        h_miss[j] = h_node[missing[:, j]].sum()
+    g_cum = np.cumsum(g_node[order], axis=0)
+    h_cum = np.cumsum(h_node[order], axis=0)
+    last = np.maximum(n_present - 1, 0)
+    g_tot = g_cum[last, np.arange(k)]
+    h_tot = h_cum[last, np.arange(k)]
+    parent = _score(g_tot + g_miss, h_tot + h_miss)
+    # row b of each (n-1, k) array: split after sorted position b
+    g_left, h_left = g_cum[:-1], h_cum[:-1]
+    n_left = np.arange(1, n)[:, None]
+    gains = _gains(g_left, h_left, n_left,
+                   g_tot - g_left, h_tot - h_left, n_present - n_left,
+                   g_miss, h_miss, n_miss, parent, min_leaf)
+    boundary = (n_left < n_present) & (vals[1:] != vals[:-1])
+    gains[~boundary] = -np.inf
+    gains = gains.transpose(1, 0, 2).ravel()
+
+    def split(i: int) -> _Split:
+        j, b, d = np.unravel_index(i, (k, n - 1, 2))
+        present_rows = rows[order[: n_present[j], j]]
+        threshold = float((vals[b, j] + vals[b + 1, j]) / 2.0)
+        return _split(gains[i], lo + int(j), threshold, None, d,
+                      present_rows[: b + 1], present_rows[b + 1:],
+                      rows[missing[:, j]])
+
+    return gains, split
+
+
+def _categorical_gains(col, rows, grad, hess, min_leaf, feature_index):
+    """Score every prefix of the node's categories, ordered by g/h.
+
+    Returns the gains in scan order (prefix length, then LEFT before RIGHT)
+    with -inf for invalid candidates, and a function that builds the split
+    at an index.
+    """
     codes = col.astype(np.int64)
     known = codes > 0  # code 0 = MISSING / unseen
     miss_rows = rows[~known]
     sub_rows = rows[known]
     sub_codes = codes[known]
-    if sub_rows.size == 0:
-        return
-    uniq = np.unique(sub_codes)
+    by_code = np.argsort(sub_codes, kind="stable")
+    uniq, starts = np.unique(sub_codes[by_code], return_index=True)
     if uniq.size < 2:
-        return
-    stats = []
-    for code in uniq:
-        members = sub_rows[sub_codes == code]
-        g = grad[members].sum()
-        h = hess[members].sum()
-        # ordered target statistics: ratio of gradient to hessian mass
-        stats.append((g / (h + _EPS_HESS), int(code), members))
-    stats.sort(key=lambda t: (t[0], t[1]))
+        return np.empty(0), None
+    members = np.split(sub_rows[by_code], starts[1:])  # node order per code
+    g = np.array([grad[m].sum() for m in members])
+    h = np.array([hess[m].sum() for m in members])
+    sizes = np.array([m.size for m in members])
+    # ordered target statistics: ratio of gradient to hessian mass, then code
+    rank = np.lexsort((uniq, g / (h + _EPS_HESS)))
     g_miss = grad[miss_rows].sum()
     h_miss = hess[miss_rows].sum()
-    n_miss = miss_rows.size
     g_all = grad[rows].sum()
     h_all = hess[rows].sum()
-    parent = _score(g_all, h_all)
-    g_left = h_left = 0.0
-    n_left = 0
-    prefix_members = []
-    for _, code, members in stats[:-1]:
-        g_left += grad[members].sum()
-        h_left += hess[members].sum()
-        n_left += members.size
-        prefix_members.append(members)
-        cat_set = frozenset(int(c) for _, c, _ in
-                            stats[: len(prefix_members)])
-        g_right = g_all - g_miss - g_left
-        h_right = h_all - h_miss - h_left
-        n_right = sub_rows.size - n_left
-        for missing_goes in (LEFT, RIGHT):
-            if missing_goes == LEFT:
-                gl, hl, nl = g_left + g_miss, h_left + h_miss, n_left + n_miss
-                gr, hr, nr = g_right, h_right, n_right
-            else:
-                gl, hl, nl = g_left, h_left, n_left
-                gr, hr, nr = g_right + g_miss, h_right + h_miss, n_right + n_miss
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            gain = _score(gl, hl) + _score(gr, hr) - parent
-            if gain <= 0:
-                continue
-            left_known = np.concatenate(prefix_members)
-            right_known = sub_rows[~np.isin(sub_codes, list(cat_set))]
-            if missing_goes == LEFT:
-                left_rows = np.concatenate([left_known, miss_rows])
-                right_rows = right_known
-            else:
-                left_rows = left_known
-                right_rows = np.concatenate([right_known, miss_rows])
-            yield _Split(gain, feature_index, None, cat_set,
-                         missing_goes, left_rows, right_rows)
+    g_left = np.cumsum(g[rank][:-1])
+    h_left = np.cumsum(h[rank][:-1])
+    n_left = np.cumsum(sizes[rank][:-1])
+    gains = _gains(g_left, h_left, n_left,
+                   g_all - g_miss - g_left, h_all - h_miss - h_left,
+                   sub_rows.size - n_left,
+                   g_miss, h_miss, miss_rows.size, _score(g_all, h_all),
+                   min_leaf).ravel()
+
+    def split(i: int) -> _Split:
+        prefix, d = divmod(i, 2)
+        in_set = rank[: prefix + 1]
+        return _split(gains[i], feature_index, None,
+                      frozenset(int(c) for c in uniq[in_set]), d,
+                      np.concatenate([members[c] for c in in_set]),
+                      sub_rows[~np.isin(sub_codes, uniq[in_set])],
+                      miss_rows)
+
+    return gains, split
+
+
+def _walk(gains: np.ndarray, best: float) -> Optional[int]:
+    """Index the scan-order walk over ``gains`` ends on, or None.
+
+    Starting from ``best``, the walk takes each candidate whose gain beats
+    the current best by more than ``_GAIN_TIE``.  Every candidate before the
+    current pick is at most ``best + _GAIN_TIE``, so the next pick is the
+    first index whose running maximum exceeds that bound.
+    """
+    running = np.maximum.accumulate(gains)
+    pick = None
+    while True:
+        i = int(np.searchsorted(running, best + _GAIN_TIE, side="right"))
+        if i == gains.size:
+            return pick
+        pick, best = i, gains[i]
 
 
 def _best_split(values, cat_cols, rows, grad, hess, min_leaf):
-    best: Optional[_Split] = None
-    for feature_index in range(values.shape[1]):
-        col = values[rows, feature_index]
-        if feature_index in cat_cols:
-            candidates = _categorical_candidates(
-                col, rows, grad, hess, min_leaf, feature_index)
+    """The split the scan-order walk ends on for node ``rows``, or None."""
+    g_node = grad[rows]
+    h_node = hess[rows]
+    best_gain, make, at = -np.inf, None, None
+    for lo, hi, is_cat in _scan_blocks(values.shape[1], cat_cols):
+        if is_cat:
+            gains, split = _categorical_gains(
+                values[rows, lo], rows, grad, hess, min_leaf, lo)
         else:
-            candidates = _numeric_candidates(
-                col, rows, grad, hess, min_leaf, feature_index)
-        for cand in candidates:
-            if best is None or cand.gain > best.gain + _GAIN_TIE:
-                best = cand
-            elif abs(cand.gain - best.gain) <= _GAIN_TIE:
-                if cand.sort_key() < best.sort_key():
-                    best = cand
-    return best
+            gains, split = _numeric_gains(
+                values[rows, lo:hi], rows, g_node, h_node, min_leaf, lo)
+        i = _walk(gains, best_gain)
+        if i is not None:
+            best_gain, make, at = gains[i], split, i
+    return None if make is None else make(at)
 
 
 def grow_tree(

@@ -387,3 +387,19 @@ def test_label_validation():
         encode_dataset([_vec()], labels=[2])
     with pytest.raises(SchemaError):
         encode_dataset([_vec()], labels=[0, 1])
+
+
+def test_fractional_label_is_rejected_not_truncated():
+    vectors = [_vec(), _vec(), _vec()]
+    with pytest.raises(SchemaError, match="row 1 is 0.7"):
+        encode_dataset(vectors, labels=[1, 0.7, 0])
+    with pytest.raises(SchemaError, match="row 2 is 1.9"):
+        encode_dataset(vectors, labels=[1, 0, 1.9])
+
+
+def test_non_finite_label_is_rejected():
+    vectors = [_vec(), _vec(), _vec()]
+    with pytest.raises(SchemaError, match="row 2 is nan"):
+        encode_dataset(vectors, labels=[0, 1, float("nan")])
+    with pytest.raises(SchemaError, match="row 0 is inf"):
+        encode_dataset(vectors, labels=[float("inf"), 1, 0])

@@ -1,5 +1,8 @@
 """Boosted-tree oracle: training behavior, prediction, CV evaluation."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,14 @@ from scamscout.oracle import (
     stratified_folds,
     train_gbdt,
     train_logistic_baseline,
+)
+from scamscout.oracle.tree import (
+    _EPS_HESS,
+    _GAIN_TIE,
+    LEFT,
+    RIGHT,
+    _best_split,
+    _score,
 )
 
 _F1 = FEATURE_NAMES.index("tranco")
@@ -280,3 +291,218 @@ def test_binary_metrics_known_values():
     assert m.recall == pytest.approx(2 / 3)
     assert m.f1 == pytest.approx(2 / 3)
     assert m.accuracy == pytest.approx(4 / 6)
+
+
+# --- split search against the scalar reference ------------------------------------
+#
+# The scalar scan below is the referee: it scores one candidate at a time,
+# walks the candidates in scan order and breaks gain ties by ``sort_key``.
+# The vectorized search must agree with it exactly.
+
+
+@dataclass
+class _RefSplit:
+    gain: float
+    feature_index: int
+    threshold: Optional[float]
+    category_set: Optional[frozenset]
+    missing_goes: str
+    left_rows: np.ndarray
+    right_rows: np.ndarray
+
+    def sort_key(self):
+        if self.category_set is not None:
+            second = (1, len(self.category_set), tuple(sorted(self.category_set)))
+        else:
+            second = (0, self.threshold)
+        return (self.feature_index, second, 0 if self.missing_goes == LEFT else 1)
+
+
+def _ref_numeric_candidates(col, rows, grad, hess, min_leaf, feature_index):
+    present = ~np.isnan(col)
+    miss_rows = rows[~present]
+    vals = col[present]
+    sub_rows = rows[present]
+    if vals.size < 2:
+        return
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    sub_rows = sub_rows[order]
+    g = grad[sub_rows]
+    h = hess[sub_rows]
+    g_cum = np.cumsum(g)
+    h_cum = np.cumsum(h)
+    g_all = g_cum[-1] + grad[miss_rows].sum()
+    h_all = h_cum[-1] + hess[miss_rows].sum()
+    g_miss = grad[miss_rows].sum()
+    h_miss = hess[miss_rows].sum()
+    n_miss = miss_rows.size
+    parent = _score(g_all, h_all)
+    boundaries = np.nonzero(vals[1:] != vals[:-1])[0]
+    for b in boundaries:
+        n_left = b + 1
+        n_right = vals.size - n_left
+        g_left, h_left = g_cum[b], h_cum[b]
+        g_right, h_right = g_cum[-1] - g_left, h_cum[-1] - h_left
+        threshold = (vals[b] + vals[b + 1]) / 2.0
+        for missing_goes in (LEFT, RIGHT):
+            if missing_goes == LEFT:
+                gl, hl, nl = g_left + g_miss, h_left + h_miss, n_left + n_miss
+                gr, hr, nr = g_right, h_right, n_right
+            else:
+                gl, hl, nl = g_left, h_left, n_left
+                gr, hr, nr = g_right + g_miss, h_right + h_miss, n_right + n_miss
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            gain = _score(gl, hl) + _score(gr, hr) - parent
+            if gain <= 0:
+                continue
+            if missing_goes == LEFT:
+                left_rows = np.concatenate([sub_rows[: b + 1], miss_rows])
+                right_rows = sub_rows[b + 1:]
+            else:
+                left_rows = sub_rows[: b + 1]
+                right_rows = np.concatenate([sub_rows[b + 1:], miss_rows])
+            yield _RefSplit(gain, feature_index, float(threshold), None,
+                            missing_goes, left_rows, right_rows)
+
+
+def _ref_categorical_candidates(col, rows, grad, hess, min_leaf, feature_index):
+    codes = col.astype(np.int64)
+    known = codes > 0
+    miss_rows = rows[~known]
+    sub_rows = rows[known]
+    sub_codes = codes[known]
+    if sub_rows.size == 0:
+        return
+    uniq = np.unique(sub_codes)
+    if uniq.size < 2:
+        return
+    stats = []
+    for code in uniq:
+        members = sub_rows[sub_codes == code]
+        g = grad[members].sum()
+        h = hess[members].sum()
+        stats.append((g / (h + _EPS_HESS), int(code), members))
+    stats.sort(key=lambda t: (t[0], t[1]))
+    g_miss = grad[miss_rows].sum()
+    h_miss = hess[miss_rows].sum()
+    n_miss = miss_rows.size
+    g_all = grad[rows].sum()
+    h_all = hess[rows].sum()
+    parent = _score(g_all, h_all)
+    g_left = h_left = 0.0
+    n_left = 0
+    prefix_members = []
+    for _, code, members in stats[:-1]:
+        g_left += grad[members].sum()
+        h_left += hess[members].sum()
+        n_left += members.size
+        prefix_members.append(members)
+        cat_set = frozenset(int(c) for _, c, _ in
+                            stats[: len(prefix_members)])
+        g_right = g_all - g_miss - g_left
+        h_right = h_all - h_miss - h_left
+        n_right = sub_rows.size - n_left
+        for missing_goes in (LEFT, RIGHT):
+            if missing_goes == LEFT:
+                gl, hl, nl = g_left + g_miss, h_left + h_miss, n_left + n_miss
+                gr, hr, nr = g_right, h_right, n_right
+            else:
+                gl, hl, nl = g_left, h_left, n_left
+                gr, hr, nr = g_right + g_miss, h_right + h_miss, n_right + n_miss
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            gain = _score(gl, hl) + _score(gr, hr) - parent
+            if gain <= 0:
+                continue
+            left_known = np.concatenate(prefix_members)
+            right_known = sub_rows[~np.isin(sub_codes, list(cat_set))]
+            if missing_goes == LEFT:
+                left_rows = np.concatenate([left_known, miss_rows])
+                right_rows = right_known
+            else:
+                left_rows = left_known
+                right_rows = np.concatenate([right_known, miss_rows])
+            yield _RefSplit(gain, feature_index, None, cat_set,
+                            missing_goes, left_rows, right_rows)
+
+
+def _ref_best_split(values, cat_cols, rows, grad, hess, min_leaf):
+    best = None
+    for feature_index in range(values.shape[1]):
+        col = values[rows, feature_index]
+        if feature_index in cat_cols:
+            candidates = _ref_categorical_candidates(
+                col, rows, grad, hess, min_leaf, feature_index)
+        else:
+            candidates = _ref_numeric_candidates(
+                col, rows, grad, hess, min_leaf, feature_index)
+        for cand in candidates:
+            if best is None or cand.gain > best.gain + _GAIN_TIE:
+                best = cand
+            elif abs(cand.gain - best.gain) <= _GAIN_TIE:
+                if cand.sort_key() < best.sort_key():
+                    best = cand
+    return best
+
+
+def _random_node(rng):
+    """A node drawn to provoke ties, NaN tails, empty categories and tiny leaves."""
+    n_total = int(rng.integers(2, 41))
+    n_features = int(rng.integers(1, 37))  # up to three numeric blocks wide
+    cat_cols = frozenset(
+        int(f) for f in np.flatnonzero(rng.random(n_features) < 0.2))
+    values = np.empty((n_total, n_features))
+    for f in range(n_features):
+        if f in cat_cols:
+            values[:, f] = rng.integers(0, 5, n_total)  # 0 = MISSING
+        else:
+            col = np.round(rng.uniform(-3, 3, n_total), int(rng.integers(0, 3)))
+            col[rng.random(n_total) < rng.uniform(0.0, 0.5)] = np.nan
+            values[:, f] = col
+    if rng.random() < 0.5:
+        # unit hessians and coarse gradients: exactly tied and zero gains
+        grad = np.round(rng.normal(0, 1, n_total), int(rng.integers(0, 2)))
+        hess = np.ones(n_total)
+    else:
+        p = rng.uniform(0.01, 0.99, n_total)
+        grad = p - (rng.random(n_total) < 0.5)
+        hess = np.maximum(p * (1.0 - p), 1e-12)
+    size = int(rng.integers(1, n_total + 1))
+    rows = rng.permutation(rng.choice(n_total, size, replace=False))
+    min_leaf = int(rng.integers(1, 6))
+    return values, cat_cols, rows, grad, hess, min_leaf
+
+
+def test_vectorized_split_search_equals_scalar_reference():
+    rng = np.random.default_rng(2025)
+    winners = {"none": 0, "numeric": 0, "categorical": 0, LEFT: 0, RIGHT: 0}
+    for _ in range(400):
+        args = _random_node(rng)
+        ref = _ref_best_split(*args)
+        got = _best_split(*args)
+        if ref is None:
+            assert got is None
+            winners["none"] += 1
+            continue
+        assert got is not None
+        assert got.gain == ref.gain
+        assert got.feature_index == ref.feature_index
+        assert got.threshold == ref.threshold
+        assert got.category_set == ref.category_set
+        assert got.missing_goes == ref.missing_goes
+        assert np.array_equal(got.left_rows, ref.left_rows)
+        assert np.array_equal(got.right_rows, ref.right_rows)
+        winners["categorical" if ref.category_set else "numeric"] += 1
+        winners[ref.missing_goes] += 1
+    # the draw must exercise every kind of outcome, or it proves little
+    assert all(count >= 10 for count in winners.values()), winners
+
+
+def test_zero_gain_is_not_a_split():
+    # with all-zero gradients every candidate scores exactly 0
+    values = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 1.0], [np.nan, 2.0]])
+    args = (values, frozenset({1}), np.arange(4), np.zeros(4), np.ones(4), 1)
+    assert _ref_best_split(*args) is None
+    assert _best_split(*args) is None
