@@ -258,8 +258,8 @@ def _read_lupi_examples(path) -> list[LupiExample]:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
             try:
+                rec = json.loads(line)
                 serp = corpus.serp_from_record(rec) if rec.get("entries") else None
                 out.append(LupiExample(
                     query=rec["query"],
@@ -268,7 +268,7 @@ def _read_lupi_examples(path) -> list[LupiExample]:
                     expansion=int(rec.get("expansion", 0)),
                     serps=[serp] if serp else [],
                 ))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, SchemaError) as exc:
                 raise SchemaError(f"{path}:{lineno}: bad training record: {exc}")
     return out
 

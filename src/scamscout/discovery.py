@@ -63,6 +63,8 @@ class FixtureStore:
 
     def __init__(self):
         self._records: dict[str, dict] = {}
+        # (query, engine) -> id of its latest capture, by (capture_date, id)
+        self._latest: dict[tuple[str, str], str] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -82,8 +84,13 @@ class FixtureStore:
         if existing is not None and existing != record:
             raise SchemaError(
                 f"conflicting fixture for ({query!r}, {engine}, {capture_date})")
-        self._records[record["id"]] = record
-        return record["id"]
+        rid = record["id"]
+        self._records[rid] = record
+        latest = self._latest.get((query, engine))
+        if latest is None or (capture_date, rid) > (
+                self._records[latest]["capture_date"], latest):
+            self._latest[(query, engine)] = rid
+        return rid
 
     def get(self, query: str, engine: str,
             capture_date: Optional[str] = None) -> SerpResultSet:
@@ -94,11 +101,10 @@ class FixtureStore:
                 raise FixtureMissError(
                     f"no fixture for ({query!r}, {engine}, {capture_date})")
         else:
-            matches = [r for r in self._records.values()
-                       if r["query"] == query and r["engine"] == engine]
-            if not matches:
+            latest = self._latest.get((query, engine))
+            if latest is None:
                 raise FixtureMissError(f"no fixture for ({query!r}, {engine})")
-            record = max(matches, key=lambda r: (r["capture_date"], r["id"]))
+            record = self._records[latest]
         entries = [_entry_from_dict(e) for e in record["entries"]]
         return SerpResultSet(query=query, entries=entries)
 

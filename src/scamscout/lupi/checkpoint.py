@@ -1,12 +1,18 @@
 """Checkpoint (de)serialization for teacher and student models.
 
-Parameters are stored as shape-annotated flat float lists in JSON.  Python
-round-trips floats exactly through repr, so a saved model reloads
-bit-identically.
+A checkpoint is one JSON object, written with sorted keys, holding the
+format version, the model kind, the tokenizer/encoder (and, for a teacher,
+privileged) configs, the seed, and ``params``: one ``{"shape", "data"}``
+entry per parameter name.  Format version 2 stores ``data`` as the base64
+(ASCII) encoding of the parameter's little-endian float64 bytes in C order.
+The same bits go in and come out, NaN payloads and -0.0 included, so a saved
+model reloads bit-identically and a rerun rewrites a byte-identical file.
+Version 1 (one JSON float per element) is no longer read; retrain to rebuild.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -19,11 +25,15 @@ from .tokenizer import TokenizerConfig
 
 import numpy as np
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+
+_DTYPE = np.dtype("<f8")
 
 
 def _params_to_dict(params: dict) -> dict:
-    return {name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    return {name: {"shape": list(arr.shape),
+                   "data": base64.b64encode(np.ascontiguousarray(
+                       arr, dtype=_DTYPE).tobytes()).decode("ascii")}
             for name, arr in sorted(params.items())}
 
 
@@ -34,11 +44,20 @@ def _load_params(model, blob: dict) -> None:
         extra = sorted(set(blob) - set(params))
         raise SchemaError(f"parameter mismatch: missing={missing} extra={extra}")
     for name, entry in blob.items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != params[name].shape:
+        shape = tuple(entry["shape"])
+        if shape != params[name].shape:
             raise SchemaError(
-                f"shape mismatch for {name}: {arr.shape} vs {params[name].shape}")
-        params[name][...] = arr
+                f"shape mismatch for {name}: {shape} vs {params[name].shape}")
+        try:
+            raw = base64.b64decode(entry["data"], validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise SchemaError(f"bad base64 data for {name}: {exc}") from exc
+        expected = _DTYPE.itemsize * int(np.prod(shape))
+        if len(raw) != expected:
+            raise SchemaError(
+                f"byte count mismatch for {name}: {len(raw)} vs {expected}")
+        params[name][...] = np.frombuffer(raw, dtype=_DTYPE).reshape(
+            params[name].shape)
 
 
 def model_to_dict(model: Union[TeacherModel, StudentModel]) -> dict:
@@ -59,7 +78,9 @@ def model_to_dict(model: Union[TeacherModel, StudentModel]) -> dict:
 def model_from_dict(blob: dict) -> Union[TeacherModel, StudentModel]:
     if blob.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise SchemaError(
-            f"unsupported checkpoint format: {blob.get('format_version')!r}")
+            f"unsupported checkpoint format: {blob.get('format_version')!r} "
+            f"(expected {CHECKPOINT_FORMAT_VERSION}); retrain the model with "
+            f"train-lupi to rebuild it")
     tok_cfg = TokenizerConfig(**blob["tokenizer"])
     enc_cfg = EncoderConfig(**blob["encoder"])
     kind = blob.get("kind")

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ..corpus import SerpResultSet
-from ..errors import TrainingError
+from ..errors import SchemaError, TrainingError
 from ..heuristics import derive_seed
 from .encoder import EncoderConfig
 from .losses import LossWeights, total_loss
@@ -61,6 +61,11 @@ class LupiExample:
     category: str = ""
     expansion: int = 0
     serps: list[SerpResultSet] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.toxicity) and 0.0 <= self.toxicity <= 1.0):
+            raise SchemaError(f"query {self.query!r}: toxicity must be a "
+                              f"finite value in [0, 1], got {self.toxicity!r}")
 
 
 @dataclass
@@ -157,6 +162,13 @@ def _slice(t: _Tensors, idx: np.ndarray) -> _Tensors:
                     t.labels[idx], t.empty_priv)
 
 
+def _check_finite(loss: float, what: str, epoch: int, step: int) -> None:
+    """Stop before a non-finite loss turns the model (and its checkpoint) NaN."""
+    if not np.isfinite(loss):
+        raise TrainingError(
+            f"non-finite {what} loss {loss!r} at epoch {epoch}, step {step}")
+
+
 @dataclass
 class TrainReport:
     train_losses: list[float]      # mean loss per epoch
@@ -230,6 +242,7 @@ def train_teacher(
                 train_t.serp_present[idx], train=True, rng=loop_rng)
             diff = score - train_t.labels[idx]
             loss = float(np.mean(np.abs(diff)))
+            _check_finite(loss, "training", epoch, step)
             model.backward(np.sign(diff) / diff.shape[0])
             opt.step(model.gradients(),
                      warmup_scale(step, total_steps, cfg.warmup_fraction))
@@ -238,6 +251,7 @@ def train_teacher(
             report.step_losses.append(loss)
         report.train_losses.append(float(np.mean(epoch_losses)))
         vl = val_loss()
+        _check_finite(vl, "validation", epoch, step)
         report.val_losses.append(vl)
         if vl < best[0]:
             best = (vl, epoch, copy.deepcopy(model.parameters()))
@@ -329,6 +343,7 @@ def _train_student_loop(
             value, _, (d_score, d_hint, d_attn) = total_loss(
                 train_t.labels[idx], s_score, s_hint, s_attn,
                 t_score, t_fused, t_attn, weights)
+            _check_finite(value, "training", epoch, step)
             student.backward(d_score, d_hint, d_attn)
             opt.step(student.gradients(),
                      warmup_scale(step, total_steps, cfg.warmup_fraction))
@@ -337,6 +352,7 @@ def _train_student_loop(
             report.step_losses.append(value)
         report.train_losses.append(float(np.mean(epoch_losses)))
         vl = val_loss()
+        _check_finite(vl, "validation", epoch, step)
         report.val_losses.append(vl)
         if vl < best[0]:
             best = (vl, epoch, copy.deepcopy(student.parameters()))

@@ -226,3 +226,25 @@ def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
                "--fixtures", str(FIXTURES / "serp_fixtures.jsonl"),
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("toxicity", ["NaN", "1.7", None])
+def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
+                                                        toxicity):
+    lines = (FIXTURES / "lupi_train.jsonl").read_text().splitlines()
+    rec = json.loads(lines[2])
+    if toxicity is None:
+        lines[2] = lines[2][:-1]  # truncated JSON
+    else:
+        rec["toxicity"] = float(toxicity)
+        lines[2] = json.dumps(rec)
+    train = tmp_path / "train.jsonl"
+    train.write_text("\n".join(lines) + "\n")
+    rc = main(["train-lupi", "--train", str(train),
+               "--out", str(tmp_path / "student.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{train}:3: bad training record" in err
+    if toxicity is not None:
+        assert repr(rec["query"]) in err
+    assert not (tmp_path / "student.json").exists()

@@ -10,6 +10,7 @@ from scamscout.discovery import (
     DiscoveryReport,
     FixtureStore,
     LiveSession,
+    _fixture_id,
     emit_report,
     fetch_serp,
     report_from_csv,
@@ -72,6 +73,25 @@ def test_store_get_latest_when_date_omitted():
     assert [e.root_domain for e in latest.entries] == ["new.com"]
     dated = store.get("q", "GOOGLE", "2024-04-01")
     assert [e.root_domain for e in dated.entries] == ["old.com"]
+
+
+def test_store_latest_index_matches_brute_force_max():
+    rng = np.random.default_rng(5)
+    puts = [(f"q{i}", engine, f"2024-{m:02d}-{d:02d}")
+            for i in range(6) for engine in ("GOOGLE", "BING")
+            for m in range(1, 7) for d in (1, 15)
+            if rng.random() < 0.6]
+    puts += puts[:10]  # re-putting the same capture is a no-op
+    store = FixtureStore()
+    for j in rng.permutation(len(puts)):
+        query, engine, capture = puts[j]
+        store.put(query, engine, capture, _entries([f"{capture}.com"], engine))
+    for query, engine in {(q, e) for q, e, _ in puts}:
+        want = max((c, _fixture_id(q, e, c)) for q, e, c in puts
+                   if (q, e) == (query, engine))
+        got = store.get(query, engine)
+        assert [e.root_domain for e in got.entries] == [f"{want[0]}.com"]
+        assert got == store.get(query, engine, want[0])
 
 
 def test_store_miss_raises():

@@ -1,5 +1,6 @@
 """Teacher-student toxicity models: tokenizer, encoder, losses, training."""
 
+import base64
 import json
 
 import numpy as np
@@ -570,6 +571,41 @@ def test_dataset_helpers():
         LupiDataset([])
 
 
+@pytest.mark.parametrize("tox", [float("nan"), float("inf"), -0.1, 1.7])
+def test_example_rejects_bad_toxicity(tox):
+    with pytest.raises(SchemaError, match="bad label query"):
+        LupiExample(query="bad label query", toxicity=tox)
+    for ok in (0.0, 1.0):
+        LupiExample(query="q", toxicity=ok)
+
+
+def _poison(dataset):
+    # bypasses the LupiExample check, as a label mutated after construction would
+    dataset.examples[0].toxicity = float("nan")
+    return dataset
+
+
+def test_training_raises_on_non_finite_step_loss():
+    one_batch = TrainConfig(lr=2e-3, epochs=2, batch_size=16, seed=0)
+    val = _tiny_dataset(8, seed=9)
+    with pytest.raises(TrainingError, match="training loss .* epoch 0, step 0"):
+        train_teacher(_poison(_tiny_dataset(16)), PRIV, one_batch, TOK, ENC,
+                      val_dataset=val)
+    with pytest.raises(TrainingError, match="training loss .* epoch 0, step 0"):
+        train_query_baseline(_poison(_tiny_dataset(16)), one_batch, TOK, ENC,
+                             val_dataset=val)
+
+
+def test_training_raises_on_non_finite_validation_loss():
+    data = _tiny_dataset(16)
+    with pytest.raises(TrainingError, match="validation loss .* epoch 0"):
+        train_teacher(data, PRIV, CFG, TOK, ENC,
+                      val_dataset=_poison(_tiny_dataset(8, seed=9)))
+    with pytest.raises(TrainingError, match="validation loss .* epoch 0"):
+        train_query_baseline(data, CFG, TOK, ENC,
+                             val_dataset=_poison(_tiny_dataset(8, seed=9)))
+
+
 # --- checkpoints ------------------------------------------------------------
 
 
@@ -616,6 +652,78 @@ def test_checkpoint_blob_validation():
     bad["params"].pop(sorted(bad["params"])[0])
     with pytest.raises(SchemaError):
         model_from_dict(bad)
+
+
+def test_checkpoint_round_trips_special_floats_bitwise(tmp_path):
+    student = StudentModel(TOK, ENC, seed=0)
+    special = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan,
+                        1.7976931348623157e308])
+    # a NaN with a non-default payload must survive too
+    odd_nan = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)
+    special = np.concatenate([special, odd_nan])
+    params = student.parameters()
+    for name in sorted(params)[:3]:
+        flat = params[name].reshape(-1)
+        flat[:special.size] = special[:flat.size]
+    path = tmp_path / "student.json"
+    save_checkpoint(student, path)
+
+    def no_constants(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    json.loads(path.read_text(), parse_constant=no_constants)
+    loaded = load_student(path)
+    for name, value in student.parameters().items():
+        assert np.array_equal(value.view(np.uint64),
+                              loaded.parameters()[name].view(np.uint64)), name
+
+
+def test_checkpoint_rejects_corrupt_data_and_old_format():
+    student = StudentModel(TOK, ENC, seed=0)
+    blob = model_to_dict(student)
+    name = sorted(blob["params"])[0]
+
+    good = blob["params"][name]["data"]
+    raw = base64.b64decode(good)
+    for data in (good[:4] + "*" + good[4:],               # not base64
+                 base64.b64encode(raw[:-8]).decode(),      # one float short
+                 base64.b64encode(raw + raw[:8]).decode()):  # one float extra
+        bad = json.loads(json.dumps(blob))
+        bad["params"][name]["data"] = data
+        with pytest.raises(SchemaError, match=name):
+            model_from_dict(bad)
+
+    bad = json.loads(json.dumps(blob))
+    bad["params"][name]["data"] = [0.0] * int(np.prod(bad["params"][name]["shape"]))
+    with pytest.raises(SchemaError, match=name):
+        model_from_dict(bad)
+
+    old = json.loads(json.dumps(blob))
+    old["format_version"] = 1
+    for entry in old["params"].values():
+        entry["data"] = [0.0] * int(np.prod(entry["shape"]))
+    with pytest.raises(SchemaError, match="unsupported checkpoint format.*retrain"):
+        model_from_dict(old)
+
+
+def test_loaded_parameters_are_writable_and_own_their_data(tmp_path):
+    data = _tiny_dataset(8)
+    student, _ = train_query_baseline(data, CFG, TOK, ENC)
+    path = tmp_path / "student.json"
+    save_checkpoint(student, path)
+    loaded = load_student(path)
+    for name, value in loaded.parameters().items():
+        assert value.flags.writeable and value.flags.owndata, name
+    # a reloaded model trains further exactly like the in-memory one
+    opt_a = AdamW(student.parameters(), 1e-3)
+    opt_b = AdamW(loaded.parameters(), 1e-3)
+    ids = tokenize_batch([ex.query for ex in data.examples], TOK)
+    for model, opt in ((student, opt_a), (loaded, opt_b)):
+        model.zero_grads()
+        score, hint, _ = model.forward(ids, train=False)
+        model.backward(np.ones_like(score) / score.size, np.zeros_like(hint))
+        opt.step(model.gradients())
+    for name, value in student.parameters().items():
+        assert np.array_equal(value, loaded.parameters()[name]), name
 
 
 # --- ranking ----------------------------------------------------------------
