@@ -121,10 +121,13 @@ class FixtureStore:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"bad fixture line {lineno}: {exc}") from exc
-            store.put(record["query"], record["engine"], record["capture_date"],
-                      [_entry_from_dict(e) for e in record["entries"]])
+                store.put(record["query"], record["engine"], record["capture_date"],
+                          [_entry_from_dict(e) for e in record["entries"]])
+            # JSONDecodeError is a ValueError; KeyError/TypeError mean a
+            # missing key or a wrongly typed value in an otherwise valid line
+            except (KeyError, TypeError, ValueError, SchemaError) as exc:
+                raise SchemaError(
+                    f"bad fixture line {lineno}: {type(exc).__name__}: {exc}") from exc
         return store
 
 

@@ -36,6 +36,11 @@ class EncoderConfig:
             raise SchemaError("dim must be divisible by heads")
         if self.layers < 1:
             raise SchemaError("need at least one layer")
+        if self.ff_dim < 1:
+            raise SchemaError("ff_dim must be >= 1")
+        # dropout 1 would divide every kept activation by zero
+        if not 0.0 <= self.dropout < 1.0:
+            raise SchemaError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
@@ -57,16 +62,6 @@ class EncoderBlock(Module):
         self.ln2 = LayerNorm(cfg.dim)
         self.ffn = FeedForward(cfg.dim, cfg.ff_dim, rng)
         self.drop2 = Dropout(cfg.dropout)
-
-    def zero_grads(self):
-        for sub in (self.ln1, self.attn, self.ln2, self.ffn):
-            sub.zero_grads()
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.ln1.named_parameters(f"{prefix}ln1.")
-        yield from self.attn.named_parameters(f"{prefix}attn.")
-        yield from self.ln2.named_parameters(f"{prefix}ln2.")
-        yield from self.ffn.named_parameters(f"{prefix}ffn.")
 
     def forward(self, x, key_mask, train, rng, cache=True):
         a, attn_map = self.attn.forward(self.ln1.forward(x, cache), key_mask, cache)
@@ -93,18 +88,6 @@ class Encoder(Module):
         self.drop_in = Dropout(cfg.dropout)
         self.blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.layers)]
         self.ln_out = LayerNorm(cfg.dim)
-
-    def zero_grads(self):
-        self.embed.zero_grads()
-        for block in self.blocks:
-            block.zero_grads()
-        self.ln_out.zero_grads()
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.embed.named_parameters(f"{prefix}embed.")
-        for i, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"{prefix}blocks.{i}.")
-        yield from self.ln_out.named_parameters(f"{prefix}ln_out.")
 
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None,

@@ -2,10 +2,15 @@
 
 Everything is float64 and seeded, so training is bit-reproducible and
 gradients can be checked against finite differences.  Each module keeps its
-parameters and gradient accumulators in name-keyed dicts; a module instance
+own parameters and gradient accumulators in name-keyed dicts; a module instance
 serves one forward per training step, caching what its backward needs.
 Backward passes return the gradient w.r.t. their input and accumulate into
 ``grads``.
+
+Composite modules declare nothing extra: ``Module`` finds parameters and
+gradients by walking its attributes in assignment order, recursing into every
+attribute that is a ``Module`` (named ``attr.``) and every list of modules
+(named ``attr.i.``).  Checkpoint keys and optimizer order come from that walk.
 """
 
 from __future__ import annotations
@@ -18,13 +23,36 @@ class Module:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
+    def _children(self):
+        """(name, module) for each child, in attribute assignment order."""
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                yield name, value
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        yield f"{name}.{i}", item
+
+    def _walk(self, store: str, prefix: str):
+        for name, value in getattr(self, store).items():
+            yield (f"{prefix}{name}", value)
+        for name, child in self._children():
+            yield from child._walk(store, f"{prefix}{name}.")
+
+    def named_parameters(self, prefix: str = ""):
+        return self._walk("params", prefix)
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        return dict(self.named_parameters())
+
+    def gradients(self) -> dict[str, np.ndarray]:
+        return dict(self._walk("grads", ""))
+
     def zero_grads(self):
         for name, p in self.params.items():
             self.grads[name] = np.zeros_like(p)
-
-    def named_parameters(self, prefix: str = ""):
-        for name, p in self.params.items():
-            yield (f"{prefix}{name}", p)
+        for _, child in self._children():
+            child.zero_grads()
 
     def _add_grad(self, name: str, value: np.ndarray):
         self.grads[name] += value
@@ -142,16 +170,6 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    # parameter plumbing delegates to the four projections
-    def zero_grads(self):
-        for sub in (self.wq, self.wk, self.wv, self.wo):
-            sub.zero_grads()
-
-    def named_parameters(self, prefix: str = ""):
-        for name, sub in (("wq", self.wq), ("wk", self.wk),
-                          ("wv", self.wv), ("wo", self.wo)):
-            yield from sub.named_parameters(f"{prefix}{name}.")
-
     def _split(self, x: np.ndarray) -> np.ndarray:
         b, t, _ = x.shape
         return x.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
@@ -202,14 +220,6 @@ class FeedForward(Module):
         super().__init__()
         self.lin1 = Linear(dim, ff_dim, rng)
         self.lin2 = Linear(ff_dim, dim, rng)
-
-    def zero_grads(self):
-        self.lin1.zero_grads()
-        self.lin2.zero_grads()
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.lin1.named_parameters(f"{prefix}lin1.")
-        yield from self.lin2.named_parameters(f"{prefix}lin2.")
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         h = self.lin1.forward(x, cache)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import SchemaError, TrainingError
 from .encoder import Encoder, EncoderConfig
-from .layers import Dropout, Linear, relu
+from .layers import Dropout, Linear, Module, relu
 from .tokenizer import TokenizerConfig
 
 ENGINE_AXIS = ("GOOGLE", "BING", "BAIDU", "ALL")
@@ -66,13 +66,10 @@ class PrivilegedConfig:
                    parts[3].upper(), int(parts[4]))
 
 
-def _collect(named) -> dict[str, np.ndarray]:
-    return dict(named)
-
-
-class TeacherModel:
+class TeacherModel(Module):
     def __init__(self, tok_cfg: TokenizerConfig, enc_cfg: EncoderConfig,
                  priv: PrivilegedConfig, seed: int = 0):
+        super().__init__()
         self.tok_cfg = tok_cfg
         self.enc_cfg = enc_cfg
         self.priv = priv
@@ -87,29 +84,6 @@ class TeacherModel:
         self.fusion_drop = Dropout(enc_cfg.dropout)
         self.head = Linear(enc_cfg.dim, 1, rng)
 
-    # --- parameter plumbing ---
-    def named_parameters(self):
-        yield from self.query_encoder.named_parameters("query_encoder.")
-        yield from self.serp_encoder.named_parameters("serp_encoder.")
-        yield from self.fusion.named_parameters("fusion.")
-        yield from self.head.named_parameters("head.")
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return _collect(self.named_parameters())
-
-    def zero_grads(self):
-        for mod in (self.query_encoder, self.serp_encoder, self.fusion, self.head):
-            mod.zero_grads()
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for prefix, mod in (("query_encoder.", self.query_encoder),
-                            ("serp_encoder.", self.serp_encoder),
-                            ("fusion.", self.fusion), ("head.", self.head)):
-            _fill_grads(mod, prefix, out)
-        return out
-
-    # --- forward/backward ---
     def forward(self, query_ids: np.ndarray, serp_ids: np.ndarray,
                 serp_present: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None, cache: bool = True):
@@ -164,37 +138,10 @@ class TeacherModel:
             self.serp_encoder.backward(d_s_hidden)
 
 
-def _fill_grads(mod, prefix: str, out: dict) -> None:
-    """Mirror named_parameters over the grads dicts."""
-    from .encoder import EncoderBlock
-    from .layers import FeedForward, MultiHeadAttention
-
-    if isinstance(mod, Encoder):
-        _fill_grads(mod.embed, f"{prefix}embed.", out)
-        for i, block in enumerate(mod.blocks):
-            _fill_grads(block, f"{prefix}blocks.{i}.", out)
-        _fill_grads(mod.ln_out, f"{prefix}ln_out.", out)
-    elif isinstance(mod, EncoderBlock):
-        _fill_grads(mod.ln1, f"{prefix}ln1.", out)
-        _fill_grads(mod.attn, f"{prefix}attn.", out)
-        _fill_grads(mod.ln2, f"{prefix}ln2.", out)
-        _fill_grads(mod.ffn, f"{prefix}ffn.", out)
-    elif isinstance(mod, MultiHeadAttention):
-        _fill_grads(mod.wq, f"{prefix}wq.", out)
-        _fill_grads(mod.wk, f"{prefix}wk.", out)
-        _fill_grads(mod.wv, f"{prefix}wv.", out)
-        _fill_grads(mod.wo, f"{prefix}wo.", out)
-    elif isinstance(mod, FeedForward):
-        _fill_grads(mod.lin1, f"{prefix}lin1.", out)
-        _fill_grads(mod.lin2, f"{prefix}lin2.", out)
-    else:
-        for name, grad in mod.grads.items():
-            out[f"{prefix}{name}"] = grad
-
-
-class StudentModel:
+class StudentModel(Module):
     def __init__(self, tok_cfg: TokenizerConfig, enc_cfg: EncoderConfig,
                  seed: int = 0):
+        super().__init__()
         self.tok_cfg = tok_cfg
         self.enc_cfg = enc_cfg
         self.seed = seed
@@ -208,39 +155,15 @@ class StudentModel:
 
     def init_from_teacher(self, teacher: TeacherModel) -> None:
         """Copy the teacher's query-encoder weights into the student backbone."""
-        theirs = teacher.query_encoder.named_parameters("")
-        ours = dict(self.query_encoder.named_parameters(""))
+        ours = self.query_encoder.parameters()
         copied = 0
-        for name, src in theirs:
+        for name, src in teacher.query_encoder.named_parameters():
             if name not in ours or ours[name].shape != src.shape:
                 raise TrainingError(f"backbone mismatch at {name}")
             ours[name][...] = src
             copied += 1
         if copied == 0:
             raise TrainingError("teacher has no backbone parameters")
-
-    def named_parameters(self):
-        yield from self.query_encoder.named_parameters("query_encoder.")
-        yield from self.pred_lin1.named_parameters("pred_lin1.")
-        yield from self.pred_lin2.named_parameters("pred_lin2.")
-        yield from self.distill_head.named_parameters("distill_head.")
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return _collect(self.named_parameters())
-
-    def zero_grads(self):
-        for mod in (self.query_encoder, self.pred_lin1, self.pred_lin2,
-                    self.distill_head):
-            mod.zero_grads()
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for prefix, mod in (("query_encoder.", self.query_encoder),
-                            ("pred_lin1.", self.pred_lin1),
-                            ("pred_lin2.", self.pred_lin2),
-                            ("distill_head.", self.distill_head)):
-            _fill_grads(mod, prefix, out)
-        return out
 
     def forward(self, query_ids: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None, cache: bool = True):

@@ -2,9 +2,12 @@
 
 Everything is seeded and single-threaded: batch order, dropout masks and
 parameter init all come from generators derived from the config seed, so a
-rerun reproduces parameters bit-exactly.  The distillation loop and the
-query-only baseline share one implementation; with weights (1,0,0,0) the
-distiller performs the identical arithmetic, which is a tested contract.
+rerun reproduces parameters bit-exactly.  One fit loop (``_fit``: batches,
+AdamW with warmup, per-epoch validation, patience-based early stopping and a
+restore of the best epoch) serves the teacher, the distiller and the
+query-only baseline; each passes only its model, its per-batch step and its
+validation loss.  The baseline is the distiller with weights (1,0,0,0) and
+no teacher, so both perform the identical arithmetic, a tested contract.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import copy
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from ..corpus import SerpResultSet
 from ..errors import SchemaError, TrainingError
 from ..heuristics import derive_seed
 from .encoder import EncoderConfig
+from .layers import Module
 from .losses import LossWeights, total_loss
 from .models import (
     ENGINE_AXIS,
@@ -52,6 +56,12 @@ class TrainConfig:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if self.patience < 1:
+            raise TrainingError("patience must be >= 1")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise TrainingError("warmup_fraction must be in [0, 1]")
+        if not self.weight_decay >= 0.0:
+            raise TrainingError("weight_decay must be >= 0")
 
 
 @dataclass
@@ -179,6 +189,77 @@ class TrainReport:
     config: Optional[TrainConfig] = None
 
 
+# --- the fit loop -------------------------------------------------------------
+
+
+def _fit(
+    model: Module,
+    dataset: LupiDataset,
+    priv: Optional[PrivilegedConfig],
+    cfg: TrainConfig,
+    tok_cfg: TokenizerConfig,
+    val_dataset: Optional[LupiDataset],
+    val_fraction: float,
+    step: Callable[[_Tensors, np.random.Generator], float],
+    val_loss: Callable[[_Tensors], float],
+) -> TrainReport:
+    """Train ``model`` in place and restore its best-validation parameters.
+
+    ``step`` runs forward, loss and backward on one batch (gradients already
+    zeroed) and returns the loss; ``val_loss`` scores the validation tensors.
+    Batches, dropout and the validation split are drawn from seed-derived
+    generators, so every caller gets the same sequence for the same config.
+    """
+    tensors = _assemble(dataset, tok_cfg, priv, cfg.seed)
+    if val_dataset is not None:
+        train_t, val_t = tensors, _assemble(val_dataset, tok_cfg, priv, cfg.seed)
+    else:
+        split_rng = np.random.default_rng([cfg.seed, 104729])
+        train_idx, val_idx = _val_split(len(dataset.examples), val_fraction, split_rng)
+        if val_idx.size == 0:
+            raise TrainingError("training set too small to hold out validation")
+        train_t, val_t = _slice(tensors, train_idx), _slice(tensors, val_idx)
+
+    opt = AdamW(model.parameters(), cfg.lr, weight_decay=cfg.weight_decay)
+    loop_rng = np.random.default_rng([cfg.seed, 7919])
+    n = train_t.labels.shape[0]
+    total_steps = int(np.ceil(n / cfg.batch_size)) * cfg.epochs
+
+    best = (np.inf, -1, None)
+    report = TrainReport([], [], -1, [], tensors.empty_priv, cfg)
+    n_step = 0
+    bad_epochs = 0
+    for epoch in range(cfg.epochs):
+        perm = loop_rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            model.zero_grads()
+            loss = step(_slice(train_t, perm[start:start + cfg.batch_size]), loop_rng)
+            _check_finite(loss, "training", epoch, n_step)
+            opt.step(model.gradients(),
+                     warmup_scale(n_step, total_steps, cfg.warmup_fraction))
+            n_step += 1
+            epoch_losses.append(loss)
+            report.step_losses.append(loss)
+        report.train_losses.append(float(np.mean(epoch_losses)))
+        vl = val_loss(val_t)
+        _check_finite(vl, "validation", epoch, n_step)
+        report.val_losses.append(vl)
+        if vl < best[0]:
+            best = (vl, epoch, copy.deepcopy(model.parameters()))
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                break
+    if best[2] is not None:
+        params = model.parameters()
+        for name, value in best[2].items():
+            params[name][...] = value
+    report.best_epoch = best[1]
+    return report
+
+
 # --- teacher ------------------------------------------------------------------
 
 
@@ -201,70 +282,22 @@ def train_teacher(
     cfg = cfg or TrainConfig()
     tok_cfg = tok_cfg or TokenizerConfig()
     enc_cfg = enc_cfg or EncoderConfig()
-
-    tensors = _assemble(dataset, tok_cfg, priv, cfg.seed)
-    if val_dataset is not None:
-        train_t = tensors
-        val_t = _assemble(val_dataset, tok_cfg, priv, cfg.seed)
-    else:
-        split_rng = np.random.default_rng([cfg.seed, 104729])
-        train_idx, val_idx = _val_split(len(dataset.examples), val_fraction, split_rng)
-        if val_idx.size == 0:
-            raise TrainingError("training set too small to hold out validation")
-        train_t = _slice(tensors, train_idx)
-        val_t = _slice(tensors, val_idx)
-
     model = TeacherModel(tok_cfg, enc_cfg, priv, seed=cfg.seed)
-    opt = AdamW(model.parameters(), cfg.lr, weight_decay=cfg.weight_decay)
-    loop_rng = np.random.default_rng([cfg.seed, 7919])
 
-    n = train_t.labels.shape[0]
-    steps_per_epoch = int(np.ceil(n / cfg.batch_size))
-    total_steps = steps_per_epoch * cfg.epochs
+    def step(batch: _Tensors, rng: np.random.Generator) -> float:
+        score, _, _ = model.forward(batch.query_ids, batch.serp_ids,
+                                    batch.serp_present, train=True, rng=rng)
+        diff = score - batch.labels
+        model.backward(np.sign(diff) / diff.shape[0])
+        return float(np.mean(np.abs(diff)))
 
-    def val_loss() -> float:
-        score, _, _ = model.forward(val_t.query_ids, val_t.serp_ids,
-                                    val_t.serp_present, train=False, cache=False)
-        return float(np.mean(np.abs(score - val_t.labels)))
+    def val_loss(t: _Tensors) -> float:
+        score, _, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present,
+                                    train=False, cache=False)
+        return float(np.mean(np.abs(score - t.labels)))
 
-    best = (np.inf, -1, None)
-    report = TrainReport([], [], -1, [], tensors.empty_priv, cfg)
-    step = 0
-    bad_epochs = 0
-    for epoch in range(cfg.epochs):
-        perm = loop_rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            model.zero_grads()
-            score, _, _ = model.forward(
-                train_t.query_ids[idx], train_t.serp_ids[idx],
-                train_t.serp_present[idx], train=True, rng=loop_rng)
-            diff = score - train_t.labels[idx]
-            loss = float(np.mean(np.abs(diff)))
-            _check_finite(loss, "training", epoch, step)
-            model.backward(np.sign(diff) / diff.shape[0])
-            opt.step(model.gradients(),
-                     warmup_scale(step, total_steps, cfg.warmup_fraction))
-            step += 1
-            epoch_losses.append(loss)
-            report.step_losses.append(loss)
-        report.train_losses.append(float(np.mean(epoch_losses)))
-        vl = val_loss()
-        _check_finite(vl, "validation", epoch, step)
-        report.val_losses.append(vl)
-        if vl < best[0]:
-            best = (vl, epoch, copy.deepcopy(model.parameters()))
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    if best[2] is not None:
-        params = model.parameters()
-        for name, value in best[2].items():
-            params[name][...] = value
-    report.best_epoch = best[1]
+    report = _fit(model, dataset, priv, cfg, tok_cfg, val_dataset, val_fraction,
+                  step, val_loss)
     return model, report
 
 
@@ -287,85 +320,31 @@ def _train_student_loop(
         raise TrainingError("non-zero pm/hm/am weights require a teacher")
     priv = teacher.priv if (teacher is not None and needs_teacher) else None
 
-    tensors = _assemble(dataset, tok_cfg, priv, cfg.seed)
-    if val_dataset is not None:
-        train_t, val_t = tensors, _assemble(val_dataset, tok_cfg, priv, cfg.seed)
-    else:
-        split_rng = np.random.default_rng([cfg.seed, 104729])
-        train_idx, val_idx = _val_split(len(dataset.examples), val_fraction, split_rng)
-        if val_idx.size == 0:
-            raise TrainingError("training set too small to hold out validation")
-        train_t, val_t = _slice(tensors, train_idx), _slice(tensors, val_idx)
-
     frozen_before = None
-    if teacher is not None and needs_teacher:
+    if priv is not None:
         frozen_before = {k: v.copy() for k, v in teacher.parameters().items()}
 
     student = StudentModel(tok_cfg, enc_cfg, seed=cfg.seed)
     if init_from is not None:
         student.init_from_teacher(init_from)
-    opt = AdamW(student.parameters(), cfg.lr, weight_decay=cfg.weight_decay)
-    loop_rng = np.random.default_rng([cfg.seed, 7919])
 
-    def teacher_out(t: _Tensors, idx=None):
-        if not needs_teacher:
-            return None, None, None
-        sl = t if idx is None else _slice(t, idx)
-        score, fused, attn = teacher.forward(
-            sl.query_ids, sl.serp_ids, sl.serp_present, train=False, cache=False)
-        return score, fused, attn
+    def loss(t: _Tensors, train: bool, rng=None):
+        t_score = t_fused = t_attn = None
+        if needs_teacher:
+            t_score, t_fused, t_attn = teacher.forward(
+                t.query_ids, t.serp_ids, t.serp_present, train=False, cache=False)
+        s_score, s_hint, s_attn = student.forward(t.query_ids, train=train,
+                                                  rng=rng, cache=train)
+        return total_loss(t.labels, s_score, s_hint, s_attn,
+                          t_score, t_fused, t_attn, weights)
 
-    def val_loss() -> float:
-        t_score, t_fused, t_attn = teacher_out(val_t)
-        s_score, s_hint, s_attn = student.forward(val_t.query_ids,
-                                                  train=False, cache=False)
-        value, _, _ = total_loss(val_t.labels, s_score, s_hint, s_attn,
-                                 t_score, t_fused, t_attn, weights)
+    def step(batch: _Tensors, rng: np.random.Generator) -> float:
+        value, _, (d_score, d_hint, d_attn) = loss(batch, True, rng)
+        student.backward(d_score, d_hint, d_attn)
         return value
 
-    n = train_t.labels.shape[0]
-    steps_per_epoch = int(np.ceil(n / cfg.batch_size))
-    total_steps = steps_per_epoch * cfg.epochs
-
-    best = (np.inf, -1, None)
-    report = TrainReport([], [], -1, [], tensors.empty_priv, cfg)
-    step = 0
-    bad_epochs = 0
-    for epoch in range(cfg.epochs):
-        perm = loop_rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            t_score, t_fused, t_attn = teacher_out(train_t, idx)
-            student.zero_grads()
-            s_score, s_hint, s_attn = student.forward(
-                train_t.query_ids[idx], train=True, rng=loop_rng)
-            value, _, (d_score, d_hint, d_attn) = total_loss(
-                train_t.labels[idx], s_score, s_hint, s_attn,
-                t_score, t_fused, t_attn, weights)
-            _check_finite(value, "training", epoch, step)
-            student.backward(d_score, d_hint, d_attn)
-            opt.step(student.gradients(),
-                     warmup_scale(step, total_steps, cfg.warmup_fraction))
-            step += 1
-            epoch_losses.append(value)
-            report.step_losses.append(value)
-        report.train_losses.append(float(np.mean(epoch_losses)))
-        vl = val_loss()
-        _check_finite(vl, "validation", epoch, step)
-        report.val_losses.append(vl)
-        if vl < best[0]:
-            best = (vl, epoch, copy.deepcopy(student.parameters()))
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    if best[2] is not None:
-        params = student.parameters()
-        for name, value in best[2].items():
-            params[name][...] = value
-    report.best_epoch = best[1]
+    report = _fit(student, dataset, priv, cfg, tok_cfg, val_dataset, val_fraction,
+                  step, lambda t: loss(t, False)[0])
 
     if frozen_before is not None:
         after = teacher.parameters()

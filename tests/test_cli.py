@@ -228,6 +228,21 @@ def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
     assert rc == 2
 
 
+def test_discover_rejects_malformed_fixture_with_line_number(workdir, tmp_path,
+                                                             capsys):
+    lines = (FIXTURES / "serp_fixtures.jsonl").read_text().splitlines()
+    lines.insert(1, json.dumps({"engine": "GOOGLE", "capture_date": "2024-01-01",
+                                "entries": []}))
+    fixtures = tmp_path / "serp_fixtures.jsonl"
+    fixtures.write_text("\n".join(lines) + "\n")
+    rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
+               "--oracle", str(workdir / "model.json"),
+               "--fixtures", str(fixtures), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert "bad fixture line 2: KeyError" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("toxicity", ["NaN", "1.7", None])
 def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
                                                         toxicity):

@@ -1,5 +1,7 @@
 """SERP replay/live fetching and the discovery report."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,31 @@ def test_store_load_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"query": "q", "engine": "GOOGLE", "capture_date": "d", "entries": []}\n{broken\n')
     with pytest.raises(SchemaError, match="line 2"):
+        FixtureStore.load(path)
+
+
+_GOOD_ENTRY = {"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x"}
+
+
+@pytest.mark.parametrize("record", [
+    {"engine": "GOOGLE", "capture_date": "2024-01-01", "entries": []},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01"},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [{"engine": "GOOGLE", "url": "https://a.com/x"}]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, rank="first")]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, rank=None)]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, rank=0)]},
+    ["not", "an", "object"],
+])
+def test_store_load_names_line_of_malformed_record(tmp_path, record):
+    good = {"query": "q", "engine": "BING", "capture_date": "2024-01-01",
+            "entries": [dict(_GOOD_ENTRY, engine="BING")]}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(SchemaError, match="bad fixture line 2: "):
         FixtureStore.load(path)
 
 

@@ -180,6 +180,22 @@ def test_encoder_config_validation():
         EncoderConfig(layers=0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.5},
+    {"dropout": float("nan")}, {"ff_dim": 0},
+])
+def test_encoder_config_rejects_impossible_values(bad):
+    with pytest.raises(SchemaError):
+        EncoderConfig(**bad)
+    # the same check guards a checkpoint's encoder section
+    blob = model_to_dict(StudentModel(TOK, ENC, seed=0))
+    blob["encoder"].update(bad)
+    with pytest.raises(SchemaError):
+        model_from_dict(blob)
+    EncoderConfig(dropout=0.0)
+    EncoderConfig(dropout=0.99, ff_dim=1)
+
+
 def test_sinusoidal_positions_layout():
     enc = sinusoidal_positions(16, 8)
     assert enc.shape == (16, 8)
@@ -285,6 +301,47 @@ def test_teacher_backward_matches_finite_differences():
     teacher.zero_grads()
     teacher.backward(score - y, fused - fused_target)
     _fd_check(teacher.parameters(), loss_value, teacher.gradients())
+
+
+# Names a 1-layer encoder's parameters take in checkpoints (format v2).
+_ENCODER_1L = [
+    "embed.w",
+    "blocks.0.ln1.g", "blocks.0.ln1.b",
+    "blocks.0.attn.wq.w", "blocks.0.attn.wq.b",
+    "blocks.0.attn.wk.w", "blocks.0.attn.wk.b",
+    "blocks.0.attn.wv.w", "blocks.0.attn.wv.b",
+    "blocks.0.attn.wo.w", "blocks.0.attn.wo.b",
+    "blocks.0.ln2.g", "blocks.0.ln2.b",
+    "blocks.0.ffn.lin1.w", "blocks.0.ffn.lin1.b",
+    "blocks.0.ffn.lin2.w", "blocks.0.ffn.lin2.b",
+    "ln_out.g", "ln_out.b",
+]
+
+
+@pytest.mark.parametrize("build, names", [
+    (lambda: TeacherModel(TOK, ENC, PRIV, seed=5),
+     [f"query_encoder.{n}" for n in _ENCODER_1L]
+     + [f"serp_encoder.{n}" for n in _ENCODER_1L]
+     + ["fusion.w", "fusion.b", "head.w", "head.b"]),
+    (lambda: StudentModel(TOK, ENC, seed=5),
+     [f"query_encoder.{n}" for n in _ENCODER_1L]
+     + ["pred_lin1.w", "pred_lin1.b", "pred_lin2.w", "pred_lin2.b",
+        "distill_head.w", "distill_head.b"]),
+])
+def test_parameter_tree_is_derived_from_attributes(build, names):
+    model = build()
+    params = model.parameters()
+    assert sorted(params) == sorted(names)
+    grads = model.gradients()
+    assert list(grads) == list(params)
+    for name, p in params.items():
+        assert grads[name].shape == p.shape, name
+    for g in grads.values():  # the live accumulators, dirtied in place
+        g[...] = 1.0
+    assert all(g.all() for g in model.gradients().values())
+    model.zero_grads()
+    for name, g in model.gradients().items():
+        assert g.shape == params[name].shape and not g.any(), name
 
 
 def test_student_init_copies_teacher_backbone():
@@ -559,6 +616,18 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(TrainingError):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"patience": 0}, {"warmup_fraction": -1.0}, {"warmup_fraction": 1.5},
+    {"warmup_fraction": float("nan")}, {"weight_decay": -1.0},
+    {"weight_decay": float("nan")},
+])
+def test_train_config_rejects_impossible_values(bad):
+    with pytest.raises(TrainingError):
+        TrainConfig(**bad)
+    TrainConfig(patience=1, warmup_fraction=0.0, weight_decay=0.0)
+    TrainConfig(warmup_fraction=1.0)
 
 
 def test_dataset_helpers():
