@@ -107,8 +107,15 @@ def read_features_csv(path) -> list[tuple[str, FeatureVector]]:
             raise SchemaError(f"{path}: unexpected features header")
         out = []
         for row in reader:
-            values = [_parse_cell(cell, FEATURES[i][1])
-                      for i, cell in enumerate(row[1:])]
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(_FEATURE_HEADER):
+                raise SchemaError(f"{where}: expected {len(_FEATURE_HEADER)} "
+                                  f"cells, got {len(row)}")
+            try:
+                values = [_parse_cell(cell, kind)
+                          for cell, (_, kind, _) in zip(row[1:], FEATURES)]
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
             out.append((row[0], FeatureVector(values)))
     return out
 
@@ -158,8 +165,8 @@ def _cmd_score(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["root_domain", "label", "score"])
-        for domain, vector in rows:
-            label, score = gbdt.predict(model, vector)
+        verdicts = gbdt.predict_many(model, [vector for _, vector in rows])
+        for (domain, _), (label, score) in zip(rows, verdicts):
             writer.writerow([domain, label, f"{score:.6f}"])
     print(f"scored {len(rows)} domains -> {args.out}")
     return 0
@@ -324,13 +331,13 @@ def _cmd_discover(args) -> int:
 
     unknown: set[str] = set()
 
-    def classify(domain: str) -> str:
-        snap = snapshots.get(domain)
-        if snap is None:
-            unknown.add(domain)
-            return "BENIGN"
-        label, _ = gbdt.predict(model, extract_features(snap))
-        return label
+    def classify(domains: list[str]) -> list[str]:
+        unknown.update(d for d in domains if d not in snapshots)
+        seen = [d for d in domains if d in snapshots]
+        verdicts = gbdt.predict_many(
+            model, [extract_features(snapshots[d]) for d in seen])
+        labels = {d: label for d, (label, _) in zip(seen, verdicts)}
+        return [labels.get(d, "BENIGN") for d in domains]
 
     known = set()
     if args.labels:

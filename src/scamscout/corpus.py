@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import re
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, timezone
@@ -104,8 +105,11 @@ class SerpEntry:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise SchemaError(f"unknown engine {self.engine!r}")
-        if self.rank < 1:
-            raise SchemaError(f"rank must be >= 1, got {self.rank}")
+        # bool is an Integral, but True is not a rank
+        if (not isinstance(self.rank, numbers.Integral)
+                or isinstance(self.rank, bool) or self.rank < 1):
+            raise SchemaError(f"rank must be an integer >= 1, got {self.rank!r}")
+        self.rank = int(self.rank)
         if not self.root_domain:
             self.root_domain = root_domain(self.url)
 

@@ -51,7 +51,7 @@ def _entry_to_dict(entry: SerpEntry) -> dict:
 def _entry_from_dict(blob: Mapping) -> SerpEntry:
     return SerpEntry(
         engine=blob["engine"],
-        rank=int(blob["rank"]),
+        rank=blob["rank"],
         url=blob["url"],
         title=blob.get("title", ""),
         description=blob.get("description", ""),
@@ -268,7 +268,7 @@ def _config_digest(mode: str, engines: Sequence[str], exposure_k: int,
 
 def run_discovery(
     ranked: Sequence[RankedKeyword],
-    classify: Callable[[str], str],
+    classify: Callable[[list[str]], Sequence[str]],
     store: Optional[FixtureStore] = None,
     mode: str = REPLAY,
     engines: Sequence[str] = ("GOOGLE",),
@@ -285,6 +285,9 @@ def run_discovery(
     surfaced it, while the report totals count each domain once.  Exposure
     per engine is the fraction of all discovered scam domains that appear
     within rank <= ``exposure_k`` on that engine.
+
+    Classification happens once, after every search: ``classify`` gets the
+    sorted new domains and returns one verdict per domain, in that order.
     """
     for engine in engines:
         if engine not in ENGINES:
@@ -292,7 +295,6 @@ def run_discovery(
     known = frozenset(known_domains)
     by_category: dict[str, set[str]] = {}
     global_domains: set[str] = set()
-    verdicts: dict[str, str] = {}
     top_k_seen: dict[str, set[str]] = {engine: set() for engine in engines}
 
     for kw in ranked:
@@ -304,13 +306,13 @@ def run_discovery(
                 domain = entry.root_domain
                 if domain in known:
                     continue
-                if domain not in verdicts:
-                    verdicts[domain] = classify(domain)
                 if entry.rank <= exposure_k:
                     top_k_seen[engine].add(domain)
                 cat_domains.add(domain)
                 global_domains.add(domain)
 
+    new_domains = sorted(global_domains)
+    verdicts = dict(zip(new_domains, classify(new_domains), strict=True))
     scam_domains = {d for d in global_domains if verdicts[d] == SCAM}
     categories = [
         CategoryCount(

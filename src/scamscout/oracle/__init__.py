@@ -16,11 +16,11 @@ from .gbdt import (
     TrainConfig,
     load_model,
     predict,
-    predict_proba,
+    predict_many,
     save_model,
     train_gbdt,
 )
-from .tree import LEFT, RIGHT, TreeNode, grow_tree, predict_tree, tree_route
+from .tree import LEFT, RIGHT, TreeNode, grow_tree, predict_tree
 
 __all__ = [
     "CLASSIFICATION_THRESHOLD",
@@ -39,11 +39,10 @@ __all__ = [
     "grow_tree",
     "load_model",
     "predict",
-    "predict_proba",
+    "predict_many",
     "predict_tree",
     "save_model",
     "stratified_folds",
     "train_gbdt",
     "train_logistic_baseline",
-    "tree_route",
 ]

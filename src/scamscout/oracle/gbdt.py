@@ -6,7 +6,8 @@ on the current gradients, and add it with the configured learning rate.
 Leaf values are Newton steps (-sum g / sum h); if a round would raise the
 training loss, its leaves are halved until it does not (dropping to a no-op
 tree in the limit), so the per-round training loss is non-increasing by
-construction.
+construction.  Prediction is batched: ``predict_many`` scores all its vectors
+with one ``predict_proba_matrix`` call, the same traversal training uses.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..featurizer.encode import (
     DesignMatrix,
 )
 from ..featurizer.schema import SCHEMA_VERSION, FeatureVector
-from .tree import TreeNode, grow_tree, predict_tree, tree_route
+from .tree import TreeNode, grow_tree, predict_tree
 
 LOGISTIC = "LOGISTIC"
 SQUARED = "SQUARED"
@@ -206,21 +207,16 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
                      encoder=encoder, train_loss=losses)
 
 
-def predict_proba(model: GbdtModel, vector: FeatureVector) -> float:
-    row = model.encoder.encode_row(vector)
-    # accumulate in the same order as raw_scores so both paths round identically
-    raw = model.base_score
-    for tree in model.trees:
-        raw += tree_route(tree, row)
-    if model.config.loss == LOGISTIC:
-        return float(_sigmoid(np.array([raw]))[0])
-    return float(np.clip(raw, 0.0, 1.0))
+def predict_many(model: GbdtModel,
+                 vectors: Sequence[FeatureVector]) -> list[tuple[str, float]]:
+    """``(label, score)`` per vector, from one matrix call."""
+    scores = model.predict_proba_matrix(model.encoder.transform(vectors).values)
+    return [("SCAM" if s >= CLASSIFICATION_THRESHOLD else "BENIGN", float(s))
+            for s in scores]
 
 
 def predict(model: GbdtModel, vector: FeatureVector) -> tuple[str, float]:
-    score = predict_proba(model, vector)
-    label = "SCAM" if score >= CLASSIFICATION_THRESHOLD else "BENIGN"
-    return label, score
+    return predict_many(model, [vector])[0]
 
 
 def save_model(model: GbdtModel, path) -> None:

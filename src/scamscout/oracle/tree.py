@@ -5,7 +5,8 @@ threshold midpoint and each ordered-target-statistics prefix of categories
 is scored, once with MISSING rows sent LEFT and once with them sent RIGHT.
 Split gain uses the gradient/hessian form G^2/H so the same grower serves
 both the squared and logistic boosting objectives.  Rows with MISSING values
-follow the split's ``missing_goes`` direction.
+follow the split's ``missing_goes`` direction.  ``predict_tree`` is the one
+traversal: boosting and prediction both score whole encoded matrices with it.
 
 The search is vectorized per node.  Numeric columns are scored in blocks of
 ``_BLOCK_COLS``: one stable argsort orders each column's present values
@@ -307,28 +308,13 @@ def grow_tree(
     return build(np.arange(values.shape[0]), 0)
 
 
-def tree_route(node: TreeNode, row: np.ndarray) -> float:
-    """Score one encoded row by walking the tree."""
-    while not node.is_leaf:
-        x = row[node.feature_index]
-        if node.category_set is not None:
-            if x <= 0:  # MISSING / unseen code
-                go_left = node.missing_goes == LEFT
-            else:
-                go_left = int(x) in node.category_set
-        elif np.isnan(x):
-            go_left = node.missing_goes == LEFT
-        else:
-            go_left = x <= node.threshold
-        node = node.left if go_left else node.right
-    return node.value
-
-
 def predict_tree(node: TreeNode, values: np.ndarray) -> np.ndarray:
-    """Vectorized scores for a whole matrix."""
+    """Scores of every row; a subtree that no row reaches is not visited."""
     out = np.empty(values.shape[0], dtype=np.float64)
 
     def descend(n: TreeNode, rows: np.ndarray):
+        if rows.size == 0:
+            return
         if n.is_leaf:
             out[rows] = n.value
             return

@@ -9,6 +9,7 @@ import pytest
 from scamscout import corpus
 from scamscout.cli import main, read_features_csv, write_features_csv
 from scamscout.discovery import report_from_csv
+from scamscout.featurizer import CATEGORICAL, FEATURES
 from scamscout.lupi import load_student, load_teacher, ranked_from_csv
 from scamscout.oracle import gbdt
 
@@ -263,3 +264,100 @@ def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
     if toxicity is not None:
         assert repr(rec["query"]) in err
     assert not (tmp_path / "student.json").exists()
+
+
+def _numeric_column():
+    return 1 + next(i for i, (_, kind, _) in enumerate(FEATURES)
+                    if kind != CATEGORICAL)
+
+
+def _widen(row):
+    return row + ["0.0"]
+
+
+def _shorten(row):
+    return row[:-1]
+
+
+def _garble(row):
+    row = list(row)
+    row[_numeric_column()] = "many"
+    return row
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (_widen, f"expected {len(FEATURES) + 1} cells, got {len(FEATURES) + 2}"),
+    (_shorten, f"expected {len(FEATURES) + 1} cells, got {len(FEATURES)}"),
+    (_garble, "could not convert string to float: 'many'"),
+])
+def test_bad_features_row_names_its_line(workdir, tmp_path, capsys, mangle,
+                                         message):
+    with open(workdir / "features.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3] = mangle(rows[3])
+    features = tmp_path / "features.csv"
+    with open(features, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    rc = main(["train-oracle", "--features", str(features),
+               "--labels", str(FIXTURES / "labels.csv"),
+               "--out", str(tmp_path / "model.json")])
+    assert rc == 2
+    assert f"error: {features}:4: {message}" in capsys.readouterr().err
+    rc = main(["score", "--model", str(workdir / "model.json"),
+               "--features", str(features), "--out", str(tmp_path / "v.csv")])
+    assert rc == 2
+    assert f"error: {features}:4: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """Number of ``predict_proba_matrix`` calls made so far."""
+    calls = []
+    original = gbdt.GbdtModel.predict_proba_matrix
+
+    def counted(model, values):
+        calls.append(values.shape[0])
+        return original(model, values)
+
+    monkeypatch.setattr(gbdt.GbdtModel, "predict_proba_matrix", counted)
+    return calls
+
+
+def test_score_classifies_in_one_matrix_call(workdir, tmp_path, matrix_calls):
+    rc = main(["score", "--model", str(workdir / "model.json"),
+               "--features", str(workdir / "features.csv"),
+               "--out", str(tmp_path / "verdicts.csv")])
+    assert rc == 0
+    assert matrix_calls == [len(_rows(workdir / "verdicts.csv"))]
+    assert filecmp.cmp(workdir / "verdicts.csv", tmp_path / "verdicts.csv",
+                       shallow=False)
+
+
+def _discover(workdir, out, *extra):
+    return main(["discover", "--ranked", str(workdir / "ranked.csv"),
+                 "--oracle", str(workdir / "model.json"),
+                 "--fixtures", str(FIXTURES / "serp_fixtures.jsonl"),
+                 "--labels", str(FIXTURES / "labels.csv"),
+                 "--engines", "GOOGLE,BING", "--exposure-k", "5",
+                 "--out", str(out), *extra])
+
+
+def test_discover_classifies_in_one_matrix_call(workdir, tmp_path,
+                                                matrix_calls):
+    rc = _discover(workdir, tmp_path / "report.csv",
+                   "--snapshots", str(FIXTURES / "snapshots.jsonl"))
+    assert rc == 0
+    assert len(matrix_calls) == 1 and matrix_calls[0] > 0
+    assert filecmp.cmp(workdir / "report.csv", tmp_path / "report.csv",
+                       shallow=False)
+
+
+def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
+                                                      matrix_calls):
+    with pytest.warns(UserWarning, match="had no snapshot"):
+        rc = _discover(workdir, tmp_path / "report.csv")
+    assert rc == 0
+    assert matrix_calls == [0]
+    report = report_from_csv((tmp_path / "report.csv").read_text())
+    assert report.total_sites > 0 and report.discovered_scams == 0

@@ -3,6 +3,7 @@
 import json
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
 
 from scamscout.corpus import (
@@ -227,6 +228,19 @@ def test_serp_result_set_sorts_and_dedups_domains():
     assert [(e.engine, e.rank) for e in rs.entries] == [
         ("BING", 1), ("BING", 2), ("GOOGLE", 1)]
     assert rs.root_domains() == {"a.com", "b.com"}
+
+
+@pytest.mark.parametrize("rank", [1.5, True, "2", None])
+def test_serp_entry_rejects_non_integer_rank(rank):
+    record = {"query": "q", "entries": [
+        {"engine": "GOOGLE", "rank": rank, "url": "http://a.com/"}]}
+    with pytest.raises(SchemaError, match="rank must be an integer"):
+        serp_from_record(record)
+
+
+def test_serp_entry_stores_integral_rank_as_int():
+    entry = SerpEntry(engine="GOOGLE", rank=np.int64(4), url="http://a.com/")
+    assert entry.rank == 4 and type(entry.rank) is int
 
 
 def test_serp_record_round_trip(tmp_path):

@@ -144,6 +144,12 @@ _GOOD_ENTRY = {"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x"}
      "entries": [dict(_GOOD_ENTRY, rank=None)]},
     {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
      "entries": [dict(_GOOD_ENTRY, rank=0)]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, rank=1.5)]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, rank=True)]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, rank="2")]},
     ["not", "an", "object"],
 ])
 def test_store_load_names_line_of_malformed_record(tmp_path, record):
@@ -266,11 +272,18 @@ def _random_discovery_case(seed):
     return ranked, store, pages, known, engines
 
 
+def _verdict(domain):
+    return "SCAM" if domain.startswith("scam") else "BENIGN"
+
+
+def _classify(domains):
+    return [_verdict(d) for d in domains]
+
+
 def test_run_discovery_matches_brute_force_tally():
-    classify = lambda d: "SCAM" if d.startswith("scam") else "BENIGN"
     for seed in (1, 2, 3):
         ranked, store, pages, known, engines = _random_discovery_case(seed)
-        report = run_discovery(ranked, classify, store, REPLAY, engines,
+        report = run_discovery(ranked, _classify, store, REPLAY, engines,
                                known_domains=known, exposure_k=3,
                                capture_date="2024-05-01")
 
@@ -286,7 +299,7 @@ def test_run_discovery_matches_brute_force_tally():
                     by_cat.setdefault(kw.category, set()).add(domain)
                     if rank <= 3:
                         top_k[engine].add(domain)
-        scams = {d for d in global_domains if classify(d) == "SCAM"}
+        scams = {d for d in global_domains if _verdict(d) == "SCAM"}
 
         assert report.total_sites == len(global_domains)
         assert report.discovered_scams == len(scams)
@@ -308,9 +321,9 @@ def test_run_discovery_never_classifies_known_domains():
     ranked, store, pages, known, engines = _random_discovery_case(7)
     calls = []
 
-    def classify(domain):
-        calls.append(domain)
-        return "BENIGN"
+    def classify(domains):
+        calls.extend(domains)
+        return ["BENIGN"] * len(domains)
 
     run_discovery(ranked, classify, store, REPLAY, engines,
                   known_domains=known, capture_date="2024-05-01")
@@ -318,16 +331,37 @@ def test_run_discovery_never_classifies_known_domains():
     assert len(calls) == len(set(calls))   # one verdict per unique domain
 
 
+def test_run_discovery_classifies_once_after_all_searches():
+    ranked, store, pages, known, engines = _random_discovery_case(5)
+    batches = []
+
+    def classify(domains):
+        batches.append(list(domains))
+        return _classify(domains)
+
+    run_discovery(ranked, classify, store, REPLAY, engines,
+                  known_domains=known, capture_date="2024-05-01")
+    seen = {d for page in pages.values() for d in page} - known
+    assert batches == [sorted(seen)]
+
+
+def test_run_discovery_rejects_wrong_number_of_verdicts():
+    ranked, store, _, known, engines = _random_discovery_case(5)
+    with pytest.raises(ValueError):
+        run_discovery(ranked, lambda ds: _classify(ds)[1:], store, REPLAY,
+                      engines, known_domains=known, capture_date="2024-05-01")
+
+
 def test_run_discovery_rejects_unknown_engine():
     with pytest.raises(UnknownEngineError):
-        run_discovery([], lambda d: "BENIGN", FixtureStore(),
+        run_discovery([], _classify, FixtureStore(),
                       engines=("GOOGLE", "LYCOS"))
 
 
 def test_run_discovery_missing_fixture_propagates():
     ranked = [RankedKeyword("unseen query", "c", 0.5, 1)]
     with pytest.raises(FixtureMissError):
-        run_discovery(ranked, lambda d: "BENIGN", FixtureStore())
+        run_discovery(ranked, _classify, FixtureStore())
 
 
 # --- report serialization -----------------------------------------------------
@@ -335,8 +369,7 @@ def test_run_discovery_missing_fixture_propagates():
 
 def _sample_report():
     ranked, store, _, known, engines = _random_discovery_case(11)
-    classify = lambda d: "SCAM" if d.startswith("scam") else "BENIGN"
-    return run_discovery(ranked, classify, store, REPLAY, engines,
+    return run_discovery(ranked, _classify, store, REPLAY, engines,
                          known_domains=known, exposure_k=3,
                          capture_date="2024-05-01")
 

@@ -5,6 +5,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamscout.errors import TrainingError
 from scamscout.featurizer import FEATURE_NAMES, FeatureVector, encode_dataset
@@ -15,7 +16,7 @@ from scamscout.oracle import (
     cross_validate,
     load_model,
     predict,
-    predict_proba,
+    predict_many,
     save_model,
     stratified_folds,
     train_gbdt,
@@ -26,8 +27,10 @@ from scamscout.oracle.tree import (
     _GAIN_TIE,
     LEFT,
     RIGHT,
+    TreeNode,
     _best_split,
     _score,
+    predict_tree,
 )
 
 _F1 = FEATURE_NAMES.index("tranco")
@@ -156,7 +159,7 @@ def test_empty_tree_list_predicts_sigmoid_base():
     bare = GbdtModel(config=trained.config, base_score=0.4, trees=[],
                      encoder=encoder)
     expected = 1.0 / (1.0 + np.exp(-0.4))
-    assert predict_proba(bare, vectors[0]) == pytest.approx(expected)
+    assert predict(bare, vectors[0])[1] == pytest.approx(expected)
 
 
 def _walk(node: dict, row: np.ndarray) -> float:
@@ -209,11 +212,64 @@ def test_missing_value_routes_per_missing_goes():
     model = train_gbdt(matrix, TrainConfig(rounds=5, max_depth=1))
     root = model.trees[0].to_dict()
     assert "feature_index" in root
-    missing = _vec()  # all MISSING
-    row = model.encoder.encode_row(missing)
-    expected = _walk(root, row)
-    from scamscout.oracle.tree import tree_route
-    assert tree_route(model.trees[0], row) == expected
+    row = model.encoder.encode_row(_vec())  # all MISSING
+    side = "left" if root["missing_goes"] == LEFT else "right"
+    expected = root[side]["value"]  # depth 1: both children are leaves
+    assert _walk(root, row) == expected
+    assert predict_tree(model.trees[0], row[None, :])[0] == expected
+
+
+# random trees over two numeric and two categorical columns; categorical
+# codes 1.._N_CODES are the dictionary, 0 is MISSING and larger codes are
+# outside the dictionary
+_NUM_COLS = (0, 1)
+_CAT_COLS = (2, 3)
+_N_CODES = 4
+_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)  # shared by thresholds and values: ties
+
+
+def _split_nodes(children):
+    missing_goes = st.sampled_from([LEFT, RIGHT])
+    numeric = st.builds(
+        TreeNode, feature_index=st.sampled_from(_NUM_COLS),
+        threshold=st.sampled_from(_GRID) | st.floats(-2, 2),
+        missing_goes=missing_goes, left=children, right=children)
+    categorical = st.builds(
+        TreeNode, feature_index=st.sampled_from(_CAT_COLS),
+        category_set=st.frozensets(st.integers(1, _N_CODES), min_size=1),
+        missing_goes=missing_goes, left=children, right=children)
+    return numeric | categorical
+
+
+_TREES = st.recursive(
+    st.builds(TreeNode, value=st.floats(-5, 5)), _split_nodes, max_leaves=12)
+_ROWS = st.lists(
+    st.tuples(*[st.sampled_from(_GRID) | st.floats(-2, 2) | st.just(np.nan)
+                for _ in _NUM_COLS],
+              *[st.integers(0, _N_CODES + 2).map(float) for _ in _CAT_COLS]),
+    min_size=1, max_size=25)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(tree=_TREES, rows=_ROWS)
+def test_predict_tree_routes_like_the_reference_walk(tree, rows):
+    values = np.array(rows, dtype=np.float64)
+    blob = tree.to_dict()
+    scores = predict_tree(tree, values)
+    for i, row in enumerate(values):
+        assert scores[i] == predict_tree(tree, values[i:i + 1])[0]
+        assert scores[i] == _walk(blob, row)
+    assert predict_tree(tree, values[:0]).shape == (0,)
+
+
+def test_predict_many_matches_one_row_predict():
+    vectors, labels = _xor_200()
+    matrix, _ = encode_dataset(vectors, labels)
+    model = train_gbdt(matrix, TrainConfig(rounds=10))
+    batch = predict_many(model, vectors)
+    assert batch == [predict(model, v) for v in vectors]
+    assert [s for _, s in batch] == list(model.predict_proba_matrix(matrix.values))
+    assert predict_many(model, []) == []
 
 
 def test_predict_returns_label_and_score():
@@ -234,7 +290,7 @@ def test_model_save_load_reproduces_predictions_exactly(tmp_path):
     save_model(model, path)
     clone = load_model(path)
     for v in vectors[:50]:
-        assert predict_proba(clone, v) == predict_proba(model, v)
+        assert predict(clone, v)[1] == predict(model, v)[1]
     save_model(clone, tmp_path / "model2.json")
     assert (tmp_path / "model.json").read_bytes() == \
         (tmp_path / "model2.json").read_bytes()
