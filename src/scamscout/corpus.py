@@ -347,11 +347,20 @@ def serp_from_record(rec: dict) -> SerpResultSet:
 
 
 def read_serps(path) -> list[SerpResultSet]:
+    """serps.jsonl; a malformed record raises SchemaError("path:lineno: ...")."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 out.append(serp_from_record(json.loads(line)))
+            except KeyError as exc:
+                raise SchemaError(
+                    f"{path}:{lineno}: bad serp record: missing key {exc}") from exc
+            # ValueError covers json.JSONDecodeError (a truncated line)
+            except (TypeError, ValueError, SchemaError) as exc:
+                raise SchemaError(f"{path}:{lineno}: bad serp record: {exc}") from exc
     return out
 
 

@@ -3,6 +3,20 @@
 forward() returns every layer's attention map alongside the hidden states,
 and backward() accepts gradients for both, because the distillation loss
 matches attention maps layer-for-layer between student and teacher.
+
+forward(trim=True) first cuts the batch to ``trimmed_length(ids)`` columns:
+the longest non-PAD prefix, rounded up to a multiple of 8, capped at the
+full length.  PAD keys are masked, so the cut columns feed no kept position,
+and every kept output equals its full-length value bit for bit.  That needs
+the multiple of 8: numpy sums the softmax denominator with 8 pairwise
+accumulators, and at a multiple of 8 the cut terms (exact zeros) leave every
+accumulator unchanged, while at other lengths the last terms are added in a
+different order.  In train mode the dropout masks are still drawn at the
+full length and sliced, so the random stream does not move.  Backward sums
+each weight gradient over fewer rows (the cut rows carry zero gradient),
+which moves it at the rounding level, about 1e-15 relative.  Trim only where
+no cut row reaches an output: where only the CLS row is used and the
+attention maps are dropped.
 """
 
 from __future__ import annotations
@@ -53,6 +67,14 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     return enc
 
 
+def trimmed_length(ids: np.ndarray) -> int:
+    """Columns of ``ids`` (B, T) that forward(trim=True) keeps: the longest
+    non-PAD prefix, rounded up to a multiple of 8, capped at T."""
+    used = np.flatnonzero((ids != PAD_ID).any(axis=0))
+    longest = int(used[-1]) + 1 if used.size else 1
+    return min(ids.shape[1], -(-longest // 8) * 8)
+
+
 class EncoderBlock(Module):
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         super().__init__()
@@ -63,11 +85,11 @@ class EncoderBlock(Module):
         self.ffn = FeedForward(cfg.dim, cfg.ff_dim, rng)
         self.drop2 = Dropout(cfg.dropout)
 
-    def forward(self, x, key_mask, train, rng, cache=True):
+    def forward(self, x, key_mask, train, rng, cache=True, draw_shape=None):
         a, attn_map = self.attn.forward(self.ln1.forward(x, cache), key_mask, cache)
-        x = x + self.drop1.forward(a, train, rng, cache)
+        x = x + self.drop1.forward(a, train, rng, cache, draw_shape)
         f = self.ffn.forward(self.ln2.forward(x, cache), cache)
-        x = x + self.drop2.forward(f, train, rng, cache)
+        x = x + self.drop2.forward(f, train, rng, cache, draw_shape)
         return x, attn_map
 
     def backward(self, d_out, d_attn=None):
@@ -91,19 +113,25 @@ class Encoder(Module):
 
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None,
-                cache: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
-        """ids (B, T) -> hidden (B, T, D) and per-layer attention maps."""
+                cache: bool = True,
+                trim: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
+        """ids (B, T) -> hidden (B, L, D) and per-layer attention maps
+        (B, H, L, L); L is T, or ``trimmed_length(ids)`` with ``trim``."""
+        draw_shape = (*ids.shape, self.cfg.dim)
+        if trim:
+            ids = ids[:, :trimmed_length(ids)]
         key_mask = ids != PAD_ID
         x = self.embed.forward(ids, cache) + self.positions[: ids.shape[1]]
-        x = self.drop_in.forward(x, train, rng, cache)
+        x = self.drop_in.forward(x, train, rng, cache, draw_shape)
         attn_maps = []
         for block in self.blocks:
-            x, attn = block.forward(x, key_mask, train, rng, cache)
+            x, attn = block.forward(x, key_mask, train, rng, cache, draw_shape)
             attn_maps.append(attn)
         return self.ln_out.forward(x, cache), attn_maps
 
     def backward(self, d_hidden: np.ndarray,
                  d_attn_maps: list[np.ndarray] | None = None) -> None:
+        """d_hidden and d_attn_maps have the shapes forward returned."""
         d_x = self.ln_out.backward(d_hidden)
         for i in reversed(range(len(self.blocks))):
             d_attn = d_attn_maps[i] if d_attn_maps is not None else None

@@ -127,19 +127,27 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode or at p = 0."""
+    """Inverted dropout; a no-op in eval mode or at p = 0.
+
+    ``draw_shape`` (default: ``x.shape``) is the shape the random mask is
+    drawn at; ``x`` takes its leading block.  A caller that trims ``x``
+    passes the untrimmed shape, so it consumes the same random numbers and
+    keeps the same mask values as the untrimmed call.
+    """
 
     def __init__(self, p: float):
         super().__init__()
         self.p = p
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None,
-                cache: bool = True) -> np.ndarray:
+                cache: bool = True,
+                draw_shape: tuple[int, ...] | None = None) -> np.ndarray:
         self._mask = None
         if not train or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        mask = (rng.random(x.shape) < keep) / keep
+        draws = rng.random(draw_shape or x.shape)
+        mask = (draws[tuple(slice(n) for n in x.shape)] < keep) / keep
         if cache:
             self._mask = mask
         return x * mask

@@ -9,6 +9,14 @@ embedding into a "hint" that is trained to mimic the teacher's fused
 representation.  The two query encoders are architecturally identical so
 the student can be initialized from the teacher backbone and attention maps
 can be matched layer-for-layer.
+
+The teacher's SERP encoder always runs PAD-trimmed (``Encoder.forward``'s
+``trim``), in training and in eval: only its CLS rows are pooled and its
+attention maps are dropped, so its outputs are bit-identical to the
+full-length ones.  Both query encoders run at the full length by default,
+because the distillation loss averages attention maps over all Tq x Tq
+entries, PAD rows included; ``StudentModel.forward(trim=True)`` is for
+callers that keep only the score.  Both models take full-length ids.
 """
 
 from __future__ import annotations
@@ -97,7 +105,8 @@ class TeacherModel(Module):
         q_cls = q_hidden[:, 0, :]
         if k > 0:
             s_hidden, _ = self.serp_encoder.forward(
-                serp_ids.reshape(b * k, ts), train, rng, cache)
+                serp_ids.reshape(b * k, ts), train, rng, cache, trim=True)
+            ts = s_hidden.shape[1]   # trimmed; backward's d_hidden has this length
             s_cls = s_hidden[:, 0, :].reshape(b, k, -1)
             present = serp_present.astype(np.float64)
             counts = present.sum(axis=1)
@@ -113,7 +122,7 @@ class TeacherModel(Module):
         fused = self.fusion_drop.forward(relu(pre), train, rng, cache)
         score = self.head.forward(fused, cache)[:, 0]
         if cache:
-            self._cache = (query_ids.shape, serp_ids.shape, present if k > 0 else None,
+            self._cache = (query_ids.shape, (b, k, ts), present if k > 0 else None,
                            safe, pre)
         return score, fused, q_attn
 
@@ -166,16 +175,22 @@ class StudentModel(Module):
             raise TrainingError("teacher has no backbone parameters")
 
     def forward(self, query_ids: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None, cache: bool = True):
-        """Returns (score (B,), hint (B,D), query attention maps)."""
-        hidden, attn = self.query_encoder.forward(query_ids, train, rng, cache)
+                rng: Optional[np.random.Generator] = None, cache: bool = True,
+                trim: bool = False):
+        """Returns (score (B,), hint (B,D), query attention maps).
+
+        ``trim`` runs the query encoder PAD-trimmed: score and hint stay
+        bit-identical, the attention maps cover only the kept columns.
+        """
+        hidden, attn = self.query_encoder.forward(query_ids, train, rng, cache,
+                                                  trim)
         cls = hidden[:, 0, :]
         dropped = self.pred_drop.forward(cls, train, rng, cache)
         h1 = self.pred_lin1.forward(dropped, cache)
         score = self.pred_lin2.forward(relu(h1), cache)[:, 0]
         hint = self.distill_head.forward(cls, cache)
         if cache:
-            self._cache = (query_ids.shape, h1)
+            self._cache = (hidden.shape[:2], h1)
         return score, hint, attn
 
     def backward(self, d_score: np.ndarray, d_hint: np.ndarray,

@@ -44,7 +44,8 @@ def rank_keywords(
     scores = np.empty(len(texts), dtype=np.float64)
     for start in range(0, len(texts), batch_size):
         ids = tokenize_batch(texts[start:start + batch_size], student.tok_cfg)
-        out, _, _ = student.forward(ids, train=False, cache=False)
+        # the attention maps are dropped, so PAD columns can be cut exactly
+        out, _, _ = student.forward(ids, train=False, cache=False, trim=True)
         scores[start:start + len(out)] = out
     scores = np.clip(scores, 0.0, 1.0)
 

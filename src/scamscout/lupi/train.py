@@ -8,6 +8,12 @@ restore of the best epoch) serves the teacher, the distiller and the
 query-only baseline; each passes only its model, its per-batch step and its
 validation loss.  The baseline is the distiller with weights (1,0,0,0) and
 no teacher, so both perform the identical arithmetic, a tested contract.
+
+The distiller runs the frozen teacher once per fit: after ``_fit``'s
+train/validation split, once over the train tensors and once over the
+validation tensors, and each batch takes its rows of those outputs.  Rows
+are independent and the SERP encoder's PAD trimming is exact (see
+``encoder.py``), so these equal a per-batch teacher forward bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import copy
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -132,6 +138,9 @@ class _Tensors:
     serp_present: np.ndarray     # (N, K) bool
     labels: np.ndarray           # (N,)
     empty_priv: int = 0
+    # the frozen teacher's (score (N,), fused (N, D), per-layer attention
+    # (N, H, Tq, Tq)) when distilling, else None
+    teacher: Optional[tuple[np.ndarray, np.ndarray, list[np.ndarray]]] = None
 
 
 def _assemble(
@@ -168,8 +177,12 @@ def _val_split(n: int, fraction: float, rng: np.random.Generator):
 
 
 def _slice(t: _Tensors, idx: np.ndarray) -> _Tensors:
+    teacher = None
+    if t.teacher is not None:
+        score, fused, attn = t.teacher
+        teacher = (score[idx], fused[idx], [a[idx] for a in attn])
     return _Tensors(t.query_ids[idx], t.serp_ids[idx], t.serp_present[idx],
-                    t.labels[idx], t.empty_priv)
+                    t.labels[idx], t.empty_priv, teacher)
 
 
 def _check_finite(loss: float, what: str, epoch: int, step: int) -> None:
@@ -187,6 +200,9 @@ class TrainReport:
     step_losses: list[float]       # one per optimizer step
     empty_priv: int = 0
     config: Optional[TrainConfig] = None
+    # per optimizer step, the loss terms: gt/pm/hm/am for the student and
+    # the baseline (their weighted sum is the step loss), gt for the teacher
+    step_terms: list[dict[str, float]] = field(default_factory=list)
 
 
 # --- the fit loop -------------------------------------------------------------
@@ -200,13 +216,17 @@ def _fit(
     tok_cfg: TokenizerConfig,
     val_dataset: Optional[LupiDataset],
     val_fraction: float,
-    step: Callable[[_Tensors, np.random.Generator], float],
+    step: Callable[[_Tensors, np.random.Generator],
+                   tuple[float, dict[str, float]]],
     val_loss: Callable[[_Tensors], float],
+    prepare: Optional[Callable[[_Tensors], _Tensors]] = None,
 ) -> TrainReport:
     """Train ``model`` in place and restore its best-validation parameters.
 
     ``step`` runs forward, loss and backward on one batch (gradients already
-    zeroed) and returns the loss; ``val_loss`` scores the validation tensors.
+    zeroed) and returns the loss and its terms; ``val_loss`` scores the
+    validation tensors.  ``prepare``, if given, maps the train and the
+    validation tensors once, after the split and before the first batch.
     Batches, dropout and the validation split are drawn from seed-derived
     generators, so every caller gets the same sequence for the same config.
     """
@@ -219,6 +239,8 @@ def _fit(
         if val_idx.size == 0:
             raise TrainingError("training set too small to hold out validation")
         train_t, val_t = _slice(tensors, train_idx), _slice(tensors, val_idx)
+    if prepare is not None:
+        train_t, val_t = prepare(train_t), prepare(val_t)
 
     opt = AdamW(model.parameters(), cfg.lr, weight_decay=cfg.weight_decay)
     loop_rng = np.random.default_rng([cfg.seed, 7919])
@@ -234,13 +256,15 @@ def _fit(
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             model.zero_grads()
-            loss = step(_slice(train_t, perm[start:start + cfg.batch_size]), loop_rng)
+            loss, terms = step(_slice(train_t, perm[start:start + cfg.batch_size]),
+                               loop_rng)
             _check_finite(loss, "training", epoch, n_step)
             opt.step(model.gradients(),
                      warmup_scale(n_step, total_steps, cfg.warmup_fraction))
             n_step += 1
             epoch_losses.append(loss)
             report.step_losses.append(loss)
+            report.step_terms.append(terms)
         report.train_losses.append(float(np.mean(epoch_losses)))
         vl = val_loss(val_t)
         _check_finite(vl, "validation", epoch, n_step)
@@ -284,12 +308,13 @@ def train_teacher(
     enc_cfg = enc_cfg or EncoderConfig()
     model = TeacherModel(tok_cfg, enc_cfg, priv, seed=cfg.seed)
 
-    def step(batch: _Tensors, rng: np.random.Generator) -> float:
+    def step(batch: _Tensors, rng: np.random.Generator):
         score, _, _ = model.forward(batch.query_ids, batch.serp_ids,
                                     batch.serp_present, train=True, rng=rng)
         diff = score - batch.labels
         model.backward(np.sign(diff) / diff.shape[0])
-        return float(np.mean(np.abs(diff)))
+        mae = float(np.mean(np.abs(diff)))
+        return mae, {"gt": mae}
 
     def val_loss(t: _Tensors) -> float:
         score, _, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present,
@@ -328,23 +353,25 @@ def _train_student_loop(
     if init_from is not None:
         student.init_from_teacher(init_from)
 
+    def with_teacher(t: _Tensors) -> _Tensors:
+        return replace(t, teacher=teacher.forward(
+            t.query_ids, t.serp_ids, t.serp_present, train=False, cache=False))
+
     def loss(t: _Tensors, train: bool, rng=None):
-        t_score = t_fused = t_attn = None
-        if needs_teacher:
-            t_score, t_fused, t_attn = teacher.forward(
-                t.query_ids, t.serp_ids, t.serp_present, train=False, cache=False)
+        t_score, t_fused, t_attn = t.teacher or (None, None, None)
         s_score, s_hint, s_attn = student.forward(t.query_ids, train=train,
                                                   rng=rng, cache=train)
         return total_loss(t.labels, s_score, s_hint, s_attn,
                           t_score, t_fused, t_attn, weights)
 
-    def step(batch: _Tensors, rng: np.random.Generator) -> float:
-        value, _, (d_score, d_hint, d_attn) = loss(batch, True, rng)
+    def step(batch: _Tensors, rng: np.random.Generator):
+        value, terms, (d_score, d_hint, d_attn) = loss(batch, True, rng)
         student.backward(d_score, d_hint, d_attn)
-        return value
+        return value, terms
 
     report = _fit(student, dataset, priv, cfg, tok_cfg, val_dataset, val_fraction,
-                  step, lambda t: loss(t, False)[0])
+                  step, lambda t: loss(t, False)[0],
+                  prepare=with_teacher if needs_teacher else None)
 
     if frozen_before is not None:
         after = teacher.parameters()

@@ -266,6 +266,38 @@ def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
     assert not (tmp_path / "student.json").exists()
 
 
+def _drop_rank(line):
+    rec = json.loads(line)
+    del rec["entries"][0]["rank"]
+    return json.dumps(rec)
+
+
+def _string_rank(line):
+    rec = json.loads(line)
+    rec["entries"][0]["rank"] = "2"
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (_drop_rank, "missing key 'rank'"),
+    (_string_rank, "rank must be an integer >= 1, got '2'"),
+    (lambda line: line[:-1], "Expecting"),   # truncated JSON
+])
+def test_toxicity_rejects_bad_serp_record_with_line_number(tmp_path, capsys,
+                                                           mangle, message):
+    lines = (FIXTURES / "serps.jsonl").read_text().splitlines()
+    lines[2] = mangle(lines[2])
+    serps = tmp_path / "serps.jsonl"
+    serps.write_text("\n".join(lines) + "\n")
+    rc = main(["toxicity", "--serps", str(serps),
+               "--labels", str(FIXTURES / "labels.csv"),
+               "--keywords", str(FIXTURES / "keywords.jsonl"),
+               "--out", str(tmp_path / "toxicity.csv")])
+    assert rc == 2
+    assert f"error: {serps}:3: bad serp record: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "toxicity.csv").exists()
+
+
 def _numeric_column():
     return 1 + next(i for i, (_, kind, _) in enumerate(FEATURES)
                     if kind != CATEGORICAL)

@@ -881,3 +881,217 @@ def test_loco_cv_input_validation():
         with pytest.warns(UserWarning):
             loco_cv(two_small, PRIV, CFG, min_queries=10,
                     tok_cfg=TOK, enc_cfg=ENC)
+
+
+# --- PAD trimming and teacher outputs once per fit ----------------------------
+
+TOK_LONG = TokenizerConfig(vocab_size=256, max_len_query=32, max_len_serp=64)
+
+
+def _words(rng, n):
+    return " ".join(f"w{int(i)}" for i in rng.integers(0, 400, size=n))
+
+
+def test_trimmed_length_rounds_the_longest_prefix_up_to_a_multiple_of_8():
+    from scamscout.lupi.encoder import trimmed_length
+    ids = tokenize_batch(["a b c d", "a"], TOK_LONG)           # longest 5
+    assert trimmed_length(ids) == 8
+    ids = tokenize_batch(["a " * 8, "a"], TOK_LONG)             # longest 9
+    assert trimmed_length(ids) == 16
+    ids = tokenize_batch(["a " * 40], TOK_LONG)                 # truncated at 32
+    assert trimmed_length(ids) == 32
+    short = TokenizerConfig(vocab_size=64, max_len_query=12, max_len_serp=12)
+    assert trimmed_length(tokenize_batch(["a " * 9], short)) == 12  # capped
+    assert trimmed_length(np.zeros((3, 64), dtype=np.int64)) == 8   # all PAD
+    # an interior PAD does not end the prefix; the last real column does
+    ids = np.zeros((2, 64), dtype=np.int64)
+    ids[0, :3] = [CLS_ID, 5, 7]
+    ids[1, [0, 20]] = [CLS_ID, 9]
+    assert trimmed_length(ids) == 24
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(train):
+    from scamscout.lupi import Encoder
+    from scamscout.lupi.encoder import trimmed_length
+    enc_cfg = EncoderConfig(layers=2, dim=16, heads=2, ff_dim=32, dropout=0.2)
+    enc = Encoder(TOK_LONG.vocab_size, TOK_LONG.max_len_serp, enc_cfg,
+                  np.random.default_rng(0))
+    rng = np.random.default_rng(3)
+    # longest rows of 5, 11, 14 and 19 tokens: never a multiple of 8
+    for longest in (4, 10, 13, 18):
+        texts = [_words(rng, int(n)) for n in rng.integers(1, longest, size=5)]
+        texts.append(_words(rng, longest))
+        ids = tokenize_batch(texts, TOK_LONG, TOK_LONG.max_len_serp)
+        L = trimmed_length(ids)
+        assert L % 8 == 0 and L < ids.shape[1]
+        rng_full, rng_trim = np.random.default_rng(9), np.random.default_rng(9)
+        h_full, a_full = enc.forward(ids, train, rng_full, cache=False)
+        h_trim, a_trim = enc.forward(ids, train, rng_trim, cache=False, trim=True)
+        assert h_trim.shape == (len(texts), L, enc_cfg.dim)
+        assert np.array_equal(h_trim, h_full[:, :L])
+        for full, trim in zip(a_full, a_trim):
+            assert np.array_equal(trim, full[:, :, :L, :L])
+            assert not full[:, :, :L, L:].any()
+        assert rng_trim.bit_generator.state == rng_full.bit_generator.state
+
+
+def _long_teacher_inputs(seed=0, batch=6, k=3, lengths=(3, 20)):
+    rng = np.random.default_rng(seed)
+    q = tokenize_batch([_words(rng, int(rng.integers(1, 9)))
+                        for _ in range(batch)], TOK_LONG)
+    serp_ids = np.stack([
+        tokenize_batch([_words(rng, int(rng.integers(*lengths)))
+                        for _ in range(k)], TOK_LONG, TOK_LONG.max_len_serp)
+        for _ in range(batch)])
+    present = rng.random((batch, k)) < 0.8
+    present[0] = True
+    present[1] = False   # one query without privileged text
+    return q, serp_ids, present
+
+
+def _untrimmed(monkeypatch):
+    """Make every trimmed call run at the full length (the reference)."""
+    from scamscout.lupi import encoder
+    monkeypatch.setattr(encoder, "trimmed_length", lambda ids: ids.shape[1])
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_teacher_forward_is_unchanged_by_serp_trimming(monkeypatch, train):
+    teacher = TeacherModel(TOK_LONG, ENC, PRIV, seed=4)
+    q, serp_ids, present = _long_teacher_inputs()
+    rng_trim = np.random.default_rng(5)
+    trimmed = teacher.forward(q, serp_ids, present, train, rng_trim, cache=False)
+    _untrimmed(monkeypatch)
+    rng_full = np.random.default_rng(5)
+    full = teacher.forward(q, serp_ids, present, train, rng_full, cache=False)
+    assert np.array_equal(trimmed[0], full[0])
+    assert np.array_equal(trimmed[1], full[1])
+    assert all(np.array_equal(a, b) for a, b in zip(trimmed[2], full[2]))
+    assert rng_trim.bit_generator.state == rng_full.bit_generator.state
+
+
+def test_trimmed_serp_encoder_gradients_match_full_length(monkeypatch):
+    teacher = TeacherModel(TOK_LONG, ENC, PRIV, seed=6)
+    q, serp_ids, present = _long_teacher_inputs(seed=1)
+    d_score = np.random.default_rng(2).normal(size=q.shape[0])
+
+    def grads():
+        teacher.zero_grads()
+        teacher.forward(q, serp_ids, present, train=True,
+                        rng=np.random.default_rng(8))
+        teacher.backward(d_score)
+        return {k: v.copy() for k, v in teacher.gradients().items()}
+
+    trimmed = grads()
+    _untrimmed(monkeypatch)
+    full = grads()
+    for name, g in full.items():
+        if name.startswith("serp_encoder."):
+            # the weight GEMMs sum over fewer (all-zero) PAD rows: rounding only
+            assert np.max(np.abs(trimmed[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+        else:
+            assert np.array_equal(trimmed[name], g), name
+
+
+def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
+    from scamscout.lupi.encoder import trimmed_length
+    from scamscout.lupi.train import _slice, _Tensors
+    teacher = TeacherModel(TOK_LONG, ENC, PRIV, seed=2)
+    q, serp_ids, present = _long_teacher_inputs(seed=3, batch=10, k=4,
+                                                lengths=(2, 6))
+    # two rows with long snippets stretch the set's trimmed length
+    rng = np.random.default_rng(4)
+    for i in (7, 9):
+        serp_ids[i, 0] = tokenize(_words(rng, 30), TOK_LONG, TOK_LONG.max_len_serp)
+    t = _Tensors(q, serp_ids, present, np.zeros(len(q)))
+    t.teacher = teacher.forward(q, serp_ids, present, train=False, cache=False)
+    short_batch = np.array([0, 2, 3, 5])
+    assert trimmed_length(serp_ids[short_batch].reshape(-1, 64)) < \
+        trimmed_length(serp_ids.reshape(-1, 64))
+    for idx in (short_batch, np.array([8, 1, 9, 4]), np.arange(10)):
+        batch = _slice(t, idx)
+        score, fused, attn = teacher.forward(batch.query_ids, batch.serp_ids,
+                                             batch.serp_present, cache=False)
+        assert np.array_equal(batch.teacher[0], score)
+        assert np.array_equal(batch.teacher[1], fused)
+        assert all(np.array_equal(a, b) for a, b in zip(batch.teacher[2], attn))
+
+
+def test_distillation_runs_the_teacher_once_per_tensor_set(monkeypatch):
+    data = _tiny_dataset(24)
+    teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
+    calls = []
+    forward = TeacherModel.forward
+
+    def counted(self, query_ids, *args, **kwargs):
+        calls.append(len(query_ids))
+        return forward(self, query_ids, *args, **kwargs)
+
+    monkeypatch.setattr(TeacherModel, "forward", counted)
+    _, report = distill_student(data, teacher, LossWeights(1, 0.5, 0.5, 0.5), CFG)
+    assert len(report.step_losses) == 2 * 3   # 22 train rows, batches of 8
+    assert calls == [22, 2]                   # train tensors, then validation
+    calls.clear()
+    train_query_baseline(data, CFG, TOK, ENC, init_from=teacher)
+    assert calls == []
+
+
+def test_rank_scores_equal_the_untrimmed_student_scores():
+    from scamscout.corpus import KeywordSuggestion
+    student = StudentModel(TOK_LONG, ENC, seed=7)
+    rng = np.random.default_rng(1)
+    kws = [KeywordSuggestion(text=_words(rng, int(n)), category="c")
+           for n in rng.integers(1, 12, size=40)]
+    ranked = rank_keywords(student, kws, k=None, batch_size=16)
+    ids = tokenize_batch([kw.text for kw in kws], TOK_LONG)
+    full, _, _ = student.forward(ids, train=False, cache=False)
+    expected = dict(zip((kw.text for kw in kws), np.clip(full, 0.0, 1.0)))
+    assert len(ranked) == len(expected)
+    assert all(row.score == expected[row.text] for row in ranked)
+
+
+def test_step_terms_add_up_to_the_step_losses():
+    data = _tiny_dataset(24)
+    teacher, t_report = train_teacher(data, PRIV, CFG, TOK, ENC)
+    assert t_report.step_terms == [{"gt": x} for x in t_report.step_losses]
+    w = LossWeights(0.5, 1.0, 0.25, 0.75)
+    _, report = distill_student(data, teacher, w, CFG)
+    assert len(report.step_terms) == len(report.step_losses) > 0
+    for terms, loss in zip(report.step_terms, report.step_losses):
+        assert set(terms) == {"gt", "pm", "hm", "am"}
+        assert all(terms[name] > 0 for name in terms)
+        assert (w.gt * terms["gt"] + w.pm * terms["pm"]
+                + w.hm * terms["hm"] + w.am * terms["am"]) == loss
+
+
+def test_loco_cv_paper_split_validates_on_the_held_out_fold(monkeypatch):
+    from scamscout.lupi import train as train_mod
+    data = _tiny_dataset(24)
+    seen = []
+    for name in ("train_teacher", "distill_student", "train_query_baseline"):
+        real = getattr(train_mod, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            seen.append((_name, args[0], kwargs["val_dataset"]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, name, spy)
+    reports = loco_cv(data, PRIV, CFG, LossWeights(1, 0.5, 0.5, 0.5), k=3,
+                      min_queries=5, tok_cfg=TOK, enc_cfg=ENC, paper_split=True)
+    assert [r.category for r in reports] == ["a", "b"]
+    for rep in reports:
+        assert set(rep.toxicity) == {"max", "teacher", "student", "baseline"}
+        assert set(rep.expansion) == {"max", "teacher", "student", "baseline"}
+    assert [name for name, _, _ in seen] == \
+        ["train_teacher", "distill_student", "train_query_baseline"] * 2
+    for i, held_out in enumerate(("a", "b")):
+        fold = seen[3 * i:3 * i + 3]
+        val = fold[0][2]
+        # 10% of the 12 held-out queries, the same set for all three fits
+        assert len(val.examples) == 1
+        assert all(ex.category == held_out for ex in val.examples)
+        assert all(v is val for _, _, v in fold)
+        train_queries = {ex.query for ex in fold[0][1].examples}
+        assert not train_queries & {ex.query for ex in val.examples}
+        assert {ex.category for ex in fold[0][1].examples} == {"a", "b"} - {held_out}
