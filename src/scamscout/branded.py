@@ -4,18 +4,23 @@ Queries naming a specific brand ("nike air max") measure brand demand, not
 scam-prone generic demand ("trail running shoes"), so they are dropped
 before scoring.  Matching is whole-token and case-insensitive; brand names
 that double as generic English words ("coach", "vans") only fire when a
-product-context word sits directly next to them, which keeps "life coach"
-un-branded but catches "coach handbags outlet".
+product-context word sits directly next to one of their occurrences, which
+keeps "life coach" un-branded but catches "coach handbags outlet" and "life
+coach and coach handbags".
+
+Each lexicon is indexed once by the token tuple of its brands, so a keyword
+is classified by looking up its n-grams (up to the longest brand) instead
+of scanning every brand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from importlib import resources
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
+from .datalists import read_list
 from .errors import SchemaError
 
 
@@ -47,26 +52,24 @@ class BrandLexicon:
         if not self.ambiguous <= self.brands:
             raise SchemaError("ambiguous entries must be a subset of brands")
 
+    @cached_property
+    def phrase_index(self) -> tuple[dict[tuple[str, ...], list[str]], int]:
+        """(token tuple -> brands with those tokens, longest brand in tokens).
 
-def _read_list(name: str, path=None) -> frozenset[str]:
-    if path is None:
-        text = resources.files("scamscout.data").joinpath(name).read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return frozenset(
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    )
+        Brands differing only in inner whitespace share one token tuple.
+        """
+        index: dict[tuple[str, ...], list[str]] = {}
+        for brand in sorted(self.brands):
+            index.setdefault(tuple(brand.split()), []).append(brand)
+        return index, max(map(len, index), default=0)
 
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> BrandLexicon:
     return BrandLexicon(
-        brands=_read_list("brands.txt"),
-        ambiguous=_read_list("ambiguous_brands.txt"),
-        context=_read_list("brand_context.txt"),
+        brands=read_list("brands.txt"),
+        ambiguous=read_list("ambiguous_brands.txt"),
+        context=read_list("brand_context.txt"),
     )
 
 
@@ -80,8 +83,10 @@ def classify_branded(
 ) -> BrandVerdict:
     """BRANDED iff a lexicon phrase occurs as whole tokens in the keyword.
 
-    An external classifier can be wired in through ``adapter``; the rule
-    lexicon is the default.
+    An ambiguous brand counts when any of its occurrences has a context word
+    right before or after it.  Of several matching brands the alphabetically
+    first is reported.  An external classifier can be wired in through
+    ``adapter``; the rule lexicon is the default.
     """
     if not keyword or not keyword.strip():
         raise SchemaError("keyword must be non-empty")
@@ -90,27 +95,18 @@ def classify_branded(
     if lexicon is None:
         lexicon = default_lexicon()
     tokens = keyword.lower().split()
-    matches: list[str] = []
-    for brand in lexicon.brands:
-        span = _phrase_span(tokens, brand.split())
-        if span is None:
-            continue
-        if brand in lexicon.ambiguous and not _has_adjacent_context(
-            tokens, span, lexicon.context
-        ):
-            continue
-        matches.append(brand)
+    index, longest = lexicon.phrase_index
+    matches: set[str] = set()
+    for start in range(len(tokens)):
+        for end in range(start + 1, min(start + longest, len(tokens)) + 1):
+            for brand in index.get(tuple(tokens[start:end]), ()):
+                if brand not in lexicon.ambiguous or _has_adjacent_context(
+                    tokens, (start, end), lexicon.context
+                ):
+                    matches.add(brand)
     if matches:
         return BrandVerdict(Verdict.BRANDED, sorted(matches)[0])
     return BrandVerdict(Verdict.UNBRANDED)
-
-
-def _phrase_span(tokens: list[str], phrase: list[str]) -> Optional[tuple[int, int]]:
-    n, m = len(tokens), len(phrase)
-    for start in range(n - m + 1):
-        if tokens[start:start + m] == phrase:
-            return start, start + m
-    return None
 
 
 def _has_adjacent_context(

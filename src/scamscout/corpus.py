@@ -93,8 +93,10 @@ class KeywordSuggestion:
             raise SchemaError(f"competition must be one of {COMPETITION_LEVELS}, got {self.competition!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SerpEntry:
+    """One search result; frozen, so stores can hand out the same entry."""
+
     engine: str
     rank: int
     url: str
@@ -109,9 +111,9 @@ class SerpEntry:
         if (not isinstance(self.rank, numbers.Integral)
                 or isinstance(self.rank, bool) or self.rank < 1):
             raise SchemaError(f"rank must be an integer >= 1, got {self.rank!r}")
-        self.rank = int(self.rank)
+        object.__setattr__(self, "rank", int(self.rank))
         if not self.root_domain:
-            self.root_domain = root_domain(self.url)
+            object.__setattr__(self, "root_domain", root_domain(self.url))
 
 
 @dataclass

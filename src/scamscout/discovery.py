@@ -59,10 +59,15 @@ def _entry_from_dict(blob: Mapping) -> SerpEntry:
 
 
 class FixtureStore:
-    """Recorded SERPs addressed by (query, engine, capture date)."""
+    """Recorded SERPs addressed by (query, engine, capture date).
+
+    Each stored entry is parsed once, when it is put or loaded; ``get``
+    hands out the stored (frozen) entries in a new list.
+    """
 
     def __init__(self):
         self._records: dict[str, dict] = {}
+        self._entries: dict[str, tuple[SerpEntry, ...]] = {}
         # (query, engine) -> id of its latest capture, by (capture_date, id)
         self._latest: dict[tuple[str, str], str] = {}
 
@@ -71,6 +76,13 @@ class FixtureStore:
 
     def put(self, query: str, engine: str, capture_date: str,
             entries: Sequence[SerpEntry]) -> str:
+        # rebuilt from the stored fields, so the root domain is the URL's
+        # even when an entry was built with another one
+        return self._put(query, engine, capture_date,
+                         [_entry_from_dict(_entry_to_dict(e)) for e in entries])
+
+    def _put(self, query: str, engine: str, capture_date: str,
+             entries: list[SerpEntry]) -> str:
         if engine not in ENGINES:
             raise UnknownEngineError(f"unknown engine: {engine!r}")
         record = {
@@ -86,6 +98,7 @@ class FixtureStore:
                 f"conflicting fixture for ({query!r}, {engine}, {capture_date})")
         rid = record["id"]
         self._records[rid] = record
+        self._entries[rid] = tuple(entries)
         latest = self._latest.get((query, engine))
         if latest is None or (capture_date, rid) > (
                 self._records[latest]["capture_date"], latest):
@@ -96,17 +109,15 @@ class FixtureStore:
             capture_date: Optional[str] = None) -> SerpResultSet:
         """Exact capture if a date is given, else the latest one recorded."""
         if capture_date is not None:
-            record = self._records.get(_fixture_id(query, engine, capture_date))
-            if record is None:
+            rid = _fixture_id(query, engine, capture_date)
+            if rid not in self._entries:
                 raise FixtureMissError(
                     f"no fixture for ({query!r}, {engine}, {capture_date})")
         else:
-            latest = self._latest.get((query, engine))
-            if latest is None:
+            rid = self._latest.get((query, engine))
+            if rid is None:
                 raise FixtureMissError(f"no fixture for ({query!r}, {engine})")
-            record = self._records[latest]
-        entries = [_entry_from_dict(e) for e in record["entries"]]
-        return SerpResultSet(query=query, entries=entries)
+        return SerpResultSet(query=query, entries=list(self._entries[rid]))
 
     def save(self, path: Union[str, Path]) -> None:
         lines = [json.dumps(self._records[rid], sort_keys=True)
@@ -121,8 +132,8 @@ class FixtureStore:
                 continue
             try:
                 record = json.loads(line)
-                store.put(record["query"], record["engine"], record["capture_date"],
-                          [_entry_from_dict(e) for e in record["entries"]])
+                store._put(record["query"], record["engine"], record["capture_date"],
+                           [_entry_from_dict(e) for e in record["entries"]])
             # JSONDecodeError is a ValueError; KeyError/TypeError mean a
             # missing key or a wrongly typed value in an otherwise valid line
             except (KeyError, TypeError, ValueError, SchemaError) as exc:

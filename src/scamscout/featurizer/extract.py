@@ -4,18 +4,28 @@ Every feature is computed from the snapshot alone, so extraction is
 deterministic and replayable.  When a source is absent (no WHOIS record, no
 rank entry, empty HTML) the affected features become MISSING (None) rather
 than a guessed default.
+
+Content features lower the HTML and the visible text once each.  When a page
+is ASCII, the case-insensitive patterns (discount, urgency, countdown,
+copyright) run without IGNORECASE on the lowered strings, and only when the
+string holds a substring that every match contains; for ASCII text both give
+the same matches.  Other pages keep the IGNORECASE patterns, because there
+lowering is not what IGNORECASE matches: ``ſ`` (U+017F) matches ``s`` and
+``K`` (U+212A) matches ``k``, and ``'İ'.lower()`` is two code points long.
+The HTML walks keep their quirks: tags are counted wherever they stand, in
+comments and scripts too, while the visible text strips script/style
+bodies, then comments, then tags, in that order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Iterable, Optional
 from urllib.parse import urlsplit
 
 from ..corpus import DomainSnapshot
+from ..datalists import read_list
 from ..psl import public_suffix, root_domain, _host_of, _is_ip_literal
 from .schema import FEATURE_NAMES, FeatureVector
 from .segment import count_subwords, default_word_costs
@@ -23,29 +33,19 @@ from .segment import count_subwords, default_word_costs
 # --- config lists -----------------------------------------------------------
 
 
-def _load_lines(name: str) -> frozenset[str]:
-    text = resources.files("scamscout.data").joinpath(name).read_text("utf-8")
-    out = set()
-    for line in text.splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            out.add(line)
-    return frozenset(out)
-
-
 @lru_cache(maxsize=None)
 def cheap_tlds() -> frozenset[str]:
-    return _load_lines("cheap_tlds.txt")
+    return read_list("cheap_tlds.txt")
 
 
 @lru_cache(maxsize=None)
 def cheap_registrars() -> frozenset[str]:
-    return _load_lines("cheap_registrars.txt")
+    return read_list("cheap_registrars.txt")
 
 
 @lru_cache(maxsize=None)
 def free_email_providers() -> frozenset[str]:
-    return _load_lines("free_email_providers.txt")
+    return read_list("free_email_providers.txt")
 
 
 # social platforms whose profile links the content features look for
@@ -77,26 +77,38 @@ _COOKIE_MARKERS = (
     "cookiebot", "onetrust", "cookie_notice", "cookie-notice", "gdpr",
 )
 
-_DISCOUNT_RE = re.compile(
-    r"\b(discount|sale|clearance|coupon|promo code|% off|percent off|"
-    r"save up to|best price|lowest price|free shipping|outlet)\b",
-    re.IGNORECASE,
+_DISCOUNT_WORDS = (
+    "discount", "sale", "clearance", "coupon", "promo code", "% off",
+    "percent off", "save up to", "best price", "lowest price", "free shipping",
+    "outlet",
 )
+_DISCOUNT_RE = re.compile(r"\b(" + "|".join(_DISCOUNT_WORDS) + r")\b", re.IGNORECASE)
 
-_URGENCY_RE = re.compile(
-    r"\b(hurry|limited time|limited stock|act now|last chance|today only|"
-    r"only \d+ left|while stocks last|don't miss|flash sale|ends soon|"
-    r"selling fast|almost gone)\b",
-    re.IGNORECASE,
+_URGENCY_WORDS = (
+    "hurry", "limited time", "limited stock", "act now", "last chance",
+    "today only", r"only \d+ left", "while stocks last", "don't miss",
+    "flash sale", "ends soon", "selling fast", "almost gone",
 )
+_URGENCY_RE = re.compile(r"\b(" + "|".join(_URGENCY_WORDS) + r")\b", re.IGNORECASE)
 
+_COUNTDOWN_WORDS = ("countdown", "time remaining", "expires in", "offer ends in")
 _COUNTDOWN_RE = re.compile(
-    r"(countdown|time remaining|expires in|offer ends in|\b\d{1,2}:\d{2}:\d{2}\b)",
-    re.IGNORECASE,
-)
+    "(" + "|".join(_COUNTDOWN_WORDS) + r"|\b\d{1,2}:\d{2}:\d{2}\b)", re.IGNORECASE)
 
 _COPYRIGHT_RE = re.compile(r"(©|&copy;|\bcopyright\b)", re.IGNORECASE)
 _CURRENCY_RE = re.compile(r"[$€£¥₹]|&(?:euro|pound|yen|dollar);")
+
+# ASCII fast path: the patterns above without IGNORECASE, for lowered ASCII
+# text, each run only when the text holds a substring that every match holds
+# (for a word list, the literal start of some word)
+_ASCII_DISCOUNT_RE = re.compile(_DISCOUNT_RE.pattern)
+_ASCII_URGENCY_RE = re.compile(_URGENCY_RE.pattern)
+_ASCII_COPYRIGHT_RE = re.compile(_COPYRIGHT_RE.pattern)
+_DISCOUNT_PREFILTER = tuple(w.partition("\\")[0] for w in _DISCOUNT_WORDS)
+_URGENCY_PREFILTER = tuple(w.partition("\\")[0] for w in _URGENCY_WORDS)
+# the clock alternative of _COUNTDOWN_RE, \b\d{1,2}:\d{2}:\d{2}\b, led by a
+# digit instead of \b so that the regex engine skips ahead to digits
+_CLOCK_RE = re.compile(r"\d(?<!\w\d)\d?:\d{2}:\d{2}\b")
 
 # --- forgiving HTML scanning ------------------------------------------------
 
@@ -114,32 +126,31 @@ _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass
-class _Tag:
-    name: str
-    attrs: dict[str, str]
-
-
-def _scan_tags(html: str) -> Iterable[_Tag]:
+def _scan_tags(html: str) -> Iterable[tuple[str, dict[str, str]]]:
+    """(lowered name, attributes) of every opening tag, comments included."""
     for match in _TAG_RE.finditer(html):
         closing, name, attr_blob = match.groups()
         if closing:
             continue
         attrs: dict[str, str] = {}
-        for am in _ATTR_RE.finditer(attr_blob):
-            key = am.group(1).lower()
-            value = am.group(3) or am.group(4) or am.group(5) or ""
-            if key not in attrs:
-                attrs[key] = value
-        yield _Tag(name.lower(), attrs)
+        if "=" in attr_blob:   # an attribute without "=" is not recorded
+            for am in _ATTR_RE.finditer(attr_blob):
+                key = am.group(1).lower()
+                if key not in attrs:
+                    attrs[key] = am.group(3) or am.group(4) or am.group(5) or ""
+        yield name.lower(), attrs
+
+
+def _visible_words(html: str) -> list[str]:
+    stripped = _SCRIPT_STYLE_RE.sub(" ", html)
+    stripped = _COMMENT_RE.sub(" ", stripped)
+    return _TAG_RE.sub(" ", stripped).split()
 
 
 def visible_text(html: str) -> str:
     """Strip script/style bodies, comments and tags; collapse whitespace."""
-    stripped = _SCRIPT_STYLE_RE.sub(" ", html)
-    stripped = _COMMENT_RE.sub(" ", stripped)
-    stripped = _TAG_RE.sub(" ", stripped)
-    return _WS_RE.sub(" ", stripped).strip()
+    # str.split() and re's \s agree on what whitespace is, for every code point
+    return " ".join(_visible_words(html))
 
 
 def _href_host(href: str) -> Optional[str]:
@@ -152,13 +163,55 @@ def _href_host(href: str) -> Optional[str]:
     return None
 
 
-def _matches_domain(host: str, domains: set[str]) -> bool:
-    return any(host == d or host.endswith("." + d) for d in domains)
+def _domain_suffixes(host: str) -> list[str]:
+    """``host`` and each tail of it after a dot: the domains it belongs to."""
+    labels = host.split(".")
+    return [".".join(labels[i:]) for i in range(len(labels))]
 
 
-def _path_mentions(href: str, words: tuple[str, ...]) -> bool:
-    lowered = href.lower()
-    return any(w in lowered for w in words)
+_WHATSAPP_DOMAINS = frozenset({"wa.me", "api.whatsapp.com", "whatsapp.com"})
+
+# link domain -> the presence features a link to it (or a subdomain) sets
+_DOMAIN_FLAGS: dict[str, tuple[str, ...]] = {}
+for _feature, _domains in [*_SOCIAL_DOMAINS.items(),
+                           ("review_system_linked", _REVIEW_DOMAINS)]:
+    for _domain in _domains:
+        _DOMAIN_FLAGS[_domain] = _DOMAIN_FLAGS.get(_domain, ()) + (_feature,)
+
+# a link sets the feature when its lowered href contains one of the words
+_PATH_WORDS = (
+    ("presence_of_contact_link", ("contact",)),
+    ("has_privacy_policy_link", ("privacy",)),
+    ("has_terms_link", ("terms", "conditions")),
+    ("has_refund_policy_link", ("refund", "returns", "return-policy")),
+    ("has_shipping_info_link", ("shipping", "delivery")),
+    ("has_faq_link", ("faq",)),
+    ("presence_work_with_us_link", ("career", "jobs", "work-with-us", "join-us")),
+)
+
+
+def _contains_any(text: str, words: tuple[str, ...]) -> bool:
+    return any(map(text.__contains__, words))
+
+
+def _text_matches(html: str, lower_html: str, text: str) -> tuple:
+    """(copyright, discount count, urgency count, countdown) of one page."""
+    if not html.isascii():
+        return (_COPYRIGHT_RE.search(html) is not None,
+                len(_DISCOUNT_RE.findall(text)),
+                len(_URGENCY_RE.findall(text)),
+                _COUNTDOWN_RE.search(lower_html) is not None)
+    lower_text = text.lower()
+    copyright_ = "&copy;" in lower_html or (
+        "copyright" in lower_html
+        and _ASCII_COPYRIGHT_RE.search(lower_html) is not None)
+    discount = (len(_ASCII_DISCOUNT_RE.findall(lower_text))
+                if _contains_any(lower_text, _DISCOUNT_PREFILTER) else 0)
+    urgency = (len(_ASCII_URGENCY_RE.findall(lower_text))
+               if _contains_any(lower_text, _URGENCY_PREFILTER) else 0)
+    countdown = _contains_any(lower_html, _COUNTDOWN_WORDS) or (
+        _CLOCK_RE.search(lower_html) is not None)
+    return copyright_, discount, urgency, countdown
 
 
 # --- per-group extraction ----------------------------------------------------
@@ -302,12 +355,13 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
 
     own_root = snapshot.root_domain()
     lower_html = html.lower()
-    text = visible_text(html)
+    words = _visible_words(html)
+    text = " ".join(words)
 
     counts = {name: 0 for name in names}
     counts["html_length"] = len(html)
     counts["text_length"] = len(text)
-    counts["num_words"] = len(text.split())
+    counts["num_words"] = len(words)
 
     css_classes: set[str] = set()
     title_text = ""
@@ -316,18 +370,17 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
     if title_match:
         title_text = _WS_RE.sub(" ", title_match.group(1)).strip()
 
-    for tag in _scan_tags(html):
-        cls = tag.attrs.get("class")
+    for name, attrs in _scan_tags(html):
+        cls = attrs.get("class")
         if cls:
             css_classes.update(cls.split())
-        name = tag.name
         if name == "img":
             counts["num_img_tags"] += 1
         elif name == "iframe":
             counts["num_iframe_tags"] += 1
         elif name == "script":
             counts["num_script_tags"] += 1
-            src_host = _href_host(tag.attrs.get("src", ""))
+            src_host = _href_host(attrs.get("src", ""))
             if src_host and not _is_ip_literal(src_host):
                 if root_domain("http://" + src_host) != own_root:
                     counts["num_external_scripts"] += 1
@@ -337,13 +390,13 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
             counts["num_style_tags"] += 1
         elif name == "meta":
             counts["num_meta_tags"] += 1
-            if tag.attrs.get("name", "").lower() == "description":
+            if attrs.get("name", "").lower() == "description":
                 counts["has_meta_description"] = 1
         elif name == "form":
             counts["num_forms"] += 1
         elif name == "input":
             counts["num_input_fields"] += 1
-            if tag.attrs.get("type", "").lower() == "password":
+            if attrs.get("type", "").lower() == "password":
                 counts["has_password_field"] = 1
         elif name == "h1":
             counts["num_h1_tags"] += 1
@@ -351,11 +404,11 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
         elif name in ("h2", "h3", "h4", "h5", "h6"):
             counts["num_h1_h6_tags"] += 1
         elif name == "link":
-            rel = tag.attrs.get("rel", "").lower()
+            rel = attrs.get("rel", "").lower()
             if "icon" in rel:
                 counts["has_favicon"] = 1
         elif name == "a":
-            href = tag.attrs.get("href")
+            href = attrs.get("href")
             if href is None:
                 continue
             counts["num_links"] += 1
@@ -378,7 +431,8 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
                 if lowered.startswith("http:"):
                     counts["num_external_http_links"] += 1
             else:
-                if _matches_domain(host, {"wa.me", "api.whatsapp.com", "whatsapp.com"}):
+                domains = _domain_suffixes(host)
+                if not _WHATSAPP_DOMAINS.isdisjoint(domains):
                     counts["num_whatsapp_links"] += 1
                 link_root = root_domain("http://" + host)
                 if link_root == own_root:
@@ -387,41 +441,29 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
                     counts["num_external_links"] += 1
                     if lowered.startswith("http:"):
                         counts["num_external_http_links"] += 1
-                for feature, domains in _SOCIAL_DOMAINS.items():
-                    if _matches_domain(host, domains):
+                for domain in domains:
+                    for feature in _DOMAIN_FLAGS.get(domain, ()):
                         counts[feature] = 1
-                if _matches_domain(host, _REVIEW_DOMAINS):
-                    counts["review_system_linked"] = 1
                 if host in _APP_STORE_DOMAINS:
                     counts["has_app_store"] = 1
-            if _path_mentions(href, ("contact",)):
-                counts["presence_of_contact_link"] = 1
-            if _path_mentions(href, ("privacy",)):
-                counts["has_privacy_policy_link"] = 1
-            if _path_mentions(href, ("terms", "conditions")):
-                counts["has_terms_link"] = 1
-            if _path_mentions(href, ("refund", "returns", "return-policy")):
-                counts["has_refund_policy_link"] = 1
-            if _path_mentions(href, ("shipping", "delivery")):
-                counts["has_shipping_info_link"] = 1
-            if _path_mentions(href, ("faq",)):
-                counts["has_faq_link"] = 1
-            if _path_mentions(href, ("career", "jobs", "work-with-us", "join-us")):
-                counts["presence_work_with_us_link"] = 1
+            for feature, path_words in _PATH_WORDS:
+                if not counts[feature] and _contains_any(lowered, path_words):
+                    counts[feature] = 1
 
     counts["num_css_classes"] = len(css_classes)
     counts["has_title"] = int(bool(title_text))
     counts["title_length"] = len(title_text)
     counts["trustpilot_present"] = int("trustpilot" in lower_html)
-    if any(marker in lower_html for marker in _REVIEW_WIDGET_MARKERS):
+    if _contains_any(lower_html, _REVIEW_WIDGET_MARKERS):
         counts["has_review_widget"] = 1
-    if any(marker in lower_html for marker in _COOKIE_MARKERS):
+    if _contains_any(lower_html, _COOKIE_MARKERS):
         counts["presence_cookie_consent_notice"] = 1
-    counts["has_copyright_notice"] = int(bool(_COPYRIGHT_RE.search(html)))
+    copyright_, discount, urgency, countdown = _text_matches(html, lower_html, text)
+    counts["has_copyright_notice"] = int(copyright_)
     counts["has_currency_symbol"] = int(bool(_CURRENCY_RE.search(text)))
-    counts["discount_mention_count"] = len(_DISCOUNT_RE.findall(text))
-    counts["urgency_word_count"] = len(_URGENCY_RE.findall(text))
-    counts["has_countdown_timer"] = int(bool(_COUNTDOWN_RE.search(lower_html)))
+    counts["discount_mention_count"] = discount
+    counts["urgency_word_count"] = urgency
+    counts["has_countdown_timer"] = int(countdown)
     return counts
 
 

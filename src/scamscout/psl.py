@@ -2,6 +2,10 @@
 
 The snapshot ships with the package in standard PSL text format; a different
 snapshot can be supplied per call for reproducible comparisons across vintages.
+
+The registrable domain depends on the host alone, so under the default rules
+it is memoized per host in a bounded LRU cache.  The URL is still parsed on
+every call, so a malformed URL raises ``UrlError`` every time.
 """
 
 from __future__ import annotations
@@ -53,8 +57,13 @@ def _host_of(url: str) -> str:
 
 
 def _is_ip_literal(host: str) -> bool:
+    literal = host.strip("[]")
+    # an IPv4 literal starts with a digit and an IPv6 one holds a colon;
+    # anything else would only make ip_address raise, which is slow
+    if not literal[:1].isdigit() and ":" not in literal:
+        return False
     try:
-        ipaddress.ip_address(host.strip("[]"))
+        ipaddress.ip_address(literal)
         return True
     except ValueError:
         return False
@@ -90,6 +99,17 @@ def root_domain(url: str, rules=None) -> str:
     has no registrable domain and is returned as-is.
     """
     host = _host_of(url)
+    if rules is None:
+        return _default_registrable(host)
+    return _registrable(host, rules)
+
+
+@lru_cache(maxsize=1 << 14)
+def _default_registrable(host: str) -> str:
+    return _registrable(host, None)
+
+
+def _registrable(host: str, rules) -> str:
     if _is_ip_literal(host):
         return host
     suffix = public_suffix(host, rules)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamscout.branded import (
     BrandLexicon,
@@ -36,6 +37,13 @@ def test_ambiguous_brand_needs_adjacent_context():
     assert classify_branded("life coach certification").verdict is Verdict.UNBRANDED
     got = classify_branded("coach handbags outlet")
     assert got == BrandVerdict(Verdict.BRANDED, "coach")
+
+
+@pytest.mark.parametrize("keyword", ["life coach and coach handbags",
+                                     "coach coach handbags"])
+def test_ambiguous_brand_fires_on_any_occurrence_with_context(keyword):
+    # only the second "coach" has a product word next to it
+    assert classify_branded(keyword) == BrandVerdict(Verdict.BRANDED, "coach")
 
 
 def test_matching_is_whole_token_and_case_insensitive():
@@ -131,3 +139,97 @@ def test_filter_f1_on_labeled_keywords(fixtures_dir):
     assert len(labeled) == 200
     metrics = evaluate_filter(labeled)
     assert metrics["f1"] >= 0.85
+
+
+# --- the brand index against a scan over every brand ------------------------------
+
+
+def _reference_classify(keyword: str, lexicon: BrandLexicon) -> BrandVerdict:
+    """Every brand, every occurrence: an ambiguous brand needs context at one."""
+    tokens = keyword.lower().split()
+    matches = []
+    for brand in lexicon.brands:
+        phrase = brand.split()
+        for start in range(len(tokens) - len(phrase) + 1):
+            end = start + len(phrase)
+            if tokens[start:end] != phrase:
+                continue
+            neighbours = tokens[start - 1:start] + tokens[end:end + 1]
+            if brand not in lexicon.ambiguous or any(
+                    t in lexicon.context for t in neighbours):
+                matches.append(brand)
+                break
+    if matches:
+        return BrandVerdict(Verdict.BRANDED, sorted(matches)[0])
+    return BrandVerdict(Verdict.UNBRANDED)
+
+
+def _first_occurrence_classify(keyword: str, lexicon: BrandLexicon) -> BrandVerdict:
+    """The rule before the index: context checked at the first occurrence only."""
+    tokens = keyword.lower().split()
+    matches = []
+    for brand in lexicon.brands:
+        phrase = brand.split()
+        for start in range(len(tokens) - len(phrase) + 1):
+            end = start + len(phrase)
+            if tokens[start:end] == phrase:
+                neighbours = tokens[start - 1:start] + tokens[end:end + 1]
+                if brand not in lexicon.ambiguous or any(
+                        t in lexicon.context for t in neighbours):
+                    matches.append(brand)
+                break
+    if matches:
+        return BrandVerdict(Verdict.BRANDED, sorted(matches)[0])
+    return BrandVerdict(Verdict.UNBRANDED)
+
+
+_VOCAB = ["ab", "cd", "ef", "gh", "ij"]
+
+
+@st.composite
+def _lexicon_and_keywords(draw):
+    phrases = draw(st.lists(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4),
+                            min_size=1, max_size=8))
+    # a doubled inner space gives a second brand with the same token tuple
+    brands = {draw(st.sampled_from([" ", "  "])).join(p) for p in phrases}
+    ambiguous = frozenset(draw(st.sets(st.sampled_from(sorted(brands)))))
+    context = frozenset(draw(st.sets(st.sampled_from(_VOCAB + ["zz"]))))
+    lexicon = BrandLexicon(frozenset(brands), ambiguous, context)
+    keywords = draw(st.lists(
+        st.lists(st.sampled_from(_VOCAB + ["AB", "zz", "Cd"]), min_size=1,
+                 max_size=8).map(" ".join), min_size=1, max_size=10))
+    return lexicon, keywords
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_lexicon_and_keywords())
+def test_brand_index_equals_reference_scan(case):
+    lexicon, keywords = case
+    for keyword in keywords:
+        assert classify_branded(keyword, lexicon) == _reference_classify(keyword, lexicon)
+
+
+def test_brand_index_groups_brands_by_token_tuple():
+    lex = BrandLexicon(brands=frozenset({"blue ridge", "blue  ridge", "acme"}),
+                       ambiguous=frozenset(), context=frozenset())
+    index, longest = lex.phrase_index
+    assert index == {("acme",): ["acme"], ("blue", "ridge"): ["blue  ridge", "blue ridge"]}
+    assert longest == 2
+    assert classify_branded("Blue Ridge tent", lex).matched_brand == "blue  ridge"
+    # spellings of one tuple are gated one by one
+    gated = BrandLexicon(brands=frozenset({"blue ridge", "blue  ridge"}),
+                         ambiguous=frozenset({"blue  ridge"}), context=frozenset())
+    assert classify_branded("blue ridge hike", gated).matched_brand == "blue ridge"
+
+
+def test_fixed_rule_changes_no_fixture_keyword(fixtures_dir):
+    # the fixtures never repeat an ambiguous brand, so the old and the new
+    # rule agree on all of them
+    lex = default_lexicon()
+    for name in ("keywords.jsonl", "branded_200.jsonl"):
+        with open(fixtures_dir / name, encoding="utf-8") as fh:
+            for line in fh:
+                text = json.loads(line)["text"]
+                got = classify_branded(text)
+                assert got == _reference_classify(text, lex)
+                assert got == _first_occurrence_classify(text, lex)

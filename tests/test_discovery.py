@@ -1,5 +1,6 @@
 """SERP replay/live fetching and the discovery report."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -121,6 +122,32 @@ def test_store_save_load_round_trip(tmp_path):
         assert a == b
     loaded.save(tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+
+def test_changing_a_fetched_result_leaves_the_store_unchanged(tmp_path):
+    store = FixtureStore()
+    store.put("q", "GOOGLE", "2024-05-01", _entries(["a.com", "b.com"]))
+    store.save(tmp_path / "before.jsonl")
+    before = list(store.get("q", "GOOGLE").entries)
+    got = store.get("q", "GOOGLE")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.entries[0].rank = 7
+    got.entries[0] = _entry("evil.com")
+    got.entries.append(_entry("more.com", rank=3))
+    got.entries.sort(key=lambda e: -e.rank)
+    assert store.get("q", "GOOGLE").entries == before
+    assert store.get("q", "GOOGLE", "2024-05-01").entries == before
+    store.save(tmp_path / "after.jsonl")
+    assert (tmp_path / "after.jsonl").read_bytes() == (tmp_path / "before.jsonl").read_bytes()
+
+
+def test_store_serves_the_root_domain_of_the_url():
+    # the stored fields hold no root domain, so a replay derives it from the URL
+    store = FixtureStore()
+    store.put("q", "GOOGLE", "2024-05-01",
+              [SerpEntry(engine="GOOGLE", rank=1, url="https://www.a.co.uk/x",
+                         root_domain="other.com")])
+    assert [e.root_domain for e in store.get("q", "GOOGLE").entries] == ["a.co.uk"]
 
 
 def test_store_load_reports_bad_line(tmp_path):
