@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     TransportError,
     UnknownEngineError,
+    UrlError,
 )
 from .lupi.rank import RankedKeyword
 
@@ -76,15 +77,18 @@ class FixtureStore:
 
     def put(self, query: str, engine: str, capture_date: str,
             entries: Sequence[SerpEntry]) -> str:
-        # rebuilt from the stored fields, so the root domain is the URL's
-        # even when an entry was built with another one
+        """Record one capture; an entry whose URL has no host raises ``UrlError``
+        and nothing is stored, since a replay derives root domains from URLs."""
         return self._put(query, engine, capture_date,
-                         [_entry_from_dict(_entry_to_dict(e)) for e in entries])
+                         [_entry_to_dict(e) for e in entries])
 
     def _put(self, query: str, engine: str, capture_date: str,
-             entries: list[SerpEntry]) -> str:
+             blobs: Sequence[Mapping]) -> str:
         if engine not in ENGINES:
             raise UnknownEngineError(f"unknown engine: {engine!r}")
+        # entries are built from the stored fields, so each root domain is
+        # its URL's, as a replay of the saved store would compute it
+        entries = tuple(_entry_from_dict(b) for b in blobs)
         record = {
             "id": _fixture_id(query, engine, capture_date),
             "query": query,
@@ -98,7 +102,7 @@ class FixtureStore:
                 f"conflicting fixture for ({query!r}, {engine}, {capture_date})")
         rid = record["id"]
         self._records[rid] = record
-        self._entries[rid] = tuple(entries)
+        self._entries[rid] = entries
         latest = self._latest.get((query, engine))
         if latest is None or (capture_date, rid) > (
                 self._records[latest]["capture_date"], latest):
@@ -133,10 +137,10 @@ class FixtureStore:
             try:
                 record = json.loads(line)
                 store._put(record["query"], record["engine"], record["capture_date"],
-                           [_entry_from_dict(e) for e in record["entries"]])
+                           record["entries"])
             # JSONDecodeError is a ValueError; KeyError/TypeError mean a
             # missing key or a wrongly typed value in an otherwise valid line
-            except (KeyError, TypeError, ValueError, SchemaError) as exc:
+            except (KeyError, TypeError, ValueError, SchemaError, UrlError) as exc:
                 raise SchemaError(
                     f"bad fixture line {lineno}: {type(exc).__name__}: {exc}") from exc
         return store

@@ -5,13 +5,18 @@ deterministic and replayable.  When a source is absent (no WHOIS record, no
 rank entry, empty HTML) the affected features become MISSING (None) rather
 than a guessed default.
 
-Content features lower the HTML and the visible text once each.  When a page
-is ASCII, the case-insensitive patterns (discount, urgency, countdown,
-copyright) run without IGNORECASE on the lowered strings, and only when the
-string holds a substring that every match contains; for ASCII text both give
-the same matches.  Other pages keep the IGNORECASE patterns, because there
-lowering is not what IGNORECASE matches: ``ſ`` (U+017F) matches ``s`` and
-``K`` (U+212A) matches ``k``, and ``'İ'.lower()`` is two code points long.
+Content features lower the HTML and the visible text once each.  The
+case-insensitive patterns (discount, urgency, countdown, copyright) then run
+without IGNORECASE on the lowered strings, and only when the string holds a
+substring that every match contains.  The patterns hold no uppercase letter,
+so this gives IGNORECASE's matches on every page free of the three
+characters where lowering and IGNORECASE part ways: ``ſ`` (U+017F) and ``ı``
+(U+0131) lower to themselves, yet IGNORECASE matches them to ``s`` and
+``i``, and ``'İ'.lower()`` is two code points long.  A page holding any of
+them keeps the IGNORECASE patterns.  ASCII pages and pages with ``©``,
+``—``, ``€``, accented letters or ``K`` (U+212A, which lowers to ``k``) take
+the lowered path.
+
 The HTML walks keep their quirks: tags are counted wherever they stand, in
 comments and scripts too, while the visible text strips script/style
 bodies, then comments, then tags, in that order.
@@ -92,23 +97,32 @@ _URGENCY_WORDS = (
 _URGENCY_RE = re.compile(r"\b(" + "|".join(_URGENCY_WORDS) + r")\b", re.IGNORECASE)
 
 _COUNTDOWN_WORDS = ("countdown", "time remaining", "expires in", "offer ends in")
+# a clock, h:mm:ss or hh:mm:ss, as its first digit and the rest
+_CLOCK_START, _CLOCK_REST = r"\d", r"\d?:\d{2}:\d{2}\b"
 _COUNTDOWN_RE = re.compile(
-    "(" + "|".join(_COUNTDOWN_WORDS) + r"|\b\d{1,2}:\d{2}:\d{2}\b)", re.IGNORECASE)
+    "(" + "|".join(_COUNTDOWN_WORDS) + r"|\b" + _CLOCK_START + _CLOCK_REST + ")",
+    re.IGNORECASE)
 
 _COPYRIGHT_RE = re.compile(r"(©|&copy;|\bcopyright\b)", re.IGNORECASE)
 _CURRENCY_RE = re.compile(r"[$€£¥₹]|&(?:euro|pound|yen|dollar);")
 
-# ASCII fast path: the patterns above without IGNORECASE, for lowered ASCII
-# text, each run only when the text holds a substring that every match holds
-# (for a word list, the literal start of some word)
-_ASCII_DISCOUNT_RE = re.compile(_DISCOUNT_RE.pattern)
-_ASCII_URGENCY_RE = re.compile(_URGENCY_RE.pattern)
-_ASCII_COPYRIGHT_RE = re.compile(_COPYRIGHT_RE.pattern)
+# the characters where a lowercase pattern run without IGNORECASE on lowered
+# text and the same pattern run with it on the text can differ (the tests
+# check every other code point)
+_FOLD_EXCEPTIONS = "\u0130\u0131\u017f"   # İ ı ſ
+
+# lowered-text fast path: the patterns above without IGNORECASE, each run
+# only when the text holds a substring that every match holds (for a word
+# list, the literal start of some word)
+_LOWERED_DISCOUNT_RE = re.compile(_DISCOUNT_RE.pattern)
+_LOWERED_URGENCY_RE = re.compile(_URGENCY_RE.pattern)
+_LOWERED_COPYRIGHT_RE = re.compile(_COPYRIGHT_RE.pattern)
 _DISCOUNT_PREFILTER = tuple(w.partition("\\")[0] for w in _DISCOUNT_WORDS)
 _URGENCY_PREFILTER = tuple(w.partition("\\")[0] for w in _URGENCY_WORDS)
-# the clock alternative of _COUNTDOWN_RE, \b\d{1,2}:\d{2}:\d{2}\b, led by a
-# digit instead of \b so that the regex engine skips ahead to digits
-_CLOCK_RE = re.compile(r"\d(?<!\w\d)\d?:\d{2}:\d{2}\b")
+# the clock alternative of _COUNTDOWN_RE led by its first digit, with the \b
+# as a lookbehind, so that the regex engine skips ahead to digits
+_CLOCK_RE = re.compile(
+    _CLOCK_START + r"(?<!\w" + _CLOCK_START + ")" + _CLOCK_REST)
 
 # --- forgiving HTML scanning ------------------------------------------------
 
@@ -196,18 +210,18 @@ def _contains_any(text: str, words: tuple[str, ...]) -> bool:
 
 def _text_matches(html: str, lower_html: str, text: str) -> tuple:
     """(copyright, discount count, urgency count, countdown) of one page."""
-    if not html.isascii():
+    if _contains_any(html, _FOLD_EXCEPTIONS):
         return (_COPYRIGHT_RE.search(html) is not None,
                 len(_DISCOUNT_RE.findall(text)),
                 len(_URGENCY_RE.findall(text)),
                 _COUNTDOWN_RE.search(lower_html) is not None)
     lower_text = text.lower()
-    copyright_ = "&copy;" in lower_html or (
+    copyright_ = _contains_any(lower_html, ("©", "&copy;")) or (
         "copyright" in lower_html
-        and _ASCII_COPYRIGHT_RE.search(lower_html) is not None)
-    discount = (len(_ASCII_DISCOUNT_RE.findall(lower_text))
+        and _LOWERED_COPYRIGHT_RE.search(lower_html) is not None)
+    discount = (len(_LOWERED_DISCOUNT_RE.findall(lower_text))
                 if _contains_any(lower_text, _DISCOUNT_PREFILTER) else 0)
-    urgency = (len(_ASCII_URGENCY_RE.findall(lower_text))
+    urgency = (len(_LOWERED_URGENCY_RE.findall(lower_text))
                if _contains_any(lower_text, _URGENCY_PREFILTER) else 0)
     countdown = _contains_any(lower_html, _COUNTDOWN_WORDS) or (
         _CLOCK_RE.search(lower_html) is not None)

@@ -28,6 +28,7 @@ from scamscout.errors import (
     SchemaError,
     TransportError,
     UnknownEngineError,
+    UrlError,
 )
 from scamscout.lupi import RankedKeyword
 
@@ -150,6 +151,19 @@ def test_store_serves_the_root_domain_of_the_url():
     assert [e.root_domain for e in store.get("q", "GOOGLE").entries] == ["a.co.uk"]
 
 
+_UNREPLAYABLE = SerpEntry(engine="GOOGLE", rank=1, url="not-a-url", root_domain="a.com")
+
+
+def test_put_rejects_an_entry_a_replay_cannot_parse():
+    # the entry carries its own root domain, but a replay derives it from the URL
+    store = FixtureStore()
+    with pytest.raises(UrlError):
+        store.put("q", "GOOGLE", "2024-05-01", [_entry("a.com"), _UNREPLAYABLE])
+    assert len(store) == 0
+    with pytest.raises(FixtureMissError):
+        store.get("q", "GOOGLE")
+
+
 def test_store_load_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"query": "q", "engine": "GOOGLE", "capture_date": "d", "entries": []}\n{broken\n')
@@ -177,6 +191,8 @@ _GOOD_ENTRY = {"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x"}
      "entries": [dict(_GOOD_ENTRY, rank=True)]},
     {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
      "entries": [dict(_GOOD_ENTRY, rank="2")]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, url="not-a-url")]},
     ["not", "an", "object"],
 ])
 def test_store_load_names_line_of_malformed_record(tmp_path, record):
@@ -275,6 +291,19 @@ def test_live_fetch_records_into_store():
     replayed = fetch_serp("q", "GOOGLE", REPLAY, store,
                           capture_date="2024-06-01")
     assert replayed == got
+
+
+def test_live_fetch_of_an_unreplayable_entry_raises_and_records_nothing():
+    clock = _FakeClock()
+    session = LiveSession(transport=lambda q, e: [_UNREPLAYABLE],
+                          min_delay=0.0, retries=0,
+                          sleep=clock.sleep, clock=clock.clock)
+    store = FixtureStore()
+    with pytest.raises(UrlError):
+        fetch_serp("q", "GOOGLE", LIVE, store, session, capture_date="2024-06-01")
+    assert len(store) == 0
+    got = fetch_serp("q", "GOOGLE", LIVE, None, session)    # nothing to record
+    assert got.entries == [_UNREPLAYABLE]
 
 
 # --- discovery runs ---------------------------------------------------------

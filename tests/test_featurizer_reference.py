@@ -2,11 +2,13 @@
 
 ``_ref_content_features`` and ``_ref_visible_text`` below are the previous
 implementation, kept verbatim (only renamed) as the reference for the
-current one, which lowers each string once, takes an ASCII fast path and
-works once per link.  Every feature must come out exactly equal, on pages
-built to hit the quirks: unclosed tags, nested and uppercase scripts, tags
-and comments inside attributes and comments, and non-ASCII text whose
-case folding differs from lowering (``ſ``, ``K``, ``İ``).
+current one, which lowers each string once, runs the case-insensitive
+patterns on the lowered text where that is exact, and works once per link.
+Every feature must come out exactly equal, on pages built to hit the
+quirks: unclosed tags, nested and uppercase scripts, tags and comments
+inside attributes and comments, and non-ASCII text, both where IGNORECASE
+differs from lowering (``ſ``, ``ı``, ``İ``) and where it does not (``©``,
+``—``, ``é``, ``K``).
 """
 
 import re
@@ -18,8 +20,8 @@ from urllib.parse import urlsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scamscout.corpus import DomainSnapshot
-from scamscout.featurizer import visible_text
+from scamscout.corpus import DomainSnapshot, read_snapshots
+from scamscout.featurizer import extract, visible_text
 from scamscout.featurizer.extract import _content_features
 from scamscout.psl import _is_ip_literal, root_domain
 
@@ -318,6 +320,7 @@ _WORDS = [
     "countdown", "Time Remaining", "expires in", "offer ends in", "12:34:56",
     "1:02:03", "a1:23:45:67", "123:45:67", "9:99:99x", "©", "&copy;", "&COPY;",
     "Copyright", "copyrighted", "İstanbul", "İ", "café", "$9.99", "€5",
+    "Sıte", "ıs", "—", "ÀCT NOW", "Flash Sale —", "Ünïcödé",
     "&euro;", "trustpilot", "Cookie Policy", "we use cookies", "yotpo", "GDPR",
     "shop", "the", "a", " ", " ", "\x1c", "\t", "\n", "  ",
 ]
@@ -388,6 +391,8 @@ def test_content_features_equal_the_reference_on_generated_pages(html):
 @pytest.mark.parametrize("html", [
     "<p>ſale and limited stocK</p>",          # folded only by IGNORECASE
     "<p>İ COPYRIGHT 12:34:56 Sale</p>",            # 'İ'.lower() is two code points
+    "<p>Sıte ıs on SALE — Lımıted Tıme</p>",        # 'ı' matches 'i' by IGNORECASE
+    "<p>Limited StocK — 50% OFF © 2024 Café</p>",  # 'K'.lower() is 'k'
     "<p>© 2024</p><!-- <a href='/terms'> --><script><a href=/faq></script>",
     "<p>&COPY; 50% OFF <a href='HTTP://WA.ME/1'>x</a> 1:02:03</p>",
     "<p>a1:23:45:67 and 123:45:67 copyrighted wholesale</p>",
@@ -399,3 +404,55 @@ def test_content_features_equal_the_reference_on_generated_pages(html):
 def test_content_features_equal_the_reference_on_quirks(html):
     assert _content_features(_snap(html)) == _ref_content_features(_snap(html))
     assert visible_text(html) == _ref_visible_text(html)
+
+
+# --- when the lowered-text path is exact ---------------------------------------
+
+
+def test_lowered_path_patterns_hold_no_uppercase_letter():
+    for pattern in (extract._LOWERED_DISCOUNT_RE, extract._LOWERED_URGENCY_RE,
+                    extract._LOWERED_COPYRIGHT_RE, extract._CLOCK_RE):
+        assert pattern.pattern == pattern.pattern.lower()
+    for words in (extract._DISCOUNT_PREFILTER, extract._URGENCY_PREFILTER,
+                  extract._COUNTDOWN_WORDS):
+        assert all(w == w.lower() for w in words)
+
+
+def test_fold_exceptions_are_the_only_code_points_where_lowering_differs():
+    """Off the exceptions, lowering keeps the length, and every lowercase
+    literal and \\w, \\d, \\s match the lowered text where IGNORECASE
+    matches the text (and the lowered text)."""
+    chars = [chr(cp) for cp in range(0x110000)
+             if not 0xD800 <= cp <= 0xDFFF and chr(cp) not in extract._FOLD_EXCEPTIONS]
+    text = "".join(chars)
+    lowered = "".join(c.lower() for c in chars)
+    assert len(lowered) == len(text)
+
+    def starts(pattern, s, flags=0):
+        return [m.start() for m in re.finditer(pattern, s, flags)]
+
+    for literal in [a for a in map(chr, range(128)) if a == a.lower()] + ["©"]:
+        want = starts(re.escape(literal), lowered)
+        assert starts(re.escape(literal), text, re.IGNORECASE) == want, literal
+        assert starts(re.escape(literal), lowered, re.IGNORECASE) == want, literal
+    for cls in (r"\w", r"\d", r"\s"):
+        assert starts(cls, text) == starts(cls, lowered), cls
+    # and each exception is needed
+    assert len("\u0130".lower()) == 2
+    assert re.fullmatch("i", "\u0131", re.IGNORECASE) and "\u0131".lower() != "i"
+    assert re.fullmatch("s", "\u017f", re.IGNORECASE) and "\u017f".lower() != "s"
+
+
+class _Unused:
+    def __getattr__(self, name):
+        raise AssertionError("an IGNORECASE pattern ran")
+
+
+def test_fixture_pages_take_the_lowered_path(fixtures_dir, monkeypatch):
+    # every fixture page holds a non-ASCII '—' and none of the exceptions
+    snaps = [s for s in read_snapshots(fixtures_dir / "snapshots.jsonl") if s.html]
+    assert snaps and not any(s.html.isascii() for s in snaps)
+    want = [_ref_content_features(s) for s in snaps]
+    for name in ("_COPYRIGHT_RE", "_DISCOUNT_RE", "_URGENCY_RE", "_COUNTDOWN_RE"):
+        monkeypatch.setattr(extract, name, _Unused())
+    assert [_content_features(s) for s in snaps] == want
