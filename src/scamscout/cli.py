@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import warnings
 from pathlib import Path
 
-from . import corpus
+from . import corpus, records
 from .branded import default_lexicon, filter_unbranded
 from .discovery import (
     LIVE,
@@ -34,7 +33,7 @@ from .discovery import (
     run_discovery,
     write_report,
 )
-from .errors import ScamscoutError, SchemaError
+from .errors import ScamscoutError
 from .featurizer import (
     CATEGORICAL,
     FEATURES,
@@ -100,24 +99,9 @@ def write_features_csv(path, rows: list[tuple[str, FeatureVector]]) -> None:
 
 
 def read_features_csv(path) -> list[tuple[str, FeatureVector]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _FEATURE_HEADER:
-            raise SchemaError(f"{path}: unexpected features header")
-        out = []
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(_FEATURE_HEADER):
-                raise SchemaError(f"{where}: expected {len(_FEATURE_HEADER)} "
-                                  f"cells, got {len(row)}")
-            try:
-                values = [_parse_cell(cell, kind)
-                          for cell, (_, kind, _) in zip(row[1:], FEATURES)]
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
-            out.append((row[0], FeatureVector(values)))
-    return out
+    records.check_header(path, _FEATURE_HEADER)
+    return list(records.read_csv(path, lambda row: (row["root_domain"], FeatureVector(
+        [_parse_cell(row[name], kind) for name, kind, _ in FEATURES]))))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -188,19 +172,16 @@ def _cmd_toxicity(args) -> int:
 
 def _read_segments(path) -> dict[str, list[QuerySegment]]:
     by_cat: dict[str, list[QuerySegment]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            seg = QuerySegment(rec["text"], TokenType(rec["token_type"]))
-            by_cat.setdefault(rec.get("category", ""), []).append(seg)
+    for category, seg in records.read_jsonl(path, lambda rec: (
+            rec.get("category", ""), QuerySegment(rec["text"], TokenType(rec["token_type"])))):
+        by_cat.setdefault(category, []).append(seg)
     return by_cat
 
 
 def _cmd_baselines(args) -> int:
     keywords = corpus.read_keywords(args.keywords)
     scored = read_scores(args.toxicity)
+    segments_by_cat = _read_segments(args.segments) if args.segments else {}
     by_query = {s.query: s for s in scored}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,7 +199,6 @@ def _cmd_baselines(args) -> int:
             writer.writerow([row.key, row.count, *fmt(row.toxicity),
                              *fmt(row.expansion)])
 
-    segments_by_cat = _read_segments(args.segments) if args.segments else {}
     all_segments = [seg for segs in segments_by_cat.values() for seg in segs]
     if all_segments:
         ranked = rank_segments(all_segments, scored, args.seed, args.n_sim,
@@ -260,24 +240,13 @@ def _cmd_filter_branded(args) -> int:
 
 
 def _read_lupi_examples(path) -> list[LupiExample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                serp = corpus.serp_from_record(rec) if rec.get("entries") else None
-                out.append(LupiExample(
-                    query=rec["query"],
-                    toxicity=float(rec["toxicity"]),
-                    category=rec.get("category", ""),
-                    expansion=int(rec.get("expansion", 0)),
-                    serps=[serp] if serp else [],
-                ))
-            except (KeyError, ValueError, SchemaError) as exc:
-                raise SchemaError(f"{path}:{lineno}: bad training record: {exc}")
-    return out
+    return list(records.read_jsonl(path, lambda rec: LupiExample(
+        query=rec["query"],
+        toxicity=float(rec["toxicity"]),
+        category=rec.get("category", ""),
+        expansion=int(rec.get("expansion", 0)),
+        serps=[corpus.serp_from_record(rec)] if rec.get("entries") else [],
+    )))
 
 
 def _cmd_train_lupi(args) -> int:
@@ -319,8 +288,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_discover(args) -> int:
-    with open(args.ranked, encoding="utf-8") as fh:
-        ranked = ranked_from_csv(fh.read())
+    ranked = ranked_from_csv(args.ranked)
     store = FixtureStore.load(args.fixtures) if args.fixtures else None
     model = gbdt.load_model(args.oracle)
 

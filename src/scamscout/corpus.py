@@ -15,11 +15,12 @@ import re
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, timezone
 from enum import Enum
-from importlib import resources
 from typing import Iterable, Iterator, Optional
 
-from .errors import SchemaError, SnapshotParseError, UnreachableSnapshotError
+from .datalists import content_lines, data_text
+from .errors import SchemaError, UnreachableSnapshotError
 from .psl import root_domain
+from .records import read_csv, read_jsonl
 
 ENGINES = ("GOOGLE", "BING", "BAIDU", "NAVER")
 COMPETITION_LEVELS = ("LOW", "MEDIUM", "HIGH")
@@ -86,6 +87,8 @@ class KeywordSuggestion:
     monthly_volume: Optional[int] = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise SchemaError(f"keyword text must be a string, got {self.text!r}")
         self.text = self.text.strip().lower()
         if not self.text:
             raise SchemaError("keyword text must be non-empty")
@@ -162,41 +165,41 @@ def _parse_timestamp(value) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def parse_snapshot(raw: str, line_number: Optional[int] = None) -> DomainSnapshot:
-    """Parse one snapshots.jsonl record. Absent optionals become None."""
-    try:
-        rec = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SnapshotParseError(f"malformed JSON: {exc.msg}", line_number) from exc
-    if not isinstance(rec, dict):
-        raise SnapshotParseError("record is not a JSON object", line_number)
-    if "url" not in rec or not rec["url"]:
-        raise SchemaError(f"line {line_number}: snapshot record missing 'url'"
-                          if line_number else "snapshot record missing 'url'")
+def _field(rec: dict, key: str, kind: type, default):
+    """``rec[key]`` if its type is ``kind`` (so a bool is no int), ``default`` if absent or null."""
+    value = rec.get(key)
+    if value is None:
+        return default
+    if type(value) is not kind:
+        raise SchemaError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
-    whois_rec = rec.get("whois") or {}
-    whois = WhoisRecord(
-        created=_parse_date(whois_rec.get("created")),
-        expires=_parse_date(whois_rec.get("expires")),
-        registrar=whois_rec.get("registrar"),
-        registrar_country=whois_rec.get("registrar_country"),
-        registrant_country=whois_rec.get("registrant_country"),
-        privacy=whois_rec.get("privacy"),
-        registrant_email_domain=whois_rec.get("registrant_email_domain"),
-    )
-    ranks_rec = rec.get("ranks") or {}
+
+def snapshot_from_record(rec: dict) -> DomainSnapshot:
+    """One snapshots.jsonl object. Absent optionals become None."""
+    url = _field(rec, "url", str, "")
+    if not url:
+        raise SchemaError("snapshot record missing 'url'")
+    whois_rec = _field(rec, "whois", dict, {})
+    whois = WhoisRecord(**{k: whois_rec.get(k) for k in WhoisRecord.__dataclass_fields__})
+    whois.created, whois.expires = _parse_date(whois.created), _parse_date(whois.expires)
+    ranks_rec = _field(rec, "ranks", dict, {})
     ranks = RankSignals(**{k: ranks_rec.get(k) for k in RankSignals.__dataclass_fields__})
-    fetched = rec.get("fetched_at")
+    fetched = _field(rec, "fetched_at", str, "")
     return DomainSnapshot(
-        url=rec["url"],
+        url=url,
         fetched_at=_parse_timestamp(fetched) if fetched else datetime(1970, 1, 1, tzinfo=timezone.utc),
-        http_status=int(rec.get("http_status") or 0),
-        final_url=rec.get("final_url"),
-        html=rec.get("html") or "",
-        dns={k: list(v) for k, v in (rec.get("dns") or {}).items()},
+        http_status=_field(rec, "http_status", int, 0),
+        final_url=_field(rec, "final_url", str, None),
+        html=_field(rec, "html", str, ""),
+        dns={k: list(v) for k, v in _field(rec, "dns", dict, {}).items()},
         whois=whois,
         ranks=ranks,
     )
+
+
+def parse_snapshot(line: str) -> DomainSnapshot:
+    return snapshot_from_record(json.loads(line))
 
 
 def serialize_snapshot(snap: DomainSnapshot) -> str:
@@ -222,10 +225,7 @@ def serialize_snapshot(snap: DomainSnapshot) -> str:
 
 
 def read_snapshots(path) -> Iterator[DomainSnapshot]:
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if line.strip():
-                yield parse_snapshot(line, line_number=i)
+    return read_jsonl(path, snapshot_from_record)
 
 
 # --------------------------------------------------------------------------
@@ -233,17 +233,8 @@ def read_snapshots(path) -> Iterator[DomainSnapshot]:
 
 
 def load_parked_patterns(path=None) -> list[re.Pattern]:
-    if path is None:
-        text = resources.files("scamscout.data").joinpath("parked_patterns.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    patterns = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            patterns.append(re.compile(line, re.IGNORECASE))
-    return patterns
+    return [re.compile(line, re.IGNORECASE)
+            for line in content_lines(data_text("parked_patterns.txt", path))]
 
 
 _DEFAULT_PARKED: Optional[list[re.Pattern]] = None
@@ -288,20 +279,13 @@ def admit(snapshot: DomainSnapshot, patterns: Optional[list[re.Pattern]] = None)
 
 
 def read_keywords(path) -> list[KeywordSuggestion]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(KeywordSuggestion(
-                text=rec["text"],
-                source_domain=rec.get("source_domain", ""),
-                category=rec.get("category", ""),
-                competition=rec.get("competition", "LOW"),
-                monthly_volume=rec.get("monthly_volume"),
-            ))
-    return out
+    return list(read_jsonl(path, lambda rec: KeywordSuggestion(
+        text=rec["text"],
+        source_domain=rec.get("source_domain", ""),
+        category=rec.get("category", ""),
+        competition=rec.get("competition", "LOW"),
+        monthly_volume=rec.get("monthly_volume"),
+    )))
 
 
 def write_keywords(path, keywords: Iterable[KeywordSuggestion]) -> None:
@@ -349,21 +333,7 @@ def serp_from_record(rec: dict) -> SerpResultSet:
 
 
 def read_serps(path) -> list[SerpResultSet]:
-    """serps.jsonl; a malformed record raises SchemaError("path:lineno: ...")."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(serp_from_record(json.loads(line)))
-            except KeyError as exc:
-                raise SchemaError(
-                    f"{path}:{lineno}: bad serp record: missing key {exc}") from exc
-            # ValueError covers json.JSONDecodeError (a truncated line)
-            except (TypeError, ValueError, SchemaError) as exc:
-                raise SchemaError(f"{path}:{lineno}: bad serp record: {exc}") from exc
-    return out
+    return list(read_jsonl(path, serp_from_record))
 
 
 def write_serps(path, serps: Iterable[SerpResultSet]) -> None:
@@ -375,13 +345,15 @@ def write_serps(path, serps: Iterable[SerpResultSet]) -> None:
 def read_labels(path) -> list[LabeledDomain]:
     """labels.csv: root_domain,label,category (one label per root domain)."""
     seen: dict[str, LabeledDomain] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            dom = row["root_domain"].strip().lower()
-            if dom in seen and seen[dom].label != row["label"].strip().upper():
-                raise SchemaError(f"conflicting labels for {dom}")
-            seen[dom] = LabeledDomain(dom, row["label"].strip().upper(), row.get("category", "").strip())
+
+    def parse(row: dict) -> None:
+        dom, label = row["root_domain"].strip().lower(), row["label"].strip().upper()
+        if dom in seen and seen[dom].label != label:
+            raise SchemaError(f"conflicting labels for {dom}")
+        seen[dom] = LabeledDomain(dom, label, row.get("category", "").strip())
+
+    for _ in read_csv(path, parse):
+        pass
     return list(seen.values())
 
 

@@ -1,22 +1,36 @@
-"""Word lists shipped in ``scamscout/data``: one entry per line.
+"""Data files shipped in ``scamscout/data``, and the word lists among them.
 
-Every line is stripped before anything else, so blank lines and ``#``
-comments are skipped whatever their indentation; entries are lowercased.
+A word list has one entry per line.  Every line is stripped before anything
+else, so blank lines and ``#`` comments are skipped whatever their
+indentation; entries are lowercased.
 """
 
 from __future__ import annotations
 
 from importlib import resources
+from typing import Iterator
 
 
 def parse_list(text: str) -> frozenset[str]:
-    entries = (line.strip() for line in text.splitlines())
-    return frozenset(
-        entry.lower() for entry in entries if entry and not entry.startswith("#")
-    )
+    return frozenset(line.lower() for line in content_lines(text))
 
 
 def read_list(name: str) -> frozenset[str]:
     """Entries of the package data file ``name``."""
-    return parse_list(
-        resources.files("scamscout.data").joinpath(name).read_text("utf-8"))
+    return parse_list(data_text(name))
+
+
+def content_lines(text: str, comment: str = "#") -> Iterator[str]:
+    """The stripped lines of ``text`` that are neither blank nor comments."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith(comment):
+            yield line
+
+
+def data_text(name: str, path=None) -> str:
+    """The text of ``path``, or of the package data file ``name`` if none is given."""
+    if path is None:
+        return resources.files("scamscout.data").joinpath(name).read_text("utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()

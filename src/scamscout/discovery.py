@@ -24,9 +24,9 @@ from .errors import (
     SchemaError,
     TransportError,
     UnknownEngineError,
-    UrlError,
 )
 from .lupi.rank import RankedKeyword
+from .records import read_jsonl
 
 REPLAY = "REPLAY"
 LIVE = "LIVE"
@@ -131,18 +131,9 @@ class FixtureStore:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FixtureStore":
         store = cls()
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                store._put(record["query"], record["engine"], record["capture_date"],
-                           record["entries"])
-            # JSONDecodeError is a ValueError; KeyError/TypeError mean a
-            # missing key or a wrongly typed value in an otherwise valid line
-            except (KeyError, TypeError, ValueError, SchemaError, UrlError) as exc:
-                raise SchemaError(
-                    f"bad fixture line {lineno}: {type(exc).__name__}: {exc}") from exc
+        for _ in read_jsonl(path, lambda r: store._put(
+                r["query"], r["engine"], r["capture_date"], r["entries"])):
+            pass
         return store
 
 

@@ -5,16 +5,6 @@ class ScamscoutError(Exception):
     """Base class for all package errors."""
 
 
-class SnapshotParseError(ScamscoutError):
-    """A snapshots.jsonl record could not be parsed."""
-
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
-
 class SchemaError(ScamscoutError):
     """A record or vector does not conform to its schema."""
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from importlib import resources
+
+from ..datalists import content_lines, data_text
 
 _UNKNOWN_BASE = 100.0
 _UNKNOWN_PER_CHAR = 20.0
@@ -27,16 +28,8 @@ def load_word_costs(path=None) -> dict[str, float]:
     Ranks come from sorting by count descending (alphabetical on ties), so the
     costs are independent of the file's line order.
     """
-    if path is None:
-        text = resources.files("scamscout.data").joinpath("wordfreq.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     counts: dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(data_text("wordfreq.txt", path)):
         word, _, count = line.partition(" ")
         counts[word] = int(count) if count.strip() else 1
     return costs_from_counts(counts)

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..corpus import KeywordSuggestion
 from ..errors import TrainingError
+from ..records import check_header, read_csv
 from .models import StudentModel
 from .tokenizer import tokenize_batch
 
@@ -72,11 +73,8 @@ def ranked_to_csv(ranked: Sequence[RankedKeyword]) -> str:
     return buf.getvalue()
 
 
-def ranked_from_csv(text: str) -> list[RankedKeyword]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["category", "rank", "keyword", "score"]:
-        raise TrainingError(f"unexpected ranking header: {header!r}")
-    return [RankedKeyword(text=row[2], category=row[0],
-                          score=float(row[3]), rank=int(row[1]))
-            for row in reader if row]
+def ranked_from_csv(path) -> list[RankedKeyword]:
+    check_header(path, ["category", "rank", "keyword", "score"])
+    return list(read_csv(path, lambda row: RankedKeyword(
+        text=row["keyword"], category=row["category"],
+        score=float(row["score"]), rank=int(row["rank"]))))

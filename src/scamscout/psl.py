@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import ipaddress
 from functools import lru_cache
-from importlib import resources
 from urllib.parse import urlsplit
 
+from .datalists import content_lines, data_text
 from .errors import UrlError
 
 _SNAPSHOT_RESOURCE = "public_suffix_snapshot.dat"
@@ -22,16 +22,8 @@ _SNAPSHOT_RESOURCE = "public_suffix_snapshot.dat"
 
 def load_suffix_rules(path=None):
     """Parse a PSL-format file into (exact, wildcard, exception) rule sets."""
-    if path is None:
-        text = resources.files("scamscout.data").joinpath(_SNAPSHOT_RESOURCE).read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     exact, wildcard, exception = set(), set(), set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("//"):
-            continue
+    for line in content_lines(data_text(_SNAPSHOT_RESOURCE, path), "//"):
         if line.startswith("!"):
             exception.add(line[1:])
         elif line.startswith("*."):
@@ -47,7 +39,10 @@ def _default_rules():
 
 
 def _host_of(url: str) -> str:
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:   # a bracketed IPv4 host or an unclosed "["
+        raise UrlError(f"{exc}: {url!r}") from None
     if not parts.scheme or not parts.netloc:
         raise UrlError(f"not an absolute URL: {url!r}")
     host = parts.hostname

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import SerpResultSet
 from .errors import SchemaError
+from .records import read_csv
 
 SCAM = "SCAM"
 
@@ -147,16 +148,11 @@ def write_scores(scored: Sequence[QueryToxicity], path) -> None:
 
 
 def read_scores(path) -> list[QueryToxicity]:
-    out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            out.append(QueryToxicity(
-                query=row["query"],
-                category=row.get("category", ""),
-                total_sites=int(row["total_sites"]),
-                scam_sites=int(row["scam_sites"]),
-                toxicity=float(row["toxicity"]),
-                expansion=int(row["expansion"]),
-            ))
-    return out
+    return list(read_csv(path, lambda row: QueryToxicity(
+        query=row["query"],
+        category=row.get("category", ""),
+        total_sites=int(row["total_sites"]),
+        scam_sites=int(row["scam_sites"]),
+        toxicity=float(row["toxicity"]),
+        expansion=int(row["expansion"]),
+    )))

@@ -416,7 +416,7 @@ def test_replay_pipeline_is_byte_identical_and_matches_brute_force_tally(tmp_pat
                        shallow=False)
 
     # brute-force tally over the fixture store with plain set arithmetic
-    ranked = ranked_from_csv((tmp_path / "ranked.csv").read_text())
+    ranked = ranked_from_csv(tmp_path / "ranked.csv")
     store = FixtureStore.load(FIXTURES / "serp_fixtures.jsonl")
     model = gbdt.load_model(tmp_path / "model.json")
     snapshots = {root_domain(s.final_url or s.url): s

@@ -2,7 +2,9 @@
 
 import csv
 import filecmp
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,7 +150,7 @@ def test_lupi_checkpoints_load(workdir):
 
 
 def test_rank_output_and_rerun(workdir):
-    ranked = ranked_from_csv((workdir / "ranked.csv").read_text())
+    ranked = ranked_from_csv(workdir / "ranked.csv")
     per_cat = {}
     for row in ranked:
         per_cat.setdefault(row.category, []).append(row)
@@ -240,7 +242,7 @@ def test_discover_rejects_malformed_fixture_with_line_number(workdir, tmp_path,
                "--oracle", str(workdir / "model.json"),
                "--fixtures", str(fixtures), "--out", str(tmp_path / "r.csv")])
     assert rc == 2
-    assert "bad fixture line 2: KeyError" in capsys.readouterr().err
+    assert f"error: {fixtures}:2: missing key 'query'" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -260,7 +262,9 @@ def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
                "--out", str(tmp_path / "student.json")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{train}:3: bad training record" in err
+    assert f"error: {train}:3: " in err
+    assert (f"toxicity must be a finite value in [0, 1], got {rec['toxicity']!r}"
+            if toxicity is not None else "Expecting ',' delimiter") in err
     if toxicity is not None:
         assert repr(rec["query"]) in err
     assert not (tmp_path / "student.json").exists()
@@ -294,7 +298,7 @@ def test_toxicity_rejects_bad_serp_record_with_line_number(tmp_path, capsys,
                "--keywords", str(FIXTURES / "keywords.jsonl"),
                "--out", str(tmp_path / "toxicity.csv")])
     assert rc == 2
-    assert f"error: {serps}:3: bad serp record: {message}" in capsys.readouterr().err
+    assert f"error: {serps}:3: {message}" in capsys.readouterr().err
     assert not (tmp_path / "toxicity.csv").exists()
 
 
@@ -393,3 +397,219 @@ def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
     assert matrix_calls == [0]
     report = report_from_csv((tmp_path / "report.csv").read_text())
     assert report.total_sites > 0 and report.discovered_scams == 0
+
+
+# --- one contract for every input file ----------------------------------------
+
+
+def _jsonl_case(edit):
+    """Mangle the third record of a JSONL file; ``edit`` maps it to a line."""
+    def mangle(lines):
+        lines[2] = edit(json.loads(lines[2]))
+        return lines, 3
+    return mangle
+
+
+def _set(key, value):
+    return _jsonl_case(lambda rec: json.dumps({**rec, key: value}))
+
+
+def _drop(key):
+    return _jsonl_case(lambda rec: json.dumps(
+        {k: v for k, v in rec.items() if k != key}))
+
+
+def _set_entry(key, value):
+    def edit(rec):
+        rec["entries"][0] = value if key is None else {**rec["entries"][0],
+                                                        key: value}
+        return json.dumps(rec)
+    return _jsonl_case(edit)
+
+
+def _truncate(lines):
+    lines[2] = lines[2][:-1]
+    return lines, 3
+
+
+def _not_an_object(lines):
+    lines[2] = "[1, 2]"
+    return lines, 3
+
+
+def _csv_case(edit):
+    """Mangle the CSV row on line 3; ``edit(header, row)`` gives the new row."""
+    def mangle(lines):
+        rows = list(csv.reader(lines))
+        rows[2] = edit(rows[0], rows[2])
+        return _csv_lines(rows), 3
+    return mangle
+
+
+def _csv_lines(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().splitlines()
+
+
+def _cell(column, value):
+    return _csv_case(lambda header, row: [value if name == column else cell
+                                          for name, cell in zip(header, row)])
+
+
+_short_row = _csv_case(lambda header, row: row[:-1])
+
+
+def _drop_column(column, lineno):
+    """Drop ``column`` from every row; the fault shows on line ``lineno``."""
+    def mangle(lines):
+        rows = list(csv.reader(lines))
+        keep = [i for i, name in enumerate(rows[0]) if name != column]
+        return _csv_lines([[row[i] for i in keep] for row in rows]), lineno
+    return mangle
+
+
+def _conflicting_label(lines):
+    rows = list(csv.reader(lines))
+    flipped = "BENIGN" if rows[1][1] == "SCAM" else "SCAM"
+    rows.insert(2, [rows[1][0], flipped, rows[1][2]])
+    return _csv_lines(rows), 3
+
+
+def _json_error(lines):
+    """The decoder's message and column for the truncated third line."""
+    try:
+        json.loads(lines[2][:-1] + "\n")
+    except json.JSONDecodeError as exc:
+        return f"{exc.msg} at column {exc.pos + 1}"
+
+
+# input -> (file it is made from, argv with {bad} and {out} filled in)
+_INPUTS = {
+    "snapshots": ("{fx}/snapshots.jsonl",
+                  ["featurize", "--snapshots", "{bad}", "--out", "{out}"]),
+    "features": ("{work}/features.csv",
+                 ["train-oracle", "--features", "{bad}", "--labels",
+                  "{fx}/labels.csv", "--rounds", "2", "--out", "{out}"]),
+    "labels": ("{fx}/labels.csv",
+               ["train-oracle", "--features", "{work}/features.csv",
+                "--labels", "{bad}", "--rounds", "2", "--out", "{out}"]),
+    "serps": ("{fx}/serps.jsonl",
+              ["toxicity", "--serps", "{bad}", "--labels", "{fx}/labels.csv",
+               "--out", "{out}"]),
+    "keywords": ("{fx}/keywords.jsonl",
+                 ["filter-branded", "--in", "{bad}", "--out", "{out}"]),
+    "toxicity": ("{work}/toxicity.csv",
+                 ["baselines", "--keywords", "{fx}/keywords.jsonl",
+                  "--toxicity", "{bad}", "--out-dir", "{out}", "--n-sim", "5"]),
+    "segments": ("{fx}/segments.jsonl",
+                 ["baselines", "--keywords", "{fx}/keywords.jsonl",
+                  "--toxicity", "{work}/toxicity.csv", "--segments", "{bad}",
+                  "--out-dir", "{out}", "--n-sim", "5"]),
+    "lupi_train": ("{fx}/lupi_train.jsonl",
+                   ["train-lupi", "--train", "{bad}", "--epochs", "1",
+                    "--out", "{out}"]),
+    "ranked": ("{work}/ranked.csv",
+               ["discover", "--ranked", "{bad}", "--oracle", "{work}/model.json",
+                "--fixtures", "{fx}/serp_fixtures.jsonl", "--out", "{out}"]),
+    "fixtures": ("{fx}/serp_fixtures.jsonl",
+                 ["discover", "--ranked", "{work}/ranked.csv",
+                  "--oracle", "{work}/model.json", "--fixtures", "{bad}",
+                  "--out", "{out}"]),
+}
+
+_NOT_AN_OBJECT = "expected a JSON object, got list"
+_N_FEATURE_CELLS = len(FEATURES) + 1
+
+_BAD_INPUTS = [
+    # (input, id, mangle, cause)
+    ("snapshots", "no-url", _drop("url"), "snapshot record missing 'url'"),
+    ("snapshots", "bad-fetched-at", _set("fetched_at", "yesterday"),
+     "Invalid isoformat string: 'yesterday'"),
+    ("snapshots", "string-status", _set("http_status", "200"),
+     "http_status must be int, got '200'"),
+    ("snapshots", "bool-status", _set("http_status", True),
+     "http_status must be int, got True"),
+    ("snapshots", "float-status", _set("http_status", 200.7),
+     "http_status must be int, got 200.7"),
+    ("snapshots", "list-dns", _set("dns", ["203.0.113.1"]),
+     "dns must be dict, got ['203.0.113.1']"),
+    ("snapshots", "string-whois", _set("whois", "private"),
+     "whois must be dict, got 'private'"),
+    ("snapshots", "int-ranks", _set("ranks", 7), "ranks must be dict, got 7"),
+    ("snapshots", "truncated", _truncate, _json_error),
+    ("snapshots", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("features", "no-column", _drop_column(FEATURES[0][0], 1),
+     f"header column 2 is {FEATURES[1][0]!r}, expected {FEATURES[0][0]!r}"),
+    ("features", "not-a-float", _csv_case(lambda header, row: _garble(row)),
+     "could not convert string to float: 'many'"),
+    ("features", "short-row", _short_row,
+     f"expected {_N_FEATURE_CELLS} cells, got {_N_FEATURE_CELLS - 1}"),
+    ("labels", "no-root-domain", _drop_column("root_domain", 2),
+     "missing key 'root_domain'"),
+    ("labels", "bad-label", _cell("label", "MAYBE"),
+     "label must be SCAM or BENIGN, got 'MAYBE'"),
+    ("labels", "short-row", _short_row, "expected 3 cells, got 2"),
+    ("labels", "conflict", _conflicting_label, "conflicting labels for "),
+    ("serps", "no-query", _drop("query"), "missing key 'query'"),
+    ("serps", "float-rank", _set_entry("rank", 1.5),
+     "rank must be an integer >= 1, got 1.5"),
+    ("serps", "truncated", _truncate, _json_error),
+    ("serps", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("keywords", "no-text", _drop("text"), "missing key 'text'"),
+    ("keywords", "int-text", _set("text", 7),
+     "keyword text must be a string, got 7"),
+    ("keywords", "truncated", _truncate, _json_error),
+    ("keywords", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("toxicity", "no-column", _drop_column("total_sites", 2),
+     "missing key 'total_sites'"),
+    ("toxicity", "float-count", _cell("total_sites", "2.5"),
+     "invalid literal for int() with base 10: '2.5'"),
+    ("toxicity", "short-row", _short_row, "expected 6 cells, got 5"),
+    ("segments", "no-token-type", _drop("token_type"),
+     "missing key 'token_type'"),
+    ("segments", "bad-token-type", _set("token_type", "VERB"),
+     "'VERB' is not a valid TokenType"),
+    ("segments", "truncated", _truncate, _json_error),
+    ("segments", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("lupi_train", "no-query", _drop("query"), "missing key 'query'"),
+    ("lupi_train", "int-entry", _set_entry(None, 7),
+     "'int' object is not subscriptable"),
+    ("lupi_train", "truncated", _truncate, _json_error),
+    ("lupi_train", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("ranked", "no-column", _drop_column("score", 1),
+     "header column 4 is None, expected 'score'"),
+    ("ranked", "not-a-float", _cell("score", "high"),
+     "could not convert string to float: 'high'"),
+    ("ranked", "short-row", _short_row, "expected 4 cells, got 3"),
+    ("fixtures", "no-query", _drop("query"), "missing key 'query'"),
+    ("fixtures", "yahoo", _set("engine", "YAHOO"), "unknown engine: 'YAHOO'"),
+    ("fixtures", "no-host", _set_entry("url", "not-a-url"),
+     "not an absolute URL: 'not-a-url'"),
+    ("fixtures", "truncated", _truncate, _json_error),
+    ("fixtures", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mangle, cause",
+    [pytest.param(name, mangle, cause, id=f"{name}-{case}")
+     for name, case, mangle, cause in _BAD_INPUTS])
+def test_every_bad_input_exits_2_naming_its_line(workdir, tmp_path, capsys,
+                                                 name, mangle, cause):
+    source, argv = _INPUTS[name]
+    fill = {"fx": FIXTURES, "work": workdir}
+    source = Path(source.format(**fill))
+    lines = (FIXTURES / source).read_text(encoding="utf-8").splitlines()
+    if callable(cause):
+        cause = cause(lines)
+    lines, lineno = mangle(lines)
+    bad = tmp_path / source.name
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    fill.update(bad=bad, out=out)
+    rc = main([arg.format(**fill) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"error: {bad}:{lineno}: {cause}" in err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Snapshot corpus: parsing, admission, root domains, file round trips."""
 
 import json
+import re
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -32,7 +33,6 @@ from scamscout.corpus import (
 )
 from scamscout.errors import (
     SchemaError,
-    SnapshotParseError,
     UnreachableSnapshotError,
     UrlError,
 )
@@ -79,10 +79,13 @@ def test_snapshot_round_trip_minimal_unreachable():
     assert not back.resolving
 
 
-def test_parse_snapshot_rejects_bad_json_with_line_number():
-    with pytest.raises(SnapshotParseError) as err:
-        parse_snapshot("{not json", line_number=7)
-    assert "7" in str(err.value)
+def test_parse_snapshot_rejects_bad_json_with_line_number(tmp_path):
+    path = tmp_path / "snaps.jsonl"
+    good = serialize_snapshot(_full_snapshot()) + "\n"
+    path.write_text(good * 5 + "\n" + "{not json\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:7: Expecting property name enclosed in double quotes")):
+        list(read_snapshots(path))
 
 
 def test_parse_snapshot_rejects_missing_url():

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -818,17 +819,21 @@ def test_rank_keywords_per_category_topk():
         rank_keywords(student, [])
 
 
-def test_ranked_csv_round_trip():
+def test_ranked_csv_round_trip(tmp_path):
     from scamscout.lupi import RankedKeyword
     rows = [RankedKeyword("cheap watches", "watches", 0.8125, 1),
             RankedKeyword("watch bands", "watches", 0.25, 2)]
     text = ranked_to_csv(rows)
     assert text.splitlines()[0] == "category,rank,keyword,score"
-    parsed = ranked_from_csv(text)
+    path = tmp_path / "ranked.csv"
+    path.write_text(text, encoding="utf-8")
+    parsed = ranked_from_csv(path)
     assert parsed == rows
     assert ranked_to_csv(parsed) == text  # stable after one round trip
-    with pytest.raises(TrainingError):
-        ranked_from_csv("a,b,c\n")
+    path.write_text("a,b,c\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:1: header column 1 is 'a', expected 'category'")):
+        ranked_from_csv(path)
 
 
 # --- grid search and LOCO CV ------------------------------------------------
