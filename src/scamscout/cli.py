@@ -173,7 +173,8 @@ def _cmd_toxicity(args) -> int:
 def _read_segments(path) -> dict[str, list[QuerySegment]]:
     by_cat: dict[str, list[QuerySegment]] = {}
     for category, seg in records.read_jsonl(path, lambda rec: (
-            rec.get("category", ""), QuerySegment(rec["text"], TokenType(rec["token_type"])))):
+            records.get_typed(rec, "category", str, ""),
+            QuerySegment(rec["text"], TokenType(rec["token_type"])))):
         by_cat.setdefault(category, []).append(seg)
     return by_cat
 
@@ -434,6 +435,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScamscoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a missing or unreadable file, named by its path
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+              else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 from .datalists import content_lines, data_text
 from .errors import SchemaError, UnreachableSnapshotError
 from .psl import root_domain
-from .records import read_csv, read_jsonl
+from .records import get_typed, read_csv, read_jsonl
 
 ENGINES = ("GOOGLE", "BING", "BAIDU", "NAVER")
 COMPETITION_LEVELS = ("LOW", "MEDIUM", "HIGH")
@@ -165,34 +165,35 @@ def _parse_timestamp(value) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _field(rec: dict, key: str, kind: type, default):
-    """``rec[key]`` if its type is ``kind`` (so a bool is no int), ``default`` if absent or null."""
-    value = rec.get(key)
-    if value is None:
-        return default
-    if type(value) is not kind:
-        raise SchemaError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
+def _dns(rec: dict) -> dict[str, list[str]]:
+    dns = get_typed(rec, "dns", dict, {})
+    for name, values in dns.items():
+        if type(values) is not list or not all(type(v) is str for v in values):
+            raise SchemaError(f"dns.{name} must be a list of strings, got {values!r}")
+    return {name: list(values) for name, values in dns.items()}
 
 
 def snapshot_from_record(rec: dict) -> DomainSnapshot:
     """One snapshots.jsonl object. Absent optionals become None."""
-    url = _field(rec, "url", str, "")
+    url = get_typed(rec, "url", str, "")
     if not url:
         raise SchemaError("snapshot record missing 'url'")
-    whois_rec = _field(rec, "whois", dict, {})
-    whois = WhoisRecord(**{k: whois_rec.get(k) for k in WhoisRecord.__dataclass_fields__})
+    whois_rec = get_typed(rec, "whois", dict, {})
+    whois = WhoisRecord(**{k: get_typed(whois_rec, k, bool if k == "privacy" else str,
+                                        None, "whois.")
+                           for k in WhoisRecord.__dataclass_fields__})
     whois.created, whois.expires = _parse_date(whois.created), _parse_date(whois.expires)
-    ranks_rec = _field(rec, "ranks", dict, {})
-    ranks = RankSignals(**{k: ranks_rec.get(k) for k in RankSignals.__dataclass_fields__})
-    fetched = _field(rec, "fetched_at", str, "")
+    ranks_rec = get_typed(rec, "ranks", dict, {})
+    ranks = RankSignals(**{k: get_typed(ranks_rec, k, int, None, "ranks.")
+                           for k in RankSignals.__dataclass_fields__})
+    fetched = get_typed(rec, "fetched_at", str, "")
     return DomainSnapshot(
         url=url,
         fetched_at=_parse_timestamp(fetched) if fetched else datetime(1970, 1, 1, tzinfo=timezone.utc),
-        http_status=_field(rec, "http_status", int, 0),
-        final_url=_field(rec, "final_url", str, None),
-        html=_field(rec, "html", str, ""),
-        dns={k: list(v) for k, v in _field(rec, "dns", dict, {}).items()},
+        http_status=get_typed(rec, "http_status", int, 0),
+        final_url=get_typed(rec, "final_url", str, None),
+        html=get_typed(rec, "html", str, ""),
+        dns=_dns(rec),
         whois=whois,
         ranks=ranks,
     )

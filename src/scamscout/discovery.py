@@ -126,7 +126,8 @@ class FixtureStore:
     def save(self, path: Union[str, Path]) -> None:
         lines = [json.dumps(self._records[rid], sort_keys=True)
                  for rid in sorted(self._records)]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FixtureStore":
@@ -411,7 +412,7 @@ def emit_report(report: DiscoveryReport, fmt: str = "CSV",
     else:
         raise SchemaError(f"unknown report format: {fmt!r}")
     if path is not None:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     return text
 
 

@@ -2,17 +2,20 @@
 
 A checkpoint is one JSON object, written with sorted keys, holding the
 format version, the model kind, the tokenizer/encoder (and, for a teacher,
-privileged) configs, the seed, and ``params``: one ``{"shape", "data"}``
-entry per parameter name.  Format version 2 stores ``data`` as the base64
-(ASCII) encoding of the parameter's little-endian float64 bytes in C order.
-The same bits go in and come out, NaN payloads and -0.0 included, so a saved
-model reloads bit-identically and a rerun rewrites a byte-identical file.
-Version 1 (one JSON float per element) is no longer read; retrain to rebuild.
+privileged) configs, the seed, ``layout`` and ``params``.  Format version 3
+stores the model's parameter buffer (``flat``, see ``layers.py``) as one
+base64 string of its little-endian float64 bytes, and ``layout`` as its
+ordered ``[[name, shape], ...]`` table, which must equal the model's own, so
+a reordered parameter is rejected too.  The same bits go in and come out,
+NaN payloads and -0.0 included, so a saved model reloads bit-identically and
+a rerun rewrites a byte-identical file.  Versions 1 and 2 are no longer
+read; retrain to rebuild.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -25,39 +28,29 @@ from .tokenizer import TokenizerConfig
 
 import numpy as np
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 _DTYPE = np.dtype("<f8")
 
 
-def _params_to_dict(params: dict) -> dict:
-    return {name: {"shape": list(arr.shape),
-                   "data": base64.b64encode(np.ascontiguousarray(
-                       arr, dtype=_DTYPE).tobytes()).decode("ascii")}
-            for name, arr in sorted(params.items())}
+def _layout(model) -> list:
+    return [[name, list(p.shape)] for name, p in model.named_parameters()]
 
 
-def _load_params(model, blob: dict) -> None:
-    params = model.parameters()
-    if set(blob) != set(params):
-        missing = sorted(set(params) - set(blob))
-        extra = sorted(set(blob) - set(params))
-        raise SchemaError(f"parameter mismatch: missing={missing} extra={extra}")
-    for name, entry in blob.items():
-        shape = tuple(entry["shape"])
-        if shape != params[name].shape:
-            raise SchemaError(
-                f"shape mismatch for {name}: {shape} vs {params[name].shape}")
-        try:
-            raw = base64.b64decode(entry["data"], validate=True)
-        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise SchemaError(f"bad base64 data for {name}: {exc}") from exc
-        expected = _DTYPE.itemsize * int(np.prod(shape))
-        if len(raw) != expected:
-            raise SchemaError(
-                f"byte count mismatch for {name}: {len(raw)} vs {expected}")
-        params[name][...] = np.frombuffer(raw, dtype=_DTYPE).reshape(
-            params[name].shape)
+def _load_params(model, layout, data) -> None:
+    if layout != _layout(model):
+        got, want = next(pair for pair in itertools.zip_longest(
+            layout or [], _layout(model)) if pair[0] != pair[1])
+        raise SchemaError(f"parameter layout mismatch: checkpoint has {got!r} "
+                          f"where the model has {want!r}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise SchemaError(f"bad base64 parameter data: {exc}") from exc
+    if len(raw) != model.flat.nbytes:
+        raise SchemaError(f"parameter byte count mismatch: {len(raw)} vs "
+                          f"{model.flat.nbytes}")
+    model.flat[...] = np.frombuffer(raw, dtype=_DTYPE)
 
 
 def model_to_dict(model: Union[TeacherModel, StudentModel]) -> dict:
@@ -68,7 +61,9 @@ def model_to_dict(model: Union[TeacherModel, StudentModel]) -> dict:
         "tokenizer": asdict(model.tok_cfg),
         "encoder": asdict(model.enc_cfg),
         "seed": model.seed,
-        "params": _params_to_dict(model.parameters()),
+        "layout": _layout(model),
+        "params": base64.b64encode(np.ascontiguousarray(
+            model.flat, dtype=_DTYPE).tobytes()).decode("ascii"),
     }
     if kind == "teacher":
         out["privileged"] = asdict(model.priv)
@@ -91,17 +86,18 @@ def model_from_dict(blob: dict) -> Union[TeacherModel, StudentModel]:
         model = StudentModel(tok_cfg, enc_cfg, seed=blob.get("seed", 0))
     else:
         raise SchemaError(f"unknown checkpoint kind: {kind!r}")
-    _load_params(model, blob["params"])
+    _load_params(model, blob.get("layout"), blob.get("params"))
     return model
 
 
 def save_checkpoint(model: Union[TeacherModel, StudentModel],
                     path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True))
+    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True),
+                          encoding="utf-8")
 
 
 def load_checkpoint(path: Union[str, Path]) -> Union[TeacherModel, StudentModel]:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def load_student(path: Union[str, Path]) -> StudentModel:

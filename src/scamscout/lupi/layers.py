@@ -10,7 +10,9 @@ Backward passes return the gradient w.r.t. their input and accumulate into
 Composite modules declare nothing extra: ``Module`` finds parameters and
 gradients by walking its attributes in assignment order, recursing into every
 attribute that is a ``Module`` (named ``attr.``) and every list of modules
-(named ``attr.i.``).  Checkpoint keys and optimizer order come from that walk.
+(named ``attr.i.``).  A model ends its constructor with ``_flatten()``, which
+leaves every parameter and gradient a view into one float64 buffer, ``flat``
+or ``flat_grad``, in walk order; gradients are only ever updated in place.
 """
 
 from __future__ import annotations
@@ -23,21 +25,25 @@ class Module:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def _children(self):
-        """(name, module) for each child, in attribute assignment order."""
+    def _param(self, name: str, value: np.ndarray):
+        self.params[name] = value
+        self.grads[name] = np.zeros_like(value)
+
+    def _modules(self, prefix: str = ""):
+        """(prefix, module) for this module, then each descendant in walk order."""
+        yield prefix, self
         for name, value in vars(self).items():
             if isinstance(value, Module):
-                yield name, value
+                yield from value._modules(f"{prefix}{name}.")
             elif isinstance(value, list):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield f"{name}.{i}", item
+                        yield from item._modules(f"{prefix}{name}.{i}.")
 
     def _walk(self, store: str, prefix: str):
-        for name, value in getattr(self, store).items():
-            yield (f"{prefix}{name}", value)
-        for name, child in self._children():
-            yield from child._walk(store, f"{prefix}{name}.")
+        for path, module in self._modules(prefix):
+            for name, value in getattr(module, store).items():
+                yield (f"{path}{name}", value)
 
     def named_parameters(self, prefix: str = ""):
         return self._walk("params", prefix)
@@ -48,22 +54,28 @@ class Module:
     def gradients(self) -> dict[str, np.ndarray]:
         return dict(self._walk("grads", ""))
 
-    def zero_grads(self):
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
-        for _, child in self._children():
-            child.zero_grads()
+    def _flatten(self):
+        """Rebind every parameter and gradient to a view of ``flat``/``flat_grad``."""
+        self.flat = np.concatenate([p.ravel() for _, p in self.named_parameters()])
+        self.flat_grad = np.zeros_like(self.flat)
+        offset = 0
+        for _, module in self._modules():
+            for name, p in module.params.items():
+                span = slice(offset, offset + p.size)
+                module.params[name] = self.flat[span].reshape(p.shape)
+                module.grads[name] = self.flat_grad[span].reshape(p.shape)
+                offset += p.size
 
-    def _add_grad(self, name: str, value: np.ndarray):
-        self.grads[name] += value
+    def zero_grads(self):
+        for _, g in self._walk("grads", ""):
+            g[...] = 0.0
 
 
 class Linear(Module):
     def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator):
         super().__init__()
-        self.params["w"] = rng.normal(0.0, 0.02, size=(dim_in, dim_out))
-        self.params["b"] = np.zeros(dim_out)
-        self.zero_grads()
+        self._param("w", rng.normal(0.0, 0.02, size=(dim_in, dim_out)))
+        self._param("b", np.zeros(dim_out))
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if cache:
@@ -73,16 +85,15 @@ class Linear(Module):
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         x2 = self._x.reshape(-1, self._x.shape[-1])
         d2 = d_out.reshape(-1, d_out.shape[-1])
-        self._add_grad("w", x2.T @ d2)
-        self._add_grad("b", d2.sum(axis=0))
+        self.grads["w"] += x2.T @ d2
+        self.grads["b"] += d2.sum(axis=0)
         return d_out @ self.params["w"].T
 
 
 class Embedding(Module):
     def __init__(self, vocab: int, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.params["w"] = rng.normal(0.0, 0.02, size=(vocab, dim))
-        self.zero_grads()
+        self._param("w", rng.normal(0.0, 0.02, size=(vocab, dim)))
 
     def forward(self, ids: np.ndarray, cache: bool = True) -> np.ndarray:
         if cache:
@@ -96,10 +107,9 @@ class Embedding(Module):
 class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
-        self.params["g"] = np.ones(dim)
-        self.params["b"] = np.zeros(dim)
+        self._param("g", np.ones(dim))
+        self._param("b", np.zeros(dim))
         self.eps = eps
-        self.zero_grads()
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
@@ -113,11 +123,10 @@ class LayerNorm(Module):
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         norm, inv = self._norm, self._inv
         g = self.params["g"]
-        self._add_grad("g", (d_out * norm).reshape(-1, norm.shape[-1]).sum(axis=0))
-        self._add_grad("b", d_out.reshape(-1, norm.shape[-1]).sum(axis=0))
+        self.grads["g"] += (d_out * norm).reshape(-1, norm.shape[-1]).sum(axis=0)
+        self.grads["b"] += d_out.reshape(-1, norm.shape[-1]).sum(axis=0)
         d_norm = d_out * g
         # d_x of (x - mean) * inv with mean/var both functions of x
-        n = norm.shape[-1]
         d_x = inv * (
             d_norm
             - d_norm.mean(axis=-1, keepdims=True)

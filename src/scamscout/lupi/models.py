@@ -91,6 +91,7 @@ class TeacherModel(Module):
         self.fusion = Linear(2 * enc_cfg.dim, enc_cfg.dim, rng)
         self.fusion_drop = Dropout(enc_cfg.dropout)
         self.head = Linear(enc_cfg.dim, 1, rng)
+        self._flatten()
 
     def forward(self, query_ids: np.ndarray, serp_ids: np.ndarray,
                 serp_present: np.ndarray, train: bool = False,
@@ -161,6 +162,7 @@ class StudentModel(Module):
         self.pred_lin1 = Linear(enc_cfg.dim, enc_cfg.dim, rng)
         self.pred_lin2 = Linear(enc_cfg.dim, 1, rng)
         self.distill_head = Linear(enc_cfg.dim, enc_cfg.dim, rng)
+        self._flatten()
 
     def init_from_teacher(self, teacher: TeacherModel) -> None:
         """Copy the teacher's query-encoder weights into the student backbone."""

@@ -6,7 +6,10 @@ import numpy as np
 
 
 class AdamW:
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
+    """Updates one buffer (a model's ``flat``) in place, every element by the
+    same expressions, in the same order, as a per-parameter loop would."""
+
+    def __init__(self, params: np.ndarray, lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
         self.params = params
@@ -15,25 +18,22 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads: dict[str, np.ndarray], lr_scale: float = 1.0) -> None:
+    def step(self, grads: np.ndarray, lr_scale: float = 1.0) -> None:
         self.t += 1
         lr = self.lr * lr_scale
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            # decoupled decay: applied directly to weights, not through g
-            p -= lr * self.weight_decay * p
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p, g, m, v = self.params, grads, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        # decoupled decay: applied directly to weights, not through g
+        p -= lr * self.weight_decay * p
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def warmup_scale(step: int, total_steps: int, warmup_fraction: float) -> float:

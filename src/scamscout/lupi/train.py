@@ -8,6 +8,7 @@ restore of the best epoch) serves the teacher, the distiller and the
 query-only baseline; each passes only its model, its per-batch step and its
 validation loss.  The baseline is the distiller with weights (1,0,0,0) and
 no teacher, so both perform the identical arithmetic, a tested contract.
+AdamW, the best-epoch copy and the teacher check use the ``flat`` buffer.
 
 The distiller runs the frozen teacher once per fit: after ``_fit``'s
 train/validation split, once over the train tensors and once over the
@@ -18,7 +19,6 @@ are independent and the SERP encoder's PAD trimming is exact (see
 
 from __future__ import annotations
 
-import copy
 import itertools
 import warnings
 from dataclasses import dataclass, field, replace
@@ -242,7 +242,7 @@ def _fit(
     if prepare is not None:
         train_t, val_t = prepare(train_t), prepare(val_t)
 
-    opt = AdamW(model.parameters(), cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.flat, cfg.lr, weight_decay=cfg.weight_decay)
     loop_rng = np.random.default_rng([cfg.seed, 7919])
     n = train_t.labels.shape[0]
     total_steps = int(np.ceil(n / cfg.batch_size)) * cfg.epochs
@@ -259,7 +259,7 @@ def _fit(
             loss, terms = step(_slice(train_t, perm[start:start + cfg.batch_size]),
                                loop_rng)
             _check_finite(loss, "training", epoch, n_step)
-            opt.step(model.gradients(),
+            opt.step(model.flat_grad,
                      warmup_scale(n_step, total_steps, cfg.warmup_fraction))
             n_step += 1
             epoch_losses.append(loss)
@@ -270,16 +270,13 @@ def _fit(
         _check_finite(vl, "validation", epoch, n_step)
         report.val_losses.append(vl)
         if vl < best[0]:
-            best = (vl, epoch, copy.deepcopy(model.parameters()))
+            best = (vl, epoch, model.flat.copy())
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    if best[2] is not None:
-        params = model.parameters()
-        for name, value in best[2].items():
-            params[name][...] = value
+    model.flat[...] = best[2]   # set at the first epoch: its loss is finite
     report.best_epoch = best[1]
     return report
 
@@ -345,9 +342,7 @@ def _train_student_loop(
         raise TrainingError("non-zero pm/hm/am weights require a teacher")
     priv = teacher.priv if (teacher is not None and needs_teacher) else None
 
-    frozen_before = None
-    if priv is not None:
-        frozen_before = {k: v.copy() for k, v in teacher.parameters().items()}
+    frozen_before = teacher.flat.copy() if priv is not None else None
 
     student = StudentModel(tok_cfg, enc_cfg, seed=cfg.seed)
     if init_from is not None:
@@ -373,11 +368,8 @@ def _train_student_loop(
                   step, lambda t: loss(t, False)[0],
                   prepare=with_teacher if needs_teacher else None)
 
-    if frozen_before is not None:
-        after = teacher.parameters()
-        for name, value in frozen_before.items():
-            if not np.array_equal(after[name], value):
-                raise TrainingError(f"teacher parameter {name} changed during distillation")
+    if frozen_before is not None and not np.array_equal(teacher.flat, frozen_before):
+        raise TrainingError("teacher parameters changed during distillation")
     return student, report
 
 

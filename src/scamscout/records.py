@@ -5,7 +5,8 @@ object on each non-blank line, or each CSV row as a dict keyed by the
 header.  A line that is not UTF-8 or not a JSON object, a row whose cell
 count is not the header's, and any ``KeyError``, ``TypeError``,
 ``ValueError`` or ``ScamscoutError`` from ``parse`` raise
-``SchemaError("path:lineno: cause")``.
+``SchemaError("path:lineno: cause")``.  ``get_typed`` reads one field of a
+record and raises ``SchemaError`` unless it has exactly the expected type.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ def read_jsonl(path, parse):
 
 def read_csv(path, parse):
     return _read(path, _csv_rows, parse)
+
+
+def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):
+    """``rec[key]`` if its type is exactly ``kind`` (so a bool is no int),
+    ``default`` if absent or null.  ``where`` prefixes the key in the error,
+    naming a nested object."""
+    value = rec.get(key)
+    if value is None:
+        return default
+    if type(value) is not kind:
+        raise SchemaError(f"{where}{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def check_header(path, expected: list[str]) -> None:

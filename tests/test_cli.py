@@ -4,6 +4,9 @@ import csv
 import filecmp
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -537,6 +540,22 @@ _BAD_INPUTS = [
     ("snapshots", "string-whois", _set("whois", "private"),
      "whois must be dict, got 'private'"),
     ("snapshots", "int-ranks", _set("ranks", 7), "ranks must be dict, got 7"),
+    ("snapshots", "string-dns-value", _set("dns", {"a": "203.0.113.1"}),
+     "dns.a must be a list of strings, got '203.0.113.1'"),
+    ("snapshots", "int-in-dns-list", _set("dns", {"a": [1]}),
+     "dns.a must be a list of strings, got [1]"),
+    ("snapshots", "string-rank", _set("ranks", {"tranco": "123"}),
+     "ranks.tranco must be int, got '123'"),
+    ("snapshots", "bool-rank", _set("ranks", {"cisco": True}),
+     "ranks.cisco must be int, got True"),
+    ("snapshots", "int-whois-date", _set("whois", {"created": 2020}),
+     "whois.created must be str, got 2020"),
+    ("snapshots", "bad-whois-date", _set("whois", {"expires": "soon"}),
+     "Invalid isoformat string: 'soon'"),
+    ("snapshots", "int-registrar", _set("whois", {"registrar": 7}),
+     "whois.registrar must be str, got 7"),
+    ("snapshots", "string-privacy", _set("whois", {"privacy": "yes"}),
+     "whois.privacy must be bool, got 'yes'"),
     ("snapshots", "truncated", _truncate, _json_error),
     ("snapshots", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("features", "no-column", _drop_column(FEATURES[0][0], 1),
@@ -570,6 +589,8 @@ _BAD_INPUTS = [
      "missing key 'token_type'"),
     ("segments", "bad-token-type", _set("token_type", "VERB"),
      "'VERB' is not a valid TokenType"),
+    ("segments", "list-category", _set("category", ["a"]),
+     "category must be str, got ['a']"),
     ("segments", "truncated", _truncate, _json_error),
     ("segments", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("lupi_train", "no-query", _drop("query"), "missing key 'query'"),
@@ -613,3 +634,100 @@ def test_every_bad_input_exits_2_naming_its_line(workdir, tmp_path, capsys,
     assert rc == 2, err
     assert f"error: {bad}:{lineno}: {cause}" in err
     assert not out.exists()
+
+
+# --- a missing input file -----------------------------------------------------
+
+
+# every subcommand with valid inputs; each case swaps one input for a
+# path that does not exist
+_VALID_ARGV = {
+    "featurize": ["--snapshots", "{fx}/snapshots.jsonl", "--out", "{out}"],
+    "train-oracle": ["--features", "{work}/features.csv",
+                     "--labels", "{fx}/labels.csv", "--rounds", "2",
+                     "--out", "{out}"],
+    "score": ["--model", "{work}/model.json",
+              "--features", "{work}/features.csv", "--out", "{out}"],
+    "toxicity": ["--serps", "{fx}/serps.jsonl", "--labels", "{fx}/labels.csv",
+                 "--keywords", "{fx}/keywords.jsonl", "--out", "{out}"],
+    "baselines": ["--keywords", "{fx}/keywords.jsonl",
+                  "--toxicity", "{work}/toxicity.csv",
+                  "--segments", "{fx}/segments.jsonl", "--n-sim", "5",
+                  "--out-dir", "{out}"],
+    "filter-branded": ["--in", "{fx}/keywords.jsonl", "--out", "{out}"],
+    "train-lupi": ["--train", "{fx}/lupi_train.jsonl",
+                   "--labels", "{fx}/labels.csv", "--epochs", "1",
+                   "--out", "{out}"],
+    "rank": ["--model", "{work}/student.json",
+             "--keywords", "{work}/unbranded.jsonl", "--out", "{out}"],
+    "discover": ["--ranked", "{work}/ranked.csv", "--oracle", "{work}/model.json",
+                 "--fixtures", "{fx}/serp_fixtures.jsonl",
+                 "--snapshots", "{fx}/snapshots.jsonl",
+                 "--labels", "{fx}/labels.csv", "--out", "{out}"],
+}
+
+_INPUT_FLAGS = [(command, flag)
+                for command, argv in _VALID_ARGV.items()
+                for flag, value in zip(argv[::2], argv[1::2])
+                if value.startswith(("{fx}", "{work}"))]
+
+
+@pytest.mark.parametrize("command, flag", _INPUT_FLAGS,
+                         ids=[f"{c}{f}" for c, f in _INPUT_FLAGS])
+def test_missing_input_file_exits_2_naming_it(workdir, tmp_path, capsys,
+                                              command, flag):
+    missing = tmp_path / "missing.jsonl"
+    out = tmp_path / "out"
+    fill = {"fx": FIXTURES, "work": workdir, "out": out}
+    argv = [command] + [arg.format(**fill) for arg in _VALID_ARGV[command]]
+    argv[argv.index(flag) + 1] = str(missing)
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"error: {missing}: No such file or directory" in err
+    assert not out.exists()
+
+
+# --- every file is UTF-8, whatever the locale ------------------------------------
+
+
+_LOCALE_SCRIPT = """
+import sys
+from pathlib import Path
+
+from scamscout.corpus import SerpEntry
+from scamscout.discovery import (CategoryCount, DiscoveryReport, EngineExposure,
+                                 FixtureStore, write_report)
+from scamscout.lupi import (EncoderConfig, StudentModel, TokenizerConfig,
+                            load_student, save_checkpoint)
+
+out = Path(sys.argv[1])
+report = DiscoveryReport([CategoryCount("caf\\u00e9", 1, 2)], 2, 1,
+                         [EngineExposure("GOOGLE", 1, 1)], 3)
+write_report(report, out / "report.csv")
+write_report(report, out / "report.json")
+store = FixtureStore()
+store.put("cr\\u00e8me", "GOOGLE", "2024-05-01",
+          [SerpEntry("GOOGLE", 1, "https://a.com/x", title="\\u00e9t\\u00e9")])
+store.save(out / "fixtures.jsonl")
+FixtureStore.load(out / "fixtures.jsonl")
+student = StudentModel(TokenizerConfig(vocab_size=16, max_len_query=4),
+                       EncoderConfig(layers=1, dim=4, heads=1, ff_dim=4))
+save_checkpoint(student, out / "student.json")
+load_student(out / "student.json")
+"""
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(__file__).parents[1] / "src"),
+                    os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-c", _LOCALE_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    assert "caf\u00e9," in (tmp_path / "report.csv").read_text(encoding="utf-8")
+    assert json.loads((tmp_path / "report.json").read_text(
+        encoding="utf-8"))["categories"][0]["category"] == "caf\u00e9"

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamscout.corpus import SerpEntry, SerpResultSet
 from scamscout.errors import SchemaError, TrainingError
@@ -100,6 +101,25 @@ def test_tokenize_truncates_and_batches():
     assert batch.shape == (3, 8)
     assert np.array_equal(batch[1], ids)
     assert list(batch[2]) == [CLS_ID] + [PAD_ID] * 7
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(texts=st.lists(st.text(), min_size=1, max_size=4),
+       max_len=st.integers(2, 40), vocab=st.integers(16, 5000))
+def test_tokenize_is_cls_then_word_ids_then_a_pad_suffix(texts, max_len, vocab):
+    cfg = TokenizerConfig(vocab_size=vocab)
+    rows = []
+    for text in texts:
+        ids = tokenize(text, cfg, max_len)
+        assert ids.shape == (max_len,) and ids.dtype == np.int64
+        assert ids[0] == CLS_ID
+        n_words = min(len(text.lower().split()), max_len - 1)
+        words = ids[1:1 + n_words]
+        assert np.all((words >= 2) & (words < vocab))
+        # PAD only after the last word: trimmed_length relies on it
+        assert np.all(ids[1 + n_words:] == PAD_ID)
+        rows.append(ids)
+    assert np.array_equal(tokenize_batch(texts, cfg, max_len), np.stack(rows))
 
 
 def test_word_ids_stay_in_vocab():
@@ -304,7 +324,7 @@ def test_teacher_backward_matches_finite_differences():
     _fd_check(teacher.parameters(), loss_value, teacher.gradients())
 
 
-# Names a 1-layer encoder's parameters take in checkpoints (format v2).
+# Names a 1-layer encoder's parameters take in checkpoint layouts (format v3).
 _ENCODER_1L = [
     "embed.w",
     "blocks.0.ln1.g", "blocks.0.ln1.b",
@@ -343,6 +363,48 @@ def test_parameter_tree_is_derived_from_attributes(build, names):
     model.zero_grads()
     for name, g in model.gradients().items():
         assert g.shape == params[name].shape and not g.any(), name
+
+
+def _assert_tiles(arrays, buffer):
+    """``arrays`` are C-contiguous views covering ``buffer`` in order, with
+    no overlap and no gap."""
+    start = buffer.__array_interface__["data"][0]
+    offset = 0
+    for name, a in arrays:
+        assert a.base is buffer and a.flags.c_contiguous, name
+        assert a.__array_interface__["data"][0] == start + 8 * offset, name
+        offset += a.size
+    assert offset == buffer.size
+
+
+ENC2 = EncoderConfig(layers=2, dim=8, heads=2, ff_dim=12, dropout=0.0)
+
+
+@pytest.mark.parametrize("enc", [ENC, ENC2])
+@pytest.mark.parametrize("kind", ["teacher", "student"])
+def test_parameters_and_gradients_tile_the_flat_buffers(kind, enc, tmp_path):
+    if kind == "teacher":
+        model = TeacherModel(TOK, enc, PRIV, seed=5)
+    else:
+        model = StudentModel(TOK, enc, seed=5)
+
+    def check(m):
+        params = list(m.named_parameters())
+        assert [n for n, _ in params] == list(m.gradients())
+        _assert_tiles(params, m.flat)
+        _assert_tiles(m.gradients().items(), m.flat_grad)
+        assert m.flat.dtype == m.flat_grad.dtype == np.float64
+
+    check(model)
+    model.flat_grad[...] = 1.0
+    model.zero_grads()
+    assert not model.flat_grad.any()
+    check(model)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    check(loaded)
+    assert np.array_equal(loaded.flat, model.flat)
 
 
 def test_student_init_copies_teacher_backbone():
@@ -525,21 +587,65 @@ def test_privileged_config_spec_round_trip_and_validation():
 
 def test_adamw_first_step_arithmetic():
     p = np.array([1.0])
-    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
-    opt.step({"p": np.array([2.0])})
+    opt = AdamW(p, lr=0.1, weight_decay=0.0)
+    opt.step(np.array([2.0]))
     # bias-corrected first step is lr * g / (|g| + eps)
     assert p[0] == pytest.approx(1.0 - 0.1 * 2.0 / (2.0 + 1e-8))
 
     q = np.array([1.0])
-    opt = AdamW({"q": q}, lr=0.1, weight_decay=0.5)
-    opt.step({"q": np.array([2.0])})
+    opt = AdamW(q, lr=0.1, weight_decay=0.5)
+    opt.step(np.array([2.0]))
     decayed = 1.0 - 0.1 * 0.5 * 1.0
     assert q[0] == pytest.approx(decayed - 0.1 * 2.0 / (2.0 + 1e-8))
 
     r = np.array([1.0])
-    opt = AdamW({"r": r}, lr=0.1, weight_decay=0.0)
-    opt.step({"r": np.array([2.0])}, lr_scale=0.5)
+    opt = AdamW(r, lr=0.1, weight_decay=0.0)
+    opt.step(np.array([2.0]), lr_scale=0.5)
     assert r[0] == pytest.approx(1.0 - 0.05 * 2.0 / (2.0 + 1e-8))
+
+
+class _PerNameAdamW:
+    """The per-parameter AdamW loop the whole-buffer one replaced."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.01):
+        self.params, self.lr, self.eps = params, lr, eps
+        self.beta1, self.beta2 = betas
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads, lr_scale=1.0):
+        self.t += 1
+        lr = self.lr * lr_scale
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * self.weight_decay * p
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def test_whole_buffer_adamw_equals_the_per_name_loop_bit_for_bit():
+    model = StudentModel(TOK, ENC, seed=3)
+    reference = {k: v.copy() for k, v in model.parameters().items()}
+    opt = AdamW(model.flat, 1e-2, weight_decay=0.05)
+    ref_opt = _PerNameAdamW(reference, 1e-2, weight_decay=0.05)
+    rng = np.random.default_rng(4)
+    for step in range(5):
+        model.zero_grads()
+        model.flat_grad[...] = rng.normal(0.0, 10.0 ** -step, model.flat_grad.size)
+        ref_opt.step({k: v.copy() for k, v in model.gradients().items()},
+                     lr_scale=0.5 + 0.1 * step)
+        opt.step(model.flat_grad, lr_scale=0.5 + 0.1 * step)
+    for name, value in model.parameters().items():
+        assert np.array_equal(value.view(np.uint64),
+                              reference[name].view(np.uint64)), name
 
 
 def test_warmup_scale_ramp():
@@ -587,6 +693,20 @@ def test_teacher_is_frozen_during_distillation():
     after = teacher.parameters()
     for name, value in before.items():
         assert np.array_equal(value, after[name]), name
+
+
+def test_distillation_rejects_a_teacher_that_changed(monkeypatch):
+    data = _tiny_dataset(16)
+    teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
+    forward = teacher.forward
+
+    def mutating_forward(*args, **kwargs):
+        teacher.head.params["b"] += 1e-3   # a write through one view
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(teacher, "forward", mutating_forward)
+    with pytest.raises(TrainingError, match="teacher parameters changed"):
+        distill_student(data, teacher, LossWeights(1.0, 0.5, 0.5, 0.5), CFG)
 
 
 def test_baseline_equals_distiller_with_unit_weights():
@@ -719,8 +839,12 @@ def test_checkpoint_blob_validation():
     with pytest.raises(SchemaError):
         model_from_dict(bad)
     bad = json.loads(json.dumps(blob))
-    bad["params"].pop(sorted(bad["params"])[0])
-    with pytest.raises(SchemaError):
+    bad["layout"].pop(0)
+    with pytest.raises(SchemaError, match="layout"):
+        model_from_dict(bad)
+    bad = json.loads(json.dumps(blob))
+    bad["layout"][0][1] = [1, 1]
+    with pytest.raises(SchemaError, match="layout"):
         model_from_dict(bad)
 
 
@@ -750,29 +874,38 @@ def test_checkpoint_round_trips_special_floats_bitwise(tmp_path):
 def test_checkpoint_rejects_corrupt_data_and_old_format():
     student = StudentModel(TOK, ENC, seed=0)
     blob = model_to_dict(student)
-    name = sorted(blob["params"])[0]
 
-    good = blob["params"][name]["data"]
+    good = blob["params"]
     raw = base64.b64decode(good)
-    for data in (good[:4] + "*" + good[4:],               # not base64
-                 base64.b64encode(raw[:-8]).decode(),      # one float short
-                 base64.b64encode(raw + raw[:8]).decode()):  # one float extra
-        bad = json.loads(json.dumps(blob))
-        bad["params"][name]["data"] = data
-        with pytest.raises(SchemaError, match=name):
+    for data, error in ((good[:4] + "*" + good[4:], "base64"),   # not base64
+                        (base64.b64encode(raw[:-8]).decode(), "byte count"),
+                        (base64.b64encode(raw + raw[:8]).decode(), "byte count"),
+                        ([0.0] * student.flat.size, "base64")):
+        bad = dict(blob, params=data)
+        with pytest.raises(SchemaError, match=error):
             model_from_dict(bad)
 
-    bad = json.loads(json.dumps(blob))
-    bad["params"][name]["data"] = [0.0] * int(np.prod(bad["params"][name]["shape"]))
-    with pytest.raises(SchemaError, match=name):
-        model_from_dict(bad)
-
-    old = json.loads(json.dumps(blob))
-    old["format_version"] = 1
-    for entry in old["params"].values():
-        entry["data"] = [0.0] * int(np.prod(entry["shape"]))
+    # version 2: one {"shape", "data"} entry per parameter name
+    old = dict(blob, format_version=2, params={
+        name: {"shape": list(p.shape),
+               "data": base64.b64encode(p.tobytes()).decode()}
+        for name, p in student.named_parameters()})
+    del old["layout"]
     with pytest.raises(SchemaError, match="unsupported checkpoint format.*retrain"):
         model_from_dict(old)
+
+
+def test_checkpoint_rejects_a_reordered_layout():
+    student = StudentModel(TOK, ENC, seed=0)
+    blob = model_to_dict(student)
+    layout = blob["layout"]
+    names = [name for name, _ in layout]
+    i = names.index("query_encoder.blocks.0.attn.wq.w")
+    j = names.index("query_encoder.blocks.0.attn.wk.w")
+    assert layout[i][1] == layout[j][1]   # equal shapes: same byte count
+    layout[i], layout[j] = layout[j], layout[i]
+    with pytest.raises(SchemaError, match="layout.*attn.wk.w"):
+        model_from_dict(blob)
 
 
 def test_loaded_parameters_are_writable_and_own_their_data(tmp_path):
@@ -781,17 +914,19 @@ def test_loaded_parameters_are_writable_and_own_their_data(tmp_path):
     path = tmp_path / "student.json"
     save_checkpoint(student, path)
     loaded = load_student(path)
+    # each parameter is a view of the model's writable, data-owning buffer
+    assert loaded.flat.flags.writeable and loaded.flat.flags.owndata
     for name, value in loaded.parameters().items():
-        assert value.flags.writeable and value.flags.owndata, name
+        assert value.flags.writeable and value.base is loaded.flat, name
     # a reloaded model trains further exactly like the in-memory one
-    opt_a = AdamW(student.parameters(), 1e-3)
-    opt_b = AdamW(loaded.parameters(), 1e-3)
+    opt_a = AdamW(student.flat, 1e-3)
+    opt_b = AdamW(loaded.flat, 1e-3)
     ids = tokenize_batch([ex.query for ex in data.examples], TOK)
     for model, opt in ((student, opt_a), (loaded, opt_b)):
         model.zero_grads()
         score, hint, _ = model.forward(ids, train=False)
         model.backward(np.ones_like(score) / score.size, np.zeros_like(hint))
-        opt.step(model.gradients())
+        opt.step(model.flat_grad)
     for name, value in student.parameters().items():
         assert np.array_equal(value, loaded.parameters()[name]), name
 
