@@ -19,20 +19,13 @@ command rewrites byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 from pathlib import Path
 
 from . import corpus, records
 from .branded import default_lexicon, filter_unbranded
-from .discovery import (
-    LIVE,
-    REPLAY,
-    FixtureStore,
-    run_discovery,
-    write_report,
-)
+from .discovery import FixtureStore, run_discovery, write_report
 from .errors import ScamscoutError
 from .featurizer import (
     CATEGORICAL,
@@ -60,9 +53,9 @@ from .lupi import (
     load_student,
     rank_keywords,
     ranked_from_csv,
-    ranked_to_csv,
     save_checkpoint,
     train_teacher,
+    write_ranked,
 )
 from .oracle import gbdt
 from .psl import root_domain
@@ -91,11 +84,9 @@ def _parse_cell(value: str, kind: str):
 
 
 def write_features_csv(path, rows: list[tuple[str, FeatureVector]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_FEATURE_HEADER)
-        for domain, vector in rows:
-            writer.writerow([domain] + [_feature_cell(v) for v in vector.values])
+    records.write_csv(path, _FEATURE_HEADER, (
+        [domain] + [_feature_cell(v) for v in vector.values]
+        for domain, vector in rows))
 
 
 def read_features_csv(path) -> list[tuple[str, FeatureVector]]:
@@ -146,12 +137,10 @@ def _cmd_train_oracle(args) -> int:
 def _cmd_score(args) -> int:
     model = gbdt.load_model(args.model)
     rows = read_features_csv(args.features)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["root_domain", "label", "score"])
-        verdicts = gbdt.predict_many(model, [vector for _, vector in rows])
-        for (domain, _), (label, score) in zip(rows, verdicts):
-            writer.writerow([domain, label, f"{score:.6f}"])
+    verdicts = gbdt.predict_many(model, [vector for _, vector in rows])
+    records.write_csv(args.out, ["root_domain", "label", "score"], (
+        [domain, label, f"{score:.6f}"]
+        for (domain, _), (label, score) in zip(rows, verdicts)))
     print(f"scored {len(rows)} domains -> {args.out}")
     return 0
 
@@ -184,33 +173,28 @@ def _cmd_baselines(args) -> int:
     scored = read_scores(args.toxicity)
     segments_by_cat = _read_segments(args.segments) if args.segments else {}
     by_query = {s.query: s for s in scored}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def fmt(est):
         return ("", "") if est is None else (f"{est.mean:.6f}", f"{est.std:.6f}")
 
+    # every table is computed before the first is written, so a failing
+    # table leaves no output behind
     rows = attribute_table(keywords, by_query, args.seed, args.n_sim,
                            args.sample_size)
-    with open(out_dir / "attributes.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["attribute", "queries", "toxicity_mean", "toxicity_std",
-                         "expansion_mean", "expansion_std"])
-        for row in rows:
-            writer.writerow([row.key, row.count, *fmt(row.toxicity),
-                             *fmt(row.expansion)])
+    tables = {"attributes.csv": (
+        ["attribute", "queries", "toxicity_mean", "toxicity_std",
+         "expansion_mean", "expansion_std"],
+        [[row.key, row.count, *fmt(row.toxicity), *fmt(row.expansion)]
+         for row in rows])}
 
     all_segments = [seg for segs in segments_by_cat.values() for seg in segs]
     if all_segments:
         ranked = rank_segments(all_segments, scored, args.seed, args.n_sim,
                                args.sample_size)
-        with open(out_dir / "segments.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rank", "segment", "queries", "toxicity_mean",
-                             "toxicity_std"])
-            for i, row in enumerate(ranked, start=1):
-                writer.writerow([i, row.key, row.count, *fmt(row.toxicity)])
+        tables["segments.csv"] = (
+            ["rank", "segment", "queries", "toxicity_mean", "toxicity_std"],
+            [[i, row.key, row.count, *fmt(row.toxicity)]
+             for i, row in enumerate(ranked, start=1)])
 
         scored_by_cat: dict[str, list] = {}
         for s in scored:
@@ -218,14 +202,16 @@ def _cmd_baselines(args) -> int:
         matrix = cross_category_matrix(segments_by_cat, scored_by_cat,
                                        args.seed, args.n_sim, args.sample_size)
         cats = sorted(matrix)
-        with open(out_dir / "cross_category.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["source"] + cats)
-            for source in cats:
-                cells = [("" if matrix[source][t] is None
+        tables["cross_category.csv"] = (
+            ["source"] + cats,
+            [[source] + [("" if matrix[source][t] is None
                           else f"{matrix[source][t].mean:.6f}") for t in cats]
-                writer.writerow([source] + cells)
+             for source in cats])
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, table) in tables.items():
+        records.write_csv(out_dir / name, header, table)
     print(f"wrote sampling tables -> {out_dir}")
     return 0
 
@@ -282,8 +268,7 @@ def _cmd_rank(args) -> int:
     student = load_student(args.model)
     keywords = corpus.read_keywords(args.keywords)
     ranked = rank_keywords(student, keywords, k=args.k)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(ranked_to_csv(ranked))
+    write_ranked(args.out, ranked)
     print(f"ranked {len(keywords)} keywords, kept {len(ranked)} -> {args.out}")
     return 0
 
@@ -316,7 +301,6 @@ def _cmd_discover(args) -> int:
         ranked,
         classify,
         store=store,
-        mode=REPLAY if args.mode == "replay" else LIVE,
         engines=tuple(args.engines.split(",")),
         known_domains=known,
         exposure_k=args.exposure_k,
@@ -412,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="search ranked queries, tally new scams")
     p.add_argument("--ranked", required=True)
-    p.add_argument("--mode", choices=["replay", "live"], default="replay")
+    p.add_argument("--mode", choices=["replay"], default="replay",
+                   help="replay only: live fetching takes a LiveSession, "
+                        "passed to run_discovery from Python")
     p.add_argument("--oracle", required=True)
     p.add_argument("--fixtures", default=None,
                    help="SERP fixture store (required for replay)")

@@ -8,7 +8,6 @@ from the same snapshot files.
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 import re
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Optional
 from .datalists import content_lines, data_text
 from .errors import SchemaError, UnreachableSnapshotError
 from .psl import root_domain
-from .records import get_typed, read_csv, read_jsonl
+from .records import get_typed, read_csv, read_jsonl, write_csv, write_jsonl
 
 ENGINES = ("GOOGLE", "BING", "BAIDU", "NAVER")
 COMPETITION_LEVELS = ("LOW", "MEDIUM", "HIGH")
@@ -290,15 +289,13 @@ def read_keywords(path) -> list[KeywordSuggestion]:
 
 
 def write_keywords(path, keywords: Iterable[KeywordSuggestion]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for kw in keywords:
-            fh.write(json.dumps({
-                "text": kw.text,
-                "source_domain": kw.source_domain,
-                "category": kw.category,
-                "competition": kw.competition,
-                "monthly_volume": kw.monthly_volume,
-            }, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({
+        "text": kw.text,
+        "source_domain": kw.source_domain,
+        "category": kw.category,
+        "competition": kw.competition,
+        "monthly_volume": kw.monthly_volume,
+    } for kw in keywords))
 
 
 def serp_to_record(rs: SerpResultSet) -> dict:
@@ -338,9 +335,7 @@ def read_serps(path) -> list[SerpResultSet]:
 
 
 def write_serps(path, serps: Iterable[SerpResultSet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rs in serps:
-            fh.write(json.dumps(serp_to_record(rs), ensure_ascii=False) + "\n")
+    write_jsonl(path, (serp_to_record(rs) for rs in serps))
 
 
 def read_labels(path) -> list[LabeledDomain]:
@@ -359,8 +354,5 @@ def read_labels(path) -> list[LabeledDomain]:
 
 
 def write_labels(path, labels: Iterable[LabeledDomain]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["root_domain", "label", "category"])
-        for lab in labels:
-            writer.writerow([lab.root_domain, lab.label, lab.category])
+    write_csv(path, ["root_domain", "label", "category"],
+              ([lab.root_domain, lab.label, lab.category] for lab in labels))

@@ -1,16 +1,15 @@
 """SERP fetching with replay fixtures, and the discovery report.
 
-Replay mode serves recorded result pages bit-exactly from a content-addressed
-JSONL store, so a discovery run over fixtures is fully reproducible.  Live
-mode goes through an injected transport with rate limiting and retries, and
-records what it fetched so the run can be replayed later.
+Without a session, a fetch replays a recorded result page bit-exactly from a
+content-addressed JSONL store, so a discovery run over fixtures is fully
+reproducible.  Given a ``LiveSession``, it goes through that session's
+injected transport with rate limiting and retries, and records what it
+fetched so the run can be replayed later.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -26,10 +25,7 @@ from .errors import (
     UnknownEngineError,
 )
 from .lupi.rank import RankedKeyword
-from .records import read_jsonl
-
-REPLAY = "REPLAY"
-LIVE = "LIVE"
+from .records import check_header, read_csv, read_jsonl, write_csv, write_jsonl
 
 SCAM = "SCAM"
 
@@ -124,10 +120,7 @@ class FixtureStore:
         return SerpResultSet(query=query, entries=list(self._entries[rid]))
 
     def save(self, path: Union[str, Path]) -> None:
-        lines = [json.dumps(self._records[rid], sort_keys=True)
-                 for rid in sorted(self._records)]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                              encoding="utf-8")
+        write_jsonl(path, (self._records[rid] for rid in sorted(self._records)))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FixtureStore":
@@ -174,32 +167,27 @@ class LiveSession:
 def fetch_serp(
     query: str,
     engine: str,
-    mode: str = REPLAY,
     store: Optional[FixtureStore] = None,
     session: Optional[LiveSession] = None,
     capture_date: Optional[str] = None,
 ) -> SerpResultSet:
-    """One query against one engine, from fixtures or live.
+    """One query against one engine, live iff a ``session`` is given.
 
-    Replay returns the recorded page bit-exactly and raises on a miss.  Live
-    fetches through ``session`` and records the response into ``store`` so
-    the run is replayable afterwards.
+    A replay returns the recorded page bit-exactly and raises on a miss.  A
+    live fetch goes through ``session`` and records the response into
+    ``store`` so the run is replayable afterwards.
     """
     if engine not in ENGINES:
         raise UnknownEngineError(f"unknown engine: {engine!r}")
-    if mode == REPLAY:
+    if session is None:
         if store is None:
-            raise FixtureMissError("replay mode requires a fixture store")
+            raise FixtureMissError("replay requires a fixture store")
         return store.get(query, engine, capture_date)
-    if mode == LIVE:
-        if session is None:
-            raise TransportError("live mode requires a session")
-        entries = session.fetch(query, engine)
-        if store is not None:
-            store.put(query, engine, capture_date or date.today().isoformat(),
-                      entries)
-        return SerpResultSet(query=query, entries=entries)
-    raise SchemaError(f"unknown fetch mode: {mode!r}")
+    entries = session.fetch(query, engine)
+    if store is not None:
+        store.put(query, engine, capture_date or date.today().isoformat(),
+                  entries)
+    return SerpResultSet(query=query, entries=entries)
 
 
 # --- discovery report ----------------------------------------------------------
@@ -277,7 +265,6 @@ def run_discovery(
     ranked: Sequence[RankedKeyword],
     classify: Callable[[list[str]], Sequence[str]],
     store: Optional[FixtureStore] = None,
-    mode: str = REPLAY,
     engines: Sequence[str] = ("GOOGLE",),
     known_domains: Iterable[str] = (),
     exposure_k: int = 20,
@@ -306,8 +293,7 @@ def run_discovery(
 
     for kw in ranked:
         for engine in engines:
-            result = fetch_serp(kw.text, engine, mode, store, session,
-                                capture_date)
+            result = fetch_serp(kw.text, engine, store, session, capture_date)
             cat_domains = by_category.setdefault(kw.category, set())
             for entry in result.entries:
                 domain = entry.root_domain
@@ -337,48 +323,10 @@ def run_discovery(
                                  len(scam_domains))
                   for engine in sorted(engines)],
         queries_run=len(ranked) * len(engines),
-        config_digest=_config_digest(mode, engines, exposure_k, len(ranked),
+        config_digest=_config_digest("REPLAY" if session is None else "LIVE",
+                                     engines, exposure_k, len(ranked),
                                      capture_date),
     )
-
-
-def report_to_csv(report: DiscoveryReport) -> str:
-    """Category rows plus an ALL row of globally deduplicated totals.
-
-    A report with no categories emits the header only.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category", "discovered_scams", "total_sites",
-                     "scam_fraction"])
-    for row in report.categories:
-        writer.writerow([row.category, row.discovered_scams, row.total_sites,
-                         f"{row.scam_fraction:.6f}"])
-    if report.categories:
-        writer.writerow(["ALL", report.discovered_scams, report.total_sites,
-                         f"{report.scam_fraction:.6f}"])
-    return buf.getvalue()
-
-
-def report_from_csv(text: str) -> DiscoveryReport:
-    """Rebuild counts from CSV; exposure and digest live only in JSON."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["category", "discovered_scams", "total_sites",
-                  "scam_fraction"]:
-        raise SchemaError(f"unexpected report header: {header!r}")
-    categories = []
-    total_sites = discovered = 0
-    for row in reader:
-        if not row:
-            continue
-        if row[0] == "ALL":
-            discovered, total_sites = int(row[1]), int(row[2])
-            continue
-        categories.append(CategoryCount(row[0], int(row[1]), int(row[2])))
-    return DiscoveryReport(categories=categories, total_sites=total_sites,
-                           discovered_scams=discovered, exposure=[],
-                           queries_run=0)
 
 
 def report_to_json(report: DiscoveryReport) -> str:
@@ -401,22 +349,33 @@ def report_from_json(text: str) -> DiscoveryReport:
     )
 
 
-def emit_report(report: DiscoveryReport, fmt: str = "CSV",
-                path: Optional[Union[str, Path]] = None) -> str:
-    """Serialize the report; re-emitting the same report is byte-identical."""
-    fmt = fmt.upper()
-    if fmt == "CSV":
-        text = report_to_csv(report)
-    elif fmt == "JSON":
-        text = report_to_json(report)
-    else:
-        raise SchemaError(f"unknown report format: {fmt!r}")
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+_REPORT_HEADER = ["category", "discovered_scams", "total_sites",
+                  "scam_fraction"]
 
 
 def write_report(report: DiscoveryReport, path: Union[str, Path]) -> None:
+    """``report_to_json`` for a ``.json`` suffix, else CSV: category rows plus
+    an ALL row of globally deduplicated totals (the header only when there
+    are no categories).  A rerun rewrites the same bytes."""
     path = Path(path)
-    emit_report(report, "JSON" if path.suffix.lower() == ".json" else "CSV",
-                path)
+    if path.suffix.lower() == ".json":
+        path.write_text(report_to_json(report), encoding="utf-8")
+        return
+    rows = [[row.category, row.discovered_scams, row.total_sites,
+             f"{row.scam_fraction:.6f}"] for row in report.categories]
+    if rows:
+        rows.append(["ALL", report.discovered_scams, report.total_sites,
+                     f"{report.scam_fraction:.6f}"])
+    write_csv(path, _REPORT_HEADER, rows)
+
+
+def report_from_csv(path) -> DiscoveryReport:
+    """Rebuild counts from report.csv; exposure and digest live only in JSON."""
+    check_header(path, _REPORT_HEADER)
+    rows = list(read_csv(path, lambda row: CategoryCount(
+        row["category"], int(row["discovered_scams"]), int(row["total_sites"]))))
+    # the totals row comes last, after the categories, if there are any
+    total = rows.pop() if rows else CategoryCount("ALL", 0, 0)
+    return DiscoveryReport(
+        categories=rows, total_sites=total.total_sites,
+        discovered_scams=total.discovered_scams, exposure=[], queries_run=0)

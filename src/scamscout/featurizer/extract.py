@@ -32,7 +32,8 @@ from urllib.parse import urlsplit
 from ..corpus import DomainSnapshot
 from ..datalists import read_list
 from ..psl import public_suffix, root_domain, _host_of, _is_ip_literal
-from .schema import FEATURE_NAMES, FeatureVector
+from .schema import (CONTENT, DNS, FEATURE_GROUPS, FEATURE_NAMES, RANKING,
+                     WHOIS, FeatureVector)
 from .segment import count_subwords, default_word_costs
 
 # --- config lists -----------------------------------------------------------
@@ -231,10 +232,18 @@ def _text_matches(html: str, lower_html: str, text: str) -> tuple:
 # --- per-group extraction ----------------------------------------------------
 
 
+def _group(group: str) -> tuple[str, ...]:
+    return tuple(name for name in FEATURE_NAMES if FEATURE_GROUPS[name] == group)
+
+
+_RANKING_NAMES = _group(RANKING)
+_DNS_NAMES = _group(DNS)
+_WHOIS_NAMES = _group(WHOIS)
+_CONTENT_NAMES = _group(CONTENT)
+
+
 def _ranking_features(snapshot: DomainSnapshot) -> dict:
-    names = ("majestic_refips", "majestic_refsubnets", "majestic_tldrank",
-             "tranco", "majestic", "cisco")
-    return {name: getattr(snapshot.ranks, name) for name in names}
+    return {name: getattr(snapshot.ranks, name) for name in _RANKING_NAMES}
 
 
 _DNS_TYPES = ("mx", "cname", "dname", "hinfo", "aaaa", "ns", "rp", "soa", "txt", "a")
@@ -247,17 +256,11 @@ _VERIFICATION_RE = re.compile(
 
 def _dns_features(snapshot: DomainSnapshot) -> dict:
     dns = snapshot.dns
-    out: dict = {}
     if not dns:
         # a captured, resolving domain always has at least one record type;
         # an empty map means DNS was never queried for this snapshot
-        for rtype in _DNS_TYPES:
-            out[f"dns_has_{rtype}"] = None
-            out[f"dns_num_{rtype}"] = None
-        out["dns_domain_verification_count"] = None
-        out["dns_has_spf"] = None
-        out["dns_has_dmarc"] = None
-        return out
+        return dict.fromkeys(_DNS_NAMES)
+    out: dict = {}
     records = {k.lower(): list(v) for k, v in dns.items()}
     for rtype in _DNS_TYPES:
         values = records.get(rtype, [])
@@ -307,13 +310,8 @@ def _url_features(snapshot: DomainSnapshot, word_costs) -> dict:
 
 def _whois_features(snapshot: DomainSnapshot) -> dict:
     whois = snapshot.whois
-    names = ("domain_age", "time_to_expiry", "registrar_name",
-             "is_cheap_registrar", "registrar_country", "registrant_country",
-             "privacy_protected", "free_email_provider", "registration_period_days")
     if whois.is_empty:
-        out = {name: None for name in names}
-        out["whois_available"] = 0
-        return out
+        return {**dict.fromkeys(_WHOIS_NAMES), "whois_available": 0}
     out = {"whois_available": 1}
     fetched = snapshot.fetched_at.date()
     out["domain_age"] = (fetched - whois.created).days if whois.created else None
@@ -344,35 +342,15 @@ def _whois_features(snapshot: DomainSnapshot) -> dict:
 
 def _content_features(snapshot: DomainSnapshot) -> dict:
     html = snapshot.html
-    names = [
-        "facebook_profile_linked", "twitter_profile_linked",
-        "instagram_profile_linked", "youtube_profile_linked",
-        "pinterest_profile_linked", "tiktok_profile_linked",
-        "linkedin_profile_linked", "telegram_profile_linked",
-        "presence_of_contact_link", "num_mailto_links", "num_telephone_links",
-        "num_whatsapp_links", "review_system_linked", "has_app_store",
-        "has_review_widget", "trustpilot_present", "num_links",
-        "num_internal_links", "num_external_links", "num_external_http_links",
-        "num_links_with_ip", "num_img_tags", "num_iframe_tags",
-        "num_script_tags", "num_external_scripts", "num_style_tags",
-        "num_meta_tags", "num_h1_tags", "num_h1_h6_tags", "num_css_classes",
-        "num_forms", "num_input_fields", "has_password_field",
-        "has_meta_description", "has_favicon", "has_title", "title_length",
-        "html_length", "text_length", "num_words", "has_copyright_notice",
-        "has_privacy_policy_link", "has_terms_link", "has_refund_policy_link",
-        "has_shipping_info_link", "has_faq_link", "presence_work_with_us_link",
-        "presence_cookie_consent_notice", "has_currency_symbol",
-        "discount_mention_count", "urgency_word_count", "has_countdown_timer",
-    ]
     if not html:
-        return {name: None for name in names}
+        return dict.fromkeys(_CONTENT_NAMES)
 
     own_root = snapshot.root_domain()
     lower_html = html.lower()
     words = _visible_words(html)
     text = " ".join(words)
 
-    counts = {name: 0 for name in names}
+    counts = dict.fromkeys(_CONTENT_NAMES, 0)
     counts["html_length"] = len(html)
     counts["text_length"] = len(text)
     counts["num_words"] = len(words)

@@ -12,7 +12,7 @@ from .encoder import Encoder, EncoderConfig, sinusoidal_positions
 from .losses import LossWeights, total_loss
 from .models import PrivilegedConfig, StudentModel, TeacherModel
 from .optim import AdamW, warmup_scale
-from .rank import RankedKeyword, rank_keywords, ranked_from_csv, ranked_to_csv
+from .rank import RankedKeyword, rank_keywords, ranked_from_csv, write_ranked
 from .tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -64,7 +64,6 @@ __all__ = [
     "privileged_texts",
     "rank_keywords",
     "ranked_from_csv",
-    "ranked_to_csv",
     "save_checkpoint",
     "sinusoidal_positions",
     "tokenize",
@@ -73,4 +72,5 @@ __all__ = [
     "train_query_baseline",
     "train_teacher",
     "warmup_scale",
+    "write_ranked",
 ]

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Union
 
 from ..errors import SchemaError
+from ..records import read_json
 from .encoder import EncoderConfig
 from .models import PrivilegedConfig, StudentModel, TeacherModel
 from .tokenizer import TokenizerConfig
@@ -97,18 +98,21 @@ def save_checkpoint(model: Union[TeacherModel, StudentModel],
 
 
 def load_checkpoint(path: Union[str, Path]) -> Union[TeacherModel, StudentModel]:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_json(path, model_from_dict)
+
+
+def _load_kind(path, cls, kind: str):
+    def parse(blob: dict):
+        model = model_from_dict(blob)
+        if not isinstance(model, cls):
+            raise SchemaError(f"checkpoint does not contain a {kind} model")
+        return model
+    return read_json(path, parse)
 
 
 def load_student(path: Union[str, Path]) -> StudentModel:
-    model = load_checkpoint(path)
-    if not isinstance(model, StudentModel):
-        raise SchemaError("checkpoint does not contain a student model")
-    return model
+    return _load_kind(path, StudentModel, "student")
 
 
 def load_teacher(path: Union[str, Path]) -> TeacherModel:
-    model = load_checkpoint(path)
-    if not isinstance(model, TeacherModel):
-        raise SchemaError("checkpoint does not contain a teacher model")
-    return model
+    return _load_kind(path, TeacherModel, "teacher")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -11,7 +9,7 @@ import numpy as np
 
 from ..corpus import KeywordSuggestion
 from ..errors import TrainingError
-from ..records import check_header, read_csv
+from ..records import check_header, read_csv, write_csv
 from .models import StudentModel
 from .tokenizer import tokenize_batch
 
@@ -64,17 +62,17 @@ def rank_keywords(
     return ranked
 
 
-def ranked_to_csv(ranked: Sequence[RankedKeyword]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category", "rank", "keyword", "score"])
-    for row in ranked:
-        writer.writerow([row.category, row.rank, row.text, f"{row.score:.6f}"])
-    return buf.getvalue()
+_RANKED_HEADER = ["category", "rank", "keyword", "score"]
+
+
+def write_ranked(path, ranked: Sequence[RankedKeyword]) -> None:
+    write_csv(path, _RANKED_HEADER, (
+        [row.category, row.rank, row.text, f"{row.score:.6f}"]
+        for row in ranked))
 
 
 def ranked_from_csv(path) -> list[RankedKeyword]:
-    check_header(path, ["category", "rank", "keyword", "score"])
+    check_header(path, _RANKED_HEADER)
     return list(read_csv(path, lambda row: RankedKeyword(
         text=row["keyword"], category=row["category"],
         score=float(row["score"]), rank=int(row["rank"]))))

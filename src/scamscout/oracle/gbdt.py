@@ -25,6 +25,7 @@ from ..featurizer.encode import (
     DesignMatrix,
 )
 from ..featurizer.schema import SCHEMA_VERSION, FeatureVector
+from ..records import read_json
 from .tree import TreeNode, grow_tree, predict_tree
 
 LOGISTIC = "LOGISTIC"
@@ -226,5 +227,4 @@ def save_model(model: GbdtModel, path) -> None:
 
 
 def load_model(path) -> GbdtModel:
-    with open(path, encoding="utf-8") as fh:
-        return GbdtModel.from_dict(json.load(fh))
+    return read_json(path, GbdtModel.from_dict)

@@ -1,12 +1,17 @@
-"""The one reader of every input file.
+"""The one reader and writer of every record file.
 
 ``read_jsonl`` and ``read_csv`` yield ``parse(record)`` per record: the JSON
 object on each non-blank line, or each CSV row as a dict keyed by the
 header.  A line that is not UTF-8 or not a JSON object, a row whose cell
 count is not the header's, and any ``KeyError``, ``TypeError``,
 ``ValueError`` or ``ScamscoutError`` from ``parse`` raise
-``SchemaError("path:lineno: cause")``.  ``get_typed`` reads one field of a
-record and raises ``SchemaError`` unless it has exactly the expected type.
+``SchemaError("path:lineno: cause")``.  ``read_json`` parses a file holding
+one JSON object, such as a model, and names a fault ``"path: cause"``.
+``get_typed`` reads one field of a record and raises ``SchemaError`` unless
+it has exactly the expected type.
+
+``write_csv`` and ``write_jsonl`` write every CSV and JSONL output: UTF-8,
+``\\n`` line ends, so a rerun rewrites the same bytes on any platform.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ from itertools import zip_longest
 
 from .errors import ScamscoutError, SchemaError
 
+# what ``parse`` may raise on a bad record, reported as a SchemaError
+_FAULTS = (KeyError, TypeError, ValueError, ScamscoutError)
+
 
 def read_jsonl(path, parse):
     return _read(path, _json_objects, parse)
@@ -24,6 +32,30 @@ def read_jsonl(path, parse):
 
 def read_csv(path, parse):
     return _read(path, _csv_rows, parse)
+
+
+def read_json(path, parse):
+    """``parse`` the one JSON object in ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(_json_object(data.decode("utf-8")))
+    except _FAULTS as exc:
+        raise _fault(path, exc) from exc
+
+
+def write_csv(path, header: list, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_jsonl(path, records) -> None:
+    """One JSON object per line, keys in each record's own order."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):
@@ -49,13 +81,17 @@ def check_header(path, expected: list[str]) -> None:
         pass
 
 
+def _json_object(text: str) -> dict:
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+    return record
+
+
 def _json_objects(lines):
     for line in lines:
         if line.strip():
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-            yield record
+            yield _json_object(line)
 
 
 def _csv_rows(lines):
@@ -66,6 +102,15 @@ def _csv_rows(lines):
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} cells, got {len(row)}")
             yield dict(zip(header, row))
+
+
+def _fault(where: str, exc: Exception) -> SchemaError:
+    cause = exc
+    if isinstance(exc, KeyError):
+        cause = f"missing key {exc}"
+    elif isinstance(exc, json.JSONDecodeError):   # its own line count is 1
+        cause = f"{exc.msg} at column {exc.pos + 1}"
+    return SchemaError(f"{where}: {cause}")
 
 
 def _read(path, records, parse):
@@ -82,10 +127,5 @@ def _read(path, records, parse):
         try:
             for record in records(lines(fh)):
                 yield parse(record)
-        except (KeyError, TypeError, ValueError, ScamscoutError) as exc:
-            cause = exc
-            if isinstance(exc, KeyError):
-                cause = f"missing key {exc}"
-            elif isinstance(exc, json.JSONDecodeError):   # its own line count is 1
-                cause = f"{exc.msg} at column {exc.pos + 1}"
-            raise SchemaError(f"{path}:{lineno}: {cause}") from exc
+        except _FAULTS as exc:
+            raise _fault(f"{path}:{lineno}", exc) from exc

@@ -9,14 +9,12 @@ ranks on two engines is counted once.  No rank cutoff is applied.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import SerpResultSet
 from .errors import SchemaError
-from .records import read_csv
+from .records import read_csv, write_csv
 
 SCAM = "SCAM"
 
@@ -131,20 +129,11 @@ def max_reference(
     return mean_tox, mean_exp
 
 
-def scores_to_csv(scored: Sequence[QueryToxicity]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["query", "category", "total_sites", "scam_sites",
-                     "toxicity", "expansion"])
-    for s in scored:
-        writer.writerow([s.query, s.category, s.total_sites, s.scam_sites,
-                         f"{s.toxicity:.6f}", s.expansion])
-    return buf.getvalue()
-
-
 def write_scores(scored: Sequence[QueryToxicity], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(scores_to_csv(scored))
+    write_csv(path, ["query", "category", "total_sites", "scam_sites",
+                     "toxicity", "expansion"], (
+        [s.query, s.category, s.total_sites, s.scam_sites,
+         f"{s.toxicity:.6f}", s.expansion] for s in scored))
 
 
 def read_scores(path) -> list[QueryToxicity]:

@@ -464,7 +464,7 @@ def test_replay_pipeline_is_byte_identical_and_matches_brute_force_tally(tmp_pat
         assert exposure.total_scams == len(scams)
         assert exposure.top_k_scams == len(top_seen[exposure.engine] & scams)
 
-    csv_report = report_from_csv((tmp_path / "report.csv").read_text())
+    csv_report = report_from_csv(tmp_path / "report.csv")
     assert ([(c.category, c.discovered_scams, c.total_sites)
              for c in csv_report.categories]
             == [(c.category, c.discovered_scams, c.total_sites)

@@ -69,7 +69,8 @@ def _rows(path):
 
 def test_featurize_output(workdir):
     rows = read_features_csv(workdir / "features.csv")
-    n_snapshots = sum(1 for line in open(FIXTURES / "snapshots.jsonl") if line.strip())
+    n_snapshots = sum(1 for line in (FIXTURES / "snapshots.jsonl").read_text(
+        encoding="utf-8").splitlines() if line.strip())
     assert len(rows) == n_snapshots
     # the CSV cell format round-trips float features bit-exactly
     write_features_csv(workdir / "features_rt.csv", rows)
@@ -100,7 +101,8 @@ def test_oracle_separates_seed_labels(workdir):
 
 def test_toxicity_table(workdir):
     rows = _rows(workdir / "toxicity.csv")
-    n_keywords = sum(1 for line in open(FIXTURES / "keywords.jsonl") if line.strip())
+    n_keywords = sum(1 for line in (FIXTURES / "keywords.jsonl").read_text(
+        encoding="utf-8").splitlines() if line.strip())
     assert len(rows) == n_keywords
     for row in rows:
         tox = float(row["toxicity"])
@@ -171,7 +173,7 @@ def test_rank_output_and_rerun(workdir):
 
 
 def test_discovery_report_and_rerun(workdir):
-    report = report_from_csv((workdir / "report.csv").read_text())
+    report = report_from_csv(workdir / "report.csv")
     assert report.total_sites > 0
     # globally deduplicated totals never exceed the per-category sums
     assert report.discovered_scams <= sum(c.discovered_scams
@@ -205,7 +207,7 @@ def test_discovery_json_report(workdir):
     assert [e["engine"] for e in blob["exposure"]] == ["BING", "GOOGLE"]
     for e in blob["exposure"]:
         assert e["total_scams"] == blob["discovered_scams"]
-    csv_report = report_from_csv((workdir / "report.csv").read_text())
+    csv_report = report_from_csv(workdir / "report.csv")
     assert blob["discovered_scams"] == csv_report.discovered_scams
     assert blob["total_sites"] == csv_report.total_sites
 
@@ -398,7 +400,7 @@ def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
         rc = _discover(workdir, tmp_path / "report.csv")
     assert rc == 0
     assert matrix_calls == [0]
-    report = report_from_csv((tmp_path / "report.csv").read_text())
+    report = report_from_csv(tmp_path / "report.csv")
     assert report.total_sites > 0 and report.discovered_scams == 0
 
 
@@ -440,6 +442,19 @@ def _not_an_object(lines):
     return lines, 3
 
 
+def _document_case(edit):
+    """Mangle a one-line JSON document; ``edit`` maps it to the new line.
+    A fault in a document names the file alone, with no line number."""
+    def mangle(lines):
+        return [edit(lines[0])], None
+    return mangle
+
+
+def _drop_document_key(key):
+    return _document_case(lambda doc: json.dumps(
+        {k: v for k, v in json.loads(doc).items() if k != key}))
+
+
 def _csv_case(edit):
     """Mangle the CSV row on line 3; ``edit(header, row)`` gives the new row."""
     def mangle(lines):
@@ -479,10 +494,10 @@ def _conflicting_label(lines):
     return _csv_lines(rows), 3
 
 
-def _json_error(lines):
-    """The decoder's message and column for the truncated third line."""
+def _json_error(lines, index=2):
+    """The decoder's message and column for the truncated line ``index``."""
     try:
-        json.loads(lines[2][:-1] + "\n")
+        json.loads(lines[index][:-1] + "\n")
     except json.JSONDecodeError as exc:
         return f"{exc.msg} at column {exc.pos + 1}"
 
@@ -519,6 +534,18 @@ _INPUTS = {
                  ["discover", "--ranked", "{work}/ranked.csv",
                   "--oracle", "{work}/model.json", "--fixtures", "{bad}",
                   "--out", "{out}"]),
+    "model": ("{work}/model.json",
+              ["score", "--model", "{bad}", "--features", "{work}/features.csv",
+               "--out", "{out}"]),
+    "oracle": ("{work}/model.json",
+               ["discover", "--ranked", "{work}/ranked.csv", "--oracle", "{bad}",
+                "--fixtures", "{fx}/serp_fixtures.jsonl", "--out", "{out}"]),
+    "student": ("{work}/student.json",
+                ["rank", "--model", "{bad}", "--keywords",
+                 "{work}/unbranded.jsonl", "--out", "{out}"]),
+    "teacher": ("{work}/teacher.json",
+                ["rank", "--model", "{bad}", "--keywords",
+                 "{work}/unbranded.jsonl", "--out", "{out}"]),
 }
 
 _NOT_AN_OBJECT = "expected a JSON object, got list"
@@ -609,6 +636,14 @@ _BAD_INPUTS = [
      "not an absolute URL: 'not-a-url'"),
     ("fixtures", "truncated", _truncate, _json_error),
     ("fixtures", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("model", "truncated", _document_case(lambda doc: doc[:-1]),
+     lambda lines: _json_error(lines, 0)),
+    ("oracle", "truncated", _document_case(lambda doc: doc[:-1]),
+     lambda lines: _json_error(lines, 0)),
+    ("student", "no-tokenizer", _drop_document_key("tokenizer"),
+     "missing key 'tokenizer'"),
+    ("teacher", "not-a-student", _document_case(lambda doc: doc),
+     "checkpoint does not contain a student model"),
 ]
 
 
@@ -618,6 +653,7 @@ _BAD_INPUTS = [
      for name, case, mangle, cause in _BAD_INPUTS])
 def test_every_bad_input_exits_2_naming_its_line(workdir, tmp_path, capsys,
                                                  name, mangle, cause):
+    """A bad record is named by ``path:lineno``; a bad model file by its path."""
     source, argv = _INPUTS[name]
     fill = {"fx": FIXTURES, "work": workdir}
     source = Path(source.format(**fill))
@@ -632,7 +668,25 @@ def test_every_bad_input_exits_2_naming_its_line(workdir, tmp_path, capsys,
     rc = main([arg.format(**fill) for arg in argv])
     err = capsys.readouterr().err
     assert rc == 2, err
-    assert f"error: {bad}:{lineno}: {cause}" in err
+    where = bad if lineno is None else f"{bad}:{lineno}"
+    assert f"error: {where}: {cause}" in err
+    assert not out.exists()
+
+
+def test_baselines_write_no_table_when_one_fails(workdir, tmp_path, capsys):
+    # the attribute and segment tables succeed; the cross-category matrix
+    # finds no query holding the one segment
+    segments = tmp_path / "segments.jsonl"
+    segments.write_text('{"text": "zzz", "token_type": "CORE_PRODUCT_TYPE"}\n',
+                        encoding="utf-8")
+    out = tmp_path / "tables"
+    rc = main(["baselines", "--keywords", str(FIXTURES / "keywords.jsonl"),
+               "--toxicity", str(workdir / "toxicity.csv"),
+               "--segments", str(segments), "--n-sim", "5",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert ("error: no segment matched any query in any cell"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

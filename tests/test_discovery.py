@@ -9,17 +9,14 @@ import pytest
 
 from scamscout.corpus import SerpEntry
 from scamscout.discovery import (
-    LIVE,
-    REPLAY,
+    CategoryCount,
     DiscoveryReport,
     FixtureStore,
     LiveSession,
     _fixture_id,
-    emit_report,
     fetch_serp,
     report_from_csv,
     report_from_json,
-    report_to_csv,
     report_to_json,
     run_discovery,
     write_report,
@@ -266,18 +263,14 @@ def test_live_session_retries_then_raises():
 def test_fetch_serp_modes_and_validation():
     store = FixtureStore()
     store.put("q", "GOOGLE", "2024-05-01", _entries(["a.com"]))
-    got = fetch_serp("q", "GOOGLE", REPLAY, store)
+    got = fetch_serp("q", "GOOGLE", store)
     assert [e.root_domain for e in got.entries] == ["a.com"]
     with pytest.raises(FixtureMissError):
-        fetch_serp("missing", "GOOGLE", REPLAY, store)
+        fetch_serp("missing", "GOOGLE", store)
     with pytest.raises(FixtureMissError):
-        fetch_serp("q", "GOOGLE", REPLAY, store=None)
+        fetch_serp("q", "GOOGLE", store=None)
     with pytest.raises(UnknownEngineError):
-        fetch_serp("q", "ASKJEEVES", REPLAY, store)
-    with pytest.raises(SchemaError):
-        fetch_serp("q", "GOOGLE", "CACHED", store)
-    with pytest.raises(TransportError):
-        fetch_serp("q", "GOOGLE", LIVE, store, session=None)
+        fetch_serp("q", "ASKJEEVES", store)
 
 
 def test_live_fetch_records_into_store():
@@ -286,11 +279,9 @@ def test_live_fetch_records_into_store():
                           min_delay=0.0, retries=0,
                           sleep=clock.sleep, clock=clock.clock)
     store = FixtureStore()
-    got = fetch_serp("q", "GOOGLE", LIVE, store, session,
-                     capture_date="2024-06-01")
+    got = fetch_serp("q", "GOOGLE", store, session, capture_date="2024-06-01")
     assert [e.root_domain for e in got.entries] == ["live.com"]
-    replayed = fetch_serp("q", "GOOGLE", REPLAY, store,
-                          capture_date="2024-06-01")
+    replayed = fetch_serp("q", "GOOGLE", store, capture_date="2024-06-01")
     assert replayed == got
 
 
@@ -301,9 +292,9 @@ def test_live_fetch_of_an_unreplayable_entry_raises_and_records_nothing():
                           sleep=clock.sleep, clock=clock.clock)
     store = FixtureStore()
     with pytest.raises(UrlError):
-        fetch_serp("q", "GOOGLE", LIVE, store, session, capture_date="2024-06-01")
+        fetch_serp("q", "GOOGLE", store, session, capture_date="2024-06-01")
     assert len(store) == 0
-    got = fetch_serp("q", "GOOGLE", LIVE, None, session)    # nothing to record
+    got = fetch_serp("q", "GOOGLE", None, session)    # nothing to record
     assert got.entries == [_UNREPLAYABLE]
 
 
@@ -340,7 +331,7 @@ def _classify(domains):
 def test_run_discovery_matches_brute_force_tally():
     for seed in (1, 2, 3):
         ranked, store, pages, known, engines = _random_discovery_case(seed)
-        report = run_discovery(ranked, _classify, store, REPLAY, engines,
+        report = run_discovery(ranked, _classify, store, engines,
                                known_domains=known, exposure_k=3,
                                capture_date="2024-05-01")
 
@@ -382,7 +373,7 @@ def test_run_discovery_never_classifies_known_domains():
         calls.extend(domains)
         return ["BENIGN"] * len(domains)
 
-    run_discovery(ranked, classify, store, REPLAY, engines,
+    run_discovery(ranked, classify, store, engines,
                   known_domains=known, capture_date="2024-05-01")
     assert not set(calls) & known          # seed corpus is excluded up front
     assert len(calls) == len(set(calls))   # one verdict per unique domain
@@ -396,7 +387,7 @@ def test_run_discovery_classifies_once_after_all_searches():
         batches.append(list(domains))
         return _classify(domains)
 
-    run_discovery(ranked, classify, store, REPLAY, engines,
+    run_discovery(ranked, classify, store, engines,
                   known_domains=known, capture_date="2024-05-01")
     seen = {d for page in pages.values() for d in page} - known
     assert batches == [sorted(seen)]
@@ -405,8 +396,8 @@ def test_run_discovery_classifies_once_after_all_searches():
 def test_run_discovery_rejects_wrong_number_of_verdicts():
     ranked, store, _, known, engines = _random_discovery_case(5)
     with pytest.raises(ValueError):
-        run_discovery(ranked, lambda ds: _classify(ds)[1:], store, REPLAY,
-                      engines, known_domains=known, capture_date="2024-05-01")
+        run_discovery(ranked, lambda ds: _classify(ds)[1:], store, engines,
+                      known_domains=known, capture_date="2024-05-01")
 
 
 def test_run_discovery_rejects_unknown_engine():
@@ -426,23 +417,34 @@ def test_run_discovery_missing_fixture_propagates():
 
 def _sample_report():
     ranked, store, _, known, engines = _random_discovery_case(11)
-    return run_discovery(ranked, _classify, store, REPLAY, engines,
+    return run_discovery(ranked, _classify, store, engines,
                          known_domains=known, exposure_k=3,
                          capture_date="2024-05-01")
 
 
-def test_report_csv_round_trip():
+def test_report_csv_round_trip(tmp_path):
     report = _sample_report()
-    text = report_to_csv(report)
-    lines = text.splitlines()
+    path = tmp_path / "report.csv"
+    write_report(report, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "category,discovered_scams,total_sites,scam_fraction"
     assert lines[-1].startswith("ALL,")
-    back = report_from_csv(text)
+    back = report_from_csv(path)
     assert back.categories == report.categories
     assert back.total_sites == report.total_sites
     assert back.discovered_scams == report.discovered_scams
-    with pytest.raises(SchemaError):
-        report_from_csv("wrong,header\n")
+    # a category named ALL stays a category; the last row holds the totals
+    odd = DiscoveryReport([CategoryCount("ALL", 1, 2), CategoryCount("b", 0, 1)],
+                          total_sites=3, discovered_scams=1, exposure=[],
+                          queries_run=0)
+    write_report(odd, path)
+    back = report_from_csv(path)
+    assert (back.categories, back.total_sites, back.discovered_scams) == (
+        odd.categories, 3, 1)
+    path.write_text("wrong,header\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:1: header column 1 is 'wrong', expected 'category'")):
+        report_from_csv(path)
 
 
 def test_report_json_round_trip_keeps_exposure():
@@ -451,15 +453,13 @@ def test_report_json_round_trip_keeps_exposure():
     assert back == report
 
 
-def test_emit_report_is_byte_identical(tmp_path):
+def test_write_report_is_byte_identical(tmp_path):
     report = _sample_report()
-    for fmt in ("CSV", "JSON"):
-        a = emit_report(report, fmt, tmp_path / "one.out")
-        b = emit_report(report, fmt, tmp_path / "two.out")
-        assert a == b
-        assert (tmp_path / "one.out").read_bytes() == (tmp_path / "two.out").read_bytes()
-    with pytest.raises(SchemaError):
-        emit_report(report, "XML")
+    for suffix in (".csv", ".json"):
+        write_report(report, tmp_path / f"one{suffix}")
+        write_report(report, tmp_path / f"two{suffix}")
+        assert (tmp_path / f"one{suffix}").read_bytes() == \
+            (tmp_path / f"two{suffix}").read_bytes()
 
 
 def test_write_report_picks_format_from_suffix(tmp_path):
@@ -470,8 +470,10 @@ def test_write_report_picks_format_from_suffix(tmp_path):
     assert (tmp_path / "r.csv").read_text().startswith("category,")
 
 
-def test_empty_report_is_header_only():
+def test_empty_report_is_header_only(tmp_path):
     report = DiscoveryReport(categories=[], total_sites=0, discovered_scams=0,
                              exposure=[], queries_run=0)
-    assert report_to_csv(report) == "category,discovered_scams,total_sites,scam_fraction\n"
+    write_report(report, tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_bytes() == \
+        b"category,discovered_scams,total_sites,scam_fraction\n"
     assert report.scam_fraction == 0.0

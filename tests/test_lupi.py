@@ -35,7 +35,6 @@ from scamscout.lupi import (
     privileged_texts,
     rank_keywords,
     ranked_from_csv,
-    ranked_to_csv,
     save_checkpoint,
     sinusoidal_positions,
     tokenize,
@@ -44,6 +43,7 @@ from scamscout.lupi import (
     train_query_baseline,
     train_teacher,
     warmup_scale,
+    write_ranked,
 )
 from scamscout.lupi.tokenizer import word_id
 from scamscout.lupi.train import _assemble
@@ -958,13 +958,14 @@ def test_ranked_csv_round_trip(tmp_path):
     from scamscout.lupi import RankedKeyword
     rows = [RankedKeyword("cheap watches", "watches", 0.8125, 1),
             RankedKeyword("watch bands", "watches", 0.25, 2)]
-    text = ranked_to_csv(rows)
-    assert text.splitlines()[0] == "category,rank,keyword,score"
     path = tmp_path / "ranked.csv"
-    path.write_text(text, encoding="utf-8")
+    write_ranked(path, rows)
+    text = path.read_text(encoding="utf-8")
+    assert text.splitlines()[0] == "category,rank,keyword,score"
     parsed = ranked_from_csv(path)
     assert parsed == rows
-    assert ranked_to_csv(parsed) == text  # stable after one round trip
+    write_ranked(path, parsed)
+    assert path.read_text(encoding="utf-8") == text  # stable after one round trip
     path.write_text("a,b,c\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(
             f"{path}:1: header column 1 is 'a', expected 'category'")):

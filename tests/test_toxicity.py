@@ -12,7 +12,6 @@ from scamscout.toxicity import (
     score_queries,
     score_query,
     score_serp,
-    scores_to_csv,
     write_scores,
 )
 
@@ -207,7 +206,6 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(scored, path)
     assert read_scores(path) == scored
-    text = scores_to_csv(scored)
-    lines = text.splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "query,category,total_sites,scam_sites,toxicity,expansion"
     assert lines[1].split(",")[4] == "0.300000"  # six-decimal toxicity
