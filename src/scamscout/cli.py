@@ -259,7 +259,11 @@ def _cmd_train_lupi(args) -> int:
           f"(epoch {sreport.best_epoch})")
     save_checkpoint(student, args.out)
     if args.teacher_out:
-        save_checkpoint(teacher, args.teacher_out)
+        try:
+            save_checkpoint(teacher, args.teacher_out)
+        except OSError:
+            Path(args.out).unlink()   # a failed run leaves neither checkpoint
+            raise
     print(f"saved student -> {args.out}")
     return 0
 

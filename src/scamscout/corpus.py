@@ -14,12 +14,20 @@ import re
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, timezone
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .datalists import content_lines, data_text
 from .errors import SchemaError, UnreachableSnapshotError
 from .psl import root_domain
-from .records import get_typed, read_csv, read_jsonl, write_csv, write_jsonl
+from .records import (
+    from_record,
+    get_typed,
+    read_csv,
+    read_jsonl,
+    write_csv,
+    write_jsonl,
+)
 
 ENGINES = ("GOOGLE", "BING", "BAIDU", "NAVER")
 COMPETITION_LEVELS = ("LOW", "MEDIUM", "HIGH")
@@ -237,14 +245,9 @@ def load_parked_patterns(path=None) -> list[re.Pattern]:
             for line in content_lines(data_text("parked_patterns.txt", path))]
 
 
-_DEFAULT_PARKED: Optional[list[re.Pattern]] = None
-
-
+@lru_cache(maxsize=1)
 def _parked_patterns() -> list[re.Pattern]:
-    global _DEFAULT_PARKED
-    if _DEFAULT_PARKED is None:
-        _DEFAULT_PARKED = load_parked_patterns(None)
-    return _DEFAULT_PARKED
+    return load_parked_patterns(None)
 
 
 def is_parked(snapshot: DomainSnapshot, patterns: Optional[list[re.Pattern]] = None) -> bool:
@@ -279,55 +282,16 @@ def admit(snapshot: DomainSnapshot, patterns: Optional[list[re.Pattern]] = None)
 
 
 def read_keywords(path) -> list[KeywordSuggestion]:
-    return list(read_jsonl(path, lambda rec: KeywordSuggestion(
-        text=rec["text"],
-        source_domain=rec.get("source_domain", ""),
-        category=rec.get("category", ""),
-        competition=rec.get("competition", "LOW"),
-        monthly_volume=rec.get("monthly_volume"),
-    )))
+    return list(read_jsonl(path, lambda rec: from_record(KeywordSuggestion, rec)))
 
 
 def write_keywords(path, keywords: Iterable[KeywordSuggestion]) -> None:
-    write_jsonl(path, ({
-        "text": kw.text,
-        "source_domain": kw.source_domain,
-        "category": kw.category,
-        "competition": kw.competition,
-        "monthly_volume": kw.monthly_volume,
-    } for kw in keywords))
-
-
-def serp_to_record(rs: SerpResultSet) -> dict:
-    return {
-        "query": rs.query,
-        "entries": [
-            {
-                "engine": e.engine,
-                "rank": e.rank,
-                "url": e.url,
-                "root_domain": e.root_domain,
-                "title": e.title,
-                "description": e.description,
-            }
-            for e in rs.entries
-        ],
-    }
+    write_jsonl(path, map(asdict, keywords))
 
 
 def serp_from_record(rec: dict) -> SerpResultSet:
-    entries = [
-        SerpEntry(
-            engine=e["engine"],
-            rank=e["rank"],
-            url=e["url"],
-            title=e.get("title", ""),
-            description=e.get("description", ""),
-            root_domain=e.get("root_domain", ""),
-        )
-        for e in rec.get("entries", [])
-    ]
-    return SerpResultSet(query=rec["query"], entries=entries)
+    entries = [from_record(SerpEntry, e) for e in rec.get("entries", [])]
+    return from_record(SerpResultSet, {**rec, "entries": entries})
 
 
 def read_serps(path) -> list[SerpResultSet]:
@@ -335,7 +299,7 @@ def read_serps(path) -> list[SerpResultSet]:
 
 
 def write_serps(path, serps: Iterable[SerpResultSet]) -> None:
-    write_jsonl(path, (serp_to_record(rs) for rs in serps))
+    write_jsonl(path, map(asdict, serps))
 
 
 def read_labels(path) -> list[LabeledDomain]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -25,7 +25,14 @@ from .errors import (
     UnknownEngineError,
 )
 from .lupi.rank import RankedKeyword
-from .records import check_header, read_csv, read_jsonl, write_csv, write_jsonl
+from .records import (
+    check_header,
+    from_record,
+    read_csv,
+    read_jsonl,
+    write_csv,
+    write_jsonl,
+)
 
 SCAM = "SCAM"
 
@@ -36,13 +43,9 @@ def _fixture_id(query: str, engine: str, capture_date: str) -> str:
 
 
 def _entry_to_dict(entry: SerpEntry) -> dict:
-    return {
-        "engine": entry.engine,
-        "rank": entry.rank,
-        "url": entry.url,
-        "title": entry.title,
-        "description": entry.description,
-    }
+    record = asdict(entry)
+    del record["root_domain"]   # a replay derives it from the URL
+    return record
 
 
 def _entry_from_dict(blob: Mapping) -> SerpEntry:
@@ -63,45 +66,37 @@ class FixtureStore:
     """
 
     def __init__(self):
-        self._records: dict[str, dict] = {}
-        self._entries: dict[str, tuple[SerpEntry, ...]] = {}
+        # id -> (query, engine, capture_date, entries)
+        self._captures: dict[str, tuple[str, str, str, tuple[SerpEntry, ...]]] = {}
         # (query, engine) -> id of its latest capture, by (capture_date, id)
         self._latest: dict[tuple[str, str], str] = {}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._captures)
 
     def put(self, query: str, engine: str, capture_date: str,
             entries: Sequence[SerpEntry]) -> str:
         """Record one capture; an entry whose URL has no host raises ``UrlError``
         and nothing is stored, since a replay derives root domains from URLs."""
+        # each entry is rebuilt with the root domain of its URL, as a replay
+        # of the saved store computes it
         return self._put(query, engine, capture_date,
-                         [_entry_to_dict(e) for e in entries])
+                         (replace(e, root_domain="") for e in entries))
 
     def _put(self, query: str, engine: str, capture_date: str,
-             blobs: Sequence[Mapping]) -> str:
+             entries: Iterable[SerpEntry]) -> str:
         if engine not in ENGINES:
             raise UnknownEngineError(f"unknown engine: {engine!r}")
-        # entries are built from the stored fields, so each root domain is
-        # its URL's, as a replay of the saved store would compute it
-        entries = tuple(_entry_from_dict(b) for b in blobs)
-        record = {
-            "id": _fixture_id(query, engine, capture_date),
-            "query": query,
-            "engine": engine,
-            "capture_date": capture_date,
-            "entries": [_entry_to_dict(e) for e in entries],
-        }
-        existing = self._records.get(record["id"])
-        if existing is not None and existing != record:
+        capture = (query, engine, capture_date, tuple(entries))
+        rid = _fixture_id(query, engine, capture_date)
+        existing = self._captures.get(rid)
+        if existing is not None and existing != capture:
             raise SchemaError(
                 f"conflicting fixture for ({query!r}, {engine}, {capture_date})")
-        rid = record["id"]
-        self._records[rid] = record
-        self._entries[rid] = entries
+        self._captures[rid] = capture
         latest = self._latest.get((query, engine))
         if latest is None or (capture_date, rid) > (
-                self._records[latest]["capture_date"], latest):
+                self._captures[latest][2], latest):
             self._latest[(query, engine)] = rid
         return rid
 
@@ -110,23 +105,29 @@ class FixtureStore:
         """Exact capture if a date is given, else the latest one recorded."""
         if capture_date is not None:
             rid = _fixture_id(query, engine, capture_date)
-            if rid not in self._entries:
+            if rid not in self._captures:
                 raise FixtureMissError(
                     f"no fixture for ({query!r}, {engine}, {capture_date})")
         else:
             rid = self._latest.get((query, engine))
             if rid is None:
                 raise FixtureMissError(f"no fixture for ({query!r}, {engine})")
-        return SerpResultSet(query=query, entries=list(self._entries[rid]))
+        return SerpResultSet(query=query, entries=list(self._captures[rid][3]))
 
     def save(self, path: Union[str, Path]) -> None:
-        write_jsonl(path, (self._records[rid] for rid in sorted(self._records)))
+        write_jsonl(path, (
+            {"id": rid, "query": query, "engine": engine,
+             "capture_date": capture_date,
+             "entries": [_entry_to_dict(e) for e in entries]}
+            for rid, (query, engine, capture_date, entries)
+            in sorted(self._captures.items())))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FixtureStore":
         store = cls()
         for _ in read_jsonl(path, lambda r: store._put(
-                r["query"], r["engine"], r["capture_date"], r["entries"])):
+                r["query"], r["engine"], r["capture_date"],
+                map(_entry_from_dict, r["entries"]))):
             pass
         return store
 
@@ -334,19 +335,13 @@ def report_to_json(report: DiscoveryReport) -> str:
 
 
 def report_from_json(text: str) -> DiscoveryReport:
+    """The inverse of ``report_to_json``; the derived fractions are ignored."""
     blob = json.loads(text)
-    return DiscoveryReport(
-        categories=[CategoryCount(c["category"], c["discovered_scams"],
-                                  c["total_sites"])
-                    for c in blob["categories"]],
-        total_sites=blob["total_sites"],
-        discovered_scams=blob["discovered_scams"],
-        exposure=[EngineExposure(e["engine"], e["top_k_scams"],
-                                 e["total_scams"])
-                  for e in blob["exposure"]],
-        queries_run=blob["queries_run"],
-        config_digest=blob.get("config_digest", ""),
-    )
+    return from_record(DiscoveryReport, {
+        **blob,
+        "categories": [from_record(CategoryCount, c) for c in blob["categories"]],
+        "exposure": [from_record(EngineExposure, e) for e in blob["exposure"]],
+    })
 
 
 _REPORT_HEADER = ["category", "discovered_scams", "total_sites",

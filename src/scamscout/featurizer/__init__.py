@@ -15,7 +15,6 @@ from .schema import (
     FeatureVector,
     feature_index,
     schema_as_dict,
-    vector_from_dict,
 )
 from .segment import (
     costs_from_counts,
@@ -47,6 +46,5 @@ __all__ = [
     "normalize_label",
     "schema_as_dict",
     "segment_label",
-    "vector_from_dict",
     "visible_text",
 ]

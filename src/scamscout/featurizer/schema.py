@@ -174,9 +174,6 @@ class FeatureVector:
     def __getitem__(self, name: str):
         return self.values[_INDEX[name]]
 
-    def as_dict(self) -> dict:
-        return dict(zip(FEATURE_NAMES, self.values))
-
     def validate(self) -> None:
         for (name, kind, _), value in zip(FEATURES, self.values):
             if value is None:
@@ -188,7 +185,3 @@ class FeatureVector:
                     raise SchemaError(f"{name}: numeric must be finite, got {value!r}")
             if kind == CATEGORICAL and not isinstance(value, str):
                 raise SchemaError(f"{name}: categorical must be a string token, got {value!r}")
-
-
-def vector_from_dict(mapping: dict, default=None) -> FeatureVector:
-    return FeatureVector([mapping.get(name, default) for name in FEATURE_NAMES])

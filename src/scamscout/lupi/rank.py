@@ -21,10 +21,6 @@ class RankedKeyword:
     score: float       # clamped to [0, 1]
     rank: int          # 1-based within its category
 
-    def as_dict(self) -> dict:
-        return {"text": self.text, "category": self.category,
-                "score": self.score, "rank": self.rank}
-
 
 def rank_keywords(
     student: StudentModel,

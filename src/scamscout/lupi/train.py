@@ -506,14 +506,13 @@ def loco_cv(
         test_set = dataset.subset(test_idx)
 
         val_set = None
-        teach_train = train_set
         if paper_split:
             rng = np.random.default_rng([cfg.seed, 15485863])
             n_val = max(1, int(round(len(test_idx) * 0.1)))
             picks = rng.permutation(len(test_idx))[:n_val]
             val_set = test_set.subset(sorted(picks))
 
-        teacher, _ = train_teacher(teach_train, priv, cfg, tok_cfg, enc_cfg,
+        teacher, _ = train_teacher(train_set, priv, cfg, tok_cfg, enc_cfg,
                                    val_dataset=val_set)
         student, _ = distill_student(train_set, teacher, weights, cfg,
                                      val_dataset=val_set)

@@ -26,14 +26,6 @@ class Metrics:
     f1: float
     accuracy: float
 
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -43,30 +35,6 @@ class EvalReport:
     @property
     def mean_f1(self) -> float:
         return float(np.mean([m.f1 for m in self.fold_metrics]))
-
-    @property
-    def mean_precision(self) -> float:
-        return float(np.mean([m.precision for m in self.fold_metrics]))
-
-    @property
-    def mean_recall(self) -> float:
-        return float(np.mean([m.recall for m in self.fold_metrics]))
-
-    @property
-    def mean_accuracy(self) -> float:
-        return float(np.mean([m.accuracy for m in self.fold_metrics]))
-
-    def as_dict(self) -> dict:
-        return {
-            "model": self.model_name,
-            "folds": [m.as_dict() for m in self.fold_metrics],
-            "mean": {
-                "precision": self.mean_precision,
-                "recall": self.mean_recall,
-                "f1": self.mean_f1,
-                "accuracy": self.mean_accuracy,
-            },
-        }
 
 
 def binary_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> Metrics:

@@ -13,7 +13,7 @@ with one ``predict_proba_matrix`` call, the same traversal training uses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,14 +83,7 @@ class GbdtModel:
         return {
             "format_version": MODEL_FORMAT_VERSION,
             "schema_version": self.schema_version,
-            "config": {
-                "rounds": self.config.rounds,
-                "max_depth": self.config.max_depth,
-                "learning_rate": self.config.learning_rate,
-                "min_leaf": self.config.min_leaf,
-                "loss": self.config.loss,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "base_score": self.base_score,
             "train_loss": self.train_loss,
             "encoder": self.encoder.to_dict(),

@@ -8,16 +8,20 @@ count is not the header's, and any ``KeyError``, ``TypeError``,
 ``SchemaError("path:lineno: cause")``.  ``read_json`` parses a file holding
 one JSON object, such as a model, and names a fault ``"path: cause"``.
 ``get_typed`` reads one field of a record and raises ``SchemaError`` unless
-it has exactly the expected type.
+it has exactly the expected type.  ``from_record`` builds a dataclass from
+the keys of a record named like its fields.
 
 ``write_csv`` and ``write_jsonl`` write every CSV and JSONL output: UTF-8,
-``\\n`` line ends, so a rerun rewrites the same bytes on any platform.
+``\\n`` line ends, so a rerun rewrites the same bytes on any platform.  A
+dataclass goes out as ``dataclasses.asdict`` of it and comes back through
+``from_record``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import MISSING, fields
 from itertools import zip_longest
 
 from .errors import ScamscoutError, SchemaError
@@ -68,6 +72,15 @@ def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):
     if type(value) is not kind:
         raise SchemaError(f"{where}{key} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def from_record(cls, rec: dict):
+    """``cls(**...)`` from the keys of ``rec`` named like the fields of the
+    dataclass ``cls``; other keys are ignored.  An absent key leaves the
+    field's default, and raises ``KeyError`` for a field without one."""
+    return cls(**{f.name: rec[f.name] for f in fields(cls)
+                  if (f.default is MISSING and f.default_factory is MISSING)
+                  or f.name in rec})
 
 
 def check_header(path, expected: list[str]) -> None:

@@ -36,16 +36,6 @@ class QueryToxicity:
         if self.expansion != self.scam_sites:
             raise SchemaError("expansion must equal scam_sites")
 
-    def as_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "category": self.category,
-            "total_sites": self.total_sites,
-            "scam_sites": self.scam_sites,
-            "toxicity": self.toxicity,
-            "expansion": self.expansion,
-        }
-
 
 def score_serp(
     results: SerpResultSet,

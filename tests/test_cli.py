@@ -275,6 +275,18 @@ def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
     assert not (tmp_path / "student.json").exists()
 
 
+def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, capsys):
+    teacher = tmp_path / "nodir" / "teacher.json"
+    rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),
+               "--epochs", "1", "--lr", "2e-3", "--batch-size", "16",
+               "--out", str(tmp_path / "student.json"),
+               "--teacher-out", str(teacher)])
+    assert rc == 2
+    assert f"error: {teacher}: No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "student.json").exists()
+    assert not teacher.exists()
+
+
 def _drop_rank(line):
     rec = json.loads(line)
     del rec["entries"][0]["rank"]

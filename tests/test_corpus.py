@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -25,7 +26,6 @@ from scamscout.corpus import (
     read_snapshots,
     serialize_snapshot,
     serp_from_record,
-    serp_to_record,
     snapshot_state,
     write_keywords,
     write_labels,
@@ -203,6 +203,14 @@ def test_keyword_round_trip_and_normalization(tmp_path):
     path = tmp_path / "kw.jsonl"
     write_keywords(path, kws)
     assert read_keywords(path) == kws
+    # an absent key takes the field's default, an explicit null stays None
+    path.write_text('{"text": "shoes"}\n{"text": "bags", "category": null}\n')
+    assert read_keywords(path) == [
+        KeywordSuggestion("shoes", "", "", "LOW", None),
+        KeywordSuggestion("bags", "", None, "LOW", None)]
+    path.write_text('{"text": "shoes"}\n{"category": "bags"}\n')
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:2: missing key 'text'")):
+        read_keywords(path)
 
 
 def test_keyword_rejects_empty_text_and_bad_competition():
@@ -253,10 +261,24 @@ def test_serp_record_round_trip(tmp_path):
         SerpEntry(engine="BING", rank=1, url="http://b.com/",
                   title="B", description="d2"),
     ])
-    assert serp_from_record(serp_to_record(rs)) == rs
+    assert serp_from_record(asdict(rs)) == rs
     path = tmp_path / "serps.jsonl"
     write_serps(path, [rs])
     assert read_serps(path) == [rs]
+    # an absent key takes the field's default (the root domain is the URL's),
+    # an explicit null stays None
+    entry = {"engine": "GOOGLE", "rank": 1, "url": "http://www.c.com/"}
+    lines = [{"query": "q", "entries": [entry]},
+             {"query": "r", "entries": [dict(entry, title=None)]}, {"query": "s"}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert read_serps(path) == [
+        SerpResultSet("q", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "", "c.com")]),
+        SerpResultSet("r", [SerpEntry("GOOGLE", 1, "http://www.c.com/", None, "", "c.com")]),
+        SerpResultSet("s", [])]
+    del entry["url"]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:1: missing key 'url'")):
+        read_serps(path)
 
 
 def test_labels_round_trip_and_conflict(tmp_path):

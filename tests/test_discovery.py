@@ -451,6 +451,15 @@ def test_report_json_round_trip_keeps_exposure():
     report = _sample_report()
     back = report_from_json(report_to_json(report))
     assert back == report
+    # an absent key takes the field's default, an explicit null stays None
+    blob = json.loads(report_to_json(report))
+    del blob["config_digest"]
+    assert report_from_json(json.dumps(blob)).config_digest == ""
+    blob["config_digest"] = None
+    assert report_from_json(json.dumps(blob)).config_digest is None
+    del blob["exposure"][0]["top_k_scams"]
+    with pytest.raises(KeyError, match="top_k_scams"):
+        report_from_json(json.dumps(blob))
 
 
 def test_write_report_is_byte_identical(tmp_path):
