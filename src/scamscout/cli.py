@@ -13,7 +13,9 @@ One umbrella command with a subcommand per pipeline stage:
     discover        ranked.csv + SERP fixtures + oracle -> discovery report
 
 Every stage is deterministic for fixed inputs and seeds: rerunning a
-command rewrites byte-identical output files.
+command rewrites byte-identical output files.  A command that fails exits 2
+and removes every output file it opened, so no later stage reads a partial
+one.
 """
 
 from __future__ import annotations
@@ -177,8 +179,6 @@ def _cmd_baselines(args) -> int:
     def fmt(est):
         return ("", "") if est is None else (f"{est.mean:.6f}", f"{est.std:.6f}")
 
-    # every table is computed before the first is written, so a failing
-    # table leaves no output behind
     rows = attribute_table(keywords, by_query, args.seed, args.n_sim,
                            args.sample_size)
     tables = {"attributes.csv": (
@@ -259,11 +259,7 @@ def _cmd_train_lupi(args) -> int:
           f"(epoch {sreport.best_epoch})")
     save_checkpoint(student, args.out)
     if args.teacher_out:
-        try:
-            save_checkpoint(teacher, args.teacher_out)
-        except OSError:
-            Path(args.out).unlink()   # a failed run leaves neither checkpoint
-            raise
+        save_checkpoint(teacher, args.teacher_out)
     print(f"saved student -> {args.out}")
     return 0
 
@@ -422,7 +418,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with records.removed_on_failure():
+            return args.func(args)
     except ScamscoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,8 +94,14 @@ class KeywordSuggestion:
     monthly_volume: Optional[int] = None
 
     def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise SchemaError(f"keyword text must be a string, got {self.text!r}")
+        for name in ("text", "source_domain", "category"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise SchemaError(f"keyword {name} must be a string, got {value!r}")
+        # bool is a subclass of int, but True is not a volume
+        if self.monthly_volume is not None and type(self.monthly_volume) is not int:
+            raise SchemaError(f"keyword monthly_volume must be an integer or null, "
+                              f"got {self.monthly_volume!r}")
         self.text = self.text.strip().lower()
         if not self.text:
             raise SchemaError("keyword text must be non-empty")
@@ -211,24 +217,12 @@ def parse_snapshot(line: str) -> DomainSnapshot:
 
 
 def serialize_snapshot(snap: DomainSnapshot) -> str:
-    rec = {
-        "url": snap.url,
-        "fetched_at": snap.fetched_at.astimezone(timezone.utc).isoformat().replace("+00:00", "Z"),
-        "http_status": snap.http_status,
-        "final_url": snap.final_url,
-        "html": snap.html,
-        "dns": snap.dns,
-        "whois": {
-            "created": snap.whois.created.isoformat() if snap.whois.created else None,
-            "expires": snap.whois.expires.isoformat() if snap.whois.expires else None,
-            "registrar": snap.whois.registrar,
-            "registrar_country": snap.whois.registrar_country,
-            "registrant_country": snap.whois.registrant_country,
-            "privacy": snap.whois.privacy,
-            "registrant_email_domain": snap.whois.registrant_email_domain,
-        },
-        "ranks": asdict(snap.ranks),
-    }
+    """``asdict`` of the snapshot, its time and dates ISO-formatted."""
+    rec = asdict(snap)
+    rec["fetched_at"] = snap.fetched_at.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    for key in ("created", "expires"):
+        day = rec["whois"][key]
+        rec["whois"][key] = day.isoformat() if day else None
     return json.dumps(rec, sort_keys=True, ensure_ascii=False)
 
 

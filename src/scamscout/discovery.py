@@ -31,6 +31,7 @@ from .records import (
     read_csv,
     read_jsonl,
     write_csv,
+    write_document,
     write_jsonl,
 )
 
@@ -232,25 +233,15 @@ class DiscoveryReport:
         return self.discovered_scams / self.total_sites if self.total_sites else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "categories": [
-                {"category": c.category,
-                 "discovered_scams": c.discovered_scams,
-                 "total_sites": c.total_sites,
-                 "scam_fraction": c.scam_fraction}
-                for c in self.categories
-            ],
-            "total_sites": self.total_sites,
-            "discovered_scams": self.discovered_scams,
-            "scam_fraction": self.scam_fraction,
-            "exposure": [
-                {"engine": e.engine, "top_k_scams": e.top_k_scams,
-                 "total_scams": e.total_scams, "fraction": e.fraction}
-                for e in self.exposure
-            ],
-            "queries_run": self.queries_run,
-            "config_digest": self.config_digest,
-        }
+        """``asdict`` plus the derived fractions of the report, of each
+        category and of each engine."""
+        out = asdict(self)
+        out["scam_fraction"] = self.scam_fraction
+        for row, c in zip(out["categories"], self.categories):
+            row["scam_fraction"] = c.scam_fraction
+        for row, e in zip(out["exposure"], self.exposure):
+            row["fraction"] = e.fraction
+        return out
 
 
 def _config_digest(mode: str, engines: Sequence[str], exposure_k: int,
@@ -352,9 +343,8 @@ def write_report(report: DiscoveryReport, path: Union[str, Path]) -> None:
     """``report_to_json`` for a ``.json`` suffix, else CSV: category rows plus
     an ALL row of globally deduplicated totals (the header only when there
     are no categories).  A rerun rewrites the same bytes."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        path.write_text(report_to_json(report), encoding="utf-8")
+    if Path(path).suffix.lower() == ".json":
+        write_document(path, report_to_json(report))
         return
     rows = [[row.category, row.discovered_scams, row.total_sites,
              f"{row.scam_fraction:.6f}"] for row in report.categories]

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Union
 
 from ..errors import SchemaError
-from ..records import read_json
+from ..records import read_json, write_document
 from .encoder import EncoderConfig
 from .models import PrivilegedConfig, StudentModel, TeacherModel
 from .tokenizer import TokenizerConfig
@@ -93,8 +93,7 @@ def model_from_dict(blob: dict) -> Union[TeacherModel, StudentModel]:
 
 def save_checkpoint(model: Union[TeacherModel, StudentModel],
                     path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True),
-                          encoding="utf-8")
+    write_document(path, json.dumps(model_to_dict(model), sort_keys=True))
 
 
 def load_checkpoint(path: Union[str, Path]) -> Union[TeacherModel, StudentModel]:

@@ -170,8 +170,11 @@ def _assemble(
     return _Tensors(query_ids, serp_ids, present, labels, empty)
 
 
-def _val_split(n: int, fraction: float, rng: np.random.Generator):
-    n_val = max(1, int(round(n * fraction))) if n > 1 else 0
+VAL_FRACTION = 0.1
+
+
+def _val_split(n: int, rng: np.random.Generator):
+    n_val = max(1, int(round(n * VAL_FRACTION))) if n > 1 else 0
     perm = rng.permutation(n)
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
@@ -215,7 +218,6 @@ def _fit(
     cfg: TrainConfig,
     tok_cfg: TokenizerConfig,
     val_dataset: Optional[LupiDataset],
-    val_fraction: float,
     step: Callable[[_Tensors, np.random.Generator],
                    tuple[float, dict[str, float]]],
     val_loss: Callable[[_Tensors], float],
@@ -235,7 +237,7 @@ def _fit(
         train_t, val_t = tensors, _assemble(val_dataset, tok_cfg, priv, cfg.seed)
     else:
         split_rng = np.random.default_rng([cfg.seed, 104729])
-        train_idx, val_idx = _val_split(len(dataset.examples), val_fraction, split_rng)
+        train_idx, val_idx = _val_split(len(dataset.examples), split_rng)
         if val_idx.size == 0:
             raise TrainingError("training set too small to hold out validation")
         train_t, val_t = _slice(tensors, train_idx), _slice(tensors, val_idx)
@@ -291,7 +293,6 @@ def train_teacher(
     tok_cfg: Optional[TokenizerConfig] = None,
     enc_cfg: Optional[EncoderConfig] = None,
     val_dataset: Optional[LupiDataset] = None,
-    val_fraction: float = 0.1,
 ) -> tuple[TeacherModel, TrainReport]:
     """MAE regression of toxicity from query + privileged SERP text.
 
@@ -318,7 +319,7 @@ def train_teacher(
                                     train=False, cache=False)
         return float(np.mean(np.abs(score - t.labels)))
 
-    report = _fit(model, dataset, priv, cfg, tok_cfg, val_dataset, val_fraction,
+    report = _fit(model, dataset, priv, cfg, tok_cfg, val_dataset,
                   step, val_loss)
     return model, report
 
@@ -335,7 +336,6 @@ def _train_student_loop(
     enc_cfg: EncoderConfig,
     init_from: Optional[TeacherModel],
     val_dataset: Optional[LupiDataset],
-    val_fraction: float,
 ) -> tuple[StudentModel, TrainReport]:
     needs_teacher = weights.pm != 0.0 or weights.hm != 0.0 or weights.am != 0.0
     if needs_teacher and teacher is None:
@@ -364,7 +364,7 @@ def _train_student_loop(
         student.backward(d_score, d_hint, d_attn)
         return value, terms
 
-    report = _fit(student, dataset, priv, cfg, tok_cfg, val_dataset, val_fraction,
+    report = _fit(student, dataset, priv, cfg, tok_cfg, val_dataset,
                   step, lambda t: loss(t, False)[0],
                   prepare=with_teacher if needs_teacher else None)
 
@@ -379,14 +379,13 @@ def distill_student(
     weights: Optional[LossWeights] = None,
     cfg: Optional[TrainConfig] = None,
     val_dataset: Optional[LupiDataset] = None,
-    val_fraction: float = 0.1,
 ) -> tuple[StudentModel, TrainReport]:
     """Train a query-only student against the frozen teacher."""
     weights = weights or LossWeights()
     cfg = cfg or TrainConfig()
     return _train_student_loop(
         dataset, teacher, weights, cfg, teacher.tok_cfg, teacher.enc_cfg,
-        init_from=teacher, val_dataset=val_dataset, val_fraction=val_fraction)
+        init_from=teacher, val_dataset=val_dataset)
 
 
 def train_query_baseline(
@@ -396,7 +395,6 @@ def train_query_baseline(
     enc_cfg: Optional[EncoderConfig] = None,
     init_from: Optional[TeacherModel] = None,
     val_dataset: Optional[LupiDataset] = None,
-    val_fraction: float = 0.1,
 ) -> tuple[StudentModel, TrainReport]:
     """Same architecture, labels only: weights (1,0,0,0), no teacher."""
     cfg = cfg or TrainConfig()
@@ -406,7 +404,7 @@ def train_query_baseline(
     return _train_student_loop(
         dataset, None, LossWeights(1.0, 0.0, 0.0, 0.0), cfg,
         tok_cfg or TokenizerConfig(), enc_cfg or EncoderConfig(),
-        init_from=init_from, val_dataset=val_dataset, val_fraction=val_fraction)
+        init_from=init_from, val_dataset=val_dataset)
 
 
 # --- grid search ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from ..featurizer.encode import (
     DesignMatrix,
 )
 from ..featurizer.schema import SCHEMA_VERSION, FeatureVector
-from ..records import read_json
+from ..records import read_json, write_document
 from .tree import TreeNode, grow_tree, predict_tree
 
 LOGISTIC = "LOGISTIC"
@@ -214,9 +214,7 @@ def predict(model: GbdtModel, vector: FeatureVector) -> tuple[str, float]:
 
 
 def save_model(model: GbdtModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_document(path, json.dumps(model.to_dict(), sort_keys=True) + "\n")
 
 
 def load_model(path) -> GbdtModel:

@@ -11,16 +11,21 @@ one JSON object, such as a model, and names a fault ``"path: cause"``.
 it has exactly the expected type.  ``from_record`` builds a dataclass from
 the keys of a record named like its fields.
 
-``write_csv`` and ``write_jsonl`` write every CSV and JSONL output: UTF-8,
-``\\n`` line ends, so a rerun rewrites the same bytes on any platform.  A
-dataclass goes out as ``dataclasses.asdict`` of it and comes back through
-``from_record``.
+``write_csv``, ``write_jsonl`` and ``write_document`` write every output
+file: UTF-8, ``\\n`` line ends, so a rerun rewrites the same bytes on any
+platform.  A dataclass goes out as ``dataclasses.asdict`` of it and comes
+back through ``from_record``.  If a ``removed_on_failure()`` block raises,
+every regular file written inside it is removed, overwritten ones included.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import MISSING, fields
 from itertools import zip_longest
 
@@ -28,6 +33,9 @@ from .errors import ScamscoutError, SchemaError
 
 # what ``parse`` may raise on a bad record, reported as a SchemaError
 _FAULTS = (KeyError, TypeError, ValueError, ScamscoutError)
+
+# the output paths opened inside the innermost ``removed_on_failure`` block
+_opened: ContextVar = ContextVar("opened", default=None)
 
 
 def read_jsonl(path, parse):
@@ -49,7 +57,7 @@ def read_json(path, parse):
 
 
 def write_csv(path, header: list, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -57,9 +65,39 @@ def write_csv(path, header: list, rows) -> None:
 
 def write_jsonl(path, records) -> None:
     """One JSON object per line, keys in each record's own order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_document(path, text: str) -> None:
+    """``text`` as the whole file, such as a model or a JSON report."""
+    with _open_output(path) as fh:
+        fh.write(text)
+
+
+@contextmanager
+def removed_on_failure():
+    """Remove every regular file a writer opened in the block if it raises."""
+    token = _opened.set([])
+    try:
+        yield
+    except BaseException:
+        for path in _opened.get():
+            with suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+    finally:
+        _opened.reset(token)
+
+
+def _open_output(path):
+    """The one place an output file is opened."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    # a device or a FIFO named as an output is written to, never removed
+    if _opened.get() is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        _opened.get().append(path)
+    return fh
 
 
 def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):

@@ -1,17 +1,19 @@
 """End-to-end pipeline runs of the command-line interface over fixtures."""
 
 import csv
+import errno
 import filecmp
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from scamscout import corpus
+from scamscout import corpus, records
 from scamscout.cli import main, read_features_csv, write_features_csv
 from scamscout.discovery import report_from_csv
 from scamscout.featurizer import CATEGORICAL, FEATURES
@@ -617,6 +619,14 @@ _BAD_INPUTS = [
     ("keywords", "no-text", _drop("text"), "missing key 'text'"),
     ("keywords", "int-text", _set("text", 7),
      "keyword text must be a string, got 7"),
+    ("keywords", "null-category", _set("category", None),
+     "keyword category must be a string, got None"),
+    ("keywords", "int-source-domain", _set("source_domain", 5),
+     "keyword source_domain must be a string, got 5"),
+    ("keywords", "string-volume", _set("monthly_volume", "lots"),
+     "keyword monthly_volume must be an integer or null, got 'lots'"),
+    ("keywords", "bool-volume", _set("monthly_volume", True),
+     "keyword monthly_volume must be an integer or null, got True"),
     ("keywords", "truncated", _truncate, _json_error),
     ("keywords", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("toxicity", "no-column", _drop_column("total_sites", 2),
@@ -752,6 +762,113 @@ def test_missing_input_file_exits_2_naming_it(workdir, tmp_path, capsys,
     assert rc == 2, err
     assert f"error: {missing}: No such file or directory" in err
     assert not out.exists()
+
+
+# --- a failed run leaves no output -------------------------------------------
+
+
+class _CountedFile:
+    """An output file that counts its writes and raises ``ENOSPC`` in place
+    of write number ``fail_at``."""
+
+    def __init__(self, fh, path, fail_at):
+        self.fh, self.path, self.fail_at, self.writes = fh, path, fail_at, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _open_outputs(monkeypatch, fail=None):
+    """Wrap every output ``records`` opens; ``fail`` is ``(path, n)`` to make
+    the ``n``-th write to ``path`` raise.  Returns the files, in open order."""
+    opened = []
+    real = records._open_output
+
+    def wrapped(path):
+        fail_at = fail[1] if fail and Path(path) == fail[0] else None
+        opened.append(_CountedFile(real(path), Path(path), fail_at))
+        return opened[-1]
+
+    monkeypatch.setattr(records, "_open_output", wrapped)
+    return opened
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+_FAILED_WRITES = (
+    [(command, "out", []) for command in _VALID_ARGV]
+    + [("train-lupi", "student.json", ["--teacher-out", "{run}/teacher.json"]),
+       ("discover", "report.json", [])])
+
+
+@pytest.mark.parametrize("command, out_name, extra", _FAILED_WRITES,
+                         ids=[f"{c}-{o}" for c, o, _ in _FAILED_WRITES])
+def test_failed_write_leaves_no_output(workdir, tmp_path, monkeypatch, capsys,
+                                       command, out_name, extra):
+    """The last write of the last output fails: every output the run opened
+    is removed, also one an earlier run wrote, and no other file is touched."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "keep.txt").write_bytes(b"not an output\n")
+    fill = {"fx": FIXTURES, "work": workdir, "out": run / out_name, "run": run}
+    argv = [command] + [a.format(**fill) for a in _VALID_ARGV[command] + extra]
+
+    outputs = _open_outputs(monkeypatch)
+    assert main(argv) == 0
+    last = outputs[-1]
+    assert last.writes > 0
+    monkeypatch.undo()
+    before = _files(run)
+    assert len(before) > len(outputs)
+
+    _open_outputs(monkeypatch, fail=(last.path, last.writes))
+    rc = main(argv)
+    assert rc == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert _files(run) == {Path("keep.txt"): before[Path("keep.txt")]}
+
+
+def test_unwritable_table_leaves_no_table(workdir, tmp_path, capsys):
+    out = tmp_path / "tables"
+    (out / "segments.csv").mkdir(parents=True)
+    (out / "cross_category.csv").write_bytes(b"not written by this run\n")
+    rc = main(["baselines", "--keywords", str(FIXTURES / "keywords.jsonl"),
+               "--toxicity", str(workdir / "toxicity.csv"),
+               "--segments", str(FIXTURES / "segments.jsonl"), "--n-sim", "5",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert f"error: {out / 'segments.csv'}: Is a directory" in capsys.readouterr().err
+    assert not (out / "attributes.csv").exists()
+    assert (out / "segments.csv").is_dir()
+    assert _files(out) == {Path("cross_category.csv"): b"not written by this run\n"}
+
+
+def test_failed_run_keeps_a_fifo_output(workdir, tmp_path, monkeypatch):
+    """A FIFO named as an output is written to, but never removed."""
+    fifo = tmp_path / "ranked.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        _open_outputs(monkeypatch, fail=(fifo, 1))
+        rc = main(["rank", "--model", str(workdir / "student.json"),
+                   "--keywords", str(workdir / "unbranded.jsonl"),
+                   "--out", str(fifo)])
+    finally:
+        os.close(reader)
+    assert rc == 2
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 # --- every file is UTF-8, whatever the locale ------------------------------------

@@ -203,11 +203,11 @@ def test_keyword_round_trip_and_normalization(tmp_path):
     path = tmp_path / "kw.jsonl"
     write_keywords(path, kws)
     assert read_keywords(path) == kws
-    # an absent key takes the field's default, an explicit null stays None
-    path.write_text('{"text": "shoes"}\n{"text": "bags", "category": null}\n')
+    # an absent key takes the field's default; a volume may be null
+    path.write_text('{"text": "shoes"}\n{"text": "bags", "monthly_volume": null}\n')
     assert read_keywords(path) == [
         KeywordSuggestion("shoes", "", "", "LOW", None),
-        KeywordSuggestion("bags", "", None, "LOW", None)]
+        KeywordSuggestion("bags", "", "", "LOW", None)]
     path.write_text('{"text": "shoes"}\n{"category": "bags"}\n')
     with pytest.raises(SchemaError, match=re.escape(f"{path}:2: missing key 'text'")):
         read_keywords(path)

@@ -727,7 +727,7 @@ def test_distillation_needs_teacher_for_weighted_terms():
     from scamscout.lupi.train import _train_student_loop
     with pytest.raises(TrainingError):
         _train_student_loop(data, None, LossWeights(1, 1, 0, 0), CFG, TOK, ENC,
-                            init_from=None, val_dataset=None, val_fraction=0.1)
+                            init_from=None, val_dataset=None)
 
 
 def test_train_config_validation():
