@@ -14,8 +14,8 @@ One umbrella command with a subcommand per pipeline stage:
 
 Every stage is deterministic for fixed inputs and seeds: rerunning a
 command rewrites byte-identical output files.  A command that fails exits 2
-and removes every output file it opened, so no later stage reads a partial
-one.
+and removes every output file it opened and every output directory it
+created, so no later stage reads a partial one.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ def read_features_csv(path) -> list[tuple[str, FeatureVector]]:
 
 def _cmd_featurize(args) -> int:
     rows = []
+    tag_memo: dict = {}
     for snap in corpus.read_snapshots(args.snapshots):
         domain = root_domain(snap.final_url or snap.url)
-        rows.append((domain, extract_features(snap)))
+        rows.append((domain, extract_features(snap, memo=tag_memo)))
     write_features_csv(args.out, rows)
     print(f"featurized {len(rows)} snapshots -> {args.out}")
     return 0
@@ -209,7 +210,7 @@ def _cmd_baselines(args) -> int:
              for source in cats])
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    records.make_output_dir(out_dir)
     for name, (header, table) in tables.items():
         records.write_csv(out_dir / name, header, table)
     print(f"wrote sampling tables -> {out_dir}")
@@ -284,12 +285,13 @@ def _cmd_discover(args) -> int:
             snapshots[root_domain(snap.final_url or snap.url)] = snap
 
     unknown: set[str] = set()
+    tag_memo: dict = {}
 
     def classify(domains: list[str]) -> list[str]:
         unknown.update(d for d in domains if d not in snapshots)
         seen = [d for d in domains if d in snapshots]
         verdicts = gbdt.predict_many(
-            model, [extract_features(snapshots[d]) for d in seen])
+            model, [extract_features(snapshots[d], memo=tag_memo) for d in seen])
         labels = {d: label for d, (label, _) in zip(seen, verdicts)}
         return [labels.get(d, "BENIGN") for d in domains]
 

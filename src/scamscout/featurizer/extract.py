@@ -20,13 +20,22 @@ the lowered path.
 The HTML walks keep their quirks: tags are counted wherever they stand, in
 comments and scripts too, while the visible text strips script/style
 bodies, then comments, then tags, in that order.
+
+Each distinct tag is worked out once per command.  A command passes one
+``memo`` dict to ``extract_features`` for every snapshot it featurizes; the
+memo maps a tag's text to its ``_TagEffect``: the counters it adds to, the
+flags it sets, its class tokens, and for a link or script to a named host
+that host's root domain.  Whether that root is the page's own is still
+decided per page.  The memo lives as long as the command's dict, so no
+state is kept between commands.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 from urllib.parse import urlsplit
 
 from ..corpus import DomainSnapshot
@@ -141,19 +150,15 @@ _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
 _WS_RE = re.compile(r"\s+")
 
 
-def _scan_tags(html: str) -> Iterable[tuple[str, dict[str, str]]]:
-    """(lowered name, attributes) of every opening tag, comments included."""
-    for match in _TAG_RE.finditer(html):
-        closing, name, attr_blob = match.groups()
-        if closing:
-            continue
-        attrs: dict[str, str] = {}
-        if "=" in attr_blob:   # an attribute without "=" is not recorded
-            for am in _ATTR_RE.finditer(attr_blob):
-                key = am.group(1).lower()
-                if key not in attrs:
-                    attrs[key] = am.group(3) or am.group(4) or am.group(5) or ""
-        yield name.lower(), attrs
+def _attributes(attr_blob: str) -> dict[str, str]:
+    """The attributes of one tag by lowered name; the first of a name wins."""
+    attrs: dict[str, str] = {}
+    if "=" in attr_blob:   # an attribute without "=" is not recorded
+        for am in _ATTR_RE.finditer(attr_blob):
+            key = am.group(1).lower()
+            if key not in attrs:
+                attrs[key] = am.group(3) or am.group(4) or am.group(5) or ""
+    return attrs
 
 
 def _visible_words(html: str) -> list[str]:
@@ -207,6 +212,77 @@ _PATH_WORDS = (
 
 def _contains_any(text: str, words: tuple[str, ...]) -> bool:
     return any(map(text.__contains__, words))
+
+
+# the counters one opening tag adds one to, by lowered tag name
+_TAG_COUNTERS = {
+    "img": ("num_img_tags",), "iframe": ("num_iframe_tags",),
+    "script": ("num_script_tags",), "style": ("num_style_tags",),
+    "meta": ("num_meta_tags",), "form": ("num_forms",),
+    "input": ("num_input_fields",), "h1": ("num_h1_tags", "num_h1_h6_tags"),
+    **dict.fromkeys(("h2", "h3", "h4", "h5", "h6"), ("num_h1_h6_tags",)),
+}
+
+# a link whose lowered href starts with the scheme adds one to the counter
+_SCHEME_COUNTERS = (("mailto:", "num_mailto_links"), ("tel:", "num_telephone_links"),
+                    ("whatsapp:", "num_whatsapp_links"))
+
+# What one opening tag does to its page's counts: (CSS class tokens,
+# counters it adds one to, flags it sets, root domain or None, counters
+# added when that root is the page's own, counters added when it is not).
+# All of it follows from the tag's text, so it can be shared across pages.
+_TagEffect = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...],
+                  Optional[str], tuple[str, ...], tuple[str, ...]]
+
+
+def _tag_effect(name: str, attr_blob: str) -> _TagEffect:
+    name = name.lower()
+    attrs = _attributes(attr_blob)
+    adds = list(_TAG_COUNTERS.get(name, ()))
+    sets: list[str] = []
+    root, if_own, if_other = None, (), ()
+    if name == "script":
+        src_host = _href_host(attrs.get("src", ""))
+        if src_host and not _is_ip_literal(src_host):
+            root = root_domain("http://" + src_host)
+            if_other = ("num_external_scripts",)
+        elif src_host:
+            adds.append("num_external_scripts")
+    elif name == "meta":
+        if attrs.get("name", "").lower() == "description":
+            sets.append("has_meta_description")
+    elif name == "input":
+        if attrs.get("type", "").lower() == "password":
+            sets.append("has_password_field")
+    elif name == "link":
+        if "icon" in attrs.get("rel", "").lower():
+            sets.append("has_favicon")
+    elif name == "a" and "href" in attrs:
+        href = attrs["href"]
+        lowered = href.lower()
+        adds.append("num_links")
+        scheme = [c for prefix, c in _SCHEME_COUNTERS if lowered.startswith(prefix)]
+        if scheme:
+            adds += scheme
+        else:
+            http = ("num_external_http_links",) if lowered.startswith("http:") else ()
+            host = _href_host(href)
+            if host is None:
+                adds.append("num_internal_links")  # relative link
+            elif _is_ip_literal(host):
+                adds += ("num_links_with_ip", "num_external_links", *http)
+            else:
+                domains = _domain_suffixes(host)
+                if not _WHATSAPP_DOMAINS.isdisjoint(domains):
+                    adds.append("num_whatsapp_links")
+                root = root_domain("http://" + host)
+                if_own, if_other = ("num_internal_links",), ("num_external_links", *http)
+                sets += [f for domain in domains for f in _DOMAIN_FLAGS.get(domain, ())]
+                if host in _APP_STORE_DOMAINS:
+                    sets.append("has_app_store")
+            sets += [f for f, words in _PATH_WORDS if _contains_any(lowered, words)]
+    return (tuple(attrs.get("class", "").split()), tuple(adds), tuple(sets),
+            root, if_own, if_other)
 
 
 def _text_matches(html: str, lower_html: str, text: str) -> tuple:
@@ -340,7 +416,11 @@ def _whois_features(snapshot: DomainSnapshot) -> dict:
     return out
 
 
-def _content_features(snapshot: DomainSnapshot) -> dict:
+def _content_features(snapshot: DomainSnapshot, memo=None) -> dict:
+    """The content group; ``memo`` maps each tag ``_TAG_RE`` found on earlier
+    pages to its ``_TagEffect``, and gains this page's new tags."""
+    if memo is None:
+        memo = {}
     html = snapshot.html
     if not html:
         return dict.fromkeys(_CONTENT_NAMES)
@@ -362,85 +442,22 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
     if title_match:
         title_text = _WS_RE.sub(" ", title_match.group(1)).strip()
 
-    for name, attrs in _scan_tags(html):
-        cls = attrs.get("class")
-        if cls:
-            css_classes.update(cls.split())
-        if name == "img":
-            counts["num_img_tags"] += 1
-        elif name == "iframe":
-            counts["num_iframe_tags"] += 1
-        elif name == "script":
-            counts["num_script_tags"] += 1
-            src_host = _href_host(attrs.get("src", ""))
-            if src_host and not _is_ip_literal(src_host):
-                if root_domain("http://" + src_host) != own_root:
-                    counts["num_external_scripts"] += 1
-            elif src_host:
-                counts["num_external_scripts"] += 1
-        elif name == "style":
-            counts["num_style_tags"] += 1
-        elif name == "meta":
-            counts["num_meta_tags"] += 1
-            if attrs.get("name", "").lower() == "description":
-                counts["has_meta_description"] = 1
-        elif name == "form":
-            counts["num_forms"] += 1
-        elif name == "input":
-            counts["num_input_fields"] += 1
-            if attrs.get("type", "").lower() == "password":
-                counts["has_password_field"] = 1
-        elif name == "h1":
-            counts["num_h1_tags"] += 1
-            counts["num_h1_h6_tags"] += 1
-        elif name in ("h2", "h3", "h4", "h5", "h6"):
-            counts["num_h1_h6_tags"] += 1
-        elif name == "link":
-            rel = attrs.get("rel", "").lower()
-            if "icon" in rel:
-                counts["has_favicon"] = 1
-        elif name == "a":
-            href = attrs.get("href")
-            if href is None:
-                continue
-            counts["num_links"] += 1
-            lowered = href.lower()
-            if lowered.startswith("mailto:"):
-                counts["num_mailto_links"] += 1
-                continue
-            if lowered.startswith("tel:"):
-                counts["num_telephone_links"] += 1
-                continue
-            if lowered.startswith("whatsapp:"):
-                counts["num_whatsapp_links"] += 1
-                continue
-            host = _href_host(href)
-            if host is None:
-                counts["num_internal_links"] += 1  # relative link
-            elif _is_ip_literal(host):
-                counts["num_links_with_ip"] += 1
-                counts["num_external_links"] += 1
-                if lowered.startswith("http:"):
-                    counts["num_external_http_links"] += 1
-            else:
-                domains = _domain_suffixes(host)
-                if not _WHATSAPP_DOMAINS.isdisjoint(domains):
-                    counts["num_whatsapp_links"] += 1
-                link_root = root_domain("http://" + host)
-                if link_root == own_root:
-                    counts["num_internal_links"] += 1
-                else:
-                    counts["num_external_links"] += 1
-                    if lowered.startswith("http:"):
-                        counts["num_external_http_links"] += 1
-                for domain in domains:
-                    for feature in _DOMAIN_FLAGS.get(domain, ()):
-                        counts[feature] = 1
-                if host in _APP_STORE_DOMAINS:
-                    counts["has_app_store"] = 1
-            for feature, path_words in _PATH_WORDS:
-                if not counts[feature] and _contains_any(lowered, path_words):
-                    counts[feature] = 1
+    # a tag that stands n times on the page has its effect applied once, n-fold
+    for tag, n in Counter(_TAG_RE.findall(html)).items():
+        if tag[0]:
+            continue   # a closing tag
+        effect = memo.get(tag)
+        if effect is None:
+            effect = memo[tag] = _tag_effect(tag[1], tag[2])
+        classes, adds, sets, root, if_own, if_other = effect
+        css_classes.update(classes)
+        for feature in adds:
+            counts[feature] += n
+        for feature in sets:
+            counts[feature] = 1
+        if root is not None:
+            for feature in if_own if root == own_root else if_other:
+                counts[feature] += n
 
     counts["num_css_classes"] = len(css_classes)
     counts["has_title"] = int(bool(title_text))
@@ -459,7 +476,11 @@ def _content_features(snapshot: DomainSnapshot) -> dict:
     return counts
 
 
-def extract_features(snapshot: DomainSnapshot, word_costs=None) -> FeatureVector:
+def extract_features(snapshot: DomainSnapshot, word_costs=None,
+                     memo=None) -> FeatureVector:
+    """The feature vector of one snapshot.  A command featurizing many
+    snapshots passes them all one ``memo`` dict, so that each distinct tag is
+    worked out once; a call without one starts a fresh memo."""
     if word_costs is None:
         word_costs = default_word_costs()
     values: dict = {}
@@ -467,7 +488,7 @@ def extract_features(snapshot: DomainSnapshot, word_costs=None) -> FeatureVector
     values.update(_dns_features(snapshot))
     values.update(_url_features(snapshot, word_costs))
     values.update(_whois_features(snapshot))
-    values.update(_content_features(snapshot))
+    values.update(_content_features(snapshot, memo))
     vector = FeatureVector([values[name] for name in FEATURE_NAMES])
     vector.validate()
     return vector

@@ -14,8 +14,11 @@ the keys of a record named like its fields.
 ``write_csv``, ``write_jsonl`` and ``write_document`` write every output
 file: UTF-8, ``\\n`` line ends, so a rerun rewrites the same bytes on any
 platform.  A dataclass goes out as ``dataclasses.asdict`` of it and comes
-back through ``from_record``.  If a ``removed_on_failure()`` block raises,
-every regular file written inside it is removed, overwritten ones included.
+back through ``from_record``.  An error while writing names its file.
+``make_output_dir`` creates an output directory.  If a
+``removed_on_failure()`` block raises, every regular file written inside it
+is removed, overwritten ones included, and so is every directory created
+inside it that is left empty; a directory that was there before stays.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import MISSING, fields
 from itertools import zip_longest
+from pathlib import Path
 
 from .errors import ScamscoutError, SchemaError
 
 # what ``parse`` may raise on a bad record, reported as a SchemaError
 _FAULTS = (KeyError, TypeError, ValueError, ScamscoutError)
 
-# the output paths opened inside the innermost ``removed_on_failure`` block
-_opened: ContextVar = ContextVar("opened", default=None)
+# (remove, path) of each output file opened and each directory created
+# inside the innermost ``removed_on_failure`` block
+_created: ContextVar = ContextVar("created", default=None)
 
 
 def read_jsonl(path, parse):
@@ -57,7 +62,7 @@ def read_json(path, parse):
 
 
 def write_csv(path, header: list, rows) -> None:
-    with _open_output(path) as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -65,39 +70,78 @@ def write_csv(path, header: list, rows) -> None:
 
 def write_jsonl(path, records) -> None:
     """One JSON object per line, keys in each record's own order."""
-    with _open_output(path) as fh:
+    with _output(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def write_document(path, text: str) -> None:
     """``text`` as the whole file, such as a model or a JSON report."""
-    with _open_output(path) as fh:
+    with _output(path) as fh:
         fh.write(text)
+
+
+def make_output_dir(path) -> None:
+    """Create the directory ``path`` and its missing parents, each recorded
+    as created like a file the run opened."""
+    path = Path(path)
+    try:
+        path.mkdir()
+    except FileNotFoundError:
+        if path.parent == path:
+            raise
+        make_output_dir(path.parent)
+        path.mkdir()
+    except OSError:
+        if not path.is_dir():
+            raise
+        return   # it was there before the run
+    if _created.get() is not None:
+        _created.get().append((_remove_if_empty, path))
 
 
 @contextmanager
 def removed_on_failure():
-    """Remove every regular file a writer opened in the block if it raises."""
-    token = _opened.set([])
+    """If the block raises, remove every regular file a writer opened in it,
+    then every directory ``make_output_dir`` created in it that is empty,
+    deepest first."""
+    token = _created.set([])
     try:
         yield
     except BaseException:
-        for path in _opened.get():
+        for remove, path in reversed(_created.get()):
             with suppress(FileNotFoundError):
-                os.remove(path)
+                remove(path)
         raise
     finally:
-        _opened.reset(token)
+        _created.reset(token)
+
+
+def _remove_if_empty(path) -> None:
+    with suppress(OSError):   # a directory something else has written into
+        os.rmdir(path)
 
 
 def _open_output(path):
     """The one place an output file is opened."""
     fh = open(path, "w", encoding="utf-8", newline="")
     # a device or a FIFO named as an output is written to, never removed
-    if _opened.get() is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        _opened.get().append(path)
+    if _created.get() is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        _created.get().append((os.remove, path))
     return fh
+
+
+@contextmanager
+def _output(path):
+    """``_open_output(path)``, closed on leaving; an ``OSError`` raised while
+    writing or closing names ``path``."""
+    try:
+        with _open_output(path) as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
 
 
 def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):

@@ -836,8 +836,40 @@ def test_failed_write_leaves_no_output(workdir, tmp_path, monkeypatch, capsys,
     _open_outputs(monkeypatch, fail=(last.path, last.writes))
     rc = main(argv)
     assert rc == 2
-    assert "No space left on device" in capsys.readouterr().err
+    assert (f"error: {last.path}: No space left on device"
+            in capsys.readouterr().err)
     assert _files(run) == {Path("keep.txt"): before[Path("keep.txt")]}
+
+
+@pytest.mark.parametrize("existing", [[], ["a"], ["a", "a/b"]],
+                         ids=["none", "a", "a-b"])
+def test_failed_baselines_removes_the_directories_it_made(
+        workdir, tmp_path, monkeypatch, capsys, existing):
+    """--out-dir a/b/tables: the second table cannot be written, so each
+    directory the run created goes, and one that was there before stays."""
+    for directory in existing:
+        (tmp_path / directory).mkdir()
+    out = tmp_path / "a" / "b" / "tables"
+    _open_outputs(monkeypatch, fail=(out / "segments.csv", 1))
+    rc = main(["baselines", "--keywords", str(FIXTURES / "keywords.jsonl"),
+               "--toxicity", str(workdir / "toxicity.csv"),
+               "--segments", str(FIXTURES / "segments.jsonl"), "--n-sim", "5",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert (f"error: {out / 'segments.csv'}: No space left on device"
+            in capsys.readouterr().err)
+    assert ({p.relative_to(tmp_path) for p in tmp_path.rglob("*")}
+            == set(map(Path, existing)))
+
+
+def test_failed_run_keeps_a_made_directory_that_is_not_empty(tmp_path):
+    out = tmp_path / "a" / "b"
+    with pytest.raises(RuntimeError), records.removed_on_failure():
+        records.make_output_dir(out)
+        (tmp_path / "a" / "other.txt").write_bytes(b"not an output\n")
+        raise RuntimeError("the run fails")
+    assert not out.exists()
+    assert _files(tmp_path) == {Path("a/other.txt"): b"not an output\n"}
 
 
 def test_unwritable_table_leaves_no_table(workdir, tmp_path, capsys):

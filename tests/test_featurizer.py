@@ -236,6 +236,26 @@ def test_extraction_is_pure():
     assert extract_features(snap).values == extract_features(snap).values
 
 
+_SHARED_TAGS = ('<a href="https://shop-a.com/x">x</a>'
+                '<script src="https://cdn.shop-a.com/s.js"></script>')
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["own-first", "other-first"])
+def test_shared_memo_decides_internal_per_page(order):
+    """One tag memo across pages keeps the own-root comparison per page."""
+    own = _snap(url="https://shop-a.com/", final_url=None, html=_SHARED_TAGS)
+    other = _snap(url="https://shop-b.com/", final_url=None, html=_SHARED_TAGS)
+    memo: dict = {}
+    got = {snap.url: extract_features(snap, memo=memo)
+           for snap in [own, other][::order]}
+    assert len(memo) == 2   # the two opening tags, each worked out once
+    for snap, internal, external in [(own, 1, 0), (other, 0, 1)]:
+        vec = got[snap.url]
+        assert (vec["num_internal_links"], vec["num_external_links"],
+                vec["num_external_scripts"]) == (internal, external, external)
+        assert vec.values == extract_features(snap).values
+
+
 def test_adding_img_tag_increments_only_that_count():
     base = extract_features(_snap(html="<html><body><img src=a></body></html>",
                                   dns={"mx": ["m"]}))

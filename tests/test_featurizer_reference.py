@@ -3,12 +3,13 @@
 ``_ref_content_features`` and ``_ref_visible_text`` below are the previous
 implementation, kept verbatim (only renamed) as the reference for the
 current one, which lowers each string once, runs the case-insensitive
-patterns on the lowered text where that is exact, and works once per link.
-Every feature must come out exactly equal, on pages built to hit the
-quirks: unclosed tags, nested and uppercase scripts, tags and comments
-inside attributes and comments, and non-ASCII text, both where IGNORECASE
-differs from lowering (``ſ``, ``ı``, ``İ``) and where it does not (``©``,
-``—``, ``é``, ``K``).
+patterns on the lowered text where that is exact, and works out each
+distinct tag once per memo.  Every feature must come out exactly equal, on
+pages built to hit the quirks: unclosed tags, nested and uppercase scripts,
+tags and comments inside attributes and comments, and non-ASCII text, both
+where IGNORECASE differs from lowering (``ſ``, ``ı``, ``İ``) and where it
+does not (``©``, ``—``, ``é``, ``K``).  Pages that share one memo must each
+get the vector a fresh memo gives them.
 """
 
 import re
@@ -404,6 +405,42 @@ def test_content_features_equal_the_reference_on_generated_pages(html):
 def test_content_features_equal_the_reference_on_quirks(html):
     assert _content_features(_snap(html)) == _ref_content_features(_snap(html))
     assert visible_text(html) == _ref_visible_text(html)
+
+
+# --- one tag memo across pages ----------------------------------------------------
+
+# page domains that the generated links and scripts name, and one they do not
+_PAGE_URLS = ["http://shop.com/", "https://sub.shop.com/", "http://other.co.uk/",
+              "https://cdn.other.com/", "http://5.6.7.8/", "https://elsewhere.net/"]
+
+_LINKS = st.one_of(
+    _tag(),
+    st.sampled_from(_HREFS).map(lambda href: f'<a href="{href}">'),
+    st.sampled_from(dict(_ATTRS)["src"]).map(lambda src: f'<script src="{src}">'),
+)
+
+
+@st.composite
+def _sites(draw):
+    """(url, html) pages on several domains, built from the page strategy's
+    fragments and a few tags, links and scripts that recur across the
+    pages, byte for byte."""
+    shared = st.sampled_from(draw(st.lists(_LINKS, min_size=1, max_size=4)))
+    page = st.lists(st.one_of(shared, shared, _FRAGMENTS), max_size=30).map(" ".join)
+    return draw(st.lists(st.tuples(st.sampled_from(_PAGE_URLS), page), max_size=6))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_sites())
+def test_a_shared_tag_memo_gives_each_page_its_fresh_vector(pages):
+    snaps = [DomainSnapshot(url=url, fetched_at=FETCHED, http_status=200,
+                            html=html) for url, html in pages]
+    fresh = [extract.extract_features(snap).values for snap in snaps]
+    for order in (1, -1):
+        memo: dict = {}
+        got = [extract.extract_features(snap, memo=memo).values
+               for snap in snaps[::order]]
+        assert got == fresh[::order]
 
 
 # --- when the lowered-text path is exact ---------------------------------------
