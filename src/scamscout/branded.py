@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .datalists import read_list
 from .errors import SchemaError
@@ -73,25 +73,18 @@ def default_lexicon() -> BrandLexicon:
     )
 
 
-BrandAdapter = Callable[[str], BrandVerdict]
-
-
 def classify_branded(
     keyword: str,
     lexicon: Optional[BrandLexicon] = None,
-    adapter: Optional[BrandAdapter] = None,
 ) -> BrandVerdict:
     """BRANDED iff a lexicon phrase occurs as whole tokens in the keyword.
 
     An ambiguous brand counts when any of its occurrences has a context word
     right before or after it.  Of several matching brands the alphabetically
-    first is reported.  An external classifier can be wired in through
-    ``adapter``; the rule lexicon is the default.
+    first is reported.
     """
     if not keyword or not keyword.strip():
         raise SchemaError("keyword must be non-empty")
-    if adapter is not None:
-        return adapter(keyword)
     if lexicon is None:
         lexicon = default_lexicon()
     tokens = keyword.lower().split()

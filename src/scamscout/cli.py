@@ -26,7 +26,7 @@ import warnings
 from pathlib import Path
 
 from . import corpus, records
-from .branded import default_lexicon, filter_unbranded
+from .branded import filter_unbranded
 from .discovery import FixtureStore, run_discovery, write_report
 from .errors import ScamscoutError
 from .featurizer import (
@@ -219,8 +219,7 @@ def _cmd_baselines(args) -> int:
 
 def _cmd_filter_branded(args) -> int:
     keywords = corpus.read_keywords(args.in_path)
-    lexicon = default_lexicon()
-    unbranded = set(filter_unbranded([kw.text for kw in keywords], lexicon))
+    unbranded = set(filter_unbranded([kw.text for kw in keywords]))
     kept = [kw for kw in keywords if kw.text in unbranded]
     corpus.write_keywords(args.out, kept)
     print(f"kept {len(kept)}/{len(keywords)} unbranded keywords -> {args.out}")
@@ -230,9 +229,9 @@ def _cmd_filter_branded(args) -> int:
 def _read_lupi_examples(path) -> list[LupiExample]:
     return list(records.read_jsonl(path, lambda rec: LupiExample(
         query=rec["query"],
-        toxicity=float(rec["toxicity"]),
+        toxicity=rec["toxicity"],
         category=rec.get("category", ""),
-        expansion=int(rec.get("expansion", 0)),
+        expansion=rec.get("expansion", 0),
         serps=[corpus.serp_from_record(rec)] if rec.get("entries") else [],
     )))
 

@@ -234,17 +234,13 @@ def read_snapshots(path) -> Iterator[DomainSnapshot]:
 # parked-domain filtering
 
 
-def load_parked_patterns(path=None) -> list[re.Pattern]:
-    return [re.compile(line, re.IGNORECASE)
-            for line in content_lines(data_text("parked_patterns.txt", path))]
-
-
 @lru_cache(maxsize=1)
 def _parked_patterns() -> list[re.Pattern]:
-    return load_parked_patterns(None)
+    return [re.compile(line, re.IGNORECASE)
+            for line in content_lines(data_text("parked_patterns.txt"))]
 
 
-def is_parked(snapshot: DomainSnapshot, patterns: Optional[list[re.Pattern]] = None) -> bool:
+def is_parked(snapshot: DomainSnapshot) -> bool:
     """True iff any parked-page pattern matches the snapshot HTML.
 
     Raises :class:`UnreachableSnapshotError` for non-resolving snapshots:
@@ -253,22 +249,22 @@ def is_parked(snapshot: DomainSnapshot, patterns: Optional[list[re.Pattern]] = N
     if not snapshot.resolving:
         raise UnreachableSnapshotError(snapshot.url)
     html = snapshot.html
-    return any(p.search(html) for p in (patterns if patterns is not None else _parked_patterns()))
+    return any(p.search(html) for p in _parked_patterns())
 
 
-def snapshot_state(snapshot: DomainSnapshot, patterns: Optional[list[re.Pattern]] = None) -> SnapshotState:
+def snapshot_state(snapshot: DomainSnapshot) -> SnapshotState:
     if not snapshot.resolving:
         return SnapshotState.UNREACHABLE
-    if is_parked(snapshot, patterns):
+    if is_parked(snapshot):
         return SnapshotState.PARKED
     return SnapshotState.LIVE
 
 
-def admit(snapshot: DomainSnapshot, patterns: Optional[list[re.Pattern]] = None) -> bool:
+def admit(snapshot: DomainSnapshot) -> bool:
     """Pipeline admission: only live pages (HTTP >= 200, not parked) go on."""
     if snapshot.http_status < 200:
         return False
-    return snapshot_state(snapshot, patterns) is SnapshotState.LIVE
+    return snapshot_state(snapshot) is SnapshotState.LIVE
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Data files shipped in ``scamscout/data``, and the word lists among them.
 
-A word list has one entry per line.  Every line is stripped before anything
-else, so blank lines and ``#`` comments are skipped whatever their
-indentation; entries are lowercased.
+Each file is pinned: it is read only from the package, never from a path a
+caller passes, so a run can be replayed.  A word list has one entry per
+line.  Every line is stripped before anything else, so blank lines and
+``#`` comments are skipped whatever their indentation; entries are
+lowercased.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ def content_lines(text: str, comment: str = "#") -> Iterator[str]:
             yield line
 
 
-def data_text(name: str, path=None) -> str:
-    """The text of ``path``, or of the package data file ``name`` if none is given."""
-    if path is None:
-        return resources.files("scamscout.data").joinpath(name).read_text("utf-8")
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def data_text(name: str) -> str:
+    """The text of the package data file ``name``."""
+    return resources.files("scamscout.data").joinpath(name).read_text("utf-8")

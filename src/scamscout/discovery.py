@@ -275,6 +275,8 @@ def run_discovery(
     Classification happens once, after every search: ``classify`` gets the
     sorted new domains and returns one verdict per domain, in that order.
     """
+    if exposure_k < 1:
+        raise SchemaError(f"exposure_k must be >= 1, got {exposure_k}")
     for engine in engines:
         if engine not in ENGINES:
             raise UnknownEngineError(f"unknown engine: {engine!r}")

@@ -19,7 +19,6 @@ from .schema import (
 from .segment import (
     costs_from_counts,
     count_subwords,
-    load_word_costs,
     normalize_label,
     segment_label,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "encode_dataset",
     "extract_features",
     "feature_index",
-    "load_word_costs",
     "normalize_label",
     "schema_as_dict",
     "segment_label",

@@ -43,7 +43,7 @@ from ..datalists import read_list
 from ..psl import public_suffix, root_domain, _host_of, _is_ip_literal
 from .schema import (CONTENT, DNS, FEATURE_GROUPS, FEATURE_NAMES, RANKING,
                      WHOIS, FeatureVector)
-from .segment import count_subwords, default_word_costs
+from .segment import count_subwords
 
 # --- config lists -----------------------------------------------------------
 
@@ -351,7 +351,7 @@ def _dns_features(snapshot: DomainSnapshot) -> dict:
     return out
 
 
-def _url_features(snapshot: DomainSnapshot, word_costs) -> dict:
+def _url_features(snapshot: DomainSnapshot) -> dict:
     url = snapshot.final_url or snapshot.url
     host = _host_of(url)
     out: dict = {"url_length": len(url)}
@@ -373,7 +373,7 @@ def _url_features(snapshot: DomainSnapshot, word_costs) -> dict:
     prefix = host[: -(len(registrable) + 1)] if host != registrable else ""
     out["tld"] = suffix
     out["cheap_tld"] = int(suffix in cheap_tlds())
-    out["domain_subwords"] = count_subwords(label, word_costs)
+    out["domain_subwords"] = count_subwords(label)
     out["url_has_hyphen"] = int("-" in label)
     out["url_has_digit"] = int(any(c.isdigit() for c in label))
     out["url_subdomain_count"] = len([p for p in prefix.split(".") if p])
@@ -476,17 +476,14 @@ def _content_features(snapshot: DomainSnapshot, memo=None) -> dict:
     return counts
 
 
-def extract_features(snapshot: DomainSnapshot, word_costs=None,
-                     memo=None) -> FeatureVector:
+def extract_features(snapshot: DomainSnapshot, memo=None) -> FeatureVector:
     """The feature vector of one snapshot.  A command featurizing many
     snapshots passes them all one ``memo`` dict, so that each distinct tag is
     worked out once; a call without one starts a fresh memo."""
-    if word_costs is None:
-        word_costs = default_word_costs()
     values: dict = {}
     values.update(_ranking_features(snapshot))
     values.update(_dns_features(snapshot))
-    values.update(_url_features(snapshot, word_costs))
+    values.update(_url_features(snapshot))
     values.update(_whois_features(snapshot))
     values.update(_content_features(snapshot, memo))
     vector = FeatureVector([values[name] for name in FEATURE_NAMES])

@@ -22,14 +22,15 @@ _UNKNOWN_PER_CHAR = 20.0
 _LABEL_RE = re.compile(r"[^a-z0-9]+")
 
 
-def load_word_costs(path=None) -> dict[str, float]:
-    """Read a "word count" frequency table and convert it to word costs.
+@lru_cache(maxsize=1)
+def default_word_costs() -> dict[str, float]:
+    """Word costs of the shipped "word count" frequency table.
 
     Ranks come from sorting by count descending (alphabetical on ties), so the
     costs are independent of the file's line order.
     """
     counts: dict[str, int] = {}
-    for line in content_lines(data_text("wordfreq.txt", path)):
+    for line in content_lines(data_text("wordfreq.txt")):
         word, _, count = line.partition(" ")
         counts[word] = int(count) if count.strip() else 1
     return costs_from_counts(counts)
@@ -42,11 +43,6 @@ def costs_from_counts(counts: dict[str, int]) -> dict[str, float]:
     log_v = math.log(max(vocab, 2))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return {word: math.log((rank + 1) * log_v) for rank, (word, _) in enumerate(ordered)}
-
-
-@lru_cache(maxsize=1)
-def default_word_costs() -> dict[str, float]:
-    return load_word_costs()
 
 
 def normalize_label(label: str) -> str:
@@ -89,5 +85,5 @@ def segment_label(label: str, costs: dict[str, float] | None = None) -> list[str
     return list(best[n][2])
 
 
-def count_subwords(label: str, costs: dict[str, float] | None = None) -> int:
-    return len(segment_label(label, costs))
+def count_subwords(label: str) -> int:
+    return len(segment_label(label))

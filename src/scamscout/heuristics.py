@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class QuerySegment:
     token_type: TokenType
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise SchemaError(f"segment text must be a string, got {self.text!r}")
         if not self.text.strip():
             raise SchemaError("segment text must be non-empty")
         object.__setattr__(self, "text", self.text.strip().lower())
@@ -78,11 +80,8 @@ difference comparison vs versus tips ideas symptoms causes history facts
 learn course lesson explained review reviews is are does can should
 """.split())
 
-IntentAdapter = Callable[[str], set[QueryAttribute]]
-
-
 def rule_based_intent(text: str) -> set[QueryAttribute]:
-    """Default intent adapter: lexicon hits on whitespace tokens."""
+    """Intent from lexicon hits on whitespace tokens."""
     tokens = set(text.lower().split())
     out: set[QueryAttribute] = set()
     if tokens & _COMMERCIAL_TOKENS:
@@ -92,14 +91,9 @@ def rule_based_intent(text: str) -> set[QueryAttribute]:
     return out
 
 
-def classify_attributes(
-    keyword: KeywordSuggestion,
-    intent_adapter: Optional[IntentAdapter] = None,
-) -> set[QueryAttribute]:
+def classify_attributes(keyword: KeywordSuggestion) -> set[QueryAttribute]:
     """Attributes a query holds; a query may hold several at once."""
-    if intent_adapter is None:
-        intent_adapter = rule_based_intent
-    attrs = set(intent_adapter(keyword.text))
+    attrs = rule_based_intent(keyword.text)
     if keyword.competition == "LOW":
         attrs.add(QueryAttribute.LOW_COMPETITION)
     elif keyword.competition == "MEDIUM":
@@ -182,7 +176,6 @@ def attribute_table(
     master_seed: int = 0,
     n_sim: int = 1000,
     sample_size: int = 20,
-    intent_adapter: Optional[IntentAdapter] = None,
 ) -> list[TableRow]:
     """Bootstrap toxicity/expansion per query attribute."""
     buckets: dict[QueryAttribute, list[QueryToxicity]] = {a: [] for a in QueryAttribute}
@@ -190,7 +183,7 @@ def attribute_table(
         score = scores.get(kw.text)
         if score is None:
             continue
-        for attr in classify_attributes(kw, intent_adapter):
+        for attr in classify_attributes(kw):
             buckets[attr].append(score)
     rows = []
     for attr in QueryAttribute:

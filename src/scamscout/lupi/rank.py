@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..corpus import KeywordSuggestion
-from ..errors import TrainingError
+from ..errors import SchemaError, TrainingError
 from ..records import check_header, read_csv, write_csv
 from .models import StudentModel
 from .tokenizer import tokenize_batch
+
+# keywords scored per student forward pass; scores do not depend on it
+_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -25,20 +28,21 @@ class RankedKeyword:
 def rank_keywords(
     student: StudentModel,
     keywords: Sequence[KeywordSuggestion],
-    k: Optional[int] = 20,
-    batch_size: int = 256,
+    k: int = 20,
 ) -> list[RankedKeyword]:
     """Score every keyword, keep the top-k per category.
 
     Scores are clamped to [0, 1]; ties break lexicographically on the
-    keyword text so output order is deterministic.  ``k=None`` keeps all.
+    keyword text so output order is deterministic.  ``k`` is at least 1.
     """
+    if k < 1:
+        raise SchemaError(f"k must be >= 1, got {k}")
     if not keywords:
         raise TrainingError("no keywords to rank")
     texts = [kw.text for kw in keywords]
     scores = np.empty(len(texts), dtype=np.float64)
-    for start in range(0, len(texts), batch_size):
-        ids = tokenize_batch(texts[start:start + batch_size], student.tok_cfg)
+    for start in range(0, len(texts), _BATCH_SIZE):
+        ids = tokenize_batch(texts[start:start + _BATCH_SIZE], student.tok_cfg)
         # the attention maps are dropped, so PAD columns can be cut exactly
         out, _, _ = student.forward(ids, train=False, cache=False, trim=True)
         scores[start:start + len(out)] = out
@@ -50,9 +54,7 @@ def rank_keywords(
     ranked = []
     for cat in sorted(by_cat):
         order = sorted(by_cat[cat], key=lambda i: (-scores[i], keywords[i].text))
-        if k is not None:
-            order = order[:k]
-        for pos, i in enumerate(order, start=1):
+        for pos, i in enumerate(order[:k], start=1):
             ranked.append(RankedKeyword(keywords[i].text, cat,
                                         float(scores[i]), pos))
     return ranked

@@ -53,11 +53,9 @@ def tokenize(text: str, cfg: TokenizerConfig, max_len: int | None = None) -> np.
     return np.array(ids, dtype=np.int64)
 
 
-def tokenize_batch(texts: Sequence[str], cfg: TokenizerConfig,
-                   max_len: int | None = None) -> np.ndarray:
-    if max_len is None:
-        max_len = cfg.max_len_query
-    return np.stack([tokenize(t, cfg, max_len) for t in texts])
+def tokenize_batch(texts: Sequence[str], cfg: TokenizerConfig) -> np.ndarray:
+    """The query-length ``tokenize`` of each text, one row per text."""
+    return np.stack([tokenize(t, cfg) for t in texts])
 
 
 def collision_rate(words: Iterable[str], cfg: TokenizerConfig) -> float:

@@ -20,6 +20,7 @@ are independent and the SERP encoder's PAD trimming is exact (see
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
@@ -79,9 +80,20 @@ class LupiExample:
     serps: list[SerpResultSet] = field(default_factory=list)
 
     def __post_init__(self):
-        if not (np.isfinite(self.toxicity) and 0.0 <= self.toxicity <= 1.0):
+        for name in ("query", "category"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise SchemaError(f"example {name} must be a string, got {value!r}")
+        # bool is a Real and an Integral, but True is neither a score nor a count
+        if (not isinstance(self.toxicity, numbers.Real)
+                or isinstance(self.toxicity, bool)
+                or not (np.isfinite(self.toxicity) and 0.0 <= self.toxicity <= 1.0)):
             raise SchemaError(f"query {self.query!r}: toxicity must be a "
                               f"finite value in [0, 1], got {self.toxicity!r}")
+        if (not isinstance(self.expansion, numbers.Integral)
+                or isinstance(self.expansion, bool) or self.expansion < 0):
+            raise SchemaError(f"query {self.query!r}: expansion must be an "
+                              f"integer >= 0, got {self.expansion!r}")
 
 
 @dataclass

@@ -8,12 +8,15 @@ learned from the training rows.  Deterministic: no sampling anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..errors import TrainingError
 from ..featurizer.encode import DesignMatrix
+
+_L2 = 1e-3
+_LEARNING_RATE = 0.5
+_ITERATIONS = 500
 
 
 @dataclass
@@ -32,12 +35,7 @@ class LogisticBaseline:
         return (self.predict_proba_matrix(matrix) >= 0.5).astype(np.int64)
 
 
-def train_logistic_baseline(
-    matrix: DesignMatrix,
-    l2: float = 1e-3,
-    learning_rate: float = 0.5,
-    iterations: int = 500,
-) -> LogisticBaseline:
+def train_logistic_baseline(matrix: DesignMatrix) -> LogisticBaseline:
     if matrix.labels is None:
         raise TrainingError("training requires labels")
     x = matrix.dense()
@@ -49,12 +47,12 @@ def train_logistic_baseline(
     n, d = x.shape
     w = np.zeros(d, dtype=np.float64)
     b = 0.0
-    for _ in range(iterations):
+    for _ in range(_ITERATIONS):
         z = x @ w + b
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
         err = p - y
-        grad_w = x.T @ err / n + l2 * w
+        grad_w = x.T @ err / n + _L2 * w
         grad_b = err.mean()
-        w -= learning_rate * grad_w
-        b -= learning_rate * grad_b
+        w -= _LEARNING_RATE * grad_w
+        b -= _LEARNING_RATE * grad_b
     return LogisticBaseline(w, b, mean, scale)

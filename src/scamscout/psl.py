@@ -1,11 +1,10 @@
 """Registrable-domain (eTLD+1) resolution against a pinned public-suffix snapshot.
 
-The snapshot ships with the package in standard PSL text format; a different
-snapshot can be supplied per call for reproducible comparisons across vintages.
-
-The registrable domain depends on the host alone, so under the default rules
-it is memoized per host in a bounded LRU cache.  The URL is still parsed on
-every call, so a malformed URL raises ``UrlError`` every time.
+The snapshot ships with the package in standard PSL text format and is the
+only rule set, so a discovery run can be replayed.  The registrable domain
+depends on the host alone and is memoized per host in a bounded LRU cache.
+The URL is still parsed on every call, so a malformed URL raises
+``UrlError`` every time.
 """
 
 from __future__ import annotations
@@ -17,13 +16,12 @@ from urllib.parse import urlsplit
 from .datalists import content_lines, data_text
 from .errors import UrlError
 
-_SNAPSHOT_RESOURCE = "public_suffix_snapshot.dat"
 
-
-def load_suffix_rules(path=None):
-    """Parse a PSL-format file into (exact, wildcard, exception) rule sets."""
+@lru_cache(maxsize=1)
+def _rules() -> tuple[set[str], set[str], set[str]]:
+    """The snapshot's (exact, wildcard, exception) rule sets."""
     exact, wildcard, exception = set(), set(), set()
-    for line in content_lines(data_text(_SNAPSHOT_RESOURCE, path), "//"):
+    for line in content_lines(data_text("public_suffix_snapshot.dat"), "//"):
         if line.startswith("!"):
             exception.add(line[1:])
         elif line.startswith("*."):
@@ -31,11 +29,6 @@ def load_suffix_rules(path=None):
         else:
             exact.add(line)
     return exact, wildcard, exception
-
-
-@lru_cache(maxsize=1)
-def _default_rules():
-    return load_suffix_rules(None)
 
 
 def _host_of(url: str) -> str:
@@ -64,12 +57,12 @@ def _is_ip_literal(host: str) -> bool:
         return False
 
 
-def public_suffix(host: str, rules=None) -> str:
+def public_suffix(host: str) -> str:
     """Longest matching public suffix of ``host`` per the PSL algorithm.
 
     Unlisted TLDs fall back to the implicit ``*`` rule (the TLD itself).
     """
-    exact, wildcard, exception = rules if rules is not None else _default_rules()
+    exact, wildcard, exception = _rules()
     labels = host.split(".")
     match_len = 1  # implicit "*" rule
     for i in range(len(labels)):
@@ -87,27 +80,20 @@ def public_suffix(host: str, rules=None) -> str:
     return ".".join(labels[-match_len:])
 
 
-def root_domain(url: str, rules=None) -> str:
+def root_domain(url: str) -> str:
     """Registrable domain (public suffix + one label) of an absolute URL.
 
     IP-literal hosts are returned verbatim. A host that *is* a public suffix
     has no registrable domain and is returned as-is.
     """
-    host = _host_of(url)
-    if rules is None:
-        return _default_registrable(host)
-    return _registrable(host, rules)
+    return _registrable(_host_of(url))
 
 
 @lru_cache(maxsize=1 << 14)
-def _default_registrable(host: str) -> str:
-    return _registrable(host, None)
-
-
-def _registrable(host: str, rules) -> str:
+def _registrable(host: str) -> str:
     if _is_ip_literal(host):
         return host
-    suffix = public_suffix(host, rules)
+    suffix = public_suffix(host)
     if host == suffix:
         return host
     n_suffix = len(suffix.split("."))

@@ -33,6 +33,7 @@ from scamscout.lupi import (
     distill_student,
     loco_cv,
     ranked_from_csv,
+    tokenize,
     tokenize_batch,
     total_loss,
     train_query_baseline,
@@ -69,8 +70,8 @@ def _random_gradient_case(seed):
     def text():
         return " ".join(rng.choice(_WORDS, size=int(rng.integers(2, 6))))
     q_ids = tokenize_batch([text() for _ in range(b)], tok)
-    s_ids = np.stack([tokenize_batch([text() for _ in range(k)],
-                                     tok, tok.max_len_serp) for _ in range(b)])
+    s_ids = np.stack([[tokenize(text(), tok, tok.max_len_serp) for _ in range(k)]
+                      for _ in range(b)])
     present = rng.random((b, k)) < 0.8
     t_score, t_fused, t_attn = teacher.forward(q_ids, s_ids, present,
                                                train=False, cache=False)
@@ -336,8 +337,8 @@ def test_teacher_is_permutation_invariant_with_normalized_attention():
 
     q_ids = tokenize_batch([text(int(rng.integers(2, 8))) for _ in range(10)], tok)
     s_ids = np.stack([
-        tokenize_batch([text(int(rng.integers(3, 9))) for _ in range(4)],
-                       tok, tok.max_len_serp)
+        [tokenize(text(int(rng.integers(3, 9))), tok, tok.max_len_serp)
+         for _ in range(4)]
         for _ in range(10)
     ])
     present = np.ones((10, 4), dtype=bool)

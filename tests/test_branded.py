@@ -100,11 +100,6 @@ def test_multiple_matches_report_first_alphabetically():
     assert got.matched_brand == "alpha"
 
 
-def test_adapter_overrides_lexicon():
-    adapter = lambda kw: BrandVerdict(Verdict.BRANDED, "custom")
-    assert classify_branded("anything at all", adapter=adapter).matched_brand == "custom"
-
-
 def test_evaluate_filter_arithmetic():
     labeled = [
         ("acme shoes", "BRANDED"),        # tp

@@ -418,6 +418,18 @@ def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
     assert report.total_sites > 0 and report.discovered_scams == 0
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_1_exits_2(workdir, tmp_path, capsys, k):
+    rc = main(["rank", "--model", str(workdir / "student.json"),
+               "--keywords", str(workdir / "unbranded.jsonl"),
+               "--k", str(k), "--out", str(tmp_path / "ranked.csv")])
+    assert rc == 2
+    assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
+    assert _discover(workdir, tmp_path / "report.csv", "--exposure-k", str(k)) == 2
+    assert f"error: exposure_k must be >= 1, got {k}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # --- one contract for every input file ----------------------------------------
 
 
@@ -514,6 +526,11 @@ def _json_error(lines, index=2):
         json.loads(lines[index][:-1] + "\n")
     except json.JSONDecodeError as exc:
         return f"{exc.msg} at column {exc.pos + 1}"
+
+
+def _of_query(cause):
+    """``cause`` prefixed by the query of the mangled third record."""
+    return lambda lines: f"query {json.loads(lines[2])['query']!r}: {cause}"
 
 
 # input -> (file it is made from, argv with {bad} and {out} filled in)
@@ -640,9 +657,22 @@ _BAD_INPUTS = [
      "'VERB' is not a valid TokenType"),
     ("segments", "list-category", _set("category", ["a"]),
      "category must be str, got ['a']"),
+    ("segments", "int-text", _set("text", 5), "segment text must be a string, got 5"),
     ("segments", "truncated", _truncate, _json_error),
     ("segments", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("lupi_train", "no-query", _drop("query"), "missing key 'query'"),
+    ("lupi_train", "int-query", _set("query", 7),
+     "example query must be a string, got 7"),
+    ("lupi_train", "null-category", _set("category", None),
+     "example category must be a string, got None"),
+    ("lupi_train", "bool-toxicity", _set("toxicity", True),
+     _of_query("toxicity must be a finite value in [0, 1], got True")),
+    ("lupi_train", "string-toxicity", _set("toxicity", "0.5"),
+     _of_query("toxicity must be a finite value in [0, 1], got '0.5'")),
+    ("lupi_train", "float-expansion", _set("expansion", 2.7),
+     _of_query("expansion must be an integer >= 0, got 2.7")),
+    ("lupi_train", "negative-expansion", _set("expansion", -1),
+     _of_query("expansion must be an integer >= 0, got -1")),
     ("lupi_train", "int-entry", _set_entry(None, 7),
      "'int' object is not subscriptable"),
     ("lupi_train", "truncated", _truncate, _json_error),

@@ -13,6 +13,7 @@ from scamscout.discovery import (
     DiscoveryReport,
     FixtureStore,
     LiveSession,
+    _config_digest,
     _fixture_id,
     fetch_serp,
     report_from_csv,
@@ -404,6 +405,37 @@ def test_run_discovery_rejects_unknown_engine():
     with pytest.raises(UnknownEngineError):
         run_discovery([], _classify, FixtureStore(),
                       engines=("GOOGLE", "LYCOS"))
+
+
+def test_live_run_records_every_capture_and_replays_to_the_same_counts(tmp_path):
+    ranked, recorded, _, known, engines = _random_discovery_case(13)
+    fetched = []
+
+    def transport(query, engine):
+        fetched.append((query, engine))
+        return recorded.get(query, engine).entries
+
+    clock = _FakeClock()
+    session = LiveSession(transport=transport, min_delay=0.0, retries=0,
+                          sleep=clock.sleep, clock=clock.clock)
+    store = FixtureStore()
+    live = run_discovery(ranked, _classify, store, engines, known_domains=known,
+                         exposure_k=3, session=session)
+    assert fetched == [(kw.text, e) for kw in ranked for e in engines]
+    assert len(store) == len(fetched)
+    for query, engine in fetched:
+        assert store.get(query, engine) == recorded.get(query, engine)
+
+    path = tmp_path / "captures.jsonl"
+    store.save(path)
+    replay = run_discovery(ranked, _classify, FixtureStore.load(path), engines,
+                           known_domains=known, exposure_k=3)
+    assert (dataclasses.replace(replay, config_digest="")
+            == dataclasses.replace(live, config_digest=""))
+    assert live.discovered_scams > 0
+    config = (engines, 3, len(ranked), None)
+    assert live.config_digest == _config_digest("LIVE", *config)
+    assert replay.config_digest == _config_digest("REPLAY", *config)
 
 
 def test_run_discovery_missing_fixture_propagates():

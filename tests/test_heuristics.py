@@ -78,12 +78,6 @@ def test_classify_attributes_combines_sources():
         KeywordSuggestion(text="red dog beds cheap", competition="HIGH"))
 
 
-def test_classify_attributes_custom_adapter():
-    kw = KeywordSuggestion(text="anything", competition="HIGH")
-    adapter = lambda text: {QueryAttribute.INFORMATIONAL}
-    assert classify_attributes(kw, adapter) == {QueryAttribute.INFORMATIONAL}
-
-
 # --- segment matching -----------------------------------------------------
 
 

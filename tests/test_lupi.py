@@ -107,7 +107,7 @@ def test_tokenize_truncates_and_batches():
 @given(texts=st.lists(st.text(), min_size=1, max_size=4),
        max_len=st.integers(2, 40), vocab=st.integers(16, 5000))
 def test_tokenize_is_cls_then_word_ids_then_a_pad_suffix(texts, max_len, vocab):
-    cfg = TokenizerConfig(vocab_size=vocab)
+    cfg = TokenizerConfig(vocab_size=vocab, max_len_query=max_len)
     rows = []
     for text in texts:
         ids = tokenize(text, cfg, max_len)
@@ -119,7 +119,7 @@ def test_tokenize_is_cls_then_word_ids_then_a_pad_suffix(texts, max_len, vocab):
         # PAD only after the last word: trimmed_length relies on it
         assert np.all(ids[1 + n_words:] == PAD_ID)
         rows.append(ids)
-    assert np.array_equal(tokenize_batch(texts, cfg, max_len), np.stack(rows))
+    assert np.array_equal(tokenize_batch(texts, cfg), np.stack(rows))
 
 
 def test_word_ids_stay_in_vocab():
@@ -949,7 +949,10 @@ def test_rank_keywords_per_category_topk():
         assert rows[0].score >= rows[1].score
         assert all(0.0 <= r.score <= 1.0 for r in rows)
     assert rank_keywords(student, kws, k=2) == ranked  # deterministic
-    assert len(rank_keywords(student, kws, k=None)) == 8
+    assert len(rank_keywords(student, kws, k=4)) == 8
+    for k in (0, -1):
+        with pytest.raises(SchemaError, match=f"k must be >= 1, got {k}"):
+            rank_keywords(student, kws, k=k)
     with pytest.raises(TrainingError):
         rank_keywords(student, [])
 
@@ -1063,7 +1066,7 @@ def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(train):
     for longest in (4, 10, 13, 18):
         texts = [_words(rng, int(n)) for n in rng.integers(1, longest, size=5)]
         texts.append(_words(rng, longest))
-        ids = tokenize_batch(texts, TOK_LONG, TOK_LONG.max_len_serp)
+        ids = np.stack([tokenize(t, TOK_LONG, TOK_LONG.max_len_serp) for t in texts])
         L = trimmed_length(ids)
         assert L % 8 == 0 and L < ids.shape[1]
         rng_full, rng_trim = np.random.default_rng(9), np.random.default_rng(9)
@@ -1082,8 +1085,8 @@ def _long_teacher_inputs(seed=0, batch=6, k=3, lengths=(3, 20)):
     q = tokenize_batch([_words(rng, int(rng.integers(1, 9)))
                         for _ in range(batch)], TOK_LONG)
     serp_ids = np.stack([
-        tokenize_batch([_words(rng, int(rng.integers(*lengths)))
-                        for _ in range(k)], TOK_LONG, TOK_LONG.max_len_serp)
+        [tokenize(_words(rng, int(rng.integers(*lengths))), TOK_LONG,
+                  TOK_LONG.max_len_serp) for _ in range(k)]
         for _ in range(batch)])
     present = rng.random((batch, k)) < 0.8
     present[0] = True
@@ -1178,13 +1181,15 @@ def test_distillation_runs_the_teacher_once_per_tensor_set(monkeypatch):
     assert calls == []
 
 
-def test_rank_scores_equal_the_untrimmed_student_scores():
+def test_rank_scores_equal_the_untrimmed_student_scores(monkeypatch):
     from scamscout.corpus import KeywordSuggestion
+    from scamscout.lupi import rank
+    monkeypatch.setattr(rank, "_BATCH_SIZE", 16)
     student = StudentModel(TOK_LONG, ENC, seed=7)
     rng = np.random.default_rng(1)
     kws = [KeywordSuggestion(text=_words(rng, int(n)), category="c")
            for n in rng.integers(1, 12, size=40)]
-    ranked = rank_keywords(student, kws, k=None, batch_size=16)
+    ranked = rank_keywords(student, kws, k=len(kws))
     ids = tokenize_batch([kw.text for kw in kws], TOK_LONG)
     full, _, _ = student.forward(ids, train=False, cache=False)
     expected = dict(zip((kw.text for kw in kws), np.clip(full, 0.0, 1.0)))

@@ -6,21 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scamscout.errors import UrlError
-from scamscout.psl import (
-    _host_of,
-    _is_ip_literal,
-    load_suffix_rules,
-    public_suffix,
-    root_domain,
-)
+from scamscout.psl import _host_of, _is_ip_literal, public_suffix, root_domain
 
 
-def _reference_root(url: str, rules=None) -> str:
+def _reference_root(url: str) -> str:
     """The registrable domain from scratch, with no cache in between."""
     host = _host_of(url)
     if _is_ip_literal(host):
         return host
-    suffix = public_suffix(host, rules)
+    suffix = public_suffix(host)
     if host == suffix:
         return host
     return ".".join(host.split(".")[-(len(suffix.split(".")) + 1):])
@@ -74,16 +68,6 @@ def test_root_domain_equals_uncached_reference(url):
     host = _outcome(_host_of, url)
     if isinstance(host, str):
         assert _is_ip_literal(host) == _plain_is_ip(host)
-
-
-def test_explicit_rules_bypass_the_cache():
-    rules = load_suffix_rules(None)
-    exact, wildcard, exception = rules
-    narrowed = (exact - {"co.uk"}, wildcard, exception)
-    url = "http://www.shop.co.uk/"
-    assert root_domain(url) == "shop.co.uk"
-    assert root_domain(url, narrowed) == _reference_root(url, narrowed) == "co.uk"
-    assert root_domain(url) == "shop.co.uk"
 
 
 @pytest.mark.parametrize("bad", ["shop.com/x", "/relative", "http://", "http:///x",
