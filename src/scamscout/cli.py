@@ -21,6 +21,7 @@ created, so no later stage reads a partial one.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -30,6 +31,7 @@ from .branded import filter_unbranded
 from .discovery import FixtureStore, run_discovery, write_report
 from .errors import ScamscoutError
 from .featurizer import (
+    BOOLEAN,
     CATEGORICAL,
     FEATURES,
     FeatureVector,
@@ -77,12 +79,17 @@ def _feature_cell(value) -> str:
     return repr(float(value))
 
 
-def _parse_cell(value: str, kind: str):
+def _parse_cell(value: str, name: str, kind: str):
     if value == "":
         return None
     if kind == CATEGORICAL:
         return value
-    return float(value)
+    number = float(value)
+    if kind == BOOLEAN and number not in (0.0, 1.0):
+        raise ValueError(f"{name}: boolean must be 0 or 1, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: numeric must be finite, got {value!r}")
+    return number
 
 
 def write_features_csv(path, rows: list[tuple[str, FeatureVector]]) -> None:
@@ -94,7 +101,7 @@ def write_features_csv(path, rows: list[tuple[str, FeatureVector]]) -> None:
 def read_features_csv(path) -> list[tuple[str, FeatureVector]]:
     records.check_header(path, _FEATURE_HEADER)
     return list(records.read_csv(path, lambda row: (row["root_domain"], FeatureVector(
-        [_parse_cell(row[name], kind) for name, kind, _ in FEATURES]))))
+        [_parse_cell(row[name], name, kind) for name, kind, _ in FEATURES]))))
 
 
 # --- subcommands ----------------------------------------------------------------

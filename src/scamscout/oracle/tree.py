@@ -8,14 +8,16 @@ both the squared and logistic boosting objectives.  Rows with MISSING values
 follow the split's ``missing_goes`` direction.  ``predict_tree`` is the one
 traversal: boosting and prediction both score whole encoded matrices with it.
 
-The search is vectorized per node.  Numeric columns are scored in blocks of
-``_BLOCK_COLS``: one stable argsort orders each column's present values
-(NaN sorts last), cumulative gradient and hessian sums down the sorted
-columns give the left side of every boundary, and the gains of all
-boundaries in both missing directions come out as one array.  A categorical
-column orders its codes by gradient-to-hessian ratio (then by code) and
-scores every prefix the same way.  Row arrays are built only for the
-winning split.
+The search is vectorized per node and scores only real split points.  Each
+run of consecutive numeric columns is one block; a column with fewer than
+two distinct present values at the node cannot split and is skipped.  One
+stable argsort per column orders its present values (NaN sorts last), and
+cumulative gradient and hessian sums along the sorted column give the left
+side of every position.  Only the boundaries, positions whose next present
+value is larger, are gathered and scored in both missing directions.  A
+categorical column orders its codes by gradient-to-hessian ratio (then by
+code) and scores every prefix the same way.  Row arrays are built only for
+the winning split.
 
 Selection walks the candidates in scan order: feature index, then
 threshold or prefix length, then LEFT before RIGHT.  A candidate replaces
@@ -38,8 +40,6 @@ RIGHT = "RIGHT"
 _EPS_HESS = 1e-12
 # a candidate replaces the best so far only if it beats it by more than this
 _GAIN_TIE = 1e-12
-# numeric columns scored together per node; bounds the per-node work arrays
-_BLOCK_COLS = 16
 
 
 @dataclass
@@ -104,8 +104,8 @@ def _score(g, h):
 def _scan_blocks(n_features: int, cat_cols: frozenset[int]):
     """Feature ranges ``(lo, hi, is_categorical)`` in scan order.
 
-    Consecutive numeric columns are grouped up to ``_BLOCK_COLS`` wide;
-    each categorical column is a range of its own.
+    Each run of consecutive numeric columns is one range; each categorical
+    column is a range of its own.
     """
     lo = 0
     for f in range(n_features):
@@ -113,9 +113,6 @@ def _scan_blocks(n_features: int, cat_cols: frozenset[int]):
             if lo < f:
                 yield lo, f, False
             yield f, f + 1, True
-            lo = f + 1
-        elif f + 1 - lo == _BLOCK_COLS:
-            yield lo, f + 1, False
             lo = f + 1
     if lo < n_features:
         yield lo, n_features, False
@@ -153,46 +150,51 @@ def _split(gain, feature_index, threshold, category_set, d,
 
 
 def _numeric_gains(block, rows, g_node, h_node, min_leaf, lo):
-    """Score every candidate of a node's numeric columns ``lo, lo+1, ...``.
+    """Score the split points of a node's numeric columns ``lo, lo+1, ...``.
 
-    ``block`` holds the node's rows of those columns.  Returns the gains in
-    scan order (column, then boundary, then LEFT before RIGHT) with -inf for
-    invalid candidates, and a function that builds the split at an index.
+    ``block`` holds the node's rows of those columns.  A column with fewer
+    than two distinct present values has no split point and is skipped.
+    Returns the gains of the split points alone, in scan order (column, then
+    split point, then LEFT before RIGHT) with -inf for invalid candidates,
+    and a function that builds the split at an index.
     """
-    n, k = block.shape
-    order = np.argsort(block, axis=0, kind="stable")  # NaN sorts last
-    vals = np.take_along_axis(block, order, axis=0)
-    missing = np.isnan(block)
-    n_miss = missing.sum(axis=0)
+    splittable = np.flatnonzero(
+        np.fmin.reduce(block, 0) < np.fmax.reduce(block, 0))
+    table = block.T[splittable]  # one row per splittable column
+    k, n = table.shape
+    order = np.argsort(table, axis=1, kind="stable")  # NaN sorts last
+    vals = np.take_along_axis(table, order, axis=1)
+    missing = np.isnan(table)
+    n_miss = missing.sum(axis=1)
     n_present = n - n_miss
     g_miss = np.zeros(k)
     h_miss = np.zeros(k)
     for j in np.flatnonzero(n_miss):
-        g_miss[j] = g_node[missing[:, j]].sum()
-        h_miss[j] = h_node[missing[:, j]].sum()
-    g_cum = np.cumsum(g_node[order], axis=0)
-    h_cum = np.cumsum(h_node[order], axis=0)
-    last = np.maximum(n_present - 1, 0)
-    g_tot = g_cum[last, np.arange(k)]
-    h_tot = h_cum[last, np.arange(k)]
+        g_miss[j] = g_node[missing[j]].sum()
+        h_miss[j] = h_node[missing[j]].sum()
+    g_cum = np.cumsum(g_node[order], axis=1)
+    h_cum = np.cumsum(h_node[order], axis=1)
+    g_tot = g_cum[np.arange(k), n_present - 1]
+    h_tot = h_cum[np.arange(k), n_present - 1]
     parent = _score(g_tot + g_miss, h_tot + h_miss)
-    # row b of each (n-1, k) array: split after sorted position b
-    g_left, h_left = g_cum[:-1], h_cum[:-1]
-    n_left = np.arange(1, n)[:, None]
+    # split point (j, b): column j splits after sorted position b, where the
+    # next value is larger; NaN compares false, so both sides are present
+    col, at = np.nonzero(vals[:, 1:] > vals[:, :-1])
+    g_left, h_left, n_left = g_cum[col, at], h_cum[col, at], at + 1
     gains = _gains(g_left, h_left, n_left,
-                   g_tot - g_left, h_tot - h_left, n_present - n_left,
-                   g_miss, h_miss, n_miss, parent, min_leaf)
-    boundary = (n_left < n_present) & (vals[1:] != vals[:-1])
-    gains[~boundary] = -np.inf
-    gains = gains.transpose(1, 0, 2).ravel()
+                   g_tot[col] - g_left, h_tot[col] - h_left,
+                   n_present[col] - n_left,
+                   g_miss[col], h_miss[col], n_miss[col], parent[col],
+                   min_leaf).ravel()
 
     def split(i: int) -> _Split:
-        j, b, d = np.unravel_index(i, (k, n - 1, 2))
-        present_rows = rows[order[: n_present[j], j]]
-        threshold = float((vals[b, j] + vals[b + 1, j]) / 2.0)
-        return _split(gains[i], lo + int(j), threshold, None, d,
+        c, d = divmod(i, 2)
+        j, b = col[c], at[c]
+        present_rows = rows[order[j, : n_present[j]]]
+        threshold = float((vals[j, b] + vals[j, b + 1]) / 2.0)
+        return _split(gains[i], lo + int(splittable[j]), threshold, None, d,
                       present_rows[: b + 1], present_rows[b + 1:],
-                      rows[missing[:, j]])
+                      rows[missing[j]])
 
     return gains, split
 
@@ -213,10 +215,13 @@ def _categorical_gains(col, rows, grad, hess, min_leaf, feature_index):
     uniq, starts = np.unique(sub_codes[by_code], return_index=True)
     if uniq.size < 2:
         return np.empty(0), None
-    members = np.split(sub_rows[by_code], starts[1:])  # node order per code
-    g = np.array([grad[m].sum() for m in members])
-    h = np.array([hess[m].sum() for m in members])
-    sizes = np.array([m.size for m in members])
+    coded_rows = sub_rows[by_code]  # node order within each code
+    ends = np.append(starts[1:], coded_rows.size)
+    g_coded = grad[coded_rows]
+    h_coded = hess[coded_rows]
+    g = np.array([g_coded[s:e].sum() for s, e in zip(starts, ends)])
+    h = np.array([h_coded[s:e].sum() for s, e in zip(starts, ends)])
+    sizes = ends - starts
     # ordered target statistics: ratio of gradient to hessian mass, then code
     rank = np.lexsort((uniq, g / (h + _EPS_HESS)))
     g_miss = grad[miss_rows].sum()
@@ -237,7 +242,8 @@ def _categorical_gains(col, rows, grad, hess, min_leaf, feature_index):
         in_set = rank[: prefix + 1]
         return _split(gains[i], feature_index, None,
                       frozenset(int(c) for c in uniq[in_set]), d,
-                      np.concatenate([members[c] for c in in_set]),
+                      np.concatenate([coded_rows[starts[c]:ends[c]]
+                                      for c in in_set]),
                       sub_rows[~np.isin(sub_codes, uniq[in_set])],
                       miss_rows)
 

@@ -31,6 +31,10 @@ class QueryToxicity:
     def __post_init__(self):
         if self.total_sites < 1:
             raise SchemaError("total_sites must be >= 1")
+        if not 0 <= self.scam_sites <= self.total_sites:
+            raise SchemaError(
+                f"scam_sites must be within [0, total_sites={self.total_sites}],"
+                f" got {self.scam_sites}")
         if not 0.0 <= self.toxicity <= 1.0:
             raise SchemaError("toxicity must be within [0, 1]")
         if self.expansion != self.scam_sites:
@@ -119,6 +123,11 @@ def max_reference(
     return mean_tox, mean_exp
 
 
+# write_scores keeps 6 decimals of toxicity, so a file's value may differ
+# from scam_sites / total_sites by up to 0.5e-6, plus float error
+_TOXICITY_ROUNDING = 0.5e-6 + 1e-12
+
+
 def write_scores(scored: Sequence[QueryToxicity], path) -> None:
     write_csv(path, ["query", "category", "total_sites", "scam_sites",
                      "toxicity", "expansion"], (
@@ -126,12 +135,22 @@ def write_scores(scored: Sequence[QueryToxicity], path) -> None:
          f"{s.toxicity:.6f}", s.expansion] for s in scored))
 
 
-def read_scores(path) -> list[QueryToxicity]:
-    return list(read_csv(path, lambda row: QueryToxicity(
+def _score_row(row) -> QueryToxicity:
+    scored = QueryToxicity(
         query=row["query"],
         category=row.get("category", ""),
         total_sites=int(row["total_sites"]),
         scam_sites=int(row["scam_sites"]),
         toxicity=float(row["toxicity"]),
         expansion=int(row["expansion"]),
-    )))
+    )
+    ratio = scored.scam_sites / scored.total_sites
+    if not abs(scored.toxicity - ratio) <= _TOXICITY_ROUNDING:
+        raise SchemaError(
+            f"toxicity {row['toxicity']} is not scam_sites / total_sites"
+            f" = {scored.scam_sites}/{scored.total_sites}")
+    return scored
+
+
+def read_scores(path) -> list[QueryToxicity]:
+    return list(read_csv(path, _score_row))

@@ -16,7 +16,7 @@ import pytest
 from scamscout import corpus, records
 from scamscout.cli import main, read_features_csv, write_features_csv
 from scamscout.discovery import report_from_csv
-from scamscout.featurizer import CATEGORICAL, FEATURES
+from scamscout.featurizer import BOOLEAN, FEATURES, NUMERIC
 from scamscout.lupi import load_student, load_teacher, ranked_from_csv
 from scamscout.oracle import gbdt
 
@@ -321,9 +321,18 @@ def test_toxicity_rejects_bad_serp_record_with_line_number(tmp_path, capsys,
     assert not (tmp_path / "toxicity.csv").exists()
 
 
-def _numeric_column():
-    return 1 + next(i for i, (_, kind, _) in enumerate(FEATURES)
-                    if kind != CATEGORICAL)
+def _first_of(kind):
+    """(csv column, name) of the first feature of ``kind``."""
+    return next((1 + i, name) for i, (name, k, _) in enumerate(FEATURES)
+                if k == kind)
+
+
+def _put(kind, value):
+    def mangle(row):
+        row = list(row)
+        row[_first_of(kind)[0]] = value
+        return row
+    return mangle
 
 
 def _widen(row):
@@ -335,15 +344,19 @@ def _shorten(row):
 
 
 def _garble(row):
-    row = list(row)
-    row[_numeric_column()] = "many"
-    return row
+    return _put(NUMERIC, "many")(row)
 
 
 @pytest.mark.parametrize("mangle, message", [
     (_widen, f"expected {len(FEATURES) + 1} cells, got {len(FEATURES) + 2}"),
     (_shorten, f"expected {len(FEATURES) + 1} cells, got {len(FEATURES)}"),
     (_garble, "could not convert string to float: 'many'"),
+    *[(_put(NUMERIC, cell),
+       f"{_first_of(NUMERIC)[1]}: numeric must be finite, got {cell!r}")
+      for cell in ("nan", "inf", "-inf", "1e999")],
+    (_put(BOOLEAN, "7"), f"{_first_of(BOOLEAN)[1]}: boolean must be 0 or 1, got '7'"),
+    (_put(BOOLEAN, "nan"),
+     f"{_first_of(BOOLEAN)[1]}: boolean must be 0 or 1, got 'nan'"),
 ])
 def test_bad_features_row_names_its_line(workdir, tmp_path, capsys, mangle,
                                          message):
@@ -497,7 +510,11 @@ def _csv_lines(rows):
 
 
 def _cell(column, value):
-    return _csv_case(lambda header, row: [value if name == column else cell
+    return _cells(**{column: value})
+
+
+def _cells(**values):
+    return _csv_case(lambda header, row: [values.get(name, cell)
                                           for name, cell in zip(header, row)])
 
 
@@ -651,6 +668,16 @@ _BAD_INPUTS = [
     ("toxicity", "float-count", _cell("total_sites", "2.5"),
      "invalid literal for int() with base 10: '2.5'"),
     ("toxicity", "short-row", _short_row, "expected 6 cells, got 5"),
+    ("toxicity", "scams-over-total",
+     _cells(total_sites="4", scam_sites="5", toxicity="1.000000", expansion="5"),
+     "scam_sites must be within [0, total_sites=4], got 5"),
+    ("toxicity", "negative-scams",
+     _cells(total_sites="4", scam_sites="-1", toxicity="0.000000",
+            expansion="-1"),
+     "scam_sites must be within [0, total_sites=4], got -1"),
+    ("toxicity", "not-the-ratio",
+     _cells(total_sites="4", scam_sites="1", toxicity="0.300000", expansion="1"),
+     "toxicity 0.300000 is not scam_sites / total_sites = 1/4"),
     ("segments", "no-token-type", _drop("token_type"),
      "missing key 'token_type'"),
     ("segments", "bad-token-type", _set("token_type", "VERB"),

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scamscout.errors import TrainingError
-from scamscout.featurizer import FEATURE_NAMES, FeatureVector, encode_dataset
+from scamscout.featurizer import (
+    BOOLEAN,
+    CATEGORICAL,
+    FEATURE_NAMES,
+    FEATURES,
+    NUMERIC,
+    FeatureVector,
+    encode_dataset,
+)
+from scamscout.featurizer.encode import CATEGORICAL_COLUMNS
 from scamscout.oracle import (
     GbdtModel,
     TrainConfig,
@@ -22,6 +31,7 @@ from scamscout.oracle import (
     train_gbdt,
     train_logistic_baseline,
 )
+from scamscout.oracle import tree
 from scamscout.oracle.tree import (
     _EPS_HESS,
     _GAIN_TIE,
@@ -504,17 +514,21 @@ def _ref_best_split(values, cat_cols, rows, grad, hess, min_leaf):
 
 
 def _random_node(rng):
-    """A node drawn to provoke ties, NaN tails, empty categories and tiny leaves."""
+    """A node drawn to provoke ties, NaN tails, empty categories, tiny leaves,
+    columns constant at the node and numeric runs wider than 16 columns."""
     n_total = int(rng.integers(2, 41))
-    n_features = int(rng.integers(1, 37))  # up to three numeric blocks wide
-    cat_cols = frozenset(
-        int(f) for f in np.flatnonzero(rng.random(n_features) < 0.2))
+    n_features = int(rng.integers(1, 61))
+    cat_cols = frozenset(int(f) for f in np.flatnonzero(
+        rng.random(n_features) < rng.uniform(0.0, 0.2)))
+    p_constant = rng.uniform(0.0, 0.6)
     values = np.empty((n_total, n_features))
     for f in range(n_features):
         if f in cat_cols:
             values[:, f] = rng.integers(0, 5, n_total)  # 0 = MISSING
         else:
             col = np.round(rng.uniform(-3, 3, n_total), int(rng.integers(0, 3)))
+            if rng.random() < p_constant:  # one value, or all MISSING
+                col[:] = col[0] if rng.random() < 0.8 else np.nan
             col[rng.random(n_total) < rng.uniform(0.0, 0.5)] = np.nan
             values[:, f] = col
     if rng.random() < 0.5:
@@ -531,9 +545,21 @@ def _random_node(rng):
     return values, cat_cols, rows, grad, hess, min_leaf
 
 
+def _numeric_winner_kinds(values, cat_cols, rows, feature_index):
+    """Tally keys of a numeric winner at ``feature_index``: a column constant
+    at the node precedes it in its numeric run; it lies 16 or more columns
+    into that run."""
+    lo = 1 + max((c for c in cat_cols if c < feature_index), default=-1)
+    constant = any(np.unique(col[~np.isnan(col)]).size < 2
+                   for col in values[rows, lo:feature_index].T)
+    return (["after constant column"] * constant
+            + ["16+ into its run"] * (feature_index - lo >= 16))
+
+
 def test_vectorized_split_search_equals_scalar_reference():
     rng = np.random.default_rng(2025)
-    winners = {"none": 0, "numeric": 0, "categorical": 0, LEFT: 0, RIGHT: 0}
+    winners = {"none": 0, "numeric": 0, "categorical": 0, LEFT: 0, RIGHT: 0,
+               "after constant column": 0, "16+ into its run": 0}
     for _ in range(400):
         args = _random_node(rng)
         ref = _ref_best_split(*args)
@@ -552,8 +578,64 @@ def test_vectorized_split_search_equals_scalar_reference():
         assert np.array_equal(got.right_rows, ref.right_rows)
         winners["categorical" if ref.category_set else "numeric"] += 1
         winners[ref.missing_goes] += 1
+        if ref.category_set is None:
+            for kind in _numeric_winner_kinds(args[0], args[1], args[2],
+                                              ref.feature_index):
+                winners[kind] += 1
     # the draw must exercise every kind of outcome, or it proves little
     assert all(count >= 10 for count in winners.values()), winners
+
+
+def _referee_matrix():
+    """72 labelled rows over the whole schema.
+
+    Every kind of column the search meets is present: constant ones, binary
+    ones, all-MISSING ones, categorical ones, and informative numeric
+    columns more than 16 columns into the schema's widest numeric run,
+    behind constant columns.
+    """
+    rng = np.random.default_rng(41)
+    numeric = [i for i, (_, kind, _) in enumerate(FEATURES) if kind == NUMERIC]
+    boolean = [i for i, (_, kind, _) in enumerate(FEATURES) if kind == BOOLEAN]
+    informative, binary, all_missing = numeric[-8:], boolean[-6:], numeric[:3]
+    labels = [int(y) for y in rng.integers(0, 2, 72)]
+    vectors = []
+    for y in labels:
+        values = []
+        for i, (_, kind, _) in enumerate(FEATURES):
+            if kind == CATEGORICAL:
+                values.append(str(rng.choice(["a", "b", "c", "d"]))
+                              if rng.random() < 0.8 else None)
+            elif i in informative:
+                values.append(float(np.round(rng.normal(y, 1.0), 1))
+                              if rng.random() < 0.85 else None)
+            elif i in binary:
+                values.append(int(rng.random() < 0.3 + 0.4 * y))
+            elif i in all_missing:
+                values.append(None)
+            else:
+                values.append(0 if kind == BOOLEAN else 3.0)
+        vectors.append(FeatureVector(values))
+    return encode_dataset(vectors, labels)[0]
+
+
+@pytest.mark.parametrize("loss", ["LOGISTIC", "SQUARED"])
+def test_boosted_model_equals_the_scalar_reference_model(monkeypatch, loss):
+    matrix = _referee_matrix()
+    config = TrainConfig(rounds=6, max_depth=3, min_leaf=2, loss=loss)
+    got = train_gbdt(matrix, config).to_dict()
+    monkeypatch.setattr(tree, "_best_split", _ref_best_split)
+    assert got == train_gbdt(matrix, config).to_dict()
+    # the trees split 16 or more columns into a numeric run
+    used = set()
+    stack = list(got["trees"])
+    while stack:
+        node = stack.pop()
+        if "feature_index" in node:
+            used.add(node["feature_index"])
+            stack += [node["left"], node["right"]]
+    assert any(f - max((c for c in CATEGORICAL_COLUMNS if c < f), default=-1) > 16
+               for f in used - set(CATEGORICAL_COLUMNS))
 
 
 def test_zero_gain_is_not_a_split():

@@ -196,6 +196,10 @@ def test_query_toxicity_validation():
     with pytest.raises(SchemaError):
         QueryToxicity("q", "", total_sites=10, scam_sites=5,
                       toxicity=0.5, expansion=4)
+    for scams in (5, -1):   # outside [0, total_sites]
+        with pytest.raises(SchemaError, match="scam_sites must be within"):
+            QueryToxicity("q", "", total_sites=2, scam_sites=scams,
+                          toxicity=0.1, expansion=scams)
 
 
 def test_csv_round_trip(tmp_path):
@@ -209,3 +213,14 @@ def test_csv_round_trip(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "query,category,total_sites,scam_sites,toxicity,expansion"
     assert lines[1].split(",")[4] == "0.300000"  # six-decimal toxicity
+
+
+def test_read_scores_accepts_every_ratio_write_scores_rounds(tmp_path):
+    scored = [_scored(f"q{total}-{scams}", scams / total, scams, total)
+              for total in range(1, 301) for scams in range(total + 1)]
+    path = tmp_path / "scores.csv"
+    write_scores(scored, path)
+    back = read_scores(path)
+    assert [(s.total_sites, s.scam_sites) for s in back] == \
+        [(s.total_sites, s.scam_sites) for s in scored]
+    assert all(f"{a.toxicity:.6f}" == f"{b.toxicity:.6f}" for a, b in zip(back, scored))
