@@ -15,11 +15,22 @@ characters where lowering and IGNORECASE part ways: ``ſ`` (U+017F) and ``ı``
 ``i``, and ``'İ'.lower()`` is two code points long.  A page holding any of
 them keeps the IGNORECASE patterns.  ASCII pages and pages with ``©``,
 ``—``, ``€``, accented letters or ``K`` (U+212A, which lowers to ``k``) take
-the lowered path.
+the lowered path.  There the discount and urgency patterns are tried only
+where the literal start of one of their words stands (``_count_matches``),
+and the clock pattern is led by its first colon, so that the regex engine
+skips ahead to colons.
 
 The HTML walks keep their quirks: tags are counted wherever they stand, in
 comments and scripts too, while the visible text strips script/style
-bodies, then comments, then tags, in that order.
+bodies, then comments, then tags, in that order.  ``_TAG_RE`` reads a tag's
+attributes as an unrolled loop: a run of characters other than ``>`` and
+quotes, then quoted strings each followed by another such run.  Each piece
+starts on characters no other piece starts on, so a text has one parse: the
+regex matches what the per-character alternation
+``(?:"[^"]*"|'[^']*'|[^>"'])*`` matches, without a branch per character, and
+a tag with no closing ``>`` fails in one linear pass.  Possessive
+quantifiers or an atomic group would say the same more briefly, but they
+need Python 3.11 and the package supports 3.10.
 
 Each distinct tag is worked out once per command.  A command passes one
 ``memo`` dict to ``extract_features`` for every snapshot it featurizes; the
@@ -40,7 +51,7 @@ from urllib.parse import urlsplit
 
 from ..corpus import DomainSnapshot
 from ..datalists import read_list
-from ..psl import public_suffix, root_domain, _host_of, _is_ip_literal
+from ..psl import public_suffix, root_domain, _host_of, _is_ip_literal, _registrable
 from .schema import (CONTENT, DNS, FEATURE_GROUPS, FEATURE_NAMES, RANKING,
                      WHOIS, FeatureVector)
 from .segment import count_subwords
@@ -107,11 +118,8 @@ _URGENCY_WORDS = (
 _URGENCY_RE = re.compile(r"\b(" + "|".join(_URGENCY_WORDS) + r")\b", re.IGNORECASE)
 
 _COUNTDOWN_WORDS = ("countdown", "time remaining", "expires in", "offer ends in")
-# a clock, h:mm:ss or hh:mm:ss, as its first digit and the rest
-_CLOCK_START, _CLOCK_REST = r"\d", r"\d?:\d{2}:\d{2}\b"
 _COUNTDOWN_RE = re.compile(
-    "(" + "|".join(_COUNTDOWN_WORDS) + r"|\b" + _CLOCK_START + _CLOCK_REST + ")",
-    re.IGNORECASE)
+    "(" + "|".join(_COUNTDOWN_WORDS) + r"|\b\d\d?:\d{2}:\d{2}\b)", re.IGNORECASE)
 
 _COPYRIGHT_RE = re.compile(r"(©|&copy;|\bcopyright\b)", re.IGNORECASE)
 _CURRENCY_RE = re.compile(r"[$€£¥₹]|&(?:euro|pound|yen|dollar);")
@@ -122,22 +130,25 @@ _CURRENCY_RE = re.compile(r"[$€£¥₹]|&(?:euro|pound|yen|dollar);")
 _FOLD_EXCEPTIONS = "\u0130\u0131\u017f"   # İ ı ſ
 
 # lowered-text fast path: the patterns above without IGNORECASE, each run
-# only when the text holds a substring that every match holds (for a word
-# list, the literal start of some word)
+# only where the text holds a substring that every match holds (for a word
+# list, the literal start of some word; ``_count_matches`` tries the pattern
+# only where one stands)
 _LOWERED_DISCOUNT_RE = re.compile(_DISCOUNT_RE.pattern)
 _LOWERED_URGENCY_RE = re.compile(_URGENCY_RE.pattern)
 _LOWERED_COPYRIGHT_RE = re.compile(_COPYRIGHT_RE.pattern)
 _DISCOUNT_PREFILTER = tuple(w.partition("\\")[0] for w in _DISCOUNT_WORDS)
 _URGENCY_PREFILTER = tuple(w.partition("\\")[0] for w in _URGENCY_WORDS)
-# the clock alternative of _COUNTDOWN_RE led by its first digit, with the \b
-# as a lookbehind, so that the regex engine skips ahead to digits
+# the clock alternative of _COUNTDOWN_RE led by its first colon, so that the
+# regex engine skips ahead to colons; lookbehinds check the one or two digits
+# before it and the \b before them
 _CLOCK_RE = re.compile(
-    _CLOCK_START + r"(?<!\w" + _CLOCK_START + ")" + _CLOCK_REST)
+    r":(?<=\d:)(?:(?<!\w\d:)|(?<=\d\d:)(?<!\w\d\d:))\d{2}:\d{2}\b")
 
 # --- forgiving HTML scanning ------------------------------------------------
 
+# the attribute blob as an unrolled loop (see the module docstring)
 _TAG_RE = re.compile(
-    r"<\s*(/?)([a-zA-Z][a-zA-Z0-9]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>",
+    r"<\s*(/?)([a-zA-Z][a-zA-Z0-9]*)([^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*)>",
     re.DOTALL,
 )
 _ATTR_RE = re.compile(
@@ -285,6 +296,27 @@ def _tag_effect(name: str, attr_blob: str) -> _TagEffect:
             root, if_own, if_other)
 
 
+def _count_matches(pattern: re.Pattern, text: str, starts: tuple[str, ...]) -> int:
+    """``len(pattern.findall(text))`` for a pattern whose every match begins
+    with one of the literals ``starts``.  The pattern is tried only where one
+    of them stands, left to right from the end of the last match, as findall
+    tries it."""
+    at: set[int] = set()
+    for start in starts:
+        i = text.find(start)
+        while i >= 0:
+            at.add(i)
+            i = text.find(start, i + 1)
+    count = end = 0
+    for i in sorted(at):
+        if i >= end:
+            match = pattern.match(text, i)
+            if match is not None:
+                count += 1
+                end = match.end()
+    return count
+
+
 def _text_matches(html: str, lower_html: str, text: str) -> tuple:
     """(copyright, discount count, urgency count, countdown) of one page."""
     if _contains_any(html, _FOLD_EXCEPTIONS):
@@ -296,10 +328,8 @@ def _text_matches(html: str, lower_html: str, text: str) -> tuple:
     copyright_ = _contains_any(lower_html, ("©", "&copy;")) or (
         "copyright" in lower_html
         and _LOWERED_COPYRIGHT_RE.search(lower_html) is not None)
-    discount = (len(_LOWERED_DISCOUNT_RE.findall(lower_text))
-                if _contains_any(lower_text, _DISCOUNT_PREFILTER) else 0)
-    urgency = (len(_LOWERED_URGENCY_RE.findall(lower_text))
-               if _contains_any(lower_text, _URGENCY_PREFILTER) else 0)
+    discount = _count_matches(_LOWERED_DISCOUNT_RE, lower_text, _DISCOUNT_PREFILTER)
+    urgency = _count_matches(_LOWERED_URGENCY_RE, lower_text, _URGENCY_PREFILTER)
     countdown = _contains_any(lower_html, _COUNTDOWN_WORDS) or (
         _CLOCK_RE.search(lower_html) is not None)
     return copyright_, discount, urgency, countdown
@@ -368,7 +398,7 @@ def _url_features(snapshot: DomainSnapshot) -> dict:
         })
         return out
     suffix = public_suffix(host)
-    registrable = root_domain(url)
+    registrable = _registrable(host)
     label = registrable[: -(len(suffix) + 1)] if registrable != suffix else registrable
     prefix = host[: -(len(registrable) + 1)] if host != registrable else ""
     out["tld"] = suffix

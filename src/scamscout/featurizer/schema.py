@@ -7,6 +7,7 @@ drift silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -156,6 +157,9 @@ def schema_as_dict() -> dict:
     }
 
 
+_INFINITIES = (math.inf, -math.inf)
+
+
 @dataclass
 class FeatureVector:
     """One row of the oracle's input, aligned to the schema order.
@@ -181,7 +185,7 @@ class FeatureVector:
             if kind == BOOLEAN and value not in (0, 1):
                 raise SchemaError(f"{name}: boolean must be 0/1, got {value!r}")
             if kind == NUMERIC:
-                if not isinstance(value, (int, float)) or value != value or value in (float("inf"), float("-inf")):
+                if not isinstance(value, (int, float)) or value != value or value in _INFINITIES:
                     raise SchemaError(f"{name}: numeric must be finite, got {value!r}")
             if kind == CATEGORICAL and not isinstance(value, str):
                 raise SchemaError(f"{name}: categorical must be a string token, got {value!r}")

@@ -69,20 +69,23 @@ def segment_label(label: str, costs: dict[str, float] | None = None) -> list[str
     n = len(label)
     if n == 0:
         return []
-    # best[i] = (cost, num_tokens, tokens) for label[:i]
-    best: list[tuple[float, int, tuple[str, ...]] | None] = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
+    # cost[i], count[i] and tokens[i] describe the best split of label[:i];
+    # a candidate's token tuple is built only to break a tie in the other two
+    cost: list[float] = [0.0]
+    count: list[int] = [0]
+    tokens: list[tuple[str, ...]] = [()]
     for i in range(1, n + 1):
-        for j in range(i):
-            prev = best[j]
-            if prev is None:
-                continue
-            chunk = label[j:i]
-            cand = (prev[0] + _chunk_cost(chunk, costs), prev[1] + 1, prev[2] + (chunk,))
-            if best[i] is None or cand < best[i]:
-                best[i] = cand
-    assert best[n] is not None
-    return list(best[n][2])
+        best, best_cost = 0, cost[0] + _chunk_cost(label[:i], costs)
+        for j in range(1, i):
+            c = cost[j] + _chunk_cost(label[j:i], costs)
+            if c < best_cost or c == best_cost and (
+                    (count[j], tokens[j] + (label[j:i],))
+                    < (count[best], tokens[best] + (label[best:i],))):
+                best, best_cost = j, c
+        cost.append(best_cost)
+        count.append(count[best] + 1)
+        tokens.append(tokens[best] + (label[best:i],))
+    return list(tokens[n])
 
 
 def count_subwords(label: str) -> int:

@@ -8,8 +8,9 @@ base64 string of its little-endian float64 bytes, and ``layout`` as its
 ordered ``[[name, shape], ...]`` table, which must equal the model's own, so
 a reordered parameter is rejected too.  The same bits go in and come out,
 NaN payloads and -0.0 included, so a saved model reloads bit-identically and
-a rerun rewrites a byte-identical file.  Versions 1 and 2 are no longer
-read; retrain to rebuild.
+a rerun rewrites a byte-identical file.  A load builds the model without
+its seeded random init (``init=False``), since the stored bytes overwrite
+every parameter.  Versions 1 and 2 are no longer read; retrain to rebuild.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def model_from_dict(blob: dict) -> Union[TeacherModel, StudentModel]:
     kind = blob.get("kind")
     if kind == "teacher":
         priv = PrivilegedConfig(**blob["privileged"])
-        model = TeacherModel(tok_cfg, enc_cfg, priv, seed=blob.get("seed", 0))
+        model = TeacherModel(tok_cfg, enc_cfg, priv, seed=blob.get("seed", 0),
+                             init=False)
     elif kind == "student":
-        model = StudentModel(tok_cfg, enc_cfg, seed=blob.get("seed", 0))
+        model = StudentModel(tok_cfg, enc_cfg, seed=blob.get("seed", 0), init=False)
     else:
         raise SchemaError(f"unknown checkpoint kind: {kind!r}")
     _load_params(model, blob.get("layout"), blob.get("params"))

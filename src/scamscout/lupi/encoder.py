@@ -76,7 +76,7 @@ def trimmed_length(ids: np.ndarray) -> int:
 
 
 class EncoderBlock(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
         super().__init__()
         self.ln1 = LayerNorm(cfg.dim)
         self.attn = MultiHeadAttention(cfg.dim, cfg.heads, rng)
@@ -102,7 +102,7 @@ class EncoderBlock(Module):
 
 class Encoder(Module):
     def __init__(self, vocab_size: int, max_len: int, cfg: EncoderConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         super().__init__()
         self.cfg = cfg
         self.embed = Embedding(vocab_size, cfg.dim, rng)

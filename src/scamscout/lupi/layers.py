@@ -71,10 +71,18 @@ class Module:
             g[...] = 0.0
 
 
+def _normal(rng: np.random.Generator | None, shape: tuple[int, ...]) -> np.ndarray:
+    """Initial weights drawn from N(0, 0.02^2); zeros and no draw when ``rng``
+    is None, for a model whose parameters a checkpoint then fills in."""
+    if rng is None:
+        return np.zeros(shape)
+    return rng.normal(0.0, 0.02, size=shape)
+
+
 class Linear(Module):
-    def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator):
+    def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator | None):
         super().__init__()
-        self._param("w", rng.normal(0.0, 0.02, size=(dim_in, dim_out)))
+        self._param("w", _normal(rng, (dim_in, dim_out)))
         self._param("b", np.zeros(dim_out))
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
@@ -91,9 +99,9 @@ class Linear(Module):
 
 
 class Embedding(Module):
-    def __init__(self, vocab: int, dim: int, rng: np.random.Generator):
+    def __init__(self, vocab: int, dim: int, rng: np.random.Generator | None):
         super().__init__()
-        self._param("w", rng.normal(0.0, 0.02, size=(vocab, dim)))
+        self._param("w", _normal(rng, (vocab, dim)))
 
     def forward(self, ids: np.ndarray, cache: bool = True) -> np.ndarray:
         if cache:
@@ -178,7 +186,7 @@ class MultiHeadAttention(Module):
     both, since the attention maps feed the distillation loss directly.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None):
         super().__init__()
         assert dim % heads == 0
         self.dim, self.heads, self.head_dim = dim, heads, dim // heads
@@ -233,7 +241,7 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, dim: int, ff_dim: int, rng: np.random.Generator):
+    def __init__(self, dim: int, ff_dim: int, rng: np.random.Generator | None):
         super().__init__()
         self.lin1 = Linear(dim, ff_dim, rng)
         self.lin2 = Linear(ff_dim, dim, rng)

@@ -76,13 +76,15 @@ class PrivilegedConfig:
 
 class TeacherModel(Module):
     def __init__(self, tok_cfg: TokenizerConfig, enc_cfg: EncoderConfig,
-                 priv: PrivilegedConfig, seed: int = 0):
+                 priv: PrivilegedConfig, seed: int = 0, init: bool = True):
+        """``init=False`` leaves every parameter zero and draws nothing, for a
+        checkpoint load that overwrites them all."""
         super().__init__()
         self.tok_cfg = tok_cfg
         self.enc_cfg = enc_cfg
         self.priv = priv
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if init else None
         # query and SERP encoders are initialized independently
         self.query_encoder = Encoder(tok_cfg.vocab_size, tok_cfg.max_len_query,
                                      enc_cfg, rng)
@@ -150,12 +152,13 @@ class TeacherModel(Module):
 
 class StudentModel(Module):
     def __init__(self, tok_cfg: TokenizerConfig, enc_cfg: EncoderConfig,
-                 seed: int = 0):
+                 seed: int = 0, init: bool = True):
+        """``init`` as for ``TeacherModel``."""
         super().__init__()
         self.tok_cfg = tok_cfg
         self.enc_cfg = enc_cfg
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if init else None
         self.query_encoder = Encoder(tok_cfg.vocab_size, tok_cfg.max_len_query,
                                      enc_cfg, rng)
         self.pred_drop = Dropout(enc_cfg.dropout)

@@ -3,13 +3,20 @@
 The snapshot ships with the package in standard PSL text format and is the
 only rule set, so a discovery run can be replayed.  The registrable domain
 depends on the host alone and is memoized per host in a bounded LRU cache.
-The URL is still parsed on every call, so a malformed URL raises
-``UrlError`` every time.
+
+The host is taken from the URL on every call, so a malformed URL raises
+``UrlError`` every time.  A plain ``http(s)://host`` URL, whose host of
+ASCII letters, digits, dots and hyphens ends the URL or is followed by
+``/``, ``?`` or ``#``, has its host read by one anchored regex
+(``_PLAIN_URL_RE``); it is the host ``urlsplit`` gives.  Every other URL
+(userinfo, a port, brackets, ``%``, whitespace or control characters,
+non-ASCII, another scheme) goes through ``urlsplit``.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import re
 from functools import lru_cache
 from urllib.parse import urlsplit
 
@@ -31,7 +38,14 @@ def _rules() -> tuple[set[str], set[str], set[str]]:
     return exact, wildcard, exception
 
 
+# the scheme, "://", and a host that no urlsplit rule changes but lowering
+_PLAIN_URL_RE = re.compile(r"[hH][tT][tT][pP][sS]?://([A-Za-z0-9.-]+)(?=[/?#]|\Z)")
+
+
 def _host_of(url: str) -> str:
+    plain = _PLAIN_URL_RE.match(url) if isinstance(url, str) else None
+    if plain is not None:
+        return plain.group(1).lower().rstrip(".")
     try:
         parts = urlsplit(url)
     except ValueError as exc:   # a bracketed IPv4 host or an unclosed "["

@@ -334,6 +334,18 @@ def test_segment_matches_brute_force_on_random_labels():
         assert segment_label(label, costs) == _brute_force_segment(label, costs), label
 
 
+def test_segment_ties_match_brute_force():
+    # equal costs, so splits tie on cost and the token count or the tokens
+    # themselves decide
+    costs = {"a": 1.0, "b": 1.0, "ab": 2.0, "c": 1.0, "bc": 2.0, "abc": 4.0}
+    assert segment_label("ab", costs) == ["ab"]             # fewer tokens
+    assert segment_label("abc", costs) == ["a", "bc"]       # smaller tokens
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        label = "".join(rng.choice(list("abcq"), size=int(rng.integers(1, 9))))
+        assert segment_label(label, costs) == _brute_force_segment(label, costs), label
+
+
 def test_segment_mixed_known_and_unknown():
     costs = _toy_costs()
     assert segment_label("qqcheap", costs) == ["qq", "cheap"]

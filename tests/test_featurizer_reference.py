@@ -6,13 +6,16 @@ current one, which lowers each string once, runs the case-insensitive
 patterns on the lowered text where that is exact, and works out each
 distinct tag once per memo.  Every feature must come out exactly equal, on
 pages built to hit the quirks: unclosed tags, nested and uppercase scripts,
-tags and comments inside attributes and comments, and non-ASCII text, both
+tags and comments inside attributes and comments, ``>`` inside quoted values,
+unclosed and mixed quotes, a tag joined across a removed comment (the tag
+regex here is the one the unrolled ``_TAG_RE`` replaced), and non-ASCII text, both
 where IGNORECASE differs from lowering (``ſ``, ``ı``, ``İ``) and where it
 does not (``©``, ``—``, ``é``, ``K``).  Pages that share one memo must each
 get the vector a fresh memo gives them.
 """
 
 import re
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Optional
@@ -398,13 +401,37 @@ def test_content_features_equal_the_reference_on_generated_pages(html):
     "<p>&COPY; 50% OFF <a href='HTTP://WA.ME/1'>x</a> 1:02:03</p>",
     "<p>a1:23:45:67 and 123:45:67 copyrighted wholesale</p>",
     "<p>Only 3 left! Hurry\x1c now</p>",
+    "<p>50% off% off% OFF, sale-sale and 1:02:03:04 or 12:34:56</p>",  # adjacent matches
     "<SCRIPT>x</script><style>y</STYLE><div class='a b' Class='c'>z</div>",
     "<a href='https://api.whatsapp.com.'>a</a><a href='https://fb.me'>b</a>",
     "<a href='https://web.whatsapp.com/'>a</a><a href='https://m.youtube.com/'>b</a>",
+    # the tag regex: ">" inside quoted values, unclosed quotes, mixed quotes
+    "<a href=\"/faq?a>b\" title='x > y'>FAQ</a><img alt=\"1>0\">",
+    "<a href=\"/privacy>Privacy</a><p class=\"k\">text</p>",
+    "<img alt='it>s <p>lost</p><a href='/terms'>Terms</a>",
+    "<a title=\"it's\" href='say \"hi\"' class=\"q'\">x</a><div class='a\"b'>y</div>",
+    "<a href=\"/x\"title='y'\"z\">t</a><input type='password'\"a\"'b'>",
+    # a tag joined across a removed comment, and "-->" inside a script body
+    "<<!-- c -->div class=\"k\">x</div> <a<!-- -->href='/faq'>y</a>",
+    "<script>var s = '-->';</script><!-- <script> --> <a href='/faq'>x</a> -->",
+    "<!-- <script>a--></script> --> <p>Sale</p><script>b</script -->",
 ])
 def test_content_features_equal_the_reference_on_quirks(html):
     assert _content_features(_snap(html)) == _ref_content_features(_snap(html))
     assert visible_text(html) == _ref_visible_text(html)
+
+
+@pytest.mark.parametrize("html", [
+    "<div " + 'x="y" ' * 8334,              # no ">" after many quoted values
+    "<a title='" + "x" * 50000,              # an unclosed quote
+    "<p class=" + "a b=c " * 8332,           # no ">" and no quote
+])
+def test_an_unterminated_50k_tag_featurizes_in_linear_time(html):
+    assert len(html) >= 50000
+    start = time.perf_counter()
+    got = _content_features(_snap(html))
+    assert time.perf_counter() - start < 0.5
+    assert got == _ref_content_features(_snap(html))
 
 
 # --- one tag memo across pages ----------------------------------------------------

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scamscout.corpus import SerpEntry, SerpResultSet
+from scamscout.corpus import ENGINES, SerpEntry, SerpResultSet
 from scamscout.errors import SchemaError
 from scamscout.toxicity import (
     QueryToxicity,
@@ -103,6 +104,63 @@ def test_flagging_one_more_domain_never_lowers_toxicity():
         assert cur >= prev
         prev = cur
     assert prev == pytest.approx(1.0)
+
+
+# registrable domains, one of them under a multi-label public suffix, one
+# under a wildcard rule and one under its exception
+_REGISTRABLE = ["shop.com", "deals.co.uk", "cheap-nike.net", "me.github.io",
+                "a.b.ck", "www.ck", "x1.org"]
+
+
+@st.composite
+def _result_url(draw, domain):
+    """A result URL whose host is ``domain`` or a subdomain of it."""
+    scheme = draw(st.sampled_from(["http", "https", "HTTP", "hTtPs"]))
+    userinfo = draw(st.sampled_from(["", "", "u@", "u:p@"]))
+    host = draw(st.sampled_from(["", "www.", "m.", "a.b."])) + domain
+    host = draw(st.sampled_from([host, host.upper()]))
+    dots = draw(st.sampled_from(["", "", ".", ".."]))
+    port = draw(st.sampled_from(["", "", ":80", ":8443"]))
+    path = draw(st.sampled_from(["", "/", "/p/q.html", "?q=1", "#top"]))
+    return f"{scheme}://{userinfo}{host}{dots}{port}{path}"
+
+
+@st.composite
+def _serps(draw):
+    """(result set, its registrable domains): every domain's URLs in
+    several spellings, on several engines, in any order."""
+    domains = draw(st.lists(st.sampled_from(_REGISTRABLE), min_size=1,
+                            unique=True))
+    entries = [SerpEntry(engine=draw(st.sampled_from(ENGINES)), rank=rank,
+                         url=draw(_result_url(domain)))
+               for domain in domains
+               for rank in range(1, draw(st.integers(1, 4)) + 1)]
+    return SerpResultSet(query="q", entries=draw(st.permutations(entries))), domains
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_serps(), st.data())
+def test_result_urls_on_one_registrable_domain_count_once(serp_domains, data):
+    serp, domains = serp_domains
+    flagged = data.draw(st.sets(st.sampled_from(domains)))
+    score = score_serp(serp, {d: "SCAM" if d in flagged else "BENIGN"
+                              for d in domains})
+    assert score.total_sites == len(domains)
+    assert score.scam_sites == len(flagged)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_serps(), st.data())
+def test_one_more_scam_verdict_never_lowers_scam_sites(serp_domains, data):
+    serp, _ = serp_domains
+    pool = _REGISTRABLE + ["absent.org"]
+    verdicts = data.draw(st.dictionaries(st.sampled_from(pool),
+                                         st.sampled_from(["SCAM", "BENIGN"])))
+    before = score_serp(serp, verdicts)
+    after = score_serp(serp, {**verdicts, data.draw(st.sampled_from(pool)): "SCAM"})
+    assert after.total_sites == before.total_sites
+    assert after.scam_sites >= before.scam_sites
+    assert after.toxicity >= before.toxicity
 
 
 def test_empty_serp_rejected():
