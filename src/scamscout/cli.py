@@ -10,7 +10,7 @@ One umbrella command with a subcommand per pipeline stage:
     filter-branded  keywords.jsonl -> unbranded keywords.jsonl
     train-lupi      labeled queries + SERPs -> teacher/student checkpoints
     rank            student checkpoint + keywords -> ranked.csv
-    discover        ranked.csv + SERP fixtures + oracle -> discovery report
+    discover        ranked.csv + SERP fixtures + oracle -> report.json
 
 Every stage is deterministic for fixed inputs and seeds: rerunning a
 command rewrites byte-identical output files.  A command that fails exits 2
@@ -244,17 +244,17 @@ def _read_lupi_examples(path) -> list[LupiExample]:
 
 
 def _cmd_train_lupi(args) -> int:
+    priv = PrivilegedConfig.from_spec(args.priv)
+    weights = LossWeights.from_spec(args.weights)
+    cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
+                      batch_size=args.batch_size, seed=args.seed,
+                      patience=args.patience)
     examples = _read_lupi_examples(args.train)
     scam_labels = {}
     if args.labels:
         scam_labels = {lab.root_domain: lab.label
                        for lab in corpus.read_labels(args.labels)}
     dataset = LupiDataset(examples, scam_labels)
-    priv = PrivilegedConfig.from_spec(args.priv)
-    weights = LossWeights.from_spec(args.weights)
-    cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
-                      batch_size=args.batch_size, seed=args.seed,
-                      patience=args.patience)
     tok_cfg = TokenizerConfig()
     enc_cfg = EncoderConfig()
     teacher, treport = train_teacher(dataset, priv, cfg, tok_cfg, enc_cfg)
@@ -282,7 +282,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_discover(args) -> int:
     ranked = ranked_from_csv(args.ranked)
-    store = FixtureStore.load(args.fixtures) if args.fixtures else None
+    store = FixtureStore.load(args.fixtures)
     model = gbdt.load_model(args.oracle)
 
     snapshots = {}
@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay only: live fetching takes a LiveSession, "
                         "passed to run_discovery from Python")
     p.add_argument("--oracle", required=True)
-    p.add_argument("--fixtures", default=None,
-                   help="SERP fixture store (required for replay)")
+    p.add_argument("--fixtures", required=True,
+                   help="SERP fixture store to replay")
     p.add_argument("--snapshots", default=None,
                    help="snapshots.jsonl for featurizing discovered domains")
     p.add_argument("--labels", default=None,

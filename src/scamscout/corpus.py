@@ -25,7 +25,6 @@ from .records import (
     get_typed,
     read_csv,
     read_jsonl,
-    write_csv,
     write_jsonl,
 )
 
@@ -216,16 +215,6 @@ def parse_snapshot(line: str) -> DomainSnapshot:
     return snapshot_from_record(json.loads(line))
 
 
-def serialize_snapshot(snap: DomainSnapshot) -> str:
-    """``asdict`` of the snapshot, its time and dates ISO-formatted."""
-    rec = asdict(snap)
-    rec["fetched_at"] = snap.fetched_at.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
-    for key in ("created", "expires"):
-        day = rec["whois"][key]
-        rec["whois"][key] = day.isoformat() if day else None
-    return json.dumps(rec, sort_keys=True, ensure_ascii=False)
-
-
 def read_snapshots(path) -> Iterator[DomainSnapshot]:
     return read_jsonl(path, snapshot_from_record)
 
@@ -288,10 +277,6 @@ def read_serps(path) -> list[SerpResultSet]:
     return list(read_jsonl(path, serp_from_record))
 
 
-def write_serps(path, serps: Iterable[SerpResultSet]) -> None:
-    write_jsonl(path, map(asdict, serps))
-
-
 def read_labels(path) -> list[LabeledDomain]:
     """labels.csv: root_domain,label,category (one label per root domain)."""
     seen: dict[str, LabeledDomain] = {}
@@ -305,8 +290,3 @@ def read_labels(path) -> list[LabeledDomain]:
     for _ in read_csv(path, parse):
         pass
     return list(seen.values())
-
-
-def write_labels(path, labels: Iterable[LabeledDomain]) -> None:
-    write_csv(path, ["root_domain", "label", "category"],
-              ([lab.root_domain, lab.label, lab.category] for lab in labels))

@@ -25,15 +25,7 @@ from .errors import (
     UnknownEngineError,
 )
 from .lupi.rank import RankedKeyword
-from .records import (
-    check_header,
-    from_record,
-    read_csv,
-    read_jsonl,
-    write_csv,
-    write_document,
-    write_jsonl,
-)
+from .records import read_jsonl, write_document, write_jsonl
 
 SCAM = "SCAM"
 
@@ -270,7 +262,8 @@ def run_discovery(
     Per-category rows count a domain under every category whose queries
     surfaced it, while the report totals count each domain once.  Exposure
     per engine is the fraction of all discovered scam domains that appear
-    within rank <= ``exposure_k`` on that engine.
+    within rank <= ``exposure_k`` on that engine.  A repeated engine raises
+    ``SchemaError``, since it would search every keyword again.
 
     Classification happens once, after every search: ``classify`` gets the
     sorted new domains and returns one verdict per domain, in that order.
@@ -280,6 +273,8 @@ def run_discovery(
     for engine in engines:
         if engine not in ENGINES:
             raise UnknownEngineError(f"unknown engine: {engine!r}")
+    if len(set(engines)) < len(engines):
+        raise SchemaError(f"engines must not repeat, got {','.join(engines)}")
     known = frozenset(known_domains)
     by_category: dict[str, set[str]] = {}
     global_domains: set[str] = set()
@@ -323,46 +318,7 @@ def run_discovery(
     )
 
 
-def report_to_json(report: DiscoveryReport) -> str:
-    return json.dumps(report.as_dict(), sort_keys=True, indent=1)
-
-
-def report_from_json(text: str) -> DiscoveryReport:
-    """The inverse of ``report_to_json``; the derived fractions are ignored."""
-    blob = json.loads(text)
-    return from_record(DiscoveryReport, {
-        **blob,
-        "categories": [from_record(CategoryCount, c) for c in blob["categories"]],
-        "exposure": [from_record(EngineExposure, e) for e in blob["exposure"]],
-    })
-
-
-_REPORT_HEADER = ["category", "discovered_scams", "total_sites",
-                  "scam_fraction"]
-
-
 def write_report(report: DiscoveryReport, path: Union[str, Path]) -> None:
-    """``report_to_json`` for a ``.json`` suffix, else CSV: category rows plus
-    an ALL row of globally deduplicated totals (the header only when there
-    are no categories).  A rerun rewrites the same bytes."""
-    if Path(path).suffix.lower() == ".json":
-        write_document(path, report_to_json(report))
-        return
-    rows = [[row.category, row.discovered_scams, row.total_sites,
-             f"{row.scam_fraction:.6f}"] for row in report.categories]
-    if rows:
-        rows.append(["ALL", report.discovered_scams, report.total_sites,
-                     f"{report.scam_fraction:.6f}"])
-    write_csv(path, _REPORT_HEADER, rows)
-
-
-def report_from_csv(path) -> DiscoveryReport:
-    """Rebuild counts from report.csv; exposure and digest live only in JSON."""
-    check_header(path, _REPORT_HEADER)
-    rows = list(read_csv(path, lambda row: CategoryCount(
-        row["category"], int(row["discovered_scams"]), int(row["total_sites"]))))
-    # the totals row comes last, after the categories, if there are any
-    total = rows.pop() if rows else CategoryCount("ALL", 0, 0)
-    return DiscoveryReport(
-        categories=rows, total_sites=total.total_sites,
-        discovered_scams=total.discovered_scams, exposure=[], queries_run=0)
+    """``report.as_dict()`` as one JSON document with sorted keys, so a rerun
+    rewrites the same bytes."""
+    write_document(path, json.dumps(report.as_dict(), sort_keys=True, indent=1))

@@ -103,15 +103,14 @@ def classify_attributes(keyword: KeywordSuggestion) -> set[QueryAttribute]:
     return attrs
 
 
-def match_segment(query_text: str, segment: QuerySegment | str) -> bool:
+def match_segment(query_text: str, segment: QuerySegment) -> bool:
     """True when every word of the segment appears as a whole query token.
 
     Order-free: "for sale" matches "sale items for kids".  Monotone in the
     query: adding words never turns a match into a miss.
     """
-    seg_tokens = segment.tokens if isinstance(segment, QuerySegment) else tuple(segment.lower().split())
     query_tokens = set(query_text.lower().split())
-    return all(tok in query_tokens for tok in seg_tokens)
+    return all(tok in query_tokens for tok in segment.tokens)
 
 
 # --- bootstrap ----------------------------------------------------------------
@@ -149,7 +148,7 @@ def bootstrap_estimate(
 
 def _matching_toxicities(
     scores: Sequence[QueryToxicity],
-    segments: Sequence[QuerySegment | str],
+    segments: Sequence[QuerySegment],
 ) -> list[float]:
     # sorted so the bootstrap is invariant to the caller's query order
     return sorted(

@@ -1,7 +1,6 @@
 """Query-toxicity models: privileged teacher, distilled query-only student."""
 
 from .checkpoint import (
-    load_checkpoint,
     load_student,
     load_teacher,
     model_from_dict,
@@ -55,7 +54,6 @@ __all__ = [
     "collision_rate",
     "distill_student",
     "grid_search_privileged",
-    "load_checkpoint",
     "load_student",
     "load_teacher",
     "loco_cv",

@@ -98,10 +98,6 @@ def save_checkpoint(model: Union[TeacherModel, StudentModel],
     write_document(path, json.dumps(model_to_dict(model), sort_keys=True))
 
 
-def load_checkpoint(path: Union[str, Path]) -> Union[TeacherModel, StudentModel]:
-    return read_json(path, model_from_dict)
-
-
 def _load_kind(path, cls, kind: str):
     def parse(blob: dict):
         model = model_from_dict(blob)

@@ -12,6 +12,7 @@ w.r.t. (score, hint, attention maps) ready to feed StudentModel.backward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class LossWeights:
     am: float = 0.5
 
     def __post_init__(self):
+        if not all(math.isfinite(w) for w in self.as_tuple()):
+            raise TrainingError(f"loss weights must be finite, got {self.as_tuple()}")
         if min(self.gt, self.pm, self.hm, self.am) < 0:
             raise TrainingError("loss weights must be >= 0")
         if self.gt == self.pm == self.hm == self.am == 0.0:
@@ -37,18 +40,14 @@ class LossWeights:
 
     @classmethod
     def from_spec(cls, spec: str) -> "LossWeights":
-        parts = [float(p) for p in spec.split(",")]
+        try:
+            parts = [float(p) for p in spec.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 4:
-            raise TrainingError("weights spec must be four comma-separated numbers")
+            raise TrainingError(f"weights spec must be four comma-separated "
+                                f"numbers, got {spec!r}")
         return cls(*parts)
-
-
-def mae(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean(np.abs(a - b)))
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean((a - b) ** 2))
 
 
 def total_loss(

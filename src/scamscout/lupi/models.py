@@ -66,12 +66,17 @@ class PrivilegedConfig:
     @classmethod
     def from_spec(cls, spec: str) -> "PrivilegedConfig":
         parts = spec.split(":")
-        if len(parts) != 5:
+        try:
+            size = int(parts[-1])
+        except ValueError:
+            size = None
+        if len(parts) != 5 or size is None:
             raise SchemaError(
-                "privileged spec must be engine:field:filter:selection:size"
+                f"privileged spec must be engine:field:filter:selection:size "
+                f"with an integer size, got {spec!r}"
             )
         return cls(parts[0].upper(), parts[1].upper(), parts[2].upper(),
-                   parts[3].upper(), int(parts[4]))
+                   parts[3].upper(), size)
 
 
 class TeacherModel(Module):

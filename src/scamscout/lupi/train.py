@@ -2,9 +2,10 @@
 
 Everything is seeded and single-threaded: batch order, dropout masks and
 parameter init all come from generators derived from the config seed, so a
-rerun reproduces parameters bit-exactly.  One fit loop (``_fit``: batches,
-AdamW with warmup, per-epoch validation, patience-based early stopping and a
-restore of the best epoch) serves the teacher, the distiller and the
+rerun reproduces parameters bit-exactly.  One fit loop (``_fit``: a seeded
+hold-out of ``VAL_FRACTION`` of the training data, batches, AdamW with
+warmup, per-epoch validation on the hold-out, patience-based early stopping
+and a restore of the best epoch) serves the teacher, the distiller and the
 query-only baseline; each passes only its model, its per-batch step and its
 validation loss.  The baseline is the distiller with weights (1,0,0,0) and
 no teacher, so both perform the identical arithmetic, a tested contract.
@@ -20,6 +21,7 @@ are independent and the SERP encoder's PAD trimming is exact (see
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
@@ -57,8 +59,8 @@ class TrainConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise TrainingError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise TrainingError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -229,7 +231,6 @@ def _fit(
     priv: Optional[PrivilegedConfig],
     cfg: TrainConfig,
     tok_cfg: TokenizerConfig,
-    val_dataset: Optional[LupiDataset],
     step: Callable[[_Tensors, np.random.Generator],
                    tuple[float, dict[str, float]]],
     val_loss: Callable[[_Tensors], float],
@@ -239,20 +240,18 @@ def _fit(
 
     ``step`` runs forward, loss and backward on one batch (gradients already
     zeroed) and returns the loss and its terms; ``val_loss`` scores the
-    validation tensors.  ``prepare``, if given, maps the train and the
-    validation tensors once, after the split and before the first batch.
-    Batches, dropout and the validation split are drawn from seed-derived
-    generators, so every caller gets the same sequence for the same config.
+    validation tensors, ``VAL_FRACTION`` of ``dataset`` held out.
+    ``prepare``, if given, maps the train and the validation tensors once,
+    after the split and before the first batch.  Batches, dropout and the
+    validation split are drawn from seed-derived generators, so every caller
+    gets the same sequence for the same config.
     """
     tensors = _assemble(dataset, tok_cfg, priv, cfg.seed)
-    if val_dataset is not None:
-        train_t, val_t = tensors, _assemble(val_dataset, tok_cfg, priv, cfg.seed)
-    else:
-        split_rng = np.random.default_rng([cfg.seed, 104729])
-        train_idx, val_idx = _val_split(len(dataset.examples), split_rng)
-        if val_idx.size == 0:
-            raise TrainingError("training set too small to hold out validation")
-        train_t, val_t = _slice(tensors, train_idx), _slice(tensors, val_idx)
+    split_rng = np.random.default_rng([cfg.seed, 104729])
+    train_idx, val_idx = _val_split(len(dataset.examples), split_rng)
+    if val_idx.size == 0:
+        raise TrainingError("training set too small to hold out validation")
+    train_t, val_t = _slice(tensors, train_idx), _slice(tensors, val_idx)
     if prepare is not None:
         train_t, val_t = prepare(train_t), prepare(val_t)
 
@@ -304,13 +303,10 @@ def train_teacher(
     cfg: Optional[TrainConfig] = None,
     tok_cfg: Optional[TokenizerConfig] = None,
     enc_cfg: Optional[EncoderConfig] = None,
-    val_dataset: Optional[LupiDataset] = None,
 ) -> tuple[TeacherModel, TrainReport]:
     """MAE regression of toxicity from query + privileged SERP text.
 
-    Validation defaults to a held-out fraction of the *training* data;
-    passing ``val_dataset`` explicitly reproduces the paper's literal
-    test-side split instead.
+    Validation holds out ``VAL_FRACTION`` of ``dataset`` (see ``_fit``).
     """
     priv = priv or PrivilegedConfig()
     cfg = cfg or TrainConfig()
@@ -331,8 +327,7 @@ def train_teacher(
                                     train=False, cache=False)
         return float(np.mean(np.abs(score - t.labels)))
 
-    report = _fit(model, dataset, priv, cfg, tok_cfg, val_dataset,
-                  step, val_loss)
+    report = _fit(model, dataset, priv, cfg, tok_cfg, step, val_loss)
     return model, report
 
 
@@ -347,7 +342,6 @@ def _train_student_loop(
     tok_cfg: TokenizerConfig,
     enc_cfg: EncoderConfig,
     init_from: Optional[TeacherModel],
-    val_dataset: Optional[LupiDataset],
 ) -> tuple[StudentModel, TrainReport]:
     needs_teacher = weights.pm != 0.0 or weights.hm != 0.0 or weights.am != 0.0
     if needs_teacher and teacher is None:
@@ -376,7 +370,7 @@ def _train_student_loop(
         student.backward(d_score, d_hint, d_attn)
         return value, terms
 
-    report = _fit(student, dataset, priv, cfg, tok_cfg, val_dataset,
+    report = _fit(student, dataset, priv, cfg, tok_cfg,
                   step, lambda t: loss(t, False)[0],
                   prepare=with_teacher if needs_teacher else None)
 
@@ -390,14 +384,13 @@ def distill_student(
     teacher: TeacherModel,
     weights: Optional[LossWeights] = None,
     cfg: Optional[TrainConfig] = None,
-    val_dataset: Optional[LupiDataset] = None,
 ) -> tuple[StudentModel, TrainReport]:
     """Train a query-only student against the frozen teacher."""
     weights = weights or LossWeights()
     cfg = cfg or TrainConfig()
     return _train_student_loop(
         dataset, teacher, weights, cfg, teacher.tok_cfg, teacher.enc_cfg,
-        init_from=teacher, val_dataset=val_dataset)
+        init_from=teacher)
 
 
 def train_query_baseline(
@@ -406,7 +399,6 @@ def train_query_baseline(
     tok_cfg: Optional[TokenizerConfig] = None,
     enc_cfg: Optional[EncoderConfig] = None,
     init_from: Optional[TeacherModel] = None,
-    val_dataset: Optional[LupiDataset] = None,
 ) -> tuple[StudentModel, TrainReport]:
     """Same architecture, labels only: weights (1,0,0,0), no teacher."""
     cfg = cfg or TrainConfig()
@@ -416,7 +408,7 @@ def train_query_baseline(
     return _train_student_loop(
         dataset, None, LossWeights(1.0, 0.0, 0.0, 0.0), cfg,
         tok_cfg or TokenizerConfig(), enc_cfg or EncoderConfig(),
-        init_from=init_from, val_dataset=val_dataset)
+        init_from=init_from)
 
 
 # --- grid search ---------------------------------------------------------------
@@ -483,13 +475,12 @@ def loco_cv(
     min_queries: int = 25,
     tok_cfg: Optional[TokenizerConfig] = None,
     enc_cfg: Optional[EncoderConfig] = None,
-    paper_split: bool = False,
 ) -> list[FoldReport]:
     """Hold out one category per fold; report mean top-k true toxicity.
 
-    ``paper_split=True`` reproduces the published protocol of validating on
-    10% of the held-out fold (which leaks test-category data into model
-    selection); the default validates on 10% of the training data.
+    Each fit validates on ``VAL_FRACTION`` of the fold's training data.  The
+    published protocol validates on 10% of the held-out fold instead, which
+    leaks test-category data into model selection; it is not reproduced.
     """
     priv = priv or PrivilegedConfig()
     cfg = cfg or TrainConfig()
@@ -515,19 +506,9 @@ def loco_cv(
         train_set = dataset.subset(train_idx)
         test_set = dataset.subset(test_idx)
 
-        val_set = None
-        if paper_split:
-            rng = np.random.default_rng([cfg.seed, 15485863])
-            n_val = max(1, int(round(len(test_idx) * 0.1)))
-            picks = rng.permutation(len(test_idx))[:n_val]
-            val_set = test_set.subset(sorted(picks))
-
-        teacher, _ = train_teacher(train_set, priv, cfg, tok_cfg, enc_cfg,
-                                   val_dataset=val_set)
-        student, _ = distill_student(train_set, teacher, weights, cfg,
-                                     val_dataset=val_set)
-        baseline, _ = train_query_baseline(train_set, cfg, tok_cfg, enc_cfg,
-                                           val_dataset=val_set)
+        teacher, _ = train_teacher(train_set, priv, cfg, tok_cfg, enc_cfg)
+        student, _ = distill_student(train_set, teacher, weights, cfg)
+        baseline, _ = train_query_baseline(train_set, cfg, tok_cfg, enc_cfg)
 
         test_tensors = _assemble(test_set, tok_cfg, priv, cfg.seed)
         t_score, _, _ = teacher.forward(

@@ -19,7 +19,7 @@ from scamscout import corpus
 from scamscout.branded import evaluate_filter
 from scamscout.cli import main
 from scamscout.corpus import SerpEntry, SerpResultSet
-from scamscout.discovery import FixtureStore, report_from_csv, report_from_json
+from scamscout.discovery import FixtureStore
 from scamscout.featurizer import FEATURE_NAMES, FeatureVector, extract_features
 from scamscout.heuristics import bootstrap_estimate, cross_category_matrix
 from scamscout.lupi import (
@@ -410,10 +410,9 @@ def test_replay_pipeline_is_byte_identical_and_matches_brute_force_tally(tmp_pat
                 "--labels", FIXTURES / "labels.csv",
                 "--mode", "replay", "--engines", "GOOGLE,BING",
                 "--exposure-k", 5)
-    run(*discover, "--out", tmp_path / "report.csv")
-    run(*discover, "--out", tmp_path / "report_again.csv")
     run(*discover, "--out", tmp_path / "report.json")
-    assert filecmp.cmp(tmp_path / "report.csv", tmp_path / "report_again.csv",
+    run(*discover, "--out", tmp_path / "report_again.json")
+    assert filecmp.cmp(tmp_path / "report.json", tmp_path / "report_again.json",
                        shallow=False)
 
     # brute-force tally over the fixture store with plain set arithmetic
@@ -451,24 +450,16 @@ def test_replay_pipeline_is_byte_identical_and_matches_brute_force_tally(tmp_pat
     scams = {d for d in seen_all if is_scam(d)}
     assert scams  # the fixtures must actually exercise the scam path
 
-    report = report_from_json((tmp_path / "report.json").read_text())
-    assert report.total_sites == len(seen_all)
-    assert report.discovered_scams == len(scams)
-    assert report.queries_run == len(ranked) * len(engines)
-    assert [c.category for c in report.categories] == sorted(seen_by_cat)
-    for row in report.categories:
-        domains = seen_by_cat[row.category]
-        assert row.total_sites == len(domains)
-        assert row.discovered_scams == sum(1 for d in domains if d in scams)
-    assert [e.engine for e in report.exposure] == sorted(engines)
-    for exposure in report.exposure:
-        assert exposure.total_scams == len(scams)
-        assert exposure.top_k_scams == len(top_seen[exposure.engine] & scams)
-
-    csv_report = report_from_csv(tmp_path / "report.csv")
-    assert ([(c.category, c.discovered_scams, c.total_sites)
-             for c in csv_report.categories]
-            == [(c.category, c.discovered_scams, c.total_sites)
-                for c in report.categories])
-    assert csv_report.total_sites == report.total_sites
-    assert csv_report.discovered_scams == report.discovered_scams
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["total_sites"] == len(seen_all)
+    assert report["discovered_scams"] == len(scams)
+    assert report["queries_run"] == len(ranked) * len(engines)
+    assert [c["category"] for c in report["categories"]] == sorted(seen_by_cat)
+    for row in report["categories"]:
+        domains = seen_by_cat[row["category"]]
+        assert row["total_sites"] == len(domains)
+        assert row["discovered_scams"] == sum(1 for d in domains if d in scams)
+    assert [e["engine"] for e in report["exposure"]] == sorted(engines)
+    for exposure in report["exposure"]:
+        assert exposure["total_scams"] == len(scams)
+        assert exposure["top_k_scams"] == len(top_seen[exposure["engine"]] & scams)

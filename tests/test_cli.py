@@ -16,7 +16,6 @@ import pytest
 
 from scamscout import corpus, records
 from scamscout.cli import main, read_features_csv, write_features_csv
-from scamscout.discovery import report_from_csv
 from scamscout.featurizer import BOOLEAN, FEATURES, NUMERIC
 from scamscout.lupi import load_student, load_teacher, ranked_from_csv
 from scamscout.oracle import gbdt
@@ -61,7 +60,7 @@ def workdir(tmp_path_factory):
         "--fixtures", fx / "serp_fixtures.jsonl",
         "--snapshots", fx / "snapshots.jsonl", "--labels", fx / "labels.csv",
         "--engines", "GOOGLE,BING", "--exposure-k", 5,
-        "--out", work / "report.csv")
+        "--out", work / "report.json")
     return work
 
 
@@ -192,15 +191,20 @@ def test_rank_output_and_rerun(workdir):
                        shallow=False)
 
 
+def _report(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
 def test_discovery_report_and_rerun(workdir):
-    report = report_from_csv(workdir / "report.csv")
-    assert report.total_sites > 0
+    report = _report(workdir / "report.json")
+    assert report["total_sites"] > 0
     # globally deduplicated totals never exceed the per-category sums
-    assert report.discovered_scams <= sum(c.discovered_scams
-                                          for c in report.categories)
-    assert report.total_sites <= sum(c.total_sites for c in report.categories)
-    for row in report.categories:
-        assert 0 <= row.discovered_scams <= row.total_sites
+    assert report["discovered_scams"] <= sum(c["discovered_scams"]
+                                             for c in report["categories"])
+    assert report["total_sites"] <= sum(c["total_sites"]
+                                        for c in report["categories"])
+    for row in report["categories"]:
+        assert 0 <= row["discovered_scams"] <= row["total_sites"]
 
     rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
                "--oracle", str(workdir / "model.json"),
@@ -208,28 +212,35 @@ def test_discovery_report_and_rerun(workdir):
                "--snapshots", str(FIXTURES / "snapshots.jsonl"),
                "--labels", str(FIXTURES / "labels.csv"),
                "--engines", "GOOGLE,BING", "--exposure-k", "5",
-               "--out", str(workdir / "report2.csv")])
+               "--out", str(workdir / "report2.json")])
     assert rc == 0
-    assert filecmp.cmp(workdir / "report.csv", workdir / "report2.csv",
+    assert filecmp.cmp(workdir / "report.json", workdir / "report2.json",
                        shallow=False)
 
 
 def test_discovery_json_report(workdir):
-    rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
-               "--oracle", str(workdir / "model.json"),
-               "--fixtures", str(FIXTURES / "serp_fixtures.jsonl"),
-               "--snapshots", str(FIXTURES / "snapshots.jsonl"),
-               "--labels", str(FIXTURES / "labels.csv"),
-               "--engines", "GOOGLE,BING", "--exposure-k", "5",
-               "--out", str(workdir / "report.json")])
-    assert rc == 0
-    blob = json.loads((workdir / "report.json").read_text())
+    blob = _report(workdir / "report.json")
     assert [e["engine"] for e in blob["exposure"]] == ["BING", "GOOGLE"]
     for e in blob["exposure"]:
         assert e["total_scams"] == blob["discovered_scams"]
-    csv_report = report_from_csv(workdir / "report.csv")
-    assert blob["discovered_scams"] == csv_report.discovered_scams
-    assert blob["total_sites"] == csv_report.total_sites
+        assert 0 <= e["top_k_scams"] <= e["total_scams"]
+    assert blob["scam_fraction"] == (blob["discovered_scams"]
+                                     / blob["total_sites"])
+    assert blob["queries_run"] == 2 * len(ranked_from_csv(workdir / "ranked.csv"))
+    assert len(blob["config_digest"]) == 32
+
+
+def test_discover_requires_fixtures(tmp_path, capsys):
+    """Replay is the only mode: argparse stops a run without a fixture store
+    before any file is read (none of these exists)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["discover", "--ranked", str(tmp_path / "ranked.csv"),
+              "--oracle", str(tmp_path / "model.json"),
+              "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --fixtures" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
@@ -252,7 +263,7 @@ def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
     rc = main(["discover", "--ranked", str(missing),
                "--oracle", str(workdir / "model.json"),
                "--fixtures", str(FIXTURES / "serp_fixtures.jsonl"),
-               "--out", str(tmp_path / "r.csv")])
+               "--out", str(tmp_path / "r.json")])
     assert rc == 2
 
 
@@ -265,10 +276,10 @@ def test_discover_rejects_malformed_fixture_with_line_number(workdir, tmp_path,
     fixtures.write_text("\n".join(lines) + "\n")
     rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
                "--oracle", str(workdir / "model.json"),
-               "--fixtures", str(fixtures), "--out", str(tmp_path / "r.csv")])
+               "--fixtures", str(fixtures), "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert f"error: {fixtures}:2: missing key 'query'" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("toxicity", ["NaN", "1.7", None])
@@ -305,6 +316,35 @@ def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, capsys):
     assert f"error: {teacher}: No such file or directory" in capsys.readouterr().err
     assert not (tmp_path / "student.json").exists()
     assert not teacher.exists()
+
+
+_BAD_TRAIN_LUPI_FLAGS = [
+    (["--weights", "a,b,c,d"],
+     "weights spec must be four comma-separated numbers, got 'a,b,c,d'"),
+    (["--priv", "google:description:all:ranked:x"],
+     "privileged spec must be engine:field:filter:selection:size with an "
+     "integer size, got 'google:description:all:ranked:x'"),
+    (["--weights", "1,nan,0.5,0.5"],
+     "loss weights must be finite, got (1.0, nan, 0.5, 0.5)"),
+    (["--weights", "1,inf,0,0"],
+     "loss weights must be finite, got (1.0, inf, 0.0, 0.0)"),
+    (["--lr", "nan"], "lr must be finite and > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("flags, message", _BAD_TRAIN_LUPI_FLAGS,
+                         ids=[" ".join(f) for f, _ in _BAD_TRAIN_LUPI_FLAGS])
+def test_train_lupi_rejects_a_bad_spec_or_rate_before_training(
+        tmp_path, capsys, monkeypatch, flags, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("scamscout.cli.train_teacher", no_training)
+    rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),
+               "--out", str(tmp_path / "student.json"), *flags])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def _drop_rank(line):
@@ -431,22 +471,32 @@ def _discover(workdir, out, *extra):
 
 def test_discover_classifies_in_one_matrix_call(workdir, tmp_path,
                                                 matrix_calls):
-    rc = _discover(workdir, tmp_path / "report.csv",
+    rc = _discover(workdir, tmp_path / "report.json",
                    "--snapshots", str(FIXTURES / "snapshots.jsonl"))
     assert rc == 0
     assert len(matrix_calls) == 1 and matrix_calls[0] > 0
-    assert filecmp.cmp(workdir / "report.csv", tmp_path / "report.csv",
+    assert filecmp.cmp(workdir / "report.json", tmp_path / "report.json",
                        shallow=False)
 
 
 def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
                                                       matrix_calls):
     with pytest.warns(UserWarning, match="had no snapshot"):
-        rc = _discover(workdir, tmp_path / "report.csv")
+        rc = _discover(workdir, tmp_path / "report.json")
     assert rc == 0
     assert matrix_calls == [0]
-    report = report_from_csv(tmp_path / "report.csv")
-    assert report.total_sites > 0 and report.discovered_scams == 0
+    report = _report(tmp_path / "report.json")
+    assert report["total_sites"] > 0 and report["discovered_scams"] == 0
+
+
+def test_discover_rejects_a_repeated_engine(workdir, tmp_path, capsys):
+    """A repeated engine would search every keyword twice."""
+    rc = _discover(workdir, tmp_path / "report.json",
+                   "--engines", "GOOGLE,GOOGLE")
+    assert rc == 2
+    assert "error: engines must not repeat, got GOOGLE,GOOGLE" in \
+        capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -456,7 +506,7 @@ def test_k_below_1_exits_2(workdir, tmp_path, capsys, k):
                "--k", str(k), "--out", str(tmp_path / "ranked.csv")])
     assert rc == 2
     assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
-    assert _discover(workdir, tmp_path / "report.csv", "--exposure-k", str(k)) == 2
+    assert _discover(workdir, tmp_path / "report.json", "--exposure-k", str(k)) == 2
     assert f"error: exposure_k must be >= 1, got {k}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
@@ -988,14 +1038,15 @@ from pathlib import Path
 from scamscout.corpus import SerpEntry
 from scamscout.discovery import (CategoryCount, DiscoveryReport, EngineExposure,
                                  FixtureStore, write_report)
-from scamscout.lupi import (EncoderConfig, StudentModel, TokenizerConfig,
-                            load_student, save_checkpoint)
+from scamscout.lupi import (EncoderConfig, RankedKeyword, StudentModel,
+                            TokenizerConfig, load_student, save_checkpoint,
+                            write_ranked)
 
 out = Path(sys.argv[1])
 report = DiscoveryReport([CategoryCount("caf\\u00e9", 1, 2)], 2, 1,
                          [EngineExposure("GOOGLE", 1, 1)], 3)
-write_report(report, out / "report.csv")
 write_report(report, out / "report.json")
+write_ranked(out / "ranked.csv", [RankedKeyword("cr\\u00e8me", "caf\\u00e9", 0.5, 1)])
 store = FixtureStore()
 store.put("cr\\u00e8me", "GOOGLE", "2024-05-01",
           [SerpEntry("GOOGLE", 1, "https://a.com/x", title="\\u00e9t\\u00e9")])
@@ -1018,6 +1069,6 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
          "-W", "error::EncodingWarning", "-c", _LOCALE_SCRIPT, str(tmp_path)],
         env=env, capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
-    assert "caf\u00e9," in (tmp_path / "report.csv").read_text(encoding="utf-8")
+    assert "caf\u00e9," in (tmp_path / "ranked.csv").read_text(encoding="utf-8")
     assert json.loads((tmp_path / "report.json").read_text(
         encoding="utf-8"))["categories"][0]["category"] == "caf\u00e9"

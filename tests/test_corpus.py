@@ -1,4 +1,4 @@
-"""Snapshot corpus: parsing, admission, root domains, file round trips."""
+"""Snapshot corpus: record readers, admission, root domains."""
 
 import json
 import re
@@ -19,17 +19,14 @@ from scamscout.corpus import (
     WhoisRecord,
     admit,
     is_parked,
-    parse_snapshot,
     read_keywords,
     read_labels,
     read_serps,
     read_snapshots,
-    serialize_snapshot,
     serp_from_record,
+    snapshot_from_record,
     snapshot_state,
     write_keywords,
-    write_labels,
-    write_serps,
 )
 from scamscout.errors import (
     SchemaError,
@@ -39,6 +36,24 @@ from scamscout.errors import (
 from scamscout.psl import public_suffix, root_domain
 
 FETCHED = datetime(2024, 3, 1, 12, 0, tzinfo=timezone.utc)
+
+
+# one snapshots.jsonl record holding every field, as a crawler writes it
+_FULL_RECORD = {
+    "url": "http://deal-site.shop/",
+    "fetched_at": "2024-03-01T12:00:00Z",
+    "http_status": 200,
+    "final_url": "https://deal-site.shop/home",
+    "html": "<html><title>Deals</title><body>80% off</body></html>",
+    "dns": {"a": ["1.2.3.4"], "mx": ["mx1.deal-site.shop", "mx2.deal-site.shop"],
+            "txt": ["v=spf1 -all"]},
+    "whois": {"created": "2024-01-10", "expires": "2025-01-10",
+              "registrar": "CheapNames Inc", "registrar_country": "US",
+              "registrant_country": "CN", "privacy": True,
+              "registrant_email_domain": "gmail.com"},
+    "ranks": {"tranco": 123456, "majestic": 99999, "majestic_refips": 12,
+              "majestic_refsubnets": 7, "majestic_tldrank": 345, "cisco": 678},
+}
 
 
 def _full_snapshot() -> DomainSnapshot:
@@ -59,29 +74,49 @@ def _full_snapshot() -> DomainSnapshot:
             privacy=True,
             registrant_email_domain="gmail.com",
         ),
-        ranks=RankSignals(tranco=123456, majestic=99999),
+        ranks=RankSignals(tranco=123456, majestic=99999, majestic_refips=12,
+                          majestic_refsubnets=7, majestic_tldrank=345,
+                          cisco=678),
     )
 
 
-# --- snapshot (de)serialization ------------------------------------------------
+def _jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                    encoding="utf-8")
 
 
-def test_snapshot_round_trip_preserves_every_field():
-    snap = _full_snapshot()
-    back = parse_snapshot(serialize_snapshot(snap))
-    assert back == snap
+# --- snapshot records ----------------------------------------------------------
+
+
+def test_snapshot_round_trip_preserves_every_field(tmp_path):
+    """Every field of a literal record is read; fetched_at given with Z, with
+    an offset or naive is the same UTC instant."""
+    path = tmp_path / "snaps.jsonl"
+    stamps = ["2024-03-01T12:00:00Z", "2024-03-01T14:00:00+02:00",
+              "2024-03-01T12:00:00"]
+    _jsonl(path, [dict(_FULL_RECORD, fetched_at=t) for t in stamps])
+    snaps = list(read_snapshots(path))
+    assert snaps == [_full_snapshot()] * 3
+    for snap in snaps:
+        assert snap.fetched_at.tzinfo is timezone.utc
+        assert snap.whois.privacy is True
+        assert snap.whois.created == date(2024, 1, 10)
+    assert snapshot_from_record(_FULL_RECORD) == _full_snapshot()
 
 
 def test_snapshot_round_trip_minimal_unreachable():
-    snap = DomainSnapshot(url="http://gone.example.com/", fetched_at=FETCHED)
-    back = parse_snapshot(serialize_snapshot(snap))
-    assert back == snap
+    back = snapshot_from_record({"url": "http://gone.example.com/",
+                                 "fetched_at": "2024-03-01T12:00:00Z"})
+    assert back == DomainSnapshot(url="http://gone.example.com/",
+                                  fetched_at=FETCHED)
     assert not back.resolving
+    assert back.whois.is_empty and back.ranks == RankSignals()
+    assert back.final_url is None and back.dns == {} and back.html == ""
 
 
 def test_parse_snapshot_rejects_bad_json_with_line_number(tmp_path):
     path = tmp_path / "snaps.jsonl"
-    good = serialize_snapshot(_full_snapshot()) + "\n"
+    good = json.dumps(_FULL_RECORD) + "\n"
     path.write_text(good * 5 + "\n" + "{not json\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(
             f"{path}:7: Expecting property name enclosed in double quotes")):
@@ -89,17 +124,18 @@ def test_parse_snapshot_rejects_bad_json_with_line_number(tmp_path):
 
 
 def test_parse_snapshot_rejects_missing_url():
-    raw = json.dumps({"fetched_at": "2024-03-01T12:00:00Z"})
-    with pytest.raises(SchemaError):
-        parse_snapshot(raw)
+    with pytest.raises(SchemaError, match="missing 'url'"):
+        snapshot_from_record({"fetched_at": "2024-03-01T12:00:00Z"})
 
 
 def test_read_snapshots_streams_file(tmp_path):
     path = tmp_path / "snaps.jsonl"
-    snaps = [_full_snapshot(),
-             DomainSnapshot(url="http://other.com/", fetched_at=FETCHED)]
-    path.write_text("".join(serialize_snapshot(s) + "\n" for s in snaps))
-    assert list(read_snapshots(path)) == snaps
+    _jsonl(path, [_FULL_RECORD, {"url": "http://other.com/",
+                                 "fetched_at": "2024-03-01T12:00:00Z"}])
+    snaps = read_snapshots(path)
+    assert next(snaps) == _full_snapshot()
+    assert list(snaps) == [DomainSnapshot(url="http://other.com/",
+                                          fetched_at=FETCHED)]
 
 
 # --- registrable domains ---------------------------------------------------------
@@ -255,6 +291,7 @@ def test_serp_entry_stores_integral_rank_as_int():
 
 
 def test_serp_record_round_trip(tmp_path):
+    """A serps.jsonl record holding two engines reads back as one page."""
     rs = SerpResultSet(query="cheap shoes", entries=[
         SerpEntry(engine="GOOGLE", rank=1, url="http://a.com/",
                   title="A", description="d1"),
@@ -263,38 +300,43 @@ def test_serp_record_round_trip(tmp_path):
     ])
     assert serp_from_record(asdict(rs)) == rs
     path = tmp_path / "serps.jsonl"
-    write_serps(path, [rs])
+    _jsonl(path, [{"query": "cheap shoes", "entries": [
+        {"engine": "GOOGLE", "rank": 1, "url": "http://a.com/",
+         "title": "A", "description": "d1"},
+        {"engine": "BING", "rank": 1, "url": "http://b.com/",
+         "title": "B", "description": "d2"}]}])
     assert read_serps(path) == [rs]
+    assert [e.engine for e in read_serps(path)[0].entries] == ["BING", "GOOGLE"]
     # an absent key takes the field's default (the root domain is the URL's),
     # an explicit null stays None
     entry = {"engine": "GOOGLE", "rank": 1, "url": "http://www.c.com/"}
     lines = [{"query": "q", "entries": [entry]},
              {"query": "r", "entries": [dict(entry, title=None)]}, {"query": "s"}]
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    _jsonl(path, lines)
     assert read_serps(path) == [
         SerpResultSet("q", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "", "c.com")]),
         SerpResultSet("r", [SerpEntry("GOOGLE", 1, "http://www.c.com/", None, "", "c.com")]),
         SerpResultSet("s", [])]
     del entry["url"]
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    _jsonl(path, lines)
     with pytest.raises(SchemaError, match=re.escape(f"{path}:1: missing key 'url'")):
         read_serps(path)
 
 
 def test_labels_round_trip_and_conflict(tmp_path):
     path = tmp_path / "labels.csv"
-    write_labels(path, [
-        LabeledDomain("SCAM-site.com", "SCAM", "sneakers"),
-        LabeledDomain("ok.com", "BENIGN", ""),
-        LabeledDomain("scam-site.com", "SCAM", "sneakers"),  # consistent dup
-    ])
-    labels = read_labels(path)
-    assert len(labels) == 2  # dedup keeps one row
-    assert labels[0].root_domain == "scam-site.com"  # lowercased
+    path.write_text("root_domain,label,category\n"
+                    "SCAM-site.com,SCAM,sneakers\n"
+                    "ok.com,benign,\n"
+                    "scam-site.com,SCAM,sneakers\n",   # a consistent duplicate
+                    encoding="utf-8")
+    assert read_labels(path) == [  # case-folded, one row per domain
+        LabeledDomain("scam-site.com", "SCAM", "sneakers"),
+        LabeledDomain("ok.com", "BENIGN", "")]
 
-    write_labels(path, [LabeledDomain("x.com", "SCAM"),
-                        LabeledDomain("x.com", "BENIGN")])
-    with pytest.raises(SchemaError):
+    path.write_text("root_domain,label,category\nx.com,SCAM,\nX.com,BENIGN,\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match="conflicting labels for x.com"):
         read_labels(path)
 
 

@@ -16,9 +16,6 @@ from scamscout.discovery import (
     _config_digest,
     _fixture_id,
     fetch_serp,
-    report_from_csv,
-    report_from_json,
-    report_to_json,
     run_discovery,
     write_report,
 )
@@ -407,6 +404,14 @@ def test_run_discovery_rejects_unknown_engine():
                       engines=("GOOGLE", "LYCOS"))
 
 
+def test_run_discovery_rejects_a_repeated_engine():
+    """A repeated engine would search every keyword twice."""
+    ranked, store, _, known, _ = _random_discovery_case(5)
+    with pytest.raises(SchemaError, match="engines must not repeat, got GOOGLE,BING,GOOGLE"):
+        run_discovery(ranked, _classify, store, ("GOOGLE", "BING", "GOOGLE"),
+                      known_domains=known, capture_date="2024-05-01")
+
+
 def test_live_run_records_every_capture_and_replays_to_the_same_counts(tmp_path):
     ranked, recorded, _, known, engines = _random_discovery_case(13)
     fetched = []
@@ -454,67 +459,66 @@ def _sample_report():
                          capture_date="2024-05-01")
 
 
-def test_report_csv_round_trip(tmp_path):
+def test_report_json_holds_every_count_the_csv_did(tmp_path):
+    """Each category's counts and scam fraction, and the global totals and
+    scam fraction: what the retired report.csv carried, one row each."""
     report = _sample_report()
-    path = tmp_path / "report.csv"
-    write_report(report, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "category,discovered_scams,total_sites,scam_fraction"
-    assert lines[-1].startswith("ALL,")
-    back = report_from_csv(path)
-    assert back.categories == report.categories
-    assert back.total_sites == report.total_sites
-    assert back.discovered_scams == report.discovered_scams
-    # a category named ALL stays a category; the last row holds the totals
+    write_report(report, tmp_path / "report.json")
+    blob = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [(c["category"], c["discovered_scams"], c["total_sites"])
+            for c in blob["categories"]] == [
+        (c.category, c.discovered_scams, c.total_sites) for c in report.categories]
+    for row, count in zip(blob["categories"], report.categories):
+        assert row["scam_fraction"] == count.discovered_scams / count.total_sites
+    assert (blob["total_sites"], blob["discovered_scams"]) == (
+        report.total_sites, report.discovered_scams)
+    assert blob["scam_fraction"] == report.discovered_scams / report.total_sites
+    assert blob["queries_run"] == report.queries_run
+    assert blob["config_digest"] == report.config_digest
+    assert blob["exposure"] == [
+        {"engine": e.engine, "top_k_scams": e.top_k_scams,
+         "total_scams": e.total_scams, "fraction": e.fraction}
+        for e in report.exposure]
+    # a category named ALL stays a category; the totals live at the top level
     odd = DiscoveryReport([CategoryCount("ALL", 1, 2), CategoryCount("b", 0, 1)],
                           total_sites=3, discovered_scams=1, exposure=[],
                           queries_run=0)
-    write_report(odd, path)
-    back = report_from_csv(path)
-    assert (back.categories, back.total_sites, back.discovered_scams) == (
-        odd.categories, 3, 1)
-    path.write_text("wrong,header\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match=re.escape(
-            f"{path}:1: header column 1 is 'wrong', expected 'category'")):
-        report_from_csv(path)
-
-
-def test_report_json_round_trip_keeps_exposure():
-    report = _sample_report()
-    back = report_from_json(report_to_json(report))
-    assert back == report
-    # an absent key takes the field's default, an explicit null stays None
-    blob = json.loads(report_to_json(report))
-    del blob["config_digest"]
-    assert report_from_json(json.dumps(blob)).config_digest == ""
-    blob["config_digest"] = None
-    assert report_from_json(json.dumps(blob)).config_digest is None
-    del blob["exposure"][0]["top_k_scams"]
-    with pytest.raises(KeyError, match="top_k_scams"):
-        report_from_json(json.dumps(blob))
+    write_report(odd, tmp_path / "odd.json")
+    blob = json.loads((tmp_path / "odd.json").read_text(encoding="utf-8"))
+    assert blob["categories"] == [
+        {"category": "ALL", "discovered_scams": 1, "total_sites": 2,
+         "scam_fraction": 0.5},
+        {"category": "b", "discovered_scams": 0, "total_sites": 1,
+         "scam_fraction": 0.0}]
+    assert (blob["total_sites"], blob["discovered_scams"],
+            blob["scam_fraction"]) == (3, 1, 1 / 3)
 
 
 def test_write_report_is_byte_identical(tmp_path):
     report = _sample_report()
-    for suffix in (".csv", ".json"):
-        write_report(report, tmp_path / f"one{suffix}")
-        write_report(report, tmp_path / f"two{suffix}")
-        assert (tmp_path / f"one{suffix}").read_bytes() == \
-            (tmp_path / f"two{suffix}").read_bytes()
+    write_report(report, tmp_path / "one.json")
+    write_report(report, tmp_path / "two.json")
+    assert (tmp_path / "one.json").read_bytes() == \
+        (tmp_path / "two.json").read_bytes()
 
 
 def test_write_report_picks_format_from_suffix(tmp_path):
+    """There is one format: the suffix picks nothing."""
     report = _sample_report()
     write_report(report, tmp_path / "r.json")
     write_report(report, tmp_path / "r.csv")
-    assert (tmp_path / "r.json").read_text().lstrip().startswith("{")
-    assert (tmp_path / "r.csv").read_text().startswith("category,")
+    text = (tmp_path / "r.json").read_text(encoding="utf-8")
+    assert text == json.dumps(report.as_dict(), sort_keys=True, indent=1)
+    assert (tmp_path / "r.csv").read_text(encoding="utf-8") == text
 
 
 def test_empty_report_is_header_only(tmp_path):
+    """No categories: the report still holds every key, with zero counts."""
     report = DiscoveryReport(categories=[], total_sites=0, discovered_scams=0,
                              exposure=[], queries_run=0)
-    write_report(report, tmp_path / "report.csv")
-    assert (tmp_path / "report.csv").read_bytes() == \
-        b"category,discovered_scams,total_sites,scam_fraction\n"
+    write_report(report, tmp_path / "report.json")
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == {
+        "categories": [], "config_digest": "", "discovered_scams": 0,
+        "exposure": [], "queries_run": 0, "scam_fraction": 0.0,
+        "total_sites": 0}
     assert report.scam_fraction == 0.0

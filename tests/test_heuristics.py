@@ -86,8 +86,9 @@ def test_match_segment_is_order_free_and_whole_token():
     assert match_segment("sale items for kids", seg)
     assert match_segment("FOR SALE", seg)
     assert not match_segment("wholesale items", QuerySegment("sale", TokenType.PRICE))
-    assert match_segment("cheap shoes", "cheap")
-    assert not match_segment("cheapest shoes", "cheap")
+    cheap = QuerySegment("Cheap", TokenType.MODIFIER)
+    assert match_segment("cheap shoes", cheap)
+    assert not match_segment("cheapest shoes", cheap)
 
 
 def test_match_segment_monotone_under_added_words():

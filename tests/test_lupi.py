@@ -26,7 +26,6 @@ from scamscout.lupi import (
     collision_rate,
     distill_student,
     grid_search_privileged,
-    load_checkpoint,
     load_student,
     load_teacher,
     loco_cv,
@@ -46,7 +45,7 @@ from scamscout.lupi import (
     write_ranked,
 )
 from scamscout.lupi.tokenizer import word_id
-from scamscout.lupi.train import _assemble
+from scamscout.lupi.train import _assemble, _slice, _val_split
 
 TOK = TokenizerConfig(vocab_size=128, max_len_query=8, max_len_serp=8)
 ENC = EncoderConfig(layers=1, dim=16, heads=2, ff_dim=32, dropout=0.1)
@@ -402,7 +401,7 @@ def test_parameters_and_gradients_tile_the_flat_buffers(kind, enc, tmp_path):
     check(model)
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
+    loaded = (load_teacher if kind == "teacher" else load_student)(path)
     check(loaded)
     assert np.array_equal(loaded.flat, model.flat)
 
@@ -499,6 +498,11 @@ def test_loss_weights_validation_and_spec():
     assert w.as_tuple() == (1.0, 0.5, 0.25, 0.125)
     with pytest.raises(TrainingError):
         LossWeights.from_spec("1.0,0.5")
+    with pytest.raises(TrainingError, match=re.escape("got 'a,b,c,d'")):
+        LossWeights.from_spec("a,b,c,d")
+    for bad in ((1, float("nan"), 0.5, 0.5), (1, float("inf"), 0, 0)):
+        with pytest.raises(TrainingError, match="loss weights must be finite"):
+            LossWeights(*bad)
 
 
 # --- privileged assembly ----------------------------------------------------
@@ -580,6 +584,8 @@ def test_privileged_config_spec_round_trip_and_validation():
         PrivilegedConfig(size=51)
     with pytest.raises(SchemaError):
         PrivilegedConfig.from_spec("google:title:all:ranked")
+    with pytest.raises(SchemaError, match=re.escape("got 'google:title:all:ranked:x'")):
+        PrivilegedConfig.from_spec("google:title:all:ranked:x")
 
 
 # --- optimizer --------------------------------------------------------------
@@ -661,15 +667,19 @@ def test_warmup_scale_ramp():
 # --- training loops ---------------------------------------------------------
 
 
+def _held_out_rows(n, cfg):
+    """The rows ``_fit`` holds out for validation under ``cfg.seed``."""
+    return _val_split(n, np.random.default_rng([cfg.seed, 104729]))[1]
+
+
 def test_train_teacher_restores_best_validation_params():
     data = _tiny_dataset(24)
-    val = _tiny_dataset(8, seed=9)
-    teacher, report = train_teacher(data, PRIV, CFG, TOK, ENC,
-                                    val_dataset=val)
+    teacher, report = train_teacher(data, PRIV, CFG, TOK, ENC)
     assert len(report.val_losses) <= CFG.epochs
     assert report.best_epoch == int(np.argmin(report.val_losses))
-    # recomputing val MAE on the returned model reproduces the best epoch
-    tensors = _assemble(val, TOK, PRIV, CFG.seed)
+    # recomputing val MAE on the held-out rows reproduces the best epoch
+    tensors = _slice(_assemble(data, TOK, PRIV, CFG.seed),
+                     _held_out_rows(len(data.examples), CFG))
     score, _, _ = teacher.forward(tensors.query_ids, tensors.serp_ids,
                                   tensors.serp_present, train=False, cache=False)
     mae = float(np.mean(np.abs(score - tensors.labels)))
@@ -727,7 +737,7 @@ def test_distillation_needs_teacher_for_weighted_terms():
     from scamscout.lupi.train import _train_student_loop
     with pytest.raises(TrainingError):
         _train_student_loop(data, None, LossWeights(1, 1, 0, 0), CFG, TOK, ENC,
-                            init_from=None, val_dataset=None)
+                            init_from=None)
 
 
 def test_train_config_validation():
@@ -742,7 +752,7 @@ def test_train_config_validation():
 @pytest.mark.parametrize("bad", [
     {"patience": 0}, {"warmup_fraction": -1.0}, {"warmup_fraction": 1.5},
     {"warmup_fraction": float("nan")}, {"weight_decay": -1.0},
-    {"weight_decay": float("nan")},
+    {"weight_decay": float("nan")}, {"lr": float("nan")}, {"lr": float("inf")},
 ])
 def test_train_config_rejects_impossible_values(bad):
     with pytest.raises(TrainingError):
@@ -769,31 +779,30 @@ def test_example_rejects_bad_toxicity(tox):
         LupiExample(query="q", toxicity=ok)
 
 
-def _poison(dataset):
+def _poison(dataset, rows):
     # bypasses the LupiExample check, as a label mutated after construction would
-    dataset.examples[0].toxicity = float("nan")
+    for i in rows:
+        dataset.examples[i].toxicity = float("nan")
     return dataset
 
 
 def test_training_raises_on_non_finite_step_loss():
     one_batch = TrainConfig(lr=2e-3, epochs=2, batch_size=16, seed=0)
-    val = _tiny_dataset(8, seed=9)
     with pytest.raises(TrainingError, match="training loss .* epoch 0, step 0"):
-        train_teacher(_poison(_tiny_dataset(16)), PRIV, one_batch, TOK, ENC,
-                      val_dataset=val)
+        train_teacher(_poison(_tiny_dataset(16), range(16)), PRIV, one_batch,
+                      TOK, ENC)
     with pytest.raises(TrainingError, match="training loss .* epoch 0, step 0"):
-        train_query_baseline(_poison(_tiny_dataset(16)), one_batch, TOK, ENC,
-                             val_dataset=val)
+        train_query_baseline(_poison(_tiny_dataset(16), range(16)), one_batch,
+                             TOK, ENC)
 
 
 def test_training_raises_on_non_finite_validation_loss():
-    data = _tiny_dataset(16)
+    # only a held-out row is poisoned, so every training step stays finite
+    held_out = _held_out_rows(16, CFG)[:1]
     with pytest.raises(TrainingError, match="validation loss .* epoch 0"):
-        train_teacher(data, PRIV, CFG, TOK, ENC,
-                      val_dataset=_poison(_tiny_dataset(8, seed=9)))
+        train_teacher(_poison(_tiny_dataset(16), held_out), PRIV, CFG, TOK, ENC)
     with pytest.raises(TrainingError, match="validation loss .* epoch 0"):
-        train_query_baseline(data, CFG, TOK, ENC,
-                             val_dataset=_poison(_tiny_dataset(8, seed=9)))
+        train_query_baseline(_poison(_tiny_dataset(16), held_out), CFG, TOK, ENC)
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -826,7 +835,8 @@ def test_checkpoint_loader_type_checks(tmp_path):
         load_student(t_path)
     with pytest.raises(SchemaError):
         load_teacher(s_path)
-    assert isinstance(load_checkpoint(t_path), TeacherModel)
+    assert isinstance(load_teacher(t_path), TeacherModel)
+    assert isinstance(load_student(s_path), StudentModel)
 
 
 def test_checkpoint_blob_validation():
@@ -991,11 +1001,26 @@ def test_grid_search_single_combo():
         grid_search_privileged(data, CFG, engines=())
 
 
-def test_loco_cv_reports_all_strategies():
+def test_loco_cv_reports_all_strategies(monkeypatch):
+    from scamscout.lupi import train as train_mod
     data = _tiny_dataset(24)
+    seen = []
+    for name in ("train_teacher", "distill_student", "train_query_baseline"):
+        real = getattr(train_mod, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            seen.append((_name, {ex.category for ex in args[0].examples}))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, name, spy)
     reports = loco_cv(data, PRIV, CFG, LossWeights(1, 0.5, 0.5, 0.5),
                       k=3, min_queries=5, tok_cfg=TOK, enc_cfg=ENC)
     assert [r.category for r in reports] == ["a", "b"]
+    # every fit of a fold trains, and so validates, on the other categories
+    assert seen == [(name, {other})
+                    for other in ("b", "a")
+                    for name in ("train_teacher", "distill_student",
+                                 "train_query_baseline")]
     for rep in reports:
         assert rep.n_test == 12
         assert set(rep.toxicity) == {"max", "teacher", "student", "baseline"}
@@ -1209,35 +1234,3 @@ def test_step_terms_add_up_to_the_step_losses():
         assert all(terms[name] > 0 for name in terms)
         assert (w.gt * terms["gt"] + w.pm * terms["pm"]
                 + w.hm * terms["hm"] + w.am * terms["am"]) == loss
-
-
-def test_loco_cv_paper_split_validates_on_the_held_out_fold(monkeypatch):
-    from scamscout.lupi import train as train_mod
-    data = _tiny_dataset(24)
-    seen = []
-    for name in ("train_teacher", "distill_student", "train_query_baseline"):
-        real = getattr(train_mod, name)
-
-        def spy(*args, _real=real, _name=name, **kwargs):
-            seen.append((_name, args[0], kwargs["val_dataset"]))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(train_mod, name, spy)
-    reports = loco_cv(data, PRIV, CFG, LossWeights(1, 0.5, 0.5, 0.5), k=3,
-                      min_queries=5, tok_cfg=TOK, enc_cfg=ENC, paper_split=True)
-    assert [r.category for r in reports] == ["a", "b"]
-    for rep in reports:
-        assert set(rep.toxicity) == {"max", "teacher", "student", "baseline"}
-        assert set(rep.expansion) == {"max", "teacher", "student", "baseline"}
-    assert [name for name, _, _ in seen] == \
-        ["train_teacher", "distill_student", "train_query_baseline"] * 2
-    for i, held_out in enumerate(("a", "b")):
-        fold = seen[3 * i:3 * i + 3]
-        val = fold[0][2]
-        # 10% of the 12 held-out queries, the same set for all three fits
-        assert len(val.examples) == 1
-        assert all(ex.category == held_out for ex in val.examples)
-        assert all(v is val for _, _, v in fold)
-        train_queries = {ex.query for ex in fold[0][1].examples}
-        assert not train_queries & {ex.query for ex in val.examples}
-        assert {ex.category for ex in fold[0][1].examples} == {"a", "b"} - {held_out}
