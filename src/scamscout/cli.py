@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--priv", default=PrivilegedConfig().spec_string(),
                    help="engine:field:filter:selection:size")
-    p.add_argument("--weights", default="1,0.5,0.5,0.5",
-                   help="gt,pm,hm,am loss weights")
+    p.add_argument("--weights", default="1,0.5,0.5",
+                   help="gt,pm,hm loss weights")
     p.add_argument("--labels", default=None,
                    help="labels.csv for the scam_only privileged filter")
     p.add_argument("--out", required=True)

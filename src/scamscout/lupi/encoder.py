@@ -1,10 +1,6 @@
 """Tiny pre-norm transformer encoder built from the manual-backprop layers.
 
-forward() returns every layer's attention map alongside the hidden states,
-and backward() accepts gradients for both, because the distillation loss
-matches attention maps layer-for-layer between student and teacher.
-
-forward(trim=True) first cuts the batch to ``trimmed_length(ids)`` columns:
+Every forward pass first cuts the batch to ``trimmed_length(ids)`` columns:
 the longest non-PAD prefix, rounded up to a multiple of 8, capped at the
 full length.  PAD keys are masked, so the cut columns feed no kept position,
 and every kept output equals its full-length value bit for bit.  That needs
@@ -14,9 +10,8 @@ accumulator unchanged, while at other lengths the last terms are added in a
 different order.  In train mode the dropout masks are still drawn at the
 full length and sliced, so the random stream does not move.  Backward sums
 each weight gradient over fewer rows (the cut rows carry zero gradient),
-which moves it at the rounding level, about 1e-15 relative.  Trim only where
-no cut row reaches an output: where only the CLS row is used and the
-attention maps are dropped.
+which moves it at the rounding level, about 1e-15 relative.  The models read
+only the CLS row, so no cut row reaches an output.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
 
 
 def trimmed_length(ids: np.ndarray) -> int:
-    """Columns of ``ids`` (B, T) that forward(trim=True) keeps: the longest
+    """Columns of ``ids`` (B, T) that ``Encoder.forward`` keeps: the longest
     non-PAD prefix, rounded up to a multiple of 8, capped at T."""
     used = np.flatnonzero((ids != PAD_ID).any(axis=0))
     longest = int(used[-1]) + 1 if used.size else 1
@@ -86,18 +81,16 @@ class EncoderBlock(Module):
         self.drop2 = Dropout(cfg.dropout)
 
     def forward(self, x, key_mask, train, rng, cache=True, draw_shape=None):
-        a, attn_map = self.attn.forward(self.ln1.forward(x, cache), key_mask, cache)
+        a = self.attn.forward(self.ln1.forward(x, cache), key_mask, cache)
         x = x + self.drop1.forward(a, train, rng, cache, draw_shape)
         f = self.ffn.forward(self.ln2.forward(x, cache), cache)
-        x = x + self.drop2.forward(f, train, rng, cache, draw_shape)
-        return x, attn_map
+        return x + self.drop2.forward(f, train, rng, cache, draw_shape)
 
-    def backward(self, d_out, d_attn=None):
+    def backward(self, d_out):
         d_f = self.drop2.backward(d_out)
         d_x = d_out + self.ln2.backward(self.ffn.backward(d_f))
         d_a = self.drop1.backward(d_x)
-        d_x = d_x + self.ln1.backward(self.attn.backward(d_a, d_attn))
-        return d_x
+        return d_x + self.ln1.backward(self.attn.backward(d_a))
 
 
 class Encoder(Module):
@@ -113,28 +106,21 @@ class Encoder(Module):
 
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None,
-                cache: bool = True,
-                trim: bool = False) -> tuple[np.ndarray, list[np.ndarray]]:
-        """ids (B, T) -> hidden (B, L, D) and per-layer attention maps
-        (B, H, L, L); L is T, or ``trimmed_length(ids)`` with ``trim``."""
+                cache: bool = True) -> np.ndarray:
+        """ids (B, T) -> hidden (B, L, D), L = ``trimmed_length(ids)``."""
         draw_shape = (*ids.shape, self.cfg.dim)
-        if trim:
-            ids = ids[:, :trimmed_length(ids)]
+        ids = ids[:, :trimmed_length(ids)]
         key_mask = ids != PAD_ID
         x = self.embed.forward(ids, cache) + self.positions[: ids.shape[1]]
         x = self.drop_in.forward(x, train, rng, cache, draw_shape)
-        attn_maps = []
         for block in self.blocks:
-            x, attn = block.forward(x, key_mask, train, rng, cache, draw_shape)
-            attn_maps.append(attn)
-        return self.ln_out.forward(x, cache), attn_maps
+            x = block.forward(x, key_mask, train, rng, cache, draw_shape)
+        return self.ln_out.forward(x, cache)
 
-    def backward(self, d_hidden: np.ndarray,
-                 d_attn_maps: list[np.ndarray] | None = None) -> None:
-        """d_hidden and d_attn_maps have the shapes forward returned."""
+    def backward(self, d_hidden: np.ndarray) -> None:
+        """d_hidden has the shape forward returned."""
         d_x = self.ln_out.backward(d_hidden)
-        for i in reversed(range(len(self.blocks))):
-            d_attn = d_attn_maps[i] if d_attn_maps is not None else None
-            d_x = self.blocks[i].backward(d_x, d_attn)
+        for block in reversed(self.blocks):
+            d_x = block.backward(d_x)
         d_x = self.drop_in.backward(d_x)
         self.embed.backward(d_x)

@@ -88,7 +88,12 @@ class Linear(Module):
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         if cache:
             self._x = x
-        return x @ self.params["w"] + self.params["b"]
+        w = self.params["w"]
+        if w.shape[1] == 1:
+            # BLAS's matrix-vector product rounds a row differently by its
+            # position in the batch; a per-row sum does not
+            return (x * w[:, 0]).sum(axis=-1, keepdims=True) + self.params["b"]
+        return x @ w + self.params["b"]
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         x2 = self._x.reshape(-1, self._x.shape[-1])
@@ -182,8 +187,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 class MultiHeadAttention(Module):
     """Self-attention with key-padding masking.
 
-    Returns (output, attention probabilities); backward accepts gradients for
-    both, since the attention maps feed the distillation loss directly.
+    The attention probabilities are cached for backward only.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None):
@@ -204,7 +208,7 @@ class MultiHeadAttention(Module):
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
 
     def forward(self, x: np.ndarray, key_mask: np.ndarray,
-                cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                cache: bool = True) -> np.ndarray:
         q = self._split(self.wq.forward(x, cache))
         k = self._split(self.wk.forward(x, cache))
         v = self._split(self.wv.forward(x, cache))
@@ -219,18 +223,15 @@ class MultiHeadAttention(Module):
         out = self.wo.forward(self._merge(ctx), cache)
         if cache:
             self._q, self._k, self._v, self._attn = q, k, v, attn
-        return out, attn
+        return out
 
-    def backward(self, d_out: np.ndarray,
-                 d_attn_extra: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, d_out: np.ndarray) -> np.ndarray:
         q, k, v, attn = self._q, self._k, self._v, self._attn
         d_ctx = self._split(self.wo.backward(d_out))
-        d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
-        if d_attn_extra is not None:
-            d_attn = d_attn + d_attn_extra
+        d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
         # softmax backward; masked positions have attn = 0 so they get 0
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores = attn * (d_probs - (d_probs * attn).sum(axis=-1, keepdims=True))
         d_scores /= np.sqrt(self.head_dim)
         d_q = d_scores @ k
         d_k = d_scores.transpose(0, 1, 3, 2) @ q

@@ -1,13 +1,12 @@
-"""The four-term distillation objective.
+"""The three-term distillation objective.
 
 total = w_gt * MAE(student score, label)
       + w_pm * MAE(student score, teacher score)
       + w_hm * MSE(student hint, teacher fused representation)
-      + w_am * mean over layers of MSE(student attn map, teacher attn map)
 
 Gradients flow to the student's outputs only; the teacher side enters as
 constants.  ``total_loss`` returns both the scalar terms and the gradients
-w.r.t. (score, hint, attention maps) ready to feed StudentModel.backward.
+w.r.t. (score, hint) ready to feed StudentModel.backward.
 """
 
 from __future__ import annotations
@@ -25,18 +24,17 @@ class LossWeights:
     gt: float = 1.0
     pm: float = 0.5
     hm: float = 0.5
-    am: float = 0.5
 
     def __post_init__(self):
         if not all(math.isfinite(w) for w in self.as_tuple()):
             raise TrainingError(f"loss weights must be finite, got {self.as_tuple()}")
-        if min(self.gt, self.pm, self.hm, self.am) < 0:
+        if min(self.as_tuple()) < 0:
             raise TrainingError("loss weights must be >= 0")
-        if self.gt == self.pm == self.hm == self.am == 0.0:
+        if self.gt == self.pm == self.hm == 0.0:
             raise TrainingError("at least one loss weight must be positive")
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.gt, self.pm, self.hm, self.am)
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.gt, self.pm, self.hm)
 
     @classmethod
     def from_spec(cls, spec: str) -> "LossWeights":
@@ -44,8 +42,8 @@ class LossWeights:
             parts = [float(p) for p in spec.split(",")]
         except ValueError:
             parts = []
-        if len(parts) != 4:
-            raise TrainingError(f"weights spec must be four comma-separated "
+        if len(parts) != 3:
+            raise TrainingError(f"weights spec must be three comma-separated "
                                 f"numbers, got {spec!r}")
         return cls(*parts)
 
@@ -54,23 +52,19 @@ def total_loss(
     labels: np.ndarray,
     student_score: np.ndarray,
     student_hint: np.ndarray,
-    student_attn: list[np.ndarray],
     teacher_score: np.ndarray | None,
     teacher_fused: np.ndarray | None,
-    teacher_attn: list[np.ndarray] | None,
     weights: LossWeights,
 ):
-    """Returns (total, per-term dict, (d_score, d_hint, d_attn_list)).
+    """Returns (total, per-term dict, (d_score, d_hint)).
 
-    Zero-weighted terms are skipped entirely, so a (1,0,0,0) run performs
+    Zero-weighted terms are skipped entirely, so a (1,0,0) run performs
     exactly the same arithmetic as plain label regression.
     """
     b = labels.shape[0]
-    terms = {"gt": 0.0, "pm": 0.0, "hm": 0.0, "am": 0.0}
+    terms = {"gt": 0.0, "pm": 0.0, "hm": 0.0}
     d_score = np.zeros_like(student_score)
     d_hint = np.zeros_like(student_hint)
-    d_attn = [np.zeros_like(a) for a in student_attn]
-    used_attn = False
 
     if weights.gt != 0.0:
         diff = student_score - labels
@@ -91,27 +85,6 @@ def total_loss(
         terms["hm"] = float(np.mean(diff ** 2))
         d_hint += weights.hm * 2.0 * diff / diff.size
 
-    if weights.am != 0.0:
-        if teacher_attn is None:
-            raise TrainingError("am term requires teacher attention maps")
-        if len(teacher_attn) != len(student_attn):
-            raise TrainingError(
-                f"attention depth mismatch: student {len(student_attn)} "
-                f"layers vs teacher {len(teacher_attn)}"
-            )
-        layers = len(student_attn)
-        acc = 0.0
-        for i, (sa, ta) in enumerate(zip(student_attn, teacher_attn)):
-            if sa.shape != ta.shape:
-                raise TrainingError(
-                    f"attention shape mismatch at layer {i}: {sa.shape} vs {ta.shape}"
-                )
-            diff = sa - ta
-            acc += float(np.mean(diff ** 2))
-            d_attn[i] += weights.am * 2.0 * diff / (diff.size * layers)
-        terms["am"] = acc / layers
-        used_attn = True
-
     total = (weights.gt * terms["gt"] + weights.pm * terms["pm"]
-             + weights.hm * terms["hm"] + weights.am * terms["am"])
-    return total, terms, (d_score, d_hint, d_attn if used_attn else None)
+             + weights.hm * terms["hm"])
+    return total, terms, (d_score, d_hint)

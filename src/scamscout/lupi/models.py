@@ -7,16 +7,11 @@ scalar regression head.  The student sees only the query; its prediction
 head regresses the score and its distillation head projects the query CLS
 embedding into a "hint" that is trained to mimic the teacher's fused
 representation.  The two query encoders are architecturally identical so
-the student can be initialized from the teacher backbone and attention maps
-can be matched layer-for-layer.
+the student can be initialized from the teacher backbone.
 
-The teacher's SERP encoder always runs PAD-trimmed (``Encoder.forward``'s
-``trim``), in training and in eval: only its CLS rows are pooled and its
-attention maps are dropped, so its outputs are bit-identical to the
-full-length ones.  Both query encoders run at the full length by default,
-because the distillation loss averages attention maps over all Tq x Tq
-entries, PAD rows included; ``StudentModel.forward(trim=True)`` is for
-callers that keep only the score.  Both models take full-length ids.
+Every encoder runs PAD-trimmed (see ``encoder.py``), in training and in
+eval: each model reads only CLS rows, so its outputs are bit-identical to
+the full-length ones.  Both models take full-length ids.
 """
 
 from __future__ import annotations
@@ -105,15 +100,15 @@ class TeacherModel(Module):
                 rng: Optional[np.random.Generator] = None, cache: bool = True):
         """query_ids (B,Tq); serp_ids (B,K,Ts); serp_present (B,K) bool.
 
-        Returns (score (B,), fused (B,D), query attention maps).  Triples
-        whose privileged set is empty get a zero pooled vector.
+        Returns (score (B,), fused (B,D)).  Triples whose privileged set is
+        empty get a zero pooled vector.
         """
         b, k, ts = serp_ids.shape
-        q_hidden, q_attn = self.query_encoder.forward(query_ids, train, rng, cache)
+        q_hidden = self.query_encoder.forward(query_ids, train, rng, cache)
         q_cls = q_hidden[:, 0, :]
         if k > 0:
-            s_hidden, _ = self.serp_encoder.forward(
-                serp_ids.reshape(b * k, ts), train, rng, cache, trim=True)
+            s_hidden = self.serp_encoder.forward(
+                serp_ids.reshape(b * k, ts), train, rng, cache)
             ts = s_hidden.shape[1]   # trimmed; backward's d_hidden has this length
             s_cls = s_hidden[:, 0, :].reshape(b, k, -1)
             present = serp_present.astype(np.float64)
@@ -130,9 +125,9 @@ class TeacherModel(Module):
         fused = self.fusion_drop.forward(relu(pre), train, rng, cache)
         score = self.head.forward(fused, cache)[:, 0]
         if cache:
-            self._cache = (query_ids.shape, (b, k, ts), present if k > 0 else None,
-                           safe, pre)
-        return score, fused, q_attn
+            self._cache = (q_hidden.shape[:2], (b, k, ts),
+                           present if k > 0 else None, safe, pre)
+        return score, fused
 
     def backward(self, d_score: np.ndarray, d_fused: Optional[np.ndarray] = None):
         (qshape, sshape, present, safe, pre) = self._cache
@@ -185,15 +180,9 @@ class StudentModel(Module):
             raise TrainingError("teacher has no backbone parameters")
 
     def forward(self, query_ids: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None, cache: bool = True,
-                trim: bool = False):
-        """Returns (score (B,), hint (B,D), query attention maps).
-
-        ``trim`` runs the query encoder PAD-trimmed: score and hint stay
-        bit-identical, the attention maps cover only the kept columns.
-        """
-        hidden, attn = self.query_encoder.forward(query_ids, train, rng, cache,
-                                                  trim)
+                rng: Optional[np.random.Generator] = None, cache: bool = True):
+        """Returns (score (B,), hint (B,D))."""
+        hidden = self.query_encoder.forward(query_ids, train, rng, cache)
         cls = hidden[:, 0, :]
         dropped = self.pred_drop.forward(cls, train, rng, cache)
         h1 = self.pred_lin1.forward(dropped, cache)
@@ -201,10 +190,9 @@ class StudentModel(Module):
         hint = self.distill_head.forward(cls, cache)
         if cache:
             self._cache = (hidden.shape[:2], h1)
-        return score, hint, attn
+        return score, hint
 
-    def backward(self, d_score: np.ndarray, d_hint: np.ndarray,
-                 d_attn: Optional[list[np.ndarray]] = None):
+    def backward(self, d_score: np.ndarray, d_hint: np.ndarray):
         qshape, h1 = self._cache
         d_relu = self.pred_lin2.backward(d_score[:, None])
         d_dropped = self.pred_lin1.backward(d_relu * (h1 > 0))
@@ -212,4 +200,4 @@ class StudentModel(Module):
         d_cls = d_cls + self.distill_head.backward(d_hint)
         d_hidden = np.zeros((qshape[0], qshape[1], self.enc_cfg.dim))
         d_hidden[:, 0, :] = d_cls
-        self.query_encoder.backward(d_hidden, d_attn)
+        self.query_encoder.backward(d_hidden)

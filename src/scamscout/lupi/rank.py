@@ -43,8 +43,7 @@ def rank_keywords(
     scores = np.empty(len(texts), dtype=np.float64)
     for start in range(0, len(texts), _BATCH_SIZE):
         ids = tokenize_batch(texts[start:start + _BATCH_SIZE], student.tok_cfg)
-        # the attention maps are dropped, so PAD columns can be cut exactly
-        out, _, _ = student.forward(ids, train=False, cache=False, trim=True)
+        out, _ = student.forward(ids, train=False, cache=False)
         scores[start:start + len(out)] = out
     scores = np.clip(scores, 0.0, 1.0)
 

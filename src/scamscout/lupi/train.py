@@ -7,15 +7,16 @@ hold-out of ``VAL_FRACTION`` of the training data, batches, AdamW with
 warmup, per-epoch validation on the hold-out, patience-based early stopping
 and a restore of the best epoch) serves the teacher, the distiller and the
 query-only baseline; each passes only its model, its per-batch step and its
-validation loss.  The baseline is the distiller with weights (1,0,0,0) and
+validation loss.  The baseline is the distiller with weights (1,0,0) and
 no teacher, so both perform the identical arithmetic, a tested contract.
 AdamW, the best-epoch copy and the teacher check use the ``flat`` buffer.
 
 The distiller runs the frozen teacher once per fit: after ``_fit``'s
 train/validation split, once over the train tensors and once over the
 validation tensors, and each batch takes its rows of those outputs.  Rows
-are independent and the SERP encoder's PAD trimming is exact (see
-``encoder.py``), so these equal a per-batch teacher forward bit for bit.
+are independent and every encoder's PAD trimming is exact (see
+``encoder.py``), so these equal a per-batch teacher forward of two or more
+rows bit for bit.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class TrainConfig:
             raise TrainingError("warmup_fraction must be in [0, 1]")
         if not self.weight_decay >= 0.0:
             raise TrainingError("weight_decay must be >= 0")
+        # numpy's generators reject a negative seed only once training starts
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -152,9 +156,8 @@ class _Tensors:
     serp_present: np.ndarray     # (N, K) bool
     labels: np.ndarray           # (N,)
     empty_priv: int = 0
-    # the frozen teacher's (score (N,), fused (N, D), per-layer attention
-    # (N, H, Tq, Tq)) when distilling, else None
-    teacher: Optional[tuple[np.ndarray, np.ndarray, list[np.ndarray]]] = None
+    # the frozen teacher's (score (N,), fused (N, D)) when distilling, else None
+    teacher: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 def _assemble(
@@ -196,8 +199,8 @@ def _val_split(n: int, rng: np.random.Generator):
 def _slice(t: _Tensors, idx: np.ndarray) -> _Tensors:
     teacher = None
     if t.teacher is not None:
-        score, fused, attn = t.teacher
-        teacher = (score[idx], fused[idx], [a[idx] for a in attn])
+        score, fused = t.teacher
+        teacher = (score[idx], fused[idx])
     return _Tensors(t.query_ids[idx], t.serp_ids[idx], t.serp_present[idx],
                     t.labels[idx], t.empty_priv, teacher)
 
@@ -217,7 +220,7 @@ class TrainReport:
     step_losses: list[float]       # one per optimizer step
     empty_priv: int = 0
     config: Optional[TrainConfig] = None
-    # per optimizer step, the loss terms: gt/pm/hm/am for the student and
+    # per optimizer step, the loss terms: gt/pm/hm for the student and
     # the baseline (their weighted sum is the step loss), gt for the teacher
     step_terms: list[dict[str, float]] = field(default_factory=list)
 
@@ -315,16 +318,16 @@ def train_teacher(
     model = TeacherModel(tok_cfg, enc_cfg, priv, seed=cfg.seed)
 
     def step(batch: _Tensors, rng: np.random.Generator):
-        score, _, _ = model.forward(batch.query_ids, batch.serp_ids,
-                                    batch.serp_present, train=True, rng=rng)
+        score, _ = model.forward(batch.query_ids, batch.serp_ids,
+                                 batch.serp_present, train=True, rng=rng)
         diff = score - batch.labels
         model.backward(np.sign(diff) / diff.shape[0])
         mae = float(np.mean(np.abs(diff)))
         return mae, {"gt": mae}
 
     def val_loss(t: _Tensors) -> float:
-        score, _, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present,
-                                    train=False, cache=False)
+        score, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present,
+                                 train=False, cache=False)
         return float(np.mean(np.abs(score - t.labels)))
 
     report = _fit(model, dataset, priv, cfg, tok_cfg, step, val_loss)
@@ -343,9 +346,9 @@ def _train_student_loop(
     enc_cfg: EncoderConfig,
     init_from: Optional[TeacherModel],
 ) -> tuple[StudentModel, TrainReport]:
-    needs_teacher = weights.pm != 0.0 or weights.hm != 0.0 or weights.am != 0.0
+    needs_teacher = weights.pm != 0.0 or weights.hm != 0.0
     if needs_teacher and teacher is None:
-        raise TrainingError("non-zero pm/hm/am weights require a teacher")
+        raise TrainingError("non-zero pm/hm weights require a teacher")
     priv = teacher.priv if (teacher is not None and needs_teacher) else None
 
     frozen_before = teacher.flat.copy() if priv is not None else None
@@ -359,15 +362,14 @@ def _train_student_loop(
             t.query_ids, t.serp_ids, t.serp_present, train=False, cache=False))
 
     def loss(t: _Tensors, train: bool, rng=None):
-        t_score, t_fused, t_attn = t.teacher or (None, None, None)
-        s_score, s_hint, s_attn = student.forward(t.query_ids, train=train,
-                                                  rng=rng, cache=train)
-        return total_loss(t.labels, s_score, s_hint, s_attn,
-                          t_score, t_fused, t_attn, weights)
+        t_score, t_fused = t.teacher or (None, None)
+        s_score, s_hint = student.forward(t.query_ids, train=train,
+                                          rng=rng, cache=train)
+        return total_loss(t.labels, s_score, s_hint, t_score, t_fused, weights)
 
     def step(batch: _Tensors, rng: np.random.Generator):
-        value, terms, (d_score, d_hint, d_attn) = loss(batch, True, rng)
-        student.backward(d_score, d_hint, d_attn)
+        value, terms, (d_score, d_hint) = loss(batch, True, rng)
+        student.backward(d_score, d_hint)
         return value, terms
 
     report = _fit(student, dataset, priv, cfg, tok_cfg,
@@ -400,13 +402,13 @@ def train_query_baseline(
     enc_cfg: Optional[EncoderConfig] = None,
     init_from: Optional[TeacherModel] = None,
 ) -> tuple[StudentModel, TrainReport]:
-    """Same architecture, labels only: weights (1,0,0,0), no teacher."""
+    """Same architecture, labels only: weights (1,0,0), no teacher."""
     cfg = cfg or TrainConfig()
     if init_from is not None:
         tok_cfg = tok_cfg or init_from.tok_cfg
         enc_cfg = enc_cfg or init_from.enc_cfg
     return _train_student_loop(
-        dataset, None, LossWeights(1.0, 0.0, 0.0, 0.0), cfg,
+        dataset, None, LossWeights(1.0, 0.0, 0.0), cfg,
         tok_cfg or TokenizerConfig(), enc_cfg or EncoderConfig(),
         init_from=init_from)
 
@@ -511,13 +513,13 @@ def loco_cv(
         baseline, _ = train_query_baseline(train_set, cfg, tok_cfg, enc_cfg)
 
         test_tensors = _assemble(test_set, tok_cfg, priv, cfg.seed)
-        t_score, _, _ = teacher.forward(
+        t_score, _ = teacher.forward(
             test_tensors.query_ids, test_tensors.serp_ids,
             test_tensors.serp_present, train=False, cache=False)
-        s_score, _, _ = student.forward(test_tensors.query_ids,
-                                        train=False, cache=False)
-        b_score, _, _ = baseline.forward(test_tensors.query_ids,
-                                         train=False, cache=False)
+        s_score, _ = student.forward(test_tensors.query_ids,
+                                     train=False, cache=False)
+        b_score, _ = baseline.forward(test_tensors.query_ids,
+                                      train=False, cache=False)
         true_tox = np.array([ex.toxicity for ex in test_set.examples])
         true_exp = np.array([float(ex.expansion) for ex in test_set.examples])
 

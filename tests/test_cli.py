@@ -320,15 +320,18 @@ def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, capsys):
 
 _BAD_TRAIN_LUPI_FLAGS = [
     (["--weights", "a,b,c,d"],
-     "weights spec must be four comma-separated numbers, got 'a,b,c,d'"),
+     "weights spec must be three comma-separated numbers, got 'a,b,c,d'"),
+    (["--weights", "1,0.5,0.5,0.5"],
+     "weights spec must be three comma-separated numbers, got '1,0.5,0.5,0.5'"),
     (["--priv", "google:description:all:ranked:x"],
      "privileged spec must be engine:field:filter:selection:size with an "
      "integer size, got 'google:description:all:ranked:x'"),
-    (["--weights", "1,nan,0.5,0.5"],
-     "loss weights must be finite, got (1.0, nan, 0.5, 0.5)"),
-    (["--weights", "1,inf,0,0"],
-     "loss weights must be finite, got (1.0, inf, 0.0, 0.0)"),
+    (["--weights", "1,nan,0.5"],
+     "loss weights must be finite, got (1.0, nan, 0.5)"),
+    (["--weights", "1,inf,0"],
+     "loss weights must be finite, got (1.0, inf, 0.0)"),
     (["--lr", "nan"], "lr must be finite and > 0, got nan"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ]
 
 

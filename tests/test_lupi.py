@@ -170,10 +170,11 @@ def test_attention_rows_are_distributions():
                   EncoderConfig(layers=2, dim=16, heads=2, ff_dim=32,
                                 dropout=0.0), rng)
     ids = tokenize_batch(["cheap shoes", "a b c d e f g"], TOK)
-    hidden, attn_maps = enc.forward(ids, train=False, cache=False)
+    hidden = enc.forward(ids, train=False)
     assert hidden.shape == (2, 8, 16)
-    assert len(attn_maps) == 2
-    for attn in attn_maps:
+    assert len(enc.blocks) == 2
+    for block in enc.blocks:
+        attn = block.attn._attn   # the probabilities cached for backward
         assert attn.shape == (2, 2, 8, 8)
         assert np.allclose(attn.sum(axis=-1), 1.0)
         # PAD keys receive (numerically) zero attention
@@ -188,8 +189,8 @@ def test_padding_does_not_leak_into_real_positions():
     enc = Encoder(TOK.vocab_size, TOK.max_len_query, ENC0, rng)
     short = tokenize("cheap nike shoes", TOK, max_len=5)[None, :]
     padded = tokenize("cheap nike shoes", TOK, max_len=8)[None, :]
-    h_short, _ = enc.forward(short, cache=False)
-    h_padded, _ = enc.forward(padded, cache=False)
+    h_short = enc.forward(short, cache=False)
+    h_padded = enc.forward(padded, cache=False)
     assert np.allclose(h_short[0, :5], h_padded[0, :5], atol=1e-12)
 
 
@@ -224,6 +225,19 @@ def test_sinusoidal_positions_layout():
     assert np.allclose(enc[0, 1::2], 1.0)  # cos(0)
 
 
+def test_single_output_linear_rows_do_not_depend_on_the_batch():
+    # a score head's row must not change with its position in the batch, or
+    # the distiller's once-per-set teacher outputs would differ from a
+    # per-batch forward
+    from scamscout.lupi.layers import Linear
+    rng = np.random.default_rng(0)
+    lin = Linear(16, 1, rng)
+    x = rng.normal(size=(10, 16))
+    full = lin.forward(x, cache=False)
+    for idx in (np.array([8, 1, 9, 4]), np.array([9, 8]), np.arange(10)[::-1]):
+        assert np.array_equal(lin.forward(x[idx], cache=False), full[idx])
+
+
 # --- models -----------------------------------------------------------------
 
 
@@ -243,11 +257,11 @@ def _teacher_inputs(batch=3, k=4, seed=0):
 def test_teacher_serp_order_is_irrelevant():
     teacher = TeacherModel(TOK, ENC0, PRIV, seed=3)
     q, serp_ids, present = _teacher_inputs()
-    score, fused, _ = teacher.forward(q, serp_ids, present, cache=False)
+    score, fused = teacher.forward(q, serp_ids, present, cache=False)
     rng = np.random.default_rng(7)
     for _ in range(5):
         perm = rng.permutation(serp_ids.shape[1])
-        s2, f2, _ = teacher.forward(q, serp_ids[:, perm], present[:, perm],
+        s2, f2 = teacher.forward(q, serp_ids[:, perm], present[:, perm],
                                     cache=False)
         assert np.allclose(s2, score, atol=1e-9)
         assert np.allclose(f2, fused, atol=1e-9)
@@ -259,8 +273,8 @@ def test_empty_privileged_set_equals_zero_pooled_vector():
     k = 3
     serp_ids = np.zeros((2, k, TOK.max_len_serp), dtype=np.int64)
     none_present = np.zeros((2, k), dtype=bool)
-    with_k, _, _ = teacher.forward(q, serp_ids, none_present, cache=False)
-    no_k, _, _ = teacher.forward(q, np.zeros((2, 0, 0), dtype=np.int64),
+    with_k, _ = teacher.forward(q, serp_ids, none_present, cache=False)
+    no_k, _ = teacher.forward(q, np.zeros((2, 0, 0), dtype=np.int64),
                                  np.zeros((2, 0), dtype=bool), cache=False)
     assert np.array_equal(with_k, no_k)
 
@@ -289,19 +303,15 @@ def test_student_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
     y = rng.uniform(0, 1, size=2)
     hint_target = rng.normal(0, 0.1, size=(2, ENC0.dim))
-    score, hint, attn = student.forward(q, train=False)
-    attn_targets = [rng.normal(0, 0.05, size=a.shape) for a in attn]
+    score, hint = student.forward(q, train=False)
 
     def loss_value():
-        s, h, a = student.forward(q, train=False, cache=False)
-        out = 0.5 * np.sum((s - y) ** 2) + 0.5 * np.sum((h - hint_target) ** 2)
-        out += sum(0.5 * np.sum((ai - ti) ** 2)
-                   for ai, ti in zip(a, attn_targets))
-        return float(out)
+        s, h = student.forward(q, train=False, cache=False)
+        return float(0.5 * np.sum((s - y) ** 2)
+                     + 0.5 * np.sum((h - hint_target) ** 2))
 
     student.zero_grads()
-    student.backward(score - y, hint - hint_target,
-                     [a - t for a, t in zip(attn, attn_targets)])
+    student.backward(score - y, hint - hint_target)
     _fd_check(student.parameters(), loss_value, student.gradients())
 
 
@@ -311,10 +321,10 @@ def test_teacher_backward_matches_finite_differences():
     rng = np.random.default_rng(6)
     y = rng.uniform(0, 1, size=2)
     fused_target = rng.normal(0, 0.1, size=(2, ENC0.dim))
-    score, fused, _ = teacher.forward(q, serp_ids, present, train=False)
+    score, fused = teacher.forward(q, serp_ids, present, train=False)
 
     def loss_value():
-        s, f, _ = teacher.forward(q, serp_ids, present, train=False, cache=False)
+        s, f = teacher.forward(q, serp_ids, present, train=False, cache=False)
         return float(0.5 * np.sum((s - y) ** 2)
                      + 0.5 * np.sum((f - fused_target) ** 2))
 
@@ -435,14 +445,12 @@ def test_unit_weights_reduce_to_plain_regression():
     y = rng.uniform(0, 1, size=6)
     s = rng.uniform(0, 1, size=6)
     hint = rng.normal(size=(6, 4))
-    attn = [rng.random((6, 2, 3, 3))]
-    total, terms, (d_s, d_h, d_a) = total_loss(
-        y, s, hint, attn, None, None, None, LossWeights(1, 0, 0, 0))
+    total, terms, (d_s, d_h) = total_loss(
+        y, s, hint, None, None, LossWeights(1, 0, 0))
     assert total == pytest.approx(np.mean(np.abs(s - y)))
-    assert terms["pm"] == terms["hm"] == terms["am"] == 0.0
+    assert terms["pm"] == terms["hm"] == 0.0
     assert np.array_equal(d_s, np.sign(s - y) / 6)
     assert np.all(d_h == 0)
-    assert d_a is None
 
 
 def test_loss_terms_and_gradients_add_up():
@@ -452,55 +460,42 @@ def test_loss_terms_and_gradients_add_up():
     t = rng.uniform(0, 1, size=5)
     hint = rng.normal(size=(5, 4))
     fused = rng.normal(size=(5, 4))
-    s_attn = [rng.random((5, 2, 3, 3)) for _ in range(2)]
-    t_attn = [rng.random((5, 2, 3, 3)) for _ in range(2)]
-    w = LossWeights(1.0, 0.5, 0.25, 0.125)
-    total, terms, (d_s, d_h, d_a) = total_loss(
-        y, s, hint, s_attn, t, fused, t_attn, w)
+    w = LossWeights(1.0, 0.5, 0.25)
+    total, terms, (d_s, d_h) = total_loss(y, s, hint, t, fused, w)
     assert terms["gt"] == pytest.approx(np.mean(np.abs(s - y)))
     assert terms["pm"] == pytest.approx(np.mean(np.abs(s - t)))
     assert terms["hm"] == pytest.approx(np.mean((hint - fused) ** 2))
-    am = np.mean([np.mean((sa - ta) ** 2) for sa, ta in zip(s_attn, t_attn)])
-    assert terms["am"] == pytest.approx(am)
     assert total == pytest.approx(1.0 * terms["gt"] + 0.5 * terms["pm"]
-                                  + 0.25 * terms["hm"] + 0.125 * terms["am"])
+                                  + 0.25 * terms["hm"])
     expect_ds = 1.0 * np.sign(s - y) / 5 + 0.5 * np.sign(s - t) / 5
     assert np.allclose(d_s, expect_ds)
     assert np.allclose(d_h, 0.25 * 2 * (hint - fused) / hint.size)
-    for i in range(2):
-        assert np.allclose(
-            d_a[i],
-            0.125 * 2 * (s_attn[i] - t_attn[i]) / (s_attn[i].size * 2))
 
 
 def test_loss_requires_teacher_outputs_when_weighted():
     y = np.zeros(2)
     s = np.zeros(2)
     hint = np.zeros((2, 3))
-    attn = [np.zeros((2, 1, 2, 2))]
-    with pytest.raises(TrainingError):
-        total_loss(y, s, hint, attn, None, None, None, LossWeights(1, 1, 0, 0))
-    with pytest.raises(TrainingError):
-        total_loss(y, s, hint, attn, s, None, None, LossWeights(1, 0, 1, 0))
-    with pytest.raises(TrainingError):
-        total_loss(y, s, hint, attn, s, hint, None, LossWeights(1, 0, 0, 1))
-    # depth mismatch between the attention stacks
-    with pytest.raises(TrainingError):
-        total_loss(y, s, hint, attn, s, hint, attn * 2, LossWeights(0, 0, 0, 1))
+    with pytest.raises(TrainingError, match="pm term"):
+        total_loss(y, s, hint, None, None, LossWeights(1, 1, 0))
+    with pytest.raises(TrainingError, match="hm term"):
+        total_loss(y, s, hint, s, None, LossWeights(1, 0, 1))
 
 
 def test_loss_weights_validation_and_spec():
     with pytest.raises(TrainingError):
-        LossWeights(-0.1, 0, 0, 0)
+        LossWeights(-0.1, 0, 0)
     with pytest.raises(TrainingError):
-        LossWeights(0, 0, 0, 0)
-    w = LossWeights.from_spec("1.0,0.5,0.25,0.125")
-    assert w.as_tuple() == (1.0, 0.5, 0.25, 0.125)
-    with pytest.raises(TrainingError):
-        LossWeights.from_spec("1.0,0.5")
-    with pytest.raises(TrainingError, match=re.escape("got 'a,b,c,d'")):
-        LossWeights.from_spec("a,b,c,d")
-    for bad in ((1, float("nan"), 0.5, 0.5), (1, float("inf"), 0, 0)):
+        LossWeights(0, 0, 0)
+    w = LossWeights.from_spec("1.0,0.5,0.25")
+    assert w.as_tuple() == (1.0, 0.5, 0.25)
+    assert LossWeights.from_spec("1,0.5,0.5") == LossWeights()
+    for spec in ("1.0,0.5", "1.0,0.5,0.25,0.125"):
+        with pytest.raises(TrainingError, match="three comma-separated"):
+            LossWeights.from_spec(spec)
+    with pytest.raises(TrainingError, match=re.escape("got 'a,b,c'")):
+        LossWeights.from_spec("a,b,c")
+    for bad in ((1, float("nan"), 0.5), (1, float("inf"), 0)):
         with pytest.raises(TrainingError, match="loss weights must be finite"):
             LossWeights(*bad)
 
@@ -680,7 +675,7 @@ def test_train_teacher_restores_best_validation_params():
     # recomputing val MAE on the held-out rows reproduces the best epoch
     tensors = _slice(_assemble(data, TOK, PRIV, CFG.seed),
                      _held_out_rows(len(data.examples), CFG))
-    score, _, _ = teacher.forward(tensors.query_ids, tensors.serp_ids,
+    score, _ = teacher.forward(tensors.query_ids, tensors.serp_ids,
                                   tensors.serp_present, train=False, cache=False)
     mae = float(np.mean(np.abs(score - tensors.labels)))
     assert mae == pytest.approx(min(report.val_losses), abs=1e-12)
@@ -699,7 +694,7 @@ def test_teacher_is_frozen_during_distillation():
     data = _tiny_dataset(16)
     teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
     before = {k: v.copy() for k, v in teacher.parameters().items()}
-    distill_student(data, teacher, LossWeights(1.0, 0.5, 0.5, 0.5), CFG)
+    distill_student(data, teacher, LossWeights(1.0, 0.5, 0.5), CFG)
     after = teacher.parameters()
     for name, value in before.items():
         assert np.array_equal(value, after[name]), name
@@ -716,14 +711,14 @@ def test_distillation_rejects_a_teacher_that_changed(monkeypatch):
 
     monkeypatch.setattr(teacher, "forward", mutating_forward)
     with pytest.raises(TrainingError, match="teacher parameters changed"):
-        distill_student(data, teacher, LossWeights(1.0, 0.5, 0.5, 0.5), CFG)
+        distill_student(data, teacher, LossWeights(1.0, 0.5, 0.5), CFG)
 
 
 def test_baseline_equals_distiller_with_unit_weights():
     data = _tiny_dataset(16)
     teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
     student, r_student = distill_student(
-        data, teacher, LossWeights(1.0, 0.0, 0.0, 0.0), CFG)
+        data, teacher, LossWeights(1.0, 0.0, 0.0), CFG)
     baseline, r_baseline = train_query_baseline(
         data, CFG, init_from=teacher)
     # identical arithmetic step for step, identical final parameters
@@ -736,7 +731,7 @@ def test_distillation_needs_teacher_for_weighted_terms():
     data = _tiny_dataset(8)
     from scamscout.lupi.train import _train_student_loop
     with pytest.raises(TrainingError):
-        _train_student_loop(data, None, LossWeights(1, 1, 0, 0), CFG, TOK, ENC,
+        _train_student_loop(data, None, LossWeights(1, 1, 0), CFG, TOK, ENC,
                             init_from=None)
 
 
@@ -753,6 +748,7 @@ def test_train_config_validation():
     {"patience": 0}, {"warmup_fraction": -1.0}, {"warmup_fraction": 1.5},
     {"warmup_fraction": float("nan")}, {"weight_decay": -1.0},
     {"weight_decay": float("nan")}, {"lr": float("nan")}, {"lr": float("inf")},
+    {"seed": -1},
 ])
 def test_train_config_rejects_impossible_values(bad):
     with pytest.raises(TrainingError):
@@ -811,7 +807,7 @@ def test_training_raises_on_non_finite_validation_loss():
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     data = _tiny_dataset(8)
     teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
-    student, _ = distill_student(data, teacher, LossWeights(1, 0.5, 0.5, 0.5), CFG)
+    student, _ = distill_student(data, teacher, LossWeights(1, 0.5, 0.5), CFG)
     for model, loader in ((teacher, load_teacher), (student, load_student)):
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
@@ -934,7 +930,7 @@ def test_loaded_parameters_are_writable_and_own_their_data(tmp_path):
     ids = tokenize_batch([ex.query for ex in data.examples], TOK)
     for model, opt in ((student, opt_a), (loaded, opt_b)):
         model.zero_grads()
-        score, hint, _ = model.forward(ids, train=False)
+        score, hint = model.forward(ids, train=False)
         model.backward(np.ones_like(score) / score.size, np.zeros_like(hint))
         opt.step(model.flat_grad)
     for name, value in student.parameters().items():
@@ -1013,7 +1009,7 @@ def test_loco_cv_reports_all_strategies(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(train_mod, name, spy)
-    reports = loco_cv(data, PRIV, CFG, LossWeights(1, 0.5, 0.5, 0.5),
+    reports = loco_cv(data, PRIV, CFG, LossWeights(1, 0.5, 0.5),
                       k=3, min_queries=5, tok_cfg=TOK, enc_cfg=ENC)
     assert [r.category for r in reports] == ["a", "b"]
     # every fit of a fold trains, and so validates, on the other categories
@@ -1079,14 +1075,28 @@ def test_trimmed_length_rounds_the_longest_prefix_up_to_a_multiple_of_8():
     assert trimmed_length(ids) == 24
 
 
+def _untrimmed(monkeypatch):
+    """Make every encoder pass run at the full length (the reference)."""
+    from scamscout.lupi import encoder
+    monkeypatch.setattr(encoder, "trimmed_length", lambda ids: ids.shape[1])
+
+
 @pytest.mark.parametrize("train", [False, True])
-def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(train):
+def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(
+        monkeypatch, train):
     from scamscout.lupi import Encoder
     from scamscout.lupi.encoder import trimmed_length
     enc_cfg = EncoderConfig(layers=2, dim=16, heads=2, ff_dim=32, dropout=0.2)
     enc = Encoder(TOK_LONG.vocab_size, TOK_LONG.max_len_serp, enc_cfg,
                   np.random.default_rng(0))
     rng = np.random.default_rng(3)
+
+    def run(ids):
+        draws = np.random.default_rng(9)
+        hidden = enc.forward(ids, train, draws)
+        # the attention probabilities each block caches for its backward
+        return hidden, [b.attn._attn for b in enc.blocks], draws.bit_generator.state
+
     # longest rows of 5, 11, 14 and 19 tokens: never a multiple of 8
     for longest in (4, 10, 13, 18):
         texts = [_words(rng, int(n)) for n in rng.integers(1, longest, size=5)]
@@ -1094,21 +1104,23 @@ def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(train):
         ids = np.stack([tokenize(t, TOK_LONG, TOK_LONG.max_len_serp) for t in texts])
         L = trimmed_length(ids)
         assert L % 8 == 0 and L < ids.shape[1]
-        rng_full, rng_trim = np.random.default_rng(9), np.random.default_rng(9)
-        h_full, a_full = enc.forward(ids, train, rng_full, cache=False)
-        h_trim, a_trim = enc.forward(ids, train, rng_trim, cache=False, trim=True)
+        h_trim, a_trim, state_trim = run(ids)
+        with monkeypatch.context() as m:
+            _untrimmed(m)
+            h_full, a_full, state_full = run(ids)
         assert h_trim.shape == (len(texts), L, enc_cfg.dim)
         assert np.array_equal(h_trim, h_full[:, :L])
         for full, trim in zip(a_full, a_trim):
             assert np.array_equal(trim, full[:, :, :L, :L])
             assert not full[:, :, :L, L:].any()
-        assert rng_trim.bit_generator.state == rng_full.bit_generator.state
+        assert state_trim == state_full
 
 
 def _long_teacher_inputs(seed=0, batch=6, k=3, lengths=(3, 20)):
     rng = np.random.default_rng(seed)
-    q = tokenize_batch([_words(rng, int(rng.integers(1, 9)))
-                        for _ in range(batch)], TOK_LONG)
+    queries = [_words(rng, int(rng.integers(1, 9))) for _ in range(batch)]
+    queries[2] = _words(rng, 12)   # the longest query: 13 of 32 columns
+    q = tokenize_batch(queries, TOK_LONG)
     serp_ids = np.stack([
         [tokenize(_words(rng, int(rng.integers(*lengths))), TOK_LONG,
                   TOK_LONG.max_len_serp) for _ in range(k)]
@@ -1119,16 +1131,24 @@ def _long_teacher_inputs(seed=0, batch=6, k=3, lengths=(3, 20)):
     return q, serp_ids, present
 
 
-def _untrimmed(monkeypatch):
-    """Make every trimmed call run at the full length (the reference)."""
-    from scamscout.lupi import encoder
-    monkeypatch.setattr(encoder, "trimmed_length", lambda ids: ids.shape[1])
+def _student_inputs(seed=0, batch=6):
+    rng = np.random.default_rng(seed)
+    queries = [_words(rng, int(rng.integers(1, 9))) for _ in range(batch)]
+    queries[3] = _words(rng, 18)   # the longest query: 19 of 32 columns
+    return tokenize_batch(queries, TOK_LONG)
+
+
+def _assert_query_trims(q):
+    # a longest row off the multiple-of-8 grid and shorter than the full length
+    longest = int((q != PAD_ID).sum(axis=1).max())
+    assert longest % 8 != 0 and longest < TOK_LONG.max_len_query
 
 
 @pytest.mark.parametrize("train", [False, True])
 def test_teacher_forward_is_unchanged_by_serp_trimming(monkeypatch, train):
     teacher = TeacherModel(TOK_LONG, ENC, PRIV, seed=4)
     q, serp_ids, present = _long_teacher_inputs()
+    _assert_query_trims(q)
     rng_trim = np.random.default_rng(5)
     trimmed = teacher.forward(q, serp_ids, present, train, rng_trim, cache=False)
     _untrimmed(monkeypatch)
@@ -1136,13 +1156,37 @@ def test_teacher_forward_is_unchanged_by_serp_trimming(monkeypatch, train):
     full = teacher.forward(q, serp_ids, present, train, rng_full, cache=False)
     assert np.array_equal(trimmed[0], full[0])
     assert np.array_equal(trimmed[1], full[1])
-    assert all(np.array_equal(a, b) for a, b in zip(trimmed[2], full[2]))
     assert rng_trim.bit_generator.state == rng_full.bit_generator.state
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_student_forward_is_unchanged_by_query_trimming(monkeypatch, train):
+    student = StudentModel(TOK_LONG, ENC, seed=4)
+    q = _student_inputs()
+    _assert_query_trims(q)
+    rng_trim = np.random.default_rng(5)
+    trimmed = student.forward(q, train, rng_trim, cache=False)
+    _untrimmed(monkeypatch)
+    rng_full = np.random.default_rng(5)
+    full = student.forward(q, train, rng_full, cache=False)
+    assert np.array_equal(trimmed[0], full[0])
+    assert np.array_equal(trimmed[1], full[1])
+    assert rng_trim.bit_generator.state == rng_full.bit_generator.state
+
+
+def _assert_grads_match(trimmed, full, encoders):
+    for name, g in full.items():
+        if name.startswith(encoders):
+            # the weight GEMMs sum over fewer (all-zero) PAD rows: rounding only
+            assert np.max(np.abs(trimmed[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+        else:
+            assert np.array_equal(trimmed[name], g), name
 
 
 def test_trimmed_serp_encoder_gradients_match_full_length(monkeypatch):
     teacher = TeacherModel(TOK_LONG, ENC, PRIV, seed=6)
     q, serp_ids, present = _long_teacher_inputs(seed=1)
+    _assert_query_trims(q)
     d_score = np.random.default_rng(2).normal(size=q.shape[0])
 
     def grads():
@@ -1154,13 +1198,26 @@ def test_trimmed_serp_encoder_gradients_match_full_length(monkeypatch):
 
     trimmed = grads()
     _untrimmed(monkeypatch)
-    full = grads()
-    for name, g in full.items():
-        if name.startswith("serp_encoder."):
-            # the weight GEMMs sum over fewer (all-zero) PAD rows: rounding only
-            assert np.max(np.abs(trimmed[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
-        else:
-            assert np.array_equal(trimmed[name], g), name
+    _assert_grads_match(trimmed, grads(), ("serp_encoder.", "query_encoder."))
+
+
+def test_trimmed_student_gradients_match_full_length(monkeypatch):
+    student = StudentModel(TOK_LONG, ENC, seed=6)
+    q = _student_inputs(seed=1)
+    _assert_query_trims(q)
+    rng = np.random.default_rng(2)
+    d_score = rng.normal(size=q.shape[0])
+    d_hint = rng.normal(size=(q.shape[0], ENC.dim))
+
+    def grads():
+        student.zero_grads()
+        student.forward(q, train=True, rng=np.random.default_rng(8))
+        student.backward(d_score, d_hint)
+        return {k: v.copy() for k, v in student.gradients().items()}
+
+    trimmed = grads()
+    _untrimmed(monkeypatch)
+    _assert_grads_match(trimmed, grads(), ("query_encoder.",))
 
 
 def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
@@ -1169,22 +1226,24 @@ def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
     teacher = TeacherModel(TOK_LONG, ENC, PRIV, seed=2)
     q, serp_ids, present = _long_teacher_inputs(seed=3, batch=10, k=4,
                                                 lengths=(2, 6))
-    # two rows with long snippets stretch the set's trimmed length
+    # two rows with long snippets, and one with a long query, stretch the
+    # set's trimmed lengths
     rng = np.random.default_rng(4)
     for i in (7, 9):
         serp_ids[i, 0] = tokenize(_words(rng, 30), TOK_LONG, TOK_LONG.max_len_serp)
+    q[8] = tokenize(_words(rng, 20), TOK_LONG)
     t = _Tensors(q, serp_ids, present, np.zeros(len(q)))
     t.teacher = teacher.forward(q, serp_ids, present, train=False, cache=False)
-    short_batch = np.array([0, 2, 3, 5])
+    short_batch = np.array([0, 3, 4, 5])
     assert trimmed_length(serp_ids[short_batch].reshape(-1, 64)) < \
         trimmed_length(serp_ids.reshape(-1, 64))
+    assert trimmed_length(q[short_batch]) < trimmed_length(q)
     for idx in (short_batch, np.array([8, 1, 9, 4]), np.arange(10)):
         batch = _slice(t, idx)
-        score, fused, attn = teacher.forward(batch.query_ids, batch.serp_ids,
-                                             batch.serp_present, cache=False)
+        score, fused = teacher.forward(batch.query_ids, batch.serp_ids,
+                                       batch.serp_present, cache=False)
         assert np.array_equal(batch.teacher[0], score)
         assert np.array_equal(batch.teacher[1], fused)
-        assert all(np.array_equal(a, b) for a, b in zip(batch.teacher[2], attn))
 
 
 def test_distillation_runs_the_teacher_once_per_tensor_set(monkeypatch):
@@ -1198,7 +1257,7 @@ def test_distillation_runs_the_teacher_once_per_tensor_set(monkeypatch):
         return forward(self, query_ids, *args, **kwargs)
 
     monkeypatch.setattr(TeacherModel, "forward", counted)
-    _, report = distill_student(data, teacher, LossWeights(1, 0.5, 0.5, 0.5), CFG)
+    _, report = distill_student(data, teacher, LossWeights(1, 0.5, 0.5), CFG)
     assert len(report.step_losses) == 2 * 3   # 22 train rows, batches of 8
     assert calls == [22, 2]                   # train tensors, then validation
     calls.clear()
@@ -1216,7 +1275,9 @@ def test_rank_scores_equal_the_untrimmed_student_scores(monkeypatch):
            for n in rng.integers(1, 12, size=40)]
     ranked = rank_keywords(student, kws, k=len(kws))
     ids = tokenize_batch([kw.text for kw in kws], TOK_LONG)
-    full, _, _ = student.forward(ids, train=False, cache=False)
+    _assert_query_trims(ids)
+    _untrimmed(monkeypatch)
+    full, _ = student.forward(ids, train=False, cache=False)
     expected = dict(zip((kw.text for kw in kws), np.clip(full, 0.0, 1.0)))
     assert len(ranked) == len(expected)
     assert all(row.score == expected[row.text] for row in ranked)
@@ -1226,11 +1287,11 @@ def test_step_terms_add_up_to_the_step_losses():
     data = _tiny_dataset(24)
     teacher, t_report = train_teacher(data, PRIV, CFG, TOK, ENC)
     assert t_report.step_terms == [{"gt": x} for x in t_report.step_losses]
-    w = LossWeights(0.5, 1.0, 0.25, 0.75)
+    w = LossWeights(0.5, 1.0, 0.25)
     _, report = distill_student(data, teacher, w, CFG)
     assert len(report.step_terms) == len(report.step_losses) > 0
     for terms, loss in zip(report.step_terms, report.step_losses):
-        assert set(terms) == {"gt", "pm", "hm", "am"}
+        assert set(terms) == {"gt", "pm", "hm"}
         assert all(terms[name] > 0 for name in terms)
         assert (w.gt * terms["gt"] + w.pm * terms["pm"]
-                + w.hm * terms["hm"] + w.am * terms["am"]) == loss
+                + w.hm * terms["hm"]) == loss
