@@ -27,7 +27,6 @@ from .train import (
     TrainConfig,
     TrainReport,
     distill_student,
-    grid_search_privileged,
     loco_cv,
     privileged_texts,
     train_query_baseline,
@@ -53,7 +52,6 @@ __all__ = [
     "TrainReport",
     "collision_rate",
     "distill_student",
-    "grid_search_privileged",
     "load_student",
     "load_teacher",
     "loco_cv",

@@ -80,11 +80,11 @@ class EncoderBlock(Module):
         self.ffn = FeedForward(cfg.dim, cfg.ff_dim, rng)
         self.drop2 = Dropout(cfg.dropout)
 
-    def forward(self, x, key_mask, train, rng, cache=True, draw_shape=None):
-        a = self.attn.forward(self.ln1.forward(x, cache), key_mask, cache)
-        x = x + self.drop1.forward(a, train, rng, cache, draw_shape)
-        f = self.ffn.forward(self.ln2.forward(x, cache), cache)
-        return x + self.drop2.forward(f, train, rng, cache, draw_shape)
+    def forward(self, x, key_mask, train, rng, draw_shape=None):
+        a = self.attn.forward(self.ln1.forward(x, train), key_mask, train)
+        x = x + self.drop1.forward(a, train, rng, draw_shape)
+        f = self.ffn.forward(self.ln2.forward(x, train), train)
+        return x + self.drop2.forward(f, train, rng, draw_shape)
 
     def backward(self, d_out):
         d_f = self.drop2.backward(d_out)
@@ -105,17 +105,16 @@ class Encoder(Module):
         self.ln_out = LayerNorm(cfg.dim)
 
     def forward(self, ids: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None,
-                cache: bool = True) -> np.ndarray:
+                rng: np.random.Generator | None = None) -> np.ndarray:
         """ids (B, T) -> hidden (B, L, D), L = ``trimmed_length(ids)``."""
         draw_shape = (*ids.shape, self.cfg.dim)
         ids = ids[:, :trimmed_length(ids)]
         key_mask = ids != PAD_ID
-        x = self.embed.forward(ids, cache) + self.positions[: ids.shape[1]]
-        x = self.drop_in.forward(x, train, rng, cache, draw_shape)
+        x = self.embed.forward(ids, train) + self.positions[: ids.shape[1]]
+        x = self.drop_in.forward(x, train, rng, draw_shape)
         for block in self.blocks:
-            x = block.forward(x, key_mask, train, rng, cache, draw_shape)
-        return self.ln_out.forward(x, cache)
+            x = block.forward(x, key_mask, train, rng, draw_shape)
+        return self.ln_out.forward(x, train)
 
     def backward(self, d_hidden: np.ndarray) -> None:
         """d_hidden has the shape forward returned."""

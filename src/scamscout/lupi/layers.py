@@ -3,7 +3,10 @@
 Everything is float64 and seeded, so training is bit-reproducible and
 gradients can be checked against finite differences.  Each module keeps its
 own parameters and gradient accumulators in name-keyed dicts; a module instance
-serves one forward per training step, caching what its backward needs.
+serves one forward per training step.  A forward caches what its backward
+needs iff ``train`` is set: a train-mode pass is one that will be
+backpropagated (and draws dropout masks), an eval-mode pass caches nothing,
+and a model's backward after one raises.
 Backward passes return the gradient w.r.t. their input and accumulate into
 ``grads``.
 
@@ -85,8 +88,8 @@ class Linear(Module):
         self._param("w", _normal(rng, (dim_in, dim_out)))
         self._param("b", np.zeros(dim_out))
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        if cache:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        if train:
             self._x = x
         w = self.params["w"]
         if w.shape[1] == 1:
@@ -108,8 +111,8 @@ class Embedding(Module):
         super().__init__()
         self._param("w", _normal(rng, (vocab, dim)))
 
-    def forward(self, ids: np.ndarray, cache: bool = True) -> np.ndarray:
-        if cache:
+    def forward(self, ids: np.ndarray, train: bool = False) -> np.ndarray:
+        if train:
             self._ids = ids
         return self.params["w"][ids]
 
@@ -124,12 +127,12 @@ class LayerNorm(Module):
         self._param("b", np.zeros(dim))
         self.eps = eps
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + self.eps)
         norm = (x - mean) * inv
-        if cache:
+        if train:
             self._norm, self._inv = norm, inv
         return norm * self.params["g"] + self.params["b"]
 
@@ -149,7 +152,8 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode or at p = 0.
+    """Inverted dropout; a no-op in eval mode or at p = 0.  The mask a call
+    draws is kept for backward.
 
     ``draw_shape`` (default: ``x.shape``) is the shape the random mask is
     drawn at; ``x`` takes its leading block.  A caller that trims ``x``
@@ -162,17 +166,14 @@ class Dropout(Module):
         self.p = p
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None,
-                cache: bool = True,
                 draw_shape: tuple[int, ...] | None = None) -> np.ndarray:
         self._mask = None
         if not train or self.p == 0.0:
             return x
         keep = 1.0 - self.p
         draws = rng.random(draw_shape or x.shape)
-        mask = (draws[tuple(slice(n) for n in x.shape)] < keep) / keep
-        if cache:
-            self._mask = mask
-        return x * mask
+        self._mask = (draws[tuple(slice(n) for n in x.shape)] < keep) / keep
+        return x * self._mask
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -187,7 +188,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 class MultiHeadAttention(Module):
     """Self-attention with key-padding masking.
 
-    The attention probabilities are cached for backward only.
+    The attention probabilities are kept, in train mode, for backward only.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None):
@@ -208,10 +209,10 @@ class MultiHeadAttention(Module):
         return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
 
     def forward(self, x: np.ndarray, key_mask: np.ndarray,
-                cache: bool = True) -> np.ndarray:
-        q = self._split(self.wq.forward(x, cache))
-        k = self._split(self.wk.forward(x, cache))
-        v = self._split(self.wv.forward(x, cache))
+                train: bool = False) -> np.ndarray:
+        q = self._split(self.wq.forward(x, train))
+        k = self._split(self.wk.forward(x, train))
+        v = self._split(self.wv.forward(x, train))
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.head_dim)
         # mask PAD keys; every query row still normalizes over real keys
         neg = np.finfo(np.float64).min / 4
@@ -220,8 +221,8 @@ class MultiHeadAttention(Module):
         exp = np.exp(scores)
         attn = exp / exp.sum(axis=-1, keepdims=True)
         ctx = attn @ v
-        out = self.wo.forward(self._merge(ctx), cache)
-        if cache:
+        out = self.wo.forward(self._merge(ctx), train)
+        if train:
             self._q, self._k, self._v, self._attn = q, k, v, attn
         return out
 
@@ -247,12 +248,12 @@ class FeedForward(Module):
         self.lin1 = Linear(dim, ff_dim, rng)
         self.lin2 = Linear(ff_dim, dim, rng)
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        h = self.lin1.forward(x, cache)
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        h = self.lin1.forward(x, train)
         a = relu(h)
-        if cache:
+        if train:
             self._h = h
-        return self.lin2.forward(a, cache)
+        return self.lin2.forward(a, train)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         d_a = self.lin2.backward(d_out)

@@ -21,12 +21,13 @@ from typing import Optional
 
 import numpy as np
 
+from ..corpus import ENGINES
 from ..errors import SchemaError, TrainingError
 from .encoder import Encoder, EncoderConfig
 from .layers import Dropout, Linear, Module, relu
 from .tokenizer import TokenizerConfig
 
-ENGINE_AXIS = ("GOOGLE", "BING", "BAIDU", "ALL")
+ENGINE_AXIS = (*ENGINES, "ALL")
 FIELD_AXIS = ("TITLE", "DESCRIPTION", "BOTH")
 FILTER_AXIS = ("ALL", "SCAM_ONLY")
 SELECTION_AXIS = ("RANKED", "RANDOM")
@@ -85,6 +86,7 @@ class TeacherModel(Module):
         self.priv = priv
         self.seed = seed
         rng = np.random.default_rng(seed) if init else None
+        self._cache = None
         # query and SERP encoders are initialized independently
         self.query_encoder = Encoder(tok_cfg.vocab_size, tok_cfg.max_len_query,
                                      enc_cfg, rng)
@@ -97,18 +99,19 @@ class TeacherModel(Module):
 
     def forward(self, query_ids: np.ndarray, serp_ids: np.ndarray,
                 serp_present: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None, cache: bool = True):
+                rng: Optional[np.random.Generator] = None):
         """query_ids (B,Tq); serp_ids (B,K,Ts); serp_present (B,K) bool.
 
         Returns (score (B,), fused (B,D)).  Triples whose privileged set is
-        empty get a zero pooled vector.
+        empty get a zero pooled vector.  Only a train-mode pass can be
+        backpropagated.
         """
         b, k, ts = serp_ids.shape
-        q_hidden = self.query_encoder.forward(query_ids, train, rng, cache)
+        q_hidden = self.query_encoder.forward(query_ids, train, rng)
         q_cls = q_hidden[:, 0, :]
         if k > 0:
             s_hidden = self.serp_encoder.forward(
-                serp_ids.reshape(b * k, ts), train, rng, cache)
+                serp_ids.reshape(b * k, ts), train, rng)
             ts = s_hidden.shape[1]   # trimmed; backward's d_hidden has this length
             s_cls = s_hidden[:, 0, :].reshape(b, k, -1)
             present = serp_present.astype(np.float64)
@@ -121,21 +124,21 @@ class TeacherModel(Module):
             safe = np.ones(b)
             pooled = np.zeros((b, self.enc_cfg.dim))
         concat = np.concatenate([q_cls, pooled], axis=1)
-        pre = self.fusion.forward(concat, cache)
-        fused = self.fusion_drop.forward(relu(pre), train, rng, cache)
-        score = self.head.forward(fused, cache)[:, 0]
-        if cache:
-            self._cache = (q_hidden.shape[:2], (b, k, ts),
-                           present if k > 0 else None, safe, pre)
+        pre = self.fusion.forward(concat, train)
+        fused = self.fusion_drop.forward(relu(pre), train, rng)
+        score = self.head.forward(fused, train)[:, 0]
+        self._cache = ((q_hidden.shape[:2], (b, k, ts),
+                        present if k > 0 else None, safe, pre)
+                       if train else None)
         return score, fused
 
-    def backward(self, d_score: np.ndarray, d_fused: Optional[np.ndarray] = None):
+    def backward(self, d_score: np.ndarray):
+        if self._cache is None:
+            raise TrainingError("teacher backward needs a train-mode forward")
         (qshape, sshape, present, safe, pre) = self._cache
         b, k, ts = sshape
-        d_fused_total = self.head.backward(d_score[:, None])
-        if d_fused is not None:
-            d_fused_total = d_fused_total + d_fused
-        d_pre = self.fusion_drop.backward(d_fused_total) * (pre > 0)
+        d_dropped = self.head.backward(d_score[:, None])
+        d_pre = self.fusion_drop.backward(d_dropped) * (pre > 0)
         d_concat = self.fusion.backward(d_pre)
         dim = self.enc_cfg.dim
         d_q_cls = d_concat[:, :dim]
@@ -159,6 +162,7 @@ class StudentModel(Module):
         self.enc_cfg = enc_cfg
         self.seed = seed
         rng = np.random.default_rng(seed) if init else None
+        self._cache = None
         self.query_encoder = Encoder(tok_cfg.vocab_size, tok_cfg.max_len_query,
                                      enc_cfg, rng)
         self.pred_drop = Dropout(enc_cfg.dropout)
@@ -180,19 +184,21 @@ class StudentModel(Module):
             raise TrainingError("teacher has no backbone parameters")
 
     def forward(self, query_ids: np.ndarray, train: bool = False,
-                rng: Optional[np.random.Generator] = None, cache: bool = True):
-        """Returns (score (B,), hint (B,D))."""
-        hidden = self.query_encoder.forward(query_ids, train, rng, cache)
+                rng: Optional[np.random.Generator] = None):
+        """Returns (score (B,), hint (B,D)); only a train-mode pass can be
+        backpropagated."""
+        hidden = self.query_encoder.forward(query_ids, train, rng)
         cls = hidden[:, 0, :]
-        dropped = self.pred_drop.forward(cls, train, rng, cache)
-        h1 = self.pred_lin1.forward(dropped, cache)
-        score = self.pred_lin2.forward(relu(h1), cache)[:, 0]
-        hint = self.distill_head.forward(cls, cache)
-        if cache:
-            self._cache = (hidden.shape[:2], h1)
+        dropped = self.pred_drop.forward(cls, train, rng)
+        h1 = self.pred_lin1.forward(dropped, train)
+        score = self.pred_lin2.forward(relu(h1), train)[:, 0]
+        hint = self.distill_head.forward(cls, train)
+        self._cache = (hidden.shape[:2], h1) if train else None
         return score, hint
 
     def backward(self, d_score: np.ndarray, d_hint: np.ndarray):
+        if self._cache is None:
+            raise TrainingError("student backward needs a train-mode forward")
         qshape, h1 = self._cache
         d_relu = self.pred_lin2.backward(d_score[:, None])
         d_dropped = self.pred_lin1.backward(d_relu * (h1 > 0))

@@ -13,7 +13,9 @@ from ..records import check_header, read_csv, write_csv
 from .models import StudentModel
 from .tokenizer import tokenize_batch
 
-# keywords scored per student forward pass; scores do not depend on it
+# most keywords scored per student forward pass; scores do not depend on it,
+# since the keywords are cut into near-equal batches and so no batch is a lone
+# row (BLAS rounds a one-row product differently) unless there is one keyword
 _BATCH_SIZE = 256
 
 
@@ -41,10 +43,9 @@ def rank_keywords(
         raise TrainingError("no keywords to rank")
     texts = [kw.text for kw in keywords]
     scores = np.empty(len(texts), dtype=np.float64)
-    for start in range(0, len(texts), _BATCH_SIZE):
-        ids = tokenize_batch(texts[start:start + _BATCH_SIZE], student.tok_cfg)
-        out, _ = student.forward(ids, train=False, cache=False)
-        scores[start:start + len(out)] = out
+    for idx in np.array_split(np.arange(len(texts)), -(-len(texts) // _BATCH_SIZE)):
+        ids = tokenize_batch([texts[i] for i in idx], student.tok_cfg)
+        scores[idx] = student.forward(ids)[0]
     scores = np.clip(scores, 0.0, 1.0)
 
     by_cat: dict[str, list[int]] = {}

@@ -21,7 +21,6 @@ rows bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import warnings
@@ -36,15 +35,7 @@ from ..heuristics import derive_seed
 from .encoder import EncoderConfig
 from .layers import Module
 from .losses import LossWeights, total_loss
-from .models import (
-    ENGINE_AXIS,
-    FIELD_AXIS,
-    FILTER_AXIS,
-    SELECTION_AXIS,
-    PrivilegedConfig,
-    StudentModel,
-    TeacherModel,
-)
+from .models import PrivilegedConfig, StudentModel, TeacherModel
 from .optim import AdamW, warmup_scale
 from .tokenizer import TokenizerConfig, tokenize, tokenize_batch
 
@@ -110,9 +101,6 @@ class LupiDataset:
     def __post_init__(self):
         if not self.examples:
             raise TrainingError("dataset must contain at least one example")
-
-    def categories(self) -> list[str]:
-        return sorted({ex.category for ex in self.examples})
 
     def subset(self, indices: Sequence[int]) -> "LupiDataset":
         return LupiDataset([self.examples[i] for i in indices], self.scam_labels)
@@ -219,7 +207,6 @@ class TrainReport:
     best_epoch: int
     step_losses: list[float]       # one per optimizer step
     empty_priv: int = 0
-    config: Optional[TrainConfig] = None
     # per optimizer step, the loss terms: gt/pm/hm for the student and
     # the baseline (their weighted sum is the step loss), gt for the teacher
     step_terms: list[dict[str, float]] = field(default_factory=list)
@@ -264,7 +251,7 @@ def _fit(
     total_steps = int(np.ceil(n / cfg.batch_size)) * cfg.epochs
 
     best = (np.inf, -1, None)
-    report = TrainReport([], [], -1, [], tensors.empty_priv, cfg)
+    report = TrainReport([], [], -1, [], tensors.empty_priv)
     n_step = 0
     bad_epochs = 0
     for epoch in range(cfg.epochs):
@@ -326,8 +313,7 @@ def train_teacher(
         return mae, {"gt": mae}
 
     def val_loss(t: _Tensors) -> float:
-        score, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present,
-                                 train=False, cache=False)
+        score, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present)
         return float(np.mean(np.abs(score - t.labels)))
 
     report = _fit(model, dataset, priv, cfg, tok_cfg, step, val_loss)
@@ -359,12 +345,11 @@ def _train_student_loop(
 
     def with_teacher(t: _Tensors) -> _Tensors:
         return replace(t, teacher=teacher.forward(
-            t.query_ids, t.serp_ids, t.serp_present, train=False, cache=False))
+            t.query_ids, t.serp_ids, t.serp_present))
 
     def loss(t: _Tensors, train: bool, rng=None):
         t_score, t_fused = t.teacher or (None, None)
-        s_score, s_hint = student.forward(t.query_ids, train=train,
-                                          rng=rng, cache=train)
+        s_score, s_hint = student.forward(t.query_ids, train=train, rng=rng)
         return total_loss(t.labels, s_score, s_hint, t_score, t_fused, weights)
 
     def step(batch: _Tensors, rng: np.random.Generator):
@@ -411,39 +396,6 @@ def train_query_baseline(
         dataset, None, LossWeights(1.0, 0.0, 0.0), cfg,
         tok_cfg or TokenizerConfig(), enc_cfg or EncoderConfig(),
         init_from=init_from)
-
-
-# --- grid search ---------------------------------------------------------------
-
-
-def grid_search_privileged(
-    dataset: LupiDataset,
-    cfg: Optional[TrainConfig] = None,
-    engines: Sequence[str] = ENGINE_AXIS,
-    fields: Sequence[str] = FIELD_AXIS,
-    filters: Sequence[str] = FILTER_AXIS,
-    selections: Sequence[str] = SELECTION_AXIS,
-    sizes: Sequence[int] = (5, 10, 20, 50),
-    tok_cfg: Optional[TokenizerConfig] = None,
-    enc_cfg: Optional[EncoderConfig] = None,
-) -> tuple[PrivilegedConfig, list[dict]]:
-    """Train one teacher per privileged-axis combination, rank by val MAE."""
-    if not (engines and fields and filters and selections and sizes):
-        raise TrainingError("all grid axes must be non-empty")
-    cfg = cfg or TrainConfig()
-    table = []
-    for combo in itertools.product(engines, fields, filters, selections, sizes):
-        priv = PrivilegedConfig(*combo)
-        _, report = train_teacher(dataset, priv, cfg, tok_cfg, enc_cfg)
-        table.append({
-            "priv": priv.spec_string(),
-            "val_mae": min(report.val_losses),
-            "epochs_run": len(report.val_losses),
-            "empty_priv": report.empty_priv,
-        })
-    table.sort(key=lambda row: (row["val_mae"], row["priv"]))
-    best = PrivilegedConfig.from_spec(table[0]["priv"])
-    return best, table
 
 
 # --- leave-one-category-out CV -------------------------------------------------
@@ -515,11 +467,9 @@ def loco_cv(
         test_tensors = _assemble(test_set, tok_cfg, priv, cfg.seed)
         t_score, _ = teacher.forward(
             test_tensors.query_ids, test_tensors.serp_ids,
-            test_tensors.serp_present, train=False, cache=False)
-        s_score, _ = student.forward(test_tensors.query_ids,
-                                     train=False, cache=False)
-        b_score, _ = baseline.forward(test_tensors.query_ids,
-                                      train=False, cache=False)
+            test_tensors.serp_present)
+        s_score, _ = student.forward(test_tensors.query_ids)
+        b_score, _ = baseline.forward(test_tensors.query_ids)
         true_tox = np.array([ex.toxicity for ex in test_set.examples])
         true_exp = np.array([float(ex.expansion) for ex in test_set.examples])
 

@@ -73,9 +73,8 @@ def _random_gradient_case(seed):
     s_ids = np.stack([[tokenize(text(), tok, tok.max_len_serp) for _ in range(k)]
                       for _ in range(b)])
     present = rng.random((b, k)) < 0.8
-    t_score, t_fused = teacher.forward(q_ids, s_ids, present,
-                                       train=False, cache=False)
-    s0, _ = student.forward(q_ids, train=False, cache=False)
+    t_score, t_fused = teacher.forward(q_ids, s_ids, present)
+    s0, _ = student.forward(q_ids)
     # absolute-error terms are non-differentiable where prediction equals
     # target, so targets are offset far beyond the finite-difference step
     labels = s0 - rng.choice([-1.0, 1.0], size=b) * rng.uniform(0.2, 0.5, size=b)
@@ -99,7 +98,7 @@ def test_gradients_match_finite_differences_for_all_loss_terms():
             weights = variants[seed % 4]
 
         def loss_value():
-            s, h = student.forward(q_ids, train=False, cache=False)
+            s, h = student.forward(q_ids)
             value, _, _ = total_loss(labels, s, h, t_score, t_fused, weights)
             return value
 
@@ -113,7 +112,7 @@ def test_gradients_match_finite_differences_for_all_loss_terms():
             return (up - down) / (2 * eps)
 
         student.zero_grads()
-        s, h = student.forward(q_ids, train=False, cache=True)
+        s, h = student.forward(q_ids, train=True)   # dropout 0: only caches
         _, _, (d_s, d_h) = total_loss(labels, s, h, t_score, t_fused, weights)
         student.backward(d_s, d_h)
         grads = student.gradients()
@@ -338,21 +337,21 @@ def test_teacher_is_permutation_invariant_with_normalized_attention():
         for _ in range(10)
     ])
     present = np.ones((10, 4), dtype=bool)
-    base, _ = teacher.forward(q_ids, s_ids, present, train=False, cache=False)
+    base, _ = teacher.forward(q_ids, s_ids, present)
     for _ in range(20):
         shuffled = s_ids.copy()
         for i in range(10):
             shuffled[i] = shuffled[i][rng.permutation(4)]
-        score, _ = teacher.forward(q_ids, shuffled, present,
-                                   train=False, cache=False)
+        score, _ = teacher.forward(q_ids, shuffled, present)
         assert float(np.max(np.abs(score - base))) <= 1e-6
 
     queries = tokenize_batch([text(int(rng.integers(1, 9)))
                               for _ in range(100)], tok)
     teacher.forward(
         queries, np.zeros((100, 0, tok.max_len_serp), dtype=np.int64),
-        np.zeros((100, 0), dtype=bool), train=False)
-    # the query encoder's attention probabilities, as cached for backward
+        np.zeros((100, 0), dtype=bool), train=True, rng=np.random.default_rng(0))
+    # the query encoder's attention probabilities, as a train-mode pass caches
+    # them for backward (dropout acts after attention)
     for block in teacher.query_encoder.blocks:
         assert np.allclose(block.attn._attn.sum(axis=-1), 1.0, atol=1e-5)
 

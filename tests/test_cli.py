@@ -306,6 +306,25 @@ def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
     assert not (tmp_path / "student.json").exists()
 
 
+def test_train_lupi_trains_on_naver_results(tmp_path, capsys):
+    # the fixture's results moved to NAVER, which a SERP entry accepts
+    text = (FIXTURES / "lupi_train.jsonl").read_text(encoding="utf-8")
+    assert '"engine": "GOOGLE"' in text and "NAVER" not in text
+    train = tmp_path / "train.jsonl"
+    train.write_text(text.replace('"engine": "GOOGLE"', '"engine": "NAVER"'),
+                     encoding="utf-8")
+    rc = main(["train-lupi", "--train", str(train),
+               "--priv", "naver:description:all:ranked:5",
+               "--epochs", "1", "--lr", "2e-3", "--batch-size", "16",
+               "--out", str(tmp_path / "student.json"),
+               "--teacher-out", str(tmp_path / "teacher.json")])
+    assert rc == 0
+    # every query's results reach the teacher
+    assert "0 queries without privileged text" in capsys.readouterr().out
+    teacher = load_teacher(tmp_path / "teacher.json")
+    assert teacher.priv.spec_string() == "naver:description:all:ranked:5"
+
+
 def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, capsys):
     teacher = tmp_path / "nodir" / "teacher.json"
     rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),

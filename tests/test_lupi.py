@@ -25,7 +25,6 @@ from scamscout.lupi import (
     TrainConfig,
     collision_rate,
     distill_student,
-    grid_search_privileged,
     load_student,
     load_teacher,
     loco_cv,
@@ -170,7 +169,7 @@ def test_attention_rows_are_distributions():
                   EncoderConfig(layers=2, dim=16, heads=2, ff_dim=32,
                                 dropout=0.0), rng)
     ids = tokenize_batch(["cheap shoes", "a b c d e f g"], TOK)
-    hidden = enc.forward(ids, train=False)
+    hidden = enc.forward(ids, train=True)   # dropout 0: only caches
     assert hidden.shape == (2, 8, 16)
     assert len(enc.blocks) == 2
     for block in enc.blocks:
@@ -189,8 +188,8 @@ def test_padding_does_not_leak_into_real_positions():
     enc = Encoder(TOK.vocab_size, TOK.max_len_query, ENC0, rng)
     short = tokenize("cheap nike shoes", TOK, max_len=5)[None, :]
     padded = tokenize("cheap nike shoes", TOK, max_len=8)[None, :]
-    h_short = enc.forward(short, cache=False)
-    h_padded = enc.forward(padded, cache=False)
+    h_short = enc.forward(short)
+    h_padded = enc.forward(padded)
     assert np.allclose(h_short[0, :5], h_padded[0, :5], atol=1e-12)
 
 
@@ -233,9 +232,9 @@ def test_single_output_linear_rows_do_not_depend_on_the_batch():
     rng = np.random.default_rng(0)
     lin = Linear(16, 1, rng)
     x = rng.normal(size=(10, 16))
-    full = lin.forward(x, cache=False)
+    full = lin.forward(x)
     for idx in (np.array([8, 1, 9, 4]), np.array([9, 8]), np.arange(10)[::-1]):
-        assert np.array_equal(lin.forward(x[idx], cache=False), full[idx])
+        assert np.array_equal(lin.forward(x[idx]), full[idx])
 
 
 # --- models -----------------------------------------------------------------
@@ -257,12 +256,11 @@ def _teacher_inputs(batch=3, k=4, seed=0):
 def test_teacher_serp_order_is_irrelevant():
     teacher = TeacherModel(TOK, ENC0, PRIV, seed=3)
     q, serp_ids, present = _teacher_inputs()
-    score, fused = teacher.forward(q, serp_ids, present, cache=False)
+    score, fused = teacher.forward(q, serp_ids, present)
     rng = np.random.default_rng(7)
     for _ in range(5):
         perm = rng.permutation(serp_ids.shape[1])
-        s2, f2 = teacher.forward(q, serp_ids[:, perm], present[:, perm],
-                                    cache=False)
+        s2, f2 = teacher.forward(q, serp_ids[:, perm], present[:, perm])
         assert np.allclose(s2, score, atol=1e-9)
         assert np.allclose(f2, fused, atol=1e-9)
 
@@ -273,9 +271,9 @@ def test_empty_privileged_set_equals_zero_pooled_vector():
     k = 3
     serp_ids = np.zeros((2, k, TOK.max_len_serp), dtype=np.int64)
     none_present = np.zeros((2, k), dtype=bool)
-    with_k, _ = teacher.forward(q, serp_ids, none_present, cache=False)
+    with_k, _ = teacher.forward(q, serp_ids, none_present)
     no_k, _ = teacher.forward(q, np.zeros((2, 0, 0), dtype=np.int64),
-                                 np.zeros((2, 0), dtype=bool), cache=False)
+                              np.zeros((2, 0), dtype=bool))
     assert np.array_equal(with_k, no_k)
 
 
@@ -303,10 +301,10 @@ def test_student_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
     y = rng.uniform(0, 1, size=2)
     hint_target = rng.normal(0, 0.1, size=(2, ENC0.dim))
-    score, hint = student.forward(q, train=False)
+    score, hint = student.forward(q, train=True)   # dropout 0: only caches
 
     def loss_value():
-        s, h = student.forward(q, train=False, cache=False)
+        s, h = student.forward(q)
         return float(0.5 * np.sum((s - y) ** 2)
                      + 0.5 * np.sum((h - hint_target) ** 2))
 
@@ -320,17 +318,38 @@ def test_teacher_backward_matches_finite_differences():
     q, serp_ids, present = _teacher_inputs(batch=2, k=3, seed=5)
     rng = np.random.default_rng(6)
     y = rng.uniform(0, 1, size=2)
-    fused_target = rng.normal(0, 0.1, size=(2, ENC0.dim))
-    score, fused = teacher.forward(q, serp_ids, present, train=False)
+    # the score loss reaches the head, the fusion layer and both encoders
+    score, _ = teacher.forward(q, serp_ids, present, train=True)
 
     def loss_value():
-        s, f = teacher.forward(q, serp_ids, present, train=False, cache=False)
-        return float(0.5 * np.sum((s - y) ** 2)
-                     + 0.5 * np.sum((f - fused_target) ** 2))
+        s, _ = teacher.forward(q, serp_ids, present)
+        return float(0.5 * np.sum((s - y) ** 2))
 
     teacher.zero_grads()
-    teacher.backward(score - y, fused - fused_target)
+    teacher.backward(score - y)
     _fd_check(teacher.parameters(), loss_value, teacher.gradients())
+
+
+def test_backward_needs_a_train_mode_forward():
+    teacher = TeacherModel(TOK, ENC, PRIV, seed=1)
+    student = StudentModel(TOK, ENC, seed=1)
+    q, serp_ids, present = _teacher_inputs(batch=2, k=3)
+    passes = [
+        (lambda train: teacher.forward(q, serp_ids, present, train,
+                                       np.random.default_rng(0)),
+         lambda: teacher.backward(np.ones(2))),
+        (lambda train: student.forward(q, train, np.random.default_rng(0)),
+         lambda: student.backward(np.ones(2), np.zeros((2, ENC.dim)))),
+    ]
+    for forward, backward in passes:
+        with pytest.raises(TrainingError, match="needs a train-mode forward"):
+            backward()                     # no forward yet
+        forward(True)
+        backward()
+        # an eval pass after a training pass leaves nothing to backpropagate
+        forward(False)
+        with pytest.raises(TrainingError, match="needs a train-mode forward"):
+            backward()
 
 
 # Names a 1-layer encoder's parameters take in checkpoint layouts (format v3).
@@ -565,6 +584,10 @@ def test_privileged_config_spec_round_trip_and_validation():
     cfg = PrivilegedConfig("BING", "BOTH", "SCAM_ONLY", "RANDOM", 10)
     assert cfg.spec_string() == "bing:both:scam_only:random:10"
     assert PrivilegedConfig.from_spec(cfg.spec_string()) == cfg
+    # every engine a SERP entry accepts, and ALL
+    for engine in ("google", "bing", "baidu", "naver", "all"):
+        spec = f"{engine}:description:all:ranked:5"
+        assert PrivilegedConfig.from_spec(spec).spec_string() == spec
     with pytest.raises(SchemaError):
         PrivilegedConfig(engine="DUCKDUCKGO")
     with pytest.raises(SchemaError):
@@ -676,7 +699,7 @@ def test_train_teacher_restores_best_validation_params():
     tensors = _slice(_assemble(data, TOK, PRIV, CFG.seed),
                      _held_out_rows(len(data.examples), CFG))
     score, _ = teacher.forward(tensors.query_ids, tensors.serp_ids,
-                                  tensors.serp_present, train=False, cache=False)
+                               tensors.serp_present)
     mae = float(np.mean(np.abs(score - tensors.labels)))
     assert mae == pytest.approx(min(report.val_losses), abs=1e-12)
 
@@ -759,7 +782,6 @@ def test_train_config_rejects_impossible_values(bad):
 
 def test_dataset_helpers():
     data = _tiny_dataset(6, categories=("b", "a"))
-    assert data.categories() == ["a", "b"]
     sub = data.subset([0, 2])
     assert len(sub.examples) == 2
     assert sub.examples[0].query == data.examples[0].query
@@ -930,7 +952,9 @@ def test_loaded_parameters_are_writable_and_own_their_data(tmp_path):
     ids = tokenize_batch([ex.query for ex in data.examples], TOK)
     for model, opt in ((student, opt_a), (loaded, opt_b)):
         model.zero_grads()
-        score, hint = model.forward(ids, train=False)
+        # equal seeds: both models draw the same dropout masks
+        score, hint = model.forward(ids, train=True,
+                                    rng=np.random.default_rng(0))
         model.backward(np.ones_like(score) / score.size, np.zeros_like(hint))
         opt.step(model.flat_grad)
     for name, value in student.parameters().items():
@@ -981,20 +1005,7 @@ def test_ranked_csv_round_trip(tmp_path):
         ranked_from_csv(path)
 
 
-# --- grid search and LOCO CV ------------------------------------------------
-
-
-def test_grid_search_single_combo():
-    data = _tiny_dataset(16)
-    best, table = grid_search_privileged(
-        data, CFG, engines=("GOOGLE",), fields=("DESCRIPTION",),
-        filters=("ALL",), selections=("RANKED",), sizes=(5,),
-        tok_cfg=TOK, enc_cfg=ENC)
-    assert best == PrivilegedConfig("GOOGLE", "DESCRIPTION", "ALL", "RANKED", 5)
-    assert len(table) == 1
-    assert set(table[0]) == {"priv", "val_mae", "epochs_run", "empty_priv"}
-    with pytest.raises(TrainingError):
-        grid_search_privileged(data, CFG, engines=())
+# --- LOCO CV ----------------------------------------------------------------
 
 
 def test_loco_cv_reports_all_strategies(monkeypatch):
@@ -1094,8 +1105,10 @@ def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(
     def run(ids):
         draws = np.random.default_rng(9)
         hidden = enc.forward(ids, train, draws)
-        # the attention probabilities each block caches for its backward
-        return hidden, [b.attn._attn for b in enc.blocks], draws.bit_generator.state
+        # the attention probabilities each block caches for its backward,
+        # which only a train-mode pass does
+        attn = [b.attn._attn for b in enc.blocks] if train else []
+        return hidden, attn, draws.bit_generator.state
 
     # longest rows of 5, 11, 14 and 19 tokens: never a multiple of 8
     for longest in (4, 10, 13, 18):
@@ -1150,10 +1163,10 @@ def test_teacher_forward_is_unchanged_by_serp_trimming(monkeypatch, train):
     q, serp_ids, present = _long_teacher_inputs()
     _assert_query_trims(q)
     rng_trim = np.random.default_rng(5)
-    trimmed = teacher.forward(q, serp_ids, present, train, rng_trim, cache=False)
+    trimmed = teacher.forward(q, serp_ids, present, train, rng_trim)
     _untrimmed(monkeypatch)
     rng_full = np.random.default_rng(5)
-    full = teacher.forward(q, serp_ids, present, train, rng_full, cache=False)
+    full = teacher.forward(q, serp_ids, present, train, rng_full)
     assert np.array_equal(trimmed[0], full[0])
     assert np.array_equal(trimmed[1], full[1])
     assert rng_trim.bit_generator.state == rng_full.bit_generator.state
@@ -1165,10 +1178,10 @@ def test_student_forward_is_unchanged_by_query_trimming(monkeypatch, train):
     q = _student_inputs()
     _assert_query_trims(q)
     rng_trim = np.random.default_rng(5)
-    trimmed = student.forward(q, train, rng_trim, cache=False)
+    trimmed = student.forward(q, train, rng_trim)
     _untrimmed(monkeypatch)
     rng_full = np.random.default_rng(5)
-    full = student.forward(q, train, rng_full, cache=False)
+    full = student.forward(q, train, rng_full)
     assert np.array_equal(trimmed[0], full[0])
     assert np.array_equal(trimmed[1], full[1])
     assert rng_trim.bit_generator.state == rng_full.bit_generator.state
@@ -1233,7 +1246,7 @@ def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
         serp_ids[i, 0] = tokenize(_words(rng, 30), TOK_LONG, TOK_LONG.max_len_serp)
     q[8] = tokenize(_words(rng, 20), TOK_LONG)
     t = _Tensors(q, serp_ids, present, np.zeros(len(q)))
-    t.teacher = teacher.forward(q, serp_ids, present, train=False, cache=False)
+    t.teacher = teacher.forward(q, serp_ids, present)
     short_batch = np.array([0, 3, 4, 5])
     assert trimmed_length(serp_ids[short_batch].reshape(-1, 64)) < \
         trimmed_length(serp_ids.reshape(-1, 64))
@@ -1241,7 +1254,7 @@ def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
     for idx in (short_batch, np.array([8, 1, 9, 4]), np.arange(10)):
         batch = _slice(t, idx)
         score, fused = teacher.forward(batch.query_ids, batch.serp_ids,
-                                       batch.serp_present, cache=False)
+                                       batch.serp_present)
         assert np.array_equal(batch.teacher[0], score)
         assert np.array_equal(batch.teacher[1], fused)
 
@@ -1277,10 +1290,33 @@ def test_rank_scores_equal_the_untrimmed_student_scores(monkeypatch):
     ids = tokenize_batch([kw.text for kw in kws], TOK_LONG)
     _assert_query_trims(ids)
     _untrimmed(monkeypatch)
-    full, _ = student.forward(ids, train=False, cache=False)
+    full, _ = student.forward(ids)
     expected = dict(zip((kw.text for kw in kws), np.clip(full, 0.0, 1.0)))
     assert len(ranked) == len(expected)
     assert all(row.score == expected[row.text] for row in ranked)
+
+
+def test_rank_scores_do_not_depend_on_the_batch_size(monkeypatch):
+    # 17 keywords in batches of at most 16: a lone 17th row would go through
+    # BLAS's matrix-vector kernel, which rounds differently from a batch
+    from scamscout.corpus import KeywordSuggestion
+    from scamscout.lupi import rank
+    monkeypatch.setattr(rank, "_BATCH_SIZE", 16)
+    enc_cfg = EncoderConfig(layers=1, dim=32, heads=2, ff_dim=64, dropout=0.1)
+    for seed in range(10):
+        student = StudentModel(TOK_LONG, enc_cfg, seed=seed)
+        # a positive head keeps every score inside the clamp, unrounded by a bias
+        w = student.pred_lin2.params["w"]
+        w[...] = np.abs(w)
+        rng = np.random.default_rng(seed)
+        kws = [KeywordSuggestion(text=f"k{i} {_words(rng, int(n))}", category="c")
+               for i, n in enumerate(rng.integers(0, 12, size=17))]
+        ranked = rank_keywords(student, kws, k=len(kws))
+        full, _ = student.forward(tokenize_batch([kw.text for kw in kws], TOK_LONG))
+        assert np.all((full > 0) & (full < 1))
+        expected = dict(zip((kw.text for kw in kws), full))
+        assert len(ranked) == len(expected) == 17
+        assert all(row.score == expected[row.text] for row in ranked), seed
 
 
 def test_step_terms_add_up_to_the_step_losses():
