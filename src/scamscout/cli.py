@@ -135,8 +135,7 @@ def _cmd_train_oracle(args) -> int:
     matrix, _ = encode_dataset(vectors, y)
     config = gbdt.TrainConfig(
         rounds=args.rounds, max_depth=args.max_depth,
-        learning_rate=args.learning_rate, min_leaf=args.min_leaf,
-        seed=args.seed)
+        learning_rate=args.learning_rate, min_leaf=args.min_leaf)
     model = gbdt.train_gbdt(matrix, config)
     gbdt.save_model(model, args.out)
     print(f"trained on {len(y)} domains "
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--min-leaf", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train_oracle)
 
     p = sub.add_parser("score", help="classify featurized domains")

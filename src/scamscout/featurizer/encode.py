@@ -3,24 +3,22 @@
 Categorical tokens get integer codes learned from the training rows; code 0
 is reserved for MISSING and for tokens never seen at fit time, so a model can
 score new data without re-fitting.  Numeric and boolean cells keep their
-values with NaN marking MISSING, and a parallel boolean mask records
-missingness explicitly.
+values with NaN marking MISSING.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import SchemaError
 from .schema import (
-    BOOLEAN,
     CATEGORICAL,
     FEATURES,
     NUM_FEATURES,
-    NUMERIC,
     SCHEMA_VERSION,
     FeatureVector,
 )
@@ -33,14 +31,8 @@ CATEGORICAL_COLUMNS = tuple(
 @dataclass
 class DesignMatrix:
     values: np.ndarray          # (n, 103) float64, NaN = MISSING
-    missing_mask: np.ndarray    # (n, 103) bool
     column_meta: dict[int, dict[str, int]]
     labels: Optional[np.ndarray] = None
-    schema_version: str = SCHEMA_VERSION
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
 
     def dense(self) -> np.ndarray:
         """Expand to a plain numeric matrix with no NaNs.
@@ -53,7 +45,7 @@ class DesignMatrix:
         for i in range(NUM_FEATURES):
             cols.append(np.nan_to_num(self.values[:, i], nan=0.0))
             if i not in self.column_meta:
-                cols.append(self.missing_mask[:, i].astype(np.float64))
+                cols.append(np.isnan(self.values[:, i]).astype(np.float64))
         return np.column_stack(cols)
 
 
@@ -75,34 +67,26 @@ class DatasetEncoder:
         return self
 
     def encode_row(self, vector: FeatureVector) -> np.ndarray:
-        if not self.column_meta:
-            raise SchemaError("encoder not fitted")
-        row = np.empty(NUM_FEATURES, dtype=np.float64)
-        for i, value in enumerate(vector.values):
-            if i in self.column_meta:
-                if value is None:
-                    row[i] = 0.0
-                else:
-                    row[i] = float(self.column_meta[i].get(value, 0))
-            elif value is None:
-                row[i] = np.nan
-            else:
-                row[i] = float(value)
-        return row
+        return self.transform([vector]).values[0]
 
     def transform(
         self,
         vectors: Sequence[FeatureVector],
         labels: Optional[Sequence[int]] = None,
     ) -> DesignMatrix:
-        rows = np.array([self.encode_row(v) for v in vectors], dtype=np.float64)
-        if rows.size == 0:
-            rows = rows.reshape(0, NUM_FEATURES)
-        mask = np.isnan(rows)
-        for col in CATEGORICAL_COLUMNS:
-            mask[:, col] = rows[:, col] == 0.0
-        y = None if labels is None else _check_labels(labels, rows.shape[0])
-        return DesignMatrix(rows, mask, dict(self.column_meta), y)
+        """Each row built as a list of floats; the batch converted once."""
+        if not self.column_meta:
+            raise SchemaError("encoder not fitted")
+        # each column's token codes, None for a numeric or boolean column; a
+        # None or unseen token has no code, so it gets 0
+        codes = [self.column_meta.get(i) for i in range(NUM_FEATURES)]
+        rows = [[(math.nan if value is None else float(value)) if code is None
+                 else float(code.get(value, 0))
+                 for code, value in zip(codes, vector.values)]
+                for vector in vectors]
+        values = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
+        y = None if labels is None else _check_labels(labels, len(rows))
+        return DesignMatrix(values, dict(self.column_meta), y)
 
     def to_dict(self) -> dict:
         return {
@@ -124,14 +108,14 @@ class DatasetEncoder:
         return cls(meta)
 
 
-def _check_labels(labels: Sequence[int], n_rows: int) -> np.ndarray:
+def _check_labels(labels: Sequence[int], n: int) -> np.ndarray:
     """Labels as int64 0/1; anything else raises naming the first bad row."""
     try:
         raw = np.asarray(labels, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"labels must be numeric: {exc}") from None
-    if raw.shape != (n_rows,):
-        raise SchemaError(f"{n_rows} rows but {raw.size} labels")
+    if raw.shape != (n,):
+        raise SchemaError(f"{n} rows but {raw.size} labels")
     # checked as floats: an int cast would truncate 0.7 to 0
     bad = np.flatnonzero(~np.isin(raw, (0.0, 1.0)))
     if bad.size:

@@ -169,7 +169,6 @@ class FeatureVector:
     """
 
     values: list
-    schema_version: str = SCHEMA_VERSION
 
     def __post_init__(self):
         if len(self.values) != NUM_FEATURES:

@@ -10,8 +10,6 @@ from .evaluate import (
 )
 from .gbdt import (
     CLASSIFICATION_THRESHOLD,
-    LOGISTIC,
-    SQUARED,
     GbdtModel,
     TrainConfig,
     load_model,
@@ -27,11 +25,9 @@ __all__ = [
     "EvalReport",
     "GbdtModel",
     "LEFT",
-    "LOGISTIC",
     "LogisticBaseline",
     "Metrics",
     "RIGHT",
-    "SQUARED",
     "TrainConfig",
     "TreeNode",
     "binary_metrics",

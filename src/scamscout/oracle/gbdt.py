@@ -1,13 +1,16 @@
 """Gradient-boosted decision trees for the scam/benign oracle.
 
-Boosting follows the classic additive scheme: start from the prior
-log-odds (logistic) or label mean (squared), grow one shallow tree per round
-on the current gradients, and add it with the configured learning rate.
+Boosting minimizes the logistic loss with the classic additive scheme:
+start from the prior log-odds, grow one shallow tree per round on the
+current gradients, and add it with the configured learning rate.
 Leaf values are Newton steps (-sum g / sum h); if a round would raise the
 training loss, its leaves are halved until it does not (dropping to a no-op
 tree in the limit), so the per-round training loss is non-increasing by
 construction.  Prediction is batched: ``predict_many`` scores all its vectors
 with one ``predict_proba_matrix`` call, the same traversal training uses.
+
+``model.json`` is format 2.  A load checks every tree node against the
+feature schema, so a malformed model fails before it scores a row.
 """
 
 from __future__ import annotations
@@ -18,20 +21,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..errors import TrainingError
+from ..errors import SchemaError, TrainingError
 from ..featurizer.encode import (
     CATEGORICAL_COLUMNS,
     DatasetEncoder,
     DesignMatrix,
 )
-from ..featurizer.schema import SCHEMA_VERSION, FeatureVector
+from ..featurizer.schema import NUM_FEATURES, FeatureVector
 from ..records import read_json, write_document
-from .tree import TreeNode, grow_tree, predict_tree
+from .tree import TreeNode, finite_float, grow_tree, predict_tree
 
-LOGISTIC = "LOGISTIC"
-SQUARED = "SQUARED"
-
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 CLASSIFICATION_THRESHOLD = 0.5
 
 _CAT_COLS = frozenset(CATEGORICAL_COLUMNS)
@@ -44,12 +44,8 @@ class TrainConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_leaf: int = 5
-    loss: str = LOGISTIC
-    seed: int = 0
 
     def __post_init__(self):
-        if self.loss not in (LOGISTIC, SQUARED):
-            raise TrainingError(f"unknown loss {self.loss!r}")
         if self.rounds < 1 or self.min_leaf < 1:
             raise TrainingError("rounds and min_leaf must be >= 1")
         if self.max_depth < 0:
@@ -65,7 +61,6 @@ class GbdtModel:
     trees: list[TreeNode]
     encoder: DatasetEncoder
     train_loss: list[float] = field(default_factory=list)
-    schema_version: str = SCHEMA_VERSION
 
     def raw_scores(self, values: np.ndarray) -> np.ndarray:
         out = np.full(values.shape[0], self.base_score, dtype=np.float64)
@@ -74,15 +69,11 @@ class GbdtModel:
         return out
 
     def predict_proba_matrix(self, values: np.ndarray) -> np.ndarray:
-        raw = self.raw_scores(values)
-        if self.config.loss == LOGISTIC:
-            return _sigmoid(raw)
-        return np.clip(raw, 0.0, 1.0)
+        return _sigmoid(self.raw_scores(values))
 
     def to_dict(self) -> dict:
         return {
             "format_version": MODEL_FORMAT_VERSION,
-            "schema_version": self.schema_version,
             "config": asdict(self.config),
             "base_score": self.base_score,
             "train_loss": self.train_loss,
@@ -93,16 +84,17 @@ class GbdtModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "GbdtModel":
         if payload.get("format_version") != MODEL_FORMAT_VERSION:
-            raise TrainingError(
-                f"unsupported model format {payload.get('format_version')!r}"
-            )
+            raise SchemaError(
+                f"unsupported model format {payload.get('format_version')!r} "
+                f"(expected {MODEL_FORMAT_VERSION}); retrain the model with "
+                f"train-oracle to rebuild it")
         return cls(
             config=TrainConfig(**payload["config"]),
-            base_score=float(payload["base_score"]),
-            trees=[TreeNode.from_dict(t) for t in payload["trees"]],
+            base_score=finite_float(payload["base_score"], "base_score"),
+            trees=[TreeNode.from_dict(t, NUM_FEATURES, _CAT_COLS, f"trees[{i}]")
+                   for i, t in enumerate(payload["trees"])],
             encoder=DatasetEncoder.from_dict(payload["encoder"]),
             train_loss=[float(x) for x in payload["train_loss"]],
-            schema_version=payload["schema_version"],
         )
 
 
@@ -118,10 +110,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def _logistic_loss(raw: np.ndarray, y: np.ndarray) -> float:
     # mean log-loss, computed stably from raw scores
     return float(np.mean(np.logaddexp(0.0, raw) - y * raw))
-
-
-def _squared_loss(raw: np.ndarray, y: np.ndarray) -> float:
-    return float(0.5 * np.mean((raw - y) ** 2))
 
 
 def _scale_leaves(node: TreeNode, factor: float) -> TreeNode:
@@ -148,30 +136,21 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
     if n < 2 * config.min_leaf:
         raise TrainingError(f"need at least {2 * config.min_leaf} rows, got {n}")
 
-    if config.loss == LOGISTIC:
-        if y.min() == y.max():
-            raise TrainingError("logistic training requires both classes")
-        prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
-        base = float(np.log(prior / (1.0 - prior)))
-        loss_fn = _logistic_loss
-    else:
-        base = float(y.mean())
-        loss_fn = _squared_loss
+    if y.min() == y.max():
+        raise TrainingError("logistic training requires both classes")
+    prior = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
+    base = float(np.log(prior / (1.0 - prior)))
 
     raw = np.full(n, base, dtype=np.float64)
     trees: list[TreeNode] = []
-    losses = [loss_fn(raw, y)]
+    losses = [_logistic_loss(raw, y)]
 
     encoder = DatasetEncoder(matrix.column_meta)
 
     for _ in range(config.rounds):
-        if config.loss == LOGISTIC:
-            p = _sigmoid(raw)
-            grad = p - y
-            hess = np.maximum(p * (1.0 - p), 1e-12)
-        else:
-            grad = raw - y
-            hess = np.ones(n, dtype=np.float64)
+        p = _sigmoid(raw)
+        grad = p - y
+        hess = np.maximum(p * (1.0 - p), 1e-12)
 
         def leaf_value(rows: np.ndarray) -> float:
             g = grad[rows].sum()
@@ -185,7 +164,7 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
         prev_loss = losses[-1]
         update = predict_tree(tree, values)
         for _ in range(_MAX_HALVINGS):
-            if loss_fn(raw + update, y) <= prev_loss:
+            if _logistic_loss(raw + update, y) <= prev_loss:
                 break
             tree = _scale_leaves(tree, 0.5)
             update *= 0.5
@@ -195,7 +174,7 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
 
         raw += update
         trees.append(tree)
-        losses.append(loss_fn(raw, y))
+        losses.append(_logistic_loss(raw, y))
 
     return GbdtModel(config=config, base_score=base, trees=trees,
                      encoder=encoder, train_loss=losses)

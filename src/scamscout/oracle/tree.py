@@ -3,10 +3,10 @@
 Trees are grown with exact greedy search: at every node each numeric
 threshold midpoint and each ordered-target-statistics prefix of categories
 is scored, once with MISSING rows sent LEFT and once with them sent RIGHT.
-Split gain uses the gradient/hessian form G^2/H so the same grower serves
-both the squared and logistic boosting objectives.  Rows with MISSING values
-follow the split's ``missing_goes`` direction.  ``predict_tree`` is the one
-traversal: boosting and prediction both score whole encoded matrices with it.
+Split gain uses the gradient/hessian form G^2/H of the boosting objective.
+Rows with MISSING values follow the split's ``missing_goes`` direction.
+``predict_tree`` is the one traversal: boosting and prediction both score
+whole encoded matrices with it.
 
 The search is vectorized per node and scores only real split points.  Each
 run of consecutive numeric columns is one block; a column with fewer than
@@ -29,10 +29,13 @@ candidate counts only if its gain is positive and each side keeps at least
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ..errors import SchemaError
 
 LEFT = "LEFT"
 RIGHT = "RIGHT"
@@ -72,18 +75,55 @@ class TreeNode:
         return out
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "TreeNode":
+    def from_dict(cls, payload, n_features: int, cat_cols: frozenset[int],
+                  where: str) -> "TreeNode":
+        """The node ``to_dict`` wrote, checked against the feature layout; a
+        malformed node raises ``SchemaError`` naming its path from ``where``."""
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{where} must be a JSON object, got {payload!r}")
         if "feature_index" not in payload:
-            return cls(value=payload["value"])
-        cats = payload.get("category_set")
+            return cls(value=finite_float(payload.get("value"), f"{where}.value"))
+        f = payload["feature_index"]
+        if type(f) is not int or not 0 <= f < n_features:
+            raise SchemaError(f"{where}.feature_index must be an int in "
+                              f"[0, {n_features}), got {f!r}")
+        if payload.get("missing_goes") not in (LEFT, RIGHT):
+            raise SchemaError(f"{where}.missing_goes must be {LEFT!r} or "
+                              f"{RIGHT!r}, got {payload.get('missing_goes')!r}")
+        threshold = category_set = None
+        if f in cat_cols:
+            if "threshold" in payload:
+                raise SchemaError(f"{where}: categorical column {f} splits on "
+                                  f"a category_set, not a threshold")
+            cats = payload.get("category_set")
+            if (type(cats) is not list or not cats
+                    or any(type(c) is not int or c < 1 for c in cats)):
+                raise SchemaError(f"{where}.category_set must be a non-empty "
+                                  f"list of ints >= 1, got {cats!r}")
+            category_set = frozenset(cats)
+        else:
+            if "category_set" in payload:
+                raise SchemaError(f"{where}: numeric column {f} splits on a "
+                                  f"threshold, not a category_set")
+            threshold = finite_float(payload.get("threshold"), f"{where}.threshold")
         return cls(
-            feature_index=payload["feature_index"],
-            threshold=payload.get("threshold"),
-            category_set=frozenset(cats) if cats is not None else None,
+            feature_index=f,
+            threshold=threshold,
+            category_set=category_set,
             missing_goes=payload["missing_goes"],
-            left=cls.from_dict(payload["left"]),
-            right=cls.from_dict(payload["right"]),
+            left=cls.from_dict(payload.get("left"), n_features, cat_cols,
+                               f"{where}.left"),
+            right=cls.from_dict(payload.get("right"), n_features, cat_cols,
+                                f"{where}.right"),
         )
+
+
+def finite_float(value, where: str) -> float:
+    """``value`` if it is a finite float, else ``SchemaError``; the model
+    writer emits every score, leaf and threshold as a JSON float."""
+    if type(value) is not float or not math.isfinite(value):
+        raise SchemaError(f"{where} must be a finite float, got {value!r}")
+    return value
 
 
 @dataclass

@@ -243,6 +243,17 @@ def test_discover_requires_fixtures(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_train_oracle_takes_no_seed(workdir, tmp_path, capsys):
+    """Boosting draws no random number, so there is no seed to set."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train-oracle", "--features", str(workdir / "features.csv"),
+              "--labels", str(FIXTURES / "labels.csv"), "--seed", "1",
+              "--out", str(tmp_path / "model.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
     # single-class labels cannot train the oracle
     one_class = tmp_path / "labels.csv"
@@ -584,6 +595,40 @@ def _drop_document_key(key):
         {k: v for k, v in json.loads(doc).items() if k != key}))
 
 
+def _first_split(model):
+    """Index and root of the first tree whose root splits a numeric column."""
+    return next((i, tree) for i, tree in enumerate(model["trees"])
+                if "threshold" in tree)
+
+
+def _model_case(edit):
+    """``edit`` the parsed model document in place."""
+    def mangle(lines):
+        model = json.loads(lines[0])
+        edit(model)
+        return [json.dumps(model)], None
+    return mangle
+
+
+def _split_case(key, value, cause):
+    """Set ``key`` of that root to ``value``, or delete it if ``value`` is
+    None; the cause is named by the node's path."""
+    def edit(model):
+        _, node = _first_split(model)
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+    return (_model_case(edit),
+            lambda lines: f"trees[{_first_split(json.loads(lines[0]))[0]}].{cause}")
+
+
+def _format_1(model):
+    """The layout of model format 1: a loss, a seed and a schema version."""
+    model.update(format_version=1, schema_version=model["encoder"]["schema_version"])
+    model["config"].update(loss="LOGISTIC", seed=0)
+
+
 def _csv_case(edit):
     """Mangle the CSV row on line 3; ``edit(header, row)`` gives the new row."""
     def mangle(lines):
@@ -807,6 +852,22 @@ _BAD_INPUTS = [
     ("fixtures", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("model", "truncated", _document_case(lambda doc: doc[:-1]),
      lambda lines: _json_error(lines, 0)),
+    ("model", "no-threshold",
+     *_split_case("threshold", None, "threshold must be a finite float, got None")),
+    ("model", "feature-index-500",
+     *_split_case("feature_index", 500,
+                  "feature_index must be an int in [0, 103), got 500")),
+    ("model", "missing-goes-up",
+     *_split_case("missing_goes", "UP",
+                  "missing_goes must be 'LEFT' or 'RIGHT', got 'UP'")),
+    ("model", "format-1", _model_case(_format_1),
+     "unsupported model format 1 (expected 2); retrain the model with "
+     "train-oracle to rebuild it"),
+    ("model", "format-99", _model_case(lambda m: m.update(format_version=99)),
+     "unsupported model format 99 (expected 2)"),
+    ("model", "foreign-schema",
+     _model_case(lambda m: m["encoder"].update(schema_version="1999.9")),
+     "encoder schema '1999.9' does not match '2024.1'"),
     ("oracle", "truncated", _document_case(lambda doc: doc[:-1]),
      lambda lines: _json_error(lines, 0)),
     ("student", "no-tokenizer", _drop_document_key("tokenizer"),

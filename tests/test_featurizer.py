@@ -19,6 +19,7 @@ from scamscout.featurizer import (
     extract_features,
     schema_as_dict,
 )
+from scamscout.featurizer.encode import CATEGORICAL_COLUMNS
 from scamscout.featurizer.segment import (
     costs_from_counts,
     count_subwords,
@@ -376,8 +377,6 @@ def test_missing_mask_and_dense_expansion():
              _vec(tranco=None, dns_has_mx=0, tld="xyz")]
     matrix, _ = encode_dataset(train, labels=[1, 0])
     tranco_col = FEATURE_NAMES.index("tranco")
-    assert not matrix.missing_mask[0, tranco_col]
-    assert matrix.missing_mask[1, tranco_col]
     assert np.isnan(matrix.values[1, tranco_col])
     dense = matrix.dense()
     assert np.isfinite(dense).all()
@@ -386,6 +385,12 @@ def test_missing_mask_and_dense_expansion():
                          if n in ("tld", "registrar_name",
                                   "registrar_country", "registrant_country")])
     assert dense.shape[1] == (NUM_FEATURES - n_categorical) * 2 + n_categorical
+    # tranco is numeric and every column before it too: its value, then
+    # its indicator, which is 1 exactly where the cell is MISSING
+    assert tranco_col < min(CATEGORICAL_COLUMNS)
+    value, indicator = dense[:, 2 * tranco_col], dense[:, 2 * tranco_col + 1]
+    assert list(value) == [10.0, 0.0]
+    assert list(indicator) == [0.0, 1.0]
 
 
 def test_fully_observed_rows_have_zero_indicators():
@@ -394,7 +399,13 @@ def test_fully_observed_rows_have_zero_indicators():
                                            "registrant_country") else 1)
                   for name in FEATURE_NAMES})
     matrix, _ = encode_dataset([vec])
-    assert not matrix.missing_mask.any()
+    indicators = [i for i in range(NUM_FEATURES) if i not in CATEGORICAL_COLUMNS]
+    # the dense layout puts one indicator column after each such column
+    at = [i + indicators.index(i) + 1 for i in indicators]
+    dense = matrix.dense()
+    assert dense.shape[1] == NUM_FEATURES + len(indicators)
+    assert not dense[:, at].any()
+    assert not np.isnan(matrix.values).any()
 
 
 def test_encoding_is_deterministic():

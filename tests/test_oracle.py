@@ -1,5 +1,7 @@
 """Boosted-tree oracle: training behavior, prediction, CV evaluation."""
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scamscout.errors import TrainingError
+from scamscout.errors import SchemaError, TrainingError
 from scamscout.featurizer import (
     BOOLEAN,
     CATEGORICAL,
@@ -87,12 +89,16 @@ def _xor_200():
 # --- training -------------------------------------------------------------------
 
 
-def test_depth_zero_squared_model_predicts_label_mean():
-    vectors, labels = _separable_40()
+def test_depth_zero_model_predicts_sigmoid_of_base_plus_leaf():
+    vectors, labels = _xor_200()
     matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=1, max_depth=0, loss="SQUARED"))
+    model = train_gbdt(matrix, TrainConfig(rounds=1, max_depth=0))
+    (leaf,) = model.trees
+    assert leaf.is_leaf
     proba = model.predict_proba_matrix(matrix.values)
-    assert np.allclose(proba, np.mean(labels))
+    expected = 1.0 / (1.0 + np.exp(-(model.base_score + leaf.value)))
+    assert np.unique(proba).size == 1
+    assert proba[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_base_score_is_prior_log_odds():
@@ -155,8 +161,6 @@ def test_config_validation():
         TrainConfig(max_depth=-1)
     with pytest.raises(TrainingError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(TrainingError):
-        TrainConfig(loss="HINGE")
 
 
 # --- prediction -----------------------------------------------------------------
@@ -304,6 +308,67 @@ def test_model_save_load_reproduces_predictions_exactly(tmp_path):
     save_model(clone, tmp_path / "model2.json")
     assert (tmp_path / "model.json").read_bytes() == \
         (tmp_path / "model2.json").read_bytes()
+
+
+_CAT = CATEGORICAL_COLUMNS[0]
+
+
+def _one_round_blob() -> dict:
+    vectors, labels = _xor_200()
+    return train_gbdt(encode_dataset(vectors, labels)[0],
+                      TrainConfig(rounds=1)).to_dict()
+
+
+def _split(**fields) -> dict:
+    return {"missing_goes": LEFT, "left": {"value": 0.0},
+            "right": {"value": 0.0}, **fields}
+
+
+@pytest.mark.parametrize("node, cause", [
+    (_split(feature_index=_F1, category_set=[1]),
+     f"trees[0]: numeric column {_F1} splits on a threshold, not a category_set"),
+    (_split(feature_index=_F1, threshold=0.5, category_set=[1]),
+     f"trees[0]: numeric column {_F1} splits on a threshold, not a category_set"),
+    (_split(feature_index=_F1, threshold=math.inf),
+     "trees[0].threshold must be a finite float, got inf"),
+    (_split(feature_index=_CAT, threshold=0.5),
+     f"trees[0]: categorical column {_CAT} splits on a category_set, "
+     f"not a threshold"),
+    (_split(feature_index=_CAT, category_set=[]),
+     "trees[0].category_set must be a non-empty list of ints >= 1, got []"),
+    (_split(feature_index=_CAT, category_set=[2, 0]),
+     "trees[0].category_set must be a non-empty list of ints >= 1, got [2, 0]"),
+    (_split(feature_index=-1, threshold=0.5),
+     "trees[0].feature_index must be an int in [0, 103), got -1"),
+    (_split(feature_index=True, threshold=0.5),
+     "trees[0].feature_index must be an int in [0, 103), got True"),
+    (_split(feature_index=_F1, threshold=0.5, left={"value": math.nan}),
+     "trees[0].left.value must be a finite float, got nan"),
+    (_split(feature_index=_F1, threshold=0.5, right=[1]),
+     "trees[0].right must be a JSON object, got [1]"),
+    ({"value": 1}, "trees[0].value must be a finite float, got 1"),
+])
+def test_load_rejects_a_malformed_node(node, cause):
+    blob = _one_round_blob()
+    blob["trees"][0] = node
+    with pytest.raises(SchemaError, match=re.escape(cause)):
+        GbdtModel.from_dict(blob)
+
+
+def test_load_rejects_a_base_score_that_is_not_finite():
+    blob = _one_round_blob()
+    blob["base_score"] = math.nan
+    with pytest.raises(SchemaError, match="base_score must be a finite float"):
+        GbdtModel.from_dict(blob)
+
+
+def test_load_accepts_both_split_kinds():
+    blob = _one_round_blob()
+    blob["trees"] = [_split(feature_index=_F1, threshold=0.5, missing_goes=RIGHT),
+                     _split(feature_index=_CAT, category_set=[2, 1])]
+    model = GbdtModel.from_dict(blob)
+    assert [t.to_dict() for t in model.trees] == [
+        blob["trees"][0], {**blob["trees"][1], "category_set": [1, 2]}]
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -619,10 +684,9 @@ def _referee_matrix():
     return encode_dataset(vectors, labels)[0]
 
 
-@pytest.mark.parametrize("loss", ["LOGISTIC", "SQUARED"])
-def test_boosted_model_equals_the_scalar_reference_model(monkeypatch, loss):
+def test_boosted_model_equals_the_scalar_reference_model(monkeypatch):
     matrix = _referee_matrix()
-    config = TrainConfig(rounds=6, max_depth=3, min_leaf=2, loss=loss)
+    config = TrainConfig(rounds=6, max_depth=3, min_leaf=2)
     got = train_gbdt(matrix, config).to_dict()
     monkeypatch.setattr(tree, "_best_split", _ref_best_split)
     assert got == train_gbdt(matrix, config).to_dict()
