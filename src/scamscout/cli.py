@@ -403,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="search ranked queries, tally new scams")
     p.add_argument("--ranked", required=True)
     p.add_argument("--mode", choices=["replay"], default="replay",
-                   help="replay only: live fetching takes a LiveSession, "
-                        "passed to run_discovery from Python")
+                   help="replay, the only mode: every search is served "
+                        "from the fixture store")
     p.add_argument("--oracle", required=True)
     p.add_argument("--fixtures", required=True,
                    help="SERP fixture store to replay")

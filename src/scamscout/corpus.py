@@ -110,14 +110,15 @@ class KeywordSuggestion:
 
 @dataclass(frozen=True)
 class SerpEntry:
-    """One search result; frozen, so stores can hand out the same entry."""
+    """One search result; frozen, so stores can hand out the same entry.
+    Its root domain is always that of its URL, never read from a file."""
 
     engine: str
     rank: int
     url: str
     title: str = ""
     description: str = ""
-    root_domain: str = ""
+    root_domain: str = field(init=False)
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -127,8 +128,7 @@ class SerpEntry:
                 or isinstance(self.rank, bool) or self.rank < 1):
             raise SchemaError(f"rank must be an integer >= 1, got {self.rank!r}")
         object.__setattr__(self, "rank", int(self.rank))
-        if not self.root_domain:
-            object.__setattr__(self, "root_domain", root_domain(self.url))
+        object.__setattr__(self, "root_domain", root_domain(self.url))
 
 
 @dataclass

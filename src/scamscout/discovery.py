@@ -1,44 +1,24 @@
-"""SERP fetching with replay fixtures, and the discovery report.
+"""SERP replay from recorded fixtures, and the discovery report.
 
-Without a session, a fetch replays a recorded result page bit-exactly from a
-content-addressed JSONL store, so a discovery run over fixtures is fully
-reproducible.  Given a ``LiveSession``, it goes through that session's
-injected transport with rate limiting and retries, and records what it
-fetched so the run can be replayed later.
+A fetch replays the latest recorded result page of its (query, engine)
+bit-exactly from a JSONL fixture store, so a discovery run over fixtures is
+fully reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import asdict, dataclass, field, replace
-from datetime import date
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .corpus import ENGINES, SerpEntry, SerpResultSet
-from .errors import (
-    FixtureMissError,
-    SchemaError,
-    TransportError,
-    UnknownEngineError,
-)
+from .errors import FixtureMissError, SchemaError, UnknownEngineError
 from .lupi.rank import RankedKeyword
-from .records import read_jsonl, write_document, write_jsonl
+from .records import read_jsonl, write_document
 
 SCAM = "SCAM"
-
-
-def _fixture_id(query: str, engine: str, capture_date: str) -> str:
-    key = "\x1f".join((query, engine, capture_date)).encode("utf-8")
-    return hashlib.md5(key).hexdigest()
-
-
-def _entry_to_dict(entry: SerpEntry) -> dict:
-    record = asdict(entry)
-    del record["root_domain"]   # a replay derives it from the URL
-    return record
 
 
 def _entry_from_dict(blob: Mapping) -> SerpEntry:
@@ -52,136 +32,58 @@ def _entry_from_dict(blob: Mapping) -> SerpEntry:
 
 
 class FixtureStore:
-    """Recorded SERPs addressed by (query, engine, capture date).
+    """Recorded SERPs keyed by (query, engine, capture date).
 
-    Each stored entry is parsed once, when it is put or loaded; ``get``
-    hands out the stored (frozen) entries in a new list.
+    Each stored entry is parsed once, on load; ``get`` hands out the stored
+    (frozen) entries of the latest capture in a new list.
     """
 
     def __init__(self):
-        # id -> (query, engine, capture_date, entries)
-        self._captures: dict[str, tuple[str, str, str, tuple[SerpEntry, ...]]] = {}
-        # (query, engine) -> id of its latest capture, by (capture_date, id)
-        self._latest: dict[tuple[str, str], str] = {}
+        self._captures: dict[tuple[str, str, str], tuple[SerpEntry, ...]] = {}
+        # (query, engine) -> (capture_date, entries) of its latest capture
+        self._latest: dict[tuple[str, str], tuple[str, tuple[SerpEntry, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self._captures)
 
-    def put(self, query: str, engine: str, capture_date: str,
-            entries: Sequence[SerpEntry]) -> str:
-        """Record one capture; an entry whose URL has no host raises ``UrlError``
-        and nothing is stored, since a replay derives root domains from URLs."""
-        # each entry is rebuilt with the root domain of its URL, as a replay
-        # of the saved store computes it
-        return self._put(query, engine, capture_date,
-                         (replace(e, root_domain="") for e in entries))
-
-    def _put(self, query: str, engine: str, capture_date: str,
-             entries: Iterable[SerpEntry]) -> str:
+    def _add(self, record: Mapping) -> None:
+        query, engine = record["query"], record["engine"]
+        capture_date = record["capture_date"]
         if engine not in ENGINES:
             raise UnknownEngineError(f"unknown engine: {engine!r}")
-        capture = (query, engine, capture_date, tuple(entries))
-        rid = _fixture_id(query, engine, capture_date)
-        existing = self._captures.get(rid)
-        if existing is not None and existing != capture:
+        for name, value in (("query", query), ("capture_date", capture_date)):
+            if type(value) is not str:
+                raise SchemaError(f"{name} must be str, got {value!r}")
+        entries = tuple(map(_entry_from_dict, record["entries"]))
+        key = (query, engine, capture_date)
+        if self._captures.setdefault(key, entries) != entries:
             raise SchemaError(
                 f"conflicting fixture for ({query!r}, {engine}, {capture_date})")
-        self._captures[rid] = capture
         latest = self._latest.get((query, engine))
-        if latest is None or (capture_date, rid) > (
-                self._captures[latest][2], latest):
-            self._latest[(query, engine)] = rid
-        return rid
+        if latest is None or capture_date > latest[0]:
+            self._latest[(query, engine)] = (capture_date, entries)
 
-    def get(self, query: str, engine: str,
-            capture_date: Optional[str] = None) -> SerpResultSet:
-        """Exact capture if a date is given, else the latest one recorded."""
-        if capture_date is not None:
-            rid = _fixture_id(query, engine, capture_date)
-            if rid not in self._captures:
-                raise FixtureMissError(
-                    f"no fixture for ({query!r}, {engine}, {capture_date})")
-        else:
-            rid = self._latest.get((query, engine))
-            if rid is None:
-                raise FixtureMissError(f"no fixture for ({query!r}, {engine})")
-        return SerpResultSet(query=query, entries=list(self._captures[rid][3]))
-
-    def save(self, path: Union[str, Path]) -> None:
-        write_jsonl(path, (
-            {"id": rid, "query": query, "engine": engine,
-             "capture_date": capture_date,
-             "entries": [_entry_to_dict(e) for e in entries]}
-            for rid, (query, engine, capture_date, entries)
-            in sorted(self._captures.items())))
+    def get(self, query: str, engine: str) -> SerpResultSet:
+        """The latest capture recorded for (query, engine)."""
+        latest = self._latest.get((query, engine))
+        if latest is None:
+            raise FixtureMissError(f"no fixture for ({query!r}, {engine})")
+        return SerpResultSet(query=query, entries=list(latest[1]))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FixtureStore":
         store = cls()
-        for _ in read_jsonl(path, lambda r: store._put(
-                r["query"], r["engine"], r["capture_date"],
-                map(_entry_from_dict, r["entries"]))):
+        for _ in read_jsonl(path, store._add):
             pass
         return store
 
 
-@dataclass
-class LiveSession:
-    """Rate-limited live fetching through an injected transport.
-
-    ``transport(query, engine)`` returns the result entries; any exception it
-    raises counts as a failed attempt.
-    """
-
-    transport: Callable[[str, str], Sequence[SerpEntry]]
-    min_delay: float = 1.0
-    retries: int = 1
-    sleep: Callable[[float], None] = time.sleep
-    clock: Callable[[], float] = time.monotonic
-    _last_request: Optional[float] = field(default=None, repr=False)
-
-    def fetch(self, query: str, engine: str) -> list[SerpEntry]:
-        last_error = None
-        for _ in range(self.retries + 1):
-            now = self.clock()
-            if self._last_request is not None:
-                wait = self.min_delay - (now - self._last_request)
-                if wait > 0:
-                    self.sleep(wait)
-            self._last_request = self.clock()
-            try:
-                return list(self.transport(query, engine))
-            except Exception as exc:  # transport failures are retried
-                last_error = exc
-        raise TransportError(
-            f"fetch failed for ({query!r}, {engine}) after "
-            f"{self.retries + 1} attempts: {last_error}") from last_error
-
-
-def fetch_serp(
-    query: str,
-    engine: str,
-    store: Optional[FixtureStore] = None,
-    session: Optional[LiveSession] = None,
-    capture_date: Optional[str] = None,
-) -> SerpResultSet:
-    """One query against one engine, live iff a ``session`` is given.
-
-    A replay returns the recorded page bit-exactly and raises on a miss.  A
-    live fetch goes through ``session`` and records the response into
-    ``store`` so the run is replayable afterwards.
-    """
+def fetch_serp(query: str, engine: str, store: FixtureStore) -> SerpResultSet:
+    """One query against one engine, replayed bit-exactly from ``store``;
+    a miss raises ``FixtureMissError``."""
     if engine not in ENGINES:
         raise UnknownEngineError(f"unknown engine: {engine!r}")
-    if session is None:
-        if store is None:
-            raise FixtureMissError("replay requires a fixture store")
-        return store.get(query, engine, capture_date)
-    entries = session.fetch(query, engine)
-    if store is not None:
-        store.put(query, engine, capture_date or date.today().isoformat(),
-                  entries)
-    return SerpResultSet(query=query, entries=entries)
+    return store.get(query, engine)
 
 
 # --- discovery report ----------------------------------------------------------
@@ -236,11 +138,13 @@ class DiscoveryReport:
         return out
 
 
-def _config_digest(mode: str, engines: Sequence[str], exposure_k: int,
-                   n_queries: int, capture_date: Optional[str]) -> str:
+def _config_digest(engines: Sequence[str], exposure_k: int,
+                   n_queries: int) -> str:
+    # "mode" and "capture_date" are constants, since discovery only replays
+    # the latest capture; they stay in the blob so report.json keeps its bytes
     blob = json.dumps({
-        "mode": mode, "engines": list(engines), "exposure_k": exposure_k,
-        "n_queries": n_queries, "capture_date": capture_date,
+        "mode": "REPLAY", "engines": list(engines), "exposure_k": exposure_k,
+        "n_queries": n_queries, "capture_date": None,
     }, sort_keys=True)
     return hashlib.md5(blob.encode("utf-8")).hexdigest()
 
@@ -248,12 +152,10 @@ def _config_digest(mode: str, engines: Sequence[str], exposure_k: int,
 def run_discovery(
     ranked: Sequence[RankedKeyword],
     classify: Callable[[list[str]], Sequence[str]],
-    store: Optional[FixtureStore] = None,
+    store: FixtureStore,
     engines: Sequence[str] = ("GOOGLE",),
     known_domains: Iterable[str] = (),
     exposure_k: int = 20,
-    session: Optional[LiveSession] = None,
-    capture_date: Optional[str] = None,
 ) -> DiscoveryReport:
     """Search every ranked keyword and tally newly discovered scam domains.
 
@@ -282,7 +184,7 @@ def run_discovery(
 
     for kw in ranked:
         for engine in engines:
-            result = fetch_serp(kw.text, engine, store, session, capture_date)
+            result = fetch_serp(kw.text, engine, store)
             cat_domains = by_category.setdefault(kw.category, set())
             for entry in result.entries:
                 domain = entry.root_domain
@@ -312,9 +214,7 @@ def run_discovery(
                                  len(scam_domains))
                   for engine in sorted(engines)],
         queries_run=len(ranked) * len(engines),
-        config_digest=_config_digest("REPLAY" if session is None else "LIVE",
-                                     engines, exposure_k, len(ranked),
-                                     capture_date),
+        config_digest=_config_digest(engines, exposure_k, len(ranked)),
     )
 
 

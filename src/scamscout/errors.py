@@ -22,12 +22,9 @@ class TrainingError(ScamscoutError):
 
 
 class FixtureMissError(ScamscoutError):
-    """Replay mode was asked for a SERP that is not in the fixture store."""
+    """A replay was asked for a SERP that is not in the fixture store."""
 
 
 class UnknownEngineError(ScamscoutError):
     """Search engine name is not one of the supported engines."""
 
-
-class TransportError(ScamscoutError):
-    """A live SERP request failed after exhausting its retries."""

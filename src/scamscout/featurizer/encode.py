@@ -26,6 +26,8 @@ from .schema import (
 CATEGORICAL_COLUMNS = tuple(
     i for i, (_, kind, _) in enumerate(FEATURES) if kind == CATEGORICAL
 )
+# the keys of ``encoder.columns`` in a model file
+_COLUMN_KEYS = tuple(map(str, CATEGORICAL_COLUMNS))
 
 
 @dataclass
@@ -96,15 +98,36 @@ class DatasetEncoder:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DatasetEncoder":
+        """The encoder of a model file: ``columns`` maps exactly the
+        categorical columns, each from tokens to distinct int codes >= 1."""
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(
                 f"encoder schema {payload.get('schema_version')!r} does not "
                 f"match {SCHEMA_VERSION!r}"
             )
-        meta = {
-            int(col): {tok: int(code) for tok, code in mapping.items()}
-            for col, mapping in payload["columns"].items()
-        }
+        columns = payload["columns"]
+        for key in columns:
+            if key not in _COLUMN_KEYS:
+                raise SchemaError(
+                    f"encoder.columns[{key!r}] is not a categorical column")
+        meta = {}
+        for col, key in zip(CATEGORICAL_COLUMNS, _COLUMN_KEYS):
+            if key not in columns:
+                raise SchemaError(
+                    f"encoder.columns lacks categorical column {key!r}")
+            mapping = columns[key]
+            if type(mapping) is not dict:
+                raise SchemaError(
+                    f"encoder.columns[{key!r}] must be an object, got {mapping!r}")
+            seen = set()
+            for tok, code in mapping.items():
+                # bool is an int, but True is not a code; 0 means unseen
+                if type(code) is not int or code < 1 or code in seen:
+                    raise SchemaError(
+                        f"encoder.columns[{key!r}] maps {tok!r} to {code!r}; "
+                        f"codes must be distinct ints >= 1")
+                seen.add(code)
+            meta[col] = mapping
         return cls(meta)
 
 

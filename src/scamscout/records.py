@@ -157,12 +157,13 @@ def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):
 
 
 def from_record(cls, rec: dict):
-    """``cls(**...)`` from the keys of ``rec`` named like the fields of the
-    dataclass ``cls``; other keys are ignored.  An absent key leaves the
+    """``cls(**...)`` from the keys of ``rec`` named like the init fields of
+    the dataclass ``cls``; other keys, and those of fields the dataclass
+    derives itself (``init=False``), are ignored.  An absent key leaves the
     field's default, and raises ``KeyError`` for a field without one."""
-    return cls(**{f.name: rec[f.name] for f in fields(cls)
-                  if (f.default is MISSING and f.default_factory is MISSING)
-                  or f.name in rec})
+    return cls(**{f.name: rec[f.name] for f in fields(cls) if f.init and (
+        (f.default is MISSING and f.default_factory is MISSING)
+        or f.name in rec)})
 
 
 def check_header(path, expected: list[str]) -> None:

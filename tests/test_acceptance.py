@@ -225,7 +225,7 @@ def test_toxicity_equals_brute_force_dedup_oracle_on_random_serps():
         picks = rng.choice(pool, size=n)
         entries = [
             SerpEntry(engine=str(rng.choice(["GOOGLE", "BING", "BAIDU"])),
-                      rank=j + 1, url=f"https://{d}/p", root_domain=str(d))
+                      rank=j + 1, url=f"https://{d}/p")
             for j, d in enumerate(picks)
         ]
         got = score_serp(SerpResultSet(query=f"q{t}", entries=entries), verdicts)

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from scamscout import corpus, records
-from scamscout.cli import main, read_features_csv, write_features_csv
+from scamscout.cli import (build_parser, main, read_features_csv,
+                           write_features_csv)
 from scamscout.featurizer import BOOLEAN, FEATURES, NUMERIC
 from scamscout.lupi import load_student, load_teacher, ranked_from_csv
 from scamscout.oracle import gbdt
@@ -142,6 +143,26 @@ def test_toxicity_rerun_is_byte_identical(workdir):
                        shallow=False)
 
 
+def test_toxicity_takes_each_root_domain_from_the_url(tmp_path):
+    """A ``root_domain`` written in serps.jsonl is ignored: the first result
+    is on example.com, whatever its record claims."""
+    serps = tmp_path / "serps.jsonl"
+    serps.write_text(json.dumps({"query": "q", "entries": [
+        {"engine": "GOOGLE", "rank": 1, "url": "https://shop.example.com/p",
+         "root_domain": "scam.top"},
+        {"engine": "GOOGLE", "rank": 2, "url": "https://example.com/"},
+    ]}) + "\n", encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("root_domain,label,category\nexample.com,BENIGN,x\n"
+                      "scam.top,SCAM,x\n", encoding="utf-8")
+    rc = main(["toxicity", "--serps", str(serps), "--labels", str(labels),
+               "--out", str(tmp_path / "toxicity.csv")])
+    assert rc == 0
+    [row] = _rows(tmp_path / "toxicity.csv")
+    assert (row["total_sites"], row["scam_sites"], row["toxicity"]) == (
+        "1", "0", "0.000000")
+
+
 def test_baseline_tables(workdir):
     attr = _rows(workdir / "tables" / "attributes.csv")
     assert [r["attribute"] for r in attr] == [
@@ -241,6 +262,18 @@ def test_discover_requires_fixtures(tmp_path, capsys):
     assert "the following arguments are required: --fixtures" in \
         capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_discover_mode_replay_still_parses(tmp_path, capsys):
+    """``--mode replay`` is accepted (benchmark scripts pass it); no other
+    mode exists."""
+    argv = ["discover", "--ranked", "r.csv", "--oracle", "m.json",
+            "--fixtures", "f.jsonl", "--out", "o.json"]
+    assert build_parser().parse_args(argv + ["--mode", "replay"]).mode == "replay"
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--mode", "live"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'live'" in capsys.readouterr().err
 
 
 def test_train_oracle_takes_no_seed(workdir, tmp_path, capsys):
@@ -868,6 +901,19 @@ _BAD_INPUTS = [
     ("model", "foreign-schema",
      _model_case(lambda m: m["encoder"].update(schema_version="1999.9")),
      "encoder schema '1999.9' does not match '2024.1'"),
+    ("model", "extra-column",
+     _model_case(lambda m: m["encoder"]["columns"].update({"6": {"x": 1}})),
+     "encoder.columns['6'] is not a categorical column"),
+    ("model", "missing-column",
+     _model_case(lambda m: m["encoder"]["columns"].pop("29")),
+     "encoder.columns lacks categorical column '29'"),
+    ("model", "code-0",
+     _model_case(lambda m: m["encoder"]["columns"]["29"].update(zzz=0)),
+     "encoder.columns['29'] maps 'zzz' to 0; codes must be distinct ints >= 1"),
+    ("model", "repeated-code",
+     _model_case(lambda m: m["encoder"]["columns"]["29"].update(
+         zzz=max(m["encoder"]["columns"]["29"].values(), default=1))),
+     "encoder.columns['29'] maps 'zzz' to "),
     ("oracle", "truncated", _document_case(lambda doc: doc[:-1]),
      lambda lines: _json_error(lines, 0)),
     ("student", "no-tokenizer", _drop_document_key("tokenizer"),
@@ -1118,23 +1164,24 @@ _LOCALE_SCRIPT = """
 import sys
 from pathlib import Path
 
-from scamscout.corpus import SerpEntry
 from scamscout.discovery import (CategoryCount, DiscoveryReport, EngineExposure,
                                  FixtureStore, write_report)
 from scamscout.lupi import (EncoderConfig, RankedKeyword, StudentModel,
                             TokenizerConfig, load_student, save_checkpoint,
                             write_ranked)
+from scamscout.records import write_jsonl
 
 out = Path(sys.argv[1])
 report = DiscoveryReport([CategoryCount("caf\\u00e9", 1, 2)], 2, 1,
                          [EngineExposure("GOOGLE", 1, 1)], 3)
 write_report(report, out / "report.json")
 write_ranked(out / "ranked.csv", [RankedKeyword("cr\\u00e8me", "caf\\u00e9", 0.5, 1)])
-store = FixtureStore()
-store.put("cr\\u00e8me", "GOOGLE", "2024-05-01",
-          [SerpEntry("GOOGLE", 1, "https://a.com/x", title="\\u00e9t\\u00e9")])
-store.save(out / "fixtures.jsonl")
-FixtureStore.load(out / "fixtures.jsonl")
+write_jsonl(out / "fixtures.jsonl", [
+    {"query": "cr\\u00e8me", "engine": "GOOGLE", "capture_date": "2024-05-01",
+     "entries": [{"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x",
+                  "title": "\\u00e9t\\u00e9"}]}])
+store = FixtureStore.load(out / "fixtures.jsonl")
+assert store.get("cr\\u00e8me", "GOOGLE").entries[0].title == "\\u00e9t\\u00e9"
 student = StudentModel(TokenizerConfig(vocab_size=16, max_len_query=4),
                        EncoderConfig(layers=1, dim=4, heads=1, ff_dim=4))
 save_checkpoint(student, out / "student.json")

@@ -259,6 +259,8 @@ def test_keyword_rejects_empty_text_and_bad_competition():
 def test_serp_entry_validation_and_auto_root_domain():
     entry = SerpEntry(engine="GOOGLE", rank=3, url="https://www.shop.co.uk/x")
     assert entry.root_domain == "shop.co.uk"
+    with pytest.raises(TypeError):   # derived from the URL, never given
+        SerpEntry(engine="GOOGLE", rank=3, url="https://a.com/", root_domain="b.com")
     with pytest.raises(SchemaError):
         SerpEntry(engine="DUCKDUCKGO", rank=1, url="http://a.com/")
     with pytest.raises(SchemaError):
@@ -307,16 +309,20 @@ def test_serp_record_round_trip(tmp_path):
          "title": "B", "description": "d2"}]}])
     assert read_serps(path) == [rs]
     assert [e.engine for e in read_serps(path)[0].entries] == ["BING", "GOOGLE"]
-    # an absent key takes the field's default (the root domain is the URL's),
-    # an explicit null stays None
+    # an absent key takes the field's default, an explicit null stays None,
+    # and the root domain is the URL's, whatever the record says
     entry = {"engine": "GOOGLE", "rank": 1, "url": "http://www.c.com/"}
     lines = [{"query": "q", "entries": [entry]},
-             {"query": "r", "entries": [dict(entry, title=None)]}, {"query": "s"}]
+             {"query": "r", "entries": [dict(entry, title=None)]}, {"query": "s"},
+             {"query": "t", "entries": [dict(entry, root_domain="scam.top")]}]
     _jsonl(path, lines)
-    assert read_serps(path) == [
-        SerpResultSet("q", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "", "c.com")]),
-        SerpResultSet("r", [SerpEntry("GOOGLE", 1, "http://www.c.com/", None, "", "c.com")]),
-        SerpResultSet("s", [])]
+    got = read_serps(path)
+    assert got == [
+        SerpResultSet("q", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "")]),
+        SerpResultSet("r", [SerpEntry("GOOGLE", 1, "http://www.c.com/", None, "")]),
+        SerpResultSet("s", []),
+        SerpResultSet("t", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "")])]
+    assert [e.root_domain for rs in got for e in rs.entries] == ["c.com"] * 3
     del entry["url"]
     _jsonl(path, lines)
     with pytest.raises(SchemaError, match=re.escape(f"{path}:1: missing key 'url'")):

@@ -1,163 +1,138 @@
-"""SERP replay/live fetching and the discovery report."""
+"""SERP replay and the discovery report."""
 
 import dataclasses
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from scamscout.corpus import SerpEntry
 from scamscout.discovery import (
     CategoryCount,
     DiscoveryReport,
     FixtureStore,
-    LiveSession,
-    _config_digest,
-    _fixture_id,
     fetch_serp,
     run_discovery,
     write_report,
 )
-from scamscout.errors import (
-    FixtureMissError,
-    SchemaError,
-    TransportError,
-    UnknownEngineError,
-    UrlError,
-)
+from scamscout.errors import FixtureMissError, SchemaError, UnknownEngineError
 from scamscout.lupi import RankedKeyword
 
 
-def _entry(domain, engine="GOOGLE", rank=1):
-    return SerpEntry(engine=engine, rank=rank, url=f"https://{domain}/p",
-                     root_domain=domain)
+def _record(query, engine, capture_date, domains):
+    return {"query": query, "engine": engine, "capture_date": capture_date,
+            "entries": [{"engine": engine, "rank": rank, "url": f"https://{d}/p"}
+                        for rank, d in enumerate(domains, 1)]}
 
 
-def _entries(domains, engine="GOOGLE"):
-    return [_entry(d, engine, i + 1) for i, d in enumerate(domains)]
+def _write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                    encoding="utf-8")
+    return path
+
+
+def _load(tmp_path, records):
+    return FixtureStore.load(_write(tmp_path / "fixtures.jsonl", records))
+
+
+def _domains(result):
+    return [e.root_domain for e in result.entries]
 
 
 # --- fixture store ----------------------------------------------------------
 
 
-def test_store_round_trip_and_idempotent_put():
-    store = FixtureStore()
-    entries = _entries(["a.com", "b.com"])
-    store.put("cheap shoes", "GOOGLE", "2024-05-01", entries)
-    store.put("cheap shoes", "GOOGLE", "2024-05-01", entries)  # same bits: fine
+def test_store_loads_an_identical_duplicate_once(tmp_path):
+    record = _record("cheap shoes", "GOOGLE", "2024-05-01", ["a.com", "b.com"])
+    store = _load(tmp_path, [record, record])   # same bits: fine
     assert len(store) == 1
-    got = store.get("cheap shoes", "GOOGLE", "2024-05-01")
+    got = store.get("cheap shoes", "GOOGLE")
     assert got.query == "cheap shoes"
-    assert [e.root_domain for e in got.entries] == ["a.com", "b.com"]
+    assert _domains(got) == ["a.com", "b.com"]
     assert [e.rank for e in got.entries] == [1, 2]
 
 
-def test_store_rejects_conflicting_fixture():
-    store = FixtureStore()
-    store.put("q", "GOOGLE", "2024-05-01", _entries(["a.com"]))
-    with pytest.raises(SchemaError):
-        store.put("q", "GOOGLE", "2024-05-01", _entries(["b.com"]))
+def test_store_rejects_conflicting_fixture(tmp_path):
+    with pytest.raises(SchemaError, match=re.escape(
+            "fixtures.jsonl:2: conflicting fixture for ('q', GOOGLE, 2024-05-01)")):
+        _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01", ["a.com"]),
+                         _record("q", "GOOGLE", "2024-05-01", ["b.com"])])
 
 
-def test_store_rejects_unknown_engine():
-    with pytest.raises(UnknownEngineError):
-        FixtureStore().put("q", "ALTAVISTA", "2024-05-01", [])
+def test_store_rejects_unknown_engine(tmp_path):
+    with pytest.raises(SchemaError,
+                       match=re.escape("fixtures.jsonl:1: unknown engine: 'ALTAVISTA'")):
+        _load(tmp_path, [_record("q", "ALTAVISTA", "2024-05-01", [])])
 
 
-def test_store_get_latest_when_date_omitted():
-    store = FixtureStore()
-    store.put("q", "GOOGLE", "2024-04-01", _entries(["old.com"]))
-    store.put("q", "GOOGLE", "2024-05-01", _entries(["new.com"]))
-    latest = store.get("q", "GOOGLE")
-    assert [e.root_domain for e in latest.entries] == ["new.com"]
-    dated = store.get("q", "GOOGLE", "2024-04-01")
-    assert [e.root_domain for e in dated.entries] == ["old.com"]
+def test_store_get_latest_when_date_omitted(tmp_path):
+    """A lookup names no date: it gets the latest capture, in any file order."""
+    old = _record("q", "GOOGLE", "2024-04-01", ["old.com"])
+    new = _record("q", "GOOGLE", "2024-05-01", ["new.com"])
+    for records in ([old, new], [new, old]):
+        store = _load(tmp_path, records)
+        assert len(store) == 2
+        assert _domains(store.get("q", "GOOGLE")) == ["new.com"]
 
 
-def test_store_latest_index_matches_brute_force_max():
+def test_store_latest_index_matches_brute_force_max(tmp_path):
     rng = np.random.default_rng(5)
-    puts = [(f"q{i}", engine, f"2024-{m:02d}-{d:02d}")
-            for i in range(6) for engine in ("GOOGLE", "BING")
-            for m in range(1, 7) for d in (1, 15)
-            if rng.random() < 0.6]
-    puts += puts[:10]  # re-putting the same capture is a no-op
-    store = FixtureStore()
-    for j in rng.permutation(len(puts)):
-        query, engine, capture = puts[j]
-        store.put(query, engine, capture, _entries([f"{capture}.com"], engine))
-    for query, engine in {(q, e) for q, e, _ in puts}:
-        want = max((c, _fixture_id(q, e, c)) for q, e, c in puts
-                   if (q, e) == (query, engine))
-        got = store.get(query, engine)
-        assert [e.root_domain for e in got.entries] == [f"{want[0]}.com"]
-        assert got == store.get(query, engine, want[0])
+    captures = [(f"q{i}", engine, f"2024-{m:02d}-{d:02d}")
+                for i in range(6) for engine in ("GOOGLE", "BING")
+                for m in range(1, 7) for d in (1, 15)
+                if rng.random() < 0.6]
+    captures += captures[:10]  # loading the same capture again is a no-op
+    store = _load(tmp_path, [_record(*captures[j], [f"{captures[j][2]}.com"])
+                             for j in rng.permutation(len(captures))])
+    assert len(store) == len(set(captures))
+    for query, engine in {(q, e) for q, e, _ in captures}:
+        want = max(c for q, e, c in captures if (q, e) == (query, engine))
+        assert _domains(store.get(query, engine)) == [f"{want}.com"]
 
 
-def test_store_miss_raises():
-    store = FixtureStore()
+def test_store_miss_raises(tmp_path):
+    store = _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01", [])])
+    assert store.get("q", "GOOGLE").entries == []
     with pytest.raises(FixtureMissError):
-        store.get("q", "GOOGLE")
-    store.put("q", "GOOGLE", "2024-05-01", [])
-    with pytest.raises(FixtureMissError):
-        store.get("q", "GOOGLE", "2024-06-01")
+        store.get("other", "GOOGLE")
     with pytest.raises(FixtureMissError):
         store.get("q", "BING")
-
-
-def test_store_save_load_round_trip(tmp_path):
-    store = FixtureStore()
-    store.put("q one", "GOOGLE", "2024-05-01", _entries(["a.com", "b.com"]))
-    store.put("q two", "BING", "2024-05-02", _entries(["c.com"], "BING"))
-    path = tmp_path / "serps.jsonl"
-    store.save(path)
-    loaded = FixtureStore.load(path)
-    assert len(loaded) == 2
-    for query, engine in (("q one", "GOOGLE"), ("q two", "BING")):
-        a = store.get(query, engine)
-        b = loaded.get(query, engine)
-        assert a == b
-    loaded.save(tmp_path / "again.jsonl")
-    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+    with pytest.raises(FixtureMissError):
+        FixtureStore().get("q", "GOOGLE")
 
 
 def test_changing_a_fetched_result_leaves_the_store_unchanged(tmp_path):
-    store = FixtureStore()
-    store.put("q", "GOOGLE", "2024-05-01", _entries(["a.com", "b.com"]))
-    store.save(tmp_path / "before.jsonl")
+    store = _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01",
+                                     ["a.com", "b.com"])])
     before = list(store.get("q", "GOOGLE").entries)
     got = store.get("q", "GOOGLE")
     with pytest.raises(dataclasses.FrozenInstanceError):
         got.entries[0].rank = 7
-    got.entries[0] = _entry("evil.com")
-    got.entries.append(_entry("more.com", rank=3))
+    got.entries[0] = dataclasses.replace(got.entries[0], url="https://evil.com/p")
+    got.entries.append(dataclasses.replace(got.entries[1], rank=3))
     got.entries.sort(key=lambda e: -e.rank)
     assert store.get("q", "GOOGLE").entries == before
-    assert store.get("q", "GOOGLE", "2024-05-01").entries == before
-    store.save(tmp_path / "after.jsonl")
-    assert (tmp_path / "after.jsonl").read_bytes() == (tmp_path / "before.jsonl").read_bytes()
+    assert _domains(store.get("q", "GOOGLE")) == ["a.com", "b.com"]
 
 
-def test_store_serves_the_root_domain_of_the_url():
-    # the stored fields hold no root domain, so a replay derives it from the URL
-    store = FixtureStore()
-    store.put("q", "GOOGLE", "2024-05-01",
-              [SerpEntry(engine="GOOGLE", rank=1, url="https://www.a.co.uk/x",
-                         root_domain="other.com")])
-    assert [e.root_domain for e in store.get("q", "GOOGLE").entries] == ["a.co.uk"]
+def test_store_serves_the_root_domain_of_the_url(tmp_path):
+    # a root domain in the file is ignored: a replay derives it from the URL
+    record = _record("q", "GOOGLE", "2024-05-01", [])
+    record["entries"] = [{"engine": "GOOGLE", "rank": 1,
+                          "url": "https://www.a.co.uk/x", "root_domain": "other.com"}]
+    assert _domains(_load(tmp_path, [record]).get("q", "GOOGLE")) == ["a.co.uk"]
 
 
-_UNREPLAYABLE = SerpEntry(engine="GOOGLE", rank=1, url="not-a-url", root_domain="a.com")
-
-
-def test_put_rejects_an_entry_a_replay_cannot_parse():
-    # the entry carries its own root domain, but a replay derives it from the URL
-    store = FixtureStore()
-    with pytest.raises(UrlError):
-        store.put("q", "GOOGLE", "2024-05-01", [_entry("a.com"), _UNREPLAYABLE])
-    assert len(store) == 0
-    with pytest.raises(FixtureMissError):
-        store.get("q", "GOOGLE")
+def test_load_rejects_an_entry_a_replay_cannot_parse(tmp_path):
+    # the entry names its own root domain, but a replay derives it from the URL
+    record = _record("q", "GOOGLE", "2024-05-01", ["a.com", "b.com"])
+    record["entries"][1].update(url="not-a-url", root_domain="a.com")
+    path = _write(tmp_path / "fixtures.jsonl",
+                  [_record("q", "BING", "2024-05-01", ["a.com"]), record])
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:2: not an absolute URL: 'not-a-url'")):
+        FixtureStore.load(path)
 
 
 def test_store_load_reports_bad_line(tmp_path):
@@ -190,6 +165,8 @@ _GOOD_ENTRY = {"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x"}
     {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
      "entries": [dict(_GOOD_ENTRY, url="not-a-url")]},
     ["not", "an", "object"],
+    {"query": 7, "engine": "GOOGLE", "capture_date": "2024-01-01", "entries": []},
+    {"query": "q", "engine": "GOOGLE", "capture_date": 20240101, "entries": []},
 ])
 def test_store_load_names_line_of_malformed_record(tmp_path, record):
     good = {"query": "q", "engine": "BING", "capture_date": "2024-01-01",
@@ -200,106 +177,20 @@ def test_store_load_names_line_of_malformed_record(tmp_path, record):
         FixtureStore.load(path)
 
 
-# --- live session -----------------------------------------------------------
-
-
-class _FakeClock:
-    def __init__(self, step=0.1):
-        self.now = 0.0
-        self.step = step
-        self.slept: list[float] = []
-
-    def clock(self):
-        self.now += self.step
-        return self.now
-
-    def sleep(self, seconds):
-        self.slept.append(seconds)
-        self.now += seconds
-
-
-def test_live_session_spaces_requests():
-    clock = _FakeClock(step=0.1)
-    session = LiveSession(transport=lambda q, e: _entries(["a.com"]),
-                          min_delay=1.0, retries=0,
-                          sleep=clock.sleep, clock=clock.clock)
-    session.fetch("q1", "GOOGLE")
-    assert clock.slept == []  # first request goes out immediately
-    session.fetch("q2", "GOOGLE")
-    assert len(clock.slept) == 1
-    assert clock.slept[0] == pytest.approx(0.9)  # tops the gap up to min_delay
-
-
-def test_live_session_retries_then_raises():
-    attempts = []
-
-    def flaky(query, engine):
-        attempts.append(engine)
-        if len(attempts) < 2:
-            raise OSError("connection reset")
-        return _entries(["ok.com"])
-
-    clock = _FakeClock()
-    session = LiveSession(transport=flaky, min_delay=0.0, retries=1,
-                          sleep=clock.sleep, clock=clock.clock)
-    got = session.fetch("q", "GOOGLE")
-    assert [e.root_domain for e in got] == ["ok.com"]
-    assert len(attempts) == 2
-
-    def dead(query, engine):
-        attempts.append(engine)
-        raise OSError("down")
-
-    attempts.clear()
-    session = LiveSession(transport=dead, min_delay=0.0, retries=2,
-                          sleep=clock.sleep, clock=clock.clock)
-    with pytest.raises(TransportError, match="3 attempts"):
-        session.fetch("q", "BING")
-    assert len(attempts) == 3
-
-
-def test_fetch_serp_modes_and_validation():
-    store = FixtureStore()
-    store.put("q", "GOOGLE", "2024-05-01", _entries(["a.com"]))
-    got = fetch_serp("q", "GOOGLE", store)
-    assert [e.root_domain for e in got.entries] == ["a.com"]
+def test_fetch_serp_modes_and_validation(tmp_path):
+    """Replay is the only mode: a fetch is one store lookup."""
+    store = _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01", ["a.com"])])
+    assert _domains(fetch_serp("q", "GOOGLE", store)) == ["a.com"]
     with pytest.raises(FixtureMissError):
         fetch_serp("missing", "GOOGLE", store)
-    with pytest.raises(FixtureMissError):
-        fetch_serp("q", "GOOGLE", store=None)
     with pytest.raises(UnknownEngineError):
         fetch_serp("q", "ASKJEEVES", store)
-
-
-def test_live_fetch_records_into_store():
-    clock = _FakeClock()
-    session = LiveSession(transport=lambda q, e: _entries(["live.com"]),
-                          min_delay=0.0, retries=0,
-                          sleep=clock.sleep, clock=clock.clock)
-    store = FixtureStore()
-    got = fetch_serp("q", "GOOGLE", store, session, capture_date="2024-06-01")
-    assert [e.root_domain for e in got.entries] == ["live.com"]
-    replayed = fetch_serp("q", "GOOGLE", store, capture_date="2024-06-01")
-    assert replayed == got
-
-
-def test_live_fetch_of_an_unreplayable_entry_raises_and_records_nothing():
-    clock = _FakeClock()
-    session = LiveSession(transport=lambda q, e: [_UNREPLAYABLE],
-                          min_delay=0.0, retries=0,
-                          sleep=clock.sleep, clock=clock.clock)
-    store = FixtureStore()
-    with pytest.raises(UrlError):
-        fetch_serp("q", "GOOGLE", store, session, capture_date="2024-06-01")
-    assert len(store) == 0
-    got = fetch_serp("q", "GOOGLE", None, session)    # nothing to record
-    assert got.entries == [_UNREPLAYABLE]
 
 
 # --- discovery runs ---------------------------------------------------------
 
 
-def _random_discovery_case(seed):
+def _random_discovery_case(seed, tmp_path):
     rng = np.random.default_rng(seed)
     pool = [f"scam{i}.com" for i in range(12)] + [f"ok{i}.com" for i in range(12)]
     known = {pool[0], pool[12]}
@@ -307,14 +198,13 @@ def _random_discovery_case(seed):
     categories = ("shoes", "watches", "petmeds")
     ranked = [RankedKeyword(f"kw {i}", categories[i % 3], 0.5, i % 5 + 1)
               for i in range(12)]
-    store = FixtureStore()
     pages = {}
     for kw in ranked:
         for engine in engines:
-            picks = [pool[int(j)] for j in rng.integers(0, len(pool), size=5)]
-            entries = [_entry(d, engine, r + 1) for r, d in enumerate(picks)]
-            store.put(kw.text, engine, "2024-05-01", entries)
-            pages[(kw.text, engine)] = picks
+            pages[(kw.text, engine)] = [
+                pool[int(j)] for j in rng.integers(0, len(pool), size=5)]
+    store = _load(tmp_path, [_record(query, engine, "2024-05-01", picks)
+                             for (query, engine), picks in pages.items()])
     return ranked, store, pages, known, engines
 
 
@@ -326,12 +216,11 @@ def _classify(domains):
     return [_verdict(d) for d in domains]
 
 
-def test_run_discovery_matches_brute_force_tally():
+def test_run_discovery_matches_brute_force_tally(tmp_path):
     for seed in (1, 2, 3):
-        ranked, store, pages, known, engines = _random_discovery_case(seed)
+        ranked, store, pages, known, engines = _random_discovery_case(seed, tmp_path)
         report = run_discovery(ranked, _classify, store, engines,
-                               known_domains=known, exposure_k=3,
-                               capture_date="2024-05-01")
+                               known_domains=known, exposure_k=3)
 
         # independent tally over the raw pages
         global_domains, by_cat = set(), {}
@@ -361,10 +250,14 @@ def test_run_discovery_matches_brute_force_tally():
             assert exp.top_k_scams == len(top_k[exp.engine] & scams)
             assert exp.fraction == pytest.approx(
                 len(top_k[exp.engine] & scams) / len(scams))
+        # the digest still hashes a constant mode and capture date
+        blob = ('{"capture_date": null, "engines": ["GOOGLE", "BING"], '
+                f'"exposure_k": 3, "mode": "REPLAY", "n_queries": {len(ranked)}}}')
+        assert report.config_digest == hashlib.md5(blob.encode()).hexdigest()
 
 
-def test_run_discovery_never_classifies_known_domains():
-    ranked, store, pages, known, engines = _random_discovery_case(7)
+def test_run_discovery_never_classifies_known_domains(tmp_path):
+    ranked, store, pages, known, engines = _random_discovery_case(7, tmp_path)
     calls = []
 
     def classify(domains):
@@ -372,13 +265,13 @@ def test_run_discovery_never_classifies_known_domains():
         return ["BENIGN"] * len(domains)
 
     run_discovery(ranked, classify, store, engines,
-                  known_domains=known, capture_date="2024-05-01")
+                  known_domains=known)
     assert not set(calls) & known          # seed corpus is excluded up front
     assert len(calls) == len(set(calls))   # one verdict per unique domain
 
 
-def test_run_discovery_classifies_once_after_all_searches():
-    ranked, store, pages, known, engines = _random_discovery_case(5)
+def test_run_discovery_classifies_once_after_all_searches(tmp_path):
+    ranked, store, pages, known, engines = _random_discovery_case(5, tmp_path)
     batches = []
 
     def classify(domains):
@@ -386,16 +279,16 @@ def test_run_discovery_classifies_once_after_all_searches():
         return _classify(domains)
 
     run_discovery(ranked, classify, store, engines,
-                  known_domains=known, capture_date="2024-05-01")
+                  known_domains=known)
     seen = {d for page in pages.values() for d in page} - known
     assert batches == [sorted(seen)]
 
 
-def test_run_discovery_rejects_wrong_number_of_verdicts():
-    ranked, store, _, known, engines = _random_discovery_case(5)
+def test_run_discovery_rejects_wrong_number_of_verdicts(tmp_path):
+    ranked, store, _, known, engines = _random_discovery_case(5, tmp_path)
     with pytest.raises(ValueError):
         run_discovery(ranked, lambda ds: _classify(ds)[1:], store, engines,
-                      known_domains=known, capture_date="2024-05-01")
+                      known_domains=known)
 
 
 def test_run_discovery_rejects_unknown_engine():
@@ -404,43 +297,12 @@ def test_run_discovery_rejects_unknown_engine():
                       engines=("GOOGLE", "LYCOS"))
 
 
-def test_run_discovery_rejects_a_repeated_engine():
+def test_run_discovery_rejects_a_repeated_engine(tmp_path):
     """A repeated engine would search every keyword twice."""
-    ranked, store, _, known, _ = _random_discovery_case(5)
+    ranked, store, _, known, _ = _random_discovery_case(5, tmp_path)
     with pytest.raises(SchemaError, match="engines must not repeat, got GOOGLE,BING,GOOGLE"):
         run_discovery(ranked, _classify, store, ("GOOGLE", "BING", "GOOGLE"),
-                      known_domains=known, capture_date="2024-05-01")
-
-
-def test_live_run_records_every_capture_and_replays_to_the_same_counts(tmp_path):
-    ranked, recorded, _, known, engines = _random_discovery_case(13)
-    fetched = []
-
-    def transport(query, engine):
-        fetched.append((query, engine))
-        return recorded.get(query, engine).entries
-
-    clock = _FakeClock()
-    session = LiveSession(transport=transport, min_delay=0.0, retries=0,
-                          sleep=clock.sleep, clock=clock.clock)
-    store = FixtureStore()
-    live = run_discovery(ranked, _classify, store, engines, known_domains=known,
-                         exposure_k=3, session=session)
-    assert fetched == [(kw.text, e) for kw in ranked for e in engines]
-    assert len(store) == len(fetched)
-    for query, engine in fetched:
-        assert store.get(query, engine) == recorded.get(query, engine)
-
-    path = tmp_path / "captures.jsonl"
-    store.save(path)
-    replay = run_discovery(ranked, _classify, FixtureStore.load(path), engines,
-                           known_domains=known, exposure_k=3)
-    assert (dataclasses.replace(replay, config_digest="")
-            == dataclasses.replace(live, config_digest=""))
-    assert live.discovered_scams > 0
-    config = (engines, 3, len(ranked), None)
-    assert live.config_digest == _config_digest("LIVE", *config)
-    assert replay.config_digest == _config_digest("REPLAY", *config)
+                      known_domains=known)
 
 
 def test_run_discovery_missing_fixture_propagates():
@@ -452,17 +314,16 @@ def test_run_discovery_missing_fixture_propagates():
 # --- report serialization -----------------------------------------------------
 
 
-def _sample_report():
-    ranked, store, _, known, engines = _random_discovery_case(11)
+def _sample_report(tmp_path):
+    ranked, store, _, known, engines = _random_discovery_case(11, tmp_path)
     return run_discovery(ranked, _classify, store, engines,
-                         known_domains=known, exposure_k=3,
-                         capture_date="2024-05-01")
+                         known_domains=known, exposure_k=3)
 
 
 def test_report_json_holds_every_count_the_csv_did(tmp_path):
     """Each category's counts and scam fraction, and the global totals and
     scam fraction: what the retired report.csv carried, one row each."""
-    report = _sample_report()
+    report = _sample_report(tmp_path)
     write_report(report, tmp_path / "report.json")
     blob = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert [(c["category"], c["discovered_scams"], c["total_sites"])
@@ -495,7 +356,7 @@ def test_report_json_holds_every_count_the_csv_did(tmp_path):
 
 
 def test_write_report_is_byte_identical(tmp_path):
-    report = _sample_report()
+    report = _sample_report(tmp_path)
     write_report(report, tmp_path / "one.json")
     write_report(report, tmp_path / "two.json")
     assert (tmp_path / "one.json").read_bytes() == \
@@ -504,7 +365,7 @@ def test_write_report_is_byte_identical(tmp_path):
 
 def test_write_report_picks_format_from_suffix(tmp_path):
     """There is one format: the suffix picks nothing."""
-    report = _sample_report()
+    report = _sample_report(tmp_path)
     write_report(report, tmp_path / "r.json")
     write_report(report, tmp_path / "r.csv")
     text = (tmp_path / "r.json").read_text(encoding="utf-8")

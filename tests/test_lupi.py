@@ -55,7 +55,7 @@ CFG = TrainConfig(lr=2e-3, epochs=2, batch_size=8, patience=2, seed=0)
 
 def _entry(domain, engine="GOOGLE", rank=1, title="", description=""):
     return SerpEntry(engine=engine, rank=rank, url=f"https://{domain}/x",
-                     title=title, description=description, root_domain=domain)
+                     title=title, description=description)
 
 
 def _tiny_dataset(n=24, categories=("a", "b"), seed=0):

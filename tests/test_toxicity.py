@@ -18,8 +18,7 @@ from scamscout.toxicity import (
 
 
 def _entry(domain, engine="GOOGLE", rank=1):
-    return SerpEntry(engine=engine, rank=rank, url=f"https://{domain}/p",
-                     root_domain=domain)
+    return SerpEntry(engine=engine, rank=rank, url=f"https://{domain}/p")
 
 
 def _serp(query, domains, engine="GOOGLE"):
