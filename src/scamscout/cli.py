@@ -233,13 +233,9 @@ def _cmd_filter_branded(args) -> int:
 
 
 def _read_lupi_examples(path) -> list[LupiExample]:
-    return list(records.read_jsonl(path, lambda rec: LupiExample(
-        query=rec["query"],
-        toxicity=rec["toxicity"],
-        category=rec.get("category", ""),
-        expansion=rec.get("expansion", 0),
-        serps=[corpus.serp_from_record(rec)] if rec.get("entries") else [],
-    )))
+    return list(records.read_jsonl(path, lambda rec: records.from_record(
+        LupiExample, {**rec, "serps": [corpus.serp_from_record(rec)]
+                      if rec.get("entries") else []})))
 
 
 def _cmd_train_lupi(args) -> int:

@@ -127,6 +127,11 @@ class SerpEntry:
         if (not isinstance(self.rank, numbers.Integral)
                 or isinstance(self.rank, bool) or self.rank < 1):
             raise SchemaError(f"rank must be an integer >= 1, got {self.rank!r}")
+        if not isinstance(self.title, str):
+            raise SchemaError(f"title must be a string, got {self.title!r}")
+        if not isinstance(self.description, str):
+            raise SchemaError(
+                f"description must be a string, got {self.description!r}")
         object.__setattr__(self, "rank", int(self.rank))
         object.__setattr__(self, "root_domain", root_domain(self.url))
 

@@ -16,26 +16,18 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 from .corpus import ENGINES, SerpEntry, SerpResultSet
 from .errors import FixtureMissError, SchemaError, UnknownEngineError
 from .lupi.rank import RankedKeyword
-from .records import read_jsonl, write_document
+from .records import from_record, read_jsonl, write_document
 
 SCAM = "SCAM"
-
-
-def _entry_from_dict(blob: Mapping) -> SerpEntry:
-    return SerpEntry(
-        engine=blob["engine"],
-        rank=blob["rank"],
-        url=blob["url"],
-        title=blob.get("title", ""),
-        description=blob.get("description", ""),
-    )
 
 
 class FixtureStore:
     """Recorded SERPs keyed by (query, engine, capture date).
 
-    Each stored entry is parsed once, on load; ``get`` hands out the stored
-    (frozen) entries of the latest capture in a new list.
+    A capture is one engine's page: each of its entries carries the record's
+    engine and a rank of its own.  Each stored entry is parsed once, on load;
+    ``get`` hands out the stored (frozen) entries of the latest capture in a
+    new list.
     """
 
     def __init__(self):
@@ -54,7 +46,14 @@ class FixtureStore:
         for name, value in (("query", query), ("capture_date", capture_date)):
             if type(value) is not str:
                 raise SchemaError(f"{name} must be str, got {value!r}")
-        entries = tuple(map(_entry_from_dict, record["entries"]))
+        entries = tuple(from_record(SerpEntry, e) for e in record["entries"])
+        others = {e.engine for e in entries} - {engine}
+        if others:
+            raise SchemaError(f"entry engine {min(others)} differs from the "
+                              f"record's engine {engine}")
+        ranks = [e.rank for e in entries]
+        if len(set(ranks)) < len(ranks):
+            raise SchemaError(f"a rank repeats in one capture: {ranks}")
         key = (query, engine, capture_date)
         if self._captures.setdefault(key, entries) != entries:
             raise SchemaError(

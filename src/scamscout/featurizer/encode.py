@@ -68,9 +68,6 @@ class DatasetEncoder:
         self.column_meta = meta
         return self
 
-    def encode_row(self, vector: FeatureVector) -> np.ndarray:
-        return self.transform([vector]).values[0]
-
     def transform(
         self,
         vectors: Sequence[FeatureVector],

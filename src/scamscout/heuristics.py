@@ -59,9 +59,6 @@ class QuerySegment:
 class BootstrapEstimate:
     mean: float
     std: float
-    n_sim: int
-    sample_size: int
-    seed: int
 
 
 # --- intent rules -------------------------------------------------------------
@@ -137,13 +134,7 @@ def bootstrap_estimate(
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, values.size, size=(n_sim, sample_size))
     means = values[draws].mean(axis=1)
-    return BootstrapEstimate(
-        mean=float(means.mean()),
-        std=float(means.std()),
-        n_sim=n_sim,
-        sample_size=sample_size,
-        seed=seed,
-    )
+    return BootstrapEstimate(mean=float(means.mean()), std=float(means.std()))
 
 
 def _matching_toxicities(

@@ -16,7 +16,6 @@ from .tokenizer import (
     CLS_ID,
     PAD_ID,
     TokenizerConfig,
-    collision_rate,
     tokenize,
     tokenize_batch,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "TokenizerConfig",
     "TrainConfig",
     "TrainReport",
-    "collision_rate",
     "distill_student",
     "load_student",
     "load_teacher",

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+LN_EPS = 1e-5
+
 
 class Module:
     def __init__(self):
@@ -121,16 +123,15 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self._param("g", np.ones(dim))
         self._param("b", np.zeros(dim))
-        self.eps = eps
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + LN_EPS)
         norm = (x - mean) * inv
         if train:
             self._norm, self._inv = norm, inv

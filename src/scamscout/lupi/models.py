@@ -102,33 +102,25 @@ class TeacherModel(Module):
                 rng: Optional[np.random.Generator] = None):
         """query_ids (B,Tq); serp_ids (B,K,Ts); serp_present (B,K) bool.
 
-        Returns (score (B,), fused (B,D)).  Triples whose privileged set is
-        empty get a zero pooled vector.  Only a train-mode pass can be
-        backpropagated.
+        Returns (score (B,), fused (B,D)).  K >= 1 (stages pass
+        ``priv.size``, at least 5); a triple with no present slot gets a zero
+        pooled vector.  Only a train-mode pass can be backpropagated.
         """
         b, k, ts = serp_ids.shape
         q_hidden = self.query_encoder.forward(query_ids, train, rng)
         q_cls = q_hidden[:, 0, :]
-        if k > 0:
-            s_hidden = self.serp_encoder.forward(
-                serp_ids.reshape(b * k, ts), train, rng)
-            ts = s_hidden.shape[1]   # trimmed; backward's d_hidden has this length
-            s_cls = s_hidden[:, 0, :].reshape(b, k, -1)
-            present = serp_present.astype(np.float64)
-            counts = present.sum(axis=1)
-            safe = np.maximum(counts, 1.0)
-            pooled = (s_cls * present[:, :, None]).sum(axis=1) / safe[:, None]
-        else:
-            s_cls = np.zeros((b, 0, self.enc_cfg.dim))
-            counts = np.zeros(b)
-            safe = np.ones(b)
-            pooled = np.zeros((b, self.enc_cfg.dim))
+        s_hidden = self.serp_encoder.forward(
+            serp_ids.reshape(b * k, ts), train, rng)
+        ts = s_hidden.shape[1]   # trimmed; backward's d_hidden has this length
+        s_cls = s_hidden[:, 0, :].reshape(b, k, -1)
+        present = serp_present.astype(np.float64)
+        safe = np.maximum(present.sum(axis=1), 1.0)
+        pooled = (s_cls * present[:, :, None]).sum(axis=1) / safe[:, None]
         concat = np.concatenate([q_cls, pooled], axis=1)
         pre = self.fusion.forward(concat, train)
         fused = self.fusion_drop.forward(relu(pre), train, rng)
         score = self.head.forward(fused, train)[:, 0]
-        self._cache = ((q_hidden.shape[:2], (b, k, ts),
-                        present if k > 0 else None, safe, pre)
+        self._cache = ((q_hidden.shape[:2], (b, k, ts), present, safe, pre)
                        if train else None)
         return score, fused
 
@@ -146,11 +138,10 @@ class TeacherModel(Module):
         d_q_hidden = np.zeros((qshape[0], qshape[1], dim))
         d_q_hidden[:, 0, :] = d_q_cls
         self.query_encoder.backward(d_q_hidden)
-        if k > 0:
-            d_s_cls = (d_pooled[:, None, :] / safe[:, None, None]) * present[:, :, None]
-            d_s_hidden = np.zeros((b * k, ts, dim))
-            d_s_hidden[:, 0, :] = d_s_cls.reshape(b * k, dim)
-            self.serp_encoder.backward(d_s_hidden)
+        d_s_cls = (d_pooled[:, None, :] / safe[:, None, None]) * present[:, :, None]
+        d_s_hidden = np.zeros((b * k, ts, dim))
+        d_s_hidden[:, 0, :] = d_s_cls.reshape(b * k, dim)
+        self.serp_encoder.backward(d_s_hidden)
 
 
 class StudentModel(Module):

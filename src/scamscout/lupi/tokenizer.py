@@ -3,14 +3,14 @@
 Words map to ids by hashing into a fixed number of buckets, so any text
 tokenizes without an out-of-vocabulary path.  Ids 0 (PAD) and 1 (CLS) are
 reserved; every sequence starts with CLS and is padded/truncated to a fixed
-length.  collision_rate reports how lossy the bucketing is on a vocabulary.
+length.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,16 +57,3 @@ def tokenize_batch(texts: Sequence[str], cfg: TokenizerConfig) -> np.ndarray:
     """The query-length ``tokenize`` of each text, one row per text."""
     return np.stack([tokenize(t, cfg) for t in texts])
 
-
-def collision_rate(words: Iterable[str], cfg: TokenizerConfig) -> float:
-    """Fraction of distinct words that share a bucket with another word."""
-    buckets: dict[int, int] = {}
-    total = 0
-    for word in set(words):
-        total += 1
-        b = word_id(word, cfg)
-        buckets[b] = buckets.get(b, 0) + 1
-    if total == 0:
-        return 0.0
-    colliding = sum(count for count in buckets.values() if count > 1)
-    return colliding / total

@@ -11,12 +11,11 @@ validation loss.  The baseline is the distiller with weights (1,0,0) and
 no teacher, so both perform the identical arithmetic, a tested contract.
 AdamW, the best-epoch copy and the teacher check use the ``flat`` buffer.
 
-The distiller runs the frozen teacher once per fit: after ``_fit``'s
-train/validation split, once over the train tensors and once over the
-validation tensors, and each batch takes its rows of those outputs.  Rows
-are independent and every encoder's PAD trimming is exact (see
-``encoder.py``), so these equal a per-batch teacher forward of two or more
-rows bit for bit.
+The distiller runs the frozen teacher once per fit, over the whole
+assembled set before ``_fit`` splits it, and each batch and the validation
+set take their rows of that output.  Rows are independent and every
+encoder's PAD trimming is exact (see ``encoder.py``), so these equal a
+per-batch teacher forward of two or more rows bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,10 +44,8 @@ class TrainConfig:
     lr: float = 2e-5
     epochs: int = 5
     batch_size: int = 32
-    warmup_fraction: float = 0.1
     patience: int = 2
     seed: int = 0
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -59,10 +56,6 @@ class TrainConfig:
             raise TrainingError("batch_size must be >= 1")
         if self.patience < 1:
             raise TrainingError("patience must be >= 1")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise TrainingError("warmup_fraction must be in [0, 1]")
-        if not self.weight_decay >= 0.0:
-            raise TrainingError("weight_decay must be >= 0")
         # numpy's generators reject a negative seed only once training starts
         if self.seed < 0:
             raise TrainingError(f"seed must be >= 0, got {self.seed!r}")
@@ -217,35 +210,27 @@ class TrainReport:
 
 def _fit(
     model: Module,
-    dataset: LupiDataset,
-    priv: Optional[PrivilegedConfig],
+    tensors: _Tensors,
     cfg: TrainConfig,
-    tok_cfg: TokenizerConfig,
     step: Callable[[_Tensors, np.random.Generator],
                    tuple[float, dict[str, float]]],
     val_loss: Callable[[_Tensors], float],
-    prepare: Optional[Callable[[_Tensors], _Tensors]] = None,
 ) -> TrainReport:
     """Train ``model`` in place and restore its best-validation parameters.
 
     ``step`` runs forward, loss and backward on one batch (gradients already
     zeroed) and returns the loss and its terms; ``val_loss`` scores the
-    validation tensors, ``VAL_FRACTION`` of ``dataset`` held out.
-    ``prepare``, if given, maps the train and the validation tensors once,
-    after the split and before the first batch.  Batches, dropout and the
-    validation split are drawn from seed-derived generators, so every caller
-    gets the same sequence for the same config.
+    validation tensors, ``VAL_FRACTION`` of ``tensors`` held out.  Batches,
+    dropout and the validation split are drawn from seed-derived generators,
+    so every caller gets the same sequence for the same config.
     """
-    tensors = _assemble(dataset, tok_cfg, priv, cfg.seed)
     split_rng = np.random.default_rng([cfg.seed, 104729])
-    train_idx, val_idx = _val_split(len(dataset.examples), split_rng)
+    train_idx, val_idx = _val_split(tensors.labels.shape[0], split_rng)
     if val_idx.size == 0:
         raise TrainingError("training set too small to hold out validation")
     train_t, val_t = _slice(tensors, train_idx), _slice(tensors, val_idx)
-    if prepare is not None:
-        train_t, val_t = prepare(train_t), prepare(val_t)
 
-    opt = AdamW(model.flat, cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.flat, cfg.lr)
     loop_rng = np.random.default_rng([cfg.seed, 7919])
     n = train_t.labels.shape[0]
     total_steps = int(np.ceil(n / cfg.batch_size)) * cfg.epochs
@@ -262,8 +247,7 @@ def _fit(
             loss, terms = step(_slice(train_t, perm[start:start + cfg.batch_size]),
                                loop_rng)
             _check_finite(loss, "training", epoch, n_step)
-            opt.step(model.flat_grad,
-                     warmup_scale(n_step, total_steps, cfg.warmup_fraction))
+            opt.step(model.flat_grad, warmup_scale(n_step, total_steps))
             n_step += 1
             epoch_losses.append(loss)
             report.step_losses.append(loss)
@@ -316,7 +300,8 @@ def train_teacher(
         score, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present)
         return float(np.mean(np.abs(score - t.labels)))
 
-    report = _fit(model, dataset, priv, cfg, tok_cfg, step, val_loss)
+    report = _fit(model, _assemble(dataset, tok_cfg, priv, cfg.seed), cfg,
+                  step, val_loss)
     return model, report
 
 
@@ -343,10 +328,6 @@ def _train_student_loop(
     if init_from is not None:
         student.init_from_teacher(init_from)
 
-    def with_teacher(t: _Tensors) -> _Tensors:
-        return replace(t, teacher=teacher.forward(
-            t.query_ids, t.serp_ids, t.serp_present))
-
     def loss(t: _Tensors, train: bool, rng=None):
         t_score, t_fused = t.teacher or (None, None)
         s_score, s_hint = student.forward(t.query_ids, train=train, rng=rng)
@@ -357,9 +338,11 @@ def _train_student_loop(
         student.backward(d_score, d_hint)
         return value, terms
 
-    report = _fit(student, dataset, priv, cfg, tok_cfg,
-                  step, lambda t: loss(t, False)[0],
-                  prepare=with_teacher if needs_teacher else None)
+    tensors = _assemble(dataset, tok_cfg, priv, cfg.seed)
+    if priv is not None:
+        tensors.teacher = teacher.forward(
+            tensors.query_ids, tensors.serp_ids, tensors.serp_present)
+    report = _fit(student, tensors, cfg, step, lambda t: loss(t, False)[0])
 
     if frozen_before is not None and not np.array_equal(teacher.flat, frozen_before):
         raise TrainingError("teacher parameters changed during distillation")

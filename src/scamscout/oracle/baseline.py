@@ -31,9 +31,6 @@ class LogisticBaseline:
         z = dense @ self.weights + self.bias
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
-    def predict_matrix(self, matrix: DesignMatrix) -> np.ndarray:
-        return (self.predict_proba_matrix(matrix) >= 0.5).astype(np.int64)
-
 
 def train_logistic_baseline(matrix: DesignMatrix) -> LogisticBaseline:
     if matrix.labels is None:

@@ -30,6 +30,7 @@ import stat
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import MISSING, fields
+from functools import cache
 from itertools import zip_longest
 from pathlib import Path
 
@@ -156,14 +157,23 @@ def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):
     return value
 
 
+@cache
+def _init_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """``(name, required)`` of each init field of the dataclass ``cls``."""
+    return tuple((f.name, f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls) if f.init)
+
+
 def from_record(cls, rec: dict):
     """``cls(**...)`` from the keys of ``rec`` named like the init fields of
     the dataclass ``cls``; other keys, and those of fields the dataclass
     derives itself (``init=False``), are ignored.  An absent key leaves the
     field's default, and raises ``KeyError`` for a field without one."""
-    return cls(**{f.name: rec[f.name] for f in fields(cls) if f.init and (
-        (f.default is MISSING and f.default_factory is MISSING)
-        or f.name in rec)})
+    kwargs = {}
+    for name, required in _init_fields(cls):
+        if required or name in rec:
+            kwargs[name] = rec[name]
+    return cls(**kwargs)
 
 
 def check_header(path, expected: list[str]) -> None:

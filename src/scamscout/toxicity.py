@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .corpus import SerpResultSet
+from .corpus import SerpEntry, SerpResultSet
 from .errors import SchemaError
 from .records import read_csv, write_csv
 
@@ -66,39 +66,21 @@ def score_serp(
     )
 
 
-def score_query(
-    result_sets: Sequence[SerpResultSet],
-    verdicts: Mapping[str, str],
-    category: str = "",
-) -> QueryToxicity:
-    """Union one query's result sets across engines, then score once."""
-    if not result_sets:
-        raise SchemaError("cannot score a query with no result sets")
-    query = result_sets[0].query
-    entries = []
-    for rs in result_sets:
-        if rs.query != query:
-            raise SchemaError(
-                f"mixed queries in one scoring call: {query!r} vs {rs.query!r}")
-        entries.extend(rs.entries)
-    return score_serp(SerpResultSet(query=query, entries=entries),
-                      verdicts, category)
-
-
 def score_queries(
     result_sets: Iterable[SerpResultSet],
     verdicts: Mapping[str, str],
     categories: Optional[Mapping[str, str]] = None,
 ) -> list[QueryToxicity]:
-    """Group result sets by query and score each group.
+    """Union each query's result sets across engines, then score it once.
 
     Output is sorted by query text so repeated runs emit identical files.
     """
-    grouped: dict[str, list[SerpResultSet]] = {}
+    grouped: dict[str, list[SerpEntry]] = {}
     for rs in result_sets:
-        grouped.setdefault(rs.query, []).append(rs)
+        grouped.setdefault(rs.query, []).extend(rs.entries)
     categories = categories or {}
-    return [score_query(grouped[q], verdicts, categories.get(q, ""))
+    return [score_serp(SerpResultSet(query=q, entries=grouped[q]),
+                       verdicts, categories.get(q, ""))
             for q in sorted(grouped)]
 
 

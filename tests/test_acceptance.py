@@ -348,8 +348,8 @@ def test_teacher_is_permutation_invariant_with_normalized_attention():
     queries = tokenize_batch([text(int(rng.integers(1, 9)))
                               for _ in range(100)], tok)
     teacher.forward(
-        queries, np.zeros((100, 0, tok.max_len_serp), dtype=np.int64),
-        np.zeros((100, 0), dtype=bool), train=True, rng=np.random.default_rng(0))
+        queries, np.zeros((100, 1, tok.max_len_serp), dtype=np.int64),
+        np.zeros((100, 1), dtype=bool), train=True, rng=np.random.default_rng(0))
     # the query encoder's attention probabilities, as a train-mode pass caches
     # them for backward (dropout acts after attention)
     for block in teacher.query_encoder.blocks:

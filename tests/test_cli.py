@@ -816,6 +816,8 @@ _BAD_INPUTS = [
     ("serps", "no-query", _drop("query"), "missing key 'query'"),
     ("serps", "float-rank", _set_entry("rank", 1.5),
      "rank must be an integer >= 1, got 1.5"),
+    ("serps", "int-description", _set_entry("description", 7),
+     "description must be a string, got 7"),
     ("serps", "truncated", _truncate, _json_error),
     ("serps", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("keywords", "no-text", _drop("text"), "missing key 'text'"),
@@ -870,6 +872,8 @@ _BAD_INPUTS = [
      _of_query("expansion must be an integer >= 0, got -1")),
     ("lupi_train", "int-entry", _set_entry(None, 7),
      "'int' object is not subscriptable"),
+    ("lupi_train", "null-title", _set_entry("title", None),
+     "title must be a string, got None"),
     ("lupi_train", "truncated", _truncate, _json_error),
     ("lupi_train", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("ranked", "no-column", _drop_column("score", 1),
@@ -881,6 +885,8 @@ _BAD_INPUTS = [
     ("fixtures", "yahoo", _set("engine", "YAHOO"), "unknown engine: 'YAHOO'"),
     ("fixtures", "no-host", _set_entry("url", "not-a-url"),
      "not an absolute URL: 'not-a-url'"),
+    ("fixtures", "google-entry", _set_entry("engine", "GOOGLE"),
+     "entry engine GOOGLE differs from the record's engine BING"),
     ("fixtures", "truncated", _truncate, _json_error),
     ("fixtures", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("model", "truncated", _document_case(lambda doc: doc[:-1]),

@@ -309,20 +309,24 @@ def test_serp_record_round_trip(tmp_path):
          "title": "B", "description": "d2"}]}])
     assert read_serps(path) == [rs]
     assert [e.engine for e in read_serps(path)[0].entries] == ["BING", "GOOGLE"]
-    # an absent key takes the field's default, an explicit null stays None,
-    # and the root domain is the URL's, whatever the record says
+    # an absent key takes the field's default, and the root domain is the
+    # URL's, whatever the record says
     entry = {"engine": "GOOGLE", "rank": 1, "url": "http://www.c.com/"}
-    lines = [{"query": "q", "entries": [entry]},
-             {"query": "r", "entries": [dict(entry, title=None)]}, {"query": "s"},
+    lines = [{"query": "q", "entries": [entry]}, {"query": "s"},
              {"query": "t", "entries": [dict(entry, root_domain="scam.top")]}]
     _jsonl(path, lines)
     got = read_serps(path)
     assert got == [
         SerpResultSet("q", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "")]),
-        SerpResultSet("r", [SerpEntry("GOOGLE", 1, "http://www.c.com/", None, "")]),
         SerpResultSet("s", []),
         SerpResultSet("t", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "")])]
-    assert [e.root_domain for rs in got for e in rs.entries] == ["c.com"] * 3
+    assert [e.root_domain for rs in got for e in rs.entries] == ["c.com"] * 2
+    # an explicit null title or description is no string
+    for field in ("title", "description"):
+        _jsonl(path, [{"query": "r", "entries": [dict(entry, **{field: None})]}])
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}:1: {field} must be a string, got None")):
+            read_serps(path)
     del entry["url"]
     _jsonl(path, lines)
     with pytest.raises(SchemaError, match=re.escape(f"{path}:1: missing key 'url'")):

@@ -167,6 +167,13 @@ _GOOD_ENTRY = {"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x"}
     ["not", "an", "object"],
     {"query": 7, "engine": "GOOGLE", "capture_date": "2024-01-01", "entries": []},
     {"query": "q", "engine": "GOOGLE", "capture_date": 20240101, "entries": []},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [dict(_GOOD_ENTRY, title=None)]},
+    # a capture is one engine's page: no entry of another engine, no rank twice
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [_GOOD_ENTRY, dict(_GOOD_ENTRY, engine="BING", rank=2)]},
+    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
+     "entries": [_GOOD_ENTRY, dict(_GOOD_ENTRY, url="https://b.com/x")]},
 ])
 def test_store_load_names_line_of_malformed_record(tmp_path, record):
     good = {"query": "q", "engine": "BING", "capture_date": "2024-01-01",

@@ -367,9 +367,9 @@ def test_unseen_categorical_gets_code_zero():
     matrix, encoder = encode_dataset(train)
     tld_col = FEATURE_NAMES.index("tld")
     assert sorted(encoder.column_meta[tld_col].values()) == [1, 2]
-    row = encoder.encode_row(_vec(tld="shop"))  # never seen
-    assert row[tld_col] == 0.0
-    assert encoder.encode_row(_vec(tld=None))[tld_col] == 0.0
+    rows = encoder.transform([_vec(tld="shop"), _vec(tld=None)]).values
+    assert rows[0][tld_col] == 0.0   # never seen
+    assert rows[1][tld_col] == 0.0
 
 
 def test_missing_mask_and_dense_expansion():

@@ -226,7 +226,7 @@ def test_missing_value_routes_per_missing_goes():
     model = train_gbdt(matrix, TrainConfig(rounds=5, max_depth=1))
     root = model.trees[0].to_dict()
     assert "feature_index" in root
-    row = model.encoder.encode_row(_vec())  # all MISSING
+    row = model.encoder.transform([_vec()]).values[0]  # all MISSING
     side = "left" if root["missing_goes"] == LEFT else "right"
     expected = root[side]["value"]  # depth 1: both children are leaves
     assert _walk(root, row) == expected
@@ -410,7 +410,7 @@ def test_logistic_baseline_learns_linear_data():
     vectors, labels = _separable_40()
     matrix, _ = encode_dataset(vectors, labels)
     model = train_logistic_baseline(matrix)
-    pred = model.predict_matrix(matrix)
+    pred = model.predict_proba_matrix(matrix) >= 0.5
     assert (pred == np.asarray(labels)).all()
 
 

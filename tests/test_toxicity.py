@@ -11,7 +11,6 @@ from scamscout.toxicity import (
     max_reference,
     read_scores,
     score_queries,
-    score_query,
     score_serp,
     write_scores,
 )
@@ -167,21 +166,14 @@ def test_empty_serp_rejected():
         score_serp(SerpResultSet(query="q", entries=[]), {})
 
 
-def test_score_query_unions_engines_before_counting():
+def test_score_queries_unions_engines_before_counting():
     # same scam appears on both engines; it must count once
     google = _serp("q", ["a.com", "b.com", "c.com"], "GOOGLE")
     bing = _serp("q", ["a.com", "d.com"], "BING")
-    score = score_query([google, bing], {"a.com": "SCAM"})
+    [score] = score_queries([google, bing], {"a.com": "SCAM"})
     assert score.total_sites == 4
     assert score.scam_sites == 1
     assert score.toxicity == pytest.approx(0.25)
-
-
-def test_score_query_rejects_mixed_queries_and_empty_input():
-    with pytest.raises(SchemaError):
-        score_query([_serp("q1", ["a.com"]), _serp("q2", ["b.com"])], {})
-    with pytest.raises(SchemaError):
-        score_query([], {})
 
 
 def test_score_queries_groups_and_sorts():
