@@ -46,13 +46,13 @@ from .heuristics import (
     rank_segments,
 )
 from .lupi import (
-    EncoderConfig,
     LossWeights,
     LupiDataset,
     LupiExample,
     PrivilegedConfig,
     TokenizerConfig,
     TrainConfig,
+    assemble,
     distill_student,
     load_student,
     rank_keywords,
@@ -249,14 +249,13 @@ def _cmd_train_lupi(args) -> int:
     if args.labels:
         scam_labels = {lab.root_domain: lab.label
                        for lab in corpus.read_labels(args.labels)}
-    dataset = LupiDataset(examples, scam_labels)
-    tok_cfg = TokenizerConfig()
-    enc_cfg = EncoderConfig()
-    teacher, treport = train_teacher(dataset, priv, cfg, tok_cfg, enc_cfg)
+    tensors = assemble(LupiDataset(examples, scam_labels), priv,
+                       TokenizerConfig(), cfg.seed)
+    teacher, treport = train_teacher(tensors, cfg)
     print(f"teacher best val MAE {min(treport.val_losses):.6f} "
-          f"(epoch {treport.best_epoch}, {treport.empty_priv} queries "
+          f"(epoch {treport.best_epoch}, {tensors.empty_priv} queries "
           f"without privileged text)")
-    student, sreport = distill_student(dataset, teacher, weights, cfg)
+    student, sreport = distill_student(tensors, teacher, weights, cfg)
     print(f"student best val loss {min(sreport.val_losses):.6f} "
           f"(epoch {sreport.best_epoch})")
     save_checkpoint(student, args.out)

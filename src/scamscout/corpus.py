@@ -273,8 +273,18 @@ def write_keywords(path, keywords: Iterable[KeywordSuggestion]) -> None:
     write_jsonl(path, map(asdict, keywords))
 
 
+def check_unique_ranks(entries: Iterable[SerpEntry]) -> None:
+    """One result page holds at most one entry per (engine, rank)."""
+    seen = set()
+    for e in entries:
+        if (e.engine, e.rank) in seen:
+            raise SchemaError(f"{e.engine} rank {e.rank} repeats in one page")
+        seen.add((e.engine, e.rank))
+
+
 def serp_from_record(rec: dict) -> SerpResultSet:
     entries = [from_record(SerpEntry, e) for e in rec.get("entries", [])]
+    check_unique_ranks(entries)
     return from_record(SerpResultSet, {**rec, "entries": entries})
 
 

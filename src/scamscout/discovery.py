@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .corpus import ENGINES, SerpEntry, SerpResultSet
+from .corpus import ENGINES, SerpEntry, SerpResultSet, check_unique_ranks
 from .errors import FixtureMissError, SchemaError, UnknownEngineError
 from .lupi.rank import RankedKeyword
 from .records import from_record, read_jsonl, write_document
@@ -51,9 +51,7 @@ class FixtureStore:
         if others:
             raise SchemaError(f"entry engine {min(others)} differs from the "
                               f"record's engine {engine}")
-        ranks = [e.rank for e in entries]
-        if len(set(ranks)) < len(ranks):
-            raise SchemaError(f"a rank repeats in one capture: {ranks}")
+        check_unique_ranks(entries)
         key = (query, engine, capture_date)
         if self._captures.setdefault(key, entries) != entries:
             raise SchemaError(

@@ -25,6 +25,7 @@ from .train import (
     LupiExample,
     TrainConfig,
     TrainReport,
+    assemble,
     distill_student,
     loco_cv,
     privileged_texts,
@@ -49,6 +50,7 @@ __all__ = [
     "TokenizerConfig",
     "TrainConfig",
     "TrainReport",
+    "assemble",
     "distill_student",
     "load_student",
     "load_teacher",

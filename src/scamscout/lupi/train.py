@@ -11,11 +11,15 @@ validation loss.  The baseline is the distiller with weights (1,0,0) and
 no teacher, so both perform the identical arithmetic, a tested contract.
 AdamW, the best-epoch copy and the teacher check use the ``flat`` buffer.
 
+A run tokenizes its data once (``assemble``), and each trainer takes that
+set or a ``_slice`` of its rows.
+
 The distiller runs the frozen teacher once per fit, over the whole
 assembled set before ``_fit`` splits it, and each batch and the validation
 set take their rows of that output.  Rows are independent and every
 encoder's PAD trimming is exact (see ``encoder.py``), so these equal a
-per-batch teacher forward of two or more rows bit for bit.
+per-batch teacher forward of two or more rows bit for bit.  Those outputs
+go on a copy of the set: the caller's set is never written.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -95,9 +99,6 @@ class LupiDataset:
         if not self.examples:
             raise TrainingError("dataset must contain at least one example")
 
-    def subset(self, indices: Sequence[int]) -> "LupiDataset":
-        return LupiDataset([self.examples[i] for i in indices], self.scam_labels)
-
 
 # --- privileged-information assembly -----------------------------------------
 
@@ -130,42 +131,43 @@ def privileged_texts(
     return [f"{e.title} {e.description}".strip() for e in entries]
 
 
-@dataclass
-class _Tensors:
+@dataclass(frozen=True)
+class LupiTensors:
+    """A dataset's model inputs, and the configs they were built with."""
+
+    priv: PrivilegedConfig
+    tok_cfg: TokenizerConfig
     query_ids: np.ndarray        # (N, Tq)
     serp_ids: np.ndarray         # (N, K, Ts)
     serp_present: np.ndarray     # (N, K) bool
     labels: np.ndarray           # (N,)
-    empty_priv: int = 0
     # the frozen teacher's (score (N,), fused (N, D)) when distilling, else None
     teacher: Optional[tuple[np.ndarray, np.ndarray]] = None
 
+    @property
+    def empty_priv(self) -> int:
+        return int(np.count_nonzero(~self.serp_present.any(axis=1)))
 
-def _assemble(
+
+def assemble(
     dataset: LupiDataset,
+    priv: PrivilegedConfig,
     tok_cfg: TokenizerConfig,
-    priv: Optional[PrivilegedConfig],
     seed: int = 0,
-) -> _Tensors:
+) -> LupiTensors:
+    """Tokenize every query and its ``privileged_texts`` (drawn with ``seed``)."""
     n = len(dataset.examples)
     query_ids = tokenize_batch([ex.query for ex in dataset.examples], tok_cfg)
     labels = np.array([ex.toxicity for ex in dataset.examples], dtype=np.float64)
-    if priv is None:
-        return _Tensors(query_ids, np.zeros((n, 0, 0), dtype=np.int64),
-                        np.zeros((n, 0), dtype=bool), labels)
     k, ts = priv.size, tok_cfg.max_len_serp
     serp_ids = np.zeros((n, k, ts), dtype=np.int64)
     present = np.zeros((n, k), dtype=bool)
-    empty = 0
     for i, ex in enumerate(dataset.examples):
-        texts = privileged_texts(ex, priv, dataset.scam_labels, seed)
-        if not texts:
-            empty += 1
-            continue
-        for j, text in enumerate(texts[:k]):
+        for j, text in enumerate(
+                privileged_texts(ex, priv, dataset.scam_labels, seed)[:k]):
             serp_ids[i, j] = tokenize(text, tok_cfg, ts)
             present[i, j] = True
-    return _Tensors(query_ids, serp_ids, present, labels, empty)
+    return LupiTensors(priv, tok_cfg, query_ids, serp_ids, present, labels)
 
 
 VAL_FRACTION = 0.1
@@ -177,13 +179,13 @@ def _val_split(n: int, rng: np.random.Generator):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
-def _slice(t: _Tensors, idx: np.ndarray) -> _Tensors:
+def _slice(t: LupiTensors, idx: np.ndarray) -> LupiTensors:
     teacher = None
     if t.teacher is not None:
         score, fused = t.teacher
         teacher = (score[idx], fused[idx])
-    return _Tensors(t.query_ids[idx], t.serp_ids[idx], t.serp_present[idx],
-                    t.labels[idx], t.empty_priv, teacher)
+    return LupiTensors(t.priv, t.tok_cfg, t.query_ids[idx], t.serp_ids[idx],
+                       t.serp_present[idx], t.labels[idx], teacher)
 
 
 def _check_finite(loss: float, what: str, epoch: int, step: int) -> None:
@@ -199,7 +201,6 @@ class TrainReport:
     val_losses: list[float]        # one per epoch
     best_epoch: int
     step_losses: list[float]       # one per optimizer step
-    empty_priv: int = 0
     # per optimizer step, the loss terms: gt/pm/hm for the student and
     # the baseline (their weighted sum is the step loss), gt for the teacher
     step_terms: list[dict[str, float]] = field(default_factory=list)
@@ -210,11 +211,11 @@ class TrainReport:
 
 def _fit(
     model: Module,
-    tensors: _Tensors,
+    tensors: LupiTensors,
     cfg: TrainConfig,
-    step: Callable[[_Tensors, np.random.Generator],
+    step: Callable[[LupiTensors, np.random.Generator],
                    tuple[float, dict[str, float]]],
-    val_loss: Callable[[_Tensors], float],
+    val_loss: Callable[[LupiTensors], float],
 ) -> TrainReport:
     """Train ``model`` in place and restore its best-validation parameters.
 
@@ -236,7 +237,7 @@ def _fit(
     total_steps = int(np.ceil(n / cfg.batch_size)) * cfg.epochs
 
     best = (np.inf, -1, None)
-    report = TrainReport([], [], -1, [], tensors.empty_priv)
+    report = TrainReport([], [], -1, [])
     n_step = 0
     bad_epochs = 0
     for epoch in range(cfg.epochs):
@@ -272,23 +273,19 @@ def _fit(
 
 
 def train_teacher(
-    dataset: LupiDataset,
-    priv: Optional[PrivilegedConfig] = None,
+    tensors: LupiTensors,
     cfg: Optional[TrainConfig] = None,
-    tok_cfg: Optional[TokenizerConfig] = None,
     enc_cfg: Optional[EncoderConfig] = None,
 ) -> tuple[TeacherModel, TrainReport]:
     """MAE regression of toxicity from query + privileged SERP text.
 
-    Validation holds out ``VAL_FRACTION`` of ``dataset`` (see ``_fit``).
+    Validation holds out ``VAL_FRACTION`` of ``tensors`` (see ``_fit``).
     """
-    priv = priv or PrivilegedConfig()
     cfg = cfg or TrainConfig()
-    tok_cfg = tok_cfg or TokenizerConfig()
     enc_cfg = enc_cfg or EncoderConfig()
-    model = TeacherModel(tok_cfg, enc_cfg, priv, seed=cfg.seed)
+    model = TeacherModel(tensors.tok_cfg, enc_cfg, tensors.priv, seed=cfg.seed)
 
-    def step(batch: _Tensors, rng: np.random.Generator):
+    def step(batch: LupiTensors, rng: np.random.Generator):
         score, _ = model.forward(batch.query_ids, batch.serp_ids,
                                  batch.serp_present, train=True, rng=rng)
         diff = score - batch.labels
@@ -296,61 +293,54 @@ def train_teacher(
         mae = float(np.mean(np.abs(diff)))
         return mae, {"gt": mae}
 
-    def val_loss(t: _Tensors) -> float:
+    def val_loss(t: LupiTensors) -> float:
         score, _ = model.forward(t.query_ids, t.serp_ids, t.serp_present)
         return float(np.mean(np.abs(score - t.labels)))
 
-    report = _fit(model, _assemble(dataset, tok_cfg, priv, cfg.seed), cfg,
-                  step, val_loss)
+    report = _fit(model, tensors, cfg, step, val_loss)
     return model, report
 
 
 # --- student / baseline ---------------------------------------------------
 
 
-def _train_student_loop(
-    dataset: LupiDataset,
-    teacher: Optional[TeacherModel],
+def _check_built_for(tensors: LupiTensors, model: Module,
+                     names: Sequence[str]) -> None:
+    for name in names:
+        built, wanted = getattr(tensors, name), getattr(model, name)
+        if built != wanted:
+            raise TrainingError(f"the set was built with {name} {built!r}, "
+                                f"the model with {wanted!r}")
+
+
+def _train_student(
+    tensors: LupiTensors,
     weights: LossWeights,
     cfg: TrainConfig,
-    tok_cfg: TokenizerConfig,
     enc_cfg: EncoderConfig,
     init_from: Optional[TeacherModel],
 ) -> tuple[StudentModel, TrainReport]:
-    needs_teacher = weights.pm != 0.0 or weights.hm != 0.0
-    if needs_teacher and teacher is None:
-        raise TrainingError("non-zero pm/hm weights require a teacher")
-    priv = teacher.priv if (teacher is not None and needs_teacher) else None
-
-    frozen_before = teacher.flat.copy() if priv is not None else None
-
-    student = StudentModel(tok_cfg, enc_cfg, seed=cfg.seed)
+    """Fit a student on the queries, labels and any teacher outputs of ``tensors``."""
+    student = StudentModel(tensors.tok_cfg, enc_cfg, seed=cfg.seed)
     if init_from is not None:
         student.init_from_teacher(init_from)
 
-    def loss(t: _Tensors, train: bool, rng=None):
+    def loss(t: LupiTensors, train: bool, rng=None):
         t_score, t_fused = t.teacher or (None, None)
         s_score, s_hint = student.forward(t.query_ids, train=train, rng=rng)
         return total_loss(t.labels, s_score, s_hint, t_score, t_fused, weights)
 
-    def step(batch: _Tensors, rng: np.random.Generator):
+    def step(batch: LupiTensors, rng: np.random.Generator):
         value, terms, (d_score, d_hint) = loss(batch, True, rng)
         student.backward(d_score, d_hint)
         return value, terms
 
-    tensors = _assemble(dataset, tok_cfg, priv, cfg.seed)
-    if priv is not None:
-        tensors.teacher = teacher.forward(
-            tensors.query_ids, tensors.serp_ids, tensors.serp_present)
     report = _fit(student, tensors, cfg, step, lambda t: loss(t, False)[0])
-
-    if frozen_before is not None and not np.array_equal(teacher.flat, frozen_before):
-        raise TrainingError("teacher parameters changed during distillation")
     return student, report
 
 
 def distill_student(
-    dataset: LupiDataset,
+    tensors: LupiTensors,
     teacher: TeacherModel,
     weights: Optional[LossWeights] = None,
     cfg: Optional[TrainConfig] = None,
@@ -358,27 +348,29 @@ def distill_student(
     """Train a query-only student against the frozen teacher."""
     weights = weights or LossWeights()
     cfg = cfg or TrainConfig()
-    return _train_student_loop(
-        dataset, teacher, weights, cfg, teacher.tok_cfg, teacher.enc_cfg,
-        init_from=teacher)
+    _check_built_for(tensors, teacher, ("priv", "tok_cfg"))
+    frozen_before = teacher.flat.copy()
+    tensors = replace(tensors, teacher=teacher.forward(
+        tensors.query_ids, tensors.serp_ids, tensors.serp_present))
+    result = _train_student(tensors, weights, cfg, teacher.enc_cfg, teacher)
+    if not np.array_equal(teacher.flat, frozen_before):
+        raise TrainingError("teacher parameters changed during distillation")
+    return result
 
 
 def train_query_baseline(
-    dataset: LupiDataset,
+    tensors: LupiTensors,
     cfg: Optional[TrainConfig] = None,
-    tok_cfg: Optional[TokenizerConfig] = None,
     enc_cfg: Optional[EncoderConfig] = None,
     init_from: Optional[TeacherModel] = None,
 ) -> tuple[StudentModel, TrainReport]:
     """Same architecture, labels only: weights (1,0,0), no teacher."""
     cfg = cfg or TrainConfig()
     if init_from is not None:
-        tok_cfg = tok_cfg or init_from.tok_cfg
+        _check_built_for(tensors, init_from, ("tok_cfg",))
         enc_cfg = enc_cfg or init_from.enc_cfg
-    return _train_student_loop(
-        dataset, None, LossWeights(1.0, 0.0, 0.0), cfg,
-        tok_cfg or TokenizerConfig(), enc_cfg or EncoderConfig(),
-        init_from=init_from)
+    return _train_student(tensors, LossWeights(1.0, 0.0, 0.0), cfg,
+                          enc_cfg or EncoderConfig(), init_from)
 
 
 # --- leave-one-category-out CV -------------------------------------------------
@@ -390,7 +382,6 @@ class FoldReport:
     n_test: int
     toxicity: dict[str, float]     # strategy -> mean top-k true toxicity
     expansion: dict[str, float]    # strategy -> mean top-k true expansion
-    empty_priv_test: int = 0
 
 
 def _top_k_truth(examples: Sequence[LupiExample], scores: np.ndarray,
@@ -432,6 +423,7 @@ def loco_cv(
     if len(categories) < 2:
         raise TrainingError("leave-one-category-out needs at least 2 categories")
 
+    full = assemble(dataset, priv, tok_cfg, cfg.seed)
     reports = []
     for cat in categories:
         test_idx = by_cat[cat]
@@ -439,31 +431,29 @@ def loco_cv(
             warnings.warn(
                 f"category {cat!r} has only {len(test_idx)} queries; fold skipped")
             continue
-        train_idx = [i for c in categories if c != cat for i in by_cat[c]]
-        train_set = dataset.subset(train_idx)
-        test_set = dataset.subset(test_idx)
+        train_t = _slice(full, np.array(
+            [i for c in categories if c != cat for i in by_cat[c]]))
+        test_t = _slice(full, np.array(test_idx))
+        test_examples = [dataset.examples[i] for i in test_idx]
 
-        teacher, _ = train_teacher(train_set, priv, cfg, tok_cfg, enc_cfg)
-        student, _ = distill_student(train_set, teacher, weights, cfg)
-        baseline, _ = train_query_baseline(train_set, cfg, tok_cfg, enc_cfg)
+        teacher, _ = train_teacher(train_t, cfg, enc_cfg)
+        student, _ = distill_student(train_t, teacher, weights, cfg)
+        baseline, _ = train_query_baseline(train_t, cfg, enc_cfg)
 
-        test_tensors = _assemble(test_set, tok_cfg, priv, cfg.seed)
-        t_score, _ = teacher.forward(
-            test_tensors.query_ids, test_tensors.serp_ids,
-            test_tensors.serp_present)
-        s_score, _ = student.forward(test_tensors.query_ids)
-        b_score, _ = baseline.forward(test_tensors.query_ids)
-        true_tox = np.array([ex.toxicity for ex in test_set.examples])
-        true_exp = np.array([float(ex.expansion) for ex in test_set.examples])
+        t_score, _ = teacher.forward(test_t.query_ids, test_t.serp_ids,
+                                     test_t.serp_present)
+        s_score, _ = student.forward(test_t.query_ids)
+        b_score, _ = baseline.forward(test_t.query_ids)
+        true_exp = np.array([float(ex.expansion) for ex in test_examples])
 
         tox_scores = {}
         exp_scores = {}
-        tox_scores["max"], _ = _top_k_truth(test_set.examples, true_tox, k)
-        _, exp_scores["max"] = _top_k_truth(test_set.examples, true_exp, k)
+        tox_scores["max"], _ = _top_k_truth(test_examples, test_t.labels, k)
+        _, exp_scores["max"] = _top_k_truth(test_examples, true_exp, k)
         for name, pred in (("teacher", t_score), ("student", s_score),
                            ("baseline", b_score)):
             clamped = np.clip(pred, 0.0, 1.0)
-            tox, exp = _top_k_truth(test_set.examples, clamped, k)
+            tox, exp = _top_k_truth(test_examples, clamped, k)
             tox_scores[name] = tox
             exp_scores[name] = exp
         reports.append(FoldReport(
@@ -471,7 +461,6 @@ def loco_cv(
             n_test=len(test_idx),
             toxicity=tox_scores,
             expansion=exp_scores,
-            empty_priv_test=test_tensors.empty_priv,
         ))
     if not reports:
         raise TrainingError("all folds were skipped; nothing to report")

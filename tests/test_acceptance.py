@@ -30,6 +30,7 @@ from scamscout.lupi import (
     TeacherModel,
     TokenizerConfig,
     TrainConfig,
+    assemble,
     distill_student,
     loco_cv,
     ranked_from_csv,
@@ -292,7 +293,8 @@ def test_distillation_freezes_teacher_and_zero_weight_run_equals_baseline():
     tok = TokenizerConfig(512, 10, 12)
     enc = EncoderConfig(1, 16, 2, 32, 0.1)
     cfg = TrainConfig(lr=2e-3, epochs=2, batch_size=16, patience=2, seed=3)
-    teacher, _ = train_teacher(data, _PRIV, cfg, tok, enc)
+    tensors = assemble(data, _PRIV, tok, cfg.seed)
+    teacher, _ = train_teacher(tensors, cfg, enc)
 
     # a freshly initialized student carries the teacher backbone bit-exactly
     fresh = StudentModel(tok, enc, seed=cfg.seed)
@@ -302,14 +304,14 @@ def test_distillation_freezes_teacher_and_zero_weight_run_equals_baseline():
         assert np.array_equal(student_backbone[name], value)
 
     before = {k: v.copy() for k, v in teacher.parameters().items()}
-    distill_student(data, teacher, LossWeights(0.5, 1.0, 0.5), cfg)
+    distill_student(tensors, teacher, LossWeights(0.5, 1.0, 0.5), cfg)
     after = teacher.parameters()
     assert all(np.array_equal(after[k], v) for k, v in before.items())
 
     # with only the label term active, distillation must replay the plain
     # query-only run step for step
-    plain, plain_report = train_query_baseline(data, cfg, init_from=teacher)
-    zeroed, zeroed_report = distill_student(data, teacher,
+    plain, plain_report = train_query_baseline(tensors, cfg, init_from=teacher)
+    zeroed, zeroed_report = distill_student(tensors, teacher,
                                             LossWeights(1, 0, 0), cfg)
     assert zeroed_report.step_losses == plain_report.step_losses
     assert zeroed_report.val_losses == plain_report.val_losses

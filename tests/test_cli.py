@@ -369,6 +369,48 @@ def test_train_lupi_trains_on_naver_results(tmp_path, capsys):
     assert teacher.priv.spec_string() == "naver:description:all:ranked:5"
 
 
+def test_train_lupi_tokenizes_its_queries_once(tmp_path, monkeypatch):
+    # the teacher and the student train on one assembled set
+    from scamscout.lupi import train
+    batches = []
+    tokenize_batch = train.tokenize_batch
+    monkeypatch.setattr(train, "tokenize_batch",
+                        lambda texts, cfg: batches.append(len(texts))
+                        or tokenize_batch(texts, cfg))
+    rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),
+               "--epochs", "1", "--lr", "2e-3", "--batch-size", "16",
+               "--out", str(tmp_path / "student.json")])
+    assert rc == 0
+    n_queries = len((FIXTURES / "lupi_train.jsonl").read_text(
+        encoding="utf-8").splitlines())
+    assert batches == [n_queries]
+
+
+@pytest.mark.parametrize("fixture, argv", [
+    ("serps.jsonl", ["toxicity", "--serps", "{path}",
+                     "--labels", str(FIXTURES / "labels.csv"),
+                     "--keywords", str(FIXTURES / "keywords.jsonl"),
+                     "--out", "{out}"]),
+    ("lupi_train.jsonl", ["train-lupi", "--train", "{path}", "--epochs", "1",
+                          "--out", "{out}"]),
+])
+def test_a_page_repeating_a_rank_is_rejected_with_its_line(tmp_path, capsys,
+                                                           fixture, argv):
+    lines = (FIXTURES / fixture).read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[0])
+    first, second = rec["entries"][:2]
+    assert (first["engine"], first["rank"]) == ("GOOGLE", 1)
+    second.update(engine="GOOGLE", rank=1)
+    lines[0] = json.dumps(rec)
+    path, out = tmp_path / fixture, tmp_path / "out"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main([a.format(path=path, out=out) for a in argv])
+    assert rc == 2
+    assert (f"error: {path}:1: GOOGLE rank 1 repeats in one page"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, capsys):
     teacher = tmp_path / "nodir" / "teacher.json"
     rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),

@@ -23,6 +23,7 @@ from scamscout.lupi import (
     TeacherModel,
     TokenizerConfig,
     TrainConfig,
+    assemble,
     distill_student,
     load_student,
     load_teacher,
@@ -43,7 +44,7 @@ from scamscout.lupi import (
     write_ranked,
 )
 from scamscout.lupi.tokenizer import word_id
-from scamscout.lupi.train import _assemble, _slice, _val_split
+from scamscout.lupi.train import LupiTensors, _slice, _train_student, _val_split
 
 TOK = TokenizerConfig(vocab_size=128, max_len_query=8, max_len_serp=8)
 ENC = EncoderConfig(layers=1, dim=16, heads=2, ff_dim=32, dropout=0.1)
@@ -74,6 +75,11 @@ def _tiny_dataset(n=24, categories=("a", "b"), seed=0):
         examples.append(LupiExample(query=query, toxicity=tox, category=cat,
                                     expansion=int(round(tox * 10)), serps=[serp]))
     return LupiDataset(examples)
+
+
+def _set(data, tok=TOK):
+    """``data`` assembled as every test fit here sees it."""
+    return assemble(data, PRIV, tok, CFG.seed)
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -556,10 +562,32 @@ def test_assemble_counts_empty_privileged_rows():
                 _entry("x.com", "GOOGLE", 1, description="d")])]),
         LupiExample(query="no serps", toxicity=0.6),
     ]
-    tensors = _assemble(LupiDataset(examples), TOK, PRIV)
+    tensors = assemble(LupiDataset(examples), PRIV, TOK)
     assert tensors.empty_priv == 1
     assert tensors.serp_present[0].sum() == 1
     assert tensors.serp_present[1].sum() == 0
+
+
+def test_a_slice_of_the_assembled_set_equals_the_set_of_its_rows():
+    # more scam results than slots, so the RANDOM draw picks among them
+    examples = [
+        LupiExample(query=f"query {i}", toxicity=i / 10, serps=[SerpResultSet(
+            query=f"query {i}", entries=[
+                _entry(f"d{(i + j) % 9}.com", engine, j + 1, f"t{i}.{j}", f"d{j}")
+                for engine in ("GOOGLE", "BING") for j in range(6)])])
+        for i in range(10)]
+    labels = {f"d{i}.com": "SCAM" if i % 3 else "BENIGN" for i in range(9)}
+    priv = PrivilegedConfig("ALL", "BOTH", "SCAM_ONLY", "RANDOM", 5)
+    full = assemble(LupiDataset(examples, labels), priv, TOK, seed=3)
+    assert full.serp_present.all()
+    for idx in ([7, 2, 5], [0], list(range(9, -1, -1))):
+        part = assemble(LupiDataset([examples[i] for i in idx], labels), priv,
+                        TOK, seed=3)
+        sliced = _slice(full, np.array(idx))
+        assert (sliced.priv, sliced.tok_cfg) == (part.priv, part.tok_cfg)
+        for name in ("query_ids", "serp_ids", "serp_present", "labels"):
+            assert np.array_equal(getattr(sliced, name), getattr(part, name)), name
+        assert sliced.empty_priv == part.empty_priv == 0
 
 
 def test_privileged_config_spec_round_trip_and_validation():
@@ -667,13 +695,12 @@ def _held_out_rows(n, cfg):
 
 
 def test_train_teacher_restores_best_validation_params():
-    data = _tiny_dataset(24)
-    teacher, report = train_teacher(data, PRIV, CFG, TOK, ENC)
+    data = _set(_tiny_dataset(24))
+    teacher, report = train_teacher(data, CFG, ENC)
     assert len(report.val_losses) <= CFG.epochs
     assert report.best_epoch == int(np.argmin(report.val_losses))
     # recomputing val MAE on the held-out rows reproduces the best epoch
-    tensors = _slice(_assemble(data, TOK, PRIV, CFG.seed),
-                     _held_out_rows(len(data.examples), CFG))
+    tensors = _slice(data, _held_out_rows(len(data.labels), CFG))
     score, _ = teacher.forward(tensors.query_ids, tensors.serp_ids,
                                tensors.serp_present)
     mae = float(np.mean(np.abs(score - tensors.labels)))
@@ -682,26 +709,40 @@ def test_train_teacher_restores_best_validation_params():
 
 def test_training_is_bit_reproducible():
     data = _tiny_dataset(16)
-    t1, r1 = train_teacher(data, PRIV, CFG, TOK, ENC)
-    t2, r2 = train_teacher(data, PRIV, CFG, TOK, ENC)
+    t1, r1 = train_teacher(_set(data), CFG, ENC)
+    t2, r2 = train_teacher(_set(data), CFG, ENC)
     assert r1.step_losses == r2.step_losses
     for name, value in t1.parameters().items():
         assert np.array_equal(value, t2.parameters()[name]), name
 
 
 def test_teacher_is_frozen_during_distillation():
-    data = _tiny_dataset(16)
-    teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
+    data = _set(_tiny_dataset(16))
+    teacher, _ = train_teacher(data, CFG, ENC)
     before = {k: v.copy() for k, v in teacher.parameters().items()}
     distill_student(data, teacher, LossWeights(1.0, 0.5, 0.5), CFG)
     after = teacher.parameters()
     for name, value in before.items():
         assert np.array_equal(value, after[name]), name
+    assert data.teacher is None   # the teacher's outputs went on a copy
+
+
+def test_distillation_and_baseline_reject_a_set_built_for_another_model():
+    teacher = TeacherModel(TOK, ENC, PRIV, seed=0)
+    other_priv = PrivilegedConfig("GOOGLE", "TITLE", "ALL", "RANKED", 5)
+    other_tok = TokenizerConfig(vocab_size=128, max_len_query=8, max_len_serp=12)
+    for name, other in (("priv", assemble(_tiny_dataset(16), other_priv, TOK)),
+                        ("tok_cfg", _set(_tiny_dataset(16), other_tok))):
+        with pytest.raises(TrainingError, match=f"the set was built with {name} "):
+            distill_student(other, teacher, LossWeights(1.0, 0.5, 0.5), CFG)
+    with pytest.raises(TrainingError, match="the set was built with tok_cfg "):
+        train_query_baseline(_set(_tiny_dataset(16), other_tok), CFG,
+                             init_from=teacher)
 
 
 def test_distillation_rejects_a_teacher_that_changed(monkeypatch):
-    data = _tiny_dataset(16)
-    teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
+    data = _set(_tiny_dataset(16))
+    teacher, _ = train_teacher(data, CFG, ENC)
     forward = teacher.forward
 
     def mutating_forward(*args, **kwargs):
@@ -714,8 +755,8 @@ def test_distillation_rejects_a_teacher_that_changed(monkeypatch):
 
 
 def test_baseline_equals_distiller_with_unit_weights():
-    data = _tiny_dataset(16)
-    teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
+    data = _set(_tiny_dataset(16))
+    teacher, _ = train_teacher(data, CFG, ENC)
     student, r_student = distill_student(
         data, teacher, LossWeights(1.0, 0.0, 0.0), CFG)
     baseline, r_baseline = train_query_baseline(
@@ -727,11 +768,10 @@ def test_baseline_equals_distiller_with_unit_weights():
 
 
 def test_distillation_needs_teacher_for_weighted_terms():
-    data = _tiny_dataset(8)
-    from scamscout.lupi.train import _train_student_loop
-    with pytest.raises(TrainingError):
-        _train_student_loop(data, None, LossWeights(1, 1, 0), CFG, TOK, ENC,
-                            init_from=None)
+    # a set without the teacher's outputs
+    with pytest.raises(TrainingError, match="pm term requires teacher scores"):
+        _train_student(_set(_tiny_dataset(8)), LossWeights(1, 1, 0), CFG, ENC,
+                       init_from=None)
 
 
 @pytest.mark.parametrize("bad", [
@@ -745,10 +785,6 @@ def test_train_config_rejects_impossible_values(bad):
 
 
 def test_dataset_helpers():
-    data = _tiny_dataset(6, categories=("b", "a"))
-    sub = data.subset([0, 2])
-    assert len(sub.examples) == 2
-    assert sub.examples[0].query == data.examples[0].query
     with pytest.raises(TrainingError):
         LupiDataset([])
 
@@ -771,28 +807,28 @@ def _poison(dataset, rows):
 def test_training_raises_on_non_finite_step_loss():
     one_batch = TrainConfig(lr=2e-3, epochs=2, batch_size=16, seed=0)
     with pytest.raises(TrainingError, match="training loss .* epoch 0, step 0"):
-        train_teacher(_poison(_tiny_dataset(16), range(16)), PRIV, one_batch,
-                      TOK, ENC)
+        train_teacher(_set(_poison(_tiny_dataset(16), range(16))), one_batch,
+                      ENC)
     with pytest.raises(TrainingError, match="training loss .* epoch 0, step 0"):
-        train_query_baseline(_poison(_tiny_dataset(16), range(16)), one_batch,
-                             TOK, ENC)
+        train_query_baseline(_set(_poison(_tiny_dataset(16), range(16))),
+                             one_batch, ENC)
 
 
 def test_training_raises_on_non_finite_validation_loss():
     # only a held-out row is poisoned, so every training step stays finite
     held_out = _held_out_rows(16, CFG)[:1]
     with pytest.raises(TrainingError, match="validation loss .* epoch 0"):
-        train_teacher(_poison(_tiny_dataset(16), held_out), PRIV, CFG, TOK, ENC)
+        train_teacher(_set(_poison(_tiny_dataset(16), held_out)), CFG, ENC)
     with pytest.raises(TrainingError, match="validation loss .* epoch 0"):
-        train_query_baseline(_poison(_tiny_dataset(16), held_out), CFG, TOK, ENC)
+        train_query_baseline(_set(_poison(_tiny_dataset(16), held_out)), CFG, ENC)
 
 
 # --- checkpoints ------------------------------------------------------------
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    data = _tiny_dataset(8)
-    teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
+    data = _set(_tiny_dataset(8))
+    teacher, _ = train_teacher(data, CFG, ENC)
     student, _ = distill_student(data, teacher, LossWeights(1, 0.5, 0.5), CFG)
     for model, loader in ((teacher, load_teacher), (student, load_student)):
         path = tmp_path / "model.json"
@@ -902,7 +938,7 @@ def test_checkpoint_rejects_a_reordered_layout():
 
 def test_loaded_parameters_are_writable_and_own_their_data(tmp_path):
     data = _tiny_dataset(8)
-    student, _ = train_query_baseline(data, CFG, TOK, ENC)
+    student, _ = train_query_baseline(_set(data), CFG, ENC)
     path = tmp_path / "student.json"
     save_checkpoint(student, path)
     loaded = load_student(path)
@@ -975,18 +1011,27 @@ def test_ranked_csv_round_trip(tmp_path):
 def test_loco_cv_reports_all_strategies(monkeypatch):
     from scamscout.lupi import train as train_mod
     data = _tiny_dataset(24)
+    # no two labels are equal, so a row's label tells its category
+    category_of = {ex.toxicity: ex.category for ex in data.examples}
+    assert len(category_of) == len(data.examples)
     seen = []
     for name in ("train_teacher", "distill_student", "train_query_baseline"):
         real = getattr(train_mod, name)
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            seen.append((_name, {ex.category for ex in args[0].examples}))
-            return _real(*args, **kwargs)
+        def spy(tensors, *args, _real=real, _name=name, **kwargs):
+            seen.append((_name, {category_of[y] for y in tensors.labels}))
+            return _real(tensors, *args, **kwargs)
 
         monkeypatch.setattr(train_mod, name, spy)
+    batches = []
+    tokenize_batch_ = train_mod.tokenize_batch
+    monkeypatch.setattr(train_mod, "tokenize_batch",
+                        lambda texts, cfg: batches.append(len(texts))
+                        or tokenize_batch_(texts, cfg))
     reports = loco_cv(data, PRIV, CFG, LossWeights(1, 0.5, 0.5),
                       k=3, min_queries=5, tok_cfg=TOK, enc_cfg=ENC)
     assert [r.category for r in reports] == ["a", "b"]
+    assert batches == [24]   # the whole dataset is assembled once
     # every fit of a fold trains, and so validates, on the other categories
     assert seen == [(name, {other})
                     for other in ("b", "a")
@@ -1199,7 +1244,6 @@ def test_trimmed_student_gradients_match_full_length(monkeypatch):
 
 def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
     from scamscout.lupi.encoder import trimmed_length
-    from scamscout.lupi.train import _slice, _Tensors
     teacher = TeacherModel(TOK_LONG, ENC, PRIV, seed=2)
     q, serp_ids, present = _long_teacher_inputs(seed=3, batch=10, k=4,
                                                 lengths=(2, 6))
@@ -1209,8 +1253,8 @@ def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
     for i in (7, 9):
         serp_ids[i, 0] = tokenize(_words(rng, 30), TOK_LONG, TOK_LONG.max_len_serp)
     q[8] = tokenize(_words(rng, 20), TOK_LONG)
-    t = _Tensors(q, serp_ids, present, np.zeros(len(q)))
-    t.teacher = teacher.forward(q, serp_ids, present)
+    t = LupiTensors(PRIV, TOK_LONG, q, serp_ids, present, np.zeros(len(q)),
+                    teacher.forward(q, serp_ids, present))
     short_batch = np.array([0, 3, 4, 5])
     assert trimmed_length(serp_ids[short_batch].reshape(-1, 64)) < \
         trimmed_length(serp_ids.reshape(-1, 64))
@@ -1224,8 +1268,8 @@ def test_teacher_outputs_over_the_set_slice_to_the_per_batch_forward():
 
 
 def test_distillation_runs_the_teacher_once_per_tensor_set(monkeypatch):
-    data = _tiny_dataset(24)
-    teacher, _ = train_teacher(data, PRIV, CFG, TOK, ENC)
+    data = _set(_tiny_dataset(24))
+    teacher, _ = train_teacher(data, CFG, ENC)
     calls = []
     forward = TeacherModel.forward
 
@@ -1238,7 +1282,7 @@ def test_distillation_runs_the_teacher_once_per_tensor_set(monkeypatch):
     assert len(report.step_losses) == 2 * 3   # 22 train rows, batches of 8
     assert calls == [24]                      # the whole set, before the split
     calls.clear()
-    train_query_baseline(data, CFG, TOK, ENC, init_from=teacher)
+    train_query_baseline(data, CFG, ENC, init_from=teacher)
     assert calls == []
 
 
@@ -1284,8 +1328,8 @@ def test_rank_scores_do_not_depend_on_the_batch_size(monkeypatch):
 
 
 def test_step_terms_add_up_to_the_step_losses():
-    data = _tiny_dataset(24)
-    teacher, t_report = train_teacher(data, PRIV, CFG, TOK, ENC)
+    data = _set(_tiny_dataset(24))
+    teacher, t_report = train_teacher(data, CFG, ENC)
     assert t_report.step_terms == [{"gt": x} for x in t_report.step_losses]
     w = LossWeights(0.5, 1.0, 0.25)
     _, report = distill_student(data, teacher, w, CFG)
