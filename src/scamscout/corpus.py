@@ -123,9 +123,12 @@ class SerpEntry:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise SchemaError(f"unknown engine {self.engine!r}")
-        # bool is an Integral, but True is not a rank
-        if (not isinstance(self.rank, numbers.Integral)
-                or isinstance(self.rank, bool) or self.rank < 1):
+        # a plain int skips the Integral ABC check; bool is an Integral, but
+        # True is not a rank
+        if (type(self.rank) is not int
+                and (not isinstance(self.rank, numbers.Integral)
+                     or isinstance(self.rank, bool))
+                or self.rank < 1):
             raise SchemaError(f"rank must be an integer >= 1, got {self.rank!r}")
         if not isinstance(self.title, str):
             raise SchemaError(f"title must be a string, got {self.title!r}")

@@ -1,17 +1,25 @@
 """Tiny pre-norm transformer encoder built from the manual-backprop layers.
 
-Every forward pass first cuts the batch to ``trimmed_length(ids)`` columns:
-the longest non-PAD prefix, rounded up to a multiple of 8, capped at the
-full length.  PAD keys are masked, so the cut columns feed no kept position,
-and every kept output equals its full-length value bit for bit.  That needs
-the multiple of 8: numpy sums the softmax denominator with 8 pairwise
-accumulators, and at a multiple of 8 the cut terms (exact zeros) leave every
-accumulator unchanged, while at other lengths the last terms are added in a
-different order.  In train mode the dropout masks are still drawn at the
-full length and sliced, so the random stream does not move.  Backward sums
-each weight gradient over fewer rows (the cut rows carry zero gradient),
-which moves it at the rounding level, about 1e-15 relative.  The models read
-only the CLS row, so no cut row reaches an output.
+``Encoder.forward`` returns only the CLS vector of each sequence, the one
+row every model reads.  Two cuts follow from that:
+
+- Every pass first cuts the batch to ``trimmed_length(ids)`` columns: the
+  longest non-PAD prefix, rounded up to a multiple of 8, capped at the full
+  length.  PAD keys are masked, so the cut columns feed no kept position,
+  and every kept output equals its full-length value bit for bit.  That
+  needs the multiple of 8: numpy sums the softmax denominator with 8
+  pairwise accumulators, and at a multiple of 8 the cut terms (exact
+  zeros) leave every accumulator unchanged, while at other lengths the
+  last terms are added in a different order.
+- The last block runs ``ln1`` and the key/value projections over every
+  kept column, but its query projection, attention row, output
+  projection, ``ln2``, feed-forward and the final ``ln_out`` over row 0
+  alone, as (B, D) GEMMs whose rows equal the full-width product's.
+
+In train mode the dropout masks are still drawn at the full (B, T, D) and
+sliced, so the random stream does not move.  Backward sums each weight
+gradient over fewer rows (the cut rows carried zero gradient), which moves
+it at the rounding level, about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -71,8 +79,14 @@ def trimmed_length(ids: np.ndarray) -> int:
 
 
 class EncoderBlock(Module):
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None):
+    """One pre-norm block.  ``rows`` is the attention's query selection: the
+    last block of an encoder takes ``0`` and returns the (B, D) CLS rows;
+    ``ln1`` and the key/value projections still see every position."""
+
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None,
+                 rows: int | slice = slice(None)):
         super().__init__()
+        self.rows = rows
         self.ln1 = LayerNorm(cfg.dim)
         self.attn = MultiHeadAttention(cfg.dim, cfg.heads, rng)
         self.drop1 = Dropout(cfg.dropout)
@@ -81,8 +95,9 @@ class EncoderBlock(Module):
         self.drop2 = Dropout(cfg.dropout)
 
     def forward(self, x, key_mask, train, rng, draw_shape=None):
-        a = self.attn.forward(self.ln1.forward(x, train), key_mask, train)
-        x = x + self.drop1.forward(a, train, rng, draw_shape)
+        a = self.attn.forward(self.ln1.forward(x, train), key_mask, train,
+                              self.rows)
+        x = x[:, self.rows] + self.drop1.forward(a, train, rng, draw_shape)
         f = self.ffn.forward(self.ln2.forward(x, train), train)
         return x + self.drop2.forward(f, train, rng, draw_shape)
 
@@ -90,7 +105,9 @@ class EncoderBlock(Module):
         d_f = self.drop2.backward(d_out)
         d_x = d_out + self.ln2.backward(self.ffn.backward(d_f))
         d_a = self.drop1.backward(d_x)
-        return d_x + self.ln1.backward(self.attn.backward(d_a))
+        d_in = self.ln1.backward(self.attn.backward(d_a))
+        d_in[:, self.rows] += d_x
+        return d_in
 
 
 class Encoder(Module):
@@ -101,12 +118,14 @@ class Encoder(Module):
         self.embed = Embedding(vocab_size, cfg.dim, rng)
         self.positions = sinusoidal_positions(max_len, cfg.dim)
         self.drop_in = Dropout(cfg.dropout)
-        self.blocks = [EncoderBlock(cfg, rng) for _ in range(cfg.layers)]
+        last = cfg.layers - 1
+        self.blocks = [EncoderBlock(cfg, rng, 0 if i == last else slice(None))
+                       for i in range(cfg.layers)]
         self.ln_out = LayerNorm(cfg.dim)
 
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        """ids (B, T) -> hidden (B, L, D), L = ``trimmed_length(ids)``."""
+        """ids (B, T) -> CLS vectors (B, D)."""
         draw_shape = (*ids.shape, self.cfg.dim)
         ids = ids[:, :trimmed_length(ids)]
         key_mask = ids != PAD_ID
@@ -116,9 +135,9 @@ class Encoder(Module):
             x = block.forward(x, key_mask, train, rng, draw_shape)
         return self.ln_out.forward(x, train)
 
-    def backward(self, d_hidden: np.ndarray) -> None:
-        """d_hidden has the shape forward returned."""
-        d_x = self.ln_out.backward(d_hidden)
+    def backward(self, d_cls: np.ndarray) -> None:
+        """d_cls (B, D): the gradient of the CLS vectors forward returned."""
+        d_x = self.ln_out.backward(d_cls)
         for block in reversed(self.blocks):
             d_x = block.backward(d_x)
         d_x = self.drop_in.backward(d_x)

@@ -72,8 +72,8 @@ class Module:
                 offset += p.size
 
     def zero_grads(self):
-        for _, g in self._walk("grads", ""):
-            g[...] = 0.0
+        """Zero every gradient of a flattened model in one write."""
+        self.flat_grad[...] = 0.0
 
 
 def _normal(rng: np.random.Generator | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -159,7 +159,9 @@ class Dropout(Module):
     ``draw_shape`` (default: ``x.shape``) is the shape the random mask is
     drawn at; ``x`` takes its leading block.  A caller that trims ``x``
     passes the untrimmed shape, so it consumes the same random numbers and
-    keeps the same mask values as the untrimmed call.
+    keeps the same mask values as the untrimmed call.  An ``x`` one axis
+    short of ``draw_shape`` is a batch of CLS rows and takes position 0 of
+    the draw's axis 1.
     """
 
     def __init__(self, p: float):
@@ -173,6 +175,8 @@ class Dropout(Module):
             return x
         keep = 1.0 - self.p
         draws = rng.random(draw_shape or x.shape)
+        if draws.ndim > x.ndim:
+            draws = draws[:, 0]
         self._mask = (draws[tuple(slice(n) for n in x.shape)] < keep) / keep
         return x * self._mask
 
@@ -189,7 +193,10 @@ def relu(x: np.ndarray) -> np.ndarray:
 class MultiHeadAttention(Module):
     """Self-attention with key-padding masking.
 
-    The attention probabilities are kept, in train mode, for backward only.
+    ``rows`` picks the query positions from the (B, L, D) input: every
+    position (the default) or ``0``, the CLS row alone, which returns
+    (B, D).  Keys and values always cover every position.  The attention
+    probabilities are kept, in train mode, for backward only.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None):
@@ -202,16 +209,21 @@ class MultiHeadAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def _split(self, x: np.ndarray) -> np.ndarray:
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+        """(B, T, D) -> (B, H, T, D/H); a (B, D) input has T = 1."""
+        x = x.reshape(x.shape[0], -1, self.heads, self.head_dim)
+        return x.transpose(0, 2, 1, 3)
 
-    def _merge(self, x: np.ndarray) -> np.ndarray:
-        b, h, t, d = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, t, h * d)
+    @staticmethod
+    def _merge(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """The inverse of ``_split``, back to ``shape``."""
+        return x.transpose(0, 2, 1, 3).reshape(shape)
 
-    def forward(self, x: np.ndarray, key_mask: np.ndarray,
-                train: bool = False) -> np.ndarray:
-        q = self._split(self.wq.forward(x, train))
+    def forward(self, x: np.ndarray, key_mask: np.ndarray, train: bool = False,
+                rows: int | slice = slice(None)) -> np.ndarray:
+        # a 2-D query input keeps its projection one (B, D) @ (D, D) GEMM,
+        # whose rows equal those of the full-width product
+        x_q = x[:, rows]
+        q = self._split(self.wq.forward(x_q, train))
         k = self._split(self.wk.forward(x, train))
         v = self._split(self.wv.forward(x, train))
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.head_dim)
@@ -222,13 +234,15 @@ class MultiHeadAttention(Module):
         exp = np.exp(scores)
         attn = exp / exp.sum(axis=-1, keepdims=True)
         ctx = attn @ v
-        out = self.wo.forward(self._merge(ctx), train)
+        out = self.wo.forward(self._merge(ctx, x_q.shape), train)
         if train:
             self._q, self._k, self._v, self._attn = q, k, v, attn
+            self._rows = rows
         return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         q, k, v, attn = self._q, self._k, self._v, self._attn
+        shape = (k.shape[0], k.shape[2], self.dim)
         d_ctx = self._split(self.wo.backward(d_out))
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
@@ -237,9 +251,9 @@ class MultiHeadAttention(Module):
         d_scores /= np.sqrt(self.head_dim)
         d_q = d_scores @ k
         d_k = d_scores.transpose(0, 1, 3, 2) @ q
-        d_x = self.wq.backward(self._merge(d_q))
-        d_x += self.wk.backward(self._merge(d_k))
-        d_x += self.wv.backward(self._merge(d_v))
+        d_x = self.wk.backward(self._merge(d_k, shape))
+        d_x[:, self._rows] += self.wq.backward(self._merge(d_q, d_out.shape))
+        d_x += self.wv.backward(self._merge(d_v, shape))
         return d_x
 
 

@@ -9,8 +9,8 @@ embedding into a "hint" that is trained to mimic the teacher's fused
 representation.  The two query encoders are architecturally identical so
 the student can be initialized from the teacher backbone.
 
-Every encoder runs PAD-trimmed (see ``encoder.py``), in training and in
-eval: each model reads only CLS rows, so its outputs are bit-identical to
+Each encoder returns only its CLS vectors and runs PAD-trimmed (see
+``encoder.py``), in training and in eval; the outputs are bit-identical to
 the full-length ones.  Both models take full-length ids.
 """
 
@@ -107,12 +107,9 @@ class TeacherModel(Module):
         pooled vector.  Only a train-mode pass can be backpropagated.
         """
         b, k, ts = serp_ids.shape
-        q_hidden = self.query_encoder.forward(query_ids, train, rng)
-        q_cls = q_hidden[:, 0, :]
-        s_hidden = self.serp_encoder.forward(
-            serp_ids.reshape(b * k, ts), train, rng)
-        ts = s_hidden.shape[1]   # trimmed; backward's d_hidden has this length
-        s_cls = s_hidden[:, 0, :].reshape(b, k, -1)
+        q_cls = self.query_encoder.forward(query_ids, train, rng)
+        s_cls = self.serp_encoder.forward(
+            serp_ids.reshape(b * k, ts), train, rng).reshape(b, k, -1)
         present = serp_present.astype(np.float64)
         safe = np.maximum(present.sum(axis=1), 1.0)
         pooled = (s_cls * present[:, :, None]).sum(axis=1) / safe[:, None]
@@ -120,28 +117,21 @@ class TeacherModel(Module):
         pre = self.fusion.forward(concat, train)
         fused = self.fusion_drop.forward(relu(pre), train, rng)
         score = self.head.forward(fused, train)[:, 0]
-        self._cache = ((q_hidden.shape[:2], (b, k, ts), present, safe, pre)
-                       if train else None)
+        self._cache = (present, safe, pre) if train else None
         return score, fused
 
     def backward(self, d_score: np.ndarray):
         if self._cache is None:
             raise TrainingError("teacher backward needs a train-mode forward")
-        (qshape, sshape, present, safe, pre) = self._cache
-        b, k, ts = sshape
+        present, safe, pre = self._cache
         d_dropped = self.head.backward(d_score[:, None])
         d_pre = self.fusion_drop.backward(d_dropped) * (pre > 0)
         d_concat = self.fusion.backward(d_pre)
         dim = self.enc_cfg.dim
-        d_q_cls = d_concat[:, :dim]
+        self.query_encoder.backward(d_concat[:, :dim])
         d_pooled = d_concat[:, dim:]
-        d_q_hidden = np.zeros((qshape[0], qshape[1], dim))
-        d_q_hidden[:, 0, :] = d_q_cls
-        self.query_encoder.backward(d_q_hidden)
         d_s_cls = (d_pooled[:, None, :] / safe[:, None, None]) * present[:, :, None]
-        d_s_hidden = np.zeros((b * k, ts, dim))
-        d_s_hidden[:, 0, :] = d_s_cls.reshape(b * k, dim)
-        self.serp_encoder.backward(d_s_hidden)
+        self.serp_encoder.backward(d_s_cls.reshape(-1, dim))
 
 
 class StudentModel(Module):
@@ -178,23 +168,20 @@ class StudentModel(Module):
                 rng: Optional[np.random.Generator] = None):
         """Returns (score (B,), hint (B,D)); only a train-mode pass can be
         backpropagated."""
-        hidden = self.query_encoder.forward(query_ids, train, rng)
-        cls = hidden[:, 0, :]
+        cls = self.query_encoder.forward(query_ids, train, rng)
         dropped = self.pred_drop.forward(cls, train, rng)
         h1 = self.pred_lin1.forward(dropped, train)
         score = self.pred_lin2.forward(relu(h1), train)[:, 0]
         hint = self.distill_head.forward(cls, train)
-        self._cache = (hidden.shape[:2], h1) if train else None
+        self._cache = h1 if train else None
         return score, hint
 
     def backward(self, d_score: np.ndarray, d_hint: np.ndarray):
         if self._cache is None:
             raise TrainingError("student backward needs a train-mode forward")
-        qshape, h1 = self._cache
+        h1 = self._cache
         d_relu = self.pred_lin2.backward(d_score[:, None])
         d_dropped = self.pred_lin1.backward(d_relu * (h1 > 0))
         d_cls = self.pred_drop.backward(d_dropped)
         d_cls = d_cls + self.distill_head.backward(d_hint)
-        d_hidden = np.zeros((qshape[0], qshape[1], self.enc_cfg.dim))
-        d_hidden[:, 0, :] = d_cls
-        self.query_encoder.backward(d_hidden)
+        self.query_encoder.backward(d_cls)

@@ -1,4 +1,14 @@
-"""Adam with decoupled weight decay, plus linear learning-rate warmup."""
+"""Adam with decoupled weight decay, plus linear learning-rate warmup.
+
+The Adam update runs only over live chunks of the buffer: fixed runs of
+``CHUNK`` elements in which some element has had a nonzero (or NaN)
+gradient at some step.  Most of a LUPI model is embedding rows that never
+see a gradient.  For an element whose gradient has always been +-0.0, m and
+v stay +0.0, the Adam term is exactly 0.0, and ``p - 0.0`` is ``p`` (-0.0
+and NaN included), so skipping it leaves every byte as the dense update
+would.  The decoupled decay still runs over the whole buffer, so the
+parameters are up to date after every step and no read has to catch up.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +18,7 @@ BETAS = (0.9, 0.999)
 EPS = 1e-8
 WEIGHT_DECAY = 0.01
 WARMUP_FRACTION = 0.1
+CHUNK = 64   # elements per live flag
 
 
 class AdamW:
@@ -20,6 +31,19 @@ class AdamW:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self.live = np.zeros(-(-params.size // CHUNK), dtype=bool)
+        self._idx = np.zeros(0, dtype=np.intp)   # the live chunks' elements
+
+    def _mark_live(self, grads: np.ndarray) -> None:
+        """OR this step's touched chunks into ``live``; NaN != 0 is True."""
+        touched = np.zeros(self.live.size * CHUNK, dtype=bool)
+        np.not_equal(grads, 0.0, out=touched[:grads.size])
+        touched = touched.reshape(-1, CHUNK).any(axis=1)
+        if (touched & ~self.live).any():
+            self.live |= touched
+            idx = (np.flatnonzero(self.live)[:, None] * CHUNK
+                   + np.arange(CHUNK)).ravel()
+            self._idx = idx[idx < grads.size]
 
     def step(self, grads: np.ndarray, lr_scale: float = 1.0) -> None:
         self.t += 1
@@ -27,14 +51,17 @@ class AdamW:
         beta1, beta2 = BETAS
         bc1 = 1.0 - beta1 ** self.t
         bc2 = 1.0 - beta2 ** self.t
-        p, g, m, v = self.params, grads, self.m, self.v
+        self._mark_live(grads)
+        idx, p = self._idx, self.params
+        g, m, v = grads[idx], self.m[idx], self.v[idx]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
+        self.m[idx], self.v[idx] = m, v
         # decoupled decay: applied directly to weights, not through g
         p -= lr * WEIGHT_DECAY * p
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        p[idx] -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def warmup_scale(step: int, total_steps: int) -> float:

@@ -287,6 +287,13 @@ def test_serp_entry_rejects_non_integer_rank(rank):
         serp_from_record(record)
 
 
+@pytest.mark.parametrize("rank", [True, 1.5, "2", 0, np.int64(0)])
+def test_serp_entry_constructor_rejects_a_non_rank(rank):
+    with pytest.raises(SchemaError) as err:
+        SerpEntry(engine="GOOGLE", rank=rank, url="http://a.com/")
+    assert str(err.value) == f"rank must be an integer >= 1, got {rank!r}"
+
+
 def test_serp_entry_stores_integral_rank_as_int():
     entry = SerpEntry(engine="GOOGLE", rank=np.int64(4), url="http://a.com/")
     assert entry.rank == 4 and type(entry.rank) is int

@@ -150,12 +150,13 @@ def test_attention_rows_are_distributions():
                   EncoderConfig(layers=2, dim=16, heads=2, ff_dim=32,
                                 dropout=0.0), rng)
     ids = tokenize_batch(["cheap shoes", "a b c d e f g"], TOK)
-    hidden = enc.forward(ids, train=True)   # dropout 0: only caches
-    assert hidden.shape == (2, 8, 16)
+    cls = enc.forward(ids, train=True)   # dropout 0: only caches
+    assert cls.shape == (2, 16)
     assert len(enc.blocks) == 2
-    for block in enc.blocks:
+    # the first block attends from every position, the last from CLS alone
+    for block, rows in zip(enc.blocks, (8, 1)):
         attn = block.attn._attn   # the probabilities cached for backward
-        assert attn.shape == (2, 2, 8, 8)
+        assert attn.shape == (2, 2, rows, 8)
         assert np.allclose(attn.sum(axis=-1), 1.0)
         # PAD keys receive (numerically) zero attention
         pad_cols = ids == PAD_ID
@@ -169,9 +170,10 @@ def test_padding_does_not_leak_into_real_positions():
     enc = Encoder(TOK.vocab_size, TOK.max_len_query, ENC0, rng)
     short = tokenize("cheap nike shoes", TOK, max_len=5)[None, :]
     padded = tokenize("cheap nike shoes", TOK, max_len=8)[None, :]
-    h_short = enc.forward(short)
-    h_padded = enc.forward(padded)
-    assert np.allclose(h_short[0, :5], h_padded[0, :5], atol=1e-12)
+    cls_short = enc.forward(short)
+    cls_padded = enc.forward(padded)
+    assert cls_short.shape == cls_padded.shape == (1, ENC0.dim)
+    assert np.allclose(cls_short, cls_padded, atol=1e-12)
 
 
 def test_encoder_config_validation():
@@ -316,6 +318,28 @@ def test_teacher_backward_matches_finite_differences():
     teacher.zero_grads()
     teacher.backward(score - y)
     _fd_check(teacher.parameters(), loss_value, teacher.gradients())
+
+
+def test_two_block_encoder_backward_matches_finite_differences():
+    # between the loss and the embedding sit the last block's CLS-row
+    # backward and the first block's every-row backward, so the embedding
+    # rows the batch uses are checked, not random ones
+    from scamscout.lupi import Encoder
+    enc = Encoder(TOK.vocab_size, TOK.max_len_query, ENC2,
+                  np.random.default_rng(3))
+    ids = tokenize_batch(["cheap replica watches", "how to fix a watch"], TOK)
+    target = np.random.default_rng(4).normal(size=(2, ENC2.dim))
+    enc.backward(enc.forward(ids, train=True) - target)   # dropout 0
+
+    def loss_value():
+        return float(0.5 * np.sum((enc.forward(ids) - target) ** 2))
+
+    params, grads = enc.parameters(), enc.gradients()
+    _fd_check({k: v for k, v in params.items() if k != "embed.w"},
+              loss_value, grads)
+    used = {f"embed.w[{i}]": params["embed.w"][i] for i in np.unique(ids)}
+    _fd_check(used, loss_value,
+              {f"embed.w[{i}]": grads["embed.w"][i] for i in np.unique(ids)})
 
 
 def test_backward_needs_a_train_mode_forward():
@@ -673,6 +697,42 @@ def test_whole_buffer_adamw_equals_the_per_name_loop_bit_for_bit():
     for name, value in model.parameters().items():
         assert np.array_equal(value.view(np.uint64),
                               reference[name].view(np.uint64)), name
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(size=st.integers(1, 400), steps=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), lr=st.sampled_from([1e-3, 2e-3, 0.1]))
+def test_live_chunk_adamw_equals_the_dense_step_bit_for_bit(size, steps, seed, lr):
+    from scamscout.lupi.optim import CHUNK
+    rng = np.random.default_rng(seed)
+    params = rng.normal(size=size)
+    special = rng.random(size)
+    params[special < 0.05] = -0.0
+    params[(special >= 0.05) & (special < 0.08)] = np.nan
+    params[(special >= 0.08) & (special < 0.1)] = 0.0
+    # each chunk is first touched at its own step, some only at the last
+    # one, some never; in some, every nonzero gradient is NaN
+    chunks = -(-size // CHUNK)
+    first = rng.integers(0, steps + 2, size=chunks)
+    first[-1] = steps - 1
+    live_from = np.repeat(first, CHUNK)[:size]
+    nan_only = np.repeat(rng.random(chunks) < 0.1, CHUNK)[:size]
+    ours, ref = params.copy(), params.copy()
+    # one name: the per-name loop is the dense whole-buffer step
+    opt, ref_opt = AdamW(ours, lr), _PerNameAdamW({"p": ref}, lr)
+    for step in range(steps):
+        grads = np.where(rng.random(size) < 0.5, 0.0, -0.0)
+        # a live chunk may go a step without any gradient
+        quiet = np.repeat(rng.random(chunks) < 0.3, CHUNK)[:size]
+        hit = (live_from <= step) & ~quiet & (rng.random(size) < 0.6)
+        grads[hit] = rng.normal(size=int(hit.sum()))
+        grads[hit & (nan_only | (rng.random(size) < 0.02))] = np.nan
+        lr_scale = warmup_scale(step, steps)
+        opt.step(grads, lr_scale)
+        ref_opt.step({"p": grads}, lr_scale)
+        for a, b in ((ours, ref), (opt.m, ref_opt.m["p"]), (opt.v, ref_opt.v["p"])):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert not opt.live[first >= steps].any()
 
 
 def test_warmup_scale_ramp():
@@ -1113,11 +1173,11 @@ def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(
 
     def run(ids):
         draws = np.random.default_rng(9)
-        hidden = enc.forward(ids, train, draws)
+        cls = enc.forward(ids, train, draws)
         # the attention probabilities each block caches for its backward,
         # which only a train-mode pass does
         attn = [b.attn._attn for b in enc.blocks] if train else []
-        return hidden, attn, draws.bit_generator.state
+        return cls, attn, draws.bit_generator.state
 
     # longest rows of 5, 11, 14 and 19 tokens: never a multiple of 8
     for longest in (4, 10, 13, 18):
@@ -1126,16 +1186,77 @@ def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(
         ids = np.stack([tokenize(t, TOK_LONG, TOK_LONG.max_len_serp) for t in texts])
         L = trimmed_length(ids)
         assert L % 8 == 0 and L < ids.shape[1]
-        h_trim, a_trim, state_trim = run(ids)
+        c_trim, a_trim, state_trim = run(ids)
         with monkeypatch.context() as m:
             _untrimmed(m)
-            h_full, a_full, state_full = run(ids)
-        assert h_trim.shape == (len(texts), L, enc_cfg.dim)
-        assert np.array_equal(h_trim, h_full[:, :L])
+            c_full, a_full, state_full = run(ids)
+        assert c_trim.shape == (len(texts), enc_cfg.dim)
+        assert np.array_equal(c_trim, c_full)
+        # the first block attends from the L kept rows, the last from CLS
+        assert [a.shape[2] for a in a_trim] == ([L, 1] if train else [])
         for full, trim in zip(a_full, a_trim):
-            assert np.array_equal(trim, full[:, :, :L, :L])
-            assert not full[:, :, :L, L:].any()
+            rows = trim.shape[2]
+            assert np.array_equal(trim, full[:, :, :rows, :L])
+            assert not full[:, :, :rows, L:].any()
         assert state_trim == state_full
+
+
+def _full_width_cls(enc, ids, train, rng):
+    """CLS vectors computed the long way: every block over every position of
+    the untrimmed ids, dropout masks drawn in the encoder's order, row 0
+    read at the end."""
+    p, cfg = enc.parameters(), enc.cfg
+    b, t = ids.shape
+    heads, hd = cfg.heads, cfg.dim // cfg.heads
+
+    def drop(x):
+        if not train or cfg.dropout == 0.0:
+            return x
+        keep = 1.0 - cfg.dropout
+        return x * ((rng.random(x.shape) < keep) / keep)
+
+    def norm(x, name):
+        mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + 1e-5) * p[name + ".g"] + p[name + ".b"]
+
+    def lin(x, name):
+        return x @ p[name + ".w"] + p[name + ".b"]
+
+    def split(x):
+        return x.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+
+    x = drop(p["embed.w"][ids] + enc.positions[:t])
+    for i in range(cfg.layers):
+        pre = f"blocks.{i}."
+        h = norm(x, pre + "ln1")
+        q, k, v = (split(lin(h, pre + "attn." + w)) for w in ("wq", "wk", "wv"))
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
+        scores = np.where((ids != PAD_ID)[:, None, None, :], scores, -np.inf)
+        attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, cfg.dim)
+        x = x + drop(lin(ctx, pre + "attn.wo"))
+        f = lin(np.maximum(lin(norm(x, pre + "ln2"), pre + "ffn.lin1"), 0.0),
+                pre + "ffn.lin2")
+        x = x + drop(f)
+    return norm(x, "ln_out")[:, 0]
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_encoder_cls_output_matches_a_full_width_reference(train):
+    from scamscout.lupi import Encoder
+    enc_cfg = EncoderConfig(layers=2, dim=16, heads=2, ff_dim=32, dropout=0.2)
+    enc = Encoder(TOK_LONG.vocab_size, TOK_LONG.max_len_serp, enc_cfg,
+                  np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    texts = [_words(rng, int(n)) for n in rng.integers(1, 30, size=7)]
+    ids = np.stack([tokenize(t, TOK_LONG, TOK_LONG.max_len_serp) for t in texts])
+    draws, ref_draws = np.random.default_rng(9), np.random.default_rng(9)
+    cls = enc.forward(ids, train, draws)
+    ref = _full_width_cls(enc, ids, train, ref_draws)
+    assert cls.shape == (len(texts), enc_cfg.dim)
+    assert np.max(np.abs(cls - ref)) <= 1e-12
+    assert draws.bit_generator.state == ref_draws.bit_generator.state
 
 
 def _long_teacher_inputs(seed=0, batch=6, k=3, lengths=(3, 20)):
