@@ -232,10 +232,16 @@ def _cmd_filter_branded(args) -> int:
     return 0
 
 
+def _lupi_example(rec: dict) -> LupiExample:
+    # the example's own fields are checked before those of its page
+    example = records.from_record(LupiExample, {**rec, "serps": []})
+    if rec.get("entries"):
+        example.serps.append(corpus.serp_from_record(rec))
+    return example
+
+
 def _read_lupi_examples(path) -> list[LupiExample]:
-    return list(records.read_jsonl(path, lambda rec: records.from_record(
-        LupiExample, {**rec, "serps": [corpus.serp_from_record(rec)]
-                      if rec.get("entries") else []})))
+    return list(records.read_jsonl(path, _lupi_example))
 
 
 def _cmd_train_lupi(args) -> int:

@@ -145,6 +145,8 @@ class SerpResultSet:
     entries: list[SerpEntry] = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.query, str):
+            raise SchemaError(f"query must be a string, got {self.query!r}")
         self.entries = sorted(self.entries, key=lambda e: (e.engine, e.rank))
 
     def root_domains(self) -> set[str]:

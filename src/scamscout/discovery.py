@@ -1,8 +1,8 @@
 """SERP replay from recorded fixtures, and the discovery report.
 
-A fetch replays the latest recorded result page of its (query, engine)
-bit-exactly from a JSONL fixture store, so a discovery run over fixtures is
-fully reproducible.
+A fetch replays the recorded result page of its (query, engine) bit-exactly
+from a JSONL fixture store, so a discovery run over fixtures is fully
+reproducible.
 """
 
 from __future__ import annotations
@@ -10,67 +10,54 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .corpus import ENGINES, SerpEntry, SerpResultSet, check_unique_ranks
+from .corpus import ENGINES, SerpEntry, SerpResultSet, serp_from_record
 from .errors import FixtureMissError, SchemaError, UnknownEngineError
 from .lupi.rank import RankedKeyword
-from .records import from_record, read_jsonl, write_document
+from .records import read_jsonl, write_document
 
 SCAM = "SCAM"
 
 
 class FixtureStore:
-    """Recorded SERPs keyed by (query, engine, capture date).
+    """Recorded result pages keyed by (query, engine).
 
-    A capture is one engine's page: each of its entries carries the record's
-    engine and a rank of its own.  Each stored entry is parsed once, on load;
-    ``get`` hands out the stored (frozen) entries of the latest capture in a
-    new list.
+    Each line of the store is a ``serps.jsonl`` page, read once, on load, by
+    ``corpus.serp_from_record``.  Its entries are grouped by engine, and a
+    (query, engine) pair that an earlier line already holds is a bad line.
+    ``get`` hands out the stored (frozen) entries of a pair in a new list.
     """
 
     def __init__(self):
-        self._captures: dict[tuple[str, str, str], tuple[SerpEntry, ...]] = {}
-        # (query, engine) -> (capture_date, entries) of its latest capture
-        self._latest: dict[tuple[str, str], tuple[str, tuple[SerpEntry, ...]]] = {}
+        self._pages: dict[tuple[str, str], tuple[SerpEntry, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._captures)
+        return len(self._pages)
 
-    def _add(self, record: Mapping) -> None:
-        query, engine = record["query"], record["engine"]
-        capture_date = record["capture_date"]
-        if engine not in ENGINES:
-            raise UnknownEngineError(f"unknown engine: {engine!r}")
-        for name, value in (("query", query), ("capture_date", capture_date)):
-            if type(value) is not str:
-                raise SchemaError(f"{name} must be str, got {value!r}")
-        entries = tuple(from_record(SerpEntry, e) for e in record["entries"])
-        others = {e.engine for e in entries} - {engine}
-        if others:
-            raise SchemaError(f"entry engine {min(others)} differs from the "
-                              f"record's engine {engine}")
-        check_unique_ranks(entries)
-        key = (query, engine, capture_date)
-        if self._captures.setdefault(key, entries) != entries:
-            raise SchemaError(
-                f"conflicting fixture for ({query!r}, {engine}, {capture_date})")
-        latest = self._latest.get((query, engine))
-        if latest is None or capture_date > latest[0]:
-            self._latest[(query, engine)] = (capture_date, entries)
+    def _add(self, page: SerpResultSet) -> None:
+        # a page keeps its entries sorted by (engine, rank), so each engine
+        # is one group
+        for engine, entries in groupby(page.entries, attrgetter("engine")):
+            if (page.query, engine) in self._pages:
+                raise SchemaError(
+                    f"repeated page for ({page.query!r}, {engine})")
+            self._pages[page.query, engine] = tuple(entries)
 
     def get(self, query: str, engine: str) -> SerpResultSet:
-        """The latest capture recorded for (query, engine)."""
-        latest = self._latest.get((query, engine))
-        if latest is None:
+        """The page recorded for (query, engine)."""
+        entries = self._pages.get((query, engine))
+        if entries is None:
             raise FixtureMissError(f"no fixture for ({query!r}, {engine})")
-        return SerpResultSet(query=query, entries=list(latest[1]))
+        return SerpResultSet(query=query, entries=list(entries))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FixtureStore":
         store = cls()
-        for _ in read_jsonl(path, store._add):
+        for _ in read_jsonl(path, lambda rec: store._add(serp_from_record(rec))):
             pass
         return store
 
@@ -137,8 +124,9 @@ class DiscoveryReport:
 
 def _config_digest(engines: Sequence[str], exposure_k: int,
                    n_queries: int) -> str:
-    # "mode" and "capture_date" are constants, since discovery only replays
-    # the latest capture; they stay in the blob so report.json keeps its bytes
+    # "mode" and "capture_date" hold constants: discovery only replays, and a
+    # fixture page carries no date.  They stay in the blob so that the digest,
+    # and report.json with it, keeps its bytes
     blob = json.dumps({
         "mode": "REPLAY", "engines": list(engines), "exposure_k": exposure_k,
         "n_queries": n_queries, "capture_date": None,

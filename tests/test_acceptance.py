@@ -403,7 +403,7 @@ def test_replay_pipeline_is_byte_identical_and_matches_brute_force_tally(tmp_pat
 
     discover = ("discover", "--ranked", tmp_path / "ranked.csv",
                 "--oracle", tmp_path / "model.json",
-                "--fixtures", FIXTURES / "serp_fixtures.jsonl",
+                "--fixtures", FIXTURES / "serps.jsonl",
                 "--snapshots", FIXTURES / "snapshots.jsonl",
                 "--labels", FIXTURES / "labels.csv",
                 "--mode", "replay", "--engines", "GOOGLE,BING",
@@ -415,7 +415,7 @@ def test_replay_pipeline_is_byte_identical_and_matches_brute_force_tally(tmp_pat
 
     # brute-force tally over the fixture store with plain set arithmetic
     ranked = ranked_from_csv(tmp_path / "ranked.csv")
-    store = FixtureStore.load(FIXTURES / "serp_fixtures.jsonl")
+    store = FixtureStore.load(FIXTURES / "serps.jsonl")
     model = gbdt.load_model(tmp_path / "model.json")
     snapshots = {root_domain(s.final_url or s.url): s
                  for s in corpus.read_snapshots(FIXTURES / "snapshots.jsonl")}

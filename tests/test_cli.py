@@ -58,7 +58,7 @@ def workdir(tmp_path_factory):
         "--out", work / "ranked.csv")
     run("discover", "--ranked", work / "ranked.csv",
         "--oracle", work / "model.json",
-        "--fixtures", fx / "serp_fixtures.jsonl",
+        "--fixtures", fx / "serps.jsonl",
         "--snapshots", fx / "snapshots.jsonl", "--labels", fx / "labels.csv",
         "--engines", "GOOGLE,BING", "--exposure-k", 5,
         "--out", work / "report.json")
@@ -229,7 +229,7 @@ def test_discovery_report_and_rerun(workdir):
 
     rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
                "--oracle", str(workdir / "model.json"),
-               "--fixtures", str(FIXTURES / "serp_fixtures.jsonl"),
+               "--fixtures", str(FIXTURES / "serps.jsonl"),
                "--snapshots", str(FIXTURES / "snapshots.jsonl"),
                "--labels", str(FIXTURES / "labels.csv"),
                "--engines", "GOOGLE,BING", "--exposure-k", "5",
@@ -306,17 +306,16 @@ def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
     missing.write_text("category,rank,keyword,score\nx,1,never recorded,0.5\n")
     rc = main(["discover", "--ranked", str(missing),
                "--oracle", str(workdir / "model.json"),
-               "--fixtures", str(FIXTURES / "serp_fixtures.jsonl"),
+               "--fixtures", str(FIXTURES / "serps.jsonl"),
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
 
 
 def test_discover_rejects_malformed_fixture_with_line_number(workdir, tmp_path,
                                                              capsys):
-    lines = (FIXTURES / "serp_fixtures.jsonl").read_text().splitlines()
-    lines.insert(1, json.dumps({"engine": "GOOGLE", "capture_date": "2024-01-01",
-                                "entries": []}))
-    fixtures = tmp_path / "serp_fixtures.jsonl"
+    lines = (FIXTURES / "serps.jsonl").read_text().splitlines()
+    lines.insert(1, json.dumps({"entries": []}))
+    fixtures = tmp_path / "serps.jsonl"
     fixtures.write_text("\n".join(lines) + "\n")
     rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
                "--oracle", str(workdir / "model.json"),
@@ -571,7 +570,7 @@ def test_score_classifies_in_one_matrix_call(workdir, tmp_path, matrix_calls):
 def _discover(workdir, out, *extra):
     return main(["discover", "--ranked", str(workdir / "ranked.csv"),
                  "--oracle", str(workdir / "model.json"),
-                 "--fixtures", str(FIXTURES / "serp_fixtures.jsonl"),
+                 "--fixtures", str(FIXTURES / "serps.jsonl"),
                  "--labels", str(FIXTURES / "labels.csv"),
                  "--engines", "GOOGLE,BING", "--exposure-k", "5",
                  "--out", str(out), *extra])
@@ -747,6 +746,17 @@ def _conflicting_label(lines):
     return _csv_lines(rows), 3
 
 
+def _repeat_line_2(lines):
+    """A copy of the second record as the third."""
+    lines.insert(2, lines[1])
+    return lines, 3
+
+
+def _repeated_page(lines):
+    page = json.loads(lines[1])
+    return f"repeated page for ({page['query']!r}, {page['entries'][0]['engine']})"
+
+
 def _json_error(lines, index=2):
     """The decoder's message and column for the truncated line ``index``."""
     try:
@@ -787,8 +797,8 @@ _INPUTS = {
                     "--out", "{out}"]),
     "ranked": ("{work}/ranked.csv",
                ["discover", "--ranked", "{bad}", "--oracle", "{work}/model.json",
-                "--fixtures", "{fx}/serp_fixtures.jsonl", "--out", "{out}"]),
-    "fixtures": ("{fx}/serp_fixtures.jsonl",
+                "--fixtures", "{fx}/serps.jsonl", "--out", "{out}"]),
+    "fixtures": ("{fx}/serps.jsonl",
                  ["discover", "--ranked", "{work}/ranked.csv",
                   "--oracle", "{work}/model.json", "--fixtures", "{bad}",
                   "--out", "{out}"]),
@@ -797,7 +807,7 @@ _INPUTS = {
                "--out", "{out}"]),
     "oracle": ("{work}/model.json",
                ["discover", "--ranked", "{work}/ranked.csv", "--oracle", "{bad}",
-                "--fixtures", "{fx}/serp_fixtures.jsonl", "--out", "{out}"]),
+                "--fixtures", "{fx}/serps.jsonl", "--out", "{out}"]),
     "student": ("{work}/student.json",
                 ["rank", "--model", "{bad}", "--keywords",
                  "{work}/unbranded.jsonl", "--out", "{out}"]),
@@ -856,6 +866,7 @@ _BAD_INPUTS = [
     ("labels", "short-row", _short_row, "expected 3 cells, got 2"),
     ("labels", "conflict", _conflicting_label, "conflicting labels for "),
     ("serps", "no-query", _drop("query"), "missing key 'query'"),
+    ("serps", "int-query", _set("query", 7), "query must be a string, got 7"),
     ("serps", "float-rank", _set_entry("rank", 1.5),
      "rank must be an integer >= 1, got 1.5"),
     ("serps", "int-description", _set_entry("description", 7),
@@ -924,11 +935,11 @@ _BAD_INPUTS = [
      "could not convert string to float: 'high'"),
     ("ranked", "short-row", _short_row, "expected 4 cells, got 3"),
     ("fixtures", "no-query", _drop("query"), "missing key 'query'"),
-    ("fixtures", "yahoo", _set("engine", "YAHOO"), "unknown engine: 'YAHOO'"),
+    ("fixtures", "int-query", _set("query", 7), "query must be a string, got 7"),
+    ("fixtures", "yahoo", _set_entry("engine", "YAHOO"), "unknown engine 'YAHOO'"),
     ("fixtures", "no-host", _set_entry("url", "not-a-url"),
      "not an absolute URL: 'not-a-url'"),
-    ("fixtures", "google-entry", _set_entry("engine", "GOOGLE"),
-     "entry engine GOOGLE differs from the record's engine BING"),
+    ("fixtures", "repeated-page", _repeat_line_2, _repeated_page),
     ("fixtures", "truncated", _truncate, _json_error),
     ("fixtures", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("model", "truncated", _document_case(lambda doc: doc[:-1]),
@@ -1039,7 +1050,7 @@ _VALID_ARGV = {
     "rank": ["--model", "{work}/student.json",
              "--keywords", "{work}/unbranded.jsonl", "--out", "{out}"],
     "discover": ["--ranked", "{work}/ranked.csv", "--oracle", "{work}/model.json",
-                 "--fixtures", "{fx}/serp_fixtures.jsonl",
+                 "--fixtures", "{fx}/serps.jsonl",
                  "--snapshots", "{fx}/snapshots.jsonl",
                  "--labels", "{fx}/labels.csv", "--out", "{out}"],
 }
@@ -1224,11 +1235,11 @@ report = DiscoveryReport([CategoryCount("caf\\u00e9", 1, 2)], 2, 1,
                          [EngineExposure("GOOGLE", 1, 1)], 3)
 write_report(report, out / "report.json")
 write_ranked(out / "ranked.csv", [RankedKeyword("cr\\u00e8me", "caf\\u00e9", 0.5, 1)])
-write_jsonl(out / "fixtures.jsonl", [
-    {"query": "cr\\u00e8me", "engine": "GOOGLE", "capture_date": "2024-05-01",
+write_jsonl(out / "serps.jsonl", [
+    {"query": "cr\\u00e8me",
      "entries": [{"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x",
                   "title": "\\u00e9t\\u00e9"}]}])
-store = FixtureStore.load(out / "fixtures.jsonl")
+store = FixtureStore.load(out / "serps.jsonl")
 assert store.get("cr\\u00e8me", "GOOGLE").entries[0].title == "\\u00e9t\\u00e9"
 student = StudentModel(TokenizerConfig(vocab_size=16, max_len_query=4),
                        EncoderConfig(layers=1, dim=4, heads=1, ff_dim=4))

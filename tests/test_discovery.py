@@ -20,8 +20,8 @@ from scamscout.errors import FixtureMissError, SchemaError, UnknownEngineError
 from scamscout.lupi import RankedKeyword
 
 
-def _record(query, engine, capture_date, domains):
-    return {"query": query, "engine": engine, "capture_date": capture_date,
+def _page(query, engine, domains):
+    return {"query": query,
             "entries": [{"engine": engine, "rank": rank, "url": f"https://{d}/p"}
                         for rank, d in enumerate(domains, 1)]}
 
@@ -43,68 +43,102 @@ def _domains(result):
 # --- fixture store ----------------------------------------------------------
 
 
-def test_store_loads_an_identical_duplicate_once(tmp_path):
-    record = _record("cheap shoes", "GOOGLE", "2024-05-01", ["a.com", "b.com"])
-    store = _load(tmp_path, [record, record])   # same bits: fine
+def test_store_rejects_an_identical_repeated_page(tmp_path):
+    """A (query, engine) pair comes from one line, even if a copy of it
+    holds the same entries."""
+    page = _page("cheap shoes", "GOOGLE", ["a.com", "b.com"])
+    store = _load(tmp_path, [page])
     assert len(store) == 1
     got = store.get("cheap shoes", "GOOGLE")
     assert got.query == "cheap shoes"
     assert _domains(got) == ["a.com", "b.com"]
     assert [e.rank for e in got.entries] == [1, 2]
+    with pytest.raises(SchemaError, match=re.escape(
+            "fixtures.jsonl:3: repeated page for ('cheap shoes', GOOGLE)")):
+        _load(tmp_path, [page, _page("cheap shoes", "BING", ["a.com"]), page])
 
 
 def test_store_rejects_conflicting_fixture(tmp_path):
     with pytest.raises(SchemaError, match=re.escape(
-            "fixtures.jsonl:2: conflicting fixture for ('q', GOOGLE, 2024-05-01)")):
-        _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01", ["a.com"]),
-                         _record("q", "GOOGLE", "2024-05-01", ["b.com"])])
+            "fixtures.jsonl:2: repeated page for ('q', GOOGLE)")):
+        _load(tmp_path, [_page("q", "GOOGLE", ["a.com"]),
+                         _page("q", "GOOGLE", ["b.com"])])
+
+
+def test_store_splits_a_page_by_engine(tmp_path):
+    """A page holding GOOGLE and BING entries becomes two pairs, each with
+    its own entries in rank order."""
+    page = _page("q", "GOOGLE", ["g1.com", "g2.com"])
+    page["entries"] = [*_page("q", "BING", ["b1.com"])["entries"],
+                       *page["entries"][::-1]]
+    store = _load(tmp_path, [page])
+    assert len(store) == 2
+    assert _domains(store.get("q", "GOOGLE")) == ["g1.com", "g2.com"]
+    assert _domains(store.get("q", "BING")) == ["b1.com"]
+    # a later page of either engine for the same query repeats a pair
+    with pytest.raises(SchemaError, match=re.escape(
+            "fixtures.jsonl:2: repeated page for ('q', BING)")):
+        _load(tmp_path, [page, _page("q", "BING", ["other.com"])])
+
+
+def test_store_ignores_the_engine_and_date_of_a_benchmark_record(tmp_path):
+    """Records that also carry ``engine`` and ``capture_date`` keys load the
+    same store as the same pages without them: both keys are ignored."""
+    pages = [_page("q", "GOOGLE", ["a.com", "b.com"]),
+             _page("q", "BING", ["c.com"]), _page("r", "GOOGLE", ["a.com"])]
+    dated = [{"query": p["query"], "engine": p["entries"][0]["engine"],
+              "capture_date": "2024-03-02", "entries": p["entries"]}
+             for p in pages]
+    plain = _load(tmp_path, pages)
+    store = FixtureStore.load(_write(tmp_path / "dated.jsonl", dated))
+    assert len(store) == len(plain) == 3
+    for query, engine in (("q", "GOOGLE"), ("q", "BING"), ("r", "GOOGLE")):
+        assert store.get(query, engine) == plain.get(query, engine)
+
+
+def test_store_index_matches_brute_force_grouping(tmp_path):
+    """Pages of mixed engines, in any order: each (query, engine) gets the
+    entries of its engine, ranked, and the store holds every pair once."""
+    rng = np.random.default_rng(5)
+    want, pages = {}, []
+    for i in range(8):
+        entries = []
+        for engine in ("GOOGLE", "BING", "NAVER"):
+            if rng.random() < 0.7:
+                n = int(rng.integers(1, 6))
+                want[(f"q{i}", engine)] = [f"{engine.lower()}{i}-{r}.com"
+                                           for r in range(n)]
+                entries += _page("", engine, want[(f"q{i}", engine)])["entries"]
+        pages.append({"query": f"q{i}", "entries": [
+            entries[j] for j in rng.permutation(len(entries))]})
+    store = _load(tmp_path, [pages[j] for j in rng.permutation(len(pages))])
+    assert len(store) == len(want)
+    for (query, engine), domains in want.items():
+        assert _domains(store.get(query, engine)) == domains
 
 
 def test_store_rejects_unknown_engine(tmp_path):
     with pytest.raises(SchemaError,
-                       match=re.escape("fixtures.jsonl:1: unknown engine: 'ALTAVISTA'")):
-        _load(tmp_path, [_record("q", "ALTAVISTA", "2024-05-01", [])])
-
-
-def test_store_get_latest_when_date_omitted(tmp_path):
-    """A lookup names no date: it gets the latest capture, in any file order."""
-    old = _record("q", "GOOGLE", "2024-04-01", ["old.com"])
-    new = _record("q", "GOOGLE", "2024-05-01", ["new.com"])
-    for records in ([old, new], [new, old]):
-        store = _load(tmp_path, records)
-        assert len(store) == 2
-        assert _domains(store.get("q", "GOOGLE")) == ["new.com"]
-
-
-def test_store_latest_index_matches_brute_force_max(tmp_path):
-    rng = np.random.default_rng(5)
-    captures = [(f"q{i}", engine, f"2024-{m:02d}-{d:02d}")
-                for i in range(6) for engine in ("GOOGLE", "BING")
-                for m in range(1, 7) for d in (1, 15)
-                if rng.random() < 0.6]
-    captures += captures[:10]  # loading the same capture again is a no-op
-    store = _load(tmp_path, [_record(*captures[j], [f"{captures[j][2]}.com"])
-                             for j in rng.permutation(len(captures))])
-    assert len(store) == len(set(captures))
-    for query, engine in {(q, e) for q, e, _ in captures}:
-        want = max(c for q, e, c in captures if (q, e) == (query, engine))
-        assert _domains(store.get(query, engine)) == [f"{want}.com"]
+                       match=re.escape("fixtures.jsonl:1: unknown engine 'ALTAVISTA'")):
+        _load(tmp_path, [_page("q", "ALTAVISTA", ["a.com"])])
 
 
 def test_store_miss_raises(tmp_path):
-    store = _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01", [])])
-    assert store.get("q", "GOOGLE").entries == []
-    with pytest.raises(FixtureMissError):
-        store.get("other", "GOOGLE")
-    with pytest.raises(FixtureMissError):
-        store.get("q", "BING")
+    # a page with no entries names no engine, so it records no pair
+    store = _load(tmp_path, [_page("q", "GOOGLE", ["a.com"]),
+                             _page("empty", "GOOGLE", []), {"query": "bare"}])
+    assert len(store) == 1
+    assert _domains(store.get("q", "GOOGLE")) == ["a.com"]
+    for query, engine in (("other", "GOOGLE"), ("q", "BING"),
+                          ("empty", "GOOGLE"), ("bare", "GOOGLE")):
+        with pytest.raises(FixtureMissError):
+            store.get(query, engine)
     with pytest.raises(FixtureMissError):
         FixtureStore().get("q", "GOOGLE")
 
 
 def test_changing_a_fetched_result_leaves_the_store_unchanged(tmp_path):
-    store = _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01",
-                                     ["a.com", "b.com"])])
+    store = _load(tmp_path, [_page("q", "GOOGLE", ["a.com", "b.com"])])
     before = list(store.get("q", "GOOGLE").entries)
     got = store.get("q", "GOOGLE")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -118,7 +152,7 @@ def test_changing_a_fetched_result_leaves_the_store_unchanged(tmp_path):
 
 def test_store_serves_the_root_domain_of_the_url(tmp_path):
     # a root domain in the file is ignored: a replay derives it from the URL
-    record = _record("q", "GOOGLE", "2024-05-01", [])
+    record = _page("q", "GOOGLE", [])
     record["entries"] = [{"engine": "GOOGLE", "rank": 1,
                           "url": "https://www.a.co.uk/x", "root_domain": "other.com"}]
     assert _domains(_load(tmp_path, [record]).get("q", "GOOGLE")) == ["a.co.uk"]
@@ -126,10 +160,10 @@ def test_store_serves_the_root_domain_of_the_url(tmp_path):
 
 def test_load_rejects_an_entry_a_replay_cannot_parse(tmp_path):
     # the entry names its own root domain, but a replay derives it from the URL
-    record = _record("q", "GOOGLE", "2024-05-01", ["a.com", "b.com"])
+    record = _page("q", "GOOGLE", ["a.com", "b.com"])
     record["entries"][1].update(url="not-a-url", root_domain="a.com")
     path = _write(tmp_path / "fixtures.jsonl",
-                  [_record("q", "BING", "2024-05-01", ["a.com"]), record])
+                  [_page("q", "BING", ["a.com"]), record])
     with pytest.raises(SchemaError, match=re.escape(
             f"{path}:2: not an absolute URL: 'not-a-url'")):
         FixtureStore.load(path)
@@ -137,7 +171,7 @@ def test_load_rejects_an_entry_a_replay_cannot_parse(tmp_path):
 
 def test_store_load_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"query": "q", "engine": "GOOGLE", "capture_date": "d", "entries": []}\n{broken\n')
+    path.write_text('{"query": "q", "entries": []}\n{broken\n')
     with pytest.raises(SchemaError, match=re.escape(f"{path}:2: Expecting")):
         FixtureStore.load(path)
 
@@ -146,47 +180,37 @@ _GOOD_ENTRY = {"engine": "GOOGLE", "rank": 1, "url": "https://a.com/x"}
 
 
 @pytest.mark.parametrize("record", [
-    {"engine": "GOOGLE", "capture_date": "2024-01-01", "entries": []},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01"},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [{"engine": "GOOGLE", "url": "https://a.com/x"}]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, rank="first")]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, rank=None)]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, rank=0)]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, rank=1.5)]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, rank=True)]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, rank="2")]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, url="not-a-url")]},
+    {"entries": []},
+    {"query": "q", "entries": [7]},
+    {"query": "q", "entries": [{"engine": "GOOGLE", "url": "https://a.com/x"}]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, rank="first")]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, rank=None)]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, rank=0)]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, rank=1.5)]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, rank=True)]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, rank="2")]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, url="not-a-url")]},
     ["not", "an", "object"],
-    {"query": 7, "engine": "GOOGLE", "capture_date": "2024-01-01", "entries": []},
-    {"query": "q", "engine": "GOOGLE", "capture_date": 20240101, "entries": []},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [dict(_GOOD_ENTRY, title=None)]},
-    # a capture is one engine's page: no entry of another engine, no rank twice
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [_GOOD_ENTRY, dict(_GOOD_ENTRY, engine="BING", rank=2)]},
-    {"query": "q", "engine": "GOOGLE", "capture_date": "2024-01-01",
-     "entries": [_GOOD_ENTRY, dict(_GOOD_ENTRY, url="https://b.com/x")]},
+    {"query": 7, "entries": []},
+    {"query": None, "entries": [_GOOD_ENTRY]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, title=None)]},
+    {"query": "q", "entries": [dict(_GOOD_ENTRY, engine="YAHOO")]},
+    {"query": "q", "entries": [_GOOD_ENTRY, dict(_GOOD_ENTRY, url="https://b.com/x")]},
+    # line 1 holds ("q", BING): a second page of that pair
+    {"query": "q", "entries": [_GOOD_ENTRY, dict(_GOOD_ENTRY, engine="BING")]},
 ])
 def test_store_load_names_line_of_malformed_record(tmp_path, record):
-    good = {"query": "q", "engine": "BING", "capture_date": "2024-01-01",
-            "entries": [dict(_GOOD_ENTRY, engine="BING")]}
+    good = {"query": "q", "entries": [dict(_GOOD_ENTRY, engine="BING")]}
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(SchemaError, match=re.escape(f"{path}:2: ")):
         FixtureStore.load(path)
 
 
-def test_fetch_serp_modes_and_validation(tmp_path):
-    """Replay is the only mode: a fetch is one store lookup."""
-    store = _load(tmp_path, [_record("q", "GOOGLE", "2024-05-01", ["a.com"])])
+def test_fetch_serp_is_one_store_lookup(tmp_path):
+    """A fetch replays its pair from the store; a miss or an unknown engine
+    raises."""
+    store = _load(tmp_path, [_page("q", "GOOGLE", ["a.com"])])
     assert _domains(fetch_serp("q", "GOOGLE", store)) == ["a.com"]
     with pytest.raises(FixtureMissError):
         fetch_serp("missing", "GOOGLE", store)
@@ -210,7 +234,7 @@ def _random_discovery_case(seed, tmp_path):
         for engine in engines:
             pages[(kw.text, engine)] = [
                 pool[int(j)] for j in rng.integers(0, len(pool), size=5)]
-    store = _load(tmp_path, [_record(query, engine, "2024-05-01", picks)
+    store = _load(tmp_path, [_page(query, engine, picks)
                              for (query, engine), picks in pages.items()])
     return ranked, store, pages, known, engines
 
@@ -257,7 +281,7 @@ def test_run_discovery_matches_brute_force_tally(tmp_path):
             assert exp.top_k_scams == len(top_k[exp.engine] & scams)
             assert exp.fraction == pytest.approx(
                 len(top_k[exp.engine] & scams) / len(scams))
-        # the digest still hashes a constant mode and capture date
+        # the digest hashes a constant mode and capture date
         blob = ('{"capture_date": null, "engines": ["GOOGLE", "BING"], '
                 f'"exposure_k": 3, "mode": "REPLAY", "n_queries": {len(ranked)}}}')
         assert report.config_digest == hashlib.md5(blob.encode()).hexdigest()

@@ -49,6 +49,7 @@ from scamscout.lupi.train import LupiTensors, _slice, _train_student, _val_split
 TOK = TokenizerConfig(vocab_size=128, max_len_query=8, max_len_serp=8)
 ENC = EncoderConfig(layers=1, dim=16, heads=2, ff_dim=32, dropout=0.1)
 ENC0 = EncoderConfig(layers=1, dim=16, heads=2, ff_dim=32, dropout=0.0)
+ENC2 = EncoderConfig(layers=2, dim=8, heads=2, ff_dim=12, dropout=0.0)
 PRIV = PrivilegedConfig("GOOGLE", "DESCRIPTION", "ALL", "RANKED", 5)
 CFG = TrainConfig(lr=2e-3, epochs=2, batch_size=8, patience=2, seed=0)
 
@@ -267,13 +268,21 @@ def test_empty_privileged_set_equals_zero_pooled_vector():
     assert np.array_equal(alone, teacher.forward(q, words, one)[0])
 
 
-def _fd_check(params, loss_fn, grads, n_coords=1, seed=0, eps=1e-5):
+def _fd_check(params, loss_fn, grads, token_ids=None, seed=0, eps=1e-5):
     """Centered finite differences against analytic grads, one coordinate
-    per parameter tensor."""
+    per parameter tensor.  For an embedding table named in ``token_ids`` the
+    coordinate is drawn from a row that those ids use, other than PAD's, and
+    its gradient must not be 0."""
     rng = np.random.default_rng(seed)
+    token_ids = token_ids or {}
     for name, p in params.items():
         flat = p.reshape(-1)
-        idx = int(rng.integers(0, flat.size))
+        if name in token_ids:
+            rows = np.unique(token_ids[name])
+            row = int(rng.choice(rows[rows != PAD_ID]))
+            idx = row * p.shape[1] + int(rng.integers(0, p.shape[1]))
+        else:
+            idx = int(rng.integers(0, flat.size))
         orig = flat[idx]
         flat[idx] = orig + eps
         up = loss_fn()
@@ -283,41 +292,52 @@ def _fd_check(params, loss_fn, grads, n_coords=1, seed=0, eps=1e-5):
         numeric = (up - down) / (2 * eps)
         analytic = grads[name].reshape(-1)[idx]
         assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-7), name
+        assert name not in token_ids or analytic != 0, name
 
 
 def test_student_backward_matches_finite_differences():
-    student = StudentModel(TOK, ENC0, seed=11)
-    q = tokenize_batch(["cheap replica watches", "how to fix a watch"], TOK)
-    rng = np.random.default_rng(2)
-    y = rng.uniform(0, 1, size=2)
-    hint_target = rng.normal(0, 0.1, size=(2, ENC0.dim))
-    score, hint = student.forward(q, train=True)   # dropout 0: only caches
+    # one- and two-block encoders: with two, the gradient of every tensor of
+    # the first block, and of the embedding, passes through an inner block
+    for enc in (ENC0, ENC2):
+        student = StudentModel(TOK, enc, seed=11)
+        q = tokenize_batch(["cheap replica watches", "how to fix a watch"], TOK)
+        rng = np.random.default_rng(2)
+        y = rng.uniform(0, 1, size=2)
+        hint_target = rng.normal(0, 0.1, size=(2, enc.dim))
+        score, hint = student.forward(q, train=True)   # dropout 0: only caches
 
-    def loss_value():
-        s, h = student.forward(q)
-        return float(0.5 * np.sum((s - y) ** 2)
-                     + 0.5 * np.sum((h - hint_target) ** 2))
+        def loss_value():
+            s, h = student.forward(q)
+            return float(0.5 * np.sum((s - y) ** 2)
+                         + 0.5 * np.sum((h - hint_target) ** 2))
 
-    student.zero_grads()
-    student.backward(score - y, hint - hint_target)
-    _fd_check(student.parameters(), loss_value, student.gradients())
+        student.zero_grads()
+        student.backward(score - y, hint - hint_target)
+        for seed in range(3):
+            _fd_check(student.parameters(), loss_value, student.gradients(),
+                      {"query_encoder.embed.w": q}, seed)
 
 
 def test_teacher_backward_matches_finite_differences():
-    teacher = TeacherModel(TOK, ENC0, PRIV, seed=13)
-    q, serp_ids, present = _teacher_inputs(batch=2, k=3, seed=5)
-    rng = np.random.default_rng(6)
-    y = rng.uniform(0, 1, size=2)
-    # the score loss reaches the head, the fusion layer and both encoders
-    score, _ = teacher.forward(q, serp_ids, present, train=True)
+    for enc in (ENC0, ENC2):
+        teacher = TeacherModel(TOK, enc, PRIV, seed=13)
+        q, serp_ids, present = _teacher_inputs(batch=2, k=3, seed=5)
+        rng = np.random.default_rng(6)
+        y = rng.uniform(0, 1, size=2)
+        # the score loss reaches the head, the fusion layer and both encoders
+        score, _ = teacher.forward(q, serp_ids, present, train=True)
 
-    def loss_value():
-        s, _ = teacher.forward(q, serp_ids, present)
-        return float(0.5 * np.sum((s - y) ** 2))
+        def loss_value():
+            s, _ = teacher.forward(q, serp_ids, present)
+            return float(0.5 * np.sum((s - y) ** 2))
 
-    teacher.zero_grads()
-    teacher.backward(score - y)
-    _fd_check(teacher.parameters(), loss_value, teacher.gradients())
+        teacher.zero_grads()
+        teacher.backward(score - y)
+        # only the present slots are pooled, so only their ids are used
+        for seed in range(3):
+            _fd_check(teacher.parameters(), loss_value, teacher.gradients(),
+                      {"query_encoder.embed.w": q,
+                       "serp_encoder.embed.w": serp_ids[present]}, seed)
 
 
 def test_two_block_encoder_backward_matches_finite_differences():
@@ -415,9 +435,6 @@ def _assert_tiles(arrays, buffer):
         assert a.__array_interface__["data"][0] == start + 8 * offset, name
         offset += a.size
     assert offset == buffer.size
-
-
-ENC2 = EncoderConfig(layers=2, dim=8, heads=2, ff_dim=12, dropout=0.0)
 
 
 @pytest.mark.parametrize("enc", [ENC, ENC2])
