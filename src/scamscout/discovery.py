@@ -27,8 +27,9 @@ class FixtureStore:
     """Recorded result pages keyed by (query, engine).
 
     Each line of the store is a ``serps.jsonl`` page, read once, on load, by
-    ``corpus.serp_from_record``.  Its entries are grouped by engine, and a
-    (query, engine) pair that an earlier line already holds is a bad line.
+    ``corpus.serp_from_record``.  Its entries are grouped by engine; a page
+    with no entries, which names no engine, and a (query, engine) pair that
+    an earlier line already holds are bad lines.
     ``get`` hands out the stored (frozen) entries of a pair in a new list.
     """
 
@@ -39,6 +40,8 @@ class FixtureStore:
         return len(self._pages)
 
     def _add(self, page: SerpResultSet) -> None:
+        if not page.entries:
+            raise SchemaError(f"page for {page.query!r} has no entries")
         # a page keeps its entries sorted by (engine, rank), so each engine
         # is one group
         for engine, entries in groupby(page.entries, attrgetter("engine")):

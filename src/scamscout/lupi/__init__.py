@@ -1,10 +1,10 @@
 """Query-toxicity models: privileged teacher, distilled query-only student."""
 
 from .checkpoint import (
+    checkpoint_header,
     load_student,
     load_teacher,
-    model_from_dict,
-    model_to_dict,
+    model_from_checkpoint,
     save_checkpoint,
 )
 from .encoder import Encoder, EncoderConfig, sinusoidal_positions
@@ -51,12 +51,12 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "assemble",
+    "checkpoint_header",
     "distill_student",
     "load_student",
     "load_teacher",
     "loco_cv",
-    "model_from_dict",
-    "model_to_dict",
+    "model_from_checkpoint",
     "privileged_texts",
     "rank_keywords",
     "ranked_from_csv",

@@ -5,16 +5,18 @@ object on each non-blank line, or each CSV row as a dict keyed by the
 header.  A line that is not UTF-8 or not a JSON object, a row whose cell
 count is not the header's, and any ``KeyError``, ``TypeError``,
 ``ValueError`` or ``ScamscoutError`` from ``parse`` raise
-``SchemaError("path:lineno: cause")``.  ``read_json`` parses a file holding
-one JSON object, such as a model, and names a fault ``"path: cause"``.
+``SchemaError("path:lineno: cause")``.  ``read_bytes`` hands ``parse`` the
+bytes of a whole file, such as a checkpoint, and ``read_json`` the one JSON
+object in a file, such as a model; both name a fault ``"path: cause"``.
 ``get_typed`` reads one field of a record and raises ``SchemaError`` unless
 it has exactly the expected type.  ``from_record`` builds a dataclass from
 the keys of a record named like its fields.
 
-``write_csv``, ``write_jsonl`` and ``write_document`` write every output
-file: UTF-8, ``\\n`` line ends, so a rerun rewrites the same bytes on any
-platform.  A dataclass goes out as ``dataclasses.asdict`` of it and comes
-back through ``from_record``.  An error while writing names its file.
+``write_csv``, ``write_jsonl`` and ``write_document`` write every text
+output file: UTF-8, ``\\n`` line ends, so a rerun rewrites the same bytes on
+any platform.  ``write_bytes`` writes a binary one, a checkpoint.  A
+dataclass goes out as ``dataclasses.asdict`` of it and comes back through
+``from_record``.  An error while writing names its file.
 ``make_output_dir`` creates an output directory.  If a
 ``removed_on_failure()`` block raises, every regular file written inside it
 is removed, overwritten ones included, and so is every directory created
@@ -52,14 +54,19 @@ def read_csv(path, parse):
     return _read(path, _csv_rows, parse)
 
 
-def read_json(path, parse):
-    """``parse`` the one JSON object in ``path``."""
+def read_bytes(path, parse):
+    """``parse`` the bytes of ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return parse(_json_object(data.decode("utf-8")))
+        return parse(data)
     except _FAULTS as exc:
         raise _fault(path, exc) from exc
+
+
+def read_json(path, parse):
+    """``parse`` the one JSON object in ``path``."""
+    return read_bytes(path, lambda data: parse(json_object(data.decode("utf-8"))))
 
 
 def write_csv(path, header: list, rows) -> None:
@@ -80,6 +87,13 @@ def write_document(path, text: str) -> None:
     """``text`` as the whole file, such as a model or a JSON report."""
     with _output(path) as fh:
         fh.write(text)
+
+
+def write_bytes(path, *chunks) -> None:
+    """The bytes-like ``chunks``, one after another, as the whole file."""
+    with _output(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def make_output_dir(path) -> None:
@@ -123,9 +137,11 @@ def _remove_if_empty(path) -> None:
         os.rmdir(path)
 
 
-def _open_output(path):
-    """The one place an output file is opened."""
-    fh = open(path, "w", encoding="utf-8", newline="")
+def _open_output(path, mode="w"):
+    """The one place an output file is opened: as UTF-8 text that keeps its
+    ``\\n`` line ends, or for mode ``"wb"`` as bytes."""
+    text = {} if mode == "wb" else {"encoding": "utf-8", "newline": ""}
+    fh = open(path, mode, **text)
     # a device or a FIFO named as an output is written to, never removed
     if _created.get() is not None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         _created.get().append((os.remove, path))
@@ -133,11 +149,11 @@ def _open_output(path):
 
 
 @contextmanager
-def _output(path):
-    """``_open_output(path)``, closed on leaving; an ``OSError`` raised while
-    writing or closing names ``path``."""
+def _output(path, mode="w"):
+    """``_open_output(path, mode)``, closed on leaving; an ``OSError`` raised
+    while writing or closing names ``path``."""
     try:
-        with _open_output(path) as fh:
+        with _open_output(path, mode) as fh:
             yield fh
     except OSError as exc:
         if exc.filename is None:
@@ -187,7 +203,8 @@ def check_header(path, expected: list[str]) -> None:
         pass
 
 
-def _json_object(text: str) -> dict:
+def json_object(text: str) -> dict:
+    """The JSON object ``text`` holds; any other JSON value is a ``TypeError``."""
     record = json.loads(text)
     if not isinstance(record, dict):
         raise TypeError(f"expected a JSON object, got {type(record).__name__}")
@@ -197,7 +214,7 @@ def _json_object(text: str) -> dict:
 def _json_objects(lines):
     for line in lines:
         if line.strip():
-            yield _json_object(line)
+            yield json_object(line)
 
 
 def _csv_rows(lines):

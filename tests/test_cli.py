@@ -757,6 +757,10 @@ def _repeated_page(lines):
     return f"repeated page for ({page['query']!r}, {page['entries'][0]['engine']})"
 
 
+def _empty_page(lines):
+    return f"page for {json.loads(lines[2])['query']!r} has no entries"
+
+
 def _json_error(lines, index=2):
     """The decoder's message and column for the truncated line ``index``."""
     try:
@@ -816,6 +820,7 @@ _INPUTS = {
                  "{work}/unbranded.jsonl", "--out", "{out}"]),
 }
 
+_CHECKPOINTS = {"student", "teacher"}
 _NOT_AN_OBJECT = "expected a JSON object, got list"
 _N_FEATURE_CELLS = len(FEATURES) + 1
 
@@ -940,6 +945,8 @@ _BAD_INPUTS = [
     ("fixtures", "no-host", _set_entry("url", "not-a-url"),
      "not an absolute URL: 'not-a-url'"),
     ("fixtures", "repeated-page", _repeat_line_2, _repeated_page),
+    ("fixtures", "empty-entries", _set("entries", []), _empty_page),
+    ("fixtures", "no-entries", _drop("entries"), _empty_page),
     ("fixtures", "truncated", _truncate, _json_error),
     ("fixtures", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("model", "truncated", _document_case(lambda doc: doc[:-1]),
@@ -988,16 +995,20 @@ _BAD_INPUTS = [
      for name, case, mangle, cause in _BAD_INPUTS])
 def test_every_bad_input_exits_2_naming_its_line(workdir, tmp_path, capsys,
                                                  name, mangle, cause):
-    """A bad record is named by ``path:lineno``; a bad model file by its path."""
+    """A bad record is named by ``path:lineno``; a bad model file by its path.
+    A checkpoint's header line is mangled, and its parameter bytes kept."""
     source, argv = _INPUTS[name]
     fill = {"fx": FIXTURES, "work": workdir}
     source = Path(source.format(**fill))
-    lines = (FIXTURES / source).read_text(encoding="utf-8").splitlines()
+    text, body = (FIXTURES / source).read_bytes(), b""
+    if name in _CHECKPOINTS:
+        text, body = text.split(b"\n", 1)
+    lines = text.decode("utf-8").splitlines()
     if callable(cause):
         cause = cause(lines)
     lines, lineno = mangle(lines)
     bad = tmp_path / source.name
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + body)
     out = tmp_path / "out"
     fill.update(bad=bad, out=out)
     rc = main([arg.format(**fill) for arg in argv])
@@ -1087,11 +1098,11 @@ class _CountedFile:
     def __init__(self, fh, path, fail_at):
         self.fh, self.path, self.fail_at, self.writes = fh, path, fail_at, 0
 
-    def write(self, text):
+    def write(self, data):
         self.writes += 1
         if self.writes == self.fail_at:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return self.fh.write(text)
+        return self.fh.write(data)
 
     def __enter__(self):
         return self
@@ -1106,9 +1117,9 @@ def _open_outputs(monkeypatch, fail=None):
     opened = []
     real = records._open_output
 
-    def wrapped(path):
+    def wrapped(path, mode="w"):
         fail_at = fail[1] if fail and Path(path) == fail[0] else None
-        opened.append(_CountedFile(real(path), Path(path), fail_at))
+        opened.append(_CountedFile(real(path, mode), Path(path), fail_at))
         return opened[-1]
 
     monkeypatch.setattr(records, "_open_output", wrapped)

@@ -124,17 +124,23 @@ def test_store_rejects_unknown_engine(tmp_path):
 
 
 def test_store_miss_raises(tmp_path):
-    # a page with no entries names no engine, so it records no pair
-    store = _load(tmp_path, [_page("q", "GOOGLE", ["a.com"]),
-                             _page("empty", "GOOGLE", []), {"query": "bare"}])
+    store = _load(tmp_path, [_page("q", "GOOGLE", ["a.com"])])
     assert len(store) == 1
     assert _domains(store.get("q", "GOOGLE")) == ["a.com"]
-    for query, engine in (("other", "GOOGLE"), ("q", "BING"),
-                          ("empty", "GOOGLE"), ("bare", "GOOGLE")):
+    for query, engine in (("other", "GOOGLE"), ("q", "BING")):
         with pytest.raises(FixtureMissError):
             store.get(query, engine)
     with pytest.raises(FixtureMissError):
         FixtureStore().get("q", "GOOGLE")
+    # a page with no entries names no engine, so its line is refused on load
+    # rather than a later search missing it
+    for empty in (_page("empty", "GOOGLE", []), {"query": "bare"}):
+        path = _write(tmp_path / "empty.jsonl",
+                      [_page("q", "GOOGLE", ["a.com"]), empty])
+        with pytest.raises(SchemaError,
+                           match=f"empty.jsonl:2: page for '{empty['query']}' "
+                                 f"has no entries"):
+            FixtureStore.load(path)
 
 
 def test_changing_a_fetched_result_leaves_the_store_unchanged(tmp_path):
@@ -171,7 +177,7 @@ def test_load_rejects_an_entry_a_replay_cannot_parse(tmp_path):
 
 def test_store_load_reports_bad_line(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"query": "q", "entries": []}\n{broken\n')
+    path.write_text(json.dumps(_page("q", "GOOGLE", ["a.com"])) + "\n{broken\n")
     with pytest.raises(SchemaError, match=re.escape(f"{path}:2: Expecting")):
         FixtureStore.load(path)
 

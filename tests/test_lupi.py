@@ -24,12 +24,12 @@ from scamscout.lupi import (
     TokenizerConfig,
     TrainConfig,
     assemble,
+    checkpoint_header,
     distill_student,
     load_student,
     load_teacher,
     loco_cv,
-    model_from_dict,
-    model_to_dict,
+    model_from_checkpoint,
     privileged_texts,
     rank_keywords,
     ranked_from_csv,
@@ -192,10 +192,11 @@ def test_encoder_config_rejects_impossible_values(bad):
     with pytest.raises(SchemaError):
         EncoderConfig(**bad)
     # the same check guards a checkpoint's encoder section
-    blob = model_to_dict(StudentModel(TOK, ENC, seed=0))
-    blob["encoder"].update(bad)
+    student = StudentModel(TOK, ENC, seed=0)
+    header = checkpoint_header(student)
+    header["encoder"].update(bad)
     with pytest.raises(SchemaError):
-        model_from_dict(blob)
+        model_from_checkpoint(header, _body(student))
     EncoderConfig(dropout=0.0)
     EncoderConfig(dropout=0.99, ff_dim=1)
 
@@ -384,7 +385,7 @@ def test_backward_needs_a_train_mode_forward():
             backward()
 
 
-# Names a 1-layer encoder's parameters take in checkpoint layouts (format v3).
+# Names a 1-layer encoder's parameters take in checkpoint layouts.
 _ENCODER_1L = [
     "embed.w",
     "blocks.0.ln1.g", "blocks.0.ln1.b",
@@ -934,23 +935,38 @@ def test_checkpoint_loader_type_checks(tmp_path):
     assert isinstance(load_student(s_path), StudentModel)
 
 
+def _body(model) -> bytes:
+    """The checkpoint body of ``model``: its buffer's little-endian float64 bytes."""
+    return model.flat.astype("<f8").tobytes()
+
+
 def test_checkpoint_blob_validation():
     student = StudentModel(TOK, ENC, seed=0)
-    blob = model_to_dict(student)
-    bad = dict(blob, format_version=99)
+    header, body = checkpoint_header(student), _body(student)
+    bad = dict(header, format_version=99)
     with pytest.raises(SchemaError):
-        model_from_dict(bad)
-    bad = dict(blob, kind="committee")
+        model_from_checkpoint(bad, body)
+    bad = dict(header, kind="committee")
     with pytest.raises(SchemaError):
-        model_from_dict(bad)
-    bad = json.loads(json.dumps(blob))
+        model_from_checkpoint(bad, body)
+    bad = json.loads(json.dumps(header))
     bad["layout"].pop(0)
     with pytest.raises(SchemaError, match="layout"):
-        model_from_dict(bad)
-    bad = json.loads(json.dumps(blob))
+        model_from_checkpoint(bad, body)
+    bad = json.loads(json.dumps(header))
     bad["layout"][0][1] = [1, 1]
     with pytest.raises(SchemaError, match="layout"):
-        model_from_dict(bad)
+        model_from_checkpoint(bad, body)
+
+
+def test_checkpoint_is_a_header_line_then_the_raw_buffer(tmp_path):
+    for model in (TeacherModel(TOK, ENC, PRIV, seed=0), StudentModel(TOK, ENC, seed=0)):
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        header = checkpoint_header(model)
+        assert head.decode("ascii") == json.dumps(header, sort_keys=True)
+        assert body == model.flat.astype("<f8").tobytes()
 
 
 def test_checkpoint_round_trips_special_floats_bitwise(tmp_path):
@@ -969,48 +985,62 @@ def test_checkpoint_round_trips_special_floats_bitwise(tmp_path):
 
     def no_constants(token):
         raise AssertionError(f"non-standard JSON token {token}")
-    json.loads(path.read_text(), parse_constant=no_constants)
+    head = path.read_bytes().split(b"\n", 1)[0]
+    json.loads(head, parse_constant=no_constants)
     loaded = load_student(path)
     for name, value in student.parameters().items():
         assert np.array_equal(value.view(np.uint64),
                               loaded.parameters()[name].view(np.uint64)), name
 
 
-def test_checkpoint_rejects_corrupt_data_and_old_format():
+def test_checkpoint_rejects_corrupt_data_and_old_format(tmp_path):
     student = StudentModel(TOK, ENC, seed=0)
-    blob = model_to_dict(student)
+    header, body = checkpoint_header(student), _body(student)
 
-    good = blob["params"]
-    raw = base64.b64decode(good)
-    for data, error in ((good[:4] + "*" + good[4:], "base64"),   # not base64
-                        (base64.b64encode(raw[:-8]).decode(), "byte count"),
-                        (base64.b64encode(raw + raw[:8]).decode(), "byte count"),
-                        ([0.0] * student.flat.size, "base64")):
-        bad = dict(blob, params=data)
-        with pytest.raises(SchemaError, match=error):
-            model_from_dict(bad)
+    for data in (body[:-8], body + body[:8],            # one float short or long
+                 body[:-1], body + b"\n", b""):         # not whole floats
+        with pytest.raises(SchemaError, match="byte count"):
+            model_from_checkpoint(header, data)
+    path = tmp_path / "student.json"
+    save_checkpoint(student, path)
+    good = path.read_bytes()
+    for data in (good[:-8], good + good[-8:]):
+        path.write_bytes(data)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "
+                                              f"parameter byte count mismatch"):
+            load_student(path)
 
+    # version 3: one JSON object, no newline, the buffer base64-encoded
+    v3 = dict(header, format_version=3,
+              params=base64.b64encode(body).decode("ascii"))
     # version 2: one {"shape", "data"} entry per parameter name
-    old = dict(blob, format_version=2, params={
+    v2 = dict(header, format_version=2, params={
         name: {"shape": list(p.shape),
                "data": base64.b64encode(p.tobytes()).decode()}
         for name, p in student.named_parameters()})
-    del old["layout"]
-    with pytest.raises(SchemaError, match="unsupported checkpoint format.*retrain"):
-        model_from_dict(old)
+    del v2["layout"]
+    for old in (v3, v2):
+        with pytest.raises(SchemaError, match="unsupported checkpoint format.*retrain"):
+            model_from_checkpoint(old, body)
+        path.write_text(json.dumps(old, sort_keys=True), encoding="utf-8")
+        assert b"\n" not in path.read_bytes()
+        with pytest.raises(SchemaError,
+                           match=f"^{re.escape(str(path))}: unsupported checkpoint "
+                                 f"format: {old['format_version']} .*retrain"):
+            load_student(path)
 
 
 def test_checkpoint_rejects_a_reordered_layout():
     student = StudentModel(TOK, ENC, seed=0)
-    blob = model_to_dict(student)
-    layout = blob["layout"]
+    header = checkpoint_header(student)
+    layout = header["layout"]
     names = [name for name, _ in layout]
     i = names.index("query_encoder.blocks.0.attn.wq.w")
     j = names.index("query_encoder.blocks.0.attn.wk.w")
     assert layout[i][1] == layout[j][1]   # equal shapes: same byte count
     layout[i], layout[j] = layout[j], layout[i]
     with pytest.raises(SchemaError, match="layout.*attn.wk.w"):
-        model_from_dict(blob)
+        model_from_checkpoint(header, _body(student))
 
 
 def test_loaded_parameters_are_writable_and_own_their_data(tmp_path):
