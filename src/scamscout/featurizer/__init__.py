@@ -6,7 +6,6 @@ from .schema import (
     BOOLEAN,
     CATEGORICAL,
     FEATURE_GROUPS,
-    FEATURE_KINDS,
     FEATURE_NAMES,
     FEATURES,
     NUM_FEATURES,
@@ -30,7 +29,6 @@ __all__ = [
     "DesignMatrix",
     "FEATURES",
     "FEATURE_GROUPS",
-    "FEATURE_KINDS",
     "FEATURE_NAMES",
     "FeatureVector",
     "NUMERIC",

@@ -139,7 +139,6 @@ FEATURES: list[tuple[str, str, str]] = [
 
 NUM_FEATURES = len(FEATURES)
 FEATURE_NAMES = [name for name, _, _ in FEATURES]
-FEATURE_KINDS = {name: kind for name, kind, _ in FEATURES}
 FEATURE_GROUPS = {name: group for name, _, group in FEATURES}
 _INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 

@@ -16,10 +16,11 @@ row every model reads.  Two cuts follow from that:
   projection, ``ln2``, feed-forward and the final ``ln_out`` over row 0
   alone, as (B, D) GEMMs whose rows equal the full-width product's.
 
-In train mode the dropout masks are still drawn at the full (B, T, D) and
-sliced, so the random stream does not move.  Backward sums each weight
-gradient over fewer rows (the cut rows carried zero gradient), which moves
-it at the rounding level, about 1e-15 relative.
+In train mode each dropout mask is drawn at the shape it masks: (B, L, D)
+for the input and the inner blocks, where L is the trimmed length, and
+(B, D) for the last block.  Backward sums each weight gradient over fewer
+rows (the cut rows carried zero gradient), which moves it at the rounding
+level, about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        if self.dim < 1 or self.heads < 1:
+            raise SchemaError(f"dim and heads must be >= 1, got {self.dim!r} "
+                              f"and {self.heads!r}")
         if self.dim % self.heads != 0:
             raise SchemaError("dim must be divisible by heads")
         if self.layers < 1:
@@ -94,12 +98,12 @@ class EncoderBlock(Module):
         self.ffn = FeedForward(cfg.dim, cfg.ff_dim, rng)
         self.drop2 = Dropout(cfg.dropout)
 
-    def forward(self, x, key_mask, train, rng, draw_shape=None):
+    def forward(self, x, key_mask, train, rng):
         a = self.attn.forward(self.ln1.forward(x, train), key_mask, train,
                               self.rows)
-        x = x[:, self.rows] + self.drop1.forward(a, train, rng, draw_shape)
+        x = x[:, self.rows] + self.drop1.forward(a, train, rng)
         f = self.ffn.forward(self.ln2.forward(x, train), train)
-        return x + self.drop2.forward(f, train, rng, draw_shape)
+        return x + self.drop2.forward(f, train, rng)
 
     def backward(self, d_out):
         d_f = self.drop2.backward(d_out)
@@ -126,13 +130,12 @@ class Encoder(Module):
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """ids (B, T) -> CLS vectors (B, D)."""
-        draw_shape = (*ids.shape, self.cfg.dim)
         ids = ids[:, :trimmed_length(ids)]
         key_mask = ids != PAD_ID
         x = self.embed.forward(ids, train) + self.positions[: ids.shape[1]]
-        x = self.drop_in.forward(x, train, rng, draw_shape)
+        x = self.drop_in.forward(x, train, rng)
         for block in self.blocks:
-            x = block.forward(x, key_mask, train, rng, draw_shape)
+            x = block.forward(x, key_mask, train, rng)
         return self.ln_out.forward(x, train)
 
     def backward(self, d_cls: np.ndarray) -> None:

@@ -5,8 +5,8 @@ gradients can be checked against finite differences.  Each module keeps its
 own parameters and gradient accumulators in name-keyed dicts; a module instance
 serves one forward per training step.  A forward caches what its backward
 needs iff ``train`` is set: a train-mode pass is one that will be
-backpropagated (and draws dropout masks), an eval-mode pass caches nothing,
-and a model's backward after one raises.
+backpropagated (and draws each dropout mask at the shape it masks), an
+eval-mode pass caches nothing, and a model's backward after one raises.
 Backward passes return the gradient w.r.t. their input and accumulate into
 ``grads``.
 
@@ -153,31 +153,22 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode or at p = 0.  The mask a call
-    draws is kept for backward.
-
-    ``draw_shape`` (default: ``x.shape``) is the shape the random mask is
-    drawn at; ``x`` takes its leading block.  A caller that trims ``x``
-    passes the untrimmed shape, so it consumes the same random numbers and
-    keeps the same mask values as the untrimmed call.  An ``x`` one axis
-    short of ``draw_shape`` is a batch of CLS rows and takes position 0 of
-    the draw's axis 1.
+    """Inverted dropout; a no-op in eval mode or at p = 0.  A train-mode call
+    draws its mask at ``x.shape``, the shape it masks, and keeps it for
+    backward.
     """
 
     def __init__(self, p: float):
         super().__init__()
         self.p = p
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None,
-                draw_shape: tuple[int, ...] | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool,
+                rng: np.random.Generator | None) -> np.ndarray:
         self._mask = None
         if not train or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        draws = rng.random(draw_shape or x.shape)
-        if draws.ndim > x.ndim:
-            draws = draws[:, 0]
-        self._mask = (draws[tuple(slice(n) for n in x.shape)] < keep) / keep
+        self._mask = (rng.random(x.shape) < keep) / keep
         return x * self._mask
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:

@@ -187,6 +187,7 @@ def test_encoder_config_validation():
 @pytest.mark.parametrize("bad", [
     {"dropout": 1.0}, {"dropout": 1.5}, {"dropout": -0.5},
     {"dropout": float("nan")}, {"ff_dim": 0},
+    {"heads": 0}, {"heads": -4}, {"dim": 0},
 ])
 def test_encoder_config_rejects_impossible_values(bad):
     with pytest.raises(SchemaError):
@@ -1203,9 +1204,31 @@ def test_trimmed_length_rounds_the_longest_prefix_up_to_a_multiple_of_8():
 
 
 def _untrimmed(monkeypatch):
-    """Make every encoder pass run at the full length (the reference)."""
+    """Make every encoder pass run at the full length (the reference).  Each
+    dropout over the columns still draws the mask the trimmed pass draws, at
+    the trimmed length, and pads it with ones over the cut columns; a (B, D)
+    input, such as a last block's CLS rows, draws at its own shape."""
     from scamscout.lupi import encoder
-    monkeypatch.setattr(encoder, "trimmed_length", lambda ids: ids.shape[1])
+    from scamscout.lupi.layers import Dropout
+    trimmed, forward = encoder.trimmed_length, Dropout.forward
+    kept = []
+
+    def full_length(ids):
+        kept.append(trimmed(ids))
+        return ids.shape[1]
+
+    def padded_forward(self, x, train, rng):
+        if x.ndim == 2:
+            return forward(self, x, train, rng)
+        forward(self, x[:, :kept[-1]], train, rng)
+        if self._mask is None:
+            return x
+        self._mask = np.concatenate(
+            [self._mask, np.ones_like(x[:, kept[-1]:])], axis=1)
+        return x * self._mask
+
+    monkeypatch.setattr(encoder, "trimmed_length", full_length)
+    monkeypatch.setattr(Dropout, "forward", padded_forward)
 
 
 @pytest.mark.parametrize("train", [False, True])
@@ -1248,19 +1271,61 @@ def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(
         assert state_trim == state_full
 
 
+def test_dropout_draws_only_the_masks_it_applies():
+    from scamscout.lupi import Encoder
+    from scamscout.lupi.encoder import trimmed_length
+    from scamscout.lupi.layers import Dropout
+
+    def advanced_by(n):
+        ref = np.random.default_rng(11)
+        ref.random(n)
+        return ref.bit_generator.state
+
+    x = np.ones((3, 5, 4))
+    for p, train, n in ((0.3, True, x.size), (0.3, False, 0), (0.0, True, 0)):
+        rng = np.random.default_rng(11)
+        Dropout(p).forward(x, train, rng)
+        assert rng.bit_generator.state == advanced_by(n), (p, train)
+    rng = np.random.default_rng(2)
+    texts = [_words(rng, int(n)) for n in rng.integers(1, 20, size=5)]
+    ids = tokenize_batch(texts, TOK_LONG)
+    b, kept = ids.shape[0], trimmed_length(ids)
+    assert kept < ids.shape[1]
+    for layers in (1, 2, 3):
+        enc_cfg = EncoderConfig(layers=layers, dim=16, heads=2, ff_dim=32,
+                                dropout=0.2)
+        enc = Encoder(TOK_LONG.vocab_size, TOK_LONG.max_len_query, enc_cfg,
+                      np.random.default_rng(0))
+        rng = np.random.default_rng(11)
+        enc.forward(ids, True, rng)
+        # the input and each inner block's two dropouts mask the kept
+        # columns, the last block's two mask its CLS rows
+        n = b * kept * enc_cfg.dim * (2 * layers - 1) + 2 * b * enc_cfg.dim
+        assert rng.bit_generator.state == advanced_by(n), layers
+
+
 def _full_width_cls(enc, ids, train, rng):
     """CLS vectors computed the long way: every block over every position of
-    the untrimmed ids, dropout masks drawn in the encoder's order, row 0
-    read at the end."""
+    the untrimmed ids, dropout masks drawn in the encoder's order and at its
+    shapes, row 0 read at the end."""
+    from scamscout.lupi.encoder import trimmed_length
     p, cfg = enc.parameters(), enc.cfg
     b, t = ids.shape
+    kept = trimmed_length(ids)
     heads, hd = cfg.heads, cfg.dim // cfg.heads
 
-    def drop(x):
+    def drop(x, cls_row):
+        """x times a mask that is ones apart from a draw over the kept
+        columns, or over row 0 alone in the last block."""
         if not train or cfg.dropout == 0.0:
             return x
         keep = 1.0 - cfg.dropout
-        return x * ((rng.random(x.shape) < keep) / keep)
+        mask = np.ones_like(x)
+        if cls_row:
+            mask[:, 0] = (rng.random((b, cfg.dim)) < keep) / keep
+        else:
+            mask[:, :kept] = (rng.random((b, kept, cfg.dim)) < keep) / keep
+        return x * mask
 
     def norm(x, name):
         mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
@@ -1272,9 +1337,9 @@ def _full_width_cls(enc, ids, train, rng):
     def split(x):
         return x.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
 
-    x = drop(p["embed.w"][ids] + enc.positions[:t])
+    x = drop(p["embed.w"][ids] + enc.positions[:t], False)
     for i in range(cfg.layers):
-        pre = f"blocks.{i}."
+        pre, last = f"blocks.{i}.", i == cfg.layers - 1
         h = norm(x, pre + "ln1")
         q, k, v = (split(lin(h, pre + "attn." + w)) for w in ("wq", "wk", "wv"))
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
@@ -1282,10 +1347,10 @@ def _full_width_cls(enc, ids, train, rng):
         attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn /= attn.sum(axis=-1, keepdims=True)
         ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, t, cfg.dim)
-        x = x + drop(lin(ctx, pre + "attn.wo"))
+        x = x + drop(lin(ctx, pre + "attn.wo"), last)
         f = lin(np.maximum(lin(norm(x, pre + "ln2"), pre + "ffn.lin1"), 0.0),
                 pre + "ffn.lin2")
-        x = x + drop(f)
+        x = x + drop(f, last)
     return norm(x, "ln_out")[:, 0]
 
 
