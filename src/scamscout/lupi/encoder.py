@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SchemaError
+from ..records import check_field_types
 from .layers import (
     Dropout,
     Embedding,
@@ -50,6 +51,7 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.dim < 1 or self.heads < 1:
             raise SchemaError(f"dim and heads must be >= 1, got {self.dim!r} "
                               f"and {self.heads!r}")

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import SchemaError
+from ..records import check_field_types
 
 PAD_ID = 0
 CLS_ID = 1
@@ -28,6 +29,7 @@ class TokenizerConfig:
     max_len_serp: int = 64
 
     def __post_init__(self):
+        check_field_types(self)
         if self.vocab_size < 16:
             raise SchemaError("vocab_size must be >= 16")
         if self.max_len_query < 2 or self.max_len_serp < 2:

@@ -28,8 +28,8 @@ from ..featurizer.encode import (
     DesignMatrix,
 )
 from ..featurizer.schema import NUM_FEATURES, FeatureVector
-from ..records import read_json, write_document
-from .tree import TreeNode, finite_float, grow_tree, predict_tree
+from ..records import check_field_types, read_json, write_document
+from .tree import TreeNode, finite_float, grow_tree, predict_tree, rank_table
 
 MODEL_FORMAT_VERSION = 2
 CLASSIFICATION_THRESHOLD = 0.5
@@ -46,6 +46,7 @@ class TrainConfig:
     min_leaf: int = 5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.rounds < 1 or self.min_leaf < 1:
             raise TrainingError("rounds and min_leaf must be >= 1")
         if self.max_depth < 0:
@@ -146,6 +147,7 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
     losses = [_logistic_loss(raw, y)]
 
     encoder = DatasetEncoder(matrix.column_meta)
+    table = rank_table(values, _CAT_COLS)  # the matrix is fixed across rounds
 
     for _ in range(config.rounds):
         p = _sigmoid(raw)
@@ -157,8 +159,8 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
             h = hess[rows].sum()
             return -config.learning_rate * g / (h + 1e-12)
 
-        tree = grow_tree(values, _CAT_COLS, grad, hess,
-                         config.max_depth, config.min_leaf, leaf_value)
+        tree = grow_tree(table, grad, hess, config.max_depth, config.min_leaf,
+                         leaf_value)
 
         # halve the update until training loss does not increase
         prev_loss = losses[-1]

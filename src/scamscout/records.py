@@ -10,7 +10,8 @@ bytes of a whole file, such as a checkpoint, and ``read_json`` the one JSON
 object in a file, such as a model; both name a fault ``"path: cause"``.
 ``get_typed`` reads one field of a record and raises ``SchemaError`` unless
 it has exactly the expected type.  ``from_record`` builds a dataclass from
-the keys of a record named like its fields.
+the keys of a record named like its fields, and ``check_field_types``
+checks the number fields of a dataclass.
 
 ``write_csv``, ``write_jsonl`` and ``write_document`` write every text
 output file: UTF-8, ``\\n`` line ends, so a rerun rewrites the same bytes on
@@ -171,6 +172,23 @@ def get_typed(rec: dict, key: str, kind: type, default, where: str = ""):
     if type(value) is not kind:
         raise SchemaError(f"{where}{key} must be {kind.__name__}, got {value!r}")
     return value
+
+
+# declared type of a dataclass field -> (accepted types, name in the error)
+_NUMBER_FIELDS = {"int": ((int,), "int"), "float": ((int, float), "a real number")}
+
+
+def check_field_types(obj) -> None:
+    """Raise ``SchemaError`` naming the first field of the dataclass ``obj``
+    declared ``int`` that does not hold an int, or declared ``float`` that
+    does not hold a real number; a bool is neither."""
+    for f in fields(obj):
+        kind = _NUMBER_FIELDS.get(getattr(f.type, "__name__", f.type))
+        if kind is None:
+            continue
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, kind[0]):
+            raise SchemaError(f"{f.name} must be {kind[1]}, got {value!r}")
 
 
 @cache

@@ -697,6 +697,12 @@ def _split_case(key, value, cause):
             lambda lines: f"trees[{_first_split(json.loads(lines[0]))[0]}].{cause}")
 
 
+def _section_case(section, **values):
+    """Set ``values`` in the ``section`` object of a model document or a
+    checkpoint header."""
+    return _model_case(lambda doc: doc[section].update(values))
+
+
 def _format_1(model):
     """The layout of model format 1: a loss, a seed and a schema version."""
     model.update(format_version=1, schema_version=model["encoder"]["schema_version"])
@@ -980,10 +986,30 @@ _BAD_INPUTS = [
      _model_case(lambda m: m["encoder"]["columns"]["29"].update(
          zzz=max(m["encoder"]["columns"]["29"].values(), default=1))),
      "encoder.columns['29'] maps 'zzz' to "),
+    ("model", "float-max-depth", _section_case("config", max_depth=2.5),
+     "max_depth must be int, got 2.5"),
+    ("model", "bool-min-leaf", _section_case("config", min_leaf=True),
+     "min_leaf must be int, got True"),
+    ("model", "string-learning-rate",
+     _section_case("config", learning_rate="0.1"),
+     "learning_rate must be a real number, got '0.1'"),
     ("oracle", "truncated", _document_case(lambda doc: doc[:-1]),
      lambda lines: _json_error(lines, 0)),
     ("student", "no-tokenizer", _drop_document_key("tokenizer"),
      "missing key 'tokenizer'"),
+    ("student", "float-heads", _section_case("encoder", heads=2.0),
+     "heads must be int, got 2.0"),
+    ("student", "bool-heads", _section_case("encoder", heads=True),
+     "heads must be int, got True"),
+    ("student", "string-heads", _section_case("encoder", heads="4"),
+     "heads must be int, got '4'"),
+    ("student", "null-heads", _section_case("encoder", heads=None),
+     "heads must be int, got None"),
+    ("student", "bool-dropout", _section_case("encoder", dropout=True),
+     "dropout must be a real number, got True"),
+    ("student", "float-vocab-size",
+     _section_case("tokenizer", vocab_size=8192.0),
+     "vocab_size must be int, got 8192.0"),
     ("teacher", "not-a-student", _document_case(lambda doc: doc),
      "checkpoint does not contain a student model"),
 ]

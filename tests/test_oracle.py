@@ -43,6 +43,7 @@ from scamscout.oracle.tree import (
     _best_split,
     _score,
     predict_tree,
+    rank_table,
 )
 
 _F1 = FEATURE_NAMES.index("tranco")
@@ -578,6 +579,13 @@ def _ref_best_split(values, cat_cols, rows, grad, hess, min_leaf):
     return best
 
 
+def _ref_best_split_on_table(table, *args):
+    """``_ref_best_split`` called the way ``_best_split`` is, on a
+    ``RankTable``; it reads only the table's values and categorical columns."""
+    return _ref_best_split(table.values, frozenset(table.categorical.tolist()),
+                           *args)
+
+
 def _random_node(rng):
     """A node drawn to provoke ties, NaN tails, empty categories, tiny leaves,
     columns constant at the node and numeric runs wider than 16 columns."""
@@ -628,7 +636,7 @@ def test_vectorized_split_search_equals_scalar_reference():
     for _ in range(400):
         args = _random_node(rng)
         ref = _ref_best_split(*args)
-        got = _best_split(*args)
+        got = _best_split(rank_table(*args[:2]), *args[2:])
         if ref is None:
             assert got is None
             winners["none"] += 1
@@ -649,6 +657,37 @@ def test_vectorized_split_search_equals_scalar_reference():
                 winners[kind] += 1
     # the draw must exercise every kind of outcome, or it proves little
     assert all(count >= 10 for count in winners.values()), winners
+
+
+def test_split_search_equals_the_reference_on_long_runs():
+    """Nodes of 150-400 rows whose categorical columns have 2-4 codes, so
+    code runs and MISSING tails reach past the 128-element blocks of
+    numpy's pairwise sum; the search must keep the reference's bits."""
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n_total = int(rng.integers(150, 401))
+        values = np.empty((n_total, 6))
+        for f in range(6):
+            if f % 2:
+                values[:, f] = rng.integers(0, int(rng.integers(3, 6)), n_total)
+            else:
+                col = np.round(rng.normal(0, 1, n_total), 1)
+                col[rng.random(n_total) < rng.uniform(0.0, 0.6)] = np.nan
+                values[:, f] = col
+        p = rng.uniform(0.01, 0.99, n_total)
+        grad = p - (rng.random(n_total) < 0.5)
+        hess = p * (1.0 - p)
+        rows = rng.permutation(n_total)[: int(rng.integers(n_total // 2,
+                                                           n_total + 1))]
+        args = (values, frozenset({1, 3, 5}), rows, grad, hess, 5)
+        ref = _ref_best_split(*args)
+        got = _best_split(rank_table(*args[:2]), *args[2:])
+        assert (got.gain, got.feature_index, got.threshold, got.category_set,
+                got.missing_goes) == (ref.gain, ref.feature_index,
+                                      ref.threshold, ref.category_set,
+                                      ref.missing_goes)
+        assert np.array_equal(got.left_rows, ref.left_rows)
+        assert np.array_equal(got.right_rows, ref.right_rows)
 
 
 def _referee_matrix():
@@ -688,7 +727,7 @@ def test_boosted_model_equals_the_scalar_reference_model(monkeypatch):
     matrix = _referee_matrix()
     config = TrainConfig(rounds=6, max_depth=3, min_leaf=2)
     got = train_gbdt(matrix, config).to_dict()
-    monkeypatch.setattr(tree, "_best_split", _ref_best_split)
+    monkeypatch.setattr(tree, "_best_split", _ref_best_split_on_table)
     assert got == train_gbdt(matrix, config).to_dict()
     # the trees split 16 or more columns into a numeric run
     used = set()
@@ -702,9 +741,56 @@ def test_boosted_model_equals_the_scalar_reference_model(monkeypatch):
                for f in used - set(CATEGORICAL_COLUMNS))
 
 
+def _rank_test_matrix(rng, n):
+    """``n`` rows of numeric columns of every kind a rank must keep apart or
+    together: tie runs, NaN tails, -0.0 beside 0.0, all-NaN and constant
+    columns, columns that are all-NaN or constant on most subsets of rows,
+    and distinct values; column 1 holds category codes."""
+    def one_off(col, value):
+        col[rng.integers(n)] = value
+        return col
+
+    cols = [
+        np.round(rng.normal(0, 2, n)),  # tie runs
+        rng.integers(0, 5, n).astype(float),  # category codes
+        np.where(rng.random(n) < 0.3, np.nan, np.round(rng.normal(0, 1, n), 1)),
+        one_off(np.where(rng.random(n) < 0.5, -0.0, 0.0), 1.0),
+        rng.choice([-0.0, 0.0, 1.0, np.nan], n),
+        np.full(n, np.nan),
+        np.full(n, 3.0),
+        one_off(one_off(np.full(n, np.nan), 1.0), 2.0),
+        one_off(np.full(n, 3.0), 4.0),
+        rng.permutation(n) - n / 2,  # every value distinct
+    ]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 500, 65_535, 65_536])
+def test_rank_table_orders_node_rows_as_their_values_do(n):
+    """A stable argsort of a node's ranks is the stable argsort of its values,
+    NaN last.  The table holds the numeric columns with two or more distinct
+    present values, as uint16 up to 65,535 rows and wider above."""
+    rng = np.random.default_rng(n)
+    values = _rank_test_matrix(rng, n)
+    table = rank_table(values, frozenset({1}))
+    assert table.ranks.dtype == (np.uint16 if n <= 65_535 else np.uint32)
+    assert list(table.numeric) == [
+        f for f in range(values.shape[1]) if f != 1
+        and np.unique(values[~np.isnan(values[:, f]), f]).size >= 2]
+    assert list(table.categorical) == [1]
+    assert np.array_equal(table.codes[0], values[:, 1])
+    for _ in range(5):
+        rows = rng.permutation(rng.choice(n, int(rng.integers(1, n + 1)),
+                                          replace=False))
+        got = np.argsort(table.ranks[:, rows], axis=1, kind="stable")
+        want = np.argsort(values[rows][:, table.numeric].T, axis=1,
+                          kind="stable")
+        assert np.array_equal(got, want)
+
+
 def test_zero_gain_is_not_a_split():
     # with all-zero gradients every candidate scores exactly 0
     values = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 1.0], [np.nan, 2.0]])
     args = (values, frozenset({1}), np.arange(4), np.zeros(4), np.ones(4), 1)
     assert _ref_best_split(*args) is None
-    assert _best_split(*args) is None
+    assert _best_split(rank_table(*args[:2]), *args[2:]) is None
