@@ -34,10 +34,12 @@ need Python 3.11 and the package supports 3.10.
 
 Each distinct tag is worked out once per command.  A command passes one
 ``memo`` dict to ``extract_features`` for every snapshot it featurizes; the
-memo maps a tag's text to its ``_TagEffect``: the counters it adds to, the
-flags it sets, its class tokens, and for a link or script to a named host
-that host's root domain.  Whether that root is the page's own is still
-decided per page.  The memo lives as long as the command's dict, so no
+memo maps an opening tag's text to its ``_TagEffect``: the counters it adds
+to, the flags it sets, its class tokens, and for a link or script to a
+named host that host's root domain.  A page's tags are counted by their
+text, and a tag's parts are read only when it first enters the memo;
+closing tags never do.  Whether a root is the page's own is still decided
+per page.  The memo lives as long as the command's dict, so no
 state is kept between commands.
 """
 
@@ -93,14 +95,19 @@ _REVIEW_DOMAINS = {
 
 _APP_STORE_DOMAINS = {"apps.apple.com", "itunes.apple.com", "play.google.com"}
 
+# each marker list as (substring, the markers holding it, the rest), so
+# that one test of the substring skips its markers on most pages
 _REVIEW_WIDGET_MARKERS = (
-    "trustpilot-widget", "tp-widget", "yotpo", "judge.me", "judgeme",
-    "stamped.io", "loox", "okendo", "reviews-widget", "feefo-widget",
+    "widget",
+    ("trustpilot-widget", "tp-widget", "reviews-widget", "feefo-widget"),
+    ("yotpo", "judge.me", "judgeme", "stamped.io", "loox", "okendo"),
 )
 
 _COOKIE_MARKERS = (
-    "cookie consent", "we use cookies", "cookie policy", "accept cookies",
-    "cookiebot", "onetrust", "cookie_notice", "cookie-notice", "gdpr",
+    "cookie",
+    ("cookie consent", "we use cookies", "cookie policy", "accept cookies",
+     "cookiebot", "cookie_notice", "cookie-notice"),
+    ("onetrust", "gdpr"),
 )
 
 _DISCOUNT_WORDS = (
@@ -147,10 +154,12 @@ _CLOCK_RE = re.compile(
 # --- forgiving HTML scanning ------------------------------------------------
 
 # the attribute blob as an unrolled loop (see the module docstring)
-_TAG_RE = re.compile(
-    r"<\s*(/?)([a-zA-Z][a-zA-Z0-9]*)([^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*)>",
-    re.DOTALL,
-)
+_ATTR_BLOB = r"[^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*"
+_TAG_RE = re.compile(r"<\s*(/?)([a-zA-Z][a-zA-Z0-9]*)(" + _ATTR_BLOB + ")>",
+                     re.DOTALL)
+# the same tags without groups, so that ``findall`` yields each tag's text
+_TAG_TEXT_RE = re.compile(r"<\s*/?[a-zA-Z][a-zA-Z0-9]*" + _ATTR_BLOB + ">",
+                          re.DOTALL)
 _ATTR_RE = re.compile(
     r"([a-zA-Z_:][-a-zA-Z0-9_:.]*)\s*=\s*(\"([^\"]*)\"|'([^']*)'|([^\s>]+))"
 )
@@ -223,6 +232,12 @@ _PATH_WORDS = (
 
 def _contains_any(text: str, words: tuple[str, ...]) -> bool:
     return any(map(text.__contains__, words))
+
+
+def _contains_marker(text: str, markers) -> bool:
+    common, holding, rest = markers
+    return (common in text and _contains_any(text, holding)
+            or _contains_any(text, rest))
 
 
 # the counters one opening tag adds one to, by lowered tag name
@@ -447,8 +462,8 @@ def _whois_features(snapshot: DomainSnapshot) -> dict:
 
 
 def _content_features(snapshot: DomainSnapshot, memo=None) -> dict:
-    """The content group; ``memo`` maps each tag ``_TAG_RE`` found on earlier
-    pages to its ``_TagEffect``, and gains this page's new tags."""
+    """The content group; ``memo`` maps the text of each opening tag found on
+    earlier pages to its ``_TagEffect``, and gains this page's new ones."""
     if memo is None:
         memo = {}
     html = snapshot.html
@@ -473,12 +488,13 @@ def _content_features(snapshot: DomainSnapshot, memo=None) -> dict:
         title_text = _WS_RE.sub(" ", title_match.group(1)).strip()
 
     # a tag that stands n times on the page has its effect applied once, n-fold
-    for tag, n in Counter(_TAG_RE.findall(html)).items():
-        if tag[0]:
+    for tag, n in Counter(_TAG_TEXT_RE.findall(html)).items():
+        if tag[1] == "/" or tag[1].isspace() and tag[1:].lstrip()[0] == "/":
             continue   # a closing tag
         effect = memo.get(tag)
         if effect is None:
-            effect = memo[tag] = _tag_effect(tag[1], tag[2])
+            _, name, attr_blob = _TAG_RE.match(tag).groups()
+            effect = memo[tag] = _tag_effect(name, attr_blob)
         classes, adds, sets, root, if_own, if_other = effect
         css_classes.update(classes)
         for feature in adds:
@@ -493,9 +509,9 @@ def _content_features(snapshot: DomainSnapshot, memo=None) -> dict:
     counts["has_title"] = int(bool(title_text))
     counts["title_length"] = len(title_text)
     counts["trustpilot_present"] = int("trustpilot" in lower_html)
-    if _contains_any(lower_html, _REVIEW_WIDGET_MARKERS):
+    if _contains_marker(lower_html, _REVIEW_WIDGET_MARKERS):
         counts["has_review_widget"] = 1
-    if _contains_any(lower_html, _COOKIE_MARKERS):
+    if _contains_marker(lower_html, _COOKIE_MARKERS):
         counts["presence_cookie_consent_notice"] = 1
     copyright_, discount, urgency, countdown = _text_matches(html, lower_html, text)
     counts["has_copyright_notice"] = int(copyright_)

@@ -6,6 +6,14 @@ contain a high-toxicity segment, and estimate the toxicity of each bucket by
 bootstrap resampling.  Every bootstrap cell derives its own seed from the
 master seed plus a stable hash of the cell key, so individual table cells
 are reproducible in isolation and insensitive to iteration order.
+
+A segment matches a query when every word of the segment is a whole token
+of the lowered query: order-free ("for sale" matches "sale items for
+kids"), and monotone in the query, since adding words never turns a match
+into a miss.  Each table splits every query once, into a token index from
+each token to the positions of the queries holding it; a segment's matches
+are the intersection of its tokens' entries.  ``rank_segments`` ranks each
+distinct segment text once, whichever categories list it.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -100,16 +108,6 @@ def classify_attributes(keyword: KeywordSuggestion) -> set[QueryAttribute]:
     return attrs
 
 
-def match_segment(query_text: str, segment: QuerySegment) -> bool:
-    """True when every word of the segment appears as a whole query token.
-
-    Order-free: "for sale" matches "sale items for kids".  Monotone in the
-    query: adding words never turns a match into a miss.
-    """
-    query_tokens = set(query_text.lower().split())
-    return all(tok in query_tokens for tok in segment.tokens)
-
-
 # --- bootstrap ----------------------------------------------------------------
 
 
@@ -137,16 +135,35 @@ def bootstrap_estimate(
     return BootstrapEstimate(mean=float(means.mean()), std=float(means.std()))
 
 
+def _token_index(scores: Sequence[QueryToxicity]) -> dict[str, set[int]]:
+    """Each whole query token to the positions of the queries holding it."""
+    index: dict[str, set[int]] = {}
+    for i, s in enumerate(scores):
+        for tok in s.query.lower().split():
+            index.setdefault(tok, set()).add(i)
+    return index
+
+
 def _matching_toxicities(
     scores: Sequence[QueryToxicity],
-    segments: Sequence[QuerySegment],
+    index: Mapping[str, set[int]],
+    segments: Iterable[QuerySegment],
 ) -> list[float]:
+    """Toxicities of the queries of ``index`` (built over ``scores``) that
+    hold every token of at least one of ``segments``."""
+    hits: set[int] = set()
+    for seg in segments:
+        first, *rest = [index.get(tok, set()) for tok in seg.tokens]
+        hits |= first.intersection(*rest)
     # sorted so the bootstrap is invariant to the caller's query order
-    return sorted(
-        s.toxicity
-        for s in scores
-        if any(match_segment(s.query, seg) for seg in segments)
-    )
+    return sorted(scores[i].toxicity for i in hits)
+
+
+def _first_by_text(segments: Iterable[QuerySegment]) -> dict[str, QuerySegment]:
+    by_text: dict[str, QuerySegment] = {}
+    for seg in segments:
+        by_text.setdefault(seg.text, seg)
+    return by_text
 
 
 # --- tables -------------------------------------------------------------------
@@ -199,11 +216,14 @@ def rank_segments(
 ) -> list[TableRow]:
     """Segments ranked by bootstrap mean toxicity of their matching queries.
 
-    Segments matching no query are dropped.  Ties break on segment text.
+    A text that several segments share (one per category, say) is ranked
+    once.  Segments matching no query are dropped.  Ties break on segment
+    text.
     """
+    index = _token_index(scores)
     rows = []
-    for seg in segments:
-        matched = _matching_toxicities(scores, [seg])
+    for seg in _first_by_text(segments).values():
+        matched = _matching_toxicities(scores, index, [seg])
         if not matched:
             continue
         seed = derive_seed(master_seed, "segment", seg.text, "toxicity")
@@ -221,8 +241,9 @@ def top_segments(
     n_sim: int = 1000,
     sample_size: int = 20,
 ) -> list[QuerySegment]:
+    """The first segment of each of the ``m`` top-ranked texts."""
     ranked = rank_segments(segments, scores, master_seed, n_sim, sample_size)
-    by_text = {seg.text: seg for seg in segments}
+    by_text = _first_by_text(segments)
     return [by_text[row.key] for row in ranked[:m]]
 
 
@@ -243,13 +264,16 @@ def cross_category_matrix(
     with zero matching queries are ABSENT (None).
     """
     categories = sorted(set(segments_by_cat) | set(scored_queries))
+    targets = {t: scored_queries.get(t, []) for t in categories}
+    indexes = {t: _token_index(scores) for t, scores in targets.items()}
     matrix: dict[str, dict[str, Optional[BootstrapEstimate]]] = {}
     any_match = False
     for source in categories:
         row: dict[str, Optional[BootstrapEstimate]] = {}
         segments = segments_by_cat.get(source, [])
         for target in categories:
-            matched = _matching_toxicities(scored_queries.get(target, []), segments)
+            matched = _matching_toxicities(targets[target], indexes[target],
+                                           segments)
             if not matched:
                 row[target] = ABSENT
                 continue

@@ -135,4 +135,15 @@ def _score_row(row) -> QueryToxicity:
 
 
 def read_scores(path) -> list[QueryToxicity]:
-    return list(read_csv(path, _score_row))
+    """The rows of a ``toxicity.csv``; a query that an earlier row holds is a
+    bad line, since every table reads one score per query."""
+    seen: set[str] = set()
+
+    def parse(row) -> QueryToxicity:
+        scored = _score_row(row)
+        if scored.query in seen:
+            raise SchemaError(f"repeated query {scored.query!r}")
+        seen.add(scored.query)
+        return scored
+
+    return list(read_csv(path, parse))

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -172,11 +173,38 @@ def test_baseline_tables(workdir):
     assert [int(r["rank"]) for r in seg] == list(range(1, len(seg) + 1))
     means = [float(r["toxicity_mean"]) for r in seg]
     assert means == sorted(means, reverse=True)
+    keys = [r["segment"] for r in seg]
+    assert len(set(keys)) == len(keys)   # one row per distinct segment text
     with open(workdir / "tables" / "cross_category.csv", newline="") as fh:
         grid = list(csv.reader(fh))
     cats = grid[0][1:]
     assert cats == sorted(cats)
     assert [row[0] for row in grid[1:]] == cats  # square, same order
+
+
+def test_baseline_tables_do_not_depend_on_input_order(workdir, tmp_path):
+    """Shuffled toxicity rows and segment lines rewrite the same tables."""
+    rng = random.Random(7)
+    header, *rows = (workdir / "toxicity.csv").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    lines = (FIXTURES / "segments.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    shuffled_rows, shuffled_lines = rows[:], lines[:]
+    rng.shuffle(shuffled_rows)
+    rng.shuffle(shuffled_lines)
+    assert shuffled_rows != rows and shuffled_lines != lines
+    (tmp_path / "toxicity.csv").write_text(header + "".join(shuffled_rows),
+                                           encoding="utf-8")
+    (tmp_path / "segments.jsonl").write_text("".join(shuffled_lines),
+                                             encoding="utf-8")
+    rc = main(["baselines", "--keywords", str(FIXTURES / "keywords.jsonl"),
+               "--toxicity", str(tmp_path / "toxicity.csv"),
+               "--segments", str(tmp_path / "segments.jsonl"),
+               "--out-dir", str(tmp_path / "tables"), "--n-sim", "200"])
+    assert rc == 0
+    for name in ("attributes.csv", "segments.csv", "cross_category.csv"):
+        assert ((tmp_path / "tables" / name).read_bytes()
+                == (workdir / "tables" / name).read_bytes()), name
 
 
 def test_filter_branded_keeps_subset(workdir):
@@ -763,6 +791,10 @@ def _repeated_page(lines):
     return f"repeated page for ({page['query']!r}, {page['entries'][0]['engine']})"
 
 
+def _repeated_query(lines):
+    return f"repeated query {next(csv.reader(lines[1:2]))[0]!r}"
+
+
 def _empty_page(lines):
     return f"page for {json.loads(lines[2])['query']!r} has no entries"
 
@@ -912,6 +944,7 @@ _BAD_INPUTS = [
     ("toxicity", "not-the-ratio",
      _cells(total_sites="4", scam_sites="1", toxicity="0.300000", expansion="1"),
      "toxicity 0.300000 is not scam_sites / total_sites = 1/4"),
+    ("toxicity", "repeated-query", _repeat_line_2, _repeated_query),
     ("segments", "no-token-type", _drop("token_type"),
      "missing key 'token_type'"),
     ("segments", "bad-token-type", _set("token_type", "VERB"),

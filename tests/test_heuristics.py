@@ -1,9 +1,16 @@
-"""Attribute/segment sampling baselines and bootstrap tables."""
+"""Attribute/segment sampling baselines and bootstrap tables.
+
+The segment tables match through a token index; ``_ref_match_segment``,
+the per-pair scan it replaced, is kept here as the referee, and the
+nested-loop tables built on it must equal the indexed ones.
+"""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamscout.corpus import KeywordSuggestion
 from scamscout.errors import SchemaError
@@ -16,8 +23,8 @@ from scamscout.heuristics import (
     bootstrap_estimate,
     classify_attributes,
     cross_category_matrix,
+    TableRow,
     derive_seed,
-    match_segment,
     rank_segments,
     rule_based_intent,
     top_segments,
@@ -79,6 +86,21 @@ def test_classify_attributes_combines_sources():
 
 
 # --- segment matching -----------------------------------------------------
+
+
+def _ref_match_segment(query_text: str, segment: QuerySegment) -> bool:
+    """True when every word of the segment appears as a whole query token."""
+    query_tokens = set(query_text.lower().split())
+    return all(tok in query_tokens for tok in segment.tokens)
+
+
+def match_segment(query_text: str, segment: QuerySegment) -> bool:
+    """The referee's verdict, checked against the token index's."""
+    expected = _ref_match_segment(query_text, segment)
+    rows = rank_segments([segment], [_score(query_text, 0.5)],
+                         n_sim=1, sample_size=1)
+    assert bool(rows) == expected, (query_text, segment.text)
+    return expected
 
 
 def test_match_segment_is_order_free_and_whole_token():
@@ -251,6 +273,24 @@ def test_top_segments_returns_original_objects():
     assert top[0].token_type is TokenType.MODIFIER
 
 
+def test_rank_segments_ranks_a_text_shared_by_categories_once():
+    # one text listed under two categories, with different token types
+    sneakers = QuerySegment("replica", TokenType.MODIFIER)
+    watches = QuerySegment("Replica", TokenType.PRODUCT_NAME)
+    other = QuerySegment("strap", TokenType.CORE_PRODUCT_TYPE)
+    scores = [_score("replica sneakers", 0.9), _score("replica strap", 0.7),
+              _score("leather strap", 0.1)]
+    rows = rank_segments([sneakers, watches, other], scores,
+                         n_sim=100, sample_size=5)
+    assert [r.key for r in rows] == ["replica", "strap"]
+    assert rows == rank_segments([sneakers, other], scores,
+                                 n_sim=100, sample_size=5)
+    top = top_segments([sneakers, watches, other], scores, m=2,
+                       n_sim=100, sample_size=5)
+    assert top == [sneakers, other]
+    assert top[0].token_type is TokenType.MODIFIER   # the first object kept
+
+
 def test_cross_category_matrix_diagonal_and_absent_cells():
     segments_by_cat = {
         "watches": [QuerySegment("strap", TokenType.CORE_PRODUCT_TYPE)],
@@ -310,3 +350,115 @@ def test_cross_category_matrix_single_cell():
         n_sim=100, sample_size=5)
     assert list(matrix) == ["only"]
     assert matrix["only"]["only"].mean == pytest.approx(0.6)
+
+
+# --- the token index against the nested-loop referee ----------------------
+
+
+def _ref_rank_segments(segments, scores, master_seed, n_sim, sample_size):
+    rows = {}
+    for seg in segments:
+        matched = sorted(s.toxicity for s in scores
+                         if _ref_match_segment(s.query, seg))
+        if matched and seg.text not in rows:
+            seed = derive_seed(master_seed, "segment", seg.text, "toxicity")
+            rows[seg.text] = TableRow(
+                seg.text, len(matched),
+                bootstrap_estimate(matched, n_sim, sample_size, seed), None)
+    return sorted(rows.values(), key=lambda r: (-r.toxicity.mean, r.key))
+
+
+def _ref_cross_category(segments_by_cat, scored, master_seed, n_sim, sample_size):
+    categories = sorted(set(segments_by_cat) | set(scored))
+    matrix = {}
+    for source in categories:
+        row = matrix[source] = {}
+        for target in categories:
+            matched = sorted(
+                s.toxicity for s in scored.get(target, [])
+                if any(_ref_match_segment(s.query, seg)
+                       for seg in segments_by_cat.get(source, [])))
+            seed = derive_seed(master_seed, "cell", source, target)
+            row[target] = (bootstrap_estimate(matched, n_sim, sample_size, seed)
+                           if matched else ABSENT)
+    return matrix
+
+
+# mixed case, a dotted capital I (which lowers to two code points), a token
+# that holds another, and separators of tabs and runs of spaces
+_WORDS = ["dog", "DOG", "Dog", "beds", "BEDS", "sale", "for", "wholesale",
+          "\u0130", "i\u0307", "i", "\u0131"]
+_SEPARATORS = [" ", "  ", "\t", " \t "]
+
+
+@st.composite
+def _segment_world(draw):
+    def text(min_size):
+        words = draw(st.lists(st.sampled_from(_WORDS), min_size=min_size,
+                              max_size=4))
+        seps = draw(st.lists(st.sampled_from(_SEPARATORS),
+                             min_size=len(words) + 1, max_size=len(words) + 1))
+        return seps[0] + "".join(w + sep for w, sep in zip(words, seps[1:]))
+
+    categories = ["a", "b", "c"]
+    shared = QuerySegment(text(1), TokenType.MODIFIER)
+    segments_by_cat = {
+        cat: [QuerySegment(text(1), TokenType.MODIFIER)
+              for _ in range(draw(st.integers(0, 3)))]
+        for cat in categories}
+    for cat in draw(st.lists(st.sampled_from(categories), min_size=2,
+                             max_size=3, unique=True)):
+        segments_by_cat[cat].insert(draw(st.integers(0, len(segments_by_cat[cat]))),
+                                    shared)
+    scored = {}
+    for _ in range(draw(st.integers(1, 12))):
+        cat = draw(st.sampled_from(categories))
+        total = draw(st.integers(1, 4))
+        scams = draw(st.integers(0, total))
+        scored.setdefault(cat, []).append(QueryToxicity(
+            query=text(0), category=cat, total_sites=total, scam_sites=scams,
+            toxicity=scams / total, expansion=scams))
+    return segments_by_cat, scored
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_segment_world(), st.integers(0, 5))
+def test_token_index_equals_nested_loop_reference(world, master_seed):
+    segments_by_cat, scored = world
+    segments = [seg for segs in segments_by_cat.values() for seg in segs]
+    scores = [s for qs in scored.values() for s in qs]
+    assert (rank_segments(segments, scores, master_seed, 20, 5)
+            == _ref_rank_segments(segments, scores, master_seed, 20, 5))
+    expected = _ref_cross_category(segments_by_cat, scored, master_seed, 20, 5)
+    if all(cell is ABSENT for row in expected.values() for cell in row.values()):
+        with pytest.raises(SchemaError):
+            cross_category_matrix(segments_by_cat, scored, master_seed, 20, 5)
+    else:
+        assert cross_category_matrix(segments_by_cat, scored,
+                                     master_seed, 20, 5) == expected
+
+
+def test_each_query_is_split_at_most_once_per_table():
+    splits = Counter()
+
+    class Lowered(str):
+        def split(self, *args):
+            splits[str(self)] += 1
+            return super().split(*args)
+
+    class Query(str):
+        def lower(self):
+            return Lowered(super().lower())
+
+    scored = {cat: [_score(Query(f"Cheap {cat} item {i}"), 0.5, category=cat)
+                    for i in range(4)] for cat in ("dogs", "cats")}
+    segments_by_cat = {cat: [QuerySegment(t, TokenType.MODIFIER)
+                             for t in ("cheap", cat, "item", "cheap item")]
+                       for cat in scored}
+    segments = [seg for segs in segments_by_cat.values() for seg in segs]
+    scores = [s for qs in scored.values() for s in qs]
+    assert len(rank_segments(segments, scores, n_sim=5, sample_size=2)) == 5
+    assert len(splits) == len(scores) and max(splits.values()) == 1
+    splits.clear()
+    cross_category_matrix(segments_by_cat, scored, n_sim=5, sample_size=2)
+    assert len(splits) == len(scores) and max(splits.values()) == 1
