@@ -271,7 +271,19 @@ def admit(snapshot: DomainSnapshot) -> bool:
 
 
 def read_keywords(path) -> list[KeywordSuggestion]:
-    return list(read_jsonl(path, lambda rec: from_record(KeywordSuggestion, rec)))
+    """The keywords of a ``keywords.jsonl``; a text (stripped and lowered)
+    that an earlier line holds is a bad line, since every stage counts a
+    keyword once."""
+    seen: set[str] = set()
+
+    def parse(rec) -> KeywordSuggestion:
+        keyword = from_record(KeywordSuggestion, rec)
+        if keyword.text in seen:
+            raise SchemaError(f"repeated keyword {keyword.text!r}")
+        seen.add(keyword.text)
+        return keyword
+
+    return list(read_jsonl(path, parse))
 
 
 def write_keywords(path, keywords: Iterable[KeywordSuggestion]) -> None:

@@ -12,7 +12,6 @@ from .schema import (
     NUMERIC,
     SCHEMA_VERSION,
     FeatureVector,
-    feature_index,
     schema_as_dict,
 )
 from .segment import (
@@ -38,7 +37,6 @@ __all__ = [
     "count_subwords",
     "encode_dataset",
     "extract_features",
-    "feature_index",
     "normalize_label",
     "schema_as_dict",
     "segment_label",

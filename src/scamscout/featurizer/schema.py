@@ -145,10 +145,6 @@ _INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 assert NUM_FEATURES == 103, f"schema must have 103 features, has {NUM_FEATURES}"
 
 
-def feature_index(name: str) -> int:
-    return _INDEX[name]
-
-
 def schema_as_dict() -> dict:
     return {
         "version": SCHEMA_VERSION,

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import shutil
 import stat
 import subprocess
 import sys
@@ -315,7 +316,62 @@ def test_train_oracle_takes_no_seed(workdir, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
+# --- a failed run exits 2 and changes no file ----------------------------------
+
+
+# the workdir output that each output flag of a subcommand writes
+_OUTPUTS = {
+    "featurize": {"--out": "features.csv"},
+    "train-oracle": {"--out": "model.json"},
+    "score": {"--out": "verdicts.csv"},
+    "toxicity": {"--out": "toxicity.csv"},
+    "baselines": {"--out-dir": "tables"},
+    "filter-branded": {"--out": "unbranded.jsonl"},
+    "train-lupi": {"--out": "student.json", "--teacher-out": "teacher.json"},
+    "rank": {"--out": "ranked.csv"},
+    "discover": {"--out": "report.json"},
+}
+
+
+def _tree(root):
+    """Each path under ``root``: a file's bytes, or None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.fixture
+def exits_2(workdir, tmp_path, capsys):
+    """``exits_2(argv, error)`` runs the failing ``argv`` twice: with its
+    outputs absent, then with each output already holding the bytes the
+    ``workdir`` run wrote there.  Each run must exit 2, print the line
+    ``error: {error}``, and leave every file and directory under
+    ``tmp_path`` as it found them, so an output opened before the fault
+    shows up.  ``earlier_outputs=False`` skips the second run, for a case
+    whose output cannot be written: a failed run removes an output it
+    overwrote rather than restoring it."""
+    def run(argv, error, earlier_outputs=True):
+        argv = [str(a) for a in argv]
+        outputs = {Path(argv[argv.index(flag) + 1]): workdir / name
+                   for flag, name in _OUTPUTS[argv[0]].items() if flag in argv}
+        assert all(tmp_path in path.parents and not path.exists()
+                   for path in outputs)
+        for earlier in (False, True) if earlier_outputs else (False,):
+            if earlier:
+                for path, source in outputs.items():
+                    if source.is_dir():
+                        shutil.copytree(source, path)
+                    else:
+                        shutil.copyfile(source, path)
+            before = _tree(tmp_path)
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2, err
+            assert f"error: {error}" in err.splitlines(), err
+            assert _tree(tmp_path) == before, f"earlier outputs: {earlier}"
+    return run
+
+
+def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, exits_2):
     # single-class labels cannot train the oracle
     one_class = tmp_path / "labels.csv"
     with open(FIXTURES / "labels.csv", newline="") as fh:
@@ -324,57 +380,48 @@ def test_cli_reports_domain_errors_as_exit_code(workdir, tmp_path, capsys):
         writer = csv.DictWriter(fh, fieldnames=["root_domain", "label", "category"])
         writer.writeheader()
         writer.writerows(rows)
-    rc = main(["train-oracle", "--features", str(workdir / "features.csv"),
-               "--labels", str(one_class), "--out", str(tmp_path / "m.json")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    exits_2(["train-oracle", "--features", workdir / "features.csv",
+             "--labels", one_class, "--out", tmp_path / "m.json"],
+            "logistic training requires both classes")
 
     # a ranked keyword with no recorded SERP is a hard replay miss
     missing = tmp_path / "ranked.csv"
     missing.write_text("category,rank,keyword,score\nx,1,never recorded,0.5\n")
-    rc = main(["discover", "--ranked", str(missing),
-               "--oracle", str(workdir / "model.json"),
-               "--fixtures", str(FIXTURES / "serps.jsonl"),
-               "--out", str(tmp_path / "r.json")])
-    assert rc == 2
+    exits_2(["discover", "--ranked", missing, "--oracle", workdir / "model.json",
+             "--fixtures", FIXTURES / "serps.jsonl", "--out", tmp_path / "r.json"],
+            "no fixture for ('never recorded', GOOGLE)")
 
 
 def test_discover_rejects_malformed_fixture_with_line_number(workdir, tmp_path,
-                                                             capsys):
+                                                             exits_2):
     lines = (FIXTURES / "serps.jsonl").read_text().splitlines()
     lines.insert(1, json.dumps({"entries": []}))
     fixtures = tmp_path / "serps.jsonl"
     fixtures.write_text("\n".join(lines) + "\n")
-    rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
-               "--oracle", str(workdir / "model.json"),
-               "--fixtures", str(fixtures), "--out", str(tmp_path / "r.json")])
-    assert rc == 2
-    assert f"error: {fixtures}:2: missing key 'query'" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
+    exits_2(["discover", "--ranked", workdir / "ranked.csv",
+             "--oracle", workdir / "model.json",
+             "--fixtures", fixtures, "--out", tmp_path / "r.json"],
+            f"{fixtures}:2: missing key 'query'")
 
 
 @pytest.mark.parametrize("toxicity", ["NaN", "1.7", None])
-def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, capsys,
+def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, exits_2,
                                                         toxicity):
     lines = (FIXTURES / "lupi_train.jsonl").read_text().splitlines()
     rec = json.loads(lines[2])
     if toxicity is None:
+        cause = _json_error(lines)
+        assert cause.startswith("Expecting ',' delimiter")
         lines[2] = lines[2][:-1]  # truncated JSON
     else:
         rec["toxicity"] = float(toxicity)
         lines[2] = json.dumps(rec)
+        cause = (f"query {rec['query']!r}: toxicity must be a finite value in "
+                 f"[0, 1], got {rec['toxicity']!r}")
     train = tmp_path / "train.jsonl"
     train.write_text("\n".join(lines) + "\n")
-    rc = main(["train-lupi", "--train", str(train),
-               "--out", str(tmp_path / "student.json")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"error: {train}:3: " in err
-    assert (f"toxicity must be a finite value in [0, 1], got {rec['toxicity']!r}"
-            if toxicity is not None else "Expecting ',' delimiter") in err
-    if toxicity is not None:
-        assert repr(rec["query"]) in err
-    assert not (tmp_path / "student.json").exists()
+    exits_2(["train-lupi", "--train", train, "--out", tmp_path / "student.json"],
+            f"{train}:3: {cause}")
 
 
 def test_train_lupi_trains_on_naver_results(tmp_path, capsys):
@@ -421,7 +468,7 @@ def test_train_lupi_tokenizes_its_queries_once(tmp_path, monkeypatch):
     ("lupi_train.jsonl", ["train-lupi", "--train", "{path}", "--epochs", "1",
                           "--out", "{out}"]),
 ])
-def test_a_page_repeating_a_rank_is_rejected_with_its_line(tmp_path, capsys,
+def test_a_page_repeating_a_rank_is_rejected_with_its_line(tmp_path, exits_2,
                                                            fixture, argv):
     lines = (FIXTURES / fixture).read_text(encoding="utf-8").splitlines()
     rec = json.loads(lines[0])
@@ -431,23 +478,17 @@ def test_a_page_repeating_a_rank_is_rejected_with_its_line(tmp_path, capsys,
     lines[0] = json.dumps(rec)
     path, out = tmp_path / fixture, tmp_path / "out"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    rc = main([a.format(path=path, out=out) for a in argv])
-    assert rc == 2
-    assert (f"error: {path}:1: GOOGLE rank 1 repeats in one page"
-            in capsys.readouterr().err)
-    assert not out.exists()
+    exits_2([a.format(path=path, out=out) for a in argv],
+            f"{path}:1: GOOGLE rank 1 repeats in one page")
 
 
-def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, capsys):
+def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, exits_2):
+    """The teacher cannot be written, so the student written before it goes."""
     teacher = tmp_path / "nodir" / "teacher.json"
-    rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),
-               "--epochs", "1", "--lr", "2e-3", "--batch-size", "16",
-               "--out", str(tmp_path / "student.json"),
-               "--teacher-out", str(teacher)])
-    assert rc == 2
-    assert f"error: {teacher}: No such file or directory" in capsys.readouterr().err
-    assert not (tmp_path / "student.json").exists()
-    assert not teacher.exists()
+    exits_2(["train-lupi", "--train", FIXTURES / "lupi_train.jsonl",
+             "--epochs", "1", "--lr", "2e-3", "--batch-size", "16",
+             "--out", tmp_path / "student.json", "--teacher-out", teacher],
+            f"{teacher}: No such file or directory", earlier_outputs=False)
 
 
 _BAD_TRAIN_LUPI_FLAGS = [
@@ -470,16 +511,15 @@ _BAD_TRAIN_LUPI_FLAGS = [
 @pytest.mark.parametrize("flags, message", _BAD_TRAIN_LUPI_FLAGS,
                          ids=[" ".join(f) for f, _ in _BAD_TRAIN_LUPI_FLAGS])
 def test_train_lupi_rejects_a_bad_spec_or_rate_before_training(
-        tmp_path, capsys, monkeypatch, flags, message):
+        tmp_path, exits_2, monkeypatch, flags, message):
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
     monkeypatch.setattr("scamscout.cli.train_teacher", no_training)
-    rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),
-               "--out", str(tmp_path / "student.json"), *flags])
-    assert rc == 2
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    exits_2(["train-lupi", "--train", FIXTURES / "lupi_train.jsonl",
+             "--labels", FIXTURES / "labels.csv",
+             "--out", tmp_path / "student.json",
+             "--teacher-out", tmp_path / "teacher.json", *flags], message)
 
 
 def _drop_rank(line):
@@ -494,24 +534,20 @@ def _string_rank(line):
     return json.dumps(rec)
 
 
+# a truncated line 3 is the serps-truncated case of _BAD_INPUTS
 @pytest.mark.parametrize("mangle, message", [
     (_drop_rank, "missing key 'rank'"),
     (_string_rank, "rank must be an integer >= 1, got '2'"),
-    (lambda line: line[:-1], "Expecting"),   # truncated JSON
 ])
-def test_toxicity_rejects_bad_serp_record_with_line_number(tmp_path, capsys,
+def test_toxicity_rejects_bad_serp_record_with_line_number(tmp_path, exits_2,
                                                            mangle, message):
     lines = (FIXTURES / "serps.jsonl").read_text().splitlines()
     lines[2] = mangle(lines[2])
     serps = tmp_path / "serps.jsonl"
     serps.write_text("\n".join(lines) + "\n")
-    rc = main(["toxicity", "--serps", str(serps),
-               "--labels", str(FIXTURES / "labels.csv"),
-               "--keywords", str(FIXTURES / "keywords.jsonl"),
-               "--out", str(tmp_path / "toxicity.csv")])
-    assert rc == 2
-    assert f"error: {serps}:3: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "toxicity.csv").exists()
+    exits_2(["toxicity", "--serps", serps, "--labels", FIXTURES / "labels.csv",
+             "--keywords", FIXTURES / "keywords.jsonl",
+             "--out", tmp_path / "toxicity.csv"], f"{serps}:3: {message}")
 
 
 def _first_of(kind):
@@ -551,7 +587,7 @@ def _garble(row):
     (_put(BOOLEAN, "nan"),
      f"{_first_of(BOOLEAN)[1]}: boolean must be 0 or 1, got 'nan'"),
 ])
-def test_bad_features_row_names_its_line(workdir, tmp_path, capsys, mangle,
+def test_bad_features_row_names_its_line(workdir, tmp_path, exits_2, mangle,
                                          message):
     with open(workdir / "features.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -559,16 +595,11 @@ def test_bad_features_row_names_its_line(workdir, tmp_path, capsys, mangle,
     features = tmp_path / "features.csv"
     with open(features, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-    rc = main(["train-oracle", "--features", str(features),
-               "--labels", str(FIXTURES / "labels.csv"),
-               "--out", str(tmp_path / "model.json")])
-    assert rc == 2
-    assert f"error: {features}:4: {message}" in capsys.readouterr().err
-    rc = main(["score", "--model", str(workdir / "model.json"),
-               "--features", str(features), "--out", str(tmp_path / "v.csv")])
-    assert rc == 2
-    assert f"error: {features}:4: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "model.json").exists()
+    exits_2(["train-oracle", "--features", features,
+             "--labels", FIXTURES / "labels.csv", "--out", tmp_path / "model.json"],
+            f"{features}:4: {message}")
+    exits_2(["score", "--model", workdir / "model.json", "--features", features,
+             "--out", tmp_path / "v.csv"], f"{features}:4: {message}")
 
 
 @pytest.fixture
@@ -595,19 +626,19 @@ def test_score_classifies_in_one_matrix_call(workdir, tmp_path, matrix_calls):
                        shallow=False)
 
 
-def _discover(workdir, out, *extra):
-    return main(["discover", "--ranked", str(workdir / "ranked.csv"),
-                 "--oracle", str(workdir / "model.json"),
-                 "--fixtures", str(FIXTURES / "serps.jsonl"),
-                 "--labels", str(FIXTURES / "labels.csv"),
-                 "--engines", "GOOGLE,BING", "--exposure-k", "5",
-                 "--out", str(out), *extra])
+def _discover_argv(workdir, out, *extra):
+    return ["discover", "--ranked", str(workdir / "ranked.csv"),
+            "--oracle", str(workdir / "model.json"),
+            "--fixtures", str(FIXTURES / "serps.jsonl"),
+            "--labels", str(FIXTURES / "labels.csv"),
+            "--engines", "GOOGLE,BING", "--exposure-k", "5",
+            "--out", str(out), *map(str, extra)]
 
 
 def test_discover_classifies_in_one_matrix_call(workdir, tmp_path,
                                                 matrix_calls):
-    rc = _discover(workdir, tmp_path / "report.json",
-                   "--snapshots", str(FIXTURES / "snapshots.jsonl"))
+    rc = main(_discover_argv(workdir, tmp_path / "report.json",
+                             "--snapshots", FIXTURES / "snapshots.jsonl"))
     assert rc == 0
     assert len(matrix_calls) == 1 and matrix_calls[0] > 0
     assert filecmp.cmp(workdir / "report.json", tmp_path / "report.json",
@@ -617,33 +648,28 @@ def test_discover_classifies_in_one_matrix_call(workdir, tmp_path,
 def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
                                                       matrix_calls):
     with pytest.warns(UserWarning, match="had no snapshot"):
-        rc = _discover(workdir, tmp_path / "report.json")
+        rc = main(_discover_argv(workdir, tmp_path / "report.json"))
     assert rc == 0
     assert matrix_calls == [0]
     report = _report(tmp_path / "report.json")
     assert report["total_sites"] > 0 and report["discovered_scams"] == 0
 
 
-def test_discover_rejects_a_repeated_engine(workdir, tmp_path, capsys):
+def test_discover_rejects_a_repeated_engine(workdir, tmp_path, exits_2):
     """A repeated engine would search every keyword twice."""
-    rc = _discover(workdir, tmp_path / "report.json",
-                   "--engines", "GOOGLE,GOOGLE")
-    assert rc == 2
-    assert "error: engines must not repeat, got GOOGLE,GOOGLE" in \
-        capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    exits_2(_discover_argv(workdir, tmp_path / "report.json",
+                           "--engines", "GOOGLE,GOOGLE"),
+            "engines must not repeat, got GOOGLE,GOOGLE")
 
 
 @pytest.mark.parametrize("k", [0, -1])
-def test_k_below_1_exits_2(workdir, tmp_path, capsys, k):
-    rc = main(["rank", "--model", str(workdir / "student.json"),
-               "--keywords", str(workdir / "unbranded.jsonl"),
-               "--k", str(k), "--out", str(tmp_path / "ranked.csv")])
-    assert rc == 2
-    assert f"error: k must be >= 1, got {k}" in capsys.readouterr().err
-    assert _discover(workdir, tmp_path / "report.json", "--exposure-k", str(k)) == 2
-    assert f"error: exposure_k must be >= 1, got {k}" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+def test_k_below_1_exits_2(workdir, tmp_path, exits_2, k):
+    exits_2(["rank", "--model", workdir / "student.json",
+             "--keywords", workdir / "unbranded.jsonl",
+             "--k", k, "--out", tmp_path / "ranked.csv"],
+            f"k must be >= 1, got {k}")
+    exits_2(_discover_argv(workdir, tmp_path / "report.json", "--exposure-k", k),
+            f"exposure_k must be >= 1, got {k}")
 
 
 # --- one contract for every input file ----------------------------------------
@@ -685,10 +711,11 @@ def _not_an_object(lines):
 
 
 def _document_case(edit):
-    """Mangle a one-line JSON document; ``edit`` maps it to the new line.
-    A fault in a document names the file alone, with no line number."""
+    """Mangle a one-line JSON document, or the header line of a checkpoint;
+    ``edit`` maps it to the new line.  A fault in a document names the file
+    alone, with no line number."""
     def mangle(lines):
-        return [edit(lines[0])], None
+        return [edit(lines[0]), *lines[1:]], None
     return mangle
 
 
@@ -704,12 +731,12 @@ def _first_split(model):
 
 
 def _model_case(edit):
-    """``edit`` the parsed model document in place."""
-    def mangle(lines):
-        model = json.loads(lines[0])
-        edit(model)
-        return [json.dumps(model)], None
-    return mangle
+    """``edit`` the parsed model document, or checkpoint header, in place."""
+    def edit_line(line):
+        doc = json.loads(line)
+        edit(doc)
+        return json.dumps(doc)
+    return _document_case(edit_line)
 
 
 def _split_case(key, value, cause):
@@ -729,6 +756,22 @@ def _section_case(section, **values):
     """Set ``values`` in the ``section`` object of a model document or a
     checkpoint header."""
     return _model_case(lambda doc: doc[section].update(values))
+
+
+def _short_body(lines):
+    """A checkpoint whose parameter bytes lost their last float."""
+    header, body = lines
+    return [header, body[:-8]], None
+
+
+def _byte_count_mismatch(lines):
+    n = len(lines[1])
+    return f"parameter byte count mismatch: {n - 8} vs {n}"
+
+
+def _top_code(model):
+    """The largest code of categorical column 29 in a model document."""
+    return max(model["encoder"]["columns"]["29"].values(), default=1)
 
 
 def _format_1(model):
@@ -786,6 +829,22 @@ def _repeat_line_2(lines):
     return lines, 3
 
 
+def _upper_copy_of_line_2(lines):
+    """A copy of the second keyword as the third, its text upper-cased and
+    padded: the same keyword once stripped and lowered."""
+    rec = json.loads(lines[1])
+    lines.insert(2, json.dumps({**rec, "text": f" {rec['text'].upper()} "}))
+    return lines, 3
+
+
+def _repeated_keyword(lines):
+    return f"repeated keyword {json.loads(lines[1])['text']!r}"
+
+
+def _conflicting_domain(lines):
+    return f"conflicting labels for {next(csv.reader(lines[1:2]))[0]}"
+
+
 def _repeated_page(lines):
     page = json.loads(lines[1])
     return f"repeated page for ({page['query']!r}, {page['entries'][0]['engine']})"
@@ -836,7 +895,7 @@ _INPUTS = {
                   "--out-dir", "{out}", "--n-sim", "5"]),
     "lupi_train": ("{fx}/lupi_train.jsonl",
                    ["train-lupi", "--train", "{bad}", "--epochs", "1",
-                    "--out", "{out}"]),
+                    "--out", "{out}", "--teacher-out", "{tmp}/teacher.json"]),
     "ranked": ("{work}/ranked.csv",
                ["discover", "--ranked", "{bad}", "--oracle", "{work}/model.json",
                 "--fixtures", "{fx}/serps.jsonl", "--out", "{out}"]),
@@ -907,7 +966,7 @@ _BAD_INPUTS = [
     ("labels", "bad-label", _cell("label", "MAYBE"),
      "label must be SCAM or BENIGN, got 'MAYBE'"),
     ("labels", "short-row", _short_row, "expected 3 cells, got 2"),
-    ("labels", "conflict", _conflicting_label, "conflicting labels for "),
+    ("labels", "conflict", _conflicting_label, _conflicting_domain),
     ("serps", "no-query", _drop("query"), "missing key 'query'"),
     ("serps", "int-query", _set("query", 7), "query must be a string, got 7"),
     ("serps", "float-rank", _set_entry("rank", 1.5),
@@ -929,6 +988,9 @@ _BAD_INPUTS = [
      "keyword monthly_volume must be an integer or null, got True"),
     ("keywords", "truncated", _truncate, _json_error),
     ("keywords", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("keywords", "repeated-text", _repeat_line_2, _repeated_keyword),
+    ("keywords", "repeated-text-unnormalized", _upper_copy_of_line_2,
+     _repeated_keyword),
     ("toxicity", "no-column", _drop_column("total_sites", 2),
      "missing key 'total_sites'"),
     ("toxicity", "float-count", _cell("total_sites", "2.5"),
@@ -1002,7 +1064,8 @@ _BAD_INPUTS = [
      "unsupported model format 1 (expected 2); retrain the model with "
      "train-oracle to rebuild it"),
     ("model", "format-99", _model_case(lambda m: m.update(format_version=99)),
-     "unsupported model format 99 (expected 2)"),
+     "unsupported model format 99 (expected 2); retrain the model with "
+     "train-oracle to rebuild it"),
     ("model", "foreign-schema",
      _model_case(lambda m: m["encoder"].update(schema_version="1999.9")),
      "encoder schema '1999.9' does not match '2024.1'"),
@@ -1016,9 +1079,10 @@ _BAD_INPUTS = [
      _model_case(lambda m: m["encoder"]["columns"]["29"].update(zzz=0)),
      "encoder.columns['29'] maps 'zzz' to 0; codes must be distinct ints >= 1"),
     ("model", "repeated-code",
-     _model_case(lambda m: m["encoder"]["columns"]["29"].update(
-         zzz=max(m["encoder"]["columns"]["29"].values(), default=1))),
-     "encoder.columns['29'] maps 'zzz' to "),
+     _model_case(lambda m: m["encoder"]["columns"]["29"].update(zzz=_top_code(m))),
+     lambda lines: (f"encoder.columns['29'] maps 'zzz' to "
+                    f"{_top_code(json.loads(lines[0]))}; "
+                    f"codes must be distinct ints >= 1")),
     ("model", "float-max-depth", _section_case("config", max_depth=2.5),
      "max_depth must be int, got 2.5"),
     ("model", "bool-min-leaf", _section_case("config", min_leaf=True),
@@ -1043,6 +1107,7 @@ _BAD_INPUTS = [
     ("student", "float-vocab-size",
      _section_case("tokenizer", vocab_size=8192.0),
      "vocab_size must be int, got 8192.0"),
+    ("student", "short-body", _short_body, _byte_count_mismatch),
     ("teacher", "not-a-student", _document_case(lambda doc: doc),
      "checkpoint does not contain a student model"),
 ]
@@ -1052,47 +1117,41 @@ _BAD_INPUTS = [
     "name, mangle, cause",
     [pytest.param(name, mangle, cause, id=f"{name}-{case}")
      for name, case, mangle, cause in _BAD_INPUTS])
-def test_every_bad_input_exits_2_naming_its_line(workdir, tmp_path, capsys,
+def test_every_bad_input_exits_2_naming_its_line(workdir, tmp_path, exits_2,
                                                  name, mangle, cause):
     """A bad record is named by ``path:lineno``; a bad model file by its path.
-    A checkpoint's header line is mangled, and its parameter bytes kept."""
+    A checkpoint is mangled as two lines: its header line, then its
+    parameter bytes."""
     source, argv = _INPUTS[name]
-    fill = {"fx": FIXTURES, "work": workdir}
+    fill = {"fx": FIXTURES, "work": workdir, "tmp": tmp_path}
     source = Path(source.format(**fill))
-    text, body = (FIXTURES / source).read_bytes(), b""
+    data = source.read_bytes()
     if name in _CHECKPOINTS:
-        text, body = text.split(b"\n", 1)
-    lines = text.decode("utf-8").splitlines()
+        header, body = data.split(b"\n", 1)
+        lines = [header.decode("utf-8"), body]
+    else:
+        lines = data.decode("utf-8").splitlines()
     if callable(cause):
         cause = cause(lines)
     lines, lineno = mangle(lines)
+    body = lines.pop() if name in _CHECKPOINTS else b""
     bad = tmp_path / source.name
     bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + body)
-    out = tmp_path / "out"
-    fill.update(bad=bad, out=out)
-    rc = main([arg.format(**fill) for arg in argv])
-    err = capsys.readouterr().err
-    assert rc == 2, err
+    fill.update(bad=bad, out=tmp_path / "out")
     where = bad if lineno is None else f"{bad}:{lineno}"
-    assert f"error: {where}: {cause}" in err
-    assert not out.exists()
+    exits_2([arg.format(**fill) for arg in argv], f"{where}: {cause}")
 
 
-def test_baselines_write_no_table_when_one_fails(workdir, tmp_path, capsys):
+def test_baselines_write_no_table_when_one_fails(workdir, tmp_path, exits_2):
     # the attribute and segment tables succeed; the cross-category matrix
     # finds no query holding the one segment
     segments = tmp_path / "segments.jsonl"
     segments.write_text('{"text": "zzz", "token_type": "CORE_PRODUCT_TYPE"}\n',
                         encoding="utf-8")
-    out = tmp_path / "tables"
-    rc = main(["baselines", "--keywords", str(FIXTURES / "keywords.jsonl"),
-               "--toxicity", str(workdir / "toxicity.csv"),
-               "--segments", str(segments), "--n-sim", "5",
-               "--out-dir", str(out)])
-    assert rc == 2
-    assert ("error: no segment matched any query in any cell"
-            in capsys.readouterr().err)
-    assert not out.exists()
+    exits_2(["baselines", "--keywords", FIXTURES / "keywords.jsonl",
+             "--toxicity", workdir / "toxicity.csv", "--segments", segments,
+             "--n-sim", "5", "--out-dir", tmp_path / "tables"],
+            "no segment matched any query in any cell")
 
 
 # --- a missing input file -----------------------------------------------------
@@ -1133,18 +1192,13 @@ _INPUT_FLAGS = [(command, flag)
 
 @pytest.mark.parametrize("command, flag", _INPUT_FLAGS,
                          ids=[f"{c}{f}" for c, f in _INPUT_FLAGS])
-def test_missing_input_file_exits_2_naming_it(workdir, tmp_path, capsys,
+def test_missing_input_file_exits_2_naming_it(workdir, tmp_path, exits_2,
                                               command, flag):
     missing = tmp_path / "missing.jsonl"
-    out = tmp_path / "out"
-    fill = {"fx": FIXTURES, "work": workdir, "out": out}
+    fill = {"fx": FIXTURES, "work": workdir, "out": tmp_path / "out"}
     argv = [command] + [arg.format(**fill) for arg in _VALID_ARGV[command]]
     argv[argv.index(flag) + 1] = str(missing)
-    rc = main(argv)
-    err = capsys.readouterr().err
-    assert rc == 2, err
-    assert f"error: {missing}: No such file or directory" in err
-    assert not out.exists()
+    exits_2(argv, f"{missing}: No such file or directory")
 
 
 # --- a failed run leaves no output -------------------------------------------
@@ -1186,8 +1240,7 @@ def _open_outputs(monkeypatch, fail=None):
 
 
 def _files(root):
-    return {p.relative_to(root): p.read_bytes()
-            for p in sorted(root.rglob("*")) if p.is_file()}
+    return {path: data for path, data in _tree(root).items() if data is not None}
 
 
 _FAILED_WRITES = (
