@@ -534,14 +534,17 @@ def _string_rank(line):
     return json.dumps(rec)
 
 
-# a truncated line 3 is the serps-truncated case of _BAD_INPUTS
 @pytest.mark.parametrize("mangle, message", [
     (_drop_rank, "missing key 'rank'"),
     (_string_rank, "rank must be an integer >= 1, got '2'"),
+    (lambda line: line[:-1], "Expecting"),   # truncated JSON
 ])
 def test_toxicity_rejects_bad_serp_record_with_line_number(tmp_path, exits_2,
                                                            mangle, message):
     lines = (FIXTURES / "serps.jsonl").read_text().splitlines()
+    if message == "Expecting":
+        message = _json_error(lines)
+        assert message.startswith("Expecting ',' delimiter")
     lines[2] = mangle(lines[2])
     serps = tmp_path / "serps.jsonl"
     serps.write_text("\n".join(lines) + "\n")
