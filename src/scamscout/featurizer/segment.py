@@ -36,6 +36,11 @@ def default_word_costs() -> dict[str, float]:
     return costs_from_counts(counts)
 
 
+@lru_cache(maxsize=1)
+def _default_longest_word() -> int:
+    return max(map(len, default_word_costs()), default=0)
+
+
 def costs_from_counts(counts: dict[str, int]) -> dict[str, float]:
     vocab = len(counts)
     if vocab == 0:
@@ -64,20 +69,27 @@ def segment_label(label: str, costs: dict[str, float] | None = None) -> list[str
     tuple, so the result is fully deterministic.
     """
     if costs is None:
-        costs = default_word_costs()
+        costs, longest = default_word_costs(), _default_longest_word()
+    else:
+        longest = max(map(len, costs), default=0)
     label = normalize_label(label)
     n = len(label)
     if n == 0:
         return []
     # cost[i], count[i] and tokens[i] describe the best split of label[:i];
-    # a candidate's token tuple is built only to break a tie in the other two
+    # a candidate's token tuple is built only to break a tie in the other two.
+    # The inner loop is _chunk_cost inlined, and a chunk longer than every
+    # word is unknown without a slice or a lookup.
     cost: list[float] = [0.0]
     count: list[int] = [0]
     tokens: list[tuple[str, ...]] = [()]
     for i in range(1, n + 1):
         best, best_cost = 0, cost[0] + _chunk_cost(label[:i], costs)
         for j in range(1, i):
-            c = cost[j] + _chunk_cost(label[j:i], costs)
+            chunk_cost = costs.get(label[j:i]) if i - j <= longest else None
+            if chunk_cost is None:
+                chunk_cost = _UNKNOWN_BASE + _UNKNOWN_PER_CHAR * (i - j)
+            c = cost[j] + chunk_cost
             if c < best_cost or c == best_cost and (
                     (count[j], tokens[j] + (label[j:i],))
                     < (count[best], tokens[best] + (label[best:i],))):

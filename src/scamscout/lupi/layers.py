@@ -6,9 +6,17 @@ own parameters and gradient accumulators in name-keyed dicts; a module instance
 serves one forward per training step.  A forward caches what its backward
 needs iff ``train`` is set: a train-mode pass is one that will be
 backpropagated (and draws each dropout mask at the shape it masks), an
-eval-mode pass caches nothing, and a model's backward after one raises.
-Backward passes return the gradient w.r.t. their input and accumulate into
-``grads``.
+eval-mode pass caches nothing and drops what an earlier pass cached.  A
+cache lives from its train-mode forward to its backward, which takes it:
+a backward with no train-mode forward pending (none yet, an eval pass, or a
+second backward) raises ``TrainingError`` naming the module; a dropout's eval
+and p = 0 passes are the identity both ways.  Backward passes return the
+gradient w.r.t. their input and accumulate into ``grads``.
+
+Each pass runs in place on the arrays it has just made (bias adds, the
+softmax chain, LayerNorm's centring and backward), always by the same
+operations on the same operands in the same order as the out-of-place
+expressions, so every value keeps its bits.
 
 Composite modules declare nothing extra: ``Module`` finds parameters and
 gradients by walking its attributes in assignment order, recursing into every
@@ -22,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import TrainingError
+
 LN_EPS = 1e-5
 
 
@@ -33,6 +43,23 @@ class Module:
     def _param(self, name: str, value: np.ndarray):
         self.params[name] = value
         self.grads[name] = np.zeros_like(value)
+
+    def _keep(self, train: bool, **cache) -> None:
+        """Keep ``cache`` as attributes for the backward of a train-mode pass;
+        any other pass drops what an earlier one kept."""
+        for name, value in cache.items():
+            if train:
+                setattr(self, name, value)
+            else:
+                vars(self).pop(name, None)
+
+    def _take(self, *names: str):
+        """Remove and return the caches the pending train-mode forward kept."""
+        if names[0] not in vars(self):
+            raise TrainingError(f"{type(self).__name__} backward needs a "
+                                f"train-mode forward (none is pending)")
+        values = tuple(vars(self).pop(name) for name in names)
+        return values if len(values) > 1 else values[0]
 
     def _modules(self, prefix: str = ""):
         """(prefix, module) for this module, then each descendant in walk order."""
@@ -91,17 +118,20 @@ class Linear(Module):
         self._param("b", np.zeros(dim_out))
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            self._x = x
+        self._keep(train, _x=x)
         w = self.params["w"]
         if w.shape[1] == 1:
             # BLAS's matrix-vector product rounds a row differently by its
             # position in the batch; a per-row sum does not
-            return (x * w[:, 0]).sum(axis=-1, keepdims=True) + self.params["b"]
-        return x @ w + self.params["b"]
+            out = (x * w[:, 0]).sum(axis=-1, keepdims=True)
+        else:
+            out = x @ w
+        out += self.params["b"]
+        return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        x2 = self._x.reshape(-1, self._x.shape[-1])
+        x = self._take("_x")
+        x2 = x.reshape(-1, x.shape[-1])
         d2 = d_out.reshape(-1, d_out.shape[-1])
         self.grads["w"] += x2.T @ d2
         self.grads["b"] += d2.sum(axis=0)
@@ -114,12 +144,11 @@ class Embedding(Module):
         self._param("w", _normal(rng, (vocab, dim)))
 
     def forward(self, ids: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            self._ids = ids
+        self._keep(train, _ids=ids)
         return self.params["w"][ids]
 
     def backward(self, d_out: np.ndarray) -> None:
-        np.add.at(self.grads["w"], self._ids, d_out)
+        np.add.at(self.grads["w"], self._take("_ids"), d_out)
 
 
 class LayerNorm(Module):
@@ -130,26 +159,32 @@ class LayerNorm(Module):
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        norm = x - mean
+        # ndarray.var's own steps (the same mean, squared deviations summed,
+        # then divided by the count) on the one centred copy
+        var = np.square(norm).sum(axis=-1, keepdims=True)
+        var /= x.shape[-1]
         inv = 1.0 / np.sqrt(var + LN_EPS)
-        norm = (x - mean) * inv
-        if train:
-            self._norm, self._inv = norm, inv
-        return norm * self.params["g"] + self.params["b"]
+        np.multiply(norm, inv, out=norm)
+        self._keep(train, _norm=norm, _inv=inv)
+        out = norm * self.params["g"]
+        out += self.params["b"]
+        return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        norm, inv = self._norm, self._inv
-        g = self.params["g"]
-        self.grads["g"] += (d_out * norm).reshape(-1, norm.shape[-1]).sum(axis=0)
-        self.grads["b"] += d_out.reshape(-1, norm.shape[-1]).sum(axis=0)
-        d_norm = d_out * g
-        # d_x of (x - mean) * inv with mean/var both functions of x
-        d_x = inv * (
-            d_norm
-            - d_norm.mean(axis=-1, keepdims=True)
-            - norm * (d_norm * norm).mean(axis=-1, keepdims=True)
-        )
-        return d_x
+        norm, inv = self._take("_norm", "_inv")
+        dim = norm.shape[-1]
+        prod = d_out * norm
+        self.grads["g"] += prod.reshape(-1, dim).sum(axis=0)
+        self.grads["b"] += d_out.reshape(-1, dim).sum(axis=0)
+        d_x = d_out * self.params["g"]
+        # d_x of (x - mean) * inv with mean/var both functions of x:
+        # inv * (d_norm - mean(d_norm) - norm * mean(d_norm * norm))
+        mean_d = d_x.mean(axis=-1, keepdims=True)
+        mean_dn = np.multiply(d_x, norm, out=prod).mean(axis=-1, keepdims=True)
+        d_x -= mean_d
+        d_x -= np.multiply(norm, mean_dn, out=norm)
+        return np.multiply(inv, d_x, out=d_x)
 
 
 class Dropout(Module):
@@ -172,9 +207,8 @@ class Dropout(Module):
         return x * self._mask
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return d_out
-        return d_out * self._mask
+        mask = self._take("_mask")
+        return d_out if mask is None else d_out * mask
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -187,7 +221,8 @@ class MultiHeadAttention(Module):
     ``rows`` picks the query positions from the (B, L, D) input: every
     position (the default) or ``0``, the CLS row alone, which returns
     (B, D).  Keys and values always cover every position.  The attention
-    probabilities are kept, in train mode, for backward only.
+    probabilities are kept, in train mode, for backward only, which
+    overwrites them with the score gradient.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None):
@@ -217,33 +252,34 @@ class MultiHeadAttention(Module):
         q = self._split(self.wq.forward(x_q, train))
         k = self._split(self.wk.forward(x, train))
         v = self._split(self.wv.forward(x, train))
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(self.head_dim)
+        attn = q @ k.transpose(0, 1, 3, 2)
+        attn /= np.sqrt(self.head_dim)
         # mask PAD keys; every query row still normalizes over real keys
-        neg = np.finfo(np.float64).min / 4
-        scores = np.where(key_mask[:, None, None, :], scores, neg)
-        scores -= scores.max(axis=-1, keepdims=True)
-        exp = np.exp(scores)
-        attn = exp / exp.sum(axis=-1, keepdims=True)
+        np.copyto(attn, np.finfo(np.float64).min / 4,
+                  where=~key_mask[:, None, None, :])
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         ctx = attn @ v
         out = self.wo.forward(self._merge(ctx, x_q.shape), train)
-        if train:
-            self._q, self._k, self._v, self._attn = q, k, v, attn
-            self._rows = rows
+        self._keep(train, _q=q, _k=k, _v=v, _attn=attn, _rows=rows)
         return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        q, k, v, attn = self._q, self._k, self._v, self._attn
+        q, k, v, attn, rows = self._take("_q", "_k", "_v", "_attn", "_rows")
         shape = (k.shape[0], k.shape[2], self.dim)
         d_ctx = self._split(self.wo.backward(d_out))
         d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
-        # softmax backward; masked positions have attn = 0 so they get 0
-        d_scores = attn * (d_probs - (d_probs * attn).sum(axis=-1, keepdims=True))
+        # softmax backward, attn * (d_probs - sum(d_probs * attn)), into
+        # attn; masked positions have attn = 0 so they get 0
+        d_probs -= (d_probs * attn).sum(axis=-1, keepdims=True)
+        d_scores = np.multiply(attn, d_probs, out=attn)
         d_scores /= np.sqrt(self.head_dim)
         d_q = d_scores @ k
         d_k = d_scores.transpose(0, 1, 3, 2) @ q
         d_x = self.wk.backward(self._merge(d_k, shape))
-        d_x[:, self._rows] += self.wq.backward(self._merge(d_q, d_out.shape))
+        d_x[:, rows] += self.wq.backward(self._merge(d_q, d_out.shape))
         d_x += self.wv.backward(self._merge(d_v, shape))
         return d_x
 
@@ -255,13 +291,14 @@ class FeedForward(Module):
         self.lin2 = Linear(ff_dim, dim, rng)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        h = self.lin1.forward(x, train)
-        a = relu(h)
-        if train:
-            self._h = h
+        # ReLU in place: ``a`` is also lin2's cached input, and a > 0 exactly
+        # where lin1's output was (NaN and -0.0 included)
+        a = self.lin1.forward(x, train)
+        np.maximum(a, 0.0, out=a)
+        self._keep(train, _a=a)
         return self.lin2.forward(a, train)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
+        a = self._take("_a")
         d_a = self.lin2.backward(d_out)
-        d_h = d_a * (self._h > 0)
-        return self.lin1.backward(d_h)
+        return self.lin1.backward(d_a * (a > 0))

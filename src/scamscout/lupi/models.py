@@ -86,7 +86,6 @@ class TeacherModel(Module):
         self.priv = priv
         self.seed = seed
         rng = np.random.default_rng(seed) if init else None
-        self._cache = None
         # query and SERP encoders are initialized independently
         self.query_encoder = Encoder(tok_cfg.vocab_size, tok_cfg.max_len_query,
                                      enc_cfg, rng)
@@ -117,13 +116,11 @@ class TeacherModel(Module):
         pre = self.fusion.forward(concat, train)
         fused = self.fusion_drop.forward(relu(pre), train, rng)
         score = self.head.forward(fused, train)[:, 0]
-        self._cache = (present, safe, pre) if train else None
+        self._keep(train, _present=present, _safe=safe, _pre=pre)
         return score, fused
 
     def backward(self, d_score: np.ndarray):
-        if self._cache is None:
-            raise TrainingError("teacher backward needs a train-mode forward")
-        present, safe, pre = self._cache
+        present, safe, pre = self._take("_present", "_safe", "_pre")
         d_dropped = self.head.backward(d_score[:, None])
         d_pre = self.fusion_drop.backward(d_dropped) * (pre > 0)
         d_concat = self.fusion.backward(d_pre)
@@ -143,7 +140,6 @@ class StudentModel(Module):
         self.enc_cfg = enc_cfg
         self.seed = seed
         rng = np.random.default_rng(seed) if init else None
-        self._cache = None
         self.query_encoder = Encoder(tok_cfg.vocab_size, tok_cfg.max_len_query,
                                      enc_cfg, rng)
         self.pred_drop = Dropout(enc_cfg.dropout)
@@ -173,13 +169,11 @@ class StudentModel(Module):
         h1 = self.pred_lin1.forward(dropped, train)
         score = self.pred_lin2.forward(relu(h1), train)[:, 0]
         hint = self.distill_head.forward(cls, train)
-        self._cache = h1 if train else None
+        self._keep(train, _h1=h1)
         return score, hint
 
     def backward(self, d_score: np.ndarray, d_hint: np.ndarray):
-        if self._cache is None:
-            raise TrainingError("student backward needs a train-mode forward")
-        h1 = self._cache
+        h1 = self._take("_h1")
         d_relu = self.pred_lin2.backward(d_score[:, None])
         d_dropped = self.pred_lin1.backward(d_relu * (h1 > 0))
         d_cls = self.pred_drop.backward(d_dropped)

@@ -7,6 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamscout.corpus import DomainSnapshot, RankSignals, WhoisRecord
 from scamscout.errors import SchemaError
@@ -23,6 +24,7 @@ from scamscout.featurizer.encode import CATEGORICAL_COLUMNS
 from scamscout.featurizer.segment import (
     costs_from_counts,
     count_subwords,
+    default_word_costs,
     normalize_label,
     segment_label,
 )
@@ -351,6 +353,60 @@ def test_segment_mixed_known_and_unknown():
     costs = _toy_costs()
     assert segment_label("qqcheap", costs) == ["qq", "cheap"]
     assert segment_label("cheapqq", costs) == ["cheap", "qq"]
+
+
+def _reference_segment(label, costs=None):
+    """The DP as it was before a chunk longer than every word skipped its
+    lookup, kept verbatim."""
+    from scamscout.featurizer.segment import _chunk_cost
+
+    if costs is None:
+        costs = default_word_costs()
+    label = normalize_label(label)
+    n = len(label)
+    if n == 0:
+        return []
+    # cost[i], count[i] and tokens[i] describe the best split of label[:i];
+    # a candidate's token tuple is built only to break a tie in the other two
+    cost: list[float] = [0.0]
+    count: list[int] = [0]
+    tokens: list[tuple[str, ...]] = [()]
+    for i in range(1, n + 1):
+        best, best_cost = 0, cost[0] + _chunk_cost(label[:i], costs)
+        for j in range(1, i):
+            c = cost[j] + _chunk_cost(label[j:i], costs)
+            if c < best_cost or c == best_cost and (
+                    (count[j], tokens[j] + (label[j:i],))
+                    < (count[best], tokens[best] + (label[best:i],))):
+                best, best_cost = j, c
+        cost.append(best_cost)
+        count.append(count[best] + 1)
+        tokens.append(tokens[best] + (label[best:i],))
+    return list(tokens[n])
+
+
+# costs with many equal sums (ties), the toy table, none at all, or the
+# shipped table (None)
+_SEGMENT_COSTS = st.one_of(
+    st.none(),
+    st.just(_toy_costs()),
+    st.just({}),
+    st.dictionaries(st.text("abcq", min_size=1, max_size=5),
+                    st.sampled_from([1.0, 2.0, 4.0]), max_size=12),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_segment_label_equals_the_reference_dp(data):
+    costs = data.draw(_SEGMENT_COSTS)
+    words = sorted(default_word_costs() if costs is None else costs)
+    piece = st.one_of(st.text("0123456789", min_size=1, max_size=3),
+                      st.text("qxzjQX-.", min_size=1, max_size=4),
+                      *([st.sampled_from(words)] if words else []))
+    # up to 8 pieces: labels well past the longest word's length
+    label = "".join(data.draw(st.lists(piece, max_size=8)))
+    assert segment_label(label, costs) == _reference_segment(label, costs)
 
 
 # --- dataset encoding ----------------------------------------------------------

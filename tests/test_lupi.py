@@ -386,6 +386,105 @@ def test_backward_needs_a_train_mode_forward():
             backward()
 
 
+def _layer_case(name):
+    """A fresh layer of class ``name`` and its forward over a (2, 3, 8) input
+    (ids for an embedding) in a given mode; every output is (2, 3, 8)."""
+    from scamscout.lupi.layers import (
+        Embedding, FeedForward, LayerNorm, Linear, MultiHeadAttention)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 3, 8))
+    if name == "Embedding":
+        layer = Embedding(16, 8, rng)
+        ids = np.array([[1, 2, 3], [4, 5, 0]])
+        return layer, lambda train: layer.forward(ids, train)
+    if name == "MultiHeadAttention":
+        layer = MultiHeadAttention(8, 2, rng)
+        keys = np.array([[True, True, True], [True, True, False]])
+        return layer, lambda train: layer.forward(x, keys, train)
+    layer = {"Linear": lambda: Linear(8, 8, rng), "LayerNorm": lambda: LayerNorm(8),
+             "FeedForward": lambda: FeedForward(8, 16, rng)}[name]()
+    return layer, lambda train: layer.forward(x, train)
+
+
+@pytest.mark.parametrize("name", ["Linear", "LayerNorm", "MultiHeadAttention",
+                                  "FeedForward", "Embedding"])
+def test_layer_backward_needs_a_pending_train_mode_forward(name):
+    layer, forward = _layer_case(name)
+    d_out = np.random.default_rng(1).normal(size=(2, 3, 8))
+    misuse = pytest.raises(
+        TrainingError, match=f"^{name} backward needs a train-mode forward")
+    with misuse:
+        layer.backward(d_out)                          # no forward yet
+    forward(True)
+    layer.backward(d_out)
+    grads = {k: v.copy() for k, v in layer.gradients().items()}
+    with misuse:
+        layer.backward(d_out)                          # a second backward
+    # the refused backward accumulated nothing
+    for k, v in layer.gradients().items():
+        assert np.array_equal(v, grads[k]), k
+    forward(True)
+    forward(False)
+    with misuse:
+        layer.backward(d_out)                          # after an eval pass
+
+
+def test_dropout_backward_takes_its_mask_once():
+    from scamscout.lupi.layers import Dropout
+    x = np.ones((2, 3, 4))
+    d_out = np.arange(24.0).reshape(2, 3, 4)
+    # eval and p = 0 passes are the identity both ways
+    for p, train in ((0.3, False), (0.0, True)):
+        drop = Dropout(p)
+        assert drop.forward(x, train, np.random.default_rng(0)) is x
+        assert drop.backward(d_out) is d_out
+    drop = Dropout(0.3)
+    mask = drop.forward(x, True, np.random.default_rng(0))   # x is ones
+    assert np.array_equal(drop.backward(d_out), d_out * mask)
+    with pytest.raises(TrainingError, match="^Dropout backward needs a train-mode"):
+        drop.backward(d_out)
+
+
+def _cached(model):
+    """Paths of the caches (underscored attributes that are set) the modules
+    of ``model`` hold."""
+    return [f"{path}{name}" for path, module in model._modules()
+            for name, value in vars(module).items()
+            if name.startswith("_") and value is not None]
+
+
+def test_a_train_step_holds_no_cache_after_backward_and_adam_state_for_live_chunks():
+    from scamscout.lupi.optim import CHUNK
+    tok = TokenizerConfig(vocab_size=4096, max_len_query=8, max_len_serp=8)
+    teacher = TeacherModel(tok, ENC, PRIV, seed=1)
+    student = StudentModel(tok, ENC, seed=1)
+    q = tokenize_batch(["cheap shoes", "replica bags outlet"], tok)
+    serp_ids = np.stack([np.stack([tokenize(f"desc {i} {j}", tok, tok.max_len_serp)
+                                   for j in range(3)]) for i in range(2)])
+    present = np.array([[True, True, False], [True, True, True]])
+    rng = np.random.default_rng(0)
+    passes = [
+        (teacher, lambda: teacher.forward(q, serp_ids, present, True, rng),
+         lambda: teacher.backward(np.ones(2))),
+        (student, lambda: student.forward(q, True, rng),
+         lambda: student.backward(np.ones(2), np.ones((2, ENC.dim)))),
+    ]
+    for model, forward, backward in passes:
+        forward()
+        assert "query_encoder.embed._ids" in _cached(model)
+        backward()
+        assert _cached(model) == []
+        with pytest.raises(TrainingError, match=f"^{type(model).__name__} "
+                                                "backward needs a train-mode forward"):
+            backward()
+        opt = AdamW(model.flat, 1e-3)
+        opt.step(model.flat_grad)
+        live = np.count_nonzero(np.repeat(opt.live, CHUNK)[:model.flat.size])
+        assert opt.m.size == opt.v.size == live
+        # the step touched a few embedding rows of 4096
+        assert live < model.flat.size / 10
+
+
 # Names a 1-layer encoder's parameters take in checkpoint layouts.
 _ENCODER_1L = [
     "embed.w",
@@ -749,9 +848,36 @@ def test_live_chunk_adamw_equals_the_dense_step_bit_for_bit(size, steps, seed, l
         lr_scale = warmup_scale(step, steps)
         opt.step(grads, lr_scale)
         ref_opt.step({"p": grads}, lr_scale)
-        for a, b in ((ours, ref), (opt.m, ref_opt.m["p"]), (opt.v, ref_opt.v["p"])):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+        # the compact moments are the dense ones at the live elements, and
+        # the dense ones are +0.0 (all bits clear) everywhere else
+        live = np.repeat(opt.live, CHUNK)[:size]
+        for a, b in ((opt.m, ref_opt.m["p"]), (opt.v, ref_opt.v["p"])):
+            assert np.array_equal(a.view(np.uint64), b[live].view(np.uint64))
+            assert not b[~live].view(np.uint64).any()
     assert not opt.live[first >= steps].any()
+
+
+def test_compact_moments_move_with_their_chunks_as_chunks_go_live():
+    from scamscout.lupi.optim import CHUNK
+    size = 4 * CHUNK + 5            # the last chunk is 5 elements short of a row
+    rng = np.random.default_rng(5)
+    ours = rng.normal(size=size)
+    ref = ours.copy()
+    opt, ref_opt = AdamW(ours, 1e-2), _PerNameAdamW({"p": ref}, 1e-2)
+    # the short last chunk goes live first, then chunks in front of it
+    for step, new in enumerate(([4], [2], [0], [], [3, 1])):
+        grads = np.zeros(size)
+        for c in np.flatnonzero(opt.live).tolist() + new:
+            touched = grads[c * CHUNK:(c + 1) * CHUNK]
+            touched[...] = rng.normal(size=touched.size)
+        opt.step(grads)
+        ref_opt.step({"p": grads})
+        live = np.repeat(opt.live, CHUNK)[:size]
+        assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), step
+        for a, b in ((opt.m, ref_opt.m["p"]), (opt.v, ref_opt.v["p"])):
+            assert np.array_equal(a.view(np.uint64), b[live].view(np.uint64)), step
+    assert opt.live.all()
 
 
 def test_warmup_scale_ramp():
