@@ -29,7 +29,7 @@ from pathlib import Path
 from . import corpus, records
 from .branded import filter_unbranded
 from .discovery import FixtureStore, run_discovery, write_report
-from .errors import ScamscoutError
+from .errors import SchemaError, ScamscoutError
 from .featurizer import (
     BOOLEAN,
     CATEGORICAL,
@@ -246,6 +246,8 @@ def _read_lupi_examples(path) -> list[LupiExample]:
 
 def _cmd_train_lupi(args) -> int:
     priv = PrivilegedConfig.from_spec(args.priv)
+    if priv.filter == "SCAM_ONLY" and not args.labels:
+        raise SchemaError("--priv filter scam_only needs --labels")
     weights = LossWeights.from_spec(args.weights)
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed,

@@ -81,7 +81,8 @@ class DomainSnapshot:
         return self.http_status != 0
 
     def root_domain(self) -> str:
-        return root_domain(self.url)
+        """The landing page's registrable domain, the key of its features."""
+        return root_domain(self.final_url or self.url)
 
 
 @dataclass
@@ -306,7 +307,23 @@ def serp_from_record(rec: dict) -> SerpResultSet:
 
 
 def read_serps(path) -> list[SerpResultSet]:
-    return list(read_jsonl(path, serp_from_record))
+    """The pages of a ``serps.jsonl``.  A page with no entries, which names
+    no engine, and a page of a (query, engine) pair that an earlier line
+    holds are bad lines, since every reader keeps one page per pair."""
+    seen: set[tuple[str, str]] = set()
+
+    def parse(rec) -> SerpResultSet:
+        page = serp_from_record(rec)
+        if not page.entries:
+            raise SchemaError(f"page for {page.query!r} has no entries")
+        for engine in sorted({e.engine for e in page.entries}):
+            if (page.query, engine) in seen:
+                raise SchemaError(
+                    f"repeated page for ({page.query!r}, {engine})")
+            seen.add((page.query, engine))
+        return page
+
+    return list(read_jsonl(path, parse))
 
 
 def read_labels(path) -> list[LabeledDomain]:

@@ -15,10 +15,10 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, Union
 
-from .corpus import ENGINES, SerpEntry, SerpResultSet, serp_from_record
+from .corpus import ENGINES, SerpEntry, SerpResultSet, read_serps
 from .errors import FixtureMissError, SchemaError, UnknownEngineError
 from .lupi.rank import RankedKeyword
-from .records import read_jsonl, write_document
+from .records import write_document
 
 SCAM = "SCAM"
 
@@ -26,10 +26,9 @@ SCAM = "SCAM"
 class FixtureStore:
     """Recorded result pages keyed by (query, engine).
 
-    Each line of the store is a ``serps.jsonl`` page, read once, on load, by
-    ``corpus.serp_from_record``.  Its entries are grouped by engine; a page
-    with no entries, which names no engine, and a (query, engine) pair that
-    an earlier line already holds are bad lines.
+    The store is a ``serps.jsonl`` file, read once, on load, by
+    ``corpus.read_serps``, which holds each (query, engine) pair to one
+    page; each page's entries are grouped by engine.
     ``get`` hands out the stored (frozen) entries of a pair in a new list.
     """
 
@@ -38,17 +37,6 @@ class FixtureStore:
 
     def __len__(self) -> int:
         return len(self._pages)
-
-    def _add(self, page: SerpResultSet) -> None:
-        if not page.entries:
-            raise SchemaError(f"page for {page.query!r} has no entries")
-        # a page keeps its entries sorted by (engine, rank), so each engine
-        # is one group
-        for engine, entries in groupby(page.entries, attrgetter("engine")):
-            if (page.query, engine) in self._pages:
-                raise SchemaError(
-                    f"repeated page for ({page.query!r}, {engine})")
-            self._pages[page.query, engine] = tuple(entries)
 
     def get(self, query: str, engine: str) -> SerpResultSet:
         """The page recorded for (query, engine)."""
@@ -60,8 +48,11 @@ class FixtureStore:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FixtureStore":
         store = cls()
-        for _ in read_jsonl(path, lambda rec: store._add(serp_from_record(rec))):
-            pass
+        for page in read_serps(path):
+            # a page keeps its entries sorted by (engine, rank), so each
+            # engine is one group
+            for engine, entries in groupby(page.entries, attrgetter("engine")):
+                store._pages[page.query, engine] = tuple(entries)
         return store
 
 

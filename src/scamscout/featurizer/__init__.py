@@ -1,7 +1,7 @@
 """Feature extraction for the scam/benign domain classifier."""
 
 from .encode import DatasetEncoder, DesignMatrix, encode_dataset
-from .extract import extract_features, visible_text
+from .extract import extract_features
 from .schema import (
     BOOLEAN,
     CATEGORICAL,
@@ -12,7 +12,6 @@ from .schema import (
     NUMERIC,
     SCHEMA_VERSION,
     FeatureVector,
-    schema_as_dict,
 )
 from .segment import (
     costs_from_counts,
@@ -38,7 +37,5 @@ __all__ = [
     "encode_dataset",
     "extract_features",
     "normalize_label",
-    "schema_as_dict",
     "segment_label",
-    "visible_text",
 ]

@@ -187,12 +187,6 @@ def _visible_words(html: str) -> list[str]:
     return _TAG_RE.sub(" ", stripped).split()
 
 
-def visible_text(html: str) -> str:
-    """Strip script/style bodies, comments and tags; collapse whitespace."""
-    # str.split() and re's \s agree on what whitespace is, for every code point
-    return " ".join(_visible_words(html))
-
-
 def _href_host(href: str) -> Optional[str]:
     try:
         parts = urlsplit(href)
@@ -473,6 +467,7 @@ def _content_features(snapshot: DomainSnapshot, memo=None) -> dict:
     own_root = snapshot.root_domain()
     lower_html = html.lower()
     words = _visible_words(html)
+    # str.split() and re's \s agree on what whitespace is, for every code point
     text = " ".join(words)
 
     counts = dict.fromkeys(_CONTENT_NAMES, 0)

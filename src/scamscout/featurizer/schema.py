@@ -145,13 +145,6 @@ _INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 assert NUM_FEATURES == 103, f"schema must have 103 features, has {NUM_FEATURES}"
 
 
-def schema_as_dict() -> dict:
-    return {
-        "version": SCHEMA_VERSION,
-        "features": [{"name": n, "kind": k, "group": g} for n, k, g in FEATURES],
-    }
-
-
 _INFINITIES = (math.inf, -math.inf)
 
 

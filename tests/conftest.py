@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from scamscout.cli import main
+from walkthrough import FIXTURES, walkthrough
 
 # hypothesis's pytest plugin imports this module to report a falsifying
 # example; through libcst it warns a DeprecationWarning, which pyproject's
@@ -21,3 +22,13 @@ with warnings.catch_warnings():
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def workdir(tmp_path_factory):
+    """The README walkthrough, run in-process once; tests assert on the
+    files it writes."""
+    work = tmp_path_factory.mktemp("pipeline")
+    for argv in walkthrough(work):
+        assert main(argv) == 0, f"stage failed: {argv}"
+    return work

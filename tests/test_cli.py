@@ -24,47 +24,18 @@ from scamscout.lupi import load_student, load_teacher, ranked_from_csv
 from scamscout.oracle import gbdt
 
 from conftest import FIXTURES
+from walkthrough import walkthrough
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    """Run every pipeline stage once; tests assert on the artifacts."""
-    work = tmp_path_factory.mktemp("pipeline")
-    fx = FIXTURES
-
-    def run(*argv):
-        rc = main([str(a) for a in argv])
-        assert rc == 0, f"stage failed: {argv}"
-
-    run("featurize", "--snapshots", fx / "snapshots.jsonl",
-        "--out", work / "features.csv")
-    run("train-oracle", "--features", work / "features.csv",
-        "--labels", fx / "labels.csv", "--rounds", 60,
-        "--out", work / "model.json")
-    run("score", "--model", work / "model.json",
-        "--features", work / "features.csv", "--out", work / "verdicts.csv")
-    run("toxicity", "--serps", fx / "serps.jsonl", "--labels", fx / "labels.csv",
-        "--keywords", fx / "keywords.jsonl", "--out", work / "toxicity.csv")
-    run("baselines", "--keywords", fx / "keywords.jsonl",
-        "--toxicity", work / "toxicity.csv", "--segments", fx / "segments.jsonl",
-        "--out-dir", work / "tables", "--n-sim", 200)
-    run("filter-branded", "--in", fx / "keywords.jsonl",
-        "--out", work / "unbranded.jsonl")
-    run("train-lupi", "--train", fx / "lupi_train.jsonl",
-        "--labels", fx / "labels.csv",
-        "--priv", "google:description:all:ranked:5",
-        "--epochs", 2, "--lr", "2e-3", "--batch-size", 16,
-        "--out", work / "student.json", "--teacher-out", work / "teacher.json")
-    run("rank", "--model", work / "student.json",
-        "--keywords", work / "unbranded.jsonl", "--k", 5,
-        "--out", work / "ranked.csv")
-    run("discover", "--ranked", work / "ranked.csv",
-        "--oracle", work / "model.json",
-        "--fixtures", fx / "serps.jsonl",
-        "--snapshots", fx / "snapshots.jsonl", "--labels", fx / "labels.csv",
-        "--engines", "GOOGLE,BING", "--exposure-k", 5,
-        "--out", work / "report.json")
-    return work
+def _step(workdir, command, **flags):
+    """The walkthrough's ``command`` argv, run into ``workdir``, with each
+    ``flags`` option (``out=path`` for ``--out``) set to a new value, or
+    dropped with its value if that is None."""
+    [argv] = [argv for argv in walkthrough(workdir) if argv[0] == command]
+    for name, value in flags.items():
+        i = argv.index("--" + name.replace("_", "-"))
+        argv[i:i + 2] = [] if value is None else [argv[i], str(value)]
+    return argv
 
 
 def _rows(path):
@@ -133,16 +104,6 @@ _PINNED_SHA256 = {
 def test_pure_python_outputs_keep_their_pinned_bytes(workdir, name):
     digest = hashlib.sha256((workdir / name).read_bytes()).hexdigest()
     assert digest == _PINNED_SHA256[name]
-
-
-def test_toxicity_rerun_is_byte_identical(workdir):
-    rc = main(["toxicity", "--serps", str(FIXTURES / "serps.jsonl"),
-               "--labels", str(FIXTURES / "labels.csv"),
-               "--keywords", str(FIXTURES / "keywords.jsonl"),
-               "--out", str(workdir / "toxicity2.csv")])
-    assert rc == 0
-    assert filecmp.cmp(workdir / "toxicity.csv", workdir / "toxicity2.csv",
-                       shallow=False)
 
 
 def test_toxicity_takes_each_root_domain_from_the_url(tmp_path):
@@ -223,7 +184,7 @@ def test_lupi_checkpoints_load(workdir):
     assert teacher.priv.spec_string() == "google:description:all:ranked:5"
 
 
-def test_rank_output_and_rerun(workdir):
+def test_rank_output(workdir):
     ranked = ranked_from_csv(workdir / "ranked.csv")
     per_cat = {}
     for row in ranked:
@@ -233,19 +194,13 @@ def test_rank_output_and_rerun(workdir):
         assert [r.rank for r in rows] == list(range(1, len(rows) + 1))
         scores = [r.score for r in rows]
         assert scores == sorted(scores, reverse=True)
-    rc = main(["rank", "--model", str(workdir / "student.json"),
-               "--keywords", str(workdir / "unbranded.jsonl"), "--k", "5",
-               "--out", str(workdir / "ranked2.csv")])
-    assert rc == 0
-    assert filecmp.cmp(workdir / "ranked.csv", workdir / "ranked2.csv",
-                       shallow=False)
 
 
 def _report(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def test_discovery_report_and_rerun(workdir):
+def test_discovery_report(workdir):
     report = _report(workdir / "report.json")
     assert report["total_sites"] > 0
     # globally deduplicated totals never exceed the per-category sums
@@ -255,17 +210,6 @@ def test_discovery_report_and_rerun(workdir):
                                         for c in report["categories"])
     for row in report["categories"]:
         assert 0 <= row["discovered_scams"] <= row["total_sites"]
-
-    rc = main(["discover", "--ranked", str(workdir / "ranked.csv"),
-               "--oracle", str(workdir / "model.json"),
-               "--fixtures", str(FIXTURES / "serps.jsonl"),
-               "--snapshots", str(FIXTURES / "snapshots.jsonl"),
-               "--labels", str(FIXTURES / "labels.csv"),
-               "--engines", "GOOGLE,BING", "--exposure-k", "5",
-               "--out", str(workdir / "report2.json")])
-    assert rc == 0
-    assert filecmp.cmp(workdir / "report.json", workdir / "report2.json",
-                       shallow=False)
 
 
 def test_discovery_json_report(workdir):
@@ -278,6 +222,57 @@ def test_discovery_json_report(workdir):
                                      / blob["total_sites"])
     assert blob["queries_run"] == 2 * len(ranked_from_csv(workdir / "ranked.csv"))
     assert len(blob["config_digest"]) == 32
+
+
+def test_featurize_does_not_depend_on_snapshot_order(workdir, tmp_path):
+    """Snapshots in reverse order give the same header and, sorted, the same
+    rows: the tag memo shared by the pages of one run does not depend on
+    their order."""
+    lines = (FIXTURES / "snapshots.jsonl").read_text(
+        encoding="utf-8").splitlines()
+    snapshots = tmp_path / "snapshots.jsonl"
+    snapshots.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
+    rc = main(_step(workdir, "featurize", snapshots=snapshots,
+                    out=tmp_path / "features.csv"))
+    assert rc == 0
+    header, *rows = (workdir / "features.csv").read_text(
+        encoding="utf-8").splitlines()
+    new_header, *new_rows = (tmp_path / "features.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert new_header == header
+    assert new_rows != rows and sorted(new_rows) == sorted(rows)
+
+
+def test_discover_reads_result_hosts_behind_userinfo(workdir, tmp_path):
+    """Result URLs carrying userinfo (``https://u@host``) go through
+    ``urlsplit`` rather than psl's plain-URL regex; the hosts are the same,
+    so the report is too."""
+    text = (FIXTURES / "serps.jsonl").read_text(encoding="utf-8")
+    assert '"url": "https://' in text
+    fixtures = tmp_path / "serps.jsonl"
+    fixtures.write_text(text.replace('"url": "https://', '"url": "https://u@'),
+                        encoding="utf-8")
+    rc = main(_step(workdir, "discover", fixtures=fixtures,
+                    out=tmp_path / "report.json"))
+    assert rc == 0
+    assert filecmp.cmp(workdir / "report.json", tmp_path / "report.json",
+                       shallow=False)
+
+
+def test_train_lupi_random_selection_reruns_byte_identically(workdir,
+                                                             tmp_path):
+    """The RANDOM privileged selection (each query's results drawn down to
+    five, seeded per query) trains the same models on a rerun."""
+    runs = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        out.mkdir()
+        rc = main(_step(workdir, "train-lupi", priv="all:both:all:random:5",
+                        epochs=1, out=out / "student.json",
+                        teacher_out=out / "teacher.json"))
+        assert rc == 0
+        runs.append(_files(out))
+    assert len(runs[0]) == 2 and runs[0] == runs[1]
 
 
 def test_discover_requires_fixtures(tmp_path, capsys):
@@ -420,8 +415,8 @@ def test_train_lupi_rejects_bad_record_with_line_number(tmp_path, exits_2,
                  f"[0, 1], got {rec['toxicity']!r}")
     train = tmp_path / "train.jsonl"
     train.write_text("\n".join(lines) + "\n")
-    exits_2(["train-lupi", "--train", train, "--out", tmp_path / "student.json"],
-            f"{train}:3: {cause}")
+    exits_2(["train-lupi", "--train", train, "--labels", FIXTURES / "labels.csv",
+             "--out", tmp_path / "student.json"], f"{train}:3: {cause}")
 
 
 def test_train_lupi_trains_on_naver_results(tmp_path, capsys):
@@ -452,6 +447,7 @@ def test_train_lupi_tokenizes_its_queries_once(tmp_path, monkeypatch):
                         lambda texts, cfg: batches.append(len(texts))
                         or tokenize_batch(texts, cfg))
     rc = main(["train-lupi", "--train", str(FIXTURES / "lupi_train.jsonl"),
+               "--labels", str(FIXTURES / "labels.csv"),
                "--epochs", "1", "--lr", "2e-3", "--batch-size", "16",
                "--out", str(tmp_path / "student.json")])
     assert rc == 0
@@ -465,8 +461,9 @@ def test_train_lupi_tokenizes_its_queries_once(tmp_path, monkeypatch):
                      "--labels", str(FIXTURES / "labels.csv"),
                      "--keywords", str(FIXTURES / "keywords.jsonl"),
                      "--out", "{out}"]),
-    ("lupi_train.jsonl", ["train-lupi", "--train", "{path}", "--epochs", "1",
-                          "--out", "{out}"]),
+    ("lupi_train.jsonl", ["train-lupi", "--train", "{path}",
+                          "--labels", str(FIXTURES / "labels.csv"),
+                          "--epochs", "1", "--out", "{out}"]),
 ])
 def test_a_page_repeating_a_rank_is_rejected_with_its_line(tmp_path, exits_2,
                                                            fixture, argv):
@@ -486,6 +483,7 @@ def test_train_lupi_failed_save_leaves_no_checkpoint(tmp_path, exits_2):
     """The teacher cannot be written, so the student written before it goes."""
     teacher = tmp_path / "nodir" / "teacher.json"
     exits_2(["train-lupi", "--train", FIXTURES / "lupi_train.jsonl",
+             "--labels", FIXTURES / "labels.csv",
              "--epochs", "1", "--lr", "2e-3", "--batch-size", "16",
              "--out", tmp_path / "student.json", "--teacher-out", teacher],
             f"{teacher}: No such file or directory", earlier_outputs=False)
@@ -520,6 +518,15 @@ def test_train_lupi_rejects_a_bad_spec_or_rate_before_training(
              "--labels", FIXTURES / "labels.csv",
              "--out", tmp_path / "student.json",
              "--teacher-out", tmp_path / "teacher.json", *flags], message)
+
+
+def test_train_lupi_scam_only_needs_labels(tmp_path, exits_2):
+    """The default ``--priv`` keeps only results on scam-labeled domains;
+    without ``--labels`` the teacher would see no result page.  The run
+    stops before any file is read: the training file does not exist."""
+    exits_2(["train-lupi", "--train", tmp_path / "missing.jsonl",
+             "--out", tmp_path / "student.json"],
+            "--priv filter scam_only needs --labels")
 
 
 def _drop_rank(line):
@@ -620,28 +627,16 @@ def matrix_calls(monkeypatch):
 
 
 def test_score_classifies_in_one_matrix_call(workdir, tmp_path, matrix_calls):
-    rc = main(["score", "--model", str(workdir / "model.json"),
-               "--features", str(workdir / "features.csv"),
-               "--out", str(tmp_path / "verdicts.csv")])
+    rc = main(_step(workdir, "score", out=tmp_path / "verdicts.csv"))
     assert rc == 0
     assert matrix_calls == [len(_rows(workdir / "verdicts.csv"))]
     assert filecmp.cmp(workdir / "verdicts.csv", tmp_path / "verdicts.csv",
                        shallow=False)
 
 
-def _discover_argv(workdir, out, *extra):
-    return ["discover", "--ranked", str(workdir / "ranked.csv"),
-            "--oracle", str(workdir / "model.json"),
-            "--fixtures", str(FIXTURES / "serps.jsonl"),
-            "--labels", str(FIXTURES / "labels.csv"),
-            "--engines", "GOOGLE,BING", "--exposure-k", "5",
-            "--out", str(out), *map(str, extra)]
-
-
 def test_discover_classifies_in_one_matrix_call(workdir, tmp_path,
                                                 matrix_calls):
-    rc = main(_discover_argv(workdir, tmp_path / "report.json",
-                             "--snapshots", FIXTURES / "snapshots.jsonl"))
+    rc = main(_step(workdir, "discover", out=tmp_path / "report.json"))
     assert rc == 0
     assert len(matrix_calls) == 1 and matrix_calls[0] > 0
     assert filecmp.cmp(workdir / "report.json", tmp_path / "report.json",
@@ -651,7 +646,8 @@ def test_discover_classifies_in_one_matrix_call(workdir, tmp_path,
 def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
                                                       matrix_calls):
     with pytest.warns(UserWarning, match="had no snapshot"):
-        rc = main(_discover_argv(workdir, tmp_path / "report.json"))
+        rc = main(_step(workdir, "discover", out=tmp_path / "report.json",
+                        snapshots=None))
     assert rc == 0
     assert matrix_calls == [0]
     report = _report(tmp_path / "report.json")
@@ -660,18 +656,17 @@ def test_discover_without_snapshots_warns_and_reports(workdir, tmp_path,
 
 def test_discover_rejects_a_repeated_engine(workdir, tmp_path, exits_2):
     """A repeated engine would search every keyword twice."""
-    exits_2(_discover_argv(workdir, tmp_path / "report.json",
-                           "--engines", "GOOGLE,GOOGLE"),
+    exits_2(_step(workdir, "discover", out=tmp_path / "report.json",
+                  engines="GOOGLE,GOOGLE"),
             "engines must not repeat, got GOOGLE,GOOGLE")
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_k_below_1_exits_2(workdir, tmp_path, exits_2, k):
-    exits_2(["rank", "--model", workdir / "student.json",
-             "--keywords", workdir / "unbranded.jsonl",
-             "--k", k, "--out", tmp_path / "ranked.csv"],
+    exits_2(_step(workdir, "rank", out=tmp_path / "ranked.csv", k=k),
             f"k must be >= 1, got {k}")
-    exits_2(_discover_argv(workdir, tmp_path / "report.json", "--exposure-k", k),
+    exits_2(_step(workdir, "discover", out=tmp_path / "report.json",
+                  exposure_k=k),
             f"exposure_k must be >= 1, got {k}")
 
 
@@ -897,7 +892,8 @@ _INPUTS = {
                   "--toxicity", "{work}/toxicity.csv", "--segments", "{bad}",
                   "--out-dir", "{out}", "--n-sim", "5"]),
     "lupi_train": ("{fx}/lupi_train.jsonl",
-                   ["train-lupi", "--train", "{bad}", "--epochs", "1",
+                   ["train-lupi", "--train", "{bad}", "--labels",
+                    "{fx}/labels.csv", "--epochs", "1",
                     "--out", "{out}", "--teacher-out", "{tmp}/teacher.json"]),
     "ranked": ("{work}/ranked.csv",
                ["discover", "--ranked", "{bad}", "--oracle", "{work}/model.json",
@@ -976,6 +972,9 @@ _BAD_INPUTS = [
      "rank must be an integer >= 1, got 1.5"),
     ("serps", "int-description", _set_entry("description", 7),
      "description must be a string, got 7"),
+    ("serps", "repeated-page", _repeat_line_2, _repeated_page),
+    ("serps", "empty-entries", _set("entries", []), _empty_page),
+    ("serps", "no-entries", _drop("entries"), _empty_page),
     ("serps", "truncated", _truncate, _json_error),
     ("serps", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
     ("keywords", "no-text", _drop("text"), "missing key 'text'"),

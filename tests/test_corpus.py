@@ -318,14 +318,14 @@ def test_serp_record_round_trip(tmp_path):
     assert [e.engine for e in read_serps(path)[0].entries] == ["BING", "GOOGLE"]
     # an absent key takes the field's default, and the root domain is the
     # URL's, whatever the record says
+    assert serp_from_record({"query": "s"}) == SerpResultSet("s", [])
     entry = {"engine": "GOOGLE", "rank": 1, "url": "http://www.c.com/"}
-    lines = [{"query": "q", "entries": [entry]}, {"query": "s"},
+    lines = [{"query": "q", "entries": [entry]},
              {"query": "t", "entries": [dict(entry, root_domain="scam.top")]}]
     _jsonl(path, lines)
     got = read_serps(path)
     assert got == [
         SerpResultSet("q", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "")]),
-        SerpResultSet("s", []),
         SerpResultSet("t", [SerpEntry("GOOGLE", 1, "http://www.c.com/", "", "")])]
     assert [e.root_domain for rs in got for e in rs.entries] == ["c.com"] * 2
     # an explicit null title or description is no string

@@ -13,12 +13,13 @@ from scamscout.corpus import DomainSnapshot, RankSignals, WhoisRecord
 from scamscout.errors import SchemaError
 from scamscout.featurizer import (
     FEATURE_NAMES,
+    FEATURES,
     NUM_FEATURES,
+    SCHEMA_VERSION,
     DatasetEncoder,
     FeatureVector,
     encode_dataset,
     extract_features,
-    schema_as_dict,
 )
 from scamscout.featurizer.encode import CATEGORICAL_COLUMNS
 from scamscout.featurizer.segment import (
@@ -50,7 +51,10 @@ def test_schema_has_103_features():
 def test_schema_matches_checked_in_file():
     shipped = json.loads(
         resources.files("scamscout.data").joinpath("schema.json").read_text())
-    assert schema_as_dict() == shipped
+    assert shipped == {
+        "version": SCHEMA_VERSION,
+        "features": [{"name": name, "kind": kind, "group": group}
+                     for name, kind, group in FEATURES]}
 
 
 def test_feature_vector_validates_kinds():
@@ -257,6 +261,19 @@ def test_shared_memo_decides_internal_per_page(order):
         assert (vec["num_internal_links"], vec["num_external_links"],
                 vec["num_external_scripts"]) == (internal, external, external)
         assert vec.values == extract_features(snap).values
+
+
+def test_a_redirected_page_counts_links_against_its_landing_domain():
+    """The content features describe the landing page, and a link is
+    internal to the landing page's domain, the key of its features.csv row,
+    not to the domain that redirected there."""
+    snap = _snap(url="http://old-name.com/", final_url="https://new-shop.store/",
+                 html='<a href="https://new-shop.store/cart">cart</a>'
+                      '<a href="https://new-shop.store/faq">faq</a>'
+                      '<a href="http://old-name.com/">old</a>')
+    assert snap.root_domain() == "new-shop.store"
+    vec = extract_features(snap)
+    assert (vec["num_internal_links"], vec["num_external_links"]) == (2, 1)
 
 
 def test_adding_img_tag_increments_only_that_count():

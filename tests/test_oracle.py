@@ -132,6 +132,27 @@ def test_training_loss_is_non_increasing():
     assert (np.diff(losses) <= 1e-12).all()
 
 
+def test_a_step_that_would_raise_the_loss_is_halved():
+    """Ten rows share a feature value and one of them is a scam; the other
+    50 rows are benign.  The Newton step overshoots on the mixed leaf, so the
+    full first tree would raise the training loss: both its leaves are
+    halved, once, and the loss falls."""
+    vectors = [_vec(f1=0.0)] * 50 + [_vec(f1=1.0)] * 10
+    y = np.array([0] * 59 + [1], dtype=np.float64)
+    matrix, _ = encode_dataset(vectors, y.astype(int).tolist())
+    model = train_gbdt(matrix, TrainConfig(rounds=1, learning_rate=1.0,
+                                           max_depth=1, min_leaf=1))
+    p = 1 / 60   # the base score's probability, the scam share
+    newton = [-(rows * p - scams) / (rows * p * (1 - p))
+              for rows, scams in ((50, 0), (10, 1))]
+    full = model.base_score + np.repeat(newton, [50, 10])
+    assert np.mean(np.logaddexp(0.0, full) - y * full) > model.train_loss[0]
+    root = model.trees[0]
+    assert [root.left.value, root.right.value] == pytest.approx(
+        [value / 2 for value in newton], rel=1e-9)
+    assert model.train_loss[1] < model.train_loss[0]
+
+
 def test_shrinkage_consistency():
     # noisy overlapping classes keep the final loss mid-range, where the
     # rate/rounds trade-off is stable; near zero loss the ratio degenerates
