@@ -24,7 +24,11 @@ import argparse
 import math
 import sys
 import warnings
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus, records
 from .branded import filter_unbranded
@@ -34,9 +38,11 @@ from .featurizer import (
     BOOLEAN,
     CATEGORICAL,
     FEATURES,
+    NUMERIC,
+    DatasetEncoder,
     FeatureVector,
-    encode_dataset,
     extract_features,
+    take_rows,
 )
 from .heuristics import (
     QuerySegment,
@@ -62,7 +68,6 @@ from .lupi import (
     write_ranked,
 )
 from .oracle import gbdt
-from .psl import root_domain
 from .toxicity import read_scores, score_queries, write_scores
 
 
@@ -79,29 +84,112 @@ def _feature_cell(value) -> str:
     return repr(float(value))
 
 
-def _parse_cell(value: str, name: str, kind: str):
-    if value == "":
-        return None
-    if kind == CATEGORICAL:
-        return value
-    number = float(value)
-    if kind == BOOLEAN and number not in (0.0, 1.0):
-        raise ValueError(f"{name}: boolean must be 0 or 1, got {value!r}")
-    if not math.isfinite(number):
-        raise ValueError(f"{name}: numeric must be finite, got {value!r}")
-    return number
+class _IntCells(dict):
+    """The cell text of each int looked up so far.  Only ints are looked
+    up: a float key would find the text of an equal int, and ``-0.0``
+    equals ``0``."""
+
+    def __missing__(self, value: int) -> str:
+        self[value] = text = _feature_cell(value)
+        return text
 
 
 def write_features_csv(path, rows: list[tuple[str, FeatureVector]]) -> None:
+    """One row per ``(root domain, vector)``; the text of each distinct int
+    is worked out once."""
+    ints = _IntCells()
     records.write_csv(path, _FEATURE_HEADER, (
-        [domain] + [_feature_cell(v) for v in vector.values]
+        [domain, *[ints[v] if type(v) is int else _feature_cell(v)
+                   for v in vector.values]]
         for domain, vector in rows))
 
 
-def read_features_csv(path) -> list[tuple[str, FeatureVector]]:
-    records.check_header(path, _FEATURE_HEADER)
-    return list(records.read_csv(path, lambda row: (row["root_domain"], FeatureVector(
-        [_parse_cell(row[name], name, kind) for name, kind, _ in FEATURES]))))
+def _number(cell: str, name: str, kind: str) -> float:
+    """The value of a non-empty numeric or boolean cell."""
+    number = float(cell)
+    if kind == BOOLEAN and number not in (0.0, 1.0):
+        raise ValueError(f"{name}: boolean must be 0 or 1, got {cell!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: numeric must be finite, got {cell!r}")
+    return number
+
+
+# csv column (the root domain is column 0), name and kind of each numeric or
+# boolean feature, and csv column of each categorical one
+_NUMBER_COLUMNS = [(col, name, kind) for col, (name, kind, _)
+                   in enumerate(FEATURES, 1) if kind != CATEGORICAL]
+_TOKEN_COLUMNS = [col for col, (_, kind, _) in enumerate(FEATURES, 1)
+                  if kind == CATEGORICAL]
+# rows parsed at once: their cells are all held until their columns are built
+_BLOCK_ROWS = 256
+
+
+@dataclass
+class FeatureTable:
+    """``features.csv`` by column: each row's root domain, and the feature
+    columns in schema order, as ``DatasetEncoder`` takes them."""
+
+    domains: list[str]
+    columns: list
+
+    def __len__(self) -> int:
+        return len(self.domains)
+
+
+def read_features_csv(path) -> FeatureTable:
+    """The rows are parsed by column, a block of rows at a time.  A numeric
+    or boolean column becomes a float64 array, NaN for an empty cell, from
+    the value of each distinct cell text; a categorical one a list of
+    tokens, None for an empty cell.  The first fault in file order is
+    reported: in a row, a repeated root domain, then each bad cell in schema
+    order."""
+    domains: list[str] = []
+    seen: set[str] = set()
+    numbers: list[np.ndarray] = []
+    tokens: list[list] = [[] for _ in _TOKEN_COLUMNS]
+    # per kind, the value of each cell text accepted so far
+    known = {BOOLEAN: {"": math.nan}, NUMERIC: {"": math.nan}}
+
+    def parse(rows: list[list[str]]) -> None:
+        cells = list(zip(*rows))
+        rows.clear()   # the cells live on in their columns
+        faults = []    # (row, csv column, cause)
+        block = cells[0]
+        if not seen.isdisjoint(block) or len(set(block)) < len(block):
+            for i, domain in enumerate(block):
+                if domain in seen:
+                    faults.append((i, 0, SchemaError(
+                        f"repeated root domain {domain!r}")))
+                    break
+                seen.add(domain)
+        for col, name, kind in _NUMBER_COLUMNS:
+            values = known[kind]
+            for cell in set(cells[col]).difference(values):
+                try:
+                    values[cell] = _number(cell, name, kind)
+                except ValueError as exc:
+                    faults.append((cells[col].index(cell), col, exc))
+        if faults:
+            row, _, cause = min(faults, key=lambda fault: fault[:2])
+            raise records.RowFault(row, cause)
+        seen.update(block)
+        domains.extend(block)
+        numbers.append(np.fromiter(
+            chain.from_iterable(map(known[kind].__getitem__, cells[col])
+                                for col, _, kind in _NUMBER_COLUMNS),
+            np.float64, len(_NUMBER_COLUMNS) * len(block),
+        ).reshape(len(_NUMBER_COLUMNS), len(block)))
+        for column, col in zip(tokens, _TOKEN_COLUMNS):
+            column.extend(cell or None for cell in cells[col])
+
+    for _ in records.read_csv_blocks(path, _FEATURE_HEADER, parse, _BLOCK_ROWS):
+        pass
+    number_columns = iter(np.concatenate(numbers, axis=1) if numbers
+                          else np.empty((len(_NUMBER_COLUMNS), 0)))
+    token_columns = iter(tokens)
+    return FeatureTable(domains, [
+        next(token_columns) if kind == CATEGORICAL else next(number_columns)
+        for _, kind, _ in FEATURES])
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -110,8 +198,7 @@ def read_features_csv(path) -> list[tuple[str, FeatureVector]]:
 def _cmd_featurize(args) -> int:
     rows = []
     tag_memo: dict = {}
-    for snap in corpus.read_snapshots(args.snapshots):
-        domain = root_domain(snap.final_url or snap.url)
+    for domain, snap in corpus.read_snapshots(args.snapshots):
         rows.append((domain, extract_features(snap, memo=tag_memo)))
     write_features_csv(args.out, rows)
     print(f"featurized {len(rows)} snapshots -> {args.out}")
@@ -119,20 +206,15 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train_oracle(args) -> int:
-    rows = read_features_csv(args.features)
+    table = read_features_csv(args.features)
     labels = {lab.root_domain: lab.label for lab in corpus.read_labels(args.labels)}
-    vectors, y = [], []
-    skipped = 0
-    for domain, vector in rows:
-        label = labels.get(domain)
-        if label is None:
-            skipped += 1
-            continue
-        vectors.append(vector)
-        y.append(1 if label == "SCAM" else 0)
+    labeled = [i for i, domain in enumerate(table.domains) if domain in labels]
+    y = [1 if labels[table.domains[i]] == "SCAM" else 0 for i in labeled]
+    skipped = len(table) - len(labeled)
     if skipped:
         print(f"warning: {skipped} feature rows had no label", file=sys.stderr)
-    matrix, _ = encode_dataset(vectors, y)
+    columns = take_rows(table.columns, labeled)
+    matrix = DatasetEncoder().fit(columns).transform(columns, y)
     config = gbdt.TrainConfig(
         rounds=args.rounds, max_depth=args.max_depth,
         learning_rate=args.learning_rate, min_leaf=args.min_leaf)
@@ -145,12 +227,12 @@ def _cmd_train_oracle(args) -> int:
 
 def _cmd_score(args) -> int:
     model = gbdt.load_model(args.model)
-    rows = read_features_csv(args.features)
-    verdicts = gbdt.predict_many(model, [vector for _, vector in rows])
+    table = read_features_csv(args.features)
+    verdicts = gbdt.predict_columns(model, table.columns)
     records.write_csv(args.out, ["root_domain", "label", "score"], (
         [domain, label, f"{score:.6f}"]
-        for (domain, _), (label, score) in zip(rows, verdicts)))
-    print(f"scored {len(rows)} domains -> {args.out}")
+        for domain, (label, score) in zip(table.domains, verdicts)))
+    print(f"scored {len(table)} domains -> {args.out}")
     return 0
 
 
@@ -287,10 +369,7 @@ def _cmd_discover(args) -> int:
     store = FixtureStore.load(args.fixtures)
     model = gbdt.load_model(args.oracle)
 
-    snapshots = {}
-    if args.snapshots:
-        for snap in corpus.read_snapshots(args.snapshots):
-            snapshots[root_domain(snap.final_url or snap.url)] = snap
+    snapshots = dict(corpus.read_snapshots(args.snapshots)) if args.snapshots else {}
 
     unknown: set[str] = set()
     tag_memo: dict = {}

@@ -226,8 +226,21 @@ def parse_snapshot(line: str) -> DomainSnapshot:
     return snapshot_from_record(json.loads(line))
 
 
-def read_snapshots(path) -> Iterator[DomainSnapshot]:
-    return read_jsonl(path, snapshot_from_record)
+def read_snapshots(path) -> Iterator[tuple[str, DomainSnapshot]]:
+    """``(root domain, snapshot)`` per line of a ``snapshots.jsonl``.  A
+    snapshot of a root domain that an earlier line holds is a bad line,
+    since the domain's features are keyed by it alone."""
+    seen: set[str] = set()
+
+    def parse(rec) -> tuple[str, DomainSnapshot]:
+        snap = snapshot_from_record(rec)
+        domain = snap.root_domain()
+        if domain in seen:
+            raise SchemaError(f"repeated root domain {domain!r}")
+        seen.add(domain)
+        return domain, snap
+
+    return read_jsonl(path, parse)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Feature extraction for the scam/benign domain classifier."""
 
-from .encode import DatasetEncoder, DesignMatrix, encode_dataset
+from .encode import DatasetEncoder, DesignMatrix, feature_columns, take_rows
 from .extract import extract_features
 from .schema import (
     BOOLEAN,
@@ -34,8 +34,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "costs_from_counts",
     "count_subwords",
-    "encode_dataset",
     "extract_features",
+    "feature_columns",
     "normalize_label",
     "segment_label",
+    "take_rows",
 ]

@@ -1,14 +1,17 @@
-"""Encode feature vectors into numeric matrices.
+"""Encode feature columns into numeric matrices.
 
+The encoder takes a table by column, in schema order: a float64 array per
+numeric or boolean feature, NaN marking MISSING, and a list of tokens per
+categorical one, None marking MISSING.  ``features.csv`` is read straight
+into that form; ``feature_columns`` transposes ``FeatureVector`` rows into it.
 Categorical tokens get integer codes learned from the training rows; code 0
 is reserved for MISSING and for tokens never seen at fit time, so a model can
 score new data without re-fitting.  Numeric and boolean cells keep their
-values with NaN marking MISSING.
+values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,8 +29,23 @@ from .schema import (
 CATEGORICAL_COLUMNS = tuple(
     i for i, (_, kind, _) in enumerate(FEATURES) if kind == CATEGORICAL
 )
+_CATEGORICAL = frozenset(CATEGORICAL_COLUMNS)
 # the keys of ``encoder.columns`` in a model file
 _COLUMN_KEYS = tuple(map(str, CATEGORICAL_COLUMNS))
+
+
+def feature_columns(vectors: Sequence[FeatureVector]) -> list:
+    """``vectors`` by column, in schema order, as the encoder takes them."""
+    columns = list(zip(*(v.values for v in vectors))) or [()] * NUM_FEATURES
+    return [list(col) if i in _CATEGORICAL else np.array(col, dtype=np.float64)
+            for i, col in enumerate(columns)]
+
+
+def take_rows(columns: list, rows: Sequence[int]) -> list:
+    """The table ``columns`` cut to ``rows``, in that order."""
+    index = np.asarray(rows, dtype=np.intp)
+    return [[col[i] for i in rows] if i in _CATEGORICAL else col[index]
+            for i, col in enumerate(columns)]
 
 
 @dataclass
@@ -57,12 +75,10 @@ class DatasetEncoder:
     def __init__(self, column_meta: Optional[dict[int, dict[str, int]]] = None):
         self.column_meta = column_meta or {}
 
-    def fit(self, vectors: Sequence[FeatureVector]) -> "DatasetEncoder":
+    def fit(self, columns: list) -> "DatasetEncoder":
         meta: dict[int, dict[str, int]] = {}
         for col in CATEGORICAL_COLUMNS:
-            tokens = sorted(
-                {v.values[col] for v in vectors if v.values[col] is not None}
-            )
+            tokens = sorted({tok for tok in columns[col] if tok is not None})
             # 0 is reserved for MISSING / unseen
             meta[col] = {tok: code for code, tok in enumerate(tokens, start=1)}
         self.column_meta = meta
@@ -70,21 +86,19 @@ class DatasetEncoder:
 
     def transform(
         self,
-        vectors: Sequence[FeatureVector],
+        columns: list,
         labels: Optional[Sequence[int]] = None,
     ) -> DesignMatrix:
-        """Each row built as a list of floats; the batch converted once."""
+        """The matrix filled column by column; a None or unseen token has
+        no code, so it gets 0."""
         if not self.column_meta:
             raise SchemaError("encoder not fitted")
-        # each column's token codes, None for a numeric or boolean column; a
-        # None or unseen token has no code, so it gets 0
-        codes = [self.column_meta.get(i) for i in range(NUM_FEATURES)]
-        rows = [[(math.nan if value is None else float(value)) if code is None
-                 else float(code.get(value, 0))
-                 for code, value in zip(codes, vector.values)]
-                for vector in vectors]
-        values = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
-        y = None if labels is None else _check_labels(labels, len(rows))
+        n = len(columns[0])
+        values = np.empty((n, NUM_FEATURES), dtype=np.float64)
+        for i, col in enumerate(columns):
+            code = self.column_meta.get(i)
+            values[:, i] = col if code is None else [code.get(tok, 0) for tok in col]
+        y = None if labels is None else _check_labels(labels, n)
         return DesignMatrix(values, dict(self.column_meta), y)
 
     def to_dict(self) -> dict:
@@ -144,10 +158,3 @@ def _check_labels(labels: Sequence[int], n: int) -> np.ndarray:
                           f"be 0 (benign) or 1 (scam)")
     return raw.astype(np.int64)
 
-
-def encode_dataset(
-    vectors: Sequence[FeatureVector],
-    labels: Optional[Sequence[int]] = None,
-) -> tuple[DesignMatrix, DatasetEncoder]:
-    encoder = DatasetEncoder().fit(vectors)
-    return encoder.transform(vectors, labels), encoder

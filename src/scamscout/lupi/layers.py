@@ -190,7 +190,7 @@ class LayerNorm(Module):
 class Dropout(Module):
     """Inverted dropout; a no-op in eval mode or at p = 0.  A train-mode call
     draws its mask at ``x.shape``, the shape it masks, and keeps it for
-    backward.
+    backward as a bool array; each pass scales by ``mask / (1 - p)``.
     """
 
     def __init__(self, p: float):
@@ -203,12 +203,12 @@ class Dropout(Module):
         if not train or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        self._mask = (rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._mask = rng.random(x.shape) < keep
+        return x * (self._mask / keep)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         mask = self._take("_mask")
-        return d_out if mask is None else d_out * mask
+        return d_out if mask is None else d_out * (mask / (1.0 - self.p))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import TrainingError
-from ..featurizer.encode import DatasetEncoder
+from ..featurizer.encode import DatasetEncoder, feature_columns, take_rows
 from ..featurizer.schema import FeatureVector
 from .baseline import train_logistic_baseline
 from .gbdt import CLASSIFICATION_THRESHOLD, TrainConfig, train_gbdt
@@ -77,13 +77,13 @@ def cross_validate(
     y = np.asarray(labels, dtype=np.int64)
     folds = stratified_folds(y, k, seed)
     fold_metrics = []
+    columns = feature_columns(vectors)
     for i, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(len(vectors)), test_idx)
-        train_vecs = [vectors[j] for j in train_idx]
-        test_vecs = [vectors[j] for j in test_idx]
-        encoder = DatasetEncoder().fit(train_vecs)
-        train_matrix = encoder.transform(train_vecs, y[train_idx])
-        test_matrix = encoder.transform(test_vecs)
+        train_cols = take_rows(columns, train_idx)
+        encoder = DatasetEncoder().fit(train_cols)
+        train_matrix = encoder.transform(train_cols, y[train_idx])
+        test_matrix = encoder.transform(take_rows(columns, test_idx))
         if model == "gbdt":
             fitted = train_gbdt(train_matrix, config)
             proba = fitted.predict_proba_matrix(test_matrix.values)

@@ -6,8 +6,9 @@ current gradients, and add it with the configured learning rate.
 Leaf values are Newton steps (-sum g / sum h); if a round would raise the
 training loss, its leaves are halved until it does not (dropping to a no-op
 tree in the limit), so the per-round training loss is non-increasing by
-construction.  Prediction is batched: ``predict_many`` scores all its vectors
-with one ``predict_proba_matrix`` call, the same traversal training uses.
+construction.  Prediction is batched: ``predict_columns`` scores every row
+of a table by column, and ``predict_many`` every vector, with one
+``predict_proba_matrix`` call, the same traversal training uses.
 
 ``model.json`` is format 2.  A load checks every tree node against the
 feature schema, so a malformed model fails before it scores a row.
@@ -26,6 +27,7 @@ from ..featurizer.encode import (
     CATEGORICAL_COLUMNS,
     DatasetEncoder,
     DesignMatrix,
+    feature_columns,
 )
 from ..featurizer.schema import NUM_FEATURES, FeatureVector
 from ..records import check_field_types, read_json, write_document
@@ -182,12 +184,18 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
                      encoder=encoder, train_loss=losses)
 
 
+def predict_columns(model: GbdtModel, columns: list) -> list[tuple[str, float]]:
+    """``(label, score)`` per row of the schema-order feature ``columns``,
+    from one matrix call."""
+    scores = model.predict_proba_matrix(model.encoder.transform(columns).values)
+    return [("SCAM" if s >= CLASSIFICATION_THRESHOLD else "BENIGN", float(s))
+            for s in scores]
+
+
 def predict_many(model: GbdtModel,
                  vectors: Sequence[FeatureVector]) -> list[tuple[str, float]]:
     """``(label, score)`` per vector, from one matrix call."""
-    scores = model.predict_proba_matrix(model.encoder.transform(vectors).values)
-    return [("SCAM" if s >= CLASSIFICATION_THRESHOLD else "BENIGN", float(s))
-            for s in scores]
+    return predict_columns(model, feature_columns(vectors))
 
 
 def predict(model: GbdtModel, vector: FeatureVector) -> tuple[str, float]:

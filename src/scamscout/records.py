@@ -5,7 +5,12 @@ object on each non-blank line, or each CSV row as a dict keyed by the
 header.  A line that is not UTF-8 or not a JSON object, a row whose cell
 count is not the header's, and any ``KeyError``, ``TypeError``,
 ``ValueError`` or ``ScamscoutError`` from ``parse`` raise
-``SchemaError("path:lineno: cause")``.  ``read_bytes`` hands ``parse`` the
+``SchemaError("path:lineno: cause")``; so does a CSV cell the ``csv``
+module refuses, such as one over its field size limit.  ``read_csv_blocks``
+hands ``parse`` a CSV file's rows a block at a time, as lists of cells, and
+reports the first fault in file order: a ``RowFault`` ``parse`` raises for
+a row of its block, or a line read after that row.  ``read_bytes`` hands
+``parse`` the
 bytes of a whole file, such as a checkpoint, and ``read_json`` the one JSON
 object in a file, such as a model; both name a fault ``"path: cause"``.
 ``get_typed`` reads one field of a record and raises ``SchemaError`` unless
@@ -40,7 +45,7 @@ from pathlib import Path
 from .errors import ScamscoutError, SchemaError
 
 # what ``parse`` may raise on a bad record, reported as a SchemaError
-_FAULTS = (KeyError, TypeError, ValueError, ScamscoutError)
+_FAULTS = (KeyError, TypeError, ValueError, ScamscoutError, csv.Error)
 
 # (remove, path) of each output file opened and each directory created
 # inside the innermost ``removed_on_failure`` block
@@ -53,6 +58,54 @@ def read_jsonl(path, parse):
 
 def read_csv(path, parse):
     return _read(path, _csv_rows, parse)
+
+
+class RowFault(Exception):
+    """Raised by a ``read_csv_blocks`` parser: row ``index`` of its block is
+    bad, for ``cause``."""
+
+    def __init__(self, index: int, cause: Exception):
+        super().__init__(index, cause)
+        self.index, self.cause = index, cause
+
+
+def read_csv_blocks(path, header: list[str], parse, size: int = 1024):
+    """Yield ``parse(rows)`` for each block of at most ``size`` rows of the
+    CSV file ``path``, each row a list of one cell per column of ``header``,
+    which must be the file's own; blank lines are skipped.  A ``RowFault``
+    from ``parse`` is named by the last line of its row.  A row with the
+    wrong cell count, or one that cannot be read, ends its block, and is
+    reported only once ``parse`` has found no fault in the rows before it."""
+    with open(path, "rb") as fh:
+        lines = _Lines(fh)
+        reader = csv.reader(lines)
+        try:
+            _check_names(next(reader, []), header)
+        except _FAULTS as exc:
+            raise _fault(f"{path}:{lines.lineno}", exc) from exc
+        rows = _sized_rows(reader, len(header))
+        fault, done = None, False
+        while not done:
+            block, ends = [], []
+            try:
+                for row in rows:
+                    block.append(row)
+                    ends.append(reader.line_num)
+                    if len(block) == size:
+                        break
+                else:
+                    done = True
+            except _FAULTS as exc:
+                fault, done = (lines.lineno, exc), True
+            if block:
+                try:
+                    yield parse(block)
+                except RowFault as exc:
+                    raise _fault(f"{path}:{ends[exc.index]}", exc.cause) \
+                        from exc.cause
+        if fault is not None:
+            lineno, exc = fault
+            raise _fault(f"{path}:{lineno}", exc) from exc
 
 
 def read_bytes(path, parse):
@@ -212,13 +265,15 @@ def from_record(cls, rec: dict):
 
 def check_header(path, expected: list[str]) -> None:
     """Raise ``SchemaError("path:1: ...")`` unless the CSV header is ``expected``."""
-    def check(names: list[str]) -> None:
-        for col, (got, want) in enumerate(zip_longest(names, expected), 1):
-            if got != want:
-                raise ValueError(f"header column {col} is {got!r}, expected {want!r}")
-
-    for _ in _read(path, lambda lines: [next(csv.reader(lines), [])], check):
+    for _ in _read(path, lambda lines: [next(csv.reader(lines), [])],
+                   lambda names: _check_names(names, expected)):
         pass
+
+
+def _check_names(names: list[str], expected: list[str]) -> None:
+    for col, (got, want) in enumerate(zip_longest(names, expected), 1):
+        if got != want:
+            raise ValueError(f"header column {col} is {got!r}, expected {want!r}")
 
 
 def json_object(text: str) -> dict:
@@ -238,11 +293,17 @@ def _json_objects(lines):
 def _csv_rows(lines):
     reader = csv.reader(lines)
     header = next(reader, [])
+    for row in _sized_rows(reader, len(header)):
+        yield dict(zip(header, row))
+
+
+def _sized_rows(reader, width: int):
+    """The non-blank rows of ``reader``, each checked to hold ``width`` cells."""
     for row in reader:
         if row:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} cells, got {len(row)}")
-            yield dict(zip(header, row))
+            if len(row) != width:
+                raise ValueError(f"expected {width} cells, got {len(row)}")
+            yield row
 
 
 def _fault(where: str, exc: Exception) -> SchemaError:
@@ -254,19 +315,25 @@ def _fault(where: str, exc: Exception) -> SchemaError:
     return SchemaError(f"{where}: {cause}")
 
 
-def _read(path, records, parse):
-    """``parse`` each of ``records(lines)``; a fault names the line last read."""
-    lineno = 0
+class _Lines:
+    """The lines of a binary file, decoded one by one so that a byte that is
+    not UTF-8 names its own line; ``lineno`` is the last line read."""
 
-    def lines(fh):
-        nonlocal lineno
-        # decoded one by one, so a byte that is not UTF-8 names its own line
-        for lineno, line in enumerate(fh, 1):
+    def __init__(self, fh):
+        self.fh = fh
+        self.lineno = 0
+
+    def __iter__(self):
+        for self.lineno, line in enumerate(self.fh, 1):
             yield line.decode("utf-8")
 
+
+def _read(path, records, parse):
+    """``parse`` each of ``records(lines)``; a fault names the line last read."""
     with open(path, "rb") as fh:
+        lines = _Lines(fh)
         try:
-            for record in records(lines(fh)):
+            for record in records(lines):
                 yield parse(record)
         except _FAULTS as exc:
-            raise _fault(f"{path}:{lineno}", exc) from exc
+            raise _fault(f"{path}:{lines.lineno}", exc) from exc

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from scamscout.cli import main
+from scamscout.featurizer import DatasetEncoder, feature_columns
 from walkthrough import FIXTURES, walkthrough
 
 # hypothesis's pytest plugin imports this module to report a falsifying
@@ -32,3 +33,11 @@ def workdir(tmp_path_factory):
     for argv in walkthrough(work):
         assert main(argv) == 0, f"stage failed: {argv}"
     return work
+
+
+def encode_dataset(vectors, labels=None):
+    """The design matrix of ``FeatureVector`` rows, and the encoder fitted
+    on them."""
+    columns = feature_columns(vectors)
+    encoder = DatasetEncoder().fit(columns)
+    return encoder.transform(columns, labels), encoder

@@ -6,6 +6,7 @@ import filecmp
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -14,14 +15,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scamscout import corpus, records
-from scamscout.cli import (build_parser, main, read_features_csv,
-                           write_features_csv)
-from scamscout.featurizer import BOOLEAN, FEATURES, NUMERIC
+from scamscout.cli import (_feature_cell, build_parser, main,
+                           read_features_csv, write_features_csv)
+from scamscout.errors import SchemaError
+from scamscout.featurizer import (BOOLEAN, CATEGORICAL, FEATURES, NUMERIC,
+                                    DatasetEncoder, FeatureVector)
 from scamscout.lupi import load_student, load_teacher, ranked_from_csv
 from scamscout.oracle import gbdt
+from scamscout.psl import root_domain
 
 from conftest import FIXTURES
 from walkthrough import walkthrough
@@ -43,13 +49,23 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
+def _feature_rows(table):
+    """``(root domain, FeatureVector)`` per row of a table read by column,
+    NaN read back as MISSING."""
+    columns = [col if isinstance(col, list)
+               else [None if math.isnan(v) else float(v) for v in col]
+               for col in table.columns]
+    return [(domain, FeatureVector(list(values)))
+            for domain, values in zip(table.domains, zip(*columns))]
+
+
 def test_featurize_output(workdir):
     rows = read_features_csv(workdir / "features.csv")
     n_snapshots = sum(1 for line in (FIXTURES / "snapshots.jsonl").read_text(
         encoding="utf-8").splitlines() if line.strip())
     assert len(rows) == n_snapshots
     # the CSV cell format round-trips float features bit-exactly
-    write_features_csv(workdir / "features_rt.csv", rows)
+    write_features_csv(workdir / "features_rt.csv", _feature_rows(rows))
     assert filecmp.cmp(workdir / "features.csv", workdir / "features_rt.csv",
                        shallow=False)
 
@@ -612,6 +628,147 @@ def test_bad_features_row_names_its_line(workdir, tmp_path, exits_2, mangle,
              "--out", tmp_path / "v.csv"], f"{features}:4: {message}")
 
 
+# --- the row-wise features.csv reader, kept as the referee of the column one ---
+
+
+def _ref_cell(value, name, kind):
+    if value == "":
+        return None
+    if kind == CATEGORICAL:
+        return value
+    number = float(value)
+    if kind == BOOLEAN and number not in (0.0, 1.0):
+        raise ValueError(f"{name}: boolean must be 0 or 1, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: numeric must be finite, got {value!r}")
+    return number
+
+
+def _ref_read_features_csv(path):
+    """``(root domain, FeatureVector)`` per row, each cell parsed on its own."""
+    seen = set()
+
+    def parse(row):
+        domain = row["root_domain"]
+        if domain in seen:
+            raise SchemaError(f"repeated root domain {domain!r}")
+        seen.add(domain)
+        return domain, FeatureVector([_ref_cell(row[name], name, kind)
+                                      for name, kind, _ in FEATURES])
+
+    records.check_header(path, ["root_domain"] + [n for n, _, _ in FEATURES])
+    return list(records.read_csv(path, parse))
+
+
+def _ref_matrix(vectors):
+    """The design matrix built one row of floats at a time, categorical
+    codes fitted on ``vectors``."""
+    codes = [None] * len(FEATURES)
+    for i, (_, kind, _) in enumerate(FEATURES):
+        if kind == CATEGORICAL:
+            tokens = sorted({v.values[i] for v in vectors} - {None})
+            codes[i] = {tok: code for code, tok in enumerate(tokens, start=1)}
+    rows = [[(math.nan if value is None else float(value)) if code is None
+             else float(code.get(value, 0))
+             for code, value in zip(codes, vector.values)]
+            for vector in vectors]
+    return np.array(rows, dtype=np.float64).reshape(-1, len(FEATURES))
+
+
+def _outcome(read):
+    """The matrix bits of a read and encode, or the error it raised."""
+    try:
+        return read()
+    except SchemaError as exc:
+        return str(exc)
+
+
+# cells drawn into a few columns of each kind; every other cell is "0.0"
+_DRAWN = {kind: [i for i, (_, k, _) in enumerate(FEATURES) if k == kind][:4]
+          for kind in (NUMERIC, BOOLEAN, CATEGORICAL)}
+_GOOD_CELLS = {
+    NUMERIC: ["", "0", "0.0", "-0.0", "1e308", " 1 ", "1_0", "2.5", "7"],
+    BOOLEAN: ["", "0.0", "1.0", "-0.0", " 1 ", "1"],
+    CATEGORICAL: ["", "com", "a,b", "two\nlines", 'say "hi"', "shop"],
+}
+_BAD_CELLS = {NUMERIC: ["x", "nan", "-inf", "1e999", "1__0"],
+              BOOLEAN: ["2", "nan", "1_0", "0.5"]}
+_DOMAINS = ["a.com", "b.shop", "c,d.net", "e\nf.org", "g.top", "h.xyz"]
+
+
+@st.composite
+def _features_file(draw):
+    """The bytes of a features.csv of up to 6 rows with none, one or two
+    faults: a bad cell, a short row, a byte that is not UTF-8 or a repeated
+    root domain."""
+    n = draw(st.integers(1, 6))
+    domains = draw(st.permutations(_DOMAINS))[:n]
+    rows = []
+    for domain in domains:
+        row = [domain] + ["0.0"] * len(FEATURES)
+        for kind, cols in _DRAWN.items():
+            for col in cols:
+                row[1 + col] = draw(st.sampled_from(_GOOD_CELLS[kind]))
+        rows.append(row)
+    undecodable = set()
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(["cell", "cell", "cell", "short", "byte",
+                                      "domain"]))
+        if fault == "cell":
+            kind = draw(st.sampled_from([NUMERIC, BOOLEAN]))
+            rows[i][1 + draw(st.sampled_from(_DRAWN[kind]))] = draw(
+                st.sampled_from(_BAD_CELLS[kind]))
+        elif fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "byte":
+            undecodable.add(i)
+        elif i:
+            rows[i][0] = rows[draw(st.integers(0, i - 1))][0]
+    lines = [",".join(["root_domain"] + [n for n, _, _ in FEATURES]).encode()]
+    for i, row in enumerate(rows):
+        record = "\n".join(_csv_lines([row])).encode()
+        lines.append(record + b"\xff" if i in undecodable else record)
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_features_file())
+def test_column_reader_matches_the_row_wise_referee(tmp_path_factory, data):
+    """The same matrix, bit for bit, or the same error naming the same line:
+    the first fault in file order."""
+    path = tmp_path_factory.mktemp("features") / "features.csv"
+    path.write_bytes(data)
+
+    def referee():
+        return _ref_matrix([v for _, v in _ref_read_features_csv(path)]).view(np.uint64)
+
+    def columns():
+        table = read_features_csv(path)
+        encoder = DatasetEncoder().fit(table.columns)
+        return encoder.transform(table.columns).values.view(np.uint64)
+
+    want, got = _outcome(referee), _outcome(columns)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_the_writer_gives_each_value_the_text_of_feature_cell(tmp_path):
+    """An int's text is worked out once per distinct value; -0.0, True and
+    0.1 are not taken for the int they equal or stand near."""
+    values = [0, -0.0, 0.0, 1, True, 2**60, 0.1, None, "com", 0, -0.0, True]
+    vector = FeatureVector(values + [0] * (len(FEATURES) - len(values)))
+    write_features_csv(tmp_path / "features.csv", [("a.com", vector)])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([
+        ["root_domain"] + [n for n, _, _ in FEATURES],
+        ["a.com"] + [_feature_cell(v) for v in vector.values]])
+    assert (tmp_path / "features.csv").read_bytes() == buf.getvalue().encode()
+    assert _feature_cell(-0.0) == "-0.0" and _feature_cell(True) == "1.0"
+
+
 @pytest.fixture
 def matrix_calls(monkeypatch):
     """Number of ``predict_proba_matrix`` calls made so far."""
@@ -848,6 +1005,32 @@ def _repeated_page(lines):
     return f"repeated page for ({page['query']!r}, {page['entries'][0]['engine']})"
 
 
+def _repeated_row_domain(lines):
+    return f"repeated root domain {next(csv.reader(lines[1:2]))[0]!r}"
+
+
+def _snapshot_root(line):
+    rec = json.loads(line)
+    return root_domain(rec.get("final_url") or rec["url"])
+
+
+def _subdomain_copy_of_line_2(lines):
+    """A snapshot of the second record's root domain, at a subdomain of it,
+    as the third."""
+    rec = json.loads(lines[1])
+    rec.update(url=f"https://shop.{_snapshot_root(lines[1])}/", final_url=None)
+    lines.insert(2, json.dumps(rec))
+    return lines, 3
+
+
+def _repeated_snapshot_root(lines):
+    return f"repeated root domain {_snapshot_root(lines[1])!r}"
+
+
+_OVERSIZED_CELL = "x" * 200_000
+_FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
+
+
 def _repeated_query(lines):
     return f"repeated query {next(csv.reader(lines[1:2]))[0]!r}"
 
@@ -876,6 +1059,14 @@ _INPUTS = {
     "features": ("{work}/features.csv",
                  ["train-oracle", "--features", "{bad}", "--labels",
                   "{fx}/labels.csv", "--rounds", "2", "--out", "{out}"]),
+    "scored_features": ("{work}/features.csv",
+                        ["score", "--model", "{work}/model.json",
+                         "--features", "{bad}", "--out", "{out}"]),
+    "discover_snapshots": ("{fx}/snapshots.jsonl",
+                           ["discover", "--ranked", "{work}/ranked.csv",
+                            "--oracle", "{work}/model.json",
+                            "--fixtures", "{fx}/serps.jsonl",
+                            "--snapshots", "{bad}", "--out", "{out}"]),
     "labels": ("{fx}/labels.csv",
                ["train-oracle", "--features", "{work}/features.csv",
                 "--labels", "{bad}", "--rounds", "2", "--out", "{out}"]),
@@ -954,17 +1145,27 @@ _BAD_INPUTS = [
      "whois.privacy must be bool, got 'yes'"),
     ("snapshots", "truncated", _truncate, _json_error),
     ("snapshots", "not-an-object", _not_an_object, _NOT_AN_OBJECT),
+    ("snapshots", "repeated-root-domain", _subdomain_copy_of_line_2,
+     _repeated_snapshot_root),
+    ("discover_snapshots", "repeated-root-domain", _subdomain_copy_of_line_2,
+     _repeated_snapshot_root),
     ("features", "no-column", _drop_column(FEATURES[0][0], 1),
      f"header column 2 is {FEATURES[1][0]!r}, expected {FEATURES[0][0]!r}"),
     ("features", "not-a-float", _csv_case(lambda header, row: _garble(row)),
      "could not convert string to float: 'many'"),
     ("features", "short-row", _short_row,
      f"expected {_N_FEATURE_CELLS} cells, got {_N_FEATURE_CELLS - 1}"),
+    ("features", "repeated-root-domain", _repeat_line_2, _repeated_row_domain),
+    ("features", "oversized-cell", _cell("tld", _OVERSIZED_CELL), _FIELD_LIMIT),
+    ("scored_features", "repeated-root-domain", _repeat_line_2,
+     _repeated_row_domain),
     ("labels", "no-root-domain", _drop_column("root_domain", 2),
      "missing key 'root_domain'"),
     ("labels", "bad-label", _cell("label", "MAYBE"),
      "label must be SCAM or BENIGN, got 'MAYBE'"),
     ("labels", "short-row", _short_row, "expected 3 cells, got 2"),
+    ("labels", "oversized-cell", _cell("root_domain", _OVERSIZED_CELL),
+     _FIELD_LIMIT),
     ("labels", "conflict", _conflicting_label, _conflicting_domain),
     ("serps", "no-query", _drop("query"), "missing key 'query'"),
     ("serps", "int-query", _set("query", 7), "query must be a string, got 7"),

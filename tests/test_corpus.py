@@ -90,12 +90,15 @@ def _jsonl(path, records):
 
 def test_snapshot_round_trip_preserves_every_field(tmp_path):
     """Every field of a literal record is read; fetched_at given with Z, with
-    an offset or naive is the same UTC instant."""
+    an offset or naive is the same UTC instant.  One file holds one snapshot
+    per root domain, so each stamp is read from a file of its own."""
     path = tmp_path / "snaps.jsonl"
     stamps = ["2024-03-01T12:00:00Z", "2024-03-01T14:00:00+02:00",
               "2024-03-01T12:00:00"]
-    _jsonl(path, [dict(_FULL_RECORD, fetched_at=t) for t in stamps])
-    snaps = list(read_snapshots(path))
+    snaps = []
+    for stamp in stamps:
+        _jsonl(path, [dict(_FULL_RECORD, fetched_at=stamp)])
+        snaps += [snap for _, snap in read_snapshots(path)]
     assert snaps == [_full_snapshot()] * 3
     for snap in snaps:
         assert snap.fetched_at.tzinfo is timezone.utc
@@ -116,8 +119,11 @@ def test_snapshot_round_trip_minimal_unreachable():
 
 def test_parse_snapshot_rejects_bad_json_with_line_number(tmp_path):
     path = tmp_path / "snaps.jsonl"
-    good = json.dumps(_FULL_RECORD) + "\n"
-    path.write_text(good * 5 + "\n" + "{not json\n", encoding="utf-8")
+    # five snapshots of five root domains, a blank line, then the bad line
+    good = "".join(json.dumps(dict(_FULL_RECORD, final_url=None,
+                                   url=f"http://deal-{i}.shop/")) + "\n"
+                   for i in range(5))
+    path.write_text(good + "\n" + "{not json\n", encoding="utf-8")
     with pytest.raises(SchemaError, match=re.escape(
             f"{path}:7: Expecting property name enclosed in double quotes")):
         list(read_snapshots(path))
@@ -133,9 +139,9 @@ def test_read_snapshots_streams_file(tmp_path):
     _jsonl(path, [_FULL_RECORD, {"url": "http://other.com/",
                                  "fetched_at": "2024-03-01T12:00:00Z"}])
     snaps = read_snapshots(path)
-    assert next(snaps) == _full_snapshot()
-    assert list(snaps) == [DomainSnapshot(url="http://other.com/",
-                                          fetched_at=FETCHED)]
+    assert next(snaps) == ("deal-site.shop", _full_snapshot())
+    assert list(snaps) == [("other.com", DomainSnapshot(url="http://other.com/",
+                                                        fetched_at=FETCHED))]
 
 
 # --- registrable domains ---------------------------------------------------------

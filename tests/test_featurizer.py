@@ -18,10 +18,9 @@ from scamscout.featurizer import (
     SCHEMA_VERSION,
     DatasetEncoder,
     FeatureVector,
-    encode_dataset,
     extract_features,
 )
-from scamscout.featurizer.encode import CATEGORICAL_COLUMNS
+from scamscout.featurizer.encode import CATEGORICAL_COLUMNS, feature_columns
 from scamscout.featurizer.segment import (
     costs_from_counts,
     count_subwords,
@@ -29,6 +28,8 @@ from scamscout.featurizer.segment import (
     normalize_label,
     segment_label,
 )
+
+from conftest import encode_dataset
 
 FETCHED = datetime(2024, 3, 1, 12, 0, tzinfo=timezone.utc)
 
@@ -440,7 +441,7 @@ def test_unseen_categorical_gets_code_zero():
     matrix, encoder = encode_dataset(train)
     tld_col = FEATURE_NAMES.index("tld")
     assert sorted(encoder.column_meta[tld_col].values()) == [1, 2]
-    rows = encoder.transform([_vec(tld="shop"), _vec(tld=None)]).values
+    rows = encoder.transform(feature_columns([_vec(tld="shop"), _vec(tld=None)])).values
     assert rows[0][tld_col] == 0.0   # never seen
     assert rows[1][tld_col] == 0.0
 

@@ -514,7 +514,7 @@ class _Unused:
 
 def test_fixture_pages_take_the_lowered_path(fixtures_dir, monkeypatch):
     # every fixture page holds a non-ASCII '—' and none of the exceptions
-    snaps = [s for s in read_snapshots(fixtures_dir / "snapshots.jsonl") if s.html]
+    snaps = [s for _, s in read_snapshots(fixtures_dir / "snapshots.jsonl") if s.html]
     assert snaps and not any(s.html.isascii() for s in snaps)
     want = [_ref_content_features(s) for s in snaps]
     for name in ("_COPYRIGHT_RE", "_DISCOUNT_RE", "_URGENCY_RE", "_COUNTDOWN_RE"):

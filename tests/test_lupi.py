@@ -1332,7 +1332,7 @@ def test_trimmed_length_rounds_the_longest_prefix_up_to_a_multiple_of_8():
 def _untrimmed(monkeypatch):
     """Make every encoder pass run at the full length (the reference).  Each
     dropout over the columns still draws the mask the trimmed pass draws, at
-    the trimmed length, and pads it with ones over the cut columns; a (B, D)
+    the trimmed length, and pads it with True over the cut columns; a (B, D)
     input, such as a last block's CLS rows, draws at its own shape."""
     from scamscout.lupi import encoder
     from scamscout.lupi.layers import Dropout
@@ -1350,8 +1350,8 @@ def _untrimmed(monkeypatch):
         if self._mask is None:
             return x
         self._mask = np.concatenate(
-            [self._mask, np.ones_like(x[:, kept[-1]:])], axis=1)
-        return x * self._mask
+            [self._mask, np.ones_like(x[:, kept[-1]:], dtype=bool)], axis=1)
+        return x * (self._mask / (1.0 - self.p))
 
     monkeypatch.setattr(encoder, "trimmed_length", full_length)
     monkeypatch.setattr(Dropout, "forward", padded_forward)
@@ -1395,6 +1395,22 @@ def test_trimmed_encoder_forward_is_bit_identical_and_keeps_rng_stream(
             assert np.array_equal(trim, full[:, :, :rows, :L])
             assert not full[:, :, :rows, L:].any()
         assert state_trim == state_full
+
+
+def test_dropout_keeps_a_bool_mask_and_the_float_mask_bits():
+    """The kept mask is bool; forward and backward equal, bit for bit, the
+    products with the float mask ``(u < keep) / keep`` of the same draw."""
+    from scamscout.lupi.layers import Dropout
+    rng = np.random.default_rng(3)
+    x, d_out = rng.normal(size=(2, 7, 5)), rng.normal(size=(2, 7, 5))
+    layer = Dropout(0.3)
+    y = layer.forward(x, True, np.random.default_rng(9))
+    assert layer._mask.dtype == bool
+    keep = 1.0 - 0.3
+    float_mask = (np.random.default_rng(9).random(x.shape) < keep) / keep
+    assert np.array_equal(y.view(np.uint64), (x * float_mask).view(np.uint64))
+    dx = layer.backward(d_out)
+    assert np.array_equal(dx.view(np.uint64), (d_out * float_mask).view(np.uint64))
 
 
 def test_dropout_draws_only_the_masks_it_applies():

@@ -17,9 +17,8 @@ from scamscout.featurizer import (
     FEATURES,
     NUMERIC,
     FeatureVector,
-    encode_dataset,
 )
-from scamscout.featurizer.encode import CATEGORICAL_COLUMNS
+from scamscout.featurizer.encode import CATEGORICAL_COLUMNS, feature_columns
 from scamscout.oracle import (
     GbdtModel,
     TrainConfig,
@@ -45,6 +44,8 @@ from scamscout.oracle.tree import (
     predict_tree,
     rank_table,
 )
+
+from conftest import encode_dataset
 
 _F1 = FEATURE_NAMES.index("tranco")
 _F2 = FEATURE_NAMES.index("majestic")
@@ -248,7 +249,7 @@ def test_missing_value_routes_per_missing_goes():
     model = train_gbdt(matrix, TrainConfig(rounds=5, max_depth=1))
     root = model.trees[0].to_dict()
     assert "feature_index" in root
-    row = model.encoder.transform([_vec()]).values[0]  # all MISSING
+    row = model.encoder.transform(feature_columns([_vec()])).values[0]  # all MISSING
     side = "left" if root["missing_goes"] == LEFT else "right"
     expected = root[side]["value"]  # depth 1: both children are leaves
     assert _walk(root, row) == expected
