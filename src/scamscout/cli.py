@@ -24,8 +24,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +35,12 @@ from .discovery import FixtureStore, run_discovery, write_report
 from .errors import SchemaError, ScamscoutError
 from .featurizer import (
     BOOLEAN,
-    CATEGORICAL,
+    CATEGORICAL_COLUMNS,
     FEATURES,
+    NUMBER_COLUMNS,
     NUMERIC,
     DatasetEncoder,
+    FeatureTable,
     FeatureVector,
     extract_features,
     take_rows,
@@ -114,82 +115,64 @@ def _number(cell: str, name: str, kind: str) -> float:
     return number
 
 
-# csv column (the root domain is column 0), name and kind of each numeric or
-# boolean feature, and csv column of each categorical one
-_NUMBER_COLUMNS = [(col, name, kind) for col, (name, kind, _)
-                   in enumerate(FEATURES, 1) if kind != CATEGORICAL]
-_TOKEN_COLUMNS = [col for col, (_, kind, _) in enumerate(FEATURES, 1)
-                  if kind == CATEGORICAL]
-# rows parsed at once: their cells are all held until their columns are built
-_BLOCK_ROWS = 256
+class _CellValues(dict):
+    """The value of each text of one kind read so far, NaN for an empty
+    cell.  A bad text raises ``ValueError`` and is not kept; the reader
+    names its column."""
+
+    def __init__(self, kind: str):
+        super().__init__({"": math.nan})
+        self.kind = kind
+
+    def __missing__(self, cell: str) -> float:
+        self[cell] = value = _number(cell, "", self.kind)
+        return value
 
 
-@dataclass
-class FeatureTable:
-    """``features.csv`` by column: each row's root domain, and the feature
-    columns in schema order, as ``DatasetEncoder`` takes them."""
-
-    domains: list[str]
-    columns: list
-
-    def __len__(self) -> int:
-        return len(self.domains)
+# the cells of a csv row that hold numeric or boolean features (the root
+# domain is cell 0), the name and kind of each, and the categorical cells
+_number_cells = itemgetter(*(i + 1 for i in NUMBER_COLUMNS))
+_NUMBER_SPECS = [FEATURES[i][:2] for i in NUMBER_COLUMNS]
+_token_cells = itemgetter(*(i + 1 for i in CATEGORICAL_COLUMNS))
 
 
 def read_features_csv(path) -> FeatureTable:
-    """The rows are parsed by column, a block of rows at a time.  A numeric
-    or boolean column becomes a float64 array, NaN for an empty cell, from
-    the value of each distinct cell text; a categorical one a list of
-    tokens, None for an empty cell.  The first fault in file order is
-    reported: in a row, a repeated root domain, then each bad cell in schema
-    order."""
+    """The rows, parsed into columns as they are read.  A numeric or boolean
+    column becomes a float64 array, NaN for an empty cell, from the value of
+    each distinct cell text of its kind; a categorical one a list of tokens,
+    None for an empty cell.  In a row, a repeated root domain is reported
+    before a bad cell, and bad cells in schema order."""
     domains: list[str] = []
     seen: set[str] = set()
-    numbers: list[np.ndarray] = []
-    tokens: list[list] = [[] for _ in _TOKEN_COLUMNS]
-    # per kind, the value of each cell text accepted so far
-    known = {BOOLEAN: {"": math.nan}, NUMERIC: {"": math.nan}}
+    numbers: list[float] = []   # the numeric and boolean cells, row by row
+    token_rows: list[tuple] = []
+    of_kind = {BOOLEAN: _CellValues(BOOLEAN), NUMERIC: _CellValues(NUMERIC)}
+    values = [of_kind[kind] for _, kind in _NUMBER_SPECS]
 
-    def parse(rows: list[list[str]]) -> None:
-        cells = list(zip(*rows))
-        rows.clear()   # the cells live on in their columns
-        faults = []    # (row, csv column, cause)
-        block = cells[0]
-        if not seen.isdisjoint(block) or len(set(block)) < len(block):
-            for i, domain in enumerate(block):
-                if domain in seen:
-                    faults.append((i, 0, SchemaError(
-                        f"repeated root domain {domain!r}")))
-                    break
-                seen.add(domain)
-        for col, name, kind in _NUMBER_COLUMNS:
-            values = known[kind]
-            for cell in set(cells[col]).difference(values):
-                try:
-                    values[cell] = _number(cell, name, kind)
-                except ValueError as exc:
-                    faults.append((cells[col].index(cell), col, exc))
-        if faults:
-            row, _, cause = min(faults, key=lambda fault: fault[:2])
-            raise records.RowFault(row, cause)
-        seen.update(block)
-        domains.extend(block)
-        numbers.append(np.fromiter(
-            chain.from_iterable(map(known[kind].__getitem__, cells[col])
-                                for col, _, kind in _NUMBER_COLUMNS),
-            np.float64, len(_NUMBER_COLUMNS) * len(block),
-        ).reshape(len(_NUMBER_COLUMNS), len(block)))
-        for column, col in zip(tokens, _TOKEN_COLUMNS):
-            column.extend(cell or None for cell in cells[col])
+    def parse(row: list[str]):
+        domain = row[0]
+        if domain in seen:
+            raise SchemaError(f"repeated root domain {domain!r}")
+        seen.add(domain)
+        cells = _number_cells(row)
+        try:
+            return (domain, list(map(dict.__getitem__, values, cells)),
+                    _token_cells(row))
+        except ValueError:   # the first cell not kept is the bad one
+            for (name, kind), kept, cell in zip(_NUMBER_SPECS, values, cells):
+                if cell not in kept:
+                    _number(cell, name, kind)
+            raise
 
-    for _ in records.read_csv_blocks(path, _FEATURE_HEADER, parse, _BLOCK_ROWS):
-        pass
-    number_columns = iter(np.concatenate(numbers, axis=1) if numbers
-                          else np.empty((len(_NUMBER_COLUMNS), 0)))
-    token_columns = iter(tokens)
-    return FeatureTable(domains, [
-        next(token_columns) if kind == CATEGORICAL else next(number_columns)
-        for _, kind, _ in FEATURES])
+    for domain, row_numbers, row_tokens in records.read_csv_rows(
+            path, _FEATURE_HEADER, parse):
+        domains.append(domain)
+        numbers.extend(row_numbers)
+        token_rows.append(row_tokens)
+    by_row = np.array(numbers, dtype=np.float64).reshape(-1, len(NUMBER_COLUMNS))
+    tokens = [[cell or None for cell in col] for col in zip(*token_rows)] \
+        or [[] for _ in CATEGORICAL_COLUMNS]
+    return FeatureTable.from_kinds(domains, np.ascontiguousarray(by_row.T), tokens)
 
 
 # --- subcommands ----------------------------------------------------------------

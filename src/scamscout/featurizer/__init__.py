@@ -1,6 +1,14 @@
 """Feature extraction for the scam/benign domain classifier."""
 
-from .encode import DatasetEncoder, DesignMatrix, feature_columns, take_rows
+from .encode import (
+    CATEGORICAL_COLUMNS,
+    NUMBER_COLUMNS,
+    DatasetEncoder,
+    DesignMatrix,
+    FeatureTable,
+    feature_columns,
+    take_rows,
+)
 from .extract import extract_features
 from .schema import (
     BOOLEAN,
@@ -23,12 +31,15 @@ from .segment import (
 __all__ = [
     "BOOLEAN",
     "CATEGORICAL",
+    "CATEGORICAL_COLUMNS",
     "DatasetEncoder",
     "DesignMatrix",
     "FEATURES",
     "FEATURE_GROUPS",
     "FEATURE_NAMES",
+    "FeatureTable",
     "FeatureVector",
+    "NUMBER_COLUMNS",
     "NUMERIC",
     "NUM_FEATURES",
     "SCHEMA_VERSION",

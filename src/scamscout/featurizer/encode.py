@@ -3,7 +3,8 @@
 The encoder takes a table by column, in schema order: a float64 array per
 numeric or boolean feature, NaN marking MISSING, and a list of tokens per
 categorical one, None marking MISSING.  ``features.csv`` is read straight
-into that form; ``feature_columns`` transposes ``FeatureVector`` rows into it.
+into that form, a ``FeatureTable``; ``feature_columns`` transposes
+``FeatureVector`` rows into it.
 Categorical tokens get integer codes learned from the training rows; code 0
 is reserved for MISSING and for tokens never seen at fit time, so a model can
 score new data without re-fitting.  Numeric and boolean cells keep their
@@ -13,6 +14,7 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,22 +31,49 @@ from .schema import (
 CATEGORICAL_COLUMNS = tuple(
     i for i, (_, kind, _) in enumerate(FEATURES) if kind == CATEGORICAL
 )
-_CATEGORICAL = frozenset(CATEGORICAL_COLUMNS)
+# the numeric and boolean columns, whose cells are floats
+NUMBER_COLUMNS = tuple(
+    i for i in range(NUM_FEATURES) if i not in CATEGORICAL_COLUMNS
+)
 # the keys of ``encoder.columns`` in a model file
 _COLUMN_KEYS = tuple(map(str, CATEGORICAL_COLUMNS))
+
+
+@dataclass
+class FeatureTable:
+    """Feature rows by column: each row's root domain, and the feature
+    columns in schema order, as ``DatasetEncoder`` takes them."""
+
+    domains: list[str]
+    columns: list
+
+    @classmethod
+    def from_kinds(cls, domains: list[str], numbers: np.ndarray,
+                   tokens: list[list]) -> "FeatureTable":
+        """The table whose ``NUMBER_COLUMNS`` are the rows of ``numbers``
+        and whose ``CATEGORICAL_COLUMNS`` are the lists in ``tokens``."""
+        columns: list = [None] * NUM_FEATURES
+        for i, col in chain(zip(NUMBER_COLUMNS, numbers),
+                            zip(CATEGORICAL_COLUMNS, tokens)):
+            columns[i] = col
+        return cls(domains, columns)
+
+    def __len__(self) -> int:
+        return len(self.domains)
 
 
 def feature_columns(vectors: Sequence[FeatureVector]) -> list:
     """``vectors`` by column, in schema order, as the encoder takes them."""
     columns = list(zip(*(v.values for v in vectors))) or [()] * NUM_FEATURES
-    return [list(col) if i in _CATEGORICAL else np.array(col, dtype=np.float64)
+    return [list(col) if i in CATEGORICAL_COLUMNS
+            else np.array(col, dtype=np.float64)
             for i, col in enumerate(columns)]
 
 
 def take_rows(columns: list, rows: Sequence[int]) -> list:
     """The table ``columns`` cut to ``rows``, in that order."""
     index = np.asarray(rows, dtype=np.intp)
-    return [[col[i] for i in rows] if i in _CATEGORICAL else col[index]
+    return [[col[i] for i in rows] if i in CATEGORICAL_COLUMNS else col[index]
             for i, col in enumerate(columns)]
 
 

@@ -6,13 +6,12 @@ header.  A line that is not UTF-8 or not a JSON object, a row whose cell
 count is not the header's, and any ``KeyError``, ``TypeError``,
 ``ValueError`` or ``ScamscoutError`` from ``parse`` raise
 ``SchemaError("path:lineno: cause")``; so does a CSV cell the ``csv``
-module refuses, such as one over its field size limit.  ``read_csv_blocks``
-hands ``parse`` a CSV file's rows a block at a time, as lists of cells, and
-reports the first fault in file order: a ``RowFault`` ``parse`` raises for
-a row of its block, or a line read after that row.  ``read_bytes`` hands
-``parse`` the
-bytes of a whole file, such as a checkpoint, and ``read_json`` the one JSON
-object in a file, such as a model; both name a fault ``"path: cause"``.
+module refuses, such as one over its field size limit.  ``read_csv_rows``
+checks a CSV file's header, then hands ``parse`` each row as a list of
+cells; a fault names the last line of its row, so the first fault in file
+order is the one reported.  ``read_bytes`` hands ``parse`` the bytes of a
+whole file, such as a checkpoint, and ``read_json`` the one JSON object in a
+file, such as a model; both name a fault ``"path: cause"``.
 ``get_typed`` reads one field of a record and raises ``SchemaError`` unless
 it has exactly the expected type.  ``from_record`` builds a dataclass from
 the keys of a record named like its fields, and ``check_field_types``
@@ -60,52 +59,10 @@ def read_csv(path, parse):
     return _read(path, _csv_rows, parse)
 
 
-class RowFault(Exception):
-    """Raised by a ``read_csv_blocks`` parser: row ``index`` of its block is
-    bad, for ``cause``."""
-
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(index, cause)
-        self.index, self.cause = index, cause
-
-
-def read_csv_blocks(path, header: list[str], parse, size: int = 1024):
-    """Yield ``parse(rows)`` for each block of at most ``size`` rows of the
-    CSV file ``path``, each row a list of one cell per column of ``header``,
-    which must be the file's own; blank lines are skipped.  A ``RowFault``
-    from ``parse`` is named by the last line of its row.  A row with the
-    wrong cell count, or one that cannot be read, ends its block, and is
-    reported only once ``parse`` has found no fault in the rows before it."""
-    with open(path, "rb") as fh:
-        lines = _Lines(fh)
-        reader = csv.reader(lines)
-        try:
-            _check_names(next(reader, []), header)
-        except _FAULTS as exc:
-            raise _fault(f"{path}:{lines.lineno}", exc) from exc
-        rows = _sized_rows(reader, len(header))
-        fault, done = None, False
-        while not done:
-            block, ends = [], []
-            try:
-                for row in rows:
-                    block.append(row)
-                    ends.append(reader.line_num)
-                    if len(block) == size:
-                        break
-                else:
-                    done = True
-            except _FAULTS as exc:
-                fault, done = (lines.lineno, exc), True
-            if block:
-                try:
-                    yield parse(block)
-                except RowFault as exc:
-                    raise _fault(f"{path}:{ends[exc.index]}", exc.cause) \
-                        from exc.cause
-        if fault is not None:
-            lineno, exc = fault
-            raise _fault(f"{path}:{lineno}", exc) from exc
+def read_csv_rows(path, header: list[str], parse):
+    """``parse(row)`` per non-blank row of a CSV file whose header must be
+    ``header``, each row a list of one cell per column."""
+    return _read(path, lambda lines: _rows_under(lines, header), parse)
 
 
 def read_bytes(path, parse):
@@ -295,6 +252,12 @@ def _csv_rows(lines):
     header = next(reader, [])
     for row in _sized_rows(reader, len(header)):
         yield dict(zip(header, row))
+
+
+def _rows_under(lines, header: list[str]):
+    reader = csv.reader(lines)
+    _check_names(next(reader, []), header)
+    yield from _sized_rows(reader, len(header))
 
 
 def _sized_rows(reader, width: int):

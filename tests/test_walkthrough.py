@@ -75,9 +75,6 @@ _UNREACHED = {
         "no walkthrough tree splits a categorical column; "
         "test_oracle.py::test_vectorized_split_search_equals_scalar_reference",
     "records._fault": "a bad record; every exit-2 case of test_cli.py",
-    "records.RowFault.__init__":
-        "a bad features.csv cell or a repeated root domain; "
-        "test_cli.py::test_bad_features_row_names_its_line",
     "records._remove_if_empty":
         "a failed run that made a directory; "
         "test_cli.py::test_failed_baselines_removes_the_directories_it_made",
