@@ -39,7 +39,6 @@ from .featurizer import (
     FEATURES,
     NUMBER_COLUMNS,
     NUMERIC,
-    DatasetEncoder,
     FeatureTable,
     FeatureVector,
     extract_features,
@@ -190,18 +189,16 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_train_oracle(args) -> int:
     table = read_features_csv(args.features)
-    labels = {lab.root_domain: lab.label for lab in corpus.read_labels(args.labels)}
+    labels = corpus.read_labels(args.labels)
     labeled = [i for i, domain in enumerate(table.domains) if domain in labels]
     y = [1 if labels[table.domains[i]] == "SCAM" else 0 for i in labeled]
     skipped = len(table) - len(labeled)
     if skipped:
         print(f"warning: {skipped} feature rows had no label", file=sys.stderr)
-    columns = take_rows(table.columns, labeled)
-    matrix = DatasetEncoder().fit(columns).transform(columns, y)
     config = gbdt.TrainConfig(
         rounds=args.rounds, max_depth=args.max_depth,
         learning_rate=args.learning_rate, min_leaf=args.min_leaf)
-    model = gbdt.train_gbdt(matrix, config)
+    model = gbdt.train_gbdt(take_rows(table.columns, labeled), y, config)
     gbdt.save_model(model, args.out)
     print(f"trained on {len(y)} domains "
           f"({sum(y)} scam), loss {model.train_loss[-1]:.6f} -> {args.out}")
@@ -221,8 +218,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_toxicity(args) -> int:
     serps = corpus.read_serps(args.serps)
-    verdicts = {lab.root_domain: lab.label
-                for lab in corpus.read_labels(args.labels)}
+    verdicts = corpus.read_labels(args.labels)
     categories = {}
     if args.keywords:
         categories = {kw.text: kw.category
@@ -318,10 +314,7 @@ def _cmd_train_lupi(args) -> int:
                       batch_size=args.batch_size, seed=args.seed,
                       patience=args.patience)
     examples = _read_lupi_examples(args.train)
-    scam_labels = {}
-    if args.labels:
-        scam_labels = {lab.root_domain: lab.label
-                       for lab in corpus.read_labels(args.labels)}
+    scam_labels = corpus.read_labels(args.labels) if args.labels else {}
     tensors = assemble(LupiDataset(examples, scam_labels), priv,
                        TokenizerConfig(), cfg.seed)
     teacher, treport = train_teacher(tensors, cfg)
@@ -365,16 +358,12 @@ def _cmd_discover(args) -> int:
         labels = {d: label for d, (label, _) in zip(seen, verdicts)}
         return [labels.get(d, "BENIGN") for d in domains]
 
-    known = set()
-    if args.labels:
-        known = {lab.root_domain for lab in corpus.read_labels(args.labels)}
-
     report = run_discovery(
         ranked,
         classify,
         store=store,
         engines=tuple(args.engines.split(",")),
-        known_domains=known,
+        known_domains=corpus.read_labels(args.labels) if args.labels else (),
         exposure_k=args.exposure_k,
     )
     if unknown:

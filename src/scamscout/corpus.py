@@ -154,17 +154,6 @@ class SerpResultSet:
         return {e.root_domain for e in self.entries}
 
 
-@dataclass
-class LabeledDomain:
-    root_domain: str
-    label: str  # SCAM | BENIGN
-    category: str = ""
-
-    def __post_init__(self):
-        if self.label not in ("SCAM", "BENIGN"):
-            raise SchemaError(f"label must be SCAM or BENIGN, got {self.label!r}")
-
-
 class SnapshotState(Enum):
     LIVE = "live"
     PARKED = "parked"
@@ -339,16 +328,19 @@ def read_serps(path) -> list[SerpResultSet]:
     return list(read_jsonl(path, parse))
 
 
-def read_labels(path) -> list[LabeledDomain]:
-    """labels.csv: root_domain,label,category (one label per root domain)."""
-    seen: dict[str, LabeledDomain] = {}
+def read_labels(path) -> dict[str, str]:
+    """labels.csv: root_domain,label[,category] as ``{root_domain: label}``,
+    SCAM or BENIGN, one label per root domain; the category is not read."""
+    seen: dict[str, str] = {}
 
     def parse(row: dict) -> None:
         dom, label = row["root_domain"].strip().lower(), row["label"].strip().upper()
-        if dom in seen and seen[dom].label != label:
+        if seen.get(dom, label) != label:
             raise SchemaError(f"conflicting labels for {dom}")
-        seen[dom] = LabeledDomain(dom, label, row.get("category", "").strip())
+        if label not in ("SCAM", "BENIGN"):
+            raise SchemaError(f"label must be SCAM or BENIGN, got {label!r}")
+        seen[dom] = label
 
     for _ in read_csv(path, parse):
         pass
-    return list(seen.values())
+    return seen

@@ -4,7 +4,6 @@ from .encode import (
     CATEGORICAL_COLUMNS,
     NUMBER_COLUMNS,
     DatasetEncoder,
-    DesignMatrix,
     FeatureTable,
     feature_columns,
     take_rows,
@@ -33,7 +32,6 @@ __all__ = [
     "CATEGORICAL",
     "CATEGORICAL_COLUMNS",
     "DatasetEncoder",
-    "DesignMatrix",
     "FEATURES",
     "FEATURE_GROUPS",
     "FEATURE_NAMES",

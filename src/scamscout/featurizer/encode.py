@@ -5,10 +5,11 @@ numeric or boolean feature, NaN marking MISSING, and a list of tokens per
 categorical one, None marking MISSING.  ``features.csv`` is read straight
 into that form, a ``FeatureTable``; ``feature_columns`` transposes
 ``FeatureVector`` rows into it.
-Categorical tokens get integer codes learned from the training rows; code 0
-is reserved for MISSING and for tokens never seen at fit time, so a model can
-score new data without re-fitting.  Numeric and boolean cells keep their
-values.
+Categorical tokens get integer codes learned from the training rows: each
+oracle model fits its own encoder on the rows it trains on and keeps it.
+Code 0 is reserved for MISSING and for tokens never seen at fit time, so a
+model can score new data without re-fitting.  Numeric and boolean cells
+keep their values.
 """
 
 from __future__ import annotations
@@ -77,27 +78,6 @@ def take_rows(columns: list, rows: Sequence[int]) -> list:
             for i, col in enumerate(columns)]
 
 
-@dataclass
-class DesignMatrix:
-    values: np.ndarray          # (n, 103) float64, NaN = MISSING
-    column_meta: dict[int, dict[str, int]]
-    labels: Optional[np.ndarray] = None
-
-    def dense(self) -> np.ndarray:
-        """Expand to a plain numeric matrix with no NaNs.
-
-        Each numeric/boolean column becomes (value-with-0-sentinel,
-        missing-indicator); categorical columns contribute their integer code.
-        Column order follows the schema, so the layout is deterministic.
-        """
-        cols = []
-        for i in range(NUM_FEATURES):
-            cols.append(np.nan_to_num(self.values[:, i], nan=0.0))
-            if i not in self.column_meta:
-                cols.append(np.isnan(self.values[:, i]).astype(np.float64))
-        return np.column_stack(cols)
-
-
 class DatasetEncoder:
     """Learns categorical dictionaries from training rows, then encodes."""
 
@@ -113,22 +93,16 @@ class DatasetEncoder:
         self.column_meta = meta
         return self
 
-    def transform(
-        self,
-        columns: list,
-        labels: Optional[Sequence[int]] = None,
-    ) -> DesignMatrix:
-        """The matrix filled column by column; a None or unseen token has
-        no code, so it gets 0."""
+    def transform(self, columns: list) -> np.ndarray:
+        """The (n, 103) float64 matrix, NaN marking MISSING, filled column
+        by column; a None or unseen token has no code, so it gets 0."""
         if not self.column_meta:
             raise SchemaError("encoder not fitted")
-        n = len(columns[0])
-        values = np.empty((n, NUM_FEATURES), dtype=np.float64)
+        values = np.empty((len(columns[0]), NUM_FEATURES), dtype=np.float64)
         for i, col in enumerate(columns):
             code = self.column_meta.get(i)
             values[:, i] = col if code is None else [code.get(tok, 0) for tok in col]
-        y = None if labels is None else _check_labels(labels, n)
-        return DesignMatrix(values, dict(self.column_meta), y)
+        return values
 
     def to_dict(self) -> dict:
         return {
@@ -171,8 +145,9 @@ class DatasetEncoder:
         return cls(meta)
 
 
-def _check_labels(labels: Sequence[int], n: int) -> np.ndarray:
-    """Labels as int64 0/1; anything else raises naming the first bad row."""
+def check_labels(labels: Sequence[int], n: int) -> np.ndarray:
+    """``n`` training labels as float64 0.0 (benign) or 1.0 (scam); anything
+    else raises naming the first bad row."""
     try:
         raw = np.asarray(labels, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -185,5 +160,5 @@ def _check_labels(labels: Sequence[int], n: int) -> np.ndarray:
         i = int(bad[0])
         raise SchemaError(f"label at row {i} is {labels[i]!r}; labels must "
                           f"be 0 (benign) or 1 (scam)")
-    return raw.astype(np.int64)
+    return raw
 

@@ -16,6 +16,14 @@ row every model reads.  Two cuts follow from that:
   projection, ``ln2``, feed-forward and the final ``ln_out`` over row 0
   alone, as (B, D) GEMMs whose rows equal the full-width product's.
 
+An eval-mode pass over more than ``EVAL_ROWS`` sequences runs in
+near-equal parts of at most that many and concatenates their CLS rows, so
+the layer activations of a whole-set pass (the frozen teacher, validation,
+ranking) stay bounded however many rows it scores.  No part is a lone row,
+which BLAS would send to its matrix-vector kernel and round differently,
+and PAD trimming is per part; so every row equals its whole-set value bit
+for bit.
+
 In train mode each dropout mask is drawn at the shape it masks: (B, L, D)
 for the input and the inner blocks, where L is the trimmed length, and
 (B, D) for the last block.  Backward sums each weight gradient over fewer
@@ -40,6 +48,9 @@ from .layers import (
     MultiHeadAttention,
 )
 from .tokenizer import PAD_ID
+
+# most sequences one eval-mode encoder pass runs at once
+EVAL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,9 @@ class Encoder(Module):
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         """ids (B, T) -> CLS vectors (B, D)."""
+        if not train and len(ids) > EVAL_ROWS:
+            parts = np.array_split(ids, -(-len(ids) // EVAL_ROWS))
+            return np.concatenate([self.forward(part) for part in parts])
         ids = ids[:, :trimmed_length(ids)]
         key_mask = ids != PAD_ID
         x = self.embed.forward(ids, train) + self.positions[: ids.shape[1]]

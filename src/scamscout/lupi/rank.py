@@ -10,13 +10,9 @@ import numpy as np
 from ..corpus import KeywordSuggestion
 from ..errors import SchemaError, TrainingError
 from ..records import check_header, read_csv, write_csv
+from .encoder import EVAL_ROWS
 from .models import StudentModel
 from .tokenizer import tokenize_batch
-
-# most keywords scored per student forward pass; scores do not depend on it,
-# since the keywords are cut into near-equal batches and so no batch is a lone
-# row (BLAS rounds a one-row product differently) unless there is one keyword
-_BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,11 @@ def rank_keywords(
         raise TrainingError("no keywords to rank")
     texts = [kw.text for kw in keywords]
     scores = np.empty(len(texts), dtype=np.float64)
-    for idx in np.array_split(np.arange(len(texts)), -(-len(texts) // _BATCH_SIZE)):
+    # tokenized and scored in near-equal batches of at most EVAL_ROWS, which
+    # bounds the ids and the head outputs as the encoder bounds its layers;
+    # no batch is a lone row (BLAS rounds a one-row product differently)
+    # unless there is one keyword, so scores do not depend on the batch size
+    for idx in np.array_split(np.arange(len(texts)), -(-len(texts) // EVAL_ROWS)):
         ids = tokenize_batch([texts[i] for i in idx], student.tok_cfg)
         scores[idx] = student.forward(ids)[0]
     scores = np.clip(scores, 0.0, 1.0)

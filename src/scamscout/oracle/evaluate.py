@@ -1,19 +1,19 @@
 """Cross-validated evaluation of the oracle and its baseline.
 
-Folds are stratified so each keeps the global scam/benign ratio; the
-categorical encoder is re-fitted on each fold's training rows only, so no
-information from held-out rows leaks into the dictionaries.
+Folds are stratified so each keeps the global scam/benign ratio.  Each
+fold's model fits its own categorical encoder on that fold's training rows
+only, so no information from held-out rows leaks into the dictionaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import TrainingError
-from ..featurizer.encode import DatasetEncoder, feature_columns, take_rows
+from ..featurizer.encode import feature_columns, take_rows
 from ..featurizer.schema import FeatureVector
 from .baseline import train_logistic_baseline
 from .gbdt import CLASSIFICATION_THRESHOLD, TrainConfig, train_gbdt
@@ -76,22 +76,18 @@ def cross_validate(
     """Stratified k-fold CV of either the GBDT oracle or the LR baseline."""
     y = np.asarray(labels, dtype=np.int64)
     folds = stratified_folds(y, k, seed)
+    trainers = {
+        "gbdt": lambda cols, fold_y: train_gbdt(cols, fold_y, config),
+        "logistic": train_logistic_baseline,
+    }
+    if model not in trainers:
+        raise TrainingError(f"unknown model {model!r}")
     fold_metrics = []
     columns = feature_columns(vectors)
-    for i, test_idx in enumerate(folds):
+    for test_idx in folds:
         train_idx = np.setdiff1d(np.arange(len(vectors)), test_idx)
-        train_cols = take_rows(columns, train_idx)
-        encoder = DatasetEncoder().fit(train_cols)
-        train_matrix = encoder.transform(train_cols, y[train_idx])
-        test_matrix = encoder.transform(take_rows(columns, test_idx))
-        if model == "gbdt":
-            fitted = train_gbdt(train_matrix, config)
-            proba = fitted.predict_proba_matrix(test_matrix.values)
-        elif model == "logistic":
-            fitted = train_logistic_baseline(train_matrix)
-            proba = fitted.predict_proba_matrix(test_matrix)
-        else:
-            raise TrainingError(f"unknown model {model!r}")
+        fitted = trainers[model](take_rows(columns, train_idx), y[train_idx])
+        proba = fitted.predict_proba(take_rows(columns, test_idx))
         pred = (proba >= CLASSIFICATION_THRESHOLD).astype(np.int64)
         fold_metrics.append(binary_metrics(y[test_idx], pred))
     return EvalReport(model, fold_metrics)

@@ -6,9 +6,10 @@ current gradients, and add it with the configured learning rate.
 Leaf values are Newton steps (-sum g / sum h); if a round would raise the
 training loss, its leaves are halved until it does not (dropping to a no-op
 tree in the limit), so the per-round training loss is non-increasing by
-construction.  Prediction is batched: ``predict_columns`` scores every row
-of a table by column, and ``predict_many`` every vector, with one
-``predict_proba_matrix`` call, the same traversal training uses.
+construction.  The model keeps the categorical encoder ``train_gbdt`` fits
+on its training columns.  Prediction is batched: ``predict_columns`` scores
+every row of a table by column, and ``predict_many`` every vector, with one
+``predict_proba`` call, the same traversal training uses.
 
 ``model.json`` is format 2.  A load checks every tree node against the
 feature schema, so a malformed model fails before it scores a row.
@@ -26,7 +27,7 @@ from ..errors import SchemaError, TrainingError
 from ..featurizer.encode import (
     CATEGORICAL_COLUMNS,
     DatasetEncoder,
-    DesignMatrix,
+    check_labels,
     feature_columns,
 )
 from ..featurizer.schema import NUM_FEATURES, FeatureVector
@@ -65,14 +66,13 @@ class GbdtModel:
     encoder: DatasetEncoder
     train_loss: list[float] = field(default_factory=list)
 
-    def raw_scores(self, values: np.ndarray) -> np.ndarray:
-        out = np.full(values.shape[0], self.base_score, dtype=np.float64)
+    def predict_proba(self, columns: list) -> np.ndarray:
+        """P(scam) per row of the schema-order feature ``columns``."""
+        values = self.encoder.transform(columns)
+        raw = np.full(len(values), self.base_score, dtype=np.float64)
         for tree in self.trees:
-            out += predict_tree(tree, values)
-        return out
-
-    def predict_proba_matrix(self, values: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.raw_scores(values))
+            raw += predict_tree(tree, values)
+        return _sigmoid(raw)
 
     def to_dict(self) -> dict:
         return {
@@ -128,14 +128,14 @@ def _scale_leaves(node: TreeNode, factor: float) -> TreeNode:
     )
 
 
-def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> GbdtModel:
+def train_gbdt(columns: list, labels: Sequence[int],
+               config: Optional[TrainConfig] = None) -> GbdtModel:
+    """Boost on the schema-order feature ``columns`` with the encoder fitted
+    on them, which the model keeps."""
     if config is None:
         config = TrainConfig()
-    if matrix.labels is None:
-        raise TrainingError("training requires labels")
-    y = matrix.labels.astype(np.float64)
-    values = matrix.values
-    n = values.shape[0]
+    y = check_labels(labels, len(columns[0]))
+    n = y.size
     if n < 2 * config.min_leaf:
         raise TrainingError(f"need at least {2 * config.min_leaf} rows, got {n}")
 
@@ -148,7 +148,8 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
     trees: list[TreeNode] = []
     losses = [_logistic_loss(raw, y)]
 
-    encoder = DatasetEncoder(matrix.column_meta)
+    encoder = DatasetEncoder().fit(columns)
+    values = encoder.transform(columns)
     table = rank_table(values, _CAT_COLS)  # the matrix is fixed across rounds
 
     for _ in range(config.rounds):
@@ -187,7 +188,7 @@ def train_gbdt(matrix: DesignMatrix, config: Optional[TrainConfig] = None) -> Gb
 def predict_columns(model: GbdtModel, columns: list) -> list[tuple[str, float]]:
     """``(label, score)`` per row of the schema-order feature ``columns``,
     from one matrix call."""
-    scores = model.predict_proba_matrix(model.encoder.transform(columns).values)
+    scores = model.predict_proba(columns)
     return [("SCAM" if s >= CLASSIFICATION_THRESHOLD else "BENIGN", float(s))
             for s in scores]
 

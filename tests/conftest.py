@@ -35,9 +35,9 @@ def workdir(tmp_path_factory):
     return work
 
 
-def encode_dataset(vectors, labels=None):
-    """The design matrix of ``FeatureVector`` rows, and the encoder fitted
+def encode_dataset(vectors):
+    """The encoded matrix of ``FeatureVector`` rows, and the encoder fitted
     on them."""
     columns = feature_columns(vectors)
     encoder = DatasetEncoder().fit(columns)
-    return encoder.transform(columns, labels), encoder
+    return encoder.transform(columns), encoder

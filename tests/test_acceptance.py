@@ -419,8 +419,7 @@ def test_replay_pipeline_is_byte_identical_and_matches_brute_force_tally(tmp_pat
     model = gbdt.load_model(tmp_path / "model.json")
     snapshots = {root_domain(s.final_url or s.url): s
                  for _, s in corpus.read_snapshots(FIXTURES / "snapshots.jsonl")}
-    known = {lab.root_domain
-             for lab in corpus.read_labels(FIXTURES / "labels.csv")}
+    known = corpus.read_labels(FIXTURES / "labels.csv")
     engines = ("GOOGLE", "BING")
     exposure_k = 5
 

@@ -82,8 +82,7 @@ def test_trained_oracle_scores_every_row(workdir):
 
 def test_oracle_separates_seed_labels(workdir):
     # training-set fit: labeled seed domains should mostly score correctly
-    labels = {lab.root_domain: lab.label
-              for lab in corpus.read_labels(FIXTURES / "labels.csv")}
+    labels = corpus.read_labels(FIXTURES / "labels.csv")
     rows = _rows(workdir / "verdicts.csv")
     labeled = [r for r in rows if r["root_domain"] in labels]
     assert labeled
@@ -746,7 +745,7 @@ def test_column_reader_matches_the_row_wise_referee(tmp_path_factory, data):
     def columns():
         table = read_features_csv(path)
         encoder = DatasetEncoder().fit(table.columns)
-        return encoder.transform(table.columns).values.view(np.uint64)
+        return encoder.transform(table.columns).view(np.uint64)
 
     want, got = _outcome(referee), _outcome(columns)
     if isinstance(want, str):
@@ -771,15 +770,15 @@ def test_the_writer_gives_each_value_the_text_of_feature_cell(tmp_path):
 
 @pytest.fixture
 def matrix_calls(monkeypatch):
-    """Number of ``predict_proba_matrix`` calls made so far."""
+    """Rows of each ``predict_proba`` call made so far."""
     calls = []
-    original = gbdt.GbdtModel.predict_proba_matrix
+    original = gbdt.GbdtModel.predict_proba
 
-    def counted(model, values):
-        calls.append(values.shape[0])
-        return original(model, values)
+    def counted(model, columns):
+        calls.append(len(columns[0]))
+        return original(model, columns)
 
-    monkeypatch.setattr(gbdt.GbdtModel, "predict_proba_matrix", counted)
+    monkeypatch.setattr(gbdt.GbdtModel, "predict_proba", counted)
     return calls
 
 

@@ -11,7 +11,6 @@ import pytest
 from scamscout.corpus import (
     DomainSnapshot,
     KeywordSuggestion,
-    LabeledDomain,
     RankSignals,
     SerpEntry,
     SerpResultSet,
@@ -353,9 +352,8 @@ def test_labels_round_trip_and_conflict(tmp_path):
                     "ok.com,benign,\n"
                     "scam-site.com,SCAM,sneakers\n",   # a consistent duplicate
                     encoding="utf-8")
-    assert read_labels(path) == [  # case-folded, one row per domain
-        LabeledDomain("scam-site.com", "SCAM", "sneakers"),
-        LabeledDomain("ok.com", "BENIGN", "")]
+    assert read_labels(path) == {  # case-folded, one label per domain
+        "scam-site.com": "SCAM", "ok.com": "BENIGN"}
 
     path.write_text("root_domain,label,category\nx.com,SCAM,\nX.com,BENIGN,\n",
                     encoding="utf-8")
@@ -363,6 +361,10 @@ def test_labels_round_trip_and_conflict(tmp_path):
         read_labels(path)
 
 
-def test_labeled_domain_rejects_unknown_label():
-    with pytest.raises(SchemaError):
-        LabeledDomain("a.com", "MAYBE")
+def test_labeled_domain_rejects_unknown_label(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("root_domain,label,category\nok.com,BENIGN,\na.com,MAYBE,\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaError, match=re.escape(
+            f"{path}:3: label must be SCAM or BENIGN, got 'MAYBE'")):
+        read_labels(path)

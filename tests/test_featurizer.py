@@ -28,6 +28,8 @@ from scamscout.featurizer.segment import (
     normalize_label,
     segment_label,
 )
+from scamscout.oracle import train_gbdt
+from scamscout.oracle.baseline import _dense
 
 from conftest import encode_dataset
 
@@ -441,7 +443,7 @@ def test_unseen_categorical_gets_code_zero():
     matrix, encoder = encode_dataset(train)
     tld_col = FEATURE_NAMES.index("tld")
     assert sorted(encoder.column_meta[tld_col].values()) == [1, 2]
-    rows = encoder.transform(feature_columns([_vec(tld="shop"), _vec(tld=None)])).values
+    rows = encoder.transform(feature_columns([_vec(tld="shop"), _vec(tld=None)]))
     assert rows[0][tld_col] == 0.0   # never seen
     assert rows[1][tld_col] == 0.0
 
@@ -449,10 +451,10 @@ def test_unseen_categorical_gets_code_zero():
 def test_missing_mask_and_dense_expansion():
     train = [_vec(tranco=10, dns_has_mx=1, tld="com"),
              _vec(tranco=None, dns_has_mx=0, tld="xyz")]
-    matrix, _ = encode_dataset(train, labels=[1, 0])
+    values, _ = encode_dataset(train)
     tranco_col = FEATURE_NAMES.index("tranco")
-    assert np.isnan(matrix.values[1, tranco_col])
-    dense = matrix.dense()
+    assert np.isnan(values[1, tranco_col])
+    dense = _dense(values)
     assert np.isfinite(dense).all()
     # each non-categorical column contributes (value, indicator)
     n_categorical = len([n for n in FEATURE_NAMES
@@ -472,14 +474,14 @@ def test_fully_observed_rows_have_zero_indicators():
                                            "registrar_country",
                                            "registrant_country") else 1)
                   for name in FEATURE_NAMES})
-    matrix, _ = encode_dataset([vec])
+    values, _ = encode_dataset([vec])
     indicators = [i for i in range(NUM_FEATURES) if i not in CATEGORICAL_COLUMNS]
     # the dense layout puts one indicator column after each such column
     at = [i + indicators.index(i) + 1 for i in indicators]
-    dense = matrix.dense()
+    dense = _dense(values)
     assert dense.shape[1] == NUM_FEATURES + len(indicators)
     assert not dense[:, at].any()
-    assert not np.isnan(matrix.values).any()
+    assert not np.isnan(values).any()
 
 
 def test_encoding_is_deterministic():
@@ -489,7 +491,7 @@ def test_encoding_is_deterministic():
                for _ in range(20)]
     m1, e1 = encode_dataset(vectors)
     m2, e2 = encode_dataset(vectors)
-    assert np.array_equal(m1.values, m2.values, equal_nan=True)
+    assert np.array_equal(m1, m2, equal_nan=True)
     assert e1.column_meta == e2.column_meta
 
 
@@ -501,22 +503,22 @@ def test_encoder_round_trips_through_dict():
 
 def test_label_validation():
     with pytest.raises(SchemaError):
-        encode_dataset([_vec()], labels=[2])
+        train_gbdt(feature_columns([_vec()]), [2])
     with pytest.raises(SchemaError):
-        encode_dataset([_vec()], labels=[0, 1])
+        train_gbdt(feature_columns([_vec()]), [0, 1])
 
 
 def test_fractional_label_is_rejected_not_truncated():
-    vectors = [_vec(), _vec(), _vec()]
+    columns = feature_columns([_vec(), _vec(), _vec()])
     with pytest.raises(SchemaError, match="row 1 is 0.7"):
-        encode_dataset(vectors, labels=[1, 0.7, 0])
+        train_gbdt(columns, [1, 0.7, 0])
     with pytest.raises(SchemaError, match="row 2 is 1.9"):
-        encode_dataset(vectors, labels=[1, 0, 1.9])
+        train_gbdt(columns, [1, 0, 1.9])
 
 
 def test_non_finite_label_is_rejected():
-    vectors = [_vec(), _vec(), _vec()]
+    columns = feature_columns([_vec(), _vec(), _vec()])
     with pytest.raises(SchemaError, match="row 2 is nan"):
-        encode_dataset(vectors, labels=[0, 1, float("nan")])
+        train_gbdt(columns, [0, 1, float("nan")])
     with pytest.raises(SchemaError, match="row 0 is inf"):
-        encode_dataset(vectors, labels=[float("inf"), 1, 0])
+        train_gbdt(columns, [float("inf"), 1, 0])

@@ -1661,10 +1661,43 @@ def test_distillation_runs_the_teacher_once_per_tensor_set(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [5, 9, 17])
+def test_eval_passes_in_parts_equal_the_whole_pass(monkeypatch, n):
+    """An eval-mode pass over more than ``EVAL_ROWS`` sequences runs in
+    near-equal parts of at most that many, each trimmed on its own; every
+    output equals the whole pass bit for bit."""
+    from scamscout.lupi import encoder
+    q, serp_ids, present = _long_teacher_inputs(seed=n, batch=n)
+    enc = encoder.Encoder(TOK_LONG.vocab_size, TOK_LONG.max_len_query, ENC2,
+                          np.random.default_rng(n))
+    teacher = TeacherModel(TOK_LONG, ENC2, PRIV, seed=n)
+    student = StudentModel(TOK_LONG, ENC2, seed=n)
+    passes = {"encoder": lambda: (enc.forward(q),),
+              "teacher": lambda: teacher.forward(q, serp_ids, present),
+              "student": lambda: student.forward(q)}
+    whole = {name: run() for name, run in passes.items()}
+
+    seen = []
+    forward = encoder.EncoderBlock.forward
+
+    def counted(self, x, *args):
+        seen.append(len(x))
+        return forward(self, x, *args)
+
+    monkeypatch.setattr(encoder.EncoderBlock, "forward", counted)
+    monkeypatch.setattr(encoder, "EVAL_ROWS", 4)
+    for name, run in passes.items():
+        seen.clear()
+        parts = run()
+        assert seen and max(seen) <= 4, (name, seen)
+        for got, want in zip(parts, whole[name], strict=True):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
 def test_rank_scores_equal_the_untrimmed_student_scores(monkeypatch):
     from scamscout.corpus import KeywordSuggestion
     from scamscout.lupi import rank
-    monkeypatch.setattr(rank, "_BATCH_SIZE", 16)
+    monkeypatch.setattr(rank, "EVAL_ROWS", 16)
     student = StudentModel(TOK_LONG, ENC, seed=7)
     rng = np.random.default_rng(1)
     kws = [KeywordSuggestion(text=_words(rng, int(n)), category="c")
@@ -1684,7 +1717,7 @@ def test_rank_scores_do_not_depend_on_the_batch_size(monkeypatch):
     # BLAS's matrix-vector kernel, which rounds differently from a batch
     from scamscout.corpus import KeywordSuggestion
     from scamscout.lupi import rank
-    monkeypatch.setattr(rank, "_BATCH_SIZE", 16)
+    monkeypatch.setattr(rank, "EVAL_ROWS", 16)
     enc_cfg = EncoderConfig(layers=1, dim=32, heads=2, ff_dim=64, dropout=0.1)
     for seed in range(10):
         student = StudentModel(TOK_LONG, enc_cfg, seed=seed)

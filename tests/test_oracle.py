@@ -18,7 +18,12 @@ from scamscout.featurizer import (
     NUMERIC,
     FeatureVector,
 )
-from scamscout.featurizer.encode import CATEGORICAL_COLUMNS, feature_columns
+from scamscout.featurizer.encode import (
+    CATEGORICAL_COLUMNS,
+    DatasetEncoder,
+    feature_columns,
+    take_rows,
+)
 from scamscout.oracle import (
     GbdtModel,
     TrainConfig,
@@ -32,7 +37,7 @@ from scamscout.oracle import (
     train_gbdt,
     train_logistic_baseline,
 )
-from scamscout.oracle import tree
+from scamscout.oracle import gbdt, tree
 from scamscout.oracle.tree import (
     _EPS_HESS,
     _GAIN_TIE,
@@ -44,8 +49,6 @@ from scamscout.oracle.tree import (
     predict_tree,
     rank_table,
 )
-
-from conftest import encode_dataset
 
 _F1 = FEATURE_NAMES.index("tranco")
 _F2 = FEATURE_NAMES.index("majestic")
@@ -93,11 +96,11 @@ def _xor_200():
 
 def test_depth_zero_model_predicts_sigmoid_of_base_plus_leaf():
     vectors, labels = _xor_200()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=1, max_depth=0))
+    columns = feature_columns(vectors)
+    model = train_gbdt(columns, labels, TrainConfig(rounds=1, max_depth=0))
     (leaf,) = model.trees
     assert leaf.is_leaf
-    proba = model.predict_proba_matrix(matrix.values)
+    proba = model.predict_proba(columns)
     expected = 1.0 / (1.0 + np.exp(-(model.base_score + leaf.value)))
     assert np.unique(proba).size == 1
     assert proba[0] == pytest.approx(expected, rel=1e-15)
@@ -105,30 +108,29 @@ def test_depth_zero_model_predicts_sigmoid_of_base_plus_leaf():
 
 def test_base_score_is_prior_log_odds():
     vectors, labels = _separable_40()  # 20/20 split
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=1))
+    model = train_gbdt(feature_columns(vectors), labels, TrainConfig(rounds=1))
     assert model.base_score == pytest.approx(0.0)
 
 
 def test_separable_set_reaches_training_accuracy_one():
     vectors, labels = _separable_40()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=50, max_depth=2))
-    pred = (model.predict_proba_matrix(matrix.values) >= 0.5).astype(int)
+    columns = feature_columns(vectors)
+    model = train_gbdt(columns, labels, TrainConfig(rounds=50, max_depth=2))
+    pred = (model.predict_proba(columns) >= 0.5).astype(int)
     assert (pred == np.asarray(labels)).all()
 
 
 def test_single_class_labels_rejected():
     vectors, _ = _separable_40()
-    matrix, _ = encode_dataset(vectors, [1] * len(vectors))
     with pytest.raises(TrainingError):
-        train_gbdt(matrix, TrainConfig(rounds=1))
+        train_gbdt(feature_columns(vectors), [1] * len(vectors),
+                   TrainConfig(rounds=1))
 
 
 def test_training_loss_is_non_increasing():
     vectors, labels = _xor_200()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=40, max_depth=3))
+    model = train_gbdt(feature_columns(vectors), labels,
+                       TrainConfig(rounds=40, max_depth=3))
     losses = np.asarray(model.train_loss)
     assert (np.diff(losses) <= 1e-12).all()
 
@@ -140,9 +142,9 @@ def test_a_step_that_would_raise_the_loss_is_halved():
     halved, once, and the loss falls."""
     vectors = [_vec(f1=0.0)] * 50 + [_vec(f1=1.0)] * 10
     y = np.array([0] * 59 + [1], dtype=np.float64)
-    matrix, _ = encode_dataset(vectors, y.astype(int).tolist())
-    model = train_gbdt(matrix, TrainConfig(rounds=1, learning_rate=1.0,
-                                           max_depth=1, min_leaf=1))
+    model = train_gbdt(feature_columns(vectors), y.astype(int).tolist(),
+                       TrainConfig(rounds=1, learning_rate=1.0, max_depth=1,
+                                   min_leaf=1))
     p = 1 / 60   # the base score's probability, the scam share
     newton = [-(rows * p - scams) / (rows * p * (1 - p))
               for rows, scams in ((50, 0), (10, 1))]
@@ -163,17 +165,19 @@ def test_shrinkage_consistency():
         y = int(rng.integers(0, 2))
         vectors.append(_vec(f1=float(rng.normal(y, 1.2)), f2=float(rng.normal(0, 1))))
         labels.append(y)
-    matrix, _ = encode_dataset(vectors, labels)
-    full = train_gbdt(matrix, TrainConfig(rounds=10, learning_rate=0.2, max_depth=2))
-    half = train_gbdt(matrix, TrainConfig(rounds=20, learning_rate=0.1, max_depth=2))
+    columns = feature_columns(vectors)
+    full = train_gbdt(columns, labels,
+                      TrainConfig(rounds=10, learning_rate=0.2, max_depth=2))
+    half = train_gbdt(columns, labels,
+                      TrainConfig(rounds=20, learning_rate=0.1, max_depth=2))
     assert half.train_loss[-1] == pytest.approx(full.train_loss[-1], rel=0.05)
 
 
 def test_training_is_deterministic():
     vectors, labels = _xor_200()
-    matrix, _ = encode_dataset(vectors, labels)
-    m1 = train_gbdt(matrix, TrainConfig(rounds=10))
-    m2 = train_gbdt(matrix, TrainConfig(rounds=10))
+    columns = feature_columns(vectors)
+    m1 = train_gbdt(columns, labels, TrainConfig(rounds=10))
+    m2 = train_gbdt(columns, labels, TrainConfig(rounds=10))
     assert m1.to_dict() == m2.to_dict()
 
 
@@ -191,10 +195,9 @@ def test_config_validation():
 
 def test_empty_tree_list_predicts_sigmoid_base():
     vectors, labels = _separable_40()
-    matrix, encoder = encode_dataset(vectors, labels)
-    trained = train_gbdt(matrix, TrainConfig(rounds=1))
+    trained = train_gbdt(feature_columns(vectors), labels, TrainConfig(rounds=1))
     bare = GbdtModel(config=trained.config, base_score=0.4, trees=[],
-                     encoder=encoder)
+                     encoder=trained.encoder)
     expected = 1.0 / (1.0 + np.exp(-0.4))
     assert predict(bare, vectors[0])[1] == pytest.approx(expected)
 
@@ -225,31 +228,39 @@ def test_predict_matches_brute_force_traversal():
             tld=str(rng.choice(["com", "xyz", "top"])),
         ))
         labels.append(label)
-    matrix, encoder = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=25, max_depth=3))
+    model = train_gbdt(feature_columns(vectors), labels,
+                       TrainConfig(rounds=25, max_depth=3))
     blob = model.to_dict()
 
-    for _ in range(1000):
-        row = np.array([
-            rng.normal(0, 1.5) if i in (_F1, _F2)
-            else (float(rng.integers(0, 4)) if i == FEATURE_NAMES.index("tld")
-                  else np.nan)
-            for i in range(len(FEATURE_NAMES))
-        ])
+    tld = FEATURE_NAMES.index("tld")
+    rows = [np.array([
+        rng.normal(0, 1.5) if i in (_F1, _F2)
+        else (float(rng.integers(0, 4)) if i == tld else np.nan)
+        for i in range(len(FEATURE_NAMES))
+    ]) for _ in range(1000)]
+    # the same rows as vectors: each tld code back to its token, 0 to MISSING
+    tokens = {code: tok for tok, code in model.encoder.column_meta[tld].items()}
+    fast = model.predict_proba(feature_columns([
+        _vec(f1=row[_F1], f2=row[_F2], tld=tokens.get(int(row[tld])))
+        for row in rows]))
+    raws = []
+    for row in rows:
         raw = blob["base_score"]
-        for t in blob["trees"]:
-            raw += _walk(t, row)
-        fast = model.raw_scores(row[None, :])[0]
-        assert raw == fast  # exact, not approximate
+        for t, fitted in zip(blob["trees"], model.trees):
+            step = _walk(t, row)
+            assert step == predict_tree(fitted, row[None, :])[0]
+            raw += step
+        raws.append(raw)
+    assert np.array_equal(gbdt._sigmoid(np.array(raws)), fast)  # exact
 
 
 def test_missing_value_routes_per_missing_goes():
     vectors, labels = _separable_40()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=5, max_depth=1))
+    model = train_gbdt(feature_columns(vectors), labels,
+                       TrainConfig(rounds=5, max_depth=1))
     root = model.trees[0].to_dict()
     assert "feature_index" in root
-    row = model.encoder.transform(feature_columns([_vec()])).values[0]  # all MISSING
+    row = model.encoder.transform(feature_columns([_vec()]))[0]  # all MISSING
     side = "left" if root["missing_goes"] == LEFT else "right"
     expected = root[side]["value"]  # depth 1: both children are leaves
     assert _walk(root, row) == expected
@@ -301,18 +312,17 @@ def test_predict_tree_routes_like_the_reference_walk(tree, rows):
 
 def test_predict_many_matches_one_row_predict():
     vectors, labels = _xor_200()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=10))
+    columns = feature_columns(vectors)
+    model = train_gbdt(columns, labels, TrainConfig(rounds=10))
     batch = predict_many(model, vectors)
     assert batch == [predict(model, v) for v in vectors]
-    assert [s for _, s in batch] == list(model.predict_proba_matrix(matrix.values))
+    assert [s for _, s in batch] == list(model.predict_proba(columns))
     assert predict_many(model, []) == []
 
 
 def test_predict_returns_label_and_score():
     vectors, labels = _separable_40()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=30))
+    model = train_gbdt(feature_columns(vectors), labels, TrainConfig(rounds=30))
     label, score = predict(model, vectors[1])  # class 1
     assert label == "SCAM" and score >= 0.5
     label, score = predict(model, vectors[0])  # class 0
@@ -321,8 +331,7 @@ def test_predict_returns_label_and_score():
 
 def test_model_save_load_reproduces_predictions_exactly(tmp_path):
     vectors, labels = _xor_200()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_gbdt(matrix, TrainConfig(rounds=15))
+    model = train_gbdt(feature_columns(vectors), labels, TrainConfig(rounds=15))
     path = tmp_path / "model.json"
     save_model(model, path)
     clone = load_model(path)
@@ -338,7 +347,7 @@ _CAT = CATEGORICAL_COLUMNS[0]
 
 def _one_round_blob() -> dict:
     vectors, labels = _xor_200()
-    return train_gbdt(encode_dataset(vectors, labels)[0],
+    return train_gbdt(feature_columns(vectors), labels,
                       TrainConfig(rounds=1)).to_dict()
 
 
@@ -429,11 +438,38 @@ def test_gbdt_beats_logistic_on_nonlinear_data():
     assert gbdt.mean_f1 > logistic.mean_f1
 
 
+def test_each_model_keeps_the_encoder_fitted_on_its_training_columns():
+    """Both models fit their own encoder on the columns they train on, and
+    score the held-out columns ``cross_validate`` cuts for each fold."""
+    rng = np.random.default_rng(23)
+    labels = [int(y) for y in rng.integers(0, 2, 60)]
+    vectors = [_vec(f1=float(rng.normal(y, 1.0)),
+                    tld=[None, "com", "top", "xyz"][int(rng.integers(0, 4))])
+               for y in labels]
+    columns = feature_columns(vectors)
+    config = TrainConfig(rounds=8, max_depth=2)
+    trainers = {"gbdt": lambda cols, y: train_gbdt(cols, y, config),
+                "logistic": train_logistic_baseline}
+    fitted = DatasetEncoder().fit(columns).to_dict()
+    assert fitted["columns"][str(FEATURE_NAMES.index("tld"))]
+    y = np.asarray(labels)
+    folds = stratified_folds(y, 3, seed=1)
+    for name, train in trainers.items():
+        assert train(columns, labels).encoder.to_dict() == fitted, name
+        report = cross_validate(vectors, labels, k=3, seed=1, config=config,
+                                model=name)
+        for test_idx, metrics in zip(folds, report.fold_metrics, strict=True):
+            train_idx = np.setdiff1d(np.arange(len(vectors)), test_idx)
+            model = train(take_rows(columns, train_idx), y[train_idx])
+            proba = model.predict_proba(take_rows(columns, test_idx))
+            assert binary_metrics(y[test_idx], proba >= 0.5) == metrics, name
+
+
 def test_logistic_baseline_learns_linear_data():
     vectors, labels = _separable_40()
-    matrix, _ = encode_dataset(vectors, labels)
-    model = train_logistic_baseline(matrix)
-    pred = model.predict_proba_matrix(matrix) >= 0.5
+    columns = feature_columns(vectors)
+    model = train_logistic_baseline(columns, labels)
+    pred = model.predict_proba(columns) >= 0.5
     assert (pred == np.asarray(labels)).all()
 
 
@@ -712,8 +748,8 @@ def test_split_search_equals_the_reference_on_long_runs():
         assert np.array_equal(got.right_rows, ref.right_rows)
 
 
-def _referee_matrix():
-    """72 labelled rows over the whole schema.
+def _referee_rows():
+    """72 labelled rows over the whole schema, as columns and labels.
 
     Every kind of column the search meets is present: constant ones, binary
     ones, all-MISSING ones, categorical ones, and informative numeric
@@ -742,15 +778,15 @@ def _referee_matrix():
             else:
                 values.append(0 if kind == BOOLEAN else 3.0)
         vectors.append(FeatureVector(values))
-    return encode_dataset(vectors, labels)[0]
+    return feature_columns(vectors), labels
 
 
 def test_boosted_model_equals_the_scalar_reference_model(monkeypatch):
-    matrix = _referee_matrix()
+    columns, labels = _referee_rows()
     config = TrainConfig(rounds=6, max_depth=3, min_leaf=2)
-    got = train_gbdt(matrix, config).to_dict()
+    got = train_gbdt(columns, labels, config).to_dict()
     monkeypatch.setattr(tree, "_best_split", _ref_best_split_on_table)
-    assert got == train_gbdt(matrix, config).to_dict()
+    assert got == train_gbdt(columns, labels, config).to_dict()
     # the trees split 16 or more columns into a numeric run
     used = set()
     stack = list(got["trees"])

@@ -44,9 +44,9 @@ _UNREACHED = {
     "oracle.evaluate.cross_validate": _ITEM_4,
     "oracle.evaluate.EvalReport.mean_f1": _ITEM_4,
     "oracle.baseline.train_logistic_baseline": _ITEM_4,
-    "oracle.baseline.LogisticBaseline.predict_proba_matrix": _ITEM_4,
-    "featurizer.encode.DesignMatrix.dense": _ITEM_4 + " (only the logistic "
-                                            "baseline reads a dense matrix)",
+    "oracle.baseline.LogisticBaseline.predict_proba": _ITEM_4,
+    "oracle.baseline._dense": _ITEM_4 + " (only the logistic baseline reads "
+                              "a dense matrix)",
     "corpus._parked_patterns": _ITEM_6,
     "corpus.is_parked": _ITEM_6,
     "corpus.snapshot_state": _ITEM_6,
